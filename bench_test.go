@@ -331,8 +331,8 @@ func BenchmarkMatMul(b *testing.B) {
 }
 
 // BenchmarkConv2DForward sweeps convolution shapes through the pooled
-// im2col + GEMM forward (batch > 1 shards across the worker pool), at
-// each kernel precision.
+// gather + GEMM forward (one GEMM per call; large calls shard their pixel
+// rows across the worker pool), at each kernel precision.
 func BenchmarkConv2DForward(b *testing.B) {
 	cases := []struct{ n, ch, size int }{
 		{1, 16, 16},
@@ -392,30 +392,44 @@ func BenchmarkConv2DForward(b *testing.B) {
 	}
 }
 
-// BenchmarkResNetForward times a batch-8 inference through
-// Model.ForwardBatch at one worker (the serial c(s) baseline) and at four
-// (the parallel hot path); the ratio is the multicore speedup.
+// BenchmarkResNetForward times a batch-8 inference of 16×16 frames through
+// Model.ForwardBatch — the small-spatial shapes (OH·OW 64…1 down the
+// stages) a serving batch actually has — at each kernel precision, at one
+// worker (the serial c(s) baseline) and at four (the parallel hot path);
+// the ratio is the multicore speedup.
 func BenchmarkResNetForward(b *testing.B) {
-	m := dnn.BuildResNet18(dnn.ResNetConfig{
-		InChannels: 3, NumClasses: 61, BaseWidth: 16,
-		StageBlocks: [4]int{2, 2, 2, 2}, Seed: 1,
-	})
 	x := tensor.New(8, 3, 16, 16)
 	x.Fill(1)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("batch8/workers%d", workers), func(b *testing.B) {
-			prev := tensor.SetParallelism(workers)
-			defer tensor.SetParallelism(prev)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				y, err := m.ForwardBatch(x)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tensor.Release(y)
-			}
+	for _, prec := range []tensor.Precision{tensor.F64, tensor.F32, tensor.I8} {
+		m := dnn.BuildResNet18(dnn.ResNetConfig{
+			InChannels: 3, NumClasses: 61, BaseWidth: 16,
+			StageBlocks: [4]int{2, 2, 2, 2}, Seed: 1,
 		})
+		if err := dnn.Calibrate(m, x); err != nil {
+			b.Fatal(err)
+		}
+		if err := m.SetPrecision(prec); err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("batch8/workers%d", workers)
+			if prec != tensor.F64 {
+				name += "/" + prec.String()
+			}
+			b.Run(name, func(b *testing.B) {
+				prev := tensor.SetParallelism(workers)
+				defer tensor.SetParallelism(prev)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					y, err := m.ForwardBatch(x)
+					if err != nil {
+						b.Fatal(err)
+					}
+					tensor.Release(y)
+				}
+			})
+		}
 	}
 }
 
@@ -584,11 +598,11 @@ func BenchmarkFullResolveChurn(b *testing.B) {
 // deployment whose tasks all resolve to one shared path, so every request
 // funnels into a single model's batching queue. The batch1 variant
 // serializes one single-sample forward per request; batch8 aggregates
-// concurrent requests per ForwardBatch call, whose batched convolutions
-// shard across the tensor worker pool (conv2DInto parallelizes the batch
-// dimension only for n > 1). The ratio is therefore the batching win on
-// the serving hot path: ≥2× wherever GOMAXPROCS > 1; on a single-core
-// host the two converge, since every forward is strictly serial there.
+// concurrent requests per ForwardBatch call, which shards the batch over
+// idle pool workers and, on any one core, runs each convolution as one
+// GEMM for the whole batch instead of one per frame. The ratio is
+// therefore the batching win on the serving hot path: the GEMMs' gain
+// from longer rows everywhere, times the cores wherever GOMAXPROCS > 1.
 // The avgbatch metric confirms the batch8 queue actually fills.
 func BenchmarkOffloadServe(b *testing.B) {
 	const nTasks = 4

@@ -118,12 +118,12 @@ func TestRecordInferBench(t *testing.T) {
 
 	// Steady-state inference must stay allocation-free at every precision
 	// and the quantized paths must actually be faster. The whole-model
-	// floors below are deliberately softer than the >=1.8x (f32) / >=3x
-	// (i8) kernel targets asserted by BenchmarkMatMul/BenchmarkConv2DForward:
-	// batch norm, ReLU, residual adds, pooling and im2col all stay f64, so
-	// end-to-end speedup is Amdahl-bounded by the GEMM/conv share of the
-	// forward pass (~1.3x for the narrow resnet18, ~1.7x for the 1x1-conv
-	// heavy mobilenetv2 at this input size).
+	// floors below are softer than the >=1.8x (f32) / >=3x (i8) kernel
+	// targets asserted by BenchmarkMatMul/BenchmarkConv2DForward: since
+	// every convolution became one batch-wide GEMM (DESIGN.md §5e) the
+	// f64 baseline is itself ~2.9x faster, and what separates a model
+	// from its GEMMs is mostly the patch gather, which no precision
+	// shortens — not batch norm, ReLU and pooling, which are a few percent.
 	var f32Speedup, i8Speedup float64
 	for _, r := range runs {
 		if r.Batch == 8 && r.AllocsOp > 0 {
@@ -141,11 +141,11 @@ func TestRecordInferBench(t *testing.T) {
 			t.Errorf("mobilenetv2 %s speedup %.2fx, want >= 1.4x", r.Precision, r.Speedup)
 		}
 	}
-	if f32Speedup < 1.2 {
-		t.Errorf("resnet18 f32 speedup %.2fx, want >= 1.2x", f32Speedup)
+	if f32Speedup < 1.5 {
+		t.Errorf("resnet18 f32 speedup %.2fx, want >= 1.5x", f32Speedup)
 	}
-	if i8Speedup < 1.1 {
-		t.Errorf("resnet18 i8 speedup %.2fx, want >= 1.1x", i8Speedup)
+	if i8Speedup < 1.4 {
+		t.Errorf("resnet18 i8 speedup %.2fx, want >= 1.4x", i8Speedup)
 	}
 
 	doc := struct {

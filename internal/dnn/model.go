@@ -35,68 +35,102 @@ func (m *Model) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error)
 	return x, nil
 }
 
-// ForwardBatch runs an inference-only forward pass, sharding the batch
-// across up to tensor.Parallelism() goroutines. Each shard is a contiguous
-// view of the input's NCHW storage run through Forward independently; since
-// every layer is per-sample at inference (batch norm uses running
-// statistics), the assembled output matches Forward(x, false) bit for bit.
-// The shards use plain goroutines rather than the tensor worker pool, so
-// the kernels inside each shard remain free to use the pool.
+// ForwardBatch runs an inference-only forward pass. When tensor pool
+// workers are idle it shards the batch over them — each shard a contiguous
+// view of the input's NCHW storage run through Forward — and the kernels
+// under a shard, finding the workers taken, run serially: one level of the
+// call tree forks. With no worker idle (other models keep the cores busy)
+// the whole batch goes through Forward on the caller's goroutine, where
+// every convolution is one batch-wide GEMM. Every layer is per-sample at
+// inference (batch norm uses running statistics) and no kernel's summation
+// order depends on the batch, so the result matches Forward(x, false) bit
+// for bit either way.
 func (m *Model) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
-	workers := tensor.Parallelism()
-	if x.Rank() != 4 || workers <= 1 || x.Dim(0) <= 1 {
+	if x.Rank() != 4 || x.Dim(0) <= 1 || tensor.IdleWorkers() == 0 {
 		return m.Forward(x, false)
 	}
 	n := x.Dim(0)
-	if workers > n {
-		workers = n
+	shards := min(n, tensor.Parallelism())
+	r := getBatchRun()
+	defer putBatchRun(r)
+	for len(r.outs) < shards {
+		r.outs, r.errs = append(r.outs, nil), append(r.errs, nil)
 	}
-	per := x.Len() / n
-	bounds := make([][2]int, workers)
-	for i, lo := 0, 0; i < workers; i++ {
-		sz := n / workers
-		if i < n%workers {
-			sz++
+	r.m, r.x = m, x
+	tensor.ParallelShards(n, 1, shards, r.shard)
+	r.m, r.x = nil, nil
+
+	var y *tensor.Tensor
+	var err error
+	for si, e := range r.errs[:shards] {
+		if e != nil && err == nil {
+			err = fmt.Errorf("model %s: batch shard %d: %w", m.Arch, si, e)
 		}
-		bounds[i] = [2]int{lo, lo + sz}
-		lo += sz
+		r.errs[si] = nil
 	}
-	outs := make([]*tensor.Tensor, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			lo, hi := bounds[i][0], bounds[i][1]
-			shape := x.Shape()
-			shape[0] = hi - lo
-			chunk, err := tensor.FromSlice(x.Data()[lo*per:hi*per], shape...)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i], errs[i] = m.Forward(chunk, false)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			for _, o := range outs {
-				tensor.Release(o)
-			}
-			return nil, fmt.Errorf("model %s: batch shard %d: %w", m.Arch, i, err)
+	if o := r.outs[0]; err == nil {
+		r.shape = append(r.shape[:0], n)
+		for d := 1; d < o.Rank(); d++ {
+			r.shape = append(r.shape, o.Dim(d))
 		}
+		y = tensor.Rent(r.shape...)
 	}
-	outPer := outs[0].Len() / (bounds[0][1] - bounds[0][0])
-	shape := outs[0].Shape()
-	shape[0] = n
-	y := tensor.Rent(shape...)
-	for i, o := range outs {
-		copy(y.Data()[bounds[i][0]*outPer:], o.Data())
+	row := 0
+	for si, o := range r.outs[:shards] {
+		if o != nil && err == nil {
+			copy(y.Data()[row*(o.Len()/o.Dim(0)):], o.Data())
+			row += o.Dim(0)
+		}
 		tensor.Release(o)
+		r.outs[si] = nil
 	}
-	return y, nil
+	return y, err
+}
+
+// batchRun is the state of one sharded ForwardBatch call, recycled so a
+// steady-state call allocates nothing: per-shard results, and the shard
+// body bound once as a func value.
+type batchRun struct {
+	m     *Model
+	x     *tensor.Tensor
+	outs  []*tensor.Tensor
+	errs  []error
+	shape []int
+	shard func(si, lo, hi int)
+}
+
+// batchRuns is a mutex-guarded stack rather than a sync.Pool for the
+// reason the tensor freelists are: a sync.Pool may drop an entry at any
+// time, and the zero-allocation pin would see the replacement.
+var batchRuns struct {
+	mu   sync.Mutex
+	free []*batchRun
+}
+
+func getBatchRun() *batchRun {
+	batchRuns.mu.Lock()
+	defer batchRuns.mu.Unlock()
+	if last := len(batchRuns.free) - 1; last >= 0 {
+		r := batchRuns.free[last]
+		batchRuns.free = batchRuns.free[:last]
+		return r
+	}
+	r := &batchRun{}
+	r.shard = r.run
+	return r
+}
+
+func putBatchRun(r *batchRun) {
+	batchRuns.mu.Lock()
+	batchRuns.free = append(batchRuns.free, r) // at most one per concurrent caller
+	batchRuns.mu.Unlock()
+}
+
+// run forwards batch rows [lo,hi) as shard si.
+func (r *batchRun) run(si, lo, hi int) {
+	chunk := tensor.RentRows(r.x, lo, hi)
+	r.outs[si], r.errs[si] = r.m.Forward(chunk, false)
+	tensor.Release(chunk)
 }
 
 // Backward propagates the loss gradient through all blocks (frozen blocks

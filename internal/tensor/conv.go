@@ -34,32 +34,117 @@ func (p Conv2DParams) validate() error {
 	return nil
 }
 
-// im2col unrolls input patches into a matrix of shape
-// (C*K*K) × (OH*OW) for a single image (C×H×W slice of the batch).
-func im2col(dst []float64, src []float64, c, h, w int, p Conv2DParams, oh, ow int) {
-	cols := oh * ow
-	for ch := 0; ch < c; ch++ {
-		srcCh := src[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < p.Kernel; ky++ {
-			for kx := 0; kx < p.Kernel; kx++ {
-				row := dst[((ch*p.Kernel+ky)*p.Kernel+kx)*cols : ((ch*p.Kernel+ky)*p.Kernel+kx+1)*cols]
-				idx := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*p.Stride + ky - p.Padding
-					if iy < 0 || iy >= h {
-						fill(row[idx:idx+ow], 0)
-						idx += ow
-						continue
+// convShape is the geometry of one convolution call. The output pixels of
+// every image of the call, image-major, are rows [0, n·cols) of one patch
+// matrix; the lowering below works on row ranges of it, so where an image
+// ends is invisible to the arithmetic.
+type convShape struct {
+	p                  Conv2DParams
+	n, c, h, w, oh, ow int
+	cols, patch, rows  int // OH·OW, Cin·K·K, n·cols
+}
+
+func newConvShape(x *Tensor, p Conv2DParams, oh, ow int) convShape {
+	s := convShape{p: p, n: x.shape[0], c: x.shape[1], h: x.shape[2], w: x.shape[3], oh: oh, ow: ow}
+	s.cols, s.patch = oh*ow, s.c*p.Kernel*p.Kernel
+	s.rows = s.n * s.cols
+	return s
+}
+
+// convChunkBytes bounds the patch matrix a lowering holds at once, so the
+// gathered operand stays cache-resident — and the scratch freelists, which
+// keep what they are handed, stay small — whatever the batch and frame size.
+const convChunkBytes = 128 << 10
+
+// chunkRows is how many pixel rows are gathered and multiplied at a time
+// for patch elements of elemBytes: about convChunkBytes of them, but at
+// least 64 rows (a multiple of every kernel's tile) so deep layers keep a
+// long pixel axis.
+func (s *convShape) chunkRows(elemBytes int) int {
+	return max(64, convChunkBytes/elemBytes/s.patch&^7)
+}
+
+// forks reports whether the call is worth sharding its pixel rows across
+// the pool, and can be: the usual flop cutoff, and a worker idle to take
+// a shard (none is under a Model.ForwardBatch shard).
+func (s *convShape) forks() bool {
+	return s.rows > 1 && s.rows*s.p.OutChannels*s.patch >= gemmParallelCutoff && IdleWorkers() > 0
+}
+
+// grain is the fewest pixel rows worth a shard of their own.
+func (s *convShape) grain() int {
+	return gemmParallelCutoff/(s.p.OutChannels*s.patch) + 1
+}
+
+// gatherRows writes the patches of pixel rows [lo,hi) as the rows of a
+// (hi-lo)×patch matrix: each row is one output pixel's receptive field in
+// weight order (channel, ky, kx), zero where it overhangs the padding.
+// src holds whole images starting at image b0.
+func gatherRows[T any](dst, src []T, s *convShape, b0, lo, hi int) {
+	k, hw := s.p.Kernel, s.h*s.w
+	b, pix := lo/s.cols, lo%s.cols
+	for r := lo; r < hi; r++ {
+		iy0 := pix/s.ow*s.p.Stride - s.p.Padding
+		ix0 := pix%s.ow*s.p.Stride - s.p.Padding
+		// The taps [kyLo,kyHi)×[kxLo,kxHi) fall inside the image.
+		kyLo, kyHi := max(0, -iy0), min(k, s.h-iy0)
+		kxLo, kxHi := max(0, -ix0), min(k, s.w-ix0)
+		row := dst[(r-lo)*s.patch : (r-lo+1)*s.patch]
+		if kyLo > 0 || kyHi < k || kxLo > 0 || kxHi < k {
+			clear(row)
+		}
+		if kxLo < kxHi {
+			img := src[(b-b0)*s.c*hw : (b-b0+1)*s.c*hw]
+			for ch := 0; ch < s.c; ch++ {
+				for ky := kyLo; ky < kyHi; ky++ {
+					at := ch*hw + (iy0+ky)*s.w + ix0
+					d := row[(ch*k+ky)*k+kxLo:]
+					for i, v := range img[at+kxLo : at+kxHi] {
+						d[i] = v
 					}
-					base := iy * w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*p.Stride + kx - p.Padding
-						if ix < 0 || ix >= w {
-							row[idx] = 0
-						} else {
-							row[idx] = srcCh[base+ix]
+				}
+			}
+		}
+		if pix++; pix == s.cols {
+			b, pix = b+1, 0
+		}
+	}
+}
+
+// gatherCols writes the same patches transposed, as a patch×(hi-lo)
+// matrix: row (channel, ky, kx) holds that tap of every pixel, so pixels
+// run along the contiguous axis. One image's rows [b·cols, (b+1)·cols)
+// give the classic im2col matrix.
+func gatherCols[T any](dst, src []T, s *convShape, b0, lo, hi int) {
+	k, st, hw, nc := s.p.Kernel, s.p.Stride, s.h*s.w, hi-lo
+	var zero T
+	for ch := 0; ch < s.c; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				row := dst[((ch*k+ky)*k+kx)*nc : ((ch*k+ky)*k+kx+1)*nc]
+				b, oy, ox := lo/s.cols, lo%s.cols/s.ow, lo%s.ow
+				for i := 0; i < nc; {
+					// One run is the rest of an output row (or of the range):
+					// zeros left of the image, a strided piece of one input
+					// line, zeros right of it.
+					run := row[i:min(i+s.ow-ox, nc)]
+					j := 0
+					if iy := oy*st + ky - s.p.Padding; iy >= 0 && iy < s.h {
+						line := src[(b-b0)*s.c*hw+ch*hw+iy*s.w:][:s.w]
+						ix := ox*st + kx - s.p.Padding
+						for ; j < len(run) && ix < 0; j, ix = j+1, ix+st {
+							run[j] = zero
 						}
-						idx++
+						for ; j < len(run) && ix < s.w; j, ix = j+1, ix+st {
+							run[j] = line[ix]
+						}
+					}
+					for ; j < len(run); j++ {
+						run[j] = zero
+					}
+					i += len(run)
+					if ox, oy = 0, oy+1; oy == s.oh {
+						b, oy = b+1, 0
 					}
 				}
 			}
@@ -98,8 +183,17 @@ func col2im(dst []float64, src []float64, c, h, w int, p Conv2DParams, oh, ow in
 }
 
 // checkConv2DArgs validates the (x, weight, bias, p) triple shared by
-// Conv2D and Conv2DInto and returns the batch and spatial dimensions.
-func checkConv2DArgs(x, weight, bias *Tensor, p Conv2DParams) (n, c, h, w, oh, ow int, err error) {
+// Conv2D and Conv2DInto and returns the batch and output spatial sizes.
+func checkConv2DArgs(x, weight, bias *Tensor, p Conv2DParams) (n, oh, ow int, err error) {
+	if err = checkConvWeight(weight, p); err != nil {
+		return
+	}
+	return checkConvPrepared(x, bias, p, p.OutChannels, p.InChannels*p.Kernel*p.Kernel)
+}
+
+// checkConvPrepared validates x/bias/params against a weight of wOut rows
+// of wPatch taps (a prepared narrow weight, or a checked tensor's shape).
+func checkConvPrepared(x, bias *Tensor, p Conv2DParams, wOut, wPatch int) (n, oh, ow int, err error) {
 	if err = p.validate(); err != nil {
 		return
 	}
@@ -107,24 +201,23 @@ func checkConv2DArgs(x, weight, bias *Tensor, p Conv2DParams) (n, c, h, w, oh, o
 		err = fmt.Errorf("%w: conv input must be rank-4 NCHW, got %v", ErrShape, x.shape)
 		return
 	}
-	n, c, h, w = x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if c != p.InChannels {
-		err = fmt.Errorf("%w: conv input has %d channels, params say %d", ErrShape, c, p.InChannels)
+	if x.shape[1] != p.InChannels {
+		err = fmt.Errorf("%w: conv input has %d channels, params say %d", ErrShape, x.shape[1], p.InChannels)
 		return
 	}
-	if weight.Rank() != 4 || weight.shape[0] != p.OutChannels || weight.shape[1] != p.InChannels ||
-		weight.shape[2] != p.Kernel || weight.shape[3] != p.Kernel {
-		err = fmt.Errorf("%w: conv weight shape %v, want %v", ErrShape, weight.shape,
-			[]int{p.OutChannels, p.InChannels, p.Kernel, p.Kernel})
+	if patch := p.InChannels * p.Kernel * p.Kernel; wOut != p.OutChannels || wPatch != patch {
+		err = fmt.Errorf("%w: prepared conv weight is %dx%d, params want %dx%d",
+			ErrShape, wOut, wPatch, p.OutChannels, patch)
 		return
 	}
 	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != p.OutChannels) {
 		err = fmt.Errorf("%w: conv bias shape %v, want [%d]", ErrShape, bias.shape, p.OutChannels)
 		return
 	}
-	oh, ow = p.OutSize(h, w)
+	n = x.shape[0]
+	oh, ow = p.OutSize(x.shape[2], x.shape[3])
 	if oh <= 0 || ow <= 0 {
-		err = fmt.Errorf("%w: conv output size %dx%d for input %dx%d", ErrShape, oh, ow, h, w)
+		err = fmt.Errorf("%w: conv output size %dx%d for input %dx%d", ErrShape, oh, ow, x.shape[2], x.shape[3])
 	}
 	return
 }
@@ -136,7 +229,7 @@ func checkConv2DArgs(x, weight, bias *Tensor, p Conv2DParams) (n, c, h, w, oh, o
 // (N, Cout, OH, OW). The returned tensor is pool-backed (see Rent); the
 // caller may Release it once consumed.
 func Conv2D(x, weight, bias *Tensor, p Conv2DParams) (*Tensor, error) {
-	n, _, _, _, oh, ow, err := checkConv2DArgs(x, weight, bias, p)
+	n, oh, ow, err := checkConv2DArgs(x, weight, bias, p)
 	if err != nil {
 		return nil, err
 	}
@@ -148,71 +241,109 @@ func Conv2D(x, weight, bias *Tensor, p Conv2DParams) (*Tensor, error) {
 // Conv2DInto computes the convolution into dst, which must already have
 // shape (N, Cout, OH, OW). Its previous contents are overwritten.
 func Conv2DInto(dst, x, weight, bias *Tensor, p Conv2DParams) error {
-	n, _, _, _, oh, ow, err := checkConv2DArgs(x, weight, bias, p)
+	n, oh, ow, err := checkConv2DArgs(x, weight, bias, p)
 	if err != nil {
 		return err
 	}
-	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != p.OutChannels ||
-		dst.shape[2] != oh || dst.shape[3] != ow {
-		return fmt.Errorf("%w: conv dst shape %v, want [%d %d %d %d]",
-			ErrShape, dst.shape, n, p.OutChannels, oh, ow)
+	if err := checkConvDst(dst, n, p.OutChannels, oh, ow); err != nil {
+		return err
 	}
 	conv2DInto(dst.data, x, weight, bias, p, oh, ow)
 	return nil
 }
 
-// conv2DInto is the validated kernel body. Above a flop cutoff it shards
-// the batch dimension across the worker pool, each shard running the
-// serial per-image kernel with its own pooled im2col buffer (batch items
-// are independent, so results are bit-identical to the serial loop). A
-// single large image instead parallelizes the GEMM row panels.
+func checkConvDst(dst *Tensor, n, cout, oh, ow int) error {
+	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != cout ||
+		dst.shape[2] != oh || dst.shape[3] != ow {
+		return fmt.Errorf("%w: conv dst shape %v, want [%d %d %d %d]",
+			ErrShape, dst.shape, n, cout, oh, ow)
+	}
+	return nil
+}
+
+// conv2DInto is the validated float64 kernel body: one lowering for every
+// batch size. The call's pixel rows — all images together — are gathered
+// chunk by chunk into a patch matrix and multiplied against the Cout×patch
+// weight as it lies (training mutates it between calls, so nothing derived
+// from it is kept). Above the flop cutoff the rows are sharded across idle
+// pool workers; each output element is one k-ascending dot product either
+// way, so batch size, sharding and chunking never change a bit.
 func conv2DInto(out []float64, x, weight, bias *Tensor, p Conv2DParams, oh, ow int) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	patch := p.InChannels * p.Kernel * p.Kernel
-	cols := oh * ow
-	imgLen := c * h * w
-	outLen := p.OutChannels * cols
+	s := newConvShape(x, p, oh, ow)
 	var biasData []float64
 	if bias != nil {
 		biasData = bias.data
 	}
-
-	flops := n * p.OutChannels * patch * cols
-	if n > 1 && Parallelism() > 1 && flops >= gemmParallelCutoff {
-		// Batch shards are leaves on the pool: the per-image matmul must
-		// stay serial (see the nesting rule in parallel.go).
-		parallelFor(n, 1, func(lo, hi int) {
-			colBuf := getF64(patch * cols)
-			for b := lo; b < hi; b++ {
-				convImage(out[b*outLen:(b+1)*outLen], x.data[b*imgLen:(b+1)*imgLen],
-					weight.data, biasData, colBuf, c, h, w, p, oh, ow, patch, cols, matmulInto)
-			}
-			putF64(colBuf)
+	if s.forks() {
+		sh := s // the closure's copy: s itself stays on the stack
+		parallelFor(sh.rows, sh.grain(), func(lo, hi int) {
+			convRows(out, x.data, weight.data, biasData, &sh, lo, hi)
 		})
 		return
 	}
-	colBuf := getF64(patch * cols)
-	for b := 0; b < n; b++ {
-		// Serial over the batch: the GEMM may parallelize its row panels.
-		convImage(out[b*outLen:(b+1)*outLen], x.data[b*imgLen:(b+1)*imgLen],
-			weight.data, biasData, colBuf, c, h, w, p, oh, ow, patch, cols, gemm)
-	}
-	putF64(colBuf)
+	convRows(out, x.data, weight.data, biasData, &s, 0, s.rows)
 }
 
-// convImage computes one image's output plane: im2col into colBuf, then
-// out = weight (Cout×patch) · colBuf (patch×cols), plus bias. A top-level
-// function so the serial batch loop allocates nothing per call.
-func convImage(out, xImg, wData, biasData, colBuf []float64, c, h, w int,
-	p Conv2DParams, oh, ow, patch, cols int, mm func(dst, a, b []float64, m, k, n int)) {
-	im2col(colBuf, xImg, c, h, w, p, oh, ow)
-	mm(out, wData, colBuf, p.OutChannels, patch, cols)
-	if biasData != nil {
-		for oc := 0; oc < p.OutChannels; oc++ {
-			bo := biasData[oc]
-			row := out[oc*cols : (oc+1)*cols]
-			for i := range row {
-				row[i] += bo
+// convRows computes pixel rows [lo,hi) of the call's output.
+func convRows(out, x, w, bias []float64, s *convShape, lo, hi int) {
+	chunk := s.chunkRows(8)
+	buf := getF64(min(chunk, hi-lo) * s.patch)
+	for c0 := lo; c0 < hi; c0 += chunk {
+		c1 := min(c0+chunk, hi)
+		gatherRows(buf, x, s, 0, c0, c1)
+		dotRows(out, buf, w, bias, s, c0, c1)
+	}
+	putF64(buf)
+}
+
+// dotRows writes out[pixel, oc] = patches[pixel]·w[oc] + bias[oc] for the
+// pixel rows [lo,hi) whose patches are the rows of patches. A float64
+// kernel has no vector axis to choose: a register tile of one pixel by four
+// output channels keeps four k-ascending sums in flight over the weight
+// rows as they lie — the same per-element order as the seed's axpy loop
+// without its store per multiply — whether the call is one deep 1×1 frame
+// or a batch of wide ones. (Eight sums spill: measured slower.) Channel
+// quads are the outer loop, so the weight streams once per chunk.
+func dotRows(out, patches, w, bias []float64, s *convShape, lo, hi int) {
+	k, cout, cols := s.patch, s.p.OutChannels, s.cols
+	oc := 0
+	for ; oc+4 <= cout; oc += 4 {
+		w0, w1, w2, w3 := w[oc*k:][:k], w[(oc+1)*k:][:k], w[(oc+2)*k:][:k], w[(oc+3)*k:][:k]
+		b, pix := lo/cols, lo%cols
+		for r := lo; r < hi; r++ {
+			var s0, s1, s2, s3 float64
+			for i, a := range patches[(r-lo)*k:][:k] {
+				s0 += a * w0[i]
+				s1 += a * w1[i]
+				s2 += a * w2[i]
+				s3 += a * w3[i]
+			}
+			if bias != nil {
+				s0, s1, s2, s3 = s0+bias[oc], s1+bias[oc+1], s2+bias[oc+2], s3+bias[oc+3]
+			}
+			// Pixel r's element of channel oc; channels are cols apart.
+			o := out[(b*cout+oc)*cols+pix:]
+			o[0], o[cols], o[2*cols], o[3*cols] = s0, s1, s2, s3
+			if pix++; pix == cols {
+				b, pix = b+1, 0
+			}
+		}
+	}
+	// The last Cout%4 channels, one dot product at a time.
+	for ; oc < cout; oc++ {
+		wr := w[oc*k:][:k]
+		b, pix := lo/cols, lo%cols
+		for r := lo; r < hi; r++ {
+			sum := 0.0
+			for i, a := range patches[(r-lo)*k:][:k] {
+				sum += a * wr[i]
+			}
+			if bias != nil {
+				sum += bias[oc]
+			}
+			out[(b*cout+oc)*cols+pix] = sum
+			if pix++; pix == cols {
+				b, pix = b+1, 0
 			}
 		}
 	}
@@ -257,8 +388,8 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 		return nil, fmt.Errorf("%w: conv backward dy shape %v, want %v", ErrShape, dy.shape, wantDY)
 	}
 
-	patch := p.InChannels * p.Kernel * p.Kernel
-	cols := oh * ow
+	shape := newConvShape(x, p, oh, ow)
+	patch, cols := shape.patch, shape.cols
 	imgLen := c * h * w
 	outLen := p.OutChannels * cols
 	wLen := p.OutChannels * patch
@@ -276,7 +407,7 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 	backwardOne := func(colBuf, dColBuf, dwAcc, dbAcc []float64, b int) {
 		dyb := dy.data[b*outLen : (b+1)*outLen]
 		// dW += dy[b] (Cout×cols) · colBufᵀ (cols×patch)
-		im2col(colBuf, x.data[b*imgLen:(b+1)*imgLen], c, h, w, p, oh, ow)
+		gatherCols(colBuf, x.data, &shape, 0, b*cols, (b+1)*cols)
 		for oc := 0; oc < p.OutChannels; oc++ {
 			dyRow := dyb[oc*cols : (oc+1)*cols]
 			dwRow := dwAcc[oc*patch : (oc+1)*patch]
@@ -315,11 +446,11 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 	}
 
 	flops := n * p.OutChannels * patch * cols
-	spans := shardPlan(n, 1)
-	if len(spans) > 1 && flops >= gemmParallelCutoff {
+	spans := planShards(n, 1, 0)
+	if spans.count > 1 && flops >= gemmParallelCutoff {
 		// Shard 0 accumulates directly into grads; shards 1.. use pooled
 		// accumulators merged afterwards in shard order.
-		nAux := len(spans) - 1
+		nAux := spans.count - 1
 		auxDW := getF64(nAux * wLen)
 		fill(auxDW, 0)
 		var auxDB []float64

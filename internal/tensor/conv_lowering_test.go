@@ -1,0 +1,377 @@
+package tensor
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+)
+
+// convMode is one arithmetic the lowering runs at; i8dyn is int8 with the
+// per-image dynamic activation scale (xScale <= 0).
+type convMode int
+
+const (
+	modeF64 convMode = iota
+	modeF32
+	modeI8
+	modeI8Dyn
+)
+
+func (m convMode) String() string { return [...]string{"f64", "f32", "i8", "i8dyn"}[m] }
+
+// refDot is the documented per-element summation of each precision over
+// one output pixel's taps in weight order: f64 one accumulator, k
+// ascending; f32 aligned quartets, each summed left to right before it
+// joins the accumulator, then the k%4 tail one by one; i8 exact.
+func refDot64(a, b []float64) float64 {
+	s := 0.0
+	for k := range a {
+		s += a[k] * b[k]
+	}
+	return s
+}
+
+func refDot32(a, b []float32) float32 {
+	var s float32
+	k := 0
+	for ; k+3 < len(a); k += 4 {
+		s += a[k]*b[k] + a[k+1]*b[k+1] + a[k+2]*b[k+2] + a[k+3]*b[k+3]
+	}
+	for ; k < len(a); k++ {
+		s += a[k] * b[k]
+	}
+	return s
+}
+
+func refDot8(a, b []int8) int32 {
+	var s int32
+	for k := range a {
+		s += int32(a[k]) * int32(b[k])
+	}
+	return s
+}
+
+// refConvImage convolves ONE image naively — tap by tap, pixel by pixel,
+// no patch matrix — in the given mode's arithmetic. staticScale is the
+// calibrated activation scale modeI8 uses.
+func refConvImage(mode convMode, img []float64, h, w int, weight, bias *Tensor, p Conv2DParams, staticScale float64) []float64 {
+	oh, ow := p.OutSize(h, w)
+	patch := p.InChannels * p.Kernel * p.Kernel
+	out := make([]float64, p.OutChannels*oh*ow)
+
+	img32 := make([]float32, len(img))
+	toF32(img32, img)
+	w32 := make([]float32, weight.Len())
+	toF32(w32, weight.data)
+	xScale := staticScale
+	if mode == modeI8Dyn {
+		xScale = SymmetricScale(img)
+	}
+	img8 := make([]int8, len(img))
+	QuantizeSymmetric(img8, img, xScale)
+	w8 := make([]int8, weight.Len())
+	wScale := make([]float64, p.OutChannels)
+	for oc := range wScale {
+		row := weight.data[oc*patch : (oc+1)*patch]
+		wScale[oc] = SymmetricScale(row)
+		QuantizeSymmetric(w8[oc*patch:(oc+1)*patch], row, wScale[oc])
+	}
+
+	t64, t32, t8 := make([]float64, patch), make([]float32, patch), make([]int8, patch)
+	for oy := 0; oy < oh; oy++ {
+		for ox := 0; ox < ow; ox++ {
+			i := 0
+			for ch := 0; ch < p.InChannels; ch++ {
+				for ky := 0; ky < p.Kernel; ky++ {
+					for kx := 0; kx < p.Kernel; kx++ {
+						iy, ix := oy*p.Stride+ky-p.Padding, ox*p.Stride+kx-p.Padding
+						t64[i], t32[i], t8[i] = 0, 0, 0
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							at := (ch*h+iy)*w + ix
+							t64[i], t32[i], t8[i] = img[at], img32[at], img8[at]
+						}
+						i++
+					}
+				}
+			}
+			for oc := 0; oc < p.OutChannels; oc++ {
+				bo, hasBias := 0.0, bias != nil
+				if hasBias {
+					bo = bias.data[oc]
+				}
+				var v float64
+				switch mode {
+				case modeF64:
+					v = refDot64(t64, weight.data[oc*patch:(oc+1)*patch])
+					if hasBias {
+						v += bo
+					}
+				case modeF32:
+					v = float64(refDot32(w32[oc*patch:(oc+1)*patch], t32)) + bo
+				default:
+					v = float64(refDot8(w8[oc*patch:(oc+1)*patch], t8))*(wScale[oc]*xScale) + bo
+				}
+				out[(oc*oh+oy)*ow+ox] = v
+			}
+		}
+	}
+	return out
+}
+
+// TestConv2DLoweringMatchesPerImageReference is the lowering's contract:
+// whatever the batch, the worker count, the orientation the shape picks,
+// the weight layout the first call fixed, the chunking and the SIMD path,
+// image i of the output is bit for bit the naive convolution of image i
+// alone in the documented summation order. Equality with a per-image
+// reference is also equality across batch splits.
+func TestConv2DLoweringMatchesPerImageReference(t *testing.T) {
+	const maxBatch = 9
+	rng := rand.New(rand.NewSource(41))
+	simd := []bool{useSIMD}
+	if useSIMD {
+		simd = append(simd, false)
+	}
+	defer func(prev bool) { useSIMD = prev }(useSIMD)
+	defer SetParallelism(SetParallelism(1))
+
+	for _, geo := range []struct{ k, stride, pad int }{
+		{1, 1, 0}, {1, 2, 0}, {1, 1, 1}, {1, 2, 1}, {3, 1, 0}, {3, 2, 0}, {3, 1, 1}, {3, 2, 1},
+	} {
+		sides := []int{1, 2, 4, 8} // OH·OW = 1, 4, 16, 64
+		if geo.k == 3 && geo.stride == 1 && geo.pad == 1 {
+			sides = append(sides, 16) // 9·256 rows: more than one chunk even of int8
+		}
+		for _, side := range sides {
+			size := (side-1)*geo.stride + geo.k - 2*geo.pad
+			if size < 1 {
+				continue
+			}
+			for _, cout := range []int{3, 8, 128} {
+				// 16 input channels at k=3 make the patch (144) cross a
+				// gemmKC tile and nine 8×8 frames exceed one f64/f32 chunk;
+				// the other widths keep the naive reference affordable.
+				cin := 4
+				switch {
+				case geo.k == 1:
+					cin = 5
+				case cout == 8:
+					cin = 16
+				}
+				p := Conv2DParams{InChannels: cin, OutChannels: cout, Kernel: geo.k, Stride: geo.stride, Padding: geo.pad}
+				oh, ow := p.OutSize(size, size)
+				if oh != side || ow != side {
+					t.Fatalf("%+v size %d: output %dx%d, want %d", p, size, oh, ow, side)
+				}
+				x := randTensor(rng, maxBatch, cin, size, size)
+				weight := randTensor(rng, cout, cin, geo.k, geo.k)
+				var bias *Tensor
+				if cout != 8 {
+					bias = randTensor(rng, cout)
+				}
+				staticScale := SymmetricScale(x.data)
+				imgLen, outLen := cin*size*size, cout*oh*ow
+
+				for _, mode := range []convMode{modeF64, modeF32, modeI8, modeI8Dyn} {
+					want := make([]float64, 0, maxBatch*outLen)
+					for b := 0; b < maxBatch; b++ {
+						want = append(want, refConvImage(mode, x.data[b*imgLen:(b+1)*imgLen], size, size, weight, bias, p, staticScale)...)
+					}
+					// Prepared once: the first call (batch 1) fixes the
+					// narrow layout every later batch must live with.
+					w32, err := PrepareConvWeightsF32(weight, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w8, err := PrepareConvWeightsI8(weight, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for batch := 1; batch <= maxBatch; batch++ {
+						xb := MustFromSlice(x.data[:batch*imgLen], batch, cin, size, size)
+						// Settings that cannot change the code path are run
+						// once: worker counts below the fork cutoff, the
+						// scalar fallback where there is no vector kernel.
+						workerSet, simdSet := []int{1, 2, 4}, simd
+						if batch*oh*ow*cout*cin*geo.k*geo.k < gemmParallelCutoff {
+							workerSet = workerSet[:1]
+						}
+						if mode == modeF64 {
+							simdSet = simd[:1]
+						}
+						for _, workers := range workerSet {
+							for _, useSIMD = range simdSet {
+								SetParallelism(workers)
+								var got *Tensor
+								switch mode {
+								case modeF64:
+									got, err = Conv2D(xb, weight, bias, p)
+								case modeF32:
+									got, err = Conv2DF32(xb, w32, bias, p)
+								case modeI8:
+									got, err = Conv2DI8(xb, w8, bias, p, staticScale)
+								default:
+									got, err = Conv2DI8(xb, w8, bias, p, 0)
+								}
+								if err != nil {
+									t.Fatal(err)
+								}
+								for i, g := range got.data {
+									if g != want[i] {
+										t.Fatalf("%v %+v size=%d batch=%d workers=%d simd=%v: element %d (image %d) = %v, per-image reference %v",
+											mode, p, size, batch, workers, useSIMD, i, i/outLen, g, want[i])
+									}
+								}
+								Release(got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DLoweringGathers checks the two patch layouts against each
+// other and against direct indexing on row ranges that start and end
+// mid-row and mid-image — the ranges chunking and sharding produce.
+func TestConv2DLoweringGathers(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, p := range []Conv2DParams{
+		{InChannels: 3, OutChannels: 1, Kernel: 3, Stride: 1, Padding: 1},
+		{InChannels: 2, OutChannels: 1, Kernel: 3, Stride: 2, Padding: 1},
+		{InChannels: 4, OutChannels: 1, Kernel: 1, Stride: 2, Padding: 0},
+		{InChannels: 2, OutChannels: 1, Kernel: 5, Stride: 3, Padding: 2},
+	} {
+		const n, h, w = 3, 7, 6
+		x := randTensor(rng, n, p.InChannels, h, w)
+		oh, ow := p.OutSize(h, w)
+		s := newConvShape(x, p, oh, ow)
+		for lo := 0; lo < s.rows; lo += 5 {
+			for hi := lo + 1; hi <= s.rows; hi += 7 {
+				nc := hi - lo
+				rowsBuf, colsBuf := make([]float64, nc*s.patch), make([]float64, nc*s.patch)
+				b0 := lo / s.cols
+				src := x.data[b0*p.InChannels*h*w:]
+				gatherRows(rowsBuf, src, &s, b0, lo, hi)
+				gatherCols(colsBuf, src, &s, b0, lo, hi)
+				for r := lo; r < hi; r++ {
+					b, oy, ox := r/s.cols, r%s.cols/ow, r%ow
+					q := 0
+					for ch := 0; ch < p.InChannels; ch++ {
+						for ky := 0; ky < p.Kernel; ky++ {
+							for kx := 0; kx < p.Kernel; kx++ {
+								want := 0.0
+								iy, ix := oy*p.Stride+ky-p.Padding, ox*p.Stride+kx-p.Padding
+								if iy >= 0 && iy < h && ix >= 0 && ix < w {
+									want = x.At(b, ch, iy, ix)
+								}
+								if got := rowsBuf[(r-lo)*s.patch+q]; got != want {
+									t.Fatalf("%+v rows[%d,%d): gatherRows pixel %d tap %d = %v, want %v", p, lo, hi, r, q, got, want)
+								}
+								if got := colsBuf[q*nc+r-lo]; got != want {
+									t.Fatalf("%+v rows[%d,%d): gatherCols pixel %d tap %d = %v, want %v", p, lo, hi, r, q, got, want)
+								}
+								q++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConv2DSeesWeightUpdate pins that the float64 lowering keeps nothing
+// derived from the master weight: training mutates it between forwards.
+func TestConv2DSeesWeightUpdate(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	p := Conv2DParams{InChannels: 8, OutChannels: 16, Kernel: 3, Stride: 1, Padding: 1}
+	x, weight := randTensor(rng, 2, 8, 2, 2), randTensor(rng, 16, 8, 3, 3)
+	before, err := Conv2D(x, weight, nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range weight.data {
+		weight.data[i] *= 2 // exact: every product, and so every sum, doubles
+	}
+	after, err := Conv2D(x, weight, nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range after.data {
+		if v != 2*before.data[i] {
+			t.Fatalf("element %d: %v after doubling the weight, want %v", i, v, 2*before.data[i])
+		}
+	}
+}
+
+// TestParallelRegionsNeverQueue drives the pool the way a loaded server
+// does — more concurrent callers than workers, each forking, some from
+// inside a shard — and checks that every shard runs exactly once, nested
+// regions complete (they run inline when no worker is idle), and all
+// claimed workers are handed back.
+func TestParallelRegionsNeverQueue(t *testing.T) {
+	defer SetParallelism(SetParallelism(3))
+	const callers, n = 8, 64
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 50; rep++ {
+				var hits [n]int32
+				ParallelShards(n, 1, 0, func(si, lo, hi int) {
+					parallelFor(hi-lo, 1, func(l, h int) { // nested: must not wait for a worker
+						for i := lo + l; i < lo+h; i++ {
+							hits[i]++
+						}
+					})
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Errorf("index %d ran %d times", i, h)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if idle := IdleWorkers(); idle != 2 {
+		t.Fatalf("IdleWorkers() = %d after all regions returned, want 2", idle)
+	}
+}
+
+// BenchmarkConv2DStageShapes times the convolutions of a width-16
+// ResNet-18 on 16×16 frames — the small-spatial shapes (OH·OW 64…1,
+// Cout 16…128) where a per-image GEMM has no vector axis left.
+func BenchmarkConv2DStageShapes(b *testing.B) {
+	defer SetParallelism(SetParallelism(1))
+	for _, c := range []struct{ cin, cout, size int }{{16, 16, 8}, {32, 32, 4}, {64, 64, 2}, {128, 128, 1}} {
+		for _, n := range []int{1, 8} {
+			p := Conv2DParams{InChannels: c.cin, OutChannels: c.cout, Kernel: 3, Stride: 1, Padding: 1}
+			x := mustBenchTensor(b, benchRand64(n*c.cin*c.size*c.size, 3), n, c.cin, c.size, c.size)
+			wt := mustBenchTensor(b, benchRand64(c.cout*c.cin*9, 4), c.cout, c.cin, 3, 3)
+			w32, _ := PrepareConvWeightsF32(wt, p)
+			w8, _ := PrepareConvWeightsI8(wt, p)
+			dst := New(n, c.cout, c.size, c.size)
+			for _, conv := range []struct {
+				prec string
+				run  func() error
+			}{
+				{"f64", func() error { return Conv2DInto(dst, x, wt, nil, p) }},
+				{"f32", func() error { return Conv2DIntoF32(dst, x, w32, nil, p) }},
+				{"i8", func() error { return Conv2DIntoI8(dst, x, w8, nil, p, 0.5/127) }},
+			} {
+				b.Run(fmt.Sprintf("c%d_hw%d_b%d/%s", c.cout, c.size, n, conv.prec), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := conv.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}

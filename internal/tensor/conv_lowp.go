@@ -1,56 +1,22 @@
 package tensor
 
-import "fmt"
-
-// Reduced-precision convolution: the same im2col + GEMM shape as conv.go
-// with the conversion work hoisted out of the hot loops. Each image is
-// converted (f32) or quantized (i8) ONCE into typed scratch — so the
-// K²-overlapping im2col copy below it moves 4-byte (or 1-byte) elements
-// instead of doing K² redundant conversions — and the GEMM runs entirely
-// in the narrow type; bias add and the widening back to the float64
-// interchange tensor are fused into a single writeback pass. Batch
-// sharding and the leaf-kernel rule mirror conv2DInto exactly, and the
-// narrow kernels are deterministic across worker counts (f32 by fixed
-// summation grouping, i8 exactly), so quantized inference keeps the
-// engine's reproducibility story.
-
-// checkConvPrepared validates x/bias/params for a prepared-weight conv
-// call and returns the batch and spatial dimensions.
-func checkConvPrepared(x, bias *Tensor, p Conv2DParams, wOut, wPatch int) (n, c, h, w, oh, ow int, err error) {
-	if err = p.validate(); err != nil {
-		return
-	}
-	if x.Rank() != 4 {
-		err = fmt.Errorf("%w: conv input must be rank-4 NCHW, got %v", ErrShape, x.shape)
-		return
-	}
-	n, c, h, w = x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	if c != p.InChannels {
-		err = fmt.Errorf("%w: conv input has %d channels, params say %d", ErrShape, c, p.InChannels)
-		return
-	}
-	patch := p.InChannels * p.Kernel * p.Kernel
-	if wOut != p.OutChannels || wPatch != patch {
-		err = fmt.Errorf("%w: prepared conv weight is %dx%d, params want %dx%d",
-			ErrShape, wOut, wPatch, p.OutChannels, patch)
-		return
-	}
-	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != p.OutChannels) {
-		err = fmt.Errorf("%w: conv bias shape %v, want [%d]", ErrShape, bias.shape, p.OutChannels)
-		return
-	}
-	oh, ow = p.OutSize(h, w)
-	if oh <= 0 || ow <= 0 {
-		err = fmt.Errorf("%w: conv output size %dx%d for input %dx%d", ErrShape, oh, ow, h, w)
-	}
-	return
-}
+// Reduced-precision convolution: the lowering of conv.go — every image's
+// pixel rows in one patch matrix — run through the narrow GEMM panels.
+// Each image is converted (f32) or quantized (i8) ONCE into typed scratch,
+// so the K²-overlapping gather below it moves 4-byte (or 1-byte) elements
+// instead of doing K² redundant conversions, the GEMM runs entirely in the
+// narrow type, and bias add, dequantization and the widening back to the
+// float64 interchange tensor are one writeback pass. The panels vectorize
+// their contiguous output axis, so the lowering puts the longer of the two
+// output axes there; both orientations sum every element in the panels'
+// one fixed order (f32: gemmKC-aligned quartets; i8: exact), so the choice
+// — like batch size, row sharding and chunking — never changes a bit.
 
 // Conv2DF32 computes a batched 2-D convolution in float32 arithmetic
 // from a pre-converted weight. Input and result stay float64 tensors
 // (the engine interchange type); the result is pool-backed like Conv2D.
 func Conv2DF32(x *Tensor, weight *ConvWeightsF32, bias *Tensor, p Conv2DParams) (*Tensor, error) {
-	n, _, _, _, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
+	n, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
 	if err != nil {
 		return nil, err
 	}
@@ -61,87 +27,15 @@ func Conv2DF32(x *Tensor, weight *ConvWeightsF32, bias *Tensor, p Conv2DParams) 
 
 // Conv2DIntoF32 is the destination-reuse variant of Conv2DF32.
 func Conv2DIntoF32(dst, x *Tensor, weight *ConvWeightsF32, bias *Tensor, p Conv2DParams) error {
-	n, _, _, _, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
+	n, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
 	if err != nil {
 		return err
 	}
-	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != p.OutChannels ||
-		dst.shape[2] != oh || dst.shape[3] != ow {
-		return fmt.Errorf("%w: conv dst shape %v, want [%d %d %d %d]",
-			ErrShape, dst.shape, n, p.OutChannels, oh, ow)
+	if err := checkConvDst(dst, n, p.OutChannels, oh, ow); err != nil {
+		return err
 	}
 	conv2DIntoF32(dst.data, x, weight, bias, p, oh, ow)
 	return nil
-}
-
-// matmulInto32 runs the full-row f32 panel serially — the leaf kernel for
-// batch shards.
-func matmulInto32(dst, a, b []float32, m, k, n int) {
-	gemmPanel32(dst, a, b, 0, m, k, n)
-}
-
-// conv2DIntoF32 is the validated f32 kernel body, mirroring conv2DInto's
-// batch sharding.
-func conv2DIntoF32(out []float64, x *Tensor, weight *ConvWeightsF32, bias *Tensor, p Conv2DParams, oh, ow int) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	patch := weight.patch
-	cols := oh * ow
-	imgLen := c * h * w
-	outLen := p.OutChannels * cols
-	var biasData []float64
-	if bias != nil {
-		biasData = bias.data
-	}
-
-	flops := n * p.OutChannels * patch * cols
-	if n > 1 && Parallelism() > 1 && flops >= gemmParallelCutoff {
-		parallelFor(n, 1, func(lo, hi int) {
-			img32 := scratchF32.get(imgLen)
-			colBuf := scratchF32.get(patch * cols)
-			out32 := scratchF32.get(outLen)
-			for b := lo; b < hi; b++ {
-				toF32(img32, x.data[b*imgLen:(b+1)*imgLen])
-				convImageF32(out[b*outLen:(b+1)*outLen], img32, weight.w, biasData,
-					colBuf, out32, c, h, w, p, oh, ow, patch, cols, matmulInto32)
-			}
-			scratchF32.put(out32)
-			scratchF32.put(colBuf)
-			scratchF32.put(img32)
-		})
-		return
-	}
-	img32 := scratchF32.get(imgLen)
-	colBuf := scratchF32.get(patch * cols)
-	out32 := scratchF32.get(outLen)
-	for b := 0; b < n; b++ {
-		toF32(img32, x.data[b*imgLen:(b+1)*imgLen])
-		// Serial over the batch: the GEMM may parallelize its row panels.
-		convImageF32(out[b*outLen:(b+1)*outLen], img32, weight.w, biasData,
-			colBuf, out32, c, h, w, p, oh, ow, patch, cols, GemmF32)
-	}
-	scratchF32.put(out32)
-	scratchF32.put(colBuf)
-	scratchF32.put(img32)
-}
-
-// convImageF32 computes one image's output plane in f32: im2col over the
-// converted image, narrow GEMM, then a fused bias-add + widen writeback.
-func convImageF32(out []float64, img32, w32 []float32, biasData []float64,
-	colBuf, out32 []float32, c, h, w int, p Conv2DParams, oh, ow, patch, cols int,
-	mm func(dst, a, b []float32, m, k, n int)) {
-	im2col32(colBuf, img32, c, h, w, p, oh, ow)
-	mm(out32, w32, colBuf, p.OutChannels, patch, cols)
-	for oc := 0; oc < p.OutChannels; oc++ {
-		bo := 0.0
-		if biasData != nil {
-			bo = biasData[oc]
-		}
-		row32 := out32[oc*cols : (oc+1)*cols]
-		row := out[oc*cols : (oc+1)*cols]
-		for i, v := range row32 {
-			row[i] = float64(v) + bo
-		}
-	}
 }
 
 // Conv2DI8 computes a batched 2-D convolution in symmetric int8
@@ -150,9 +44,9 @@ func convImageF32(out []float64, img32, w32 []float32, biasData []float64,
 // xScale <= 0 to derive a per-image scale from each image's max |x|
 // (exact same quantizer, one extra pass per image). The per-image
 // fallback depends only on that image's data, so dynamic-scale results
-// are independent of batch sharding.
+// are independent of which images share a call.
 func Conv2DI8(x *Tensor, weight *ConvWeightsI8, bias *Tensor, p Conv2DParams, xScale float64) (*Tensor, error) {
-	n, _, _, _, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
+	n, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
 	if err != nil {
 		return nil, err
 	}
@@ -163,162 +57,145 @@ func Conv2DI8(x *Tensor, weight *ConvWeightsI8, bias *Tensor, p Conv2DParams, xS
 
 // Conv2DIntoI8 is the destination-reuse variant of Conv2DI8.
 func Conv2DIntoI8(dst, x *Tensor, weight *ConvWeightsI8, bias *Tensor, p Conv2DParams, xScale float64) error {
-	n, _, _, _, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
+	n, oh, ow, err := checkConvPrepared(x, bias, p, weight.out, weight.patch)
 	if err != nil {
 		return err
 	}
-	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != p.OutChannels ||
-		dst.shape[2] != oh || dst.shape[3] != ow {
-		return fmt.Errorf("%w: conv dst shape %v, want [%d %d %d %d]",
-			ErrShape, dst.shape, n, p.OutChannels, oh, ow)
+	if err := checkConvDst(dst, n, p.OutChannels, oh, ow); err != nil {
+		return err
 	}
 	conv2DIntoI8(dst.data, x, weight, bias, p, oh, ow, xScale)
 	return nil
 }
 
-// matmulInto8 runs the full-row i8 panel serially — the leaf kernel for
-// batch shards.
-func matmulInto8(dst []int32, a, b []int8, m, k, n int) {
-	gemmPanel8(dst, a, b, 0, m, k, n)
+// conv2DIntoF32 is the validated f32 kernel body; rows shard like
+// conv2DInto's.
+func conv2DIntoF32(out []float64, x *Tensor, weight *ConvWeightsF32, bias *Tensor, p Conv2DParams, oh, ow int) {
+	s := newConvShape(x, p, oh, ow)
+	weight.fixLayout(s.cols)
+	if s.forks() {
+		sh := s // the closure's copy: s itself stays on the stack
+		parallelFor(sh.rows, sh.grain(), func(lo, hi int) {
+			convRowsF32(out, x.data, weight, bias, &sh, lo, hi)
+		})
+		return
+	}
+	convRowsF32(out, x.data, weight, bias, &s, 0, s.rows)
+}
+
+// convRowsF32 narrows the images that pixel rows [lo,hi) touch and runs
+// the rows through the f32 panel.
+func convRowsF32(out, x []float64, weight *ConvWeightsF32, bias *Tensor, s *convShape, lo, hi int) {
+	b0, b1, imgLen := lo/s.cols, (hi-1)/s.cols+1, s.c*s.h*s.w
+	imgs := scratchF32.get((b1 - b0) * imgLen)
+	toF32(imgs, x[b0*imgLen:b1*imgLen])
+	convRowsNarrow(out, imgs, &weight.packedConv, nil, nil, bias, s, b0, lo, hi,
+		s.chunkRows(4), &scratchF32, &scratchF32, gemmPanel32)
+	scratchF32.put(imgs)
 }
 
 // conv2DIntoI8 is the validated i8 kernel body.
 func conv2DIntoI8(out []float64, x *Tensor, weight *ConvWeightsI8, bias *Tensor, p Conv2DParams, oh, ow int, xScale float64) {
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	patch := weight.patch
-	cols := oh * ow
-	imgLen := c * h * w
-	outLen := p.OutChannels * cols
-	var biasData []float64
-	if bias != nil {
-		biasData = bias.data
-	}
-	// A non-positive xScale falls back to one dynamic scale per image,
-	// never per batch: the scale then depends only on that image's data,
-	// so the result cannot change with the batch sharding below.
-	flops := n * p.OutChannels * patch * cols
-	if n > 1 && Parallelism() > 1 && flops >= gemmParallelCutoff {
-		parallelFor(n, 1, func(lo, hi int) {
-			img8 := scratchI8.get(imgLen)
-			colBuf := scratchI8.get(patch * cols)
-			acc := scratchI32.get(outLen)
-			for b := lo; b < hi; b++ {
-				img := x.data[b*imgLen : (b+1)*imgLen]
-				sc := xScale
-				if sc <= 0 {
-					sc = SymmetricScale(img)
-				}
-				QuantizeSymmetric(img8, img, sc)
-				convImageI8(out[b*outLen:(b+1)*outLen], img8, weight, biasData,
-					colBuf, acc, c, h, w, p, oh, ow, patch, cols, sc, matmulInto8)
-			}
-			scratchI32.put(acc)
-			scratchI8.put(colBuf)
-			scratchI8.put(img8)
+	s := newConvShape(x, p, oh, ow)
+	weight.fixLayout(s.cols)
+	if s.forks() {
+		sh := s // the closure's copy: s itself stays on the stack
+		parallelFor(sh.rows, sh.grain(), func(lo, hi int) {
+			convRowsI8(out, x.data, weight, bias, &sh, lo, hi, xScale)
 		})
 		return
 	}
-	img8 := scratchI8.get(imgLen)
-	colBuf := scratchI8.get(patch * cols)
-	acc := scratchI32.get(outLen)
-	for b := 0; b < n; b++ {
-		img := x.data[b*imgLen : (b+1)*imgLen]
+	convRowsI8(out, x.data, weight, bias, &s, 0, s.rows, xScale)
+}
+
+// convRowsI8 quantizes the images that pixel rows [lo,hi) touch and runs
+// the rows through the i8 panel. A non-positive xScale falls back to one
+// dynamic scale per image, never per call: the scale then depends only on
+// that image's data, so the result cannot change with the batch or its
+// sharding (an image two shards share is quantized identically by both).
+func convRowsI8(out, x []float64, weight *ConvWeightsI8, bias *Tensor, s *convShape, lo, hi int, xScale float64) {
+	b0, b1, imgLen := lo/s.cols, (hi-1)/s.cols+1, s.c*s.h*s.w
+	imgs := scratchI8.get((b1 - b0) * imgLen)
+	scales := getF64(b1 - b0)
+	for b := b0; b < b1; b++ {
+		img := x[b*imgLen : (b+1)*imgLen]
 		sc := xScale
 		if sc <= 0 {
 			sc = SymmetricScale(img)
 		}
-		QuantizeSymmetric(img8, img, sc)
-		convImageI8(out[b*outLen:(b+1)*outLen], img8, weight, biasData,
-			colBuf, acc, c, h, w, p, oh, ow, patch, cols, sc, GemmI8)
+		scales[b-b0] = sc
+		QuantizeSymmetric(imgs[(b-b0)*imgLen:(b-b0+1)*imgLen], img, sc)
 	}
-	scratchI32.put(acc)
-	scratchI8.put(colBuf)
-	scratchI8.put(img8)
+	convRowsNarrow(out, imgs, &weight.packedConv, weight.scale, scales, bias, s, b0, lo, hi,
+		s.chunkRows(1), &scratchI8, &scratchI32, gemmPanel8)
+	putF64(scales)
+	scratchI8.put(imgs)
 }
 
-// convImageI8 computes one image's output plane in int8: byte im2col over
-// the quantized image, integer GEMM, then dequantize (per-output-channel
-// scale × activation scale) fused with bias add into the f64 writeback.
-func convImageI8(out []float64, img8 []int8, weight *ConvWeightsI8, biasData []float64,
-	colBuf []int8, acc []int32, c, h, w int, p Conv2DParams, oh, ow, patch, cols int,
-	xScale float64, mm func(dst []int32, a, b []int8, m, k, n int)) {
-	im2col8(colBuf, img8, c, h, w, p, oh, ow)
-	mm(acc, weight.w, colBuf, p.OutChannels, patch, cols)
-	for oc := 0; oc < p.OutChannels; oc++ {
-		bo := 0.0
-		if biasData != nil {
-			bo = biasData[oc]
-		}
-		sc := weight.scale[oc] * xScale
-		accRow := acc[oc*cols : (oc+1)*cols]
-		row := out[oc*cols : (oc+1)*cols]
-		for i, v := range accRow {
-			row[i] = float64(v)*sc + bo
-		}
+// convRowsNarrow computes pixel rows [lo,hi) from narrowed images (imgs
+// starts at image b0) with the element type's GEMM panel, chunk rows at a
+// time.
+// The orientation rule reads only the call's shape: when the output
+// channels are at least as many as the call's pixel rows (deep stages,
+// small frames, batch 1), the chunk's patches are gathered as rows and
+// multiplied into the transposed weight, so Cout is the panel's vector
+// axis; otherwise they are gathered as columns under the weight, and the
+// pixels are. A layer whose first frame was too large to ever want the
+// first form kept no transposed weight and always takes the second.
+//
+// wScale (per output channel) and xScale (per image from b0) dequantize
+// int32 sums; both are nil for f32.
+func convRowsNarrow[T any, A float32 | int32](out []float64, imgs []T, weight *packedConv[T],
+	wScale, xScale []float64, bias *Tensor, s *convShape, b0, lo, hi, chunk int,
+	elems *typedPool[T], accs *typedPool[A],
+	panel func(dst []A, a, b []T, ars, aks, i0, i1, k, n int)) {
+	cout, chunk := s.p.OutChannels, min(chunk, hi-lo)
+	onChannels := weight.wT != nil && cout >= s.rows
+	patches := elems.get(chunk * s.patch)
+	acc := accs.get(chunk * cout)
+	var biasData []float64
+	if bias != nil {
+		biasData = bias.data
 	}
-}
-
-// im2col32 is im2col over a float32 image (see conv.go for the layout).
-func im2col32(dst, src []float32, c, h, w int, p Conv2DParams, oh, ow int) {
-	cols := oh * ow
-	for ch := 0; ch < c; ch++ {
-		srcCh := src[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < p.Kernel; ky++ {
-			for kx := 0; kx < p.Kernel; kx++ {
-				row := dst[((ch*p.Kernel+ky)*p.Kernel+kx)*cols : ((ch*p.Kernel+ky)*p.Kernel+kx+1)*cols]
-				idx := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*p.Stride + ky - p.Padding
-					if iy < 0 || iy >= h {
-						fill32(row[idx:idx+ow], 0)
-						idx += ow
-						continue
-					}
-					base := iy * w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*p.Stride + kx - p.Padding
-						if ix < 0 || ix >= w {
-							row[idx] = 0
-						} else {
-							row[idx] = srcCh[base+ix]
-						}
-						idx++
-					}
+	for c0 := lo; c0 < hi; c0 += chunk {
+		c1 := min(c0+chunk, hi)
+		nc := c1 - c0
+		// acc holds element (row r, channel oc) at r*rowStep + oc*chanStep.
+		rowStep, chanStep := cout, 1
+		switch {
+		case onChannels:
+			gatherRows(patches, imgs, s, b0, c0, c1)
+			panel(acc, patches, weight.wT, s.patch, 1, 0, nc, s.patch, cout)
+		case weight.wT != nil:
+			rowStep, chanStep = 1, nc
+			gatherCols(patches, imgs, s, b0, c0, c1)
+			panel(acc, weight.wT, patches, 1, cout, 0, cout, s.patch, nc)
+		default:
+			rowStep, chanStep = 1, nc
+			gatherCols(patches, imgs, s, b0, c0, c1)
+			panel(acc, weight.w, patches, s.patch, 1, 0, cout, s.patch, nc)
+		}
+		for oc := 0; oc < cout; oc++ {
+			bo := 0.0
+			if biasData != nil {
+				bo = biasData[oc]
+			}
+			b, pix := c0/s.cols, c0%s.cols
+			for r := 0; r < nc; {
+				// One run is the rest of an image (or of the chunk).
+				run := min(s.cols-pix, nc-r)
+				sc := 1.0
+				if wScale != nil {
+					sc = wScale[oc] * xScale[b-b0]
 				}
+				dst := out[(b*cout+oc)*s.cols+pix:][:run]
+				for i := range dst {
+					dst[i] = float64(acc[(r+i)*rowStep+oc*chanStep])*sc + bo
+				}
+				r, b, pix = r+run, b+1, 0
 			}
 		}
 	}
-}
-
-// im2col8 is im2col over a quantized int8 image: pure byte moves —
-// symmetric quantization maps the zero padding to 0 exactly.
-func im2col8(dst, src []int8, c, h, w int, p Conv2DParams, oh, ow int) {
-	cols := oh * ow
-	for ch := 0; ch < c; ch++ {
-		srcCh := src[ch*h*w : (ch+1)*h*w]
-		for ky := 0; ky < p.Kernel; ky++ {
-			for kx := 0; kx < p.Kernel; kx++ {
-				row := dst[((ch*p.Kernel+ky)*p.Kernel+kx)*cols : ((ch*p.Kernel+ky)*p.Kernel+kx+1)*cols]
-				idx := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*p.Stride + ky - p.Padding
-					if iy < 0 || iy >= h {
-						fillI8(row[idx:idx+ow], 0)
-						idx += ow
-						continue
-					}
-					base := iy * w
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*p.Stride + kx - p.Padding
-						if ix < 0 || ix >= w {
-							row[idx] = 0
-						} else {
-							row[idx] = srcCh[base+ix]
-						}
-						idx++
-					}
-				}
-			}
-		}
-	}
+	accs.put(acc)
+	elems.put(patches)
 }

@@ -57,7 +57,7 @@ func MatMulInto(dst, a, b *Tensor) error {
 // gemm computes dst = A·B, picking the serial kernel for small products
 // and sharding row panels across the worker pool for large ones.
 func gemm(dst, a, b []float64, m, k, n int) {
-	if Parallelism() == 1 || m*k*n < gemmParallelCutoff || m == 1 {
+	if m*k*n < gemmParallelCutoff || m == 1 || IdleWorkers() == 0 {
 		matmulInto(dst, a, b, m, k, n)
 		return
 	}
@@ -163,7 +163,7 @@ func MatMulTransAInto(dst, a, b *Tensor) error {
 // streaming dst); the parallel variant shards dst rows, keeping the
 // per-element kk-ascending summation order.
 func gemmTransA(dst, a, b []float64, k, m, n int) {
-	if Parallelism() == 1 || m*k*n < gemmParallelCutoff || m == 1 {
+	if m*k*n < gemmParallelCutoff || m == 1 || IdleWorkers() == 0 {
 		fill(dst[:m*n], 0)
 		for kk := 0; kk < k; kk++ {
 			ak := a[kk*m : (kk+1)*m]
@@ -236,7 +236,7 @@ func MatMulTransBInto(dst, a, b *Tensor) error {
 // is a single kk-ascending dot product in both paths, so results are
 // bit-identical at any worker count.
 func gemmTransB(dst, a, b []float64, m, k, n int) {
-	if Parallelism() == 1 || m*k*n < gemmParallelCutoff || m == 1 {
+	if m*k*n < gemmParallelCutoff || m == 1 || IdleWorkers() == 0 {
 		transBPanel(dst, a, b, 0, m, k, n)
 		return
 	}

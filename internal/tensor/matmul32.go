@@ -16,8 +16,8 @@ package tensor
 // Large products shard row panels across the worker pool; the summation
 // grouping is independent of worker count, so results are deterministic.
 func GemmF32(dst, a, b []float32, m, k, n int) {
-	if Parallelism() == 1 || m*k*n < gemmParallelCutoff || m == 1 {
-		gemmPanel32(dst, a, b, 0, m, k, n)
+	if m*k*n < gemmParallelCutoff || m == 1 || IdleWorkers() == 0 {
+		gemmPanel32(dst, a, b, k, 1, 0, m, k, n)
 		return
 	}
 	grain := gemmParallelCutoff / (k * n)
@@ -25,7 +25,7 @@ func GemmF32(dst, a, b []float32, m, k, n int) {
 		grain = 1
 	}
 	parallelFor(m, grain, func(lo, hi int) {
-		gemmPanel32(dst, a, b, lo, hi, k, n)
+		gemmPanel32(dst, a, b, k, 1, lo, hi, k, n)
 	})
 }
 
@@ -33,8 +33,11 @@ func GemmF32(dst, a, b []float32, m, k, n int) {
 // (the f32 B tile is gemmKC×gemmNC×4 B ≈ 128 KiB) and a 4-wide k unroll.
 // The unroll groups each element's k sum as fixed (kb-aligned) quartets,
 // so the grouping — and therefore the float result — depends only on k
-// and the tile constants, never on the row sharding.
-func gemmPanel32(dst, a, b []float32, i0, i1, k, n int) {
+// and the tile constants, never on the row sharding. A is read as
+// a[i*ars+kk*aks]: (k, 1) for a row-major m×k matrix, (1, m) for one
+// stored transposed. Only its scalars are read, so either costs the same
+// arithmetic; the vector axis is always B's and dst's contiguous n.
+func gemmPanel32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
 	for jb := 0; jb < n; jb += gemmNC {
 		jEnd := jb + gemmNC
 		if jEnd > n {
@@ -50,7 +53,7 @@ func gemmPanel32(dst, a, b []float32, i0, i1, k, n int) {
 			}
 			for i := i0; i < i1; i++ {
 				di := dst[i*n+jb : i*n+jEnd]
-				ai := a[i*k : (i+1)*k]
+				ai := a[i*ars:]
 				kk := kb
 				for ; kk+3 < kEnd; kk += 4 {
 					quadAxpy32(di,
@@ -58,10 +61,10 @@ func gemmPanel32(dst, a, b []float32, i0, i1, k, n int) {
 						b[(kk+1)*n+jb:(kk+1)*n+jEnd],
 						b[(kk+2)*n+jb:(kk+2)*n+jEnd],
 						b[(kk+3)*n+jb:(kk+3)*n+jEnd],
-						ai[kk], ai[kk+1], ai[kk+2], ai[kk+3])
+						ai[kk*aks], ai[(kk+1)*aks], ai[(kk+2)*aks], ai[(kk+3)*aks])
 				}
 				for ; kk < kEnd; kk++ {
-					av := ai[kk]
+					av := ai[kk*aks]
 					bk := b[kk*n+jb : kk*n+jEnd]
 					bk = bk[:len(di)]
 					for j := range di {

@@ -14,8 +14,8 @@ package tensor
 // previous contents are overwritten. Results are exact (and therefore
 // identical at any worker count).
 func GemmI8(dst []int32, a, b []int8, m, k, n int) {
-	if Parallelism() == 1 || m*k*n < gemmParallelCutoff || m == 1 {
-		gemmPanel8(dst, a, b, 0, m, k, n)
+	if m*k*n < gemmParallelCutoff || m == 1 || IdleWorkers() == 0 {
+		gemmPanel8(dst, a, b, k, 1, 0, m, k, n)
 		return
 	}
 	grain := gemmParallelCutoff / (k * n)
@@ -23,7 +23,7 @@ func GemmI8(dst []int32, a, b []int8, m, k, n int) {
 		grain = 1
 	}
 	parallelFor(m, grain, func(lo, hi int) {
-		gemmPanel8(dst, a, b, lo, hi, k, n)
+		gemmPanel8(dst, a, b, k, 1, lo, hi, k, n)
 	})
 }
 
@@ -31,8 +31,8 @@ func GemmI8(dst []int32, a, b []int8, m, k, n int) {
 // blocking as the float kernels and a 4-wide k unroll. Sign extension of
 // the int8 loads is a single instruction; the four partial products per
 // element are summed before the dst update, quartering accumulator
-// traffic.
-func gemmPanel8(dst []int32, a, b []int8, i0, i1, k, n int) {
+// traffic. A is read through the strides (ars, aks) like gemmPanel32's.
+func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 	for jb := 0; jb < n; jb += gemmNC {
 		jEnd := jb + gemmNC
 		if jEnd > n {
@@ -48,7 +48,7 @@ func gemmPanel8(dst []int32, a, b []int8, i0, i1, k, n int) {
 			}
 			for i := i0; i < i1; i++ {
 				di := dst[i*n+jb : i*n+jEnd]
-				ai := a[i*k : (i+1)*k]
+				ai := a[i*ars:]
 				kk := kb
 				for ; kk+3 < kEnd; kk += 4 {
 					quadAxpy8(di,
@@ -56,10 +56,10 @@ func gemmPanel8(dst []int32, a, b []int8, i0, i1, k, n int) {
 						b[(kk+1)*n+jb:(kk+1)*n+jEnd],
 						b[(kk+2)*n+jb:(kk+2)*n+jEnd],
 						b[(kk+3)*n+jb:(kk+3)*n+jEnd],
-						int32(ai[kk]), int32(ai[kk+1]), int32(ai[kk+2]), int32(ai[kk+3]))
+						int32(ai[kk*aks]), int32(ai[(kk+1)*aks]), int32(ai[(kk+2)*aks]), int32(ai[(kk+3)*aks]))
 				}
 				for ; kk < kEnd; kk++ {
-					av := int32(ai[kk])
+					av := int32(ai[kk*aks])
 					bk := b[kk*n+jb : kk*n+jEnd]
 					bk = bk[:len(di)]
 					for j := range di {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Symmetric int8 quantization: q = clamp(round(v/scale), -127..127) with
@@ -57,13 +58,38 @@ func sliceMaxAbs(s []float64) float64 {
 	return m
 }
 
-// ConvWeightsF32 is a convolution weight pre-converted to packed float32
-// (Cout×patch row-major, the GEMM layout). Layers build it once per
-// weight update and reuse it across Forward calls.
-type ConvWeightsF32 struct {
-	w          []float32
+// packedConv is a prepared narrow conv weight. It is held in exactly one
+// layout — a second copy of every deployed weight is what resident memory
+// cannot afford: w (Cout×patch, as prepared) until the first convolution
+// shows the layer its frame size, then either still w, or wT (patch×Cout)
+// when that layer can ever put its output channels on the vector axis
+// (Cout >= OH·OW; see convRowsNarrow).
+type packedConv[T any] struct {
+	layout     sync.Once
+	w, wT      []T
 	out, patch int
 }
+
+// fixLayout settles the layout on the first call; cols is that call's OH·OW.
+func (c *packedConv[T]) fixLayout(cols int) {
+	c.layout.Do(func() {
+		if c.out < cols {
+			return
+		}
+		wT := make([]T, len(c.w))
+		for oc := 0; oc < c.out; oc++ {
+			for k, v := range c.w[oc*c.patch : (oc+1)*c.patch] {
+				wT[k*c.out+oc] = v
+			}
+		}
+		c.w, c.wT = nil, wT
+	})
+}
+
+// ConvWeightsF32 is a convolution weight pre-converted to packed float32.
+// Layers build it once per weight update and reuse it across Forward
+// calls.
+type ConvWeightsF32 struct{ packedConv[float32] }
 
 // PrepareConvWeightsF32 converts a (Cout, Cin, K, K) weight tensor for
 // the float32 convolution kernel.
@@ -72,7 +98,8 @@ func PrepareConvWeightsF32(weight *Tensor, p Conv2DParams) (*ConvWeightsF32, err
 		return nil, err
 	}
 	patch := p.InChannels * p.Kernel * p.Kernel
-	cw := &ConvWeightsF32{w: make([]float32, p.OutChannels*patch), out: p.OutChannels, patch: patch}
+	cw := &ConvWeightsF32{}
+	cw.w, cw.out, cw.patch = make([]float32, p.OutChannels*patch), p.OutChannels, patch
 	toF32(cw.w, weight.data)
 	return cw, nil
 }
@@ -80,9 +107,8 @@ func PrepareConvWeightsF32(weight *Tensor, p Conv2DParams) (*ConvWeightsF32, err
 // ConvWeightsI8 is a convolution weight symmetric-quantized to int8 with
 // one scale per output channel.
 type ConvWeightsI8 struct {
-	w          []int8
-	scale      []float64 // len Cout: dequant multiplier per output row
-	out, patch int
+	packedConv[int8]
+	scale []float64 // len Cout: dequant multiplier per output row
 }
 
 // PrepareConvWeightsI8 quantizes a (Cout, Cin, K, K) weight tensor per
@@ -92,12 +118,8 @@ func PrepareConvWeightsI8(weight *Tensor, p Conv2DParams) (*ConvWeightsI8, error
 		return nil, err
 	}
 	patch := p.InChannels * p.Kernel * p.Kernel
-	cw := &ConvWeightsI8{
-		w:     make([]int8, p.OutChannels*patch),
-		scale: make([]float64, p.OutChannels),
-		out:   p.OutChannels,
-		patch: patch,
-	}
+	cw := &ConvWeightsI8{scale: make([]float64, p.OutChannels)}
+	cw.w, cw.out, cw.patch = make([]int8, p.OutChannels*patch), p.OutChannels, patch
 	for oc := 0; oc < p.OutChannels; oc++ {
 		row := weight.data[oc*patch : (oc+1)*patch]
 		sc := SymmetricScale(row)

@@ -95,17 +95,8 @@ var tensorFree struct {
 	free []*Tensor
 }
 
-// rentRaw returns a pooled tensor with unspecified contents. Internal
-// kernels that fully overwrite their destination use it to skip the
-// Rent zeroing pass.
-func rentRaw(shape ...int) *Tensor {
-	n := 1
-	for _, d := range shape {
-		if d <= 0 {
-			panic("tensor: non-positive dimension in Rent")
-		}
-		n *= d
-	}
+// rentHeader returns a recycled Tensor header carrying a copy of shape.
+func rentHeader(shape []int) *Tensor {
 	tensorFree.mu.Lock()
 	var t *Tensor
 	if last := len(tensorFree.free) - 1; last >= 0 {
@@ -117,8 +108,35 @@ func rentRaw(shape ...int) *Tensor {
 		t = &Tensor{}
 	}
 	t.shape = append(t.shape[:0], shape...)
-	t.data = getF64(n)
 	t.pooled = true
+	return t
+}
+
+// rentRaw returns a pooled tensor with unspecified contents. Internal
+// kernels that fully overwrite their destination use it to skip the
+// Rent zeroing pass.
+func rentRaw(shape ...int) *Tensor {
+	n := 1
+	for _, d := range shape {
+		if d <= 0 {
+			panic("tensor: non-positive dimension in Rent")
+		}
+		n *= d
+	}
+	t := rentHeader(shape)
+	t.data = getF64(n)
+	return t
+}
+
+// RentRows returns a view of rows [lo,hi) of x's leading axis. It shares
+// x's storage, which must outlive it; only the header is pooled, and
+// Release recycles just that. Sharding a batch this way allocates nothing.
+func RentRows(x *Tensor, lo, hi int) *Tensor {
+	per := len(x.data) / x.shape[0]
+	t := rentHeader(x.shape)
+	t.shape[0] = hi - lo
+	t.data = x.data[lo*per : hi*per : hi*per]
+	t.borrowed = true
 	return t
 }
 
@@ -149,9 +167,11 @@ func Release(t *Tensor) {
 	if t == nil || !t.pooled || t.data == nil {
 		return
 	}
-	putF64(t.data)
+	if !t.borrowed {
+		putF64(t.data)
+	}
 	t.data = nil
-	t.pooled = false
+	t.pooled, t.borrowed = false, false
 	tensorFree.mu.Lock()
 	if len(tensorFree.free) < maxFreePerClass {
 		tensorFree.free = append(tensorFree.free, t)

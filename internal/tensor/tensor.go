@@ -31,6 +31,9 @@ type Tensor struct {
 	// only such tensors are recycled by Release. Views (Reshape) and
 	// clones never inherit it.
 	pooled bool
+	// borrowed marks a pooled header over storage it does not own
+	// (RentRows): Release recycles the header only.
+	borrowed bool
 }
 
 // New returns a zero-filled tensor of the given shape.
