@@ -83,24 +83,7 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
-	specs := make([]serve.SegmentSpec, 0, len(push.Segments))
-	for _, ws := range push.Segments {
-		specs = append(specs, serve.SegmentSpec{
-			Task:     ws.Task,
-			Path:     ws.Path,
-			DNN:      ws.DNN,
-			Blocks:   ws.Blocks,
-			From:     ws.From,
-			To:       ws.To,
-			Rate:     ws.Rate,
-			BudgetMS: ws.BudgetMS,
-			Hop:      ws.Hop,
-			Hops:     ws.Hops,
-			Next:     ws.Next,
-			NextNode: ws.NextNode,
-		})
-	}
-	segChanged, err := srv.ReplaceSegments(specs)
+	segChanged, err := srv.ReplaceSegments(push.Segments)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
 		return

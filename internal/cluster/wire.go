@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"offloadnn/internal/core"
+	"offloadnn/internal/serve"
 )
 
 // The wire types serialize the core model over the cluster-internal HTTP
@@ -100,40 +101,19 @@ type HeartbeatResponse struct {
 // path block list with this node's [From, To) range, plus the relay
 // coordinates — where the boundary activation goes next and what deadline
 // budget the pipeline starts with. Pushed inside PlanPush alongside the
-// whole-path task subset.
-type WireSegment struct {
-	Task   string   `json:"task"`
-	Path   string   `json:"path"`
-	DNN    string   `json:"dnn"`
-	Blocks []string `json:"blocks"`
-	From   int      `json:"from"`
-	To     int      `json:"to"`
-	// Rate is the admitted request rate z·λ the head gates intake at.
-	Rate float64 `json:"rate"`
-	// BudgetMS is the end-to-end deadline budget the head opens the
-	// pipeline with (the task's L_τ minus the coordinator→head forward
-	// delay); zero on non-head segments, which trust the envelope's
-	// remaining budget instead.
-	BudgetMS float64 `json:"budget_ms,omitempty"`
-	// Hop and Hops are this segment's position and the pipeline length.
-	Hop  int `json:"hop"`
-	Hops int `json:"hops"`
-	// Next and NextNode are the next hop's base URL and node ID; empty
-	// on the tail.
-	Next     string `json:"next,omitempty"`
-	NextNode string `json:"next_node,omitempty"`
-}
+// whole-path task subset, and installed by the member as is.
+type WireSegment = serve.SegmentSpec
 
 // PlanPush is the body of PUT /v1/cluster/plan: one node's slice of a
 // cluster placement. Placement is the coordinator's monotone placement
 // sequence number; Res echoes the budgets the subset was solved against
 // so the member can refuse a plan solved for capacities it doesn't have.
 type PlanPush struct {
-	Node      string              `json:"node"`
-	Placement uint64              `json:"placement"`
-	Alpha     float64             `json:"alpha"`
-	Res       WireResources       `json:"res"`
-	Tasks     []WireTask          `json:"tasks"`
+	Node      string               `json:"node"`
+	Placement uint64               `json:"placement"`
+	Alpha     float64              `json:"alpha"`
+	Res       WireResources        `json:"res"`
+	Tasks     []WireTask           `json:"tasks"`
 	Blocks    map[string]WireBlock `json:"blocks,omitempty"`
 	// Segments are the split-path stage ranges this node serves in
 	// addition to its whole-path task subset.

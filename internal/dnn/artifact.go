@@ -12,8 +12,10 @@ import (
 	"offloadnn/internal/tensor"
 )
 
-// Binary weight artifact: the zero-copy counterpart of the gob codec in
-// this file's sibling Save/Load. The layout is
+// Binary weight artifact (.dnnw): the one weight codec, and the storage
+// format of the paper's "DNN repository" (Fig. 4) — trained block weights
+// are stored at the edge and activated on demand when the controller
+// deploys a configuration. The layout is
 //
 //	[8]  magic "ODNNWA1\x00"
 //	[4]  uint32 LE manifest length

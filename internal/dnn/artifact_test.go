@@ -2,7 +2,7 @@ package dnn
 
 import (
 	"bytes"
-	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -71,6 +71,9 @@ func TestArtifactPreservesBlockSharing(t *testing.T) {
 	if loaded.Blocks[1] != loaded.Blocks[len(loaded.Blocks)-1] {
 		t.Fatal("repeated block ID decoded into two instances, want one alias")
 	}
+	if loaded.Blocks[0] == loaded.Blocks[1] {
+		t.Fatal("distinct blocks were merged")
+	}
 }
 
 func TestArtifactPreservesPrecisionAndScales(t *testing.T) {
@@ -124,19 +127,76 @@ func TestArtifactRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestArtifactLoadedModelMatchesGob(t *testing.T) {
+// roundTrip is artifactRoundTrip for callers that only want the model.
+func roundTrip(t *testing.T, m *Model) *Model {
+	t.Helper()
+	loaded, _ := artifactRoundTrip(t, m)
+	return loaded
+}
+
+func TestArtifactPreservesMetadata(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
-	gob := roundTrip(t, m)
-	art, _ := artifactRoundTrip(t, m)
-	gp, ap := gob.Blocks[1].Params(), art.Blocks[1].Params()
-	if len(gp) != len(ap) {
-		t.Fatalf("param count %d vs %d", len(gp), len(ap))
+	pruned, err := PruneBlock(m.BlockByStage(2), 0.8, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range gp {
-		for j := range gp[i].Data() {
-			if math.Abs(gp[i].Data()[j]-ap[i].Data()[j]) > 0 {
-				t.Fatalf("param %d[%d] differs between codecs", i, j)
-			}
+	pruned.Frozen = true
+	m.Blocks[2] = pruned
+	lb := roundTrip(t, m).Blocks[2]
+	if lb.Variant != VariantPruned || lb.PruneRatio != 0.8 || !lb.Frozen || lb.ID != pruned.ID {
+		t.Fatalf("loaded block %q variant %v ratio %v frozen %v, want %q pruned 0.8 frozen",
+			lb.ID, lb.Variant, lb.PruneRatio, lb.Frozen, pruned.ID)
+	}
+}
+
+// Gradients live outside the aliased weight buffer, so a loaded model
+// trains like a built one.
+func TestArtifactLoadedModelIsTrainable(t *testing.T) {
+	m := BuildResNet18(ResNetConfig{
+		InChannels: 3, NumClasses: 4, BaseWidth: 4, StageBlocks: [4]int{1, 1, 1, 1}, Seed: 5,
+	})
+	loaded := roundTrip(t, m)
+	y, err := loaded.Forward(testInput(2, 3, 8, 100), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce, err := tensor.CrossEntropy(y, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded.ZeroGrads()
+	if _, err := loaded.Backward(ce.Backward()); err != nil {
+		t.Fatalf("loaded model backward: %v", err)
+	}
+	total := 0.0
+	for _, g := range loaded.TrainableGrads() {
+		total += g.MaxAbs()
+	}
+	if total == 0 {
+		t.Fatal("loaded model accumulated no gradient")
+	}
+}
+
+func TestArtifactPreservesBatchNormStats(t *testing.T) {
+	m := BuildResNet18(DefaultResNetConfig())
+	// Push the running statistics away from defaults with a training pass.
+	x := testInput(4, 3, 16, 101)
+	if _, err := m.Forward(x, true); err != nil {
+		t.Fatal(err)
+	}
+	loaded := roundTrip(t, m)
+	// Evaluation-mode outputs depend on running stats; they must agree.
+	y1, err := m.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y2, err := loaded.Forward(x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range y1.Data() {
+		if y1.Data()[i] != y2.Data()[i] {
+			t.Fatal("running statistics not preserved")
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package edge
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,20 +18,21 @@ import (
 var ErrNotFound = errors.New("edge: model not found")
 
 // Repository is the edge's DNN repository (Fig. 4): trained models —
-// compositions of shareable blocks — stored by name, optionally persisted
-// to a directory, and loaded when the controller activates the blocks of
-// an admitted configuration. It is safe for concurrent use.
+// compositions of shareable blocks — stored by name as binary weight
+// artifacts (dnn.SaveArtifact), under a directory or in memory, and
+// loaded when the controller activates the blocks of an admitted
+// configuration. It is safe for concurrent use.
 type Repository struct {
 	dir string
 
-	mu     sync.RWMutex
-	models map[string]*dnn.Model
+	mu    sync.RWMutex
+	blobs map[string][]byte // encoded artifacts of a memory-only repository
 }
 
 // NewRepository creates a repository. dir may be empty for a memory-only
-// store; otherwise persisted models live under dir as <name>.dnn files.
+// store; otherwise models live under dir as <name>.dnnw files.
 func NewRepository(dir string) *Repository {
-	return &Repository{dir: dir, models: make(map[string]*dnn.Model)}
+	return &Repository{dir: dir, blobs: make(map[string][]byte)}
 }
 
 // validName rejects names that would escape the repository directory.
@@ -44,12 +47,11 @@ func validName(name string) error {
 }
 
 func (r *Repository) path(name string) string {
-	return filepath.Join(r.dir, name+".dnn")
+	return filepath.Join(r.dir, name+".dnnw")
 }
 
-// Store registers a model under the name, persisting it when the
-// repository is directory-backed. An existing model of the same name is
-// replaced.
+// Store encodes the model under the name, replacing any model already
+// there. A directory-backed repository writes the file atomically.
 func (r *Repository) Store(name string, m *dnn.Model) error {
 	if err := validName(name); err != nil {
 		return err
@@ -57,178 +59,106 @@ func (r *Repository) Store(name string, m *dnn.Model) error {
 	if m == nil {
 		return fmt.Errorf("edge: nil model for %q", name)
 	}
-	if r.dir != "" {
-		f, err := os.CreateTemp(r.dir, name+".tmp*")
-		if err != nil {
-			return fmt.Errorf("edge: store %q: %w", name, err)
-		}
-		tmp := f.Name()
-		if err := dnn.Save(f, m); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("edge: store %q: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("edge: store %q: %w", name, err)
-		}
-		if err := os.Rename(tmp, r.path(name)); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("edge: store %q: %w", name, err)
-		}
-	}
-	r.mu.Lock()
-	r.models[name] = m
-	r.mu.Unlock()
-	return nil
-}
-
-// Load fetches a model by name: from memory when cached, else from the
-// backing directory.
-func (r *Repository) Load(name string) (*dnn.Model, error) {
-	if err := validName(name); err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	m, ok := r.models[name]
-	r.mu.RUnlock()
-	if ok {
-		return m, nil
+	var buf bytes.Buffer
+	if err := dnn.SaveArtifact(&buf, m); err != nil {
+		return fmt.Errorf("edge: store %q: %w", name, err)
 	}
 	if r.dir == "" {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		r.mu.Lock()
+		r.blobs[name] = buf.Bytes()
+		r.mu.Unlock()
+		return nil
 	}
-	f, err := os.Open(r.path(name))
+	f, err := os.CreateTemp(r.dir, name+".tmp*")
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		return nil, fmt.Errorf("edge: load %q: %w", name, err)
+		return fmt.Errorf("edge: store %q: %w", name, err)
 	}
-	defer f.Close()
-	m, err = dnn.Load(f)
+	_, err = f.Write(buf.Bytes())
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), r.path(name))
+	}
 	if err != nil {
-		return nil, fmt.Errorf("edge: load %q: %w", name, err)
+		os.Remove(f.Name())
+		return fmt.Errorf("edge: store %q: %w", name, err)
 	}
-	r.mu.Lock()
-	r.models[name] = m
-	r.mu.Unlock()
-	return m, nil
-}
-
-// artifactPath is the on-disk location of a binary weight artifact.
-func (r *Repository) artifactPath(name string) string {
-	return filepath.Join(r.dir, name+".dnnw")
-}
-
-// StoreArtifact persists a model as a binary weight artifact (<name>.dnnw)
-// next to the gob store. Artifacts are the zero-copy deployment format:
-// LoadArtifact aliases all weights into one buffer. The in-memory cache is
-// updated like Store.
-func (r *Repository) StoreArtifact(name string, m *dnn.Model) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	if m == nil {
-		return fmt.Errorf("edge: nil model for %q", name)
-	}
-	if r.dir != "" {
-		f, err := os.CreateTemp(r.dir, name+".tmp*")
-		if err != nil {
-			return fmt.Errorf("edge: store artifact %q: %w", name, err)
-		}
-		tmp := f.Name()
-		if err := dnn.SaveArtifact(f, m); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("edge: store artifact %q: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("edge: store artifact %q: %w", name, err)
-		}
-		if err := os.Rename(tmp, r.artifactPath(name)); err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("edge: store artifact %q: %w", name, err)
-		}
-	}
-	r.mu.Lock()
-	r.models[name] = m
-	r.mu.Unlock()
 	return nil
 }
 
-// LoadArtifact loads a binary weight artifact by name, bypassing the
-// in-memory cache (each call builds a fresh single-buffer aliasing) and
-// reporting the weight section's resident bytes. Corrupted artifacts are
+// Load decodes a model by name. Every call builds a fresh model whose
+// parameter tensors alias one decoded buffer, so the caller owns the
+// result outright and may adopt its blocks without copying; the second
+// result is that buffer's resident bytes. Corrupted artifacts are
 // rejected by their per-block checksums.
-func (r *Repository) LoadArtifact(name string) (*dnn.Model, int64, error) {
+func (r *Repository) Load(name string) (*dnn.Model, int64, error) {
 	if err := validName(name); err != nil {
 		return nil, 0, err
 	}
+	var src io.Reader
 	if r.dir == "" {
-		return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	f, err := os.Open(r.artifactPath(name))
-	if err != nil {
-		if os.IsNotExist(err) {
+		r.mu.RLock()
+		blob, ok := r.blobs[name]
+		r.mu.RUnlock()
+		if !ok {
 			return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
-		return nil, 0, fmt.Errorf("edge: load artifact %q: %w", name, err)
+		src = bytes.NewReader(blob)
+	} else {
+		f, err := os.Open(r.path(name))
+		if err != nil {
+			if os.IsNotExist(err) {
+				return nil, 0, fmt.Errorf("%w: %q", ErrNotFound, name)
+			}
+			return nil, 0, fmt.Errorf("edge: load %q: %w", name, err)
+		}
+		defer f.Close()
+		src = f
 	}
-	defer f.Close()
-	m, bytes, err := dnn.LoadArtifact(f)
+	m, size, err := dnn.LoadArtifact(src)
 	if err != nil {
-		return nil, 0, fmt.Errorf("edge: load artifact %q: %w", name, err)
+		return nil, 0, fmt.Errorf("edge: load %q: %w", name, err)
 	}
-	return m, bytes, nil
+	return m, size, nil
 }
 
-// Delete removes a model from memory and disk. Deleting an absent model
+// Delete removes a model. Deleting an absent model
 // is a no-op.
 func (r *Repository) Delete(name string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	r.mu.Lock()
-	delete(r.models, name)
+	delete(r.blobs, name)
 	r.mu.Unlock()
 	if r.dir != "" {
 		if err := os.Remove(r.path(name)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("edge: delete %q: %w", name, err)
-		}
-		if err := os.Remove(r.artifactPath(name)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("edge: delete %q: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// List returns the sorted names available (memory plus directory).
+// List returns the sorted names available.
 func (r *Repository) List() ([]string, error) {
-	seen := make(map[string]bool)
-	r.mu.RLock()
-	for name := range r.models {
-		seen[name] = true
-	}
-	r.mu.RUnlock()
-	if r.dir != "" {
+	var names []string
+	if r.dir == "" {
+		r.mu.RLock()
+		for name := range r.blobs {
+			names = append(names, name)
+		}
+		r.mu.RUnlock()
+	} else {
 		entries, err := os.ReadDir(r.dir)
 		if err != nil {
 			return nil, fmt.Errorf("edge: list: %w", err)
 		}
 		for _, e := range entries {
-			if e.IsDir() {
-				continue
-			}
-			if n, ok := strings.CutSuffix(e.Name(), ".dnn"); ok {
-				seen[n] = true
+			if n, ok := strings.CutSuffix(e.Name(), ".dnnw"); ok && !e.IsDir() {
+				names = append(names, n)
 			}
 		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names, nil

@@ -2,6 +2,7 @@ package edge
 
 import (
 	"errors"
+	"os"
 	"testing"
 
 	"offloadnn/internal/dnn"
@@ -15,85 +16,108 @@ func testModel(seed int64) *dnn.Model {
 	})
 }
 
-func TestRepositoryMemoryOnly(t *testing.T) {
-	r := NewRepository("")
-	m := testModel(1)
-	if err := r.Store("resnet", m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.Load("resnet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != m {
-		t.Fatal("memory repository should return the stored instance")
-	}
-	if _, err := r.Load("ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing model err = %v, want ErrNotFound", err)
-	}
-	names, err := r.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "resnet" {
-		t.Fatalf("List = %v", names)
-	}
-}
-
-func TestRepositoryPersistsToDisk(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRepository(dir)
-	m := testModel(2)
-	if err := r.Store("traffic-v1", m); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh repository over the same directory sees and reloads it.
-	r2 := NewRepository(dir)
-	names, err := r2.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "traffic-v1" {
-		t.Fatalf("List = %v", names)
-	}
-	loaded, err := r2.Load("traffic-v1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Loaded weights behave identically.
+// sameForward reports whether two models answer one fixed input bit for
+// bit.
+func sameForward(t *testing.T, a, b *dnn.Model) bool {
+	t.Helper()
 	x := tensor.New(1, 3, 8, 8)
 	x.Fill(0.3)
-	y1, err := m.Forward(x, false)
+	ya, err := a.Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	y2, err := loaded.Forward(x, false)
+	yb, err := b.Forward(x, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range y1.Data() {
-		if y1.Data()[i] != y2.Data()[i] {
-			t.Fatal("persisted model behaves differently")
+	for i := range ya.Data() {
+		if ya.Data()[i] != yb.Data()[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestRepositoryRoundTrip pins the one Store/Load pair on both backings:
+// a stored model is listed and loads — from a second repository over the
+// same directory too, the restart case — as a fresh single-buffer model
+// that answers bit-identically.
+func TestRepositoryRoundTrip(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		r := NewRepository(dir)
+		m := testModel(2)
+		if err := r.Store("traffic-v1", m); err != nil {
+			t.Fatal(err)
+		}
+		if dir != "" {
+			r = NewRepository(dir)
+		}
+		names, err := r.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != 1 || names[0] != "traffic-v1" {
+			t.Fatalf("dir %q: List = %v", dir, names)
+		}
+		loaded, size, err := r.Load("traffic-v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded == m {
+			t.Fatalf("dir %q: Load returned the stored instance, want a fresh decode", dir)
+		}
+		if want := int64(m.ParamCount()) * 8; size < want {
+			t.Fatalf("dir %q: weight bytes %d < param bytes %d", dir, size, want)
+		}
+		if got := cap(loaded.Blocks[0].Params()[0].Data()); int64(got)*8 != size {
+			t.Fatalf("dir %q: first tensor backs %d elements, want the whole %d-byte section", dir, got, size)
+		}
+		if !sameForward(t, m, loaded) {
+			t.Fatalf("dir %q: loaded model behaves differently", dir)
+		}
+		if _, _, err := r.Load("ghost"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("dir %q: missing model err = %v, want ErrNotFound", dir, err)
 		}
 	}
 }
 
+func TestRepositoryCorruptionRejected(t *testing.T) {
+	r := NewRepository(t.TempDir())
+	if err := r.Store("resnet", testModel(3)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(r.path("resnet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-3] ^= 0x10
+	if err := os.WriteFile(r.path("resnet"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.Load("resnet"); err == nil {
+		t.Fatal("corrupted artifact loaded without error")
+	}
+}
+
 func TestRepositoryDelete(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRepository(dir)
-	if err := r.Store("m", testModel(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Delete("m"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Load("m"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted model err = %v, want ErrNotFound", err)
-	}
-	// Idempotent.
-	if err := r.Delete("m"); err != nil {
-		t.Fatal(err)
+	for _, dir := range []string{"", t.TempDir()} {
+		r := NewRepository(dir)
+		if err := r.Store("m", testModel(3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Delete("m"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.Load("m"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("dir %q: deleted model err = %v, want ErrNotFound", dir, err)
+		}
+		if names, err := r.List(); err != nil || len(names) != 0 {
+			t.Fatalf("dir %q: List after delete = %v, %v", dir, names, err)
+		}
+		// Idempotent.
+		if err := r.Delete("m"); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -103,7 +127,7 @@ func TestRepositoryRejectsBadNames(t *testing.T) {
 		if err := r.Store(name, testModel(4)); err == nil {
 			t.Fatalf("name %q should be rejected", name)
 		}
-		if _, err := r.Load(name); err == nil {
+		if _, _, err := r.Load(name); err == nil {
 			t.Fatalf("load of %q should be rejected", name)
 		}
 	}
@@ -121,11 +145,11 @@ func TestRepositoryReplace(t *testing.T) {
 	if err := r.Store("m", m2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.Load("m")
+	got, _, err := r.Load("m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != m2 {
+	if !sameForward(t, m2, got) || sameForward(t, m1, got) {
 		t.Fatal("replacement did not take effect")
 	}
 }

@@ -29,6 +29,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"offloadnn/internal/core"
@@ -84,6 +85,14 @@ type Segment struct {
 	From, To int
 }
 
+// Validate reports a range that does not index the segment's block list.
+func (s Segment) Validate() error {
+	if n := len(s.Blocks); s.From < 0 || s.To > n || s.From >= s.To {
+		return fmt.Errorf("exec: segment %s range [%d,%d) outside path of %d blocks", s.TaskID, s.From, s.To, n)
+	}
+	return nil
+}
+
 // Head reports whether the segment consumes raw frames.
 func (s Segment) Head() bool { return s.From == 0 }
 
@@ -110,8 +119,9 @@ type Plan struct {
 	// Deployment is the admission outcome; nil for an empty registry.
 	Deployment *edge.Deployment
 	// Segments lists the stage-range slices of split paths this node
-	// serves in addition to (and independent of) the whole-path
-	// assignments in Deployment.
+	// serves. Every admitted assignment in Deployment is installed as one
+	// more segment — the range [0, n) of its path — so the two forms of the
+	// same path share one model.
 	Segments []Segment
 }
 
@@ -214,7 +224,7 @@ type Stats struct {
 	QuantFallbacks int64
 	// WeightBytes is the total resident size of weight buffers that live
 	// block instances alias zero-copy from binary artifacts; 0 when every
-	// block was built from seeds or gob weights.
+	// block was built from seeds.
 	WeightBytes int64
 	// PathPrecisions maps each deployed path signature to the kernel
 	// precision it currently runs at ("f64", "f32" or "i8") after any

@@ -139,7 +139,7 @@ func TestArtifactAdoptedZeroCopy(t *testing.T) {
 			p.Data()[i] *= 1.5 // distinguishable from any seeded init
 		}
 	}
-	if err := repo.StoreArtifact("base_s1", &dnn.Model{Arch: "resnet18", Blocks: []*dnn.Block{trained}}); err != nil {
+	if err := repo.Store("base_s1", &dnn.Model{Arch: "resnet18", Blocks: []*dnn.Block{trained}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -72,15 +72,14 @@ func (s *Simulated) Install(plan *Plan) error {
 		scale = 1
 	}
 	for _, seg := range plan.Segments {
-		if seg.From < 0 || seg.To > len(seg.Blocks) || seg.From >= seg.To {
-			return fmt.Errorf("exec: segment %s range [%d,%d) outside path of %d blocks",
-				seg.TaskID, seg.From, seg.To, len(seg.Blocks))
+		if err := seg.Validate(); err != nil {
+			return err
 		}
 		var proc float64
 		for _, id := range seg.Blocks[seg.From:seg.To] {
 			proc += plan.Blocks[id].ComputeSeconds
 		}
-		s.costs[routeKey(seg.TaskID, seg.From)] = edge.TaskCost{
+		s.costs[RouteKey(seg.TaskID, seg.From)] = edge.TaskCost{
 			Proc: time.Duration(proc * scale * float64(time.Second)),
 		}
 	}
@@ -99,7 +98,7 @@ func (s *Simulated) Infer(_ context.Context, req Request) (Output, error) {
 	if s.closed {
 		return Output{}, ErrClosed
 	}
-	cost, ok := s.costs[routeKey(req.TaskID, req.FromStage)]
+	cost, ok := s.costs[RouteKey(req.TaskID, req.FromStage)]
 	if !ok {
 		return Output{}, fmt.Errorf("%w: %q (stage %d)", ErrNoModel, req.TaskID, req.FromStage)
 	}

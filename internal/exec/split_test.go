@@ -3,8 +3,13 @@ package exec
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"offloadnn/internal/core"
+	"offloadnn/internal/dnn"
+	"offloadnn/internal/edge"
 	"offloadnn/internal/tensor"
 )
 
@@ -172,6 +177,111 @@ func TestSegmentSharedBlocksRefcounted(t *testing.T) {
 	for _, id := range []string{blocks[0], blocks[3], "stem", "classifier/64"} {
 		if _, ok := refs[id]; ok {
 			t.Fatalf("out-of-range block %s stayed resident: %v", id, refs)
+		}
+	}
+}
+
+// TestWholePathIsOneSegment pins that a Deployment assignment and the
+// segment [0, n) of the same path are one deployable thing: the same
+// entry key (the "|"-joined block list Stats().PathPrecisions reports),
+// the same shared blocks, bitwise-equal logits — at every precision tier
+// — and a swap from one form to the other keeps the entry, its blocks
+// and a request parked in its queue.
+func TestWholePathIsOneSegment(t *testing.T) {
+	for _, tier := range []string{"", "@f32", "@i8"} {
+		blocks := splitPathIDs(tier)
+		sig := strings.Join(blocks, "|")
+		asDeployment := func(epoch uint64) *Plan {
+			return &Plan{Epoch: epoch, Deployment: &edge.Deployment{Solution: &core.Solution{
+				Assignments: []core.Assignment{{TaskID: "t", Z: 1, RBs: 1,
+					Path: &core.PathSpec{ID: "prop/π", DNN: "prop", Blocks: blocks}}},
+			}}}
+		}
+		asSegment := func(epoch uint64) *Plan {
+			return &Plan{Epoch: epoch, Segments: []Segment{
+				{TaskID: "t", PathID: "prop/π", DNN: "prop", Blocks: blocks, To: len(blocks)},
+			}}
+		}
+		a, b := newSplitBackend(t), newSplitBackend(t)
+		// Armed below, the hook parks the first batch it sees until release.
+		var armed atomic.Bool
+		release, entered := make(chan struct{}), make(chan struct{})
+		a.batchHook = func(int) {
+			if armed.CompareAndSwap(true, false) {
+				close(entered)
+				<-release
+			}
+		}
+		if err := a.Install(asDeployment(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Install(asSegment(1)); err != nil {
+			t.Fatal(err)
+		}
+		frame := splitFrame(3)
+		type answer struct {
+			logits []float64
+			err    error
+		}
+		infer := func(r *Real) answer {
+			out, err := r.Infer(context.Background(), Request{TaskID: "t", Input: frame})
+			return answer{out.Logits, err}
+		}
+		sameLogits := func(what string, got answer, want []float64) {
+			t.Helper()
+			if got.err != nil {
+				t.Fatalf("tier %q: %s: %v", tier, what, got.err)
+			}
+			for i := range want {
+				if got.logits[i] != want[i] {
+					t.Fatalf("tier %q: %s: logit %d = %v, want %v", tier, what, i, got.logits[i], want[i])
+				}
+			}
+		}
+		ref := infer(a)
+		sameLogits("as a deployment", ref, ref.logits)
+		sameLogits("as a segment", infer(b), ref.logits)
+		pa, pb := a.Stats().PathPrecisions, b.Stats().PathPrecisions
+		if len(pa) != 1 || len(pb) != 1 || pa[sig] == "" || pa[sig] != pb[sig] {
+			t.Fatalf("tier %q: PathPrecisions %v as a deployment, %v as a segment, want one key %q", tier, pa, pb, sig)
+		}
+		ra, rb := a.BlockRefs(), b.BlockRefs()
+		for key, n := range ra {
+			if rb[key] != n || len(rb) != len(ra) {
+				t.Fatalf("tier %q: library %v as a deployment, %v as a segment", tier, ra, rb)
+			}
+		}
+
+		// Swap a from one form to the other with one request in a parked
+		// batch and one queued behind it: both must be answered, and the
+		// entry and its blocks must be the same pointers afterwards.
+		entry := a.models[sig]
+		shared := map[string]*dnn.Block{}
+		for key := range ra {
+			shared[key] = a.SharedBlock(key)
+		}
+		armed.Store(true)
+		inBatch, queued := make(chan answer, 1), make(chan answer, 1)
+		go func() { inBatch <- infer(a) }()
+		<-entered
+		go func() { queued <- infer(a) }()
+		waitUntil(t, "request queued", func() bool { return a.Stats().QueueDepth == 1 })
+		if err := a.Install(asSegment(2)); err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		sameLogits("in a batch across the swap", <-inBatch, ref.logits)
+		sameLogits("queued across the swap", <-queued, ref.logits)
+		if err := a.Install(asDeployment(3)); err != nil {
+			t.Fatal(err)
+		}
+		if a.models[sig] != entry || len(a.models) != 1 {
+			t.Fatalf("tier %q: the swap rebuilt the entry", tier)
+		}
+		for key, blk := range shared {
+			if a.SharedBlock(key) != blk {
+				t.Fatalf("tier %q: the swap rebuilt shared block %s", tier, key)
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"offloadnn/internal/core"
 	"offloadnn/internal/dnn"
-	"offloadnn/internal/exec"
 )
 
 // TaskSpec is the JSON body of POST /v1/tasks: the request-side fields
@@ -218,16 +217,12 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	out := make([]TaskStatus, 0, len(tasks))
 	for _, t := range tasks {
 		st := TaskStatus{ID: t.ID, Priority: t.Priority, Rate: t.Rate}
-		if rate := ep.AdmittedRate(t.ID); rate > 0 {
+		if u := ep.unit(t.ID, 0); u != nil && u.whole() {
 			st.Admitted = true
-			st.AdmittedRate = rate
-			if lat, ok := ep.PredictedLatency(t.ID); ok {
-				st.LatencyMS = float64(lat) / float64(time.Millisecond)
-			}
-			if a, ok := ep.Assignment(t.ID); ok {
-				st.Path = a.Path.ID
-				st.DNN = a.Path.DNN
-			}
+			st.AdmittedRate = u.Rate
+			st.LatencyMS = msOf(u.planned)
+			st.Path = u.Path
+			st.DNN = u.DNN
 		}
 		out = append(out, st)
 	}
@@ -244,99 +239,20 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid offload request: %v", err)
 		return
 	}
-	if sp, gate, ok := s.segTable().head(req.Task); ok {
-		// This node heads a split pipeline for the task: gate here, run
-		// the head segment, relay the activation to the next hop.
-		s.handleSplitOffload(w, r, req, sp, gate)
+	s.serveUnit(w, r, intake{task: req.Task, input: req.Input, deadlineMS: req.DeadlineMS})
+}
+
+// handleStage serves POST /v1/stage: one boundary-activation handoff
+// inside a split pipeline. The body is an activation envelope
+// (dnn.EncodeActivation); the response is either the tail's
+// OffloadResponse (JSON) or a relayed error envelope.
+func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
+	man, act, err := dnn.DecodeActivation(http.MaxBytesReader(w, r.Body, maxStageBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 		return
 	}
-	if !s.reg.Has(req.Task) {
-		writeError(w, http.StatusNotFound, CodeUnknownTask, "task %q not registered", req.Task)
-		return
-	}
-	if r.Context().Err() != nil {
-		// The client is gone: don't burn the task's gate tokens on a
-		// response no one will read. 499 is nginx's "client closed
-		// request" convention; the status is for the access log only.
-		s.stats.aborted.Add(1)
-		w.WriteHeader(499)
-		return
-	}
-	ep := s.resolver.Current()
-	gate := ep.Gate(req.Task)
-	if gate == nil {
-		// Registered but not admitted by the current epoch: either the
-		// re-solve is still pending (retry after the debounce window)
-		// or the solver rejected the task under current load.
-		s.stats.recordReject(req.Task)
-		w.Header().Set("Retry-After", retryAfter(s.cfg.Debounce))
-		writeError(w, http.StatusTooManyRequests, CodeNotAdmitted, "task %q not admitted by current epoch", req.Task)
-		return
-	}
-	ok, wait := gate.Allow()
-	if !ok {
-		s.stats.recordReject(req.Task)
-		w.Header().Set("Retry-After", retryAfter(wait))
-		writeError(w, http.StatusTooManyRequests, CodeOverRate,
-			"task %q over its admitted rate %.3g req/s", req.Task, gate.Rate())
-		return
-	}
-	lat, _ := ep.PredictedLatency(req.Task)
-	s.stats.recordAdmit(req.Task, lat.Seconds())
-	resp := OffloadResponse{
-		Task:         req.Task,
-		Epoch:        ep.N,
-		AdmittedRate: ep.AdmittedRate(req.Task),
-		LatencyMS:    float64(lat) / float64(time.Millisecond),
-	}
-	if a, ok := ep.Assignment(req.Task); ok {
-		resp.Path = a.Path.ID
-		resp.DNN = a.Path.DNN
-	}
-	if len(req.Input) > 0 {
-		// Deadline budget: the task's plan-time bound L_τ by default, a
-		// positive DeadlineMS overrides it, a negative one opts out.
-		var budget time.Duration
-		switch {
-		case req.DeadlineMS > 0:
-			budget = time.Duration(req.DeadlineMS * float64(time.Millisecond))
-		case req.DeadlineMS < 0:
-			budget = 0
-		default:
-			budget = ep.LatencyBound(req.Task)
-		}
-		var deadline time.Time
-		if budget > 0 {
-			deadline = s.cfg.Now().Add(budget)
-			resp.DeadlineMS = float64(budget) / float64(time.Millisecond)
-			// Under sustained deadline pressure, a request whose planned
-			// latency already blows its budget is shed here — the verdict
-			// is the same 504 the backend would reach, without burning a
-			// queue slot another request could hit its deadline in.
-			if lat > budget && s.Overloaded() {
-				s.stats.earlySheds.Add(1)
-				writeError(w, http.StatusGatewayTimeout, CodeDeadline,
-					"task %q: predicted latency %.1fms exceeds deadline budget %.1fms under overload",
-					req.Task, float64(lat)/float64(time.Millisecond), float64(budget)/float64(time.Millisecond))
-				return
-			}
-		}
-		out, err := s.backend.Infer(r.Context(), exec.Request{TaskID: req.Task, Input: req.Input, Deadline: deadline})
-		if err != nil {
-			s.writeInferError(w, err, CodeDeadline)
-			return
-		}
-		s.stats.recordInfer(req.Task, out.Latency.Seconds())
-		resp.MeasuredLatencyMS = float64(out.Latency) / float64(time.Millisecond)
-		resp.BatchSize = out.BatchSize
-		resp.Simulated = out.Simulated
-		if out.Logits != nil {
-			resp.Logits = out.Logits
-			am := out.Argmax
-			resp.Argmax = &am
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveUnit(w, r, intake{task: man.Task, from: man.From, input: act, man: &man})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -1,0 +1,306 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"offloadnn/internal/dnn"
+	"offloadnn/internal/exec"
+	"offloadnn/internal/workload"
+)
+
+// TestEpochChurnKeepsGateBucket: a publish must not re-grant a task its
+// burst. The task drains its bucket, then ten epochs are published inside
+// 200 ms by churning an unrelated task; at z·λ = 5/s that window refills
+// one token, so at most one more request may pass.
+func TestEpochChurnKeepsGateBucket(t *testing.T) {
+	clock := newFakeClock()
+	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now})
+	registerSmall(t, srv, 2)
+	if err := srv.ResolveNow(); err != nil {
+		t.Fatal(err)
+	}
+	rate := srv.Current().AdmittedRate("task-1")
+	if rate != 5 {
+		t.Fatalf("task-1 admitted at %v/s, the scenario wants 5", rate)
+	}
+	for i := 0; i < int(rate); i++ {
+		if w := offloadRec(srv, "task-1"); w.Code != http.StatusOK {
+			t.Fatalf("burst offload %d: status %d", i, w.Code)
+		}
+	}
+	if w := offloadRec(srv, "task-1"); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("offload past the burst: status %d, want 429", w.Code)
+	}
+	other, err := workload.SmallTask(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, admits := srv.Current().N, 0
+	for i := 0; i < 10; i++ {
+		clock.Advance(20 * time.Millisecond)
+		if i%2 == 0 {
+			if err := srv.Deregister("task-2"); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := srv.Register(other, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.ResolveNow(); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Current().AdmittedRate("task-1"); got != rate {
+			t.Fatalf("epoch %d moved task-1 to %v/s; the churn was meant to leave it alone", srv.Current().N, got)
+		}
+		for offloadRec(srv, "task-1").Code == http.StatusOK {
+			admits++
+		}
+	}
+	if got := srv.Current().N - first; got != 10 {
+		t.Fatalf("%d epochs published, want 10", got)
+	}
+	if admits > 1 {
+		t.Fatalf("%d offloads admitted across 10 epochs in 200 ms, want at most 1", admits)
+	}
+}
+
+// hopStub is a next hop: it records the envelope it was handed and
+// answers with a canned status and body.
+type hopStub struct {
+	mu     sync.Mutex
+	status int
+	body   string
+	calls  int
+	man    dnn.ActivationManifest
+}
+
+func (h *hopStub) reset(status int, body string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.status, h.body, h.calls, h.man = status, body, 0, dnn.ActivationManifest{}
+}
+
+func (h *hopStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	man, _, err := dnn.DecodeActivation(r.Body)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.calls++
+	h.man = man
+	if err != nil || r.URL.Path != "/v1/stage" {
+		http.Error(w, "bad relay", http.StatusTeapot)
+		return
+	}
+	w.WriteHeader(h.status)
+	io.WriteString(w, h.body)
+}
+
+// steppingBackend advances the injected clock by step after every
+// executed request: the time the unit's range "took".
+type steppingBackend struct {
+	exec.Backend
+	clock *fakeClock
+	step  time.Duration
+}
+
+func (b *steppingBackend) Infer(ctx context.Context, req exec.Request) (exec.Output, error) {
+	out, err := b.Backend.Infer(ctx, req)
+	b.clock.Advance(b.step)
+	return out, err
+}
+
+// TestRequestPipelineEveryUnitKind drives the one request pipeline
+// through /v1/offload and /v1/stage for each kind of unit a node can
+// hold — a whole path, the head of a two-segment pipeline, a middle
+// segment and a tail — against a stub next hop.
+func TestRequestPipelineEveryUnitKind(t *testing.T) {
+	// The backend compares deadlines against the wall clock, so the
+	// injected clock starts there; only this test moves it.
+	clock := &fakeClock{t: time.Now()}
+	be := &steppingBackend{Backend: newRealBackend(t), clock: clock}
+	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Backend: be, Node: "n1"})
+	hop := &hopStub{}
+	next := httptest.NewServer(hop)
+	defer next.Close()
+
+	registerSmall(t, srv, 1)
+	const path = "prop/π"
+	blocks := []string{"prop/s1", "prop/s2", "prop/s3", "prop/s4"}
+	const hourMS = 3.6e6
+	if _, err := srv.ReplaceSegments([]SegmentSpec{
+		{Task: "h", Path: path, DNN: "prop", Blocks: blocks, From: 0, To: 2, Rate: 5, BudgetMS: hourMS, Hop: 0, Hops: 2, Next: next.URL, NextNode: "n2"},
+		{Task: "m", Path: path, DNN: "prop", Blocks: blocks, From: 1, To: 3, Hop: 1, Hops: 3, Next: next.URL, NextNode: "n2"},
+		{Task: "t", Path: path, DNN: "prop", Blocks: blocks, From: 2, To: 4, Hop: 1, Hops: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	frame := payloadFor(be)
+	offload := func(task string, input []float64) *http.Request {
+		body, err := json.Marshal(OffloadRequest{Task: task, Input: input})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewRequest(http.MethodPost, "/v1/offload", bytes.NewReader(body))
+	}
+	upstream := []dnn.ActivationHop{{Node: "n0", LatencyMS: 1.5, ActivationBytes: 64}}
+	// stage builds a /v1/stage request entering `from` with an activation
+	// of the right size for that boundary unless elems overrides it.
+	stage := func(task, pathID string, from, elems int, remainingMS float64) *http.Request {
+		shape := dnn.SegmentBoundaryShape(dnn.ResNetConfig{BaseWidth: 4}, [3]int{3, 8, 8}, from)
+		if elems > 0 {
+			shape = [3]int{1, 1, elems}
+		}
+		var buf bytes.Buffer
+		man := dnn.ActivationManifest{Task: task, Path: pathID, From: from, Shape: shape,
+			RemainingMS: remainingMS, BudgetMS: hourMS, Hops: upstream}
+		if err := dnn.EncodeActivation(&buf, man, make([]float64, shape[0]*shape[1]*shape[2])); err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewRequest(http.MethodPost, "/v1/stage", &buf)
+	}
+	tailAnswer := `{"task":"h","epoch":9,"admitted_rate":5,"latency_ms":0,"batch_size":3,"logits":[0.5,2,1,0],"argmax":1,` +
+		`"hops":[{"node":"n1","latency_ms":1},{"node":"n2","latency_ms":2}]}`
+	shed503 := `{"error":{"code":"overloaded","message":"downstream  shed"}}` + "\n"
+	late504 := `{"error":{"code":"deadline_exceeded@hop","message":"downstream late"}}`
+
+	for _, tc := range []struct {
+		name string
+		req  *http.Request
+		// step is how long the unit's range takes on the injected clock.
+		step time.Duration
+		// hopStatus/hopBody are the stub's answer; hopCalls how often the
+		// pipeline must reach it.
+		hopStatus int
+		hopBody   string
+		hopCalls  int
+		status    int
+		code      string // error-envelope code, "" for a 200
+		check     func(t *testing.T, raw string, out OffloadResponse)
+	}{
+		{name: "whole 200", req: offload("task-1", frame), status: 200,
+			check: func(t *testing.T, raw string, out OffloadResponse) {
+				if len(out.Logits) != 4 || out.Argmax == nil || out.Path == "" || out.LatencyMS <= 0 || out.DeadlineMS <= 0 {
+					t.Fatalf("whole-path answer incomplete: %s", raw)
+				}
+				if strings.Contains(raw, `"hops"`) {
+					t.Fatalf("whole-path answer carries hops: %s", raw)
+				}
+			}},
+		{name: "head 200", req: offload("h", frame), hopStatus: 200, hopBody: tailAnswer, hopCalls: 1, status: 200,
+			check: func(t *testing.T, raw string, out OffloadResponse) {
+				if out.Task != "h" || out.Epoch != srv.Current().N || out.AdmittedRate != 5 || out.Path != path ||
+					out.DeadlineMS != hourMS || out.BatchSize != 3 || len(out.Hops) != 2 || out.Argmax == nil || *out.Argmax != 1 ||
+					len(out.Logits) != 4 || out.Logits[1] != 2 {
+					t.Fatalf("head answer does not merge the tail's verdict: %s", raw)
+				}
+				if m := hop.man; m.Task != "h" || m.Path != path || m.From != 2 || m.BudgetMS != hourMS || m.RemainingMS <= 0 ||
+					m.RemainingMS > hourMS || len(m.Hops) != 1 || m.Hops[0].Node != "n1" || m.Hops[0].ActivationBytes != 8*m.Shape[0]*m.Shape[1]*m.Shape[2] {
+					t.Fatalf("head forwarded manifest %+v", m)
+				}
+			}},
+		{name: "middle 200 relays the tail's bytes", req: stage("m", path, 1, 0, 500), hopStatus: 200, hopBody: tailAnswer, hopCalls: 1, status: 200,
+			check: func(t *testing.T, raw string, _ OffloadResponse) {
+				if raw != tailAnswer {
+					t.Fatalf("middle hop rewrote the tail's answer: %s", raw)
+				}
+				if m := hop.man; m.From != 3 || len(m.Hops) != 2 || m.Hops[0] != upstream[0] || m.Hops[1].Node != "n1" ||
+					m.RemainingMS <= 0 || m.RemainingMS > 500 || m.BudgetMS != hourMS {
+					t.Fatalf("middle forwarded manifest %+v", m)
+				}
+			}},
+		{name: "tail 200", req: stage("t", path, 2, 0, 500), status: 200,
+			check: func(t *testing.T, raw string, out OffloadResponse) {
+				if len(out.Logits) != 4 || out.Argmax == nil || out.DeadlineMS != hourMS || out.Path != path ||
+					len(out.Hops) != 2 || out.Hops[0] != upstream[0] || out.Hops[1].Node != "n1" || out.Hops[1].ActivationBytes != 0 {
+					t.Fatalf("tail answer incomplete: %s", raw)
+				}
+			}},
+		{name: "offload of an unknown task", req: offload("ghost", frame), status: 404, code: CodeUnknownTask},
+		{name: "stage at a stage nothing enters", req: stage("t", path, 1, 0, 0), status: 404, code: CodeUnknownTask},
+		{name: "stage into a whole path", req: stage("task-1", path, 0, 0, 0), status: 404, code: CodeUnknownTask},
+		{name: "stage for another path", req: stage("t", "other/π", 2, 0, 0), status: 400, code: CodeInvalidRequest},
+		{name: "whole, wrong frame length", req: offload("task-1", frame[:5]), status: 400, code: CodeInvalidRequest},
+		{name: "head, wrong frame length", req: offload("h", frame[:5]), status: 400, code: CodeInvalidRequest},
+		{name: "middle, wrong activation length", req: stage("m", path, 1, 3, 0), status: 400, code: CodeInvalidRequest},
+		{name: "tail, wrong activation length", req: stage("t", path, 2, 3, 0), status: 400, code: CodeInvalidRequest},
+		{name: "middle entered with the budget spent", req: stage("m", path, 1, 0, -1), status: 504, code: CodeDeadlineHop},
+		{name: "tail entered with the budget spent", req: stage("t", path, 2, 0, -0.5), status: 504, code: CodeDeadlineHop},
+		{name: "head spends the budget", req: offload("h", frame), step: 2 * time.Hour, status: 504, code: CodeDeadlineHop},
+		{name: "middle spends the budget", req: stage("m", path, 1, 0, 500), step: time.Second, status: 504, code: CodeDeadlineHop},
+		{name: "head relays a downstream 503", req: offload("h", frame), hopStatus: 503, hopBody: shed503, hopCalls: 1, status: 503, code: CodeOverload,
+			check: func(t *testing.T, raw string, _ OffloadResponse) {
+				if raw != shed503 {
+					t.Fatalf("head rewrote the downstream refusal: %q", raw)
+				}
+			}},
+		{name: "middle relays a downstream 504", req: stage("m", path, 1, 0, 0), hopStatus: 504, hopBody: late504, hopCalls: 1, status: 504, code: CodeDeadlineHop,
+			check: func(t *testing.T, raw string, _ OffloadResponse) {
+				if raw != late504 {
+					t.Fatalf("middle rewrote the downstream refusal: %q", raw)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hop.reset(tc.hopStatus, tc.hopBody)
+			be.step = tc.step
+			clock.Advance(time.Second) // a full token for every head request
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, tc.req)
+			raw := w.Body.String()
+			if w.Code != tc.status {
+				t.Fatalf("status %d, want %d: %s", w.Code, tc.status, raw)
+			}
+			if hop.calls != tc.hopCalls {
+				t.Fatalf("next hop reached %d times, want %d", hop.calls, tc.hopCalls)
+			}
+			var out OffloadResponse
+			var envelope errorBody
+			if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
+				t.Fatalf("body is not JSON: %s", raw)
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &envelope); err != nil || envelope.Error.Code != tc.code {
+				t.Fatalf("error code %q, want %q: %s", envelope.Error.Code, tc.code, raw)
+			}
+			if tc.check != nil {
+				tc.check(t, raw, out)
+			}
+		})
+	}
+
+	// A client gone before admit is not charged on a split head either:
+	// 499, no verdict counted, and the whole burst is still there.
+	clock.Advance(time.Hour)
+	be.step = 0
+	before := srv.Stats().Admitted("h") + srv.Stats().Rejected("h")
+	req := offload("h", nil)
+	ctx, cancel := context.WithCancel(req.Context())
+	cancel()
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, req.WithContext(ctx))
+	if w.Code != 499 {
+		t.Fatalf("aborted head offload: status %d, want 499", w.Code)
+	}
+	if got := srv.Stats().Admitted("h") + srv.Stats().Rejected("h"); got != before {
+		t.Fatalf("aborted head offload produced %d verdicts", got-before)
+	}
+	for i := 0; i < 5; i++ {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, offload("h", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("probe %d of the burst after the abort: status %d, want 200", i, w.Code)
+		}
+	}
+	w = httptest.NewRecorder()
+	srv.ServeHTTP(w, offload("h", nil))
+	if w.Code != http.StatusTooManyRequests {
+		t.Fatalf("probe past the burst: status %d, want 429", w.Code)
+	}
+}

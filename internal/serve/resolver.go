@@ -43,19 +43,34 @@ type Epoch struct {
 	// clock; the health state machine ages the plan against it.
 	PublishedAt time.Time
 
-	gates   map[string]*Gate
-	latency map[string]time.Duration
-	bound   map[string]time.Duration
-	assign  map[string]core.Assignment
+	// units is the node's serving table for the life of the epoch, keyed
+	// exec.RouteKey(task, from): the deployment's whole paths plus the
+	// segments pushed to the node, built once at publish.
+	units map[string]*unit
 }
 
-// Gate returns the admission gate for a task, or nil when the epoch does
-// not admit it (not registered at solve time, or rejected by the solver).
-func (e *Epoch) Gate(id string) *Gate {
+// unit returns what serves the task's requests entering at stage from,
+// nil when the epoch has nothing installed there.
+func (e *Epoch) unit(task string, from int) *unit {
 	if e == nil {
 		return nil
 	}
-	return e.gates[id]
+	return e.units[exec.RouteKey(task, from)]
+}
+
+// addUnit files a unit under its route key (a pushed segment replaces the
+// whole path of the same task) and gives a raw-frame unit its admission
+// gate: the previous epoch's bucket while the admitted rate is unchanged
+// — a publish must not re-grant a burst — and a full one on a rate change.
+func (e *Epoch) addUnit(prev *Epoch, u *unit, now func() time.Time) {
+	if u.HeadSeg() {
+		if old := prev.unit(u.Task, 0); old != nil && old.Rate == u.Rate {
+			u.gate = old.gate
+		} else {
+			u.gate = NewGate(u.Rate, now)
+		}
+	}
+	e.units[exec.RouteKey(u.Task, u.From)] = u
 }
 
 // AdmittedRate returns the task's notified rate z·λ, zero when the epoch
@@ -67,35 +82,12 @@ func (e *Epoch) AdmittedRate(id string) float64 {
 	return e.Deployment.AdmittedRates[id]
 }
 
-// PredictedLatency returns the planned end-to-end latency (slice
-// transmission at B(σ)·r plus path compute) for an admitted task.
-func (e *Epoch) PredictedLatency(id string) (time.Duration, bool) {
-	if e == nil {
-		return 0, false
-	}
-	d, ok := e.latency[id]
-	return d, ok
-}
-
-// LatencyBound returns the admitted task's plan-time latency bound L_τ
-// (edge.Deployment.LatencyBounds), zero when the epoch does not admit
-// the task or the task registered without a bound. It is the default
-// per-request deadline budget of the deadline-aware execution runtime.
-func (e *Epoch) LatencyBound(id string) time.Duration {
-	if e == nil {
-		return 0
-	}
-	return e.bound[id]
-}
-
-// Assignment returns the task's admitted assignment, built once at epoch
-// construction so the request path never scans the solution slice.
+// Assignment returns the task's admitted assignment.
 func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
-	if e == nil {
-		return core.Assignment{}, false
+	if u := e.unit(id, 0); u != nil && u.whole() {
+		return *u.assign, true
 	}
-	a, ok := e.assign[id]
-	return a, ok
+	return core.Assignment{}, false
 }
 
 // Resolver owns the epoch lifecycle: it watches the registry for churn,
@@ -130,9 +122,9 @@ type Resolver struct {
 	stats    *Stats
 	faults   *faultinject.Injector
 	node     string
-	// segments supplies the split-path segment set attached to every
-	// installed plan; nil for standalone daemons (see resolverParams).
-	segments func() []exec.Segment
+	// segments supplies the split-path segment set pushed to the node (see
+	// resolverParams).
+	segments func() []SegmentSpec
 
 	solveTimeout time.Duration
 	backoffBase  time.Duration
@@ -206,10 +198,10 @@ type resolverParams struct {
 	faults       *faultinject.Injector
 	backend      exec.Backend
 	node         string
-	// segments supplies the node's current split-path segment set; every
-	// installed plan carries it so segment models swap atomically with
-	// the epoch. Nil for standalone daemons.
-	segments func() []exec.Segment
+	// segments supplies the node's pushed split-path segment set; every
+	// epoch installs and serves it, so segment models and routes swap
+	// atomically with the deployment.
+	segments func() []SegmentSpec
 }
 
 func newResolver(reg *Registry, ctrl *edge.Controller, res core.Resources, alpha float64,
@@ -387,14 +379,8 @@ func (r *Resolver) resolve(force bool) error {
 		return nil
 	}
 	start := r.now()
-	ep := &Epoch{
-		Generation: gen,
-		Tasks:      tasks,
-		gates:      make(map[string]*Gate),
-		latency:    make(map[string]time.Duration),
-		bound:      make(map[string]time.Duration),
-		assign:     make(map[string]core.Assignment),
-	}
+	prev, segs := r.cur.Load(), r.segments()
+	ep := &Epoch{Generation: gen, Tasks: tasks, units: make(map[string]*unit, len(tasks)+len(segs))}
 	if len(tasks) == 0 {
 		r.session = nil // an empty registry resets the incremental session
 	} else {
@@ -418,25 +404,30 @@ func (r *Resolver) resolve(force bool) error {
 		// same arithmetic the emulator and the simulated backend apply
 		// their factors to.
 		costs := edge.PlanCosts(tasks, blocks, r.res, dep, 0, 0)
-		for _, a := range dep.Solution.Assignments {
+		for i := range dep.Solution.Assignments {
+			a := &dep.Solution.Assignments[i]
 			if !a.Admitted() {
 				continue
 			}
-			ep.gates[a.TaskID] = NewGate(dep.AdmittedRates[a.TaskID], r.now)
-			ep.latency[a.TaskID] = costs[a.TaskID].Total()
-			ep.bound[a.TaskID] = dep.LatencyBounds[a.TaskID]
-			ep.assign[a.TaskID] = a
+			ep.addUnit(prev, &unit{
+				SegmentSpec: SegmentSpec{Task: a.TaskID, Path: a.Path.ID, DNN: a.Path.DNN,
+					Blocks: a.Path.Blocks, To: len(a.Path.Blocks), Rate: dep.AdmittedRates[a.TaskID]},
+				budget:  dep.LatencyBounds[a.TaskID],
+				planned: costs[a.TaskID].Total(),
+				assign:  a,
+			}, r.now)
 		}
+	}
+	execSegs := make([]exec.Segment, 0, len(segs))
+	for _, sp := range segs {
+		ep.addUnit(prev, &unit{SegmentSpec: sp, budget: time.Duration(sp.BudgetMS * float64(time.Millisecond))}, r.now)
+		execSegs = append(execSegs, sp.execSegment())
 	}
 	// Install the deployment into the execution backend before the epoch
 	// becomes visible: a failed install (e.g. a path naming a block the
 	// model template cannot realize) keeps the previous epoch — and the
 	// previous backend plan — serving.
 	if r.backend != nil {
-		var segs []exec.Segment
-		if r.segments != nil {
-			segs = r.segments()
-		}
 		if err := r.backend.Install(&exec.Plan{
 			Epoch:      r.epochN + 1,
 			Node:       r.node,
@@ -444,7 +435,7 @@ func (r *Resolver) resolve(force bool) error {
 			Blocks:     blocks,
 			Res:        r.res,
 			Deployment: ep.Deployment,
-			Segments:   segs,
+			Segments:   execSegs,
 		}); err != nil {
 			err = fmt.Errorf("serve: backend install: %w", err)
 			r.recordFailure(err)

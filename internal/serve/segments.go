@@ -2,43 +2,43 @@ package serve
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
-	"strconv"
 
 	"offloadnn/internal/exec"
 )
 
-// SegmentSpec is one stage-range of a split path this node serves: the
-// serving-layer mirror of the cluster wire form (serve cannot import
-// cluster — cluster builds on serve). The coordinator's split placement
-// pushes these alongside the node's whole-path task subset; the head
-// segment gates intake at the admitted rate and opens the deadline
-// budget, every non-tail segment forwards its boundary activation to
-// Next.
+// SegmentSpec is one stage-range of a split path this node serves, as the
+// coordinator's split placement pushes it alongside the node's whole-path
+// task subset (it is the wire form too: cluster.WireSegment aliases it).
+// The head segment gates intake at the admitted rate and opens the
+// deadline budget; every non-tail segment forwards its boundary
+// activation to Next.
 type SegmentSpec struct {
 	// Task, Path and DNN identify the split assignment.
-	Task string
-	Path string
-	DNN  string
+	Task string `json:"task"`
+	Path string `json:"path"`
+	DNN  string `json:"dnn"`
 	// Blocks is the FULL path's ordered block-ID list; From/To bound this
 	// node's range [From, To) into it.
-	Blocks []string
-	From   int
-	To     int
+	Blocks []string `json:"blocks"`
+	From   int      `json:"from"`
+	To     int      `json:"to"`
 	// Rate is the admitted request rate z·λ the head gates intake at;
 	// ignored on non-head segments (their intake is the previous hop).
-	Rate float64
+	Rate float64 `json:"rate"`
 	// BudgetMS is the end-to-end deadline budget the head opens the
-	// pipeline with; zero on non-head segments, which trust the
-	// envelope's remaining budget.
-	BudgetMS float64
+	// pipeline with (the task's L_τ minus the coordinator→head forward
+	// delay); zero on non-head segments, which trust the envelope's
+	// remaining budget.
+	BudgetMS float64 `json:"budget_ms,omitempty"`
 	// Hop and Hops are this segment's position and the pipeline length.
-	Hop  int
-	Hops int
+	Hop  int `json:"hop"`
+	Hops int `json:"hops"`
 	// Next and NextNode are the next hop's base URL and node ID; empty on
 	// the tail.
-	Next     string
-	NextNode string
+	Next     string `json:"next,omitempty"`
+	NextNode string `json:"next_node,omitempty"`
 }
 
 // HeadSeg reports whether the spec consumes raw frames.
@@ -47,159 +47,51 @@ func (s SegmentSpec) HeadSeg() bool { return s.From == 0 }
 // TailSeg reports whether the spec emits logits.
 func (s SegmentSpec) TailSeg() bool { return s.To == len(s.Blocks) }
 
-// segKey routes a (task, entry-stage) pair to its installed segment,
-// matching the execution backend's routing convention.
-func segKey(task string, from int) string {
-	if from == 0 {
-		return task
-	}
-	return task + "#" + strconv.Itoa(from)
+// execSegment is the execution-layer form of the spec.
+func (s SegmentSpec) execSegment() exec.Segment {
+	return exec.Segment{TaskID: s.Task, PathID: s.Path, DNN: s.DNN, Blocks: s.Blocks, From: s.From, To: s.To}
 }
 
-// segmentTable is the immutable installed segment set, swapped
-// atomically on every cluster plan push.
-type segmentTable struct {
-	// specs maps segKey(task, from) to the installed spec.
-	specs map[string]SegmentSpec
-	// gates holds the head segments' rate limiters, keyed by task. Token
-	// buckets survive pushes that keep a task's rate unchanged.
-	gates map[string]*Gate
-}
-
-var emptySegments = &segmentTable{}
-
-// head returns the head-segment spec and gate for a task, if this node
-// serves one.
-func (t *segmentTable) head(task string) (SegmentSpec, *Gate, bool) {
-	sp, ok := t.specs[segKey(task, 0)]
-	if !ok {
-		return SegmentSpec{}, nil, false
-	}
-	return sp, t.gates[task], true
-}
-
-// at returns the spec entered at the given stage of a task's split path.
-func (t *segmentTable) at(task string, from int) (SegmentSpec, bool) {
-	sp, ok := t.specs[segKey(task, from)]
-	return sp, ok
-}
-
-// segTable returns the current segment table (never nil).
-func (s *Server) segTable() *segmentTable {
-	if t := s.segments.Load(); t != nil {
-		return t
-	}
-	return emptySegments
-}
-
-// Segments snapshots the installed segment specs, sorted by route key.
+// Segments returns the pushed segment specs, sorted by route key.
 func (s *Server) Segments() []SegmentSpec {
-	t := s.segTable()
-	keys := make([]string, 0, len(t.specs))
-	for k := range t.specs {
-		keys = append(keys, k)
+	if p := s.segments.Load(); p != nil {
+		return append([]SegmentSpec(nil), *p...)
 	}
-	sort.Strings(keys)
-	out := make([]SegmentSpec, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, t.specs[k])
-	}
-	return out
-}
-
-// execSegments converts the installed table into the execution-layer
-// form the resolver attaches to every installed plan.
-func (s *Server) execSegments() []exec.Segment {
-	specs := s.Segments()
-	if len(specs) == 0 {
-		return nil
-	}
-	out := make([]exec.Segment, 0, len(specs))
-	for _, sp := range specs {
-		out = append(out, exec.Segment{
-			TaskID: sp.Task,
-			PathID: sp.Path,
-			DNN:    sp.DNN,
-			Blocks: sp.Blocks,
-			From:   sp.From,
-			To:     sp.To,
-		})
-	}
-	return out
+	return nil
 }
 
 // ReplaceSegments swaps the node's split-path segment set, reporting
-// whether anything changed. A change forces a re-resolve so the new
-// segment models install into the execution backend atomically with the
-// next epoch (segment pushes don't bump the task-registry generation,
-// so a plain resolve would short-circuit).
+// whether anything changed. A change forces a re-resolve: the next epoch
+// installs the segment models into the execution backend and files the
+// segments in its unit table, atomically (segment pushes don't bump the
+// task-registry generation, so a plain resolve would short-circuit).
 func (s *Server) ReplaceSegments(specs []SegmentSpec) (bool, error) {
-	next := &segmentTable{
-		specs: make(map[string]SegmentSpec, len(specs)),
-		gates: make(map[string]*Gate),
-	}
+	var next []SegmentSpec
+	seen := make(map[string]bool, len(specs))
 	for _, sp := range specs {
 		if sp.Task == "" || sp.Path == "" {
 			return false, fmt.Errorf("serve: segment missing task or path identity")
 		}
-		if sp.From < 0 || sp.To <= sp.From || sp.To > len(sp.Blocks) {
-			return false, fmt.Errorf("serve: segment %s/%s range [%d,%d) invalid for %d blocks",
-				sp.Task, sp.Path, sp.From, sp.To, len(sp.Blocks))
+		if err := sp.execSegment().Validate(); err != nil {
+			return false, fmt.Errorf("serve: path %s: %w", sp.Path, err)
 		}
 		if !sp.TailSeg() && sp.Next == "" {
 			return false, fmt.Errorf("serve: non-tail segment %s/%s[%d,%d) has no next hop",
 				sp.Task, sp.Path, sp.From, sp.To)
 		}
-		k := segKey(sp.Task, sp.From)
-		if _, dup := next.specs[k]; dup {
+		k := exec.RouteKey(sp.Task, sp.From)
+		if seen[k] {
 			return false, fmt.Errorf("serve: duplicate segment route %s", k)
 		}
-		next.specs[k] = sp
+		seen[k] = true
+		next = append(next, sp)
 	}
-	prev := s.segTable()
-	for k, sp := range next.specs {
-		if !sp.HeadSeg() {
-			continue
-		}
-		// Reuse the existing bucket when the rate is unchanged so a
-		// steady split doesn't get a token refill on every plan push.
-		if old, ok := prev.specs[k]; ok && old.Rate == sp.Rate && prev.gates[sp.Task] != nil {
-			next.gates[sp.Task] = prev.gates[sp.Task]
-			continue
-		}
-		next.gates[sp.Task] = NewGate(sp.Rate, s.cfg.Now)
-	}
-	if segmentsEqual(prev.specs, next.specs) {
+	sort.Slice(next, func(i, j int) bool {
+		return exec.RouteKey(next[i].Task, next[i].From) < exec.RouteKey(next[j].Task, next[j].From)
+	})
+	if reflect.DeepEqual(s.Segments(), next) {
 		return false, nil
 	}
-	s.segments.Store(next)
-	if err := s.resolver.ForceResolve(); err != nil {
-		return true, err
-	}
-	return true, nil
-}
-
-// segmentsEqual compares two installed segment maps field-wise.
-func segmentsEqual(a, b map[string]SegmentSpec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, x := range a {
-		y, ok := b[k]
-		if !ok {
-			return false
-		}
-		if x.Task != y.Task || x.Path != y.Path || x.DNN != y.DNN ||
-			x.From != y.From || x.To != y.To || x.Rate != y.Rate ||
-			x.BudgetMS != y.BudgetMS || x.Hop != y.Hop || x.Hops != y.Hops ||
-			x.Next != y.Next || x.NextNode != y.NextNode || len(x.Blocks) != len(y.Blocks) {
-			return false
-		}
-		for i := range x.Blocks {
-			if x.Blocks[i] != y.Blocks[i] {
-				return false
-			}
-		}
-	}
-	return true
+	s.segments.Store(&next)
+	return true, s.resolver.ForceResolve()
 }

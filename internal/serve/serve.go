@@ -160,10 +160,9 @@ type Server struct {
 	stats    *Stats
 	mux      *http.ServeMux
 	draining atomic.Bool
-	// segments is the node's installed split-path segment table (see
-	// segments.go), swapped atomically on cluster plan pushes; nil until
-	// the first ReplaceSegments.
-	segments atomic.Pointer[segmentTable]
+	// segments is the split-path segment set pushed to the node, sorted by
+	// route key (see segments.go); nil until the first ReplaceSegments.
+	segments atomic.Pointer[[]SegmentSpec]
 	// stageClient posts boundary activations to the next hop of a split
 	// path; overridable in tests.
 	stageClient *http.Client
@@ -257,7 +256,7 @@ func New(cfg Config) (*Server, error) {
 			faults:       cfg.Faults,
 			backend:      cfg.Backend,
 			node:         cfg.Node,
-			segments:     s.execSegments,
+			segments:     s.Segments,
 		})
 	s.mux = s.routes()
 	return s, nil

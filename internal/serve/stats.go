@@ -39,8 +39,8 @@ type Stats struct {
 	// each solver tier produced and the duration of its most recent one.
 	tierSolves    [tierSlots]atomic.Uint64
 	tierLastNanos [tierSlots]atomic.Int64
-	latency        *metrics.Window
-	window         int
+	latency       *metrics.Window
+	window        int
 	// earlySheds counts requests the serve layer shed before they reached
 	// the backend queue (overload fast path: predicted latency exceeds
 	// the deadline budget while the runtime is under deadline pressure).
@@ -118,11 +118,9 @@ func (s *Stats) task(id string) *taskCounters {
 	return c
 }
 
-// recordAdmit counts an admitted offload and folds its end-to-end
-// latency (seconds) into the quantile window.
-func (s *Stats) recordAdmit(id string, latencySeconds float64) {
+// recordAdmit counts an offload its unit's gate admitted.
+func (s *Stats) recordAdmit(id string) {
 	s.task(id).admitted.Add(1)
-	s.latency.Add(latencySeconds)
 }
 
 // recordInfer folds one executed offload's measured latency (seconds)
@@ -151,14 +149,6 @@ func (s *Stats) InferWindow(id string) *metrics.Window {
 		return nil
 	}
 	return c.infer.Load()
-}
-
-// recordSplitAdmit counts an offload admitted by a split-pipeline head
-// gate. Unlike recordAdmit there is no plan-time latency to fold into
-// the end-to-end window here — the measured pipeline latency is added
-// when the tail's verdict comes back.
-func (s *Stats) recordSplitAdmit(id string) {
-	s.task(id).admitted.Add(1)
 }
 
 // recordHop folds one split-segment execution latency (seconds) into
