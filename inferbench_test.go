@@ -116,36 +116,34 @@ func TestRecordInferBench(t *testing.T) {
 		}
 	}
 
-	// Steady-state inference must stay allocation-free at every precision
-	// and the quantized paths must actually be faster. The whole-model
-	// floors below are softer than the >=1.8x (f32) / >=3x (i8) kernel
-	// targets asserted by BenchmarkMatMul/BenchmarkConv2DForward: since
-	// every convolution became one batch-wide GEMM (DESIGN.md §5e) the
-	// f64 baseline is itself ~2.9x faster, and what separates a model
-	// from its GEMMs is mostly the patch gather, which no precision
-	// shortens — not batch norm, ReLU and pooling, which are a few percent.
+	// Steady-state inference must stay allocation-free at every precision.
+	// The floor on time is deliberately not a speed-up: since float64 got
+	// its own AVX2 register tile (DESIGN.md §5e) it is the fastest of the
+	// three at batch 8 on an AVX2 host — the narrow GEMMs still store
+	// every fourth multiply — and what a narrow precision buys there is
+	// memory (§5j). A floor that asked the narrow rows to beat f64 by a
+	// margin would fail every time the baseline improved, so the check is
+	// only that narrowing never costs much: over three recordings on a
+	// shared 2-core host the batch-8 ratios read 0.83–0.95 (resnet18) and
+	// 0.73–0.90 (mobilenetv2), hence 0.6.
+	const narrowFloor = 0.6
 	var f32Speedup, i8Speedup float64
 	for _, r := range runs {
-		if r.Batch == 8 && r.AllocsOp > 0 {
-			t.Errorf("%s/%s batch=8: %.1f allocs/op, want 0", r.Model, r.Precision, r.AllocsOp)
-		}
 		if r.Batch != 8 {
 			continue
+		}
+		if r.AllocsOp > 0 {
+			t.Errorf("%s/%s batch=8: %.1f allocs/op, want 0", r.Model, r.Precision, r.AllocsOp)
+		}
+		if r.Precision != "f64" && r.Speedup < narrowFloor {
+			t.Errorf("%s %s batch=8: %.2fx of f64's speed, want >= %.1fx", r.Model, r.Precision, r.Speedup, narrowFloor)
 		}
 		switch {
 		case r.Model == "resnet18" && r.Precision == "f32":
 			f32Speedup = r.Speedup
 		case r.Model == "resnet18" && r.Precision == "i8":
 			i8Speedup = r.Speedup
-		case r.Model == "mobilenetv2" && r.Precision != "f64" && r.Speedup < 1.4:
-			t.Errorf("mobilenetv2 %s speedup %.2fx, want >= 1.4x", r.Precision, r.Speedup)
 		}
-	}
-	if f32Speedup < 1.5 {
-		t.Errorf("resnet18 f32 speedup %.2fx, want >= 1.5x", f32Speedup)
-	}
-	if i8Speedup < 1.4 {
-		t.Errorf("resnet18 i8 speedup %.2fx, want >= 1.4x", i8Speedup)
 	}
 
 	doc := struct {

@@ -116,12 +116,20 @@ func gatherRows[T any](dst, src []T, s *convShape, b0, lo, hi int) {
 // run along the contiguous axis. One image's rows [b·cols, (b+1)·cols)
 // give the classic im2col matrix.
 func gatherCols[T any](dst, src []T, s *convShape, b0, lo, hi int) {
+	gatherColsStride(dst, src, s, b0, lo, hi, hi-lo)
+}
+
+// gatherColsStride is gatherCols with its rows ld >= hi-lo elements apart,
+// zero beyond the pixels, for a kernel whose vector tile needs whole
+// groups of lanes.
+func gatherColsStride[T any](dst, src []T, s *convShape, b0, lo, hi, ld int) {
 	k, st, hw, nc := s.p.Kernel, s.p.Stride, s.h*s.w, hi-lo
 	var zero T
 	for ch := 0; ch < s.c; ch++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				row := dst[((ch*k+ky)*k+kx)*nc : ((ch*k+ky)*k+kx+1)*nc]
+				row := dst[((ch*k+ky)*k+kx)*ld:][:ld]
+				clear(row[nc:])
 				b, oy, ox := lo/s.cols, lo%s.cols/s.ow, lo%s.ow
 				for i := 0; i < nc; {
 					// One run is the rest of an output row (or of the range):
@@ -266,8 +274,10 @@ func checkConvDst(dst *Tensor, n, cout, oh, ow int) error {
 // chunk by chunk into a patch matrix and multiplied against the Cout×patch
 // weight as it lies (training mutates it between calls, so nothing derived
 // from it is kept). Above the flop cutoff the rows are sharded across idle
-// pool workers; each output element is one k-ascending dot product either
-// way, so batch size, sharding and chunking never change a bit.
+// pool workers, in whole vector tiles so that only the call's last shard
+// has a ragged end; each output element is one k-ascending dot product
+// either way, so batch size, sharding, chunking and the kernel a row range
+// gets never change a bit.
 func conv2DInto(out []float64, x, weight, bias *Tensor, p Conv2DParams, oh, ow int) {
 	s := newConvShape(x, p, oh, ow)
 	var biasData []float64
@@ -276,16 +286,35 @@ func conv2DInto(out []float64, x, weight, bias *Tensor, p Conv2DParams, oh, ow i
 	}
 	if s.forks() {
 		sh := s // the closure's copy: s itself stays on the stack
-		parallelFor(sh.rows, sh.grain(), func(lo, hi int) {
-			convRows(out, x.data, weight.data, biasData, &sh, lo, hi)
+		tiles := (sh.rows + convTileRows - 1) / convTileRows
+		parallelFor(tiles, (sh.grain()+convTileRows-1)/convTileRows, func(lo, hi int) {
+			convRows(out, x.data, weight.data, biasData, &sh, lo*convTileRows, min(hi*convTileRows, sh.rows))
 		})
 		return
 	}
 	convRows(out, x.data, weight.data, biasData, &s, 0, s.rows)
 }
 
-// convRows computes pixel rows [lo,hi) of the call's output.
+// The AVX2 kernel's register tile is convTileRows pixel lanes (two YMM; a
+// 4-lane tile takes what is left) by convTileChans output channels. A
+// range of fewer than convMinRowsAVX2 rows would fill its one 4-lane tile
+// mostly with padding and is left to the scalar kernel: on c128 1×1 maps
+// the tile measured 0.62× of scalar at one row, 1.0–1.2× at two, 1.27× at
+// three and 1.6–1.9× at four.
+const (
+	convTileRows    = 8
+	convTileChans   = 4
+	convMinRowsAVX2 = 3
+)
+
+// convRows computes pixel rows [lo,hi) of the call's output: on the
+// vector unit where there is one and the range is long enough, by the
+// scalar kernel otherwise.
 func convRows(out, x, w, bias []float64, s *convShape, lo, hi int) {
+	if useSIMD && hi-lo >= convMinRowsAVX2 {
+		convRowsAVX2(out, x, w, bias, s, lo, hi)
+		return
+	}
 	chunk := s.chunkRows(8)
 	buf := getF64(min(chunk, hi-lo) * s.patch)
 	for c0 := lo; c0 < hi; c0 += chunk {
@@ -296,14 +325,62 @@ func convRows(out, x, w, bias []float64, s *convShape, lo, hi int) {
 	putF64(buf)
 }
 
+// convRowsAVX2 is convRows on the vector unit. Lanes are pixels: a chunk's
+// patches are gathered as columns (pixels contiguous, padded with zeros
+// to whole 4-lane groups), so one load feeds eight pixels' next tap while
+// each of four weight rows is read in place, one broadcast scalar per tap.
+// The transposed arrangement — lanes are channels — would need the weight
+// transposed, a second copy that training would have to keep fresh. The
+// kernel holds a tile's 4×8 sums in registers across the whole patch and
+// writes them once, channel-major, into sums; each sum is dotRows's: one
+// accumulator, taps ascending from +0, multiply then add, bias last.
+func convRowsAVX2(out, x, w, bias []float64, s *convShape, lo, hi int) {
+	k, cout, cols := s.patch, s.p.OutChannels, s.cols
+	// chunkRows is a multiple of 4, and so is every chunk's padded width.
+	chunk := min(s.chunkRows(8), (hi-lo+3)&^3)
+	patches := getF64(chunk * k)
+	// Whole channel groups, so a last group's repeats have somewhere to land.
+	sums := getF64(chunk * ((cout + convTileChans - 1) / convTileChans * convTileChans))
+	for c0 := lo; c0 < hi; c0 += chunk {
+		c1 := min(c0+chunk, hi)
+		nc := c1 - c0
+		ld := (nc + 3) &^ 3
+		gatherColsStride(patches, x, s, 0, c0, c1, ld)
+		for oc := 0; oc < cout; oc += convTileChans {
+			// A last group short of four channels repeats its last weight
+			// row; the repeats land in rows of sums nothing reads.
+			w1, w2, w3 := min(oc+1, cout-1), min(oc+2, cout-1), min(oc+3, cout-1)
+			convTileF64AVX2(&sums[oc*ld], &patches[0], &w[oc*k], &w[w1*k], &w[w2*k], &w[w3*k], k, ld)
+		}
+		for oc := 0; oc < cout; oc++ {
+			b, pix := c0/cols, c0%cols
+			for r := 0; r < nc; {
+				// One run is the rest of an image (or of the chunk).
+				run := min(cols-pix, nc-r)
+				dst, src := out[(b*cout+oc)*cols+pix:][:run], sums[oc*ld+r:][:run]
+				if bias == nil {
+					copy(dst, src)
+				} else {
+					for i, v := range src {
+						dst[i] = v + bias[oc]
+					}
+				}
+				r, b, pix = r+run, b+1, 0
+			}
+		}
+	}
+	putF64(sums)
+	putF64(patches)
+}
+
 // dotRows writes out[pixel, oc] = patches[pixel]·w[oc] + bias[oc] for the
-// pixel rows [lo,hi) whose patches are the rows of patches. A float64
-// kernel has no vector axis to choose: a register tile of one pixel by four
-// output channels keeps four k-ascending sums in flight over the weight
-// rows as they lie — the same per-element order as the seed's axpy loop
-// without its store per multiply — whether the call is one deep 1×1 frame
-// or a batch of wide ones. (Eight sums spill: measured slower.) Channel
-// quads are the outer loop, so the weight streams once per chunk.
+// pixel rows [lo,hi) whose patches are the rows of patches: the portable
+// float64 kernel, and the one for ranges too short for convRowsAVX2. A
+// register tile of one pixel by four output channels keeps four
+// k-ascending sums in flight over the weight rows as they lie — the same
+// per-element order as the seed's axpy loop without its store per multiply.
+// (Eight sums spill: measured slower.) Channel quads are the outer loop,
+// so the weight streams once per chunk.
 func dotRows(out, patches, w, bias []float64, s *convShape, lo, hi int) {
 	k, cout, cols := s.patch, s.p.OutChannels, s.cols
 	oc := 0
@@ -428,7 +505,7 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 			}
 		}
 		// dCol = weightᵀ (patch×Cout) · dy[b] (Cout×cols)
-		fill(dColBuf, 0)
+		clear(dColBuf)
 		for oc := 0; oc < p.OutChannels; oc++ {
 			wRow := weight.data[oc*patch : (oc+1)*patch]
 			dyRow := dyb[oc*cols : (oc+1)*cols]
@@ -436,10 +513,7 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 				if wv == 0 {
 					continue
 				}
-				dRow := dColBuf[pi*cols : (pi+1)*cols]
-				for i, g := range dyRow {
-					dRow[i] += wv * g
-				}
+				axpy64(dColBuf[pi*cols:(pi+1)*cols], dyRow, wv)
 			}
 		}
 		col2im(grads.DX.data[b*imgLen:(b+1)*imgLen], dColBuf, c, h, w, p, oh, ow)
@@ -452,11 +526,11 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 		// accumulators merged afterwards in shard order.
 		nAux := spans.count - 1
 		auxDW := getF64(nAux * wLen)
-		fill(auxDW, 0)
+		clear(auxDW)
 		var auxDB []float64
 		if hasBias {
 			auxDB = getF64(nAux * p.OutChannels)
-			fill(auxDB, 0)
+			clear(auxDB)
 		}
 		runShards(spans, func(si, lo, hi int) {
 			colBuf := getF64(patch * cols)

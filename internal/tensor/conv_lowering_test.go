@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -189,18 +190,14 @@ func TestConv2DLoweringMatchesPerImageReference(t *testing.T) {
 					}
 					for batch := 1; batch <= maxBatch; batch++ {
 						xb := MustFromSlice(x.data[:batch*imgLen], batch, cin, size, size)
-						// Settings that cannot change the code path are run
-						// once: worker counts below the fork cutoff, the
-						// scalar fallback where there is no vector kernel.
-						workerSet, simdSet := []int{1, 2, 4}, simd
+						// Worker counts below the fork cutoff cannot change the
+						// code path and are run once.
+						workerSet := []int{1, 2, 4}
 						if batch*oh*ow*cout*cin*geo.k*geo.k < gemmParallelCutoff {
 							workerSet = workerSet[:1]
 						}
-						if mode == modeF64 {
-							simdSet = simd[:1]
-						}
 						for _, workers := range workerSet {
-							for _, useSIMD = range simdSet {
+							for _, useSIMD = range simd {
 								SetParallelism(workers)
 								var got *Tensor
 								switch mode {
@@ -224,6 +221,114 @@ func TestConv2DLoweringMatchesPerImageReference(t *testing.T) {
 								}
 								Release(got)
 							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameFloat reports whether got is want bit for bit — signed zeros apart —
+// or both are NaN: which NaN an operation hands on when several meet is
+// the one thing the instruction sets leave to operand order.
+func sameFloat(got, want float64) bool {
+	return math.Float64bits(got) == math.Float64bits(want) || got != got && want != want
+}
+
+// simdSettings returns the values of useSIMD a test can run under — the
+// host's, and false when that is not it already — and restores the
+// host's when the test ends.
+func simdSettings(t *testing.T) []bool {
+	prev := useSIMD
+	t.Cleanup(func() { useSIMD = prev })
+	if prev {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// TestConv2DF64TileMatchesScalarAndReference pins the float64 AVX2 tile
+// to the scalar kernel and to the naive per-image reference on the shapes
+// that exercise its edges: pixel-row counts around the 8- and 4-lane
+// tiles and the short-range scalar rule, channel counts around the
+// 4-channel tile, shard boundaries on and (calling convRows directly) off
+// a tile edge, and an Inf and a NaN in a weight and in a pixel, which a
+// padded lane or a repeated weight row would smear over its neighbours
+// if one ever reached a result.
+func TestConv2DF64TileMatchesScalarAndReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	simd := simdSettings(t)
+	defer SetParallelism(SetParallelism(1))
+
+	for _, stride := range []int{1, 2} {
+		for _, rows := range []int{1, 2, 3, 5, 7, 9, 13} {
+			for _, cout := range []int{1, 3, 5, 8, 128} {
+				for _, planted := range []bool{false, true} {
+					// A 1×rows output map per image, two images: the second
+					// image starts mid-tile whenever rows is not a multiple
+					// of the tile. 32 input channels put the Cout-128 calls
+					// of 7 and more rows over the fork cutoff.
+					const batch, cin, k = 2, 32, 3
+					h, w := 1, (rows-1)*stride+1
+					p := Conv2DParams{InChannels: cin, OutChannels: cout, Kernel: k, Stride: stride, Padding: 1}
+					if oh, ow := p.OutSize(h, w); oh != 1 || ow != rows {
+						t.Fatalf("%+v on %dx%d: output %dx%d, want 1x%d", p, h, w, oh, ow, rows)
+					}
+					x, weight := randTensor(rng, batch, cin, h, w), randTensor(rng, cout, cin, k, k)
+					var bias *Tensor
+					if cout != 8 {
+						bias = randTensor(rng, cout)
+					}
+					if planted {
+						// Centre taps (never padding) of the first and last
+						// channel's weights, and two pixels of image 0.
+						weight.data[4], weight.data[(cout-1)*cin*k*k+k*k+4] = math.Inf(1), math.NaN()
+						x.data[0], x.data[(cin-1)*h*w+w-1] = math.Inf(-1), math.NaN()
+					}
+					imgLen, outLen := cin*h*w, cout*rows
+					var want []float64
+					for b := 0; b < batch; b++ {
+						want = append(want, refConvImage(modeF64, x.data[b*imgLen:(b+1)*imgLen], h, w, weight, bias, p, 0)...)
+					}
+					check := func(got []float64, what string) {
+						t.Helper()
+						for i, g := range got {
+							if !sameFloat(g, want[i]) {
+								t.Fatalf("stride=%d rows=%d cout=%d planted=%v %s: element %d (image %d) = %v, per-image reference %v",
+									stride, rows, cout, planted, what, i, i/outLen, g, want[i])
+							}
+						}
+					}
+					for _, useSIMD = range simd {
+						for _, n := range []int{1, batch} {
+							xb := MustFromSlice(x.data[:n*imgLen], n, cin, h, w)
+							for _, workers := range []int{1, 2, 4} {
+								SetParallelism(workers)
+								got, err := Conv2D(xb, weight, bias, p)
+								if err != nil {
+									t.Fatal(err)
+								}
+								check(got.data, fmt.Sprintf("simd=%v batch=%d workers=%d", useSIMD, n, workers))
+								Release(got)
+							}
+						}
+						// Any two ranges that cover the rows, however they cut
+						// the tiles, write the same output.
+						s := newConvShape(x, p, 1, rows)
+						var biasData []float64
+						if bias != nil {
+							biasData = bias.data
+						}
+						for cut := 0; cut <= s.rows; cut++ {
+							got := make([]float64, batch*outLen)
+							if cut > 0 {
+								convRows(got, x.data, weight.data, biasData, &s, 0, cut)
+							}
+							if cut < s.rows {
+								convRows(got, x.data, weight.data, biasData, &s, cut, s.rows)
+							}
+							check(got, fmt.Sprintf("simd=%v rows [0,%d)+[%d,%d)", useSIMD, cut, cut, s.rows))
 						}
 					}
 				}
@@ -345,11 +450,13 @@ func TestParallelRegionsNeverQueue(t *testing.T) {
 
 // BenchmarkConv2DStageShapes times the convolutions of a width-16
 // ResNet-18 on 16×16 frames — the small-spatial shapes (OH·OW 64…1,
-// Cout 16…128) where a per-image GEMM has no vector axis left.
+// Cout 16…128) where a per-image GEMM has no vector axis left — at a
+// lone frame, a full batch of 8, and the 3 and 5 that ForwardBatch's two
+// shards of a typical batch really see, where tile remainders show.
 func BenchmarkConv2DStageShapes(b *testing.B) {
 	defer SetParallelism(SetParallelism(1))
 	for _, c := range []struct{ cin, cout, size int }{{16, 16, 8}, {32, 32, 4}, {64, 64, 2}, {128, 128, 1}} {
-		for _, n := range []int{1, 8} {
+		for _, n := range []int{1, 3, 5, 8} {
 			p := Conv2DParams{InChannels: c.cin, OutChannels: c.cout, Kernel: 3, Stride: 1, Padding: 1}
 			x := mustBenchTensor(b, benchRand64(n*c.cin*c.size*c.size, 3), n, c.cin, c.size, c.size)
 			wt := mustBenchTensor(b, benchRand64(c.cout*c.cin*9, 4), c.cout, c.cin, 3, 3)

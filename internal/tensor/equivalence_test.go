@@ -220,6 +220,132 @@ func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGemmF64AxpyMatchesReference pins the float64 GEMM panels' AVX2 axpy
+// to the scalar loop and to the naive references, bit for bit: row
+// lengths around the 4- and 16-lane steps and the gemmNC tile, the serial
+// kernel and the sharded one, and an Inf and a NaN in each operand.
+func TestGemmF64AxpyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	simd := simdSettings(t)
+	for _, mk := range [][2]int{{1, 5}, {3, 130}, {64, 330}} { // the last forks from 13 columns up
+		for _, n := range []int{1, 2, 3, 5, 7, 9, 13, 16, 19, 35, 261} {
+			for _, planted := range []bool{false, true} {
+				m, k := mk[0], mk[1]
+				a, aT, b := randTensor(rng, m, k), randTensor(rng, k, m), randTensor(rng, k, n)
+				if planted {
+					a.data[k/2], aT.data[k/2*m], b.data[n-1] = math.Inf(1), math.Inf(-1), math.NaN()
+					a.data[(m-1)*k], aT.data[m-1], b.data[(k-1)*n] = math.NaN(), math.NaN(), math.Inf(1)
+				}
+				want, wantT := refMatMul(a, b), refMatMulTransA(aT, b)
+				for _, useSIMD = range simd {
+					atParallelism(t, []int{1, 2, 4}, func(t *testing.T, w int) {
+						got, err := MatMul(a, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotT, err := MatMulTransA(aT, b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range want.data {
+							if !sameFloat(got.data[i], want.data[i]) {
+								t.Fatalf("matmul %dx%dx%d planted=%v simd=%v workers=%d: element %d = %v, reference %v",
+									m, k, n, planted, useSIMD, w, i, got.data[i], want.data[i])
+							}
+							if !sameFloat(gotT.data[i], wantT.data[i]) {
+								t.Fatalf("matmulTransA %dx%dx%d planted=%v simd=%v workers=%d: element %d = %v, reference %v",
+									m, k, n, planted, useSIMD, w, i, gotT.data[i], wantT.data[i])
+							}
+						}
+						Release(got)
+						Release(gotT)
+					})
+				}
+			}
+		}
+	}
+}
+
+// refMaxPool2DInto is MaxPool2DInto as it was before the window was
+// clamped once per output pixel: bounds and a found flag tested on every
+// tap. Kept as the reference the clamped loop must equal bit for bit.
+func refMaxPool2DInto(dst, x *Tensor, p PoolParams) {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	oh, ow := p.OutSize(h, w)
+	oi := 0
+	for b := 0; b < n; b++ {
+		for ch := 0; ch < c; ch++ {
+			plane := x.data[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
+			for oy := 0; oy < oh; oy++ {
+				for ox := 0; ox < ow; ox++ {
+					best := 0.0
+					found := false
+					for ky := 0; ky < p.Kernel; ky++ {
+						iy := oy*p.Stride + ky - p.Padding
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < p.Kernel; kx++ {
+							ix := ox*p.Stride + kx - p.Padding
+							if ix < 0 || ix >= w {
+								continue
+							}
+							v := plane[iy*w+ix]
+							if !found || v > best {
+								best = v
+								found = true
+							}
+						}
+					}
+					dst.data[oi] = best
+					oi++
+				}
+			}
+		}
+	}
+}
+
+// TestMaxPool2DIntoMatchesTapLoop sweeps kernel × stride × padding × odd
+// and even sizes, with NaNs and both zeros among the inputs: the order of
+// comparisons decides which of them a window reports.
+func TestMaxPool2DIntoMatchesTapLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	params := []PoolParams{{Kernel: 1, Stride: 1, Padding: 1}, {Kernel: 2, Stride: 1, Padding: 2}} // windows wholly in padding
+	for _, k := range []int{2, 3} {
+		for _, st := range []int{1, 2} {
+			for _, pad := range []int{0, 1} {
+				params = append(params, PoolParams{Kernel: k, Stride: st, Padding: pad})
+			}
+		}
+	}
+	for _, p := range params {
+		for _, hw := range [][2]int{{3, 3}, {4, 7}, {5, 5}, {7, 4}, {8, 8}, {9, 3}} {
+			x := randTensor(rng, 2, 3, hw[0], hw[1])
+			for i := range x.data {
+				switch rng.Intn(6) {
+				case 0:
+					x.data[i] = math.NaN()
+				case 1:
+					x.data[i] = 0
+				case 2:
+					x.data[i] = math.Copysign(0, -1)
+				}
+			}
+			oh, ow := p.OutSize(hw[0], hw[1])
+			got, want := New(2, 3, oh, ow), New(2, 3, oh, ow)
+			if err := MaxPool2DInto(got, x, p); err != nil {
+				t.Fatal(err)
+			}
+			refMaxPool2DInto(want, x, p)
+			for i := range want.data {
+				if !sameFloat(got.data[i], want.data[i]) {
+					t.Fatalf("%+v on %dx%d: element %d = %v, tap loop %v", p, hw[0], hw[1], i, got.data[i], want.data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestMatMulTransposedMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, s := range [][3]int{{1, 3, 5}, {5, 7, 9}, {31, 17, 23}, {70, 71, 72}} {

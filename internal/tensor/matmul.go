@@ -75,20 +75,31 @@ func gemm(dst, a, b []float64, m, k, n int) {
 // rows of B and dst. This is the small-matrix fast path and the
 // single-worker reference kernel: the inner loop is a branch-free
 // multiply-accumulate (sparsity in pruned weights is not special-cased
-// here — skipping zeros defeats auto-vectorization; the blocked kernel
-// level is where structured sparsity would be exploited).
+// here — skipping zeros defeats vectorization; the blocked kernel level
+// is where structured sparsity would be exploited).
 func matmulInto(dst, a, b []float64, m, k, n int) {
 	for i := 0; i < m; i++ {
 		di := dst[i*n : (i+1)*n]
-		fill(di, 0)
+		clear(di)
 		ai := a[i*k : (i+1)*k]
 		for kk := 0; kk < k; kk++ {
-			av := ai[kk]
-			bk := b[kk*n : (kk+1)*n]
-			for j, bv := range bk {
-				di[j] += av * bv
-			}
+			axpy64(di, b[kk*n:(kk+1)*n], ai[kk])
 		}
+	}
+}
+
+// axpy64 computes di[j] += av·bk[j], the inner loop of every float64 GEMM
+// panel here. The AVX2 body multiplies, then adds, per element like the
+// scalar tail (no FMA), so which one ran never shows in a bit.
+func axpy64(di, bk []float64, av float64) {
+	bk = bk[:len(di)]
+	j := 0
+	if useSIMD && len(di) >= 4 {
+		j = len(di) &^ 3
+		axpyF64AVX2(&di[0], &bk[0], av, j)
+	}
+	for ; j < len(di); j++ {
+		di[j] += av * bk[j]
 	}
 }
 
@@ -104,7 +115,7 @@ func gemmPanel(dst, a, b []float64, i0, i1, k, n int) {
 			jEnd = n
 		}
 		for i := i0; i < i1; i++ {
-			fill(dst[i*n+jb:i*n+jEnd], 0)
+			clear(dst[i*n+jb : i*n+jEnd])
 		}
 		for kb := 0; kb < k; kb += gemmKC {
 			kEnd := kb + gemmKC
@@ -115,11 +126,7 @@ func gemmPanel(dst, a, b []float64, i0, i1, k, n int) {
 				di := dst[i*n+jb : i*n+jEnd]
 				ai := a[i*k : (i+1)*k]
 				for kk := kb; kk < kEnd; kk++ {
-					av := ai[kk]
-					bk := b[kk*n+jb : kk*n+jEnd]
-					for j, bv := range bk {
-						di[j] += av * bv
-					}
+					axpy64(di, b[kk*n+jb:kk*n+jEnd], ai[kk])
 				}
 			}
 		}
@@ -164,15 +171,12 @@ func MatMulTransAInto(dst, a, b *Tensor) error {
 // per-element kk-ascending summation order.
 func gemmTransA(dst, a, b []float64, k, m, n int) {
 	if m*k*n < gemmParallelCutoff || m == 1 || IdleWorkers() == 0 {
-		fill(dst[:m*n], 0)
+		clear(dst[:m*n])
 		for kk := 0; kk < k; kk++ {
 			ak := a[kk*m : (kk+1)*m]
 			bk := b[kk*n : (kk+1)*n]
 			for i, av := range ak {
-				di := dst[i*n : (i+1)*n]
-				for j, bv := range bk {
-					di[j] += av * bv
-				}
+				axpy64(dst[i*n:(i+1)*n], bk, av)
 			}
 		}
 		return
@@ -183,17 +187,13 @@ func gemmTransA(dst, a, b []float64, k, m, n int) {
 	}
 	parallelFor(m, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			fill(dst[i*n:(i+1)*n], 0)
+			clear(dst[i*n : (i+1)*n])
 		}
 		for kk := 0; kk < k; kk++ {
 			bk := b[kk*n : (kk+1)*n]
 			ak := a[kk*m : (kk+1)*m]
 			for i := lo; i < hi; i++ {
-				av := ak[i]
-				di := dst[i*n : (i+1)*n]
-				for j, bv := range bk {
-					di[j] += av * bv
-				}
+				axpy64(dst[i*n:(i+1)*n], bk, ak[i])
 			}
 		}
 	})

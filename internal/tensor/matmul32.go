@@ -44,7 +44,7 @@ func gemmPanel32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
 			jEnd = n
 		}
 		for i := i0; i < i1; i++ {
-			fill32(dst[i*n+jb:i*n+jEnd], 0)
+			clear(dst[i*n+jb : i*n+jEnd])
 		}
 		for kb := 0; kb < k; kb += gemmKC {
 			kEnd := kb + gemmKC

@@ -39,7 +39,7 @@ func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 			jEnd = n
 		}
 		for i := i0; i < i1; i++ {
-			fillI32(dst[i*n+jb:i*n+jEnd], 0)
+			clear(dst[i*n+jb : i*n+jEnd])
 		}
 		for kb := 0; kb < k; kb += gemmKC {
 			kEnd := kb + gemmKC

@@ -117,28 +117,25 @@ func MaxPool2DInto(dst, x *Tensor, p PoolParams) error {
 		for ch := 0; ch < c; ch++ {
 			plane := x.data[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
 			for oy := 0; oy < oh; oy++ {
+				iy0 := oy*p.Stride - p.Padding
+				kyLo, kyHi := max(0, -iy0), min(p.Kernel, h-iy0)
 				for ox := 0; ox < ow; ox++ {
-					best := 0.0
-					found := false
-					for ky := 0; ky < p.Kernel; ky++ {
-						iy := oy*p.Stride + ky - p.Padding
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.Kernel; kx++ {
-							ix := ox*p.Stride + kx - p.Padding
-							if ix < 0 || ix >= w {
-								continue
-							}
-							v := plane[iy*w+ix]
-							if !found || v > best {
-								best = v
-								found = true
+					// The taps [kyLo,kyHi)×[kxLo,kxHi) fall inside the image;
+					// they are visited in MaxPool2D's order, starting from the
+					// first, so NaNs and signed zeros come out the same.
+					ix0 := ox*p.Stride - p.Padding
+					kxLo, kxHi := max(0, -ix0), min(p.Kernel, w-ix0)
+					best := 0.0 // a window wholly in padding
+					if kyLo < kyHi && kxLo < kxHi {
+						best = plane[(iy0+kyLo)*w+ix0+kxLo]
+						for ky := kyLo; ky < kyHi; ky++ {
+							at := (iy0+ky)*w + ix0
+							for _, v := range plane[at+kxLo : at+kxHi] {
+								if v > best {
+									best = v
+								}
 							}
 						}
-					}
-					if !found {
-						best = 0 // window fully in padding
 					}
 					dst.data[oi] = best
 					oi++

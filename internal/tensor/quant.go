@@ -22,7 +22,7 @@ import (
 // everything to zero.
 func QuantizeSymmetric(dst []int8, src []float64, scale float64) {
 	if scale <= 0 {
-		fillI8(dst[:len(src)], 0)
+		clear(dst[:len(src)])
 		return
 	}
 	inv := 1 / scale

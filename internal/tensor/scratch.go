@@ -78,16 +78,6 @@ func putF64(s []float64) {
 	sc.mu.Unlock()
 }
 
-// fill sets every element of dst to v. It is the dedicated zeroing/reset
-// helper of the kernels: a bare loop the compiler recognizes (and, for
-// v == 0, lowers to memclr), keeping per-call zeroing out of the dense
-// inner loops.
-func fill(dst []float64, v float64) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
 // tensorFree recycles Tensor headers (struct plus shape slice) so Rent
 // does not allocate at steady state.
 var tensorFree struct {
@@ -147,14 +137,14 @@ func RentRows(x *Tensor, lo, hi int) *Tensor {
 // never released is simply reclaimed by the garbage collector.
 func Rent(shape ...int) *Tensor {
 	t := rentRaw(shape...)
-	fill(t.data, 0)
+	clear(t.data)
 	return t
 }
 
 // RentLike returns a zero-filled pooled tensor with u's shape.
 func RentLike(u *Tensor) *Tensor {
 	t := rentRaw(u.shape...)
-	fill(t.data, 0)
+	clear(t.data)
 	return t
 }
 

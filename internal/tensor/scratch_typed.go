@@ -67,27 +67,6 @@ var (
 	scratchI32 typedPool[int32]
 )
 
-// fill32 is fill for float32 scratch (memclr for v == 0).
-func fill32(dst []float32, v float32) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
-// fillI32 is fill for int32 accumulators.
-func fillI32(dst []int32, v int32) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
-// fillI8 is fill for int8 scratch.
-func fillI8(dst []int8, v int8) {
-	for i := range dst {
-		dst[i] = v
-	}
-}
-
 // toF32 narrows src into dst (len(dst) >= len(src) elements are written
 // for i < len(src)). The f32 conv path converts each image once here, so
 // the 9x-overlapping im2col copy below it moves 4-byte floats.

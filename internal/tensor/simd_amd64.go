@@ -4,10 +4,11 @@ package tensor
 
 import "os"
 
-// AVX2 fast paths for the reduced-precision kernels. The assembly
-// implements the SAME fused quad-axpy the scalar unrolled loops compute —
-// per element di[j] + (((a0·b0[j] + a1·b1[j]) + a2·b2[j]) + a3·b3[j])
-// with identical association — so the SIMD and scalar paths are
+// AVX2 fast paths for the kernels of every precision. The assembly
+// implements the SAME sums the scalar loops compute — the narrow types'
+// fused quad-axpy, per element di[j] + (((a0·b0[j] + a1·b1[j]) + a2·b2[j])
+// + a3·b3[j]), and float64's single k-ascending accumulator — with
+// identical association and no FMA, so the SIMD and scalar paths are
 // bit-identical and every determinism property holds on both. The binary
 // stays GOAMD64=v1 portable: AVX2 is detected at startup via CPUID (incl.
 // the OSXSAVE/XGETBV dance for OS YMM-state support) and the scalar
@@ -33,6 +34,22 @@ func quadAxpyF32AVX2(dst, b0, b1, b2, b3 *float32, a *float32, n int)
 //
 //go:noescape
 func quadAxpyI8AVX2(dst *int32, b0, b1, b2, b3 *int8, a *int32, n int)
+
+// convTileF64AVX2 computes dst[c*n+j] = Σ_kk p[kk*n+j]·wc[kk] for the
+// four weight rows w0..w3 (c = 0..3, k taps each) and j in [0,n): p is a
+// k×n patch matrix, pixels contiguous, and dst four rows of n. n must be
+// a positive multiple of 4. Every element is one accumulator summed kk
+// ascending from +0, multiply then add, so it equals the scalar dot
+// product bit for bit.
+//
+//go:noescape
+func convTileF64AVX2(dst, p, w0, w1, w2, w3 *float64, k, n int)
+
+// axpyF64AVX2 computes dst[j] += a*b[j] for j in [0,n); n must be a
+// positive multiple of 4.
+//
+//go:noescape
+func axpyF64AVX2(dst, b *float64, a float64, n int)
 
 // useSIMD gates the AVX2 kernels; fixed at init so the choice never
 // changes mid-run.

@@ -17,3 +17,11 @@ func quadAxpyF32AVX2(dst, b0, b1, b2, b3 *float32, a *float32, n int) {
 func quadAxpyI8AVX2(dst *int32, b0, b1, b2, b3 *int8, a *int32, n int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
+
+func convTileF64AVX2(dst, p, w0, w1, w2, w3 *float64, k, n int) {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
+
+func axpyF64AVX2(dst, b *float64, a float64, n int) {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
