@@ -492,13 +492,12 @@ func BenchmarkSolveHeterogeneousLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochResolve times one serving-path epoch: a full DOT solve
-// over the 20-task large scenario plus the atomic deployment swap the
-// edgeserve daemon performs on every churn batch. Solve is pinned to the
-// plain heuristic so this stays the non-incremental baseline (the default
-// config would route through the SolverSession).
-func BenchmarkEpochResolve(b *testing.B) {
-	in, err := workload.LargeScenario(workload.LoadHigh)
+// BenchmarkEpochResolve10k times one full serving-path epoch over the
+// 10k-task scale scenario: auto tiering routes the solve to the
+// approximate tier, then the deployment swap and gate rebuild publish
+// it — the epoch loop edgeserve runs at fleet scale.
+func BenchmarkEpochResolve10k(b *testing.B) {
+	in, err := workload.ScaleScenario(10000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -506,16 +505,16 @@ func BenchmarkEpochResolve(b *testing.B) {
 		Res:      in.Res,
 		Alpha:    in.Alpha,
 		Debounce: time.Hour, // keep the background loop out of the measurement
-		Solve:    core.SolveOffloaDNN,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	for _, task := range in.Tasks {
-		if err := srv.Register(task, in.Blocks); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := srv.ReplaceTasks(in.Tasks, in.Blocks, nil); err != nil {
+		b.Fatal(err)
+	}
+	if ep := srv.Current(); ep == nil || ep.Tier != core.TierApprox {
+		b.Fatalf("10k epoch did not route to the approx tier: %+v", ep)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -526,28 +525,17 @@ func BenchmarkEpochResolve(b *testing.B) {
 	}
 }
 
-// churnBench prepares the single-task churn scenario the incremental
-// benchmarks share: the 20-task high-load large instance, with task-20
-// alternately withdrawn and re-registered every epoch.
-func churnBench(b *testing.B) (*core.Instance, core.Task) {
-	b.Helper()
+// BenchmarkIncrementalChurn times one epoch of the incremental solver
+// under single-task churn over the 20-task large scenario: each iteration
+// removes or re-adds task-20 and re-solves through the SolverSession, so
+// 19 of 20 cliques come from the cache and surviving tasks warm-start
+// their allocations.
+func BenchmarkIncrementalChurn(b *testing.B) {
 	in, err := workload.LargeScenario(workload.LoadHigh)
 	if err != nil {
 		b.Fatal(err)
 	}
 	churn := in.Tasks[len(in.Tasks)-1]
-	return in, churn
-}
-
-// BenchmarkIncrementalChurn times one epoch of the incremental solver
-// under single-task churn over the 20-task large scenario: each iteration
-// removes or re-adds task-20 and re-solves through the SolverSession, so
-// 19 of 20 cliques come from the cache and surviving tasks warm-start
-// their allocations. Compare against BenchmarkFullResolveChurn (same
-// churn, from-scratch solves) and BenchmarkEpochResolve (full
-// serving-path epoch).
-func BenchmarkIncrementalChurn(b *testing.B) {
-	in, churn := churnBench(b)
 	sess, err := core.NewSolverSession(in)
 	if err != nil {
 		b.Fatal(err)
@@ -569,28 +557,6 @@ func BenchmarkIncrementalChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFullResolveChurn is the from-scratch baseline for
-// BenchmarkIncrementalChurn: identical single-task churn, but every epoch
-// re-solves the whole instance with SolveOffloaDNN.
-func BenchmarkFullResolveChurn(b *testing.B) {
-	in, _ := churnBench(b)
-	with := in.Tasks
-	without := append([]core.Task(nil), in.Tasks[:len(in.Tasks)-1]...)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			in.Tasks = without
-		} else {
-			in.Tasks = with
-		}
-		if _, err := core.SolveOffloaDNN(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-	in.Tasks = with
 }
 
 // BenchmarkOffloadServe drives POST /v1/offload end to end — gate, route
@@ -729,7 +695,7 @@ func BenchmarkSolveOptimalParallelT4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SolveOptimalParallel(in, 0); err != nil {
+		if _, _, err := core.SolveOptimalParallelCtx(context.Background(), in, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

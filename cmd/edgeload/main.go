@@ -31,12 +31,9 @@
 //
 // With -cluster the loader drives an edgecluster coordinator instead:
 // 502/503 answers are counted as failover events rather than errors (a
-// member died and the re-placement is moving its tasks), client-side
-// request latency quantiles are reported, and -bench-out merges the
-// run's throughput / p50 / p99 / admission ratio into a JSON benchmark
-// file keyed by cluster size — run it once per topology:
-//
-//	edgeload -cluster -bench-out BENCH_cluster.json          # 1, 2 or 4 nodes
+// member died and the re-placement is moving its tasks) and client-side
+// request latency quantiles, throughput and the admission ratio are
+// reported.
 //
 // Cluster responses that traveled a split pipeline carry per-hop
 // metadata; the loader reports the hop count and a per-hop latency
@@ -212,8 +209,8 @@ func (l *loader) waitCurrent(timeout time.Duration) error {
 	return fmt.Errorf("daemon epoch never caught up within %v", timeout)
 }
 
-// clusterNodes reads the coordinator's member count for the benchmark
-// record.
+// clusterNodes reads the coordinator's member count for the summary
+// line.
 func (l *loader) clusterNodes() int {
 	resp, err := l.client.Get(l.base + "/v1/cluster/nodes")
 	if err != nil {
@@ -397,7 +394,6 @@ func run() int {
 	burstEvery := flag.Duration("burst-every", 5*time.Second, "spike period with -burst")
 	burstFor := flag.Duration("burst-for", 1*time.Second, "spike length with -burst")
 	clusterMode := flag.Bool("cluster", false, "drive an edgecluster coordinator: tolerate 502/503 failover, report client-side latency quantiles")
-	benchOut := flag.String("bench-out", "", "cluster mode: merge the run's results into this JSON benchmark file, keyed by cluster size")
 	flag.Parse()
 
 	l := &loader{
@@ -613,76 +609,30 @@ func run() int {
 	}
 
 	if l.cluster {
-		run := clusterRun(l, *duration)
-		run.Nodes = l.clusterNodes()
-		fmt.Printf("\ncluster: %d nodes, %.1f req/s served, p50 %.2f ms, p99 %.2f ms, admission ratio %.3f, %d failover answers\n",
-			run.Nodes, run.ThroughputRPS, run.P50MS, run.P99MS, run.AdmissionRatio, run.Failover)
-		if *benchOut != "" {
-			if err := mergeBench(*benchOut, run); err != nil {
-				fmt.Fprintln(os.Stderr, "edgeload: bench-out:", err)
-				exit = 1
-			} else {
-				fmt.Printf("cluster: recorded %d-node run in %s\n", run.Nodes, *benchOut)
+		var ok, failover int
+		var notified, offered float64
+		for id, c := range l.byTask {
+			ok += c.ok
+			failover += c.failover
+			notified += c.notified
+			// Offered rate λ comes from the task's small-scenario index.
+			var idx int
+			if _, err := fmt.Sscanf(id, "task-%d", &idx); err == nil {
+				if t, err := workload.SmallTask(idx); err == nil {
+					offered += t.Rate
+				}
 			}
 		}
+		admission := 0.0
+		if offered > 0 {
+			admission = notified / offered
+		}
+		sort.Float64s(l.latMS)
+		fmt.Printf("\ncluster: %d nodes, %.1f req/s served, p50 %.2f ms, p99 %.2f ms, admission ratio %.3f, %d failover answers\n",
+			l.clusterNodes(), float64(ok)/duration.Seconds(), percentile(l.latMS, 0.50), percentile(l.latMS, 0.99), admission, failover)
 	}
 	l.mu.Unlock()
 	return exit
-}
-
-// benchRun is one topology's entry in the -bench-out file.
-type benchRun struct {
-	Nodes int `json:"nodes"`
-	// Split marks a run whose responses traveled split pipelines (the
-	// model fits no single node); rows are keyed by (nodes, split) so
-	// split and whole-path runs at the same size coexist.
-	Split          bool    `json:"split"`
-	MultiHop       int     `json:"multi_hop,omitempty"`
-	ShedHop        int     `json:"shed_hop,omitempty"`
-	Tasks          int     `json:"tasks"`
-	DurationS      float64 `json:"duration_seconds"`
-	Sent           int     `json:"sent"`
-	OK             int     `json:"ok"`
-	Limited        int     `json:"limited"`
-	Failover       int     `json:"failover"`
-	Errors         int     `json:"errors"`
-	ThroughputRPS  float64 `json:"throughput_rps"`
-	P50MS          float64 `json:"p50_ms"`
-	P99MS          float64 `json:"p99_ms"`
-	AdmissionRatio float64 `json:"admission_ratio"`
-}
-
-// clusterRun folds the per-task counters and latency samples into one
-// benchmark record. Caller holds l.mu.
-func clusterRun(l *loader, duration time.Duration) benchRun {
-	r := benchRun{Tasks: len(l.byTask), DurationS: duration.Seconds()}
-	var notified, offered float64
-	for id, c := range l.byTask {
-		r.Sent += c.sent
-		r.OK += c.ok
-		r.Limited += c.limited
-		r.Failover += c.failover
-		r.Errors += c.other + c.missing
-		r.MultiHop += c.multiHop
-		r.ShedHop += c.shedHop
-		notified += c.notified
-		// Offered rate λ comes from the task's small-scenario index.
-		var idx int
-		if _, err := fmt.Sscanf(id, "task-%d", &idx); err == nil {
-			if t, err := workload.SmallTask(idx); err == nil {
-				offered += t.Rate
-			}
-		}
-	}
-	r.Split = r.MultiHop > 0
-	r.ThroughputRPS = float64(r.OK) / duration.Seconds()
-	if offered > 0 {
-		r.AdmissionRatio = notified / offered
-	}
-	sort.Float64s(l.latMS)
-	r.P50MS = percentile(l.latMS, 0.50)
-	r.P99MS = percentile(l.latMS, 0.99)
-	return r
 }
 
 // percentile reads quantile q from an ascending-sorted sample set.
@@ -698,43 +648,4 @@ func percentile(sorted []float64, q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return sorted[i]
-}
-
-// benchFile is the -bench-out document: one entry per cluster size, so
-// successive runs at 1, 2 and 4 nodes build the scaling table in place.
-type benchFile struct {
-	Benchmark string     `json:"benchmark"`
-	Runs      []benchRun `json:"runs"`
-}
-
-// mergeBench inserts the run into the bench file, replacing any previous
-// entry for the same cluster size.
-func mergeBench(path string, run benchRun) error {
-	doc := benchFile{Benchmark: "cluster_serving"}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a benchmark file: %v", path, err)
-		}
-	}
-	replaced := false
-	for i := range doc.Runs {
-		if doc.Runs[i].Nodes == run.Nodes && doc.Runs[i].Split == run.Split {
-			doc.Runs[i] = run
-			replaced = true
-		}
-	}
-	if !replaced {
-		doc.Runs = append(doc.Runs, run)
-	}
-	sort.Slice(doc.Runs, func(i, j int) bool {
-		if doc.Runs[i].Nodes != doc.Runs[j].Nodes {
-			return doc.Runs[i].Nodes < doc.Runs[j].Nodes
-		}
-		return !doc.Runs[i].Split && doc.Runs[j].Split
-	})
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

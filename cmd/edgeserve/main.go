@@ -116,7 +116,6 @@ func run() int {
 	solveTimeout := flag.Duration("solve-timeout", 0, "deadline for one epoch's solve (0 = default 2s, negative = unbounded)")
 	solverTier := flag.String("solver-tier", "auto", "epoch solver tier: auto|heuristic|optimal|approx")
 	solverWorkers := flag.Int("solver-workers", 0, "worker bound for parallel solver tiers (0 = all cores)")
-	solverShards := flag.Int("solver-shards", 0, "priority-band shards for the heuristic tier (0 = auto, 1 = serial)")
 	approxAfter := flag.Int("approx-after", 0, "task count at which the auto tier escalates to the approximate solver (0 = default 512, negative = never)")
 	staleAfter := flag.Duration("stale-after", 10*time.Second, "plan staleness before /healthz reports degraded")
 	backoff := flag.Duration("backoff", 0, "initial retry delay after a failed re-solve (0 = debounce)")
@@ -230,7 +229,7 @@ func run() int {
 		Debounce:          *debounce,
 		Window:            *window,
 		SolveTimeout:      *solveTimeout,
-		Solver:            core.SolverSpec{Tier: tier, Workers: *solverWorkers, Shards: *solverShards},
+		Solver:            core.SolverSpec{Tier: tier, Workers: *solverWorkers},
 		ApproxAfter:       *approxAfter,
 		StaleAfter:        *staleAfter,
 		OverloadWindow:    *overloadWindow,

@@ -68,7 +68,8 @@ func main() {
 		sol.Breakdown.WeightedAdmission)
 
 	// Ablation on the same instance: all-or-nothing admission.
-	binary, err := offloadnn.SolveConfigured(in, offloadnn.HeuristicConfig{BinaryAdmission: true})
+	binary, err := offloadnn.Solve(context.Background(), in,
+		offloadnn.WithHeuristic(offloadnn.HeuristicConfig{BinaryAdmission: true}))
 	if err != nil {
 		log.Fatalf("binary variant: %v", err)
 	}

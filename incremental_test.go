@@ -138,7 +138,7 @@ func TestSolveCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = SolveCtx(ctx, in)
+	_, err = Solve(ctx, in, WithTier(TierHeuristic), WithShards(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -157,7 +157,7 @@ func TestSolveOptimalCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = SolveOptimalCtx(ctx, in)
+	_, err = Solve(ctx, in, WithTier(TierOptimal), WithWorkers(1))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
@@ -168,7 +168,7 @@ func TestSolveOptimalCtxDeadline(t *testing.T) {
 	// The parallel variant honors the same deadline.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
-	if _, _, err := SolveOptimalParallelCtx(ctx2, in, 2); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := Solve(ctx2, in, WithTier(TierOptimal), WithWorkers(2)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("parallel: want context.DeadlineExceeded, got %v", err)
 	}
 }

@@ -9,21 +9,16 @@ import (
 	"time"
 )
 
-// SolveOptimalParallel is SolveOptimal with the first tree layer fanned
-// out across a bounded worker pool: each worker exhausts the subtree
-// under one first-layer vertex with its own branch state, and the
+// SolveOptimalParallelCtx is SolveOptimalCtx with the first tree layer
+// fanned out across a bounded worker pool: each worker exhausts the
+// subtree under one first-layer vertex with its own branch state, and the
 // least-cost leaf wins. Results are identical to the sequential solver
 // (the search is exhaustive either way); wall-clock improves roughly with
-// min(workers, first-clique size).
+// min(workers, first-clique size). Cancellation is checked between
+// first-layer branches (each worker stops picking up new subtrees once
+// ctx is done) and between layers within each subtree.
 //
 // workers ≤ 0 selects runtime.NumCPU().
-func SolveOptimalParallel(in *Instance, workers int) (*Solution, *OptimalStats, error) {
-	return SolveOptimalParallelCtx(context.Background(), in, workers)
-}
-
-// SolveOptimalParallelCtx is SolveOptimalParallel with cancellation
-// checked between first-layer branches (each worker stops picking up new
-// subtrees once ctx is done) and between layers within each subtree.
 func SolveOptimalParallelCtx(ctx context.Context, in *Instance, workers int) (*Solution, *OptimalStats, error) {
 	start := time.Now()
 	tree, err := buildTreeCtx(ctx, in)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -12,7 +13,7 @@ func TestParallelOptimalMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, parStats, err := SolveOptimalParallel(in, 4)
+		par, parStats, err := SolveOptimalParallelCtx(context.Background(), in, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +32,7 @@ func TestParallelOptimalMatchesSequential(t *testing.T) {
 
 func TestParallelOptimalDefaultWorkers(t *testing.T) {
 	in := testInstance(2, 2, 210)
-	sol, stats, err := SolveOptimalParallel(in, 0) // auto worker count
+	sol, stats, err := SolveOptimalParallelCtx(context.Background(), in, 0) // auto worker count
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestParallelOptimalSingleWorkerDegenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := SolveOptimalParallel(in, 1)
+	par, _, err := SolveOptimalParallelCtx(context.Background(), in, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestParallelOptimalMemoryPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parStats, err := SolveOptimalParallel(in, 3)
+	par, parStats, err := SolveOptimalParallelCtx(context.Background(), in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

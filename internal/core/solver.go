@@ -25,13 +25,6 @@ func SolveOffloaDNN(in *Instance) (*Solution, error) {
 	return SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{})
 }
 
-// SolveOffloaDNNCtx is SolveOffloaDNN with cancellation checked between
-// tree layers; it returns promptly with the context's error once ctx is
-// done.
-func SolveOffloaDNNCtx(ctx context.Context, in *Instance) (*Solution, error) {
-	return SolveOffloaDNNConfiguredCtx(ctx, in, HeuristicConfig{})
-}
-
 // OptimalStats reports the work done by the exhaustive solver.
 type OptimalStats struct {
 	// BranchesExplored counts complete branches whose allocation problem

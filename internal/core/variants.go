@@ -53,15 +53,10 @@ type HeuristicConfig struct {
 	BinaryAdmission bool
 }
 
-// SolveOffloaDNNConfigured runs the OffloaDNN heuristic under an ablation
-// configuration. SolveOffloaDNN is equivalent to the zero-value default
-// (compute ordering, fractional admission).
-func SolveOffloaDNNConfigured(in *Instance, cfg HeuristicConfig) (*Solution, error) {
-	return SolveOffloaDNNConfiguredCtx(context.Background(), in, cfg)
-}
-
-// SolveOffloaDNNConfiguredCtx is SolveOffloaDNNConfigured with
-// cancellation checked between tree layers of the first-branch walk.
+// SolveOffloaDNNConfiguredCtx runs the OffloaDNN heuristic under an
+// ablation configuration, with cancellation checked between tree layers
+// of the first-branch walk. SolveOffloaDNN is equivalent to the
+// zero-value default (compute ordering, fractional admission).
 func SolveOffloaDNNConfiguredCtx(ctx context.Context, in *Instance, cfg HeuristicConfig) (*Solution, error) {
 	start := time.Now()
 	if cfg.Order == 0 {

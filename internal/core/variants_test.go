@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -133,7 +134,7 @@ func TestOptimalWithQualityNoWorse(t *testing.T) {
 func TestCliqueOrderVariantsAllFeasible(t *testing.T) {
 	in := testInstance(4, 3, 35)
 	for _, order := range []CliqueOrder{OrderCompute, OrderMemory, OrderAccuracy, OrderNone} {
-		sol, err := SolveOffloaDNNConfigured(in, HeuristicConfig{Order: order})
+		sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: order})
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
@@ -147,12 +148,12 @@ func TestComputeOrderMinimizesInferenceUsage(t *testing.T) {
 	// The design claim behind Fig. 8 (right): compute-sorted cliques give
 	// the lowest inference compute usage among the orderings.
 	in := testInstance(5, 4, 36)
-	base, err := SolveOffloaDNNConfigured(in, HeuristicConfig{Order: OrderCompute})
+	base, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: OrderCompute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, order := range []CliqueOrder{OrderMemory, OrderAccuracy, OrderNone} {
-		sol, err := SolveOffloaDNNConfigured(in, HeuristicConfig{Order: order})
+		sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: order})
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
@@ -166,7 +167,7 @@ func TestComputeOrderMinimizesInferenceUsage(t *testing.T) {
 func TestBinaryAdmissionNeverFractional(t *testing.T) {
 	in := testInstance(5, 3, 37)
 	in.Res.RBs = 20 // pressure forces shedding
-	sol, err := SolveOffloaDNNConfigured(in, HeuristicConfig{BinaryAdmission: true})
+	sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{BinaryAdmission: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +243,7 @@ func TestPrivatizePreservesPredeployment(t *testing.T) {
 
 func TestVariantsRuntimeComparable(t *testing.T) {
 	in := testInstance(3, 3, 40)
-	sol, err := SolveOffloaDNNConfigured(in, HeuristicConfig{Order: OrderMemory})
+	sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: OrderMemory})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,8 @@ func TestForwardBatchZeroAllocsPerPrecision(t *testing.T) {
 
 // A weight update between two forwards must be seen: the f64 lowering
 // reads the master weight as it lies, and re-preparing a narrow weight
-// (CopyWeights) must not inherit the layout state of the one it replaces.
+// (SetPrecision again) must not inherit the layout state of the one it
+// replaces.
 func TestForwardSeesWeightUpdate(t *testing.T) {
 	x := CalibrationBatch(3, 3, 16, 16, 9)
 	forward := func(m *Model) []float64 {
@@ -69,13 +70,10 @@ func TestForwardSeesWeightUpdate(t *testing.T) {
 		before := forward(m) // fixes every narrow layout, warms every cache
 
 		bump(fresh)
-		if prec == tensor.F64 {
-			bump(m) // in place, as an optimizer step does
-		} else {
-			for i, b := range m.Blocks {
-				if err := CopyWeights(b, fresh.Blocks[i]); err != nil {
-					t.Fatal(err)
-				}
+		bump(m) // in place, as an optimizer step does
+		if prec != tensor.F64 {
+			if err := m.SetPrecision(prec); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if err := fresh.SetPrecision(prec); err != nil {

@@ -266,8 +266,7 @@ func DeployedMemoryBytes(models []*Model) int64 {
 }
 
 // ParamsCompatible reports whether two blocks have identical parameter
-// tensor shapes — the CopyWeights precondition, and the adoption check
-// for zero-copy artifact blocks.
+// tensor shapes — the adoption check for zero-copy artifact blocks.
 func ParamsCompatible(a, b *Block) bool {
 	ap, bp := a.Params(), b.Params()
 	if len(ap) != len(bp) {
@@ -279,58 +278,4 @@ func ParamsCompatible(a, b *Block) bool {
 		}
 	}
 	return true
-}
-
-// CopyWeights copies parameter values from src into dst. The two blocks
-// must have identical parameter shapes (i.e., same structure and widths).
-func CopyWeights(dst, src *Block) error {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		return fmt.Errorf("dnn: copy weights %s<-%s: %d vs %d params", dst.ID, src.ID, len(dp), len(sp))
-	}
-	for i := range dp {
-		if !dp[i].SameShape(sp[i]) {
-			return fmt.Errorf("dnn: copy weights %s<-%s: param %d shape %v vs %v",
-				dst.ID, src.ID, i, dp[i].Shape(), sp[i].Shape())
-		}
-		copy(dp[i].Data(), sp[i].Data())
-	}
-	// Batch-norm running statistics are state, not parameters; copy them
-	// too so an evaluation-mode clone behaves identically.
-	copyRunningStats(dst, src)
-	// New master weights invalidate any prepared narrow-kernel caches.
-	if err := dst.refreshPrecision(); err != nil {
-		return fmt.Errorf("dnn: copy weights %s<-%s: %w", dst.ID, src.ID, err)
-	}
-	return nil
-}
-
-func copyRunningStats(dst, src *Block) {
-	db := collectBN(dst)
-	sb := collectBN(src)
-	if len(db) != len(sb) {
-		return
-	}
-	for i := range db {
-		if db[i].State.Channels() == sb[i].State.Channels() {
-			copy(db[i].State.RunningMean.Data(), sb[i].State.RunningMean.Data())
-			copy(db[i].State.RunningVar.Data(), sb[i].State.RunningVar.Data())
-		}
-	}
-}
-
-func collectBN(b *Block) []*BatchNormLayer {
-	var out []*BatchNormLayer
-	for _, l := range b.layers {
-		switch v := l.(type) {
-		case *BatchNormLayer:
-			out = append(out, v)
-		case *BasicBlock:
-			out = append(out, v.BN1, v.BN2)
-			if v.DownBN != nil {
-				out = append(out, v.DownBN)
-			}
-		}
-	}
-	return out
 }

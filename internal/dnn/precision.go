@@ -11,8 +11,8 @@ import (
 // master weights (training, serialization and weight sharing are untouched)
 // and additionally caches prepared narrow weights for the reduced-precision
 // inference kernels. SetPrecision builds those caches eagerly so the
-// steady-state Forward path allocates nothing; CopyWeights refreshes them
-// whenever master weights change.
+// steady-state Forward path allocates nothing; calling it again rebuilds
+// them after the master weights change.
 
 // BlockIDPrecision splits a catalog block ID into its base ID and the
 // precision variant named by an "@f32"/"@i8" suffix ("@f64" is accepted
@@ -192,16 +192,6 @@ func (b *Block) SetPrecision(p tensor.Precision) error {
 // Precision returns the precision the block is instantiated at (F64 for
 // blocks that never saw SetPrecision).
 func (b *Block) Precision() tensor.Precision { return b.precision }
-
-// refreshPrecision rebuilds the narrow weight caches from the current
-// master weights, keeping the configured precision and any calibrated
-// activation scales.
-func (b *Block) refreshPrecision() error {
-	if b.precision == tensor.F64 {
-		return nil
-	}
-	return b.SetPrecision(b.precision)
-}
 
 func (b *Block) setCalibrating(on bool) {
 	for _, l := range b.layers {

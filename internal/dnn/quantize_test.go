@@ -231,54 +231,3 @@ func TestMemoryBytesFollowsPrecision(t *testing.T) {
 		t.Fatalf("f32 deployed bytes %d, want f64-equal %d (interchange stays f64)", b.MemoryBytes(), f64Bytes)
 	}
 }
-
-// CopyWeights must rebuild the prepared narrow-weight caches so a weight
-// refresh is immediately visible to the quantized kernels.
-func TestCopyWeightsRefreshesPreparedKernels(t *testing.T) {
-	cfg := DefaultResNetConfig()
-	dst := BuildResNet18(cfg)
-	cfg.Seed = 77
-	src := BuildResNet18(cfg)
-	if err := dst.SetPrecision(tensor.F32); err != nil {
-		t.Fatal(err)
-	}
-	x := CalibrationBatch(2, 3, 16, 16, 1)
-	before, err := dst.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dst.Blocks {
-		if err := CopyWeights(dst.Blocks[i], src.Blocks[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after, err := dst.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range before.Data() {
-		if before.Data()[i] != after.Data()[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("f32 outputs unchanged after CopyWeights — stale prepared kernels")
-	}
-	// And the refreshed caches must match the new master weights exactly:
-	// a fresh instantiation at f32 gives bit-identical outputs.
-	fresh := roundTrip(t, src)
-	if err := fresh.SetPrecision(tensor.F32); err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Data() {
-		if want.Data()[i] != after.Data()[i] {
-			t.Fatalf("refreshed kernels differ from fresh instantiation at %d", i)
-		}
-	}
-}

@@ -45,32 +45,22 @@ type Deployment struct {
 // Controller is the OffloaDNN controller of Fig. 4. It owns the resource
 // pools and runs the DOT solver on admission requests.
 //
-// Concurrency contract: Admit is safe for concurrent use — admission
-// rounds serialize on an internal mutex, so two rounds can never
-// interleave their solve/slice/deploy steps. The exported Solve field is
-// read under that mutex but is NOT itself synchronized for writers:
-// configure it once, before the controller is shared across goroutines
-// (the small-scale validation swaps it for the optimum at setup time).
+// Concurrency contract: Admit and Deploy are safe for concurrent use —
+// admission rounds serialize on an internal mutex, so two rounds can
+// never interleave their solve/slice/deploy steps.
 type Controller struct {
 	res core.Resources
 	// mu serializes admission rounds.
 	mu sync.Mutex
-	// Solve is the solver strategy; defaults to OffloaDNN. Swappable for
-	// the optimum in small-scale validation. Set before sharing the
-	// controller across goroutines.
-	Solve func(*core.Instance) (*core.Solution, error)
 	// Faults optionally arms the controller's failure points
 	// (faultinject.PointDeployError). Nil (the default) disarms them.
-	// Like Solve, set before sharing the controller across goroutines.
+	// Set before sharing the controller across goroutines.
 	Faults *faultinject.Injector
 }
 
 // NewController constructs a controller over the given resource pools.
 func NewController(res core.Resources) *Controller {
-	return &Controller{
-		res:   res,
-		Solve: core.SolveOffloaDNN,
-	}
+	return &Controller{res: res}
 }
 
 // Admit runs one admission round (steps 1–6 of the Fig. 4 workflow): it
@@ -82,60 +72,31 @@ func (c *Controller) Admit(tasks []core.Task, blocks map[string]core.BlockSpec, 
 	return c.AdmitCtx(context.Background(), tasks, blocks, alpha)
 }
 
-// AdmitCtx is Admit with a context bounding the solve step. When ctx is
-// cancelable (carries a deadline or cancel), the solve runs in a
-// goroutine and AdmitCtx returns ctx.Err() as soon as the context is
-// done; the abandoned solve runs to completion with its result dropped
-// — the bounded-goroutine price of imposing deadlines on solver
-// strategies that are not context-aware. A panic inside the strategy is
-// recovered into an error either way, so a broken Solve can never kill
-// the caller's goroutine.
+// AdmitCtx is Admit with a context bounding the solve step: the serial
+// OffloaDNN heuristic checks ctx between tree layers and inside the
+// allocation loop, so a timed-out solve is canceled and AdmitCtx returns
+// the context's error. A panic inside the solver is recovered into an
+// error, so a broken solve can never kill the caller's goroutine.
 func (c *Controller) AdmitCtx(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec, alpha float64) (*Deployment, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	in := &core.Instance{Tasks: tasks, Blocks: blocks, Res: c.res, Alpha: alpha}
-	sol, err := c.solveCtx(ctx, in)
+	sol, err := solve(ctx, in)
 	if err != nil {
 		return nil, fmt.Errorf("%w: solver: %w", ErrDeploy, err)
 	}
 	return c.deployLocked(in, sol)
 }
 
-// errSolverPanic tags a recovered strategy panic.
-var errSolverPanic = errors.New("solver panic")
-
-// solveCtx runs the configured strategy under ctx; c.mu must be held.
-// The strategy only reads the instance (controller state is untouched
-// until deployLocked), so abandoning a timed-out solve is safe.
-func (c *Controller) solveCtx(ctx context.Context, in *core.Instance) (sol *core.Solution, err error) {
-	if ctx == nil || ctx.Done() == nil {
-		defer func() {
-			if p := recover(); p != nil {
-				sol, err = nil, fmt.Errorf("%w: %v", errSolverPanic, p)
-			}
-		}()
-		return c.Solve(in)
-	}
-	type result struct {
-		sol *core.Solution
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- result{nil, fmt.Errorf("%w: %v", errSolverPanic, p)}
-			}
-		}()
-		sol, err := c.Solve(in)
-		ch <- result{sol, err}
+// solve runs the serial heuristic under ctx, turning a solver panic into
+// an error.
+func solve(ctx context.Context, in *core.Instance) (sol *core.Solution, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			sol, err = nil, fmt.Errorf("solver panic: %v", p)
+		}
 	}()
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case r := <-ch:
-		return r.sol, r.err
-	}
+	return core.SolveSpec(ctx, in, core.SolverSpec{Tier: core.TierHeuristic, Shards: 1})
 }
 
 // Deploy runs steps 3–6 of the workflow for a solution produced outside

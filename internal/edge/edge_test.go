@@ -1,6 +1,8 @@
 package edge
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -46,22 +48,21 @@ func TestControllerWorkflow(t *testing.T) {
 	}
 }
 
-func TestControllerSolverSwap(t *testing.T) {
+// A done context cancels the solve inside AdmitCtx: the round returns the
+// context's error and the controller serves the next round normally.
+func TestAdmitCtxCanceled(t *testing.T) {
 	in, err := workload.SmallScenario(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewController(in.Res)
-	called := false
-	c.Solve = func(inst *core.Instance) (*core.Solution, error) {
-		called = true
-		return core.SolveOffloaDNN(inst)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.AdmitCtx(ctx, in.Tasks, in.Blocks, in.Alpha); !errors.Is(err, context.Canceled) || !errors.Is(err, ErrDeploy) {
+		t.Fatalf("canceled round: err %v, want ErrDeploy wrapping context.Canceled", err)
 	}
 	if _, err := c.Admit(in.Tasks, in.Blocks, in.Alpha); err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("custom solver not used")
+		t.Fatalf("round after the canceled one: %v", err)
 	}
 }
 

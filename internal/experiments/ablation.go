@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"offloadnn/internal/core"
@@ -51,7 +52,7 @@ func ablateOrdering() (Table, error) {
 		},
 	}
 	for _, order := range []core.CliqueOrder{core.OrderCompute, core.OrderMemory, core.OrderAccuracy, core.OrderNone} {
-		sol, err := core.SolveOffloaDNNConfigured(in, core.HeuristicConfig{Order: order})
+		sol, err := solveVariant(in, core.HeuristicConfig{Order: order})
 		if err != nil {
 			return Table{}, fmt.Errorf("ordering %v: %w", order, err)
 		}
@@ -69,6 +70,11 @@ func ablateOrdering() (Table, error) {
 	return t, nil
 }
 
+// solveVariant runs the heuristic tier under an ablation configuration.
+func solveVariant(in *core.Instance, cfg core.HeuristicConfig) (*core.Solution, error) {
+	return core.SolveSpec(context.Background(), in, core.SolverSpec{Tier: core.TierHeuristic, Heuristic: cfg})
+}
+
 func ablateAdmission() (Table, error) {
 	in, err := workload.LargeScenario(workload.LoadHigh)
 	if err != nil {
@@ -82,7 +88,7 @@ func ablateAdmission() (Table, error) {
 		},
 	}
 	for _, binary := range []bool{false, true} {
-		sol, err := core.SolveOffloaDNNConfigured(in, core.HeuristicConfig{BinaryAdmission: binary})
+		sol, err := solveVariant(in, core.HeuristicConfig{BinaryAdmission: binary})
 		if err != nil {
 			return Table{}, err
 		}

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"offloadnn/internal/core"
 	"offloadnn/internal/edge"
 	"offloadnn/internal/faultinject"
 	"offloadnn/internal/workload"
@@ -192,32 +191,6 @@ func TestResolverLoopSurvivesPanics(t *testing.T) {
 	}
 }
 
-// TestSolveTimeoutCustomSolve bounds a hung non-context-aware strategy.
-func TestSolveTimeoutCustomSolve(t *testing.T) {
-	release := make(chan struct{})
-	t.Cleanup(func() { close(release) })
-	srv := newTestServer(t, Config{
-		Debounce:     time.Hour,
-		SolveTimeout: 20 * time.Millisecond,
-		Solve: func(in *core.Instance) (*core.Solution, error) {
-			<-release
-			return nil, errors.New("released")
-		},
-	})
-	registerSmall(t, srv, 2)
-	start := time.Now()
-	err := srv.ResolveNow()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("hung solve: err %v, want context.DeadlineExceeded", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("timeout took %v to fire", d)
-	}
-	if srv.Current() != nil {
-		t.Fatal("timed-out solve published an epoch")
-	}
-}
-
 // TestSolveTimeoutIncrementalHang bounds a hang injected into the
 // default incremental path; the next solve succeeds cleanly.
 func TestSolveTimeoutIncrementalHang(t *testing.T) {
@@ -282,6 +255,17 @@ func TestBreakerTripAndRearm(t *testing.T) {
 	if sessionLive(srv) {
 		t.Fatal("full-path solve built an incremental session")
 	}
+	// The one fork in produce is equivalent: the session's epoch for the
+	// same registry matches the breaker-open one.
+	full := srv.Current().Deployment
+	if err := srv.ForceResolve(); err != nil {
+		t.Fatal(err)
+	}
+	if !sessionLive(srv) {
+		t.Fatal("re-armed breaker did not route the next solve to the session")
+	}
+	sess := srv.Current().Deployment
+	samePlan(t, "session vs breaker-open", sess.Solution.Cost, full.Solution.Cost, sess.AdmittedRates, full.AdmittedRates)
 	if err := srv.Deregister("task-4"); err != nil {
 		t.Fatal(err)
 	}

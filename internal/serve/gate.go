@@ -40,6 +40,27 @@ func NewGate(rate float64, now func() time.Time) *Gate {
 	return g
 }
 
+// rerated returns a gate enforcing the new rate that starts from g's
+// bucket — g's tokens refilled to now, clamped to the new burst — so a
+// rate change never grants tokens the old rate had not accrued.
+func (g *Gate) rerated(rate float64) *Gate {
+	n := NewGate(rate, g.now)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.refill(n.last)
+	n.tokens = math.Min(n.burst, g.tokens)
+	return n
+}
+
+// refill credits the tokens accrued since the last refill, up to the
+// burst; g.mu must be held.
+func (g *Gate) refill(t time.Time) {
+	if dt := t.Sub(g.last).Seconds(); dt > 0 {
+		g.tokens = math.Min(g.burst, g.tokens+dt*g.rate)
+	}
+	g.last = t
+}
+
 // Rate returns the enforced rate in requests per second.
 func (g *Gate) Rate() float64 {
 	g.mu.Lock()
@@ -57,11 +78,7 @@ func (g *Gate) Allow() (bool, time.Duration) {
 	if g.rate <= 0 {
 		return false, 0
 	}
-	t := g.now()
-	if dt := t.Sub(g.last).Seconds(); dt > 0 {
-		g.tokens = math.Min(g.burst, g.tokens+dt*g.rate)
-	}
-	g.last = t
+	g.refill(g.now())
 	if g.tokens >= 1 {
 		g.tokens--
 		return true, 0

@@ -113,101 +113,92 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestIncrementalResolverMatchesFull runs the same churn sequence through
-// two daemons — the default (incremental SolverSession) and one pinned to
-// from-scratch solves — and checks every epoch's admission plan matches
-// to 1e-9.
+// samePlan checks two admission plans agree to 1e-9 on cost and on every
+// admitted rate.
+func samePlan(t *testing.T, step string, cost, wantCost float64, rates, wantRates map[string]float64) {
+	t.Helper()
+	if math.Abs(cost-wantCost) > 1e-9 {
+		t.Fatalf("%s: cost %v != %v", step, cost, wantCost)
+	}
+	if len(rates) != len(wantRates) {
+		t.Fatalf("%s: admitted sets differ: %d vs %d", step, len(rates), len(wantRates))
+	}
+	for id, want := range wantRates {
+		if got := rates[id]; math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s: task %s admitted rate %v != %v", step, id, got, want)
+		}
+	}
+}
+
+// TestIncrementalResolverMatchesFull runs a churn sequence through the
+// default daemon (incremental SolverSession) and checks every epoch's
+// admission plan matches a from-scratch core.SolveOffloaDNN on the same
+// registry snapshot to 1e-9.
 func TestIncrementalResolverMatchesFull(t *testing.T) {
-	inc := newTestServer(t, Config{Debounce: time.Hour})
-	full := newTestServer(t, Config{Debounce: time.Hour, Solve: core.SolveOffloaDNN})
+	srv := newTestServer(t, Config{Debounce: time.Hour})
 
 	compare := func(step string) {
 		t.Helper()
-		if err := inc.ResolveNow(); err != nil {
+		if err := srv.ResolveNow(); err != nil {
 			t.Fatalf("%s: incremental resolve: %v", step, err)
 		}
-		if err := full.ResolveNow(); err != nil {
-			t.Fatalf("%s: full resolve: %v", step, err)
-		}
-		ei, ef := inc.Current(), full.Current()
-		if (ei.Deployment == nil) != (ef.Deployment == nil) {
+		ep := srv.Current()
+		tasks, blocks, _ := srv.Registry().Snapshot()
+		if (ep.Deployment == nil) != (len(tasks) == 0) {
 			t.Fatalf("%s: deployment presence differs", step)
 		}
-		if ei.Deployment == nil {
+		if ep.Deployment == nil {
 			return
 		}
-		ci := ei.Deployment.Solution.Cost
-		cf := ef.Deployment.Solution.Cost
-		if math.Abs(ci-cf) > 1e-9 {
-			t.Fatalf("%s: incremental cost %v != full %v", step, ci, cf)
+		in := &core.Instance{Tasks: tasks, Blocks: blocks, Res: srv.Resources(), Alpha: srv.Alpha()}
+		full, err := core.SolveOffloaDNN(in)
+		if err != nil {
+			t.Fatalf("%s: full solve: %v", step, err)
 		}
-		for id, rate := range ef.Deployment.AdmittedRates {
-			if got := ei.Deployment.AdmittedRates[id]; math.Abs(got-rate) > 1e-9 {
-				t.Fatalf("%s: task %s admitted rate %v != %v", step, id, got, rate)
+		want := make(map[string]float64)
+		for i, a := range full.Assignments {
+			if a.Admitted() {
+				want[a.TaskID] = a.Z * tasks[i].Rate
 			}
 		}
-		if len(ei.Deployment.AdmittedRates) != len(ef.Deployment.AdmittedRates) {
-			t.Fatalf("%s: admitted sets differ: %d vs %d",
-				step, len(ei.Deployment.AdmittedRates), len(ef.Deployment.AdmittedRates))
+		samePlan(t, step, ep.Deployment.Solution.Cost, full.Cost, ep.Deployment.AdmittedRates, want)
+	}
+	register := func(i int) {
+		t.Helper()
+		task, err := workload.SmallTask(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Register(task, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deregister := func(id string) {
+		t.Helper()
+		if err := srv.Deregister(id); err != nil {
+			t.Fatal(err)
 		}
 	}
 
 	// Register all five tasks, then churn: withdraw two, re-register one.
 	for i := 1; i <= 5; i++ {
-		task, err := workload.SmallTask(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.Register(task, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := full.Register(task, nil); err != nil {
-			t.Fatal(err)
-		}
+		register(i)
 		compare("register")
 	}
 	for _, id := range []string{"task-2", "task-4"} {
-		if err := inc.Deregister(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := full.Deregister(id); err != nil {
-			t.Fatal(err)
-		}
+		deregister(id)
 		compare("deregister " + id)
 	}
-	task, err := workload.SmallTask(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.Register(task, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := full.Register(task, nil); err != nil {
-		t.Fatal(err)
-	}
+	register(2)
 	compare("re-register task-2")
 
 	// Draining the registry then refilling exercises the session reset.
 	for _, id := range []string{"task-1", "task-2", "task-3", "task-5"} {
-		if err := inc.Deregister(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := full.Deregister(id); err != nil {
-			t.Fatal(err)
-		}
+		deregister(id)
 	}
 	compare("empty registry")
 	for i := 1; i <= 3; i++ {
-		task, err := workload.SmallTask(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := inc.Register(task, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := full.Register(task, nil); err != nil {
-			t.Fatal(err)
-		}
+		register(i)
 	}
 	compare("refill after empty")
 }

@@ -17,48 +17,38 @@ import (
 	"offloadnn/internal/workload"
 )
 
-// TestEpochChurnKeepsGateBucket: a publish must not re-grant a task its
-// burst. The task drains its bucket, then ten epochs are published inside
-// 200 ms by churning an unrelated task; at z·λ = 5/s that window refills
-// one token, so at most one more request may pass.
-func TestEpochChurnKeepsGateBucket(t *testing.T) {
+// admitsAcrossEpochs registers small tasks 1–2 on an injected clock, lets
+// task-1 drain its 5-token bucket, then publishes ten epochs inside
+// 200 ms — churn edits the registry before each and returns the rate
+// task-1 must come out admitted at — and returns how many more task-1
+// offloads were admitted along the way.
+func admitsAcrossEpochs(t *testing.T, churn func(srv *Server, i int) (float64, error)) int {
+	t.Helper()
 	clock := newFakeClock()
 	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
-	rate := srv.Current().AdmittedRate("task-1")
-	if rate != 5 {
-		t.Fatalf("task-1 admitted at %v/s, the scenario wants 5", rate)
+	burst := 0
+	for offloadRec(srv, "task-1").Code == http.StatusOK {
+		burst++
 	}
-	for i := 0; i < int(rate); i++ {
-		if w := offloadRec(srv, "task-1"); w.Code != http.StatusOK {
-			t.Fatalf("burst offload %d: status %d", i, w.Code)
-		}
-	}
-	if w := offloadRec(srv, "task-1"); w.Code != http.StatusTooManyRequests {
-		t.Fatalf("offload past the burst: status %d, want 429", w.Code)
-	}
-	other, err := workload.SmallTask(2)
-	if err != nil {
-		t.Fatal(err)
+	if burst != 5 {
+		t.Fatalf("task-1's first bucket admitted %d offloads, the scenario wants 5", burst)
 	}
 	first, admits := srv.Current().N, 0
 	for i := 0; i < 10; i++ {
 		clock.Advance(20 * time.Millisecond)
-		if i%2 == 0 {
-			if err := srv.Deregister("task-2"); err != nil {
-				t.Fatal(err)
-			}
-		} else if err := srv.Register(other, nil); err != nil {
+		rate, err := churn(srv, i)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := srv.ResolveNow(); err != nil {
 			t.Fatal(err)
 		}
 		if got := srv.Current().AdmittedRate("task-1"); got != rate {
-			t.Fatalf("epoch %d moved task-1 to %v/s; the churn was meant to leave it alone", srv.Current().N, got)
+			t.Fatalf("epoch %d admits task-1 at %v/s, the scenario wants %v", srv.Current().N, got, rate)
 		}
 		for offloadRec(srv, "task-1").Code == http.StatusOK {
 			admits++
@@ -67,8 +57,46 @@ func TestEpochChurnKeepsGateBucket(t *testing.T) {
 	if got := srv.Current().N - first; got != 10 {
 		t.Fatalf("%d epochs published, want 10", got)
 	}
+	return admits
+}
+
+// TestEpochChurnKeepsGateBucket: a publish must not re-grant a task its
+// burst. Churning an unrelated task leaves z·λ = 5/s, which refills one
+// token in the 200 ms window, so at most one more request may pass.
+func TestEpochChurnKeepsGateBucket(t *testing.T) {
+	other, err := workload.SmallTask(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admits := admitsAcrossEpochs(t, func(srv *Server, i int) (float64, error) {
+		if i%2 == 0 {
+			return 5, srv.Deregister(other.ID)
+		}
+		return 5, srv.Register(other, nil)
+	})
 	if admits > 1 {
 		t.Fatalf("%d offloads admitted across 10 epochs in 200 ms, want at most 1", admits)
+	}
+}
+
+// TestGateRateChangeMintsNoBurst: a publish that moves the task's own
+// admitted rate must not re-grant the burst either. Alternating it
+// between 6/s and 5/s, the bucket carried across refills at most
+// 0.2 s × 6/s, so no more than two requests may pass.
+func TestGateRateChangeMintsNoBurst(t *testing.T) {
+	task, err := workload.SmallTask(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admits := admitsAcrossEpochs(t, func(srv *Server, i int) (float64, error) {
+		task.Rate = 6 - float64(i%2)
+		if err := srv.Deregister(task.ID); err != nil {
+			return 0, err
+		}
+		return task.Rate, srv.Register(task, nil)
+	})
+	if admits > 2 {
+		t.Fatalf("%d offloads admitted across 10 rate changes in 200 ms, want at most 2", admits)
 	}
 }
 

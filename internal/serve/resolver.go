@@ -36,8 +36,7 @@ type Epoch struct {
 	// SolveLatency is how long the solve-and-deploy step took.
 	SolveLatency time.Duration
 	// Tier is the solver tier that produced the epoch's plan
-	// (core.TierAuto for an empty registry or a custom Solve strategy
-	// that does not tag its solutions).
+	// (core.TierAuto for an empty registry).
 	Tier core.Tier
 	// PublishedAt is when the epoch was installed, on the resolver's
 	// clock; the health state machine ages the plan against it.
@@ -60,14 +59,19 @@ func (e *Epoch) unit(task string, from int) *unit {
 
 // addUnit files a unit under its route key (a pushed segment replaces the
 // whole path of the same task) and gives a raw-frame unit its admission
-// gate: the previous epoch's bucket while the admitted rate is unchanged
-// — a publish must not re-grant a burst — and a full one on a rate change.
+// gate. A publish must not re-grant a burst: a task the previous epoch
+// served keeps that epoch's gate while its admitted rate is unchanged,
+// and on a rate change gets a new gate carrying the old bucket across.
+// Only a newly served task starts with a full bucket.
 func (e *Epoch) addUnit(prev *Epoch, u *unit, now func() time.Time) {
 	if u.HeadSeg() {
-		if old := prev.unit(u.Task, 0); old != nil && old.Rate == u.Rate {
-			u.gate = old.gate
-		} else {
+		switch old := prev.unit(u.Task, 0); {
+		case old == nil:
 			u.gate = NewGate(u.Rate, now)
+		case old.Rate == u.Rate:
+			u.gate = old.gate
+		default:
+			u.gate = old.gate.rerated(u.Rate)
 		}
 	}
 	e.units[exec.RouteKey(u.Task, u.From)] = u
@@ -95,21 +99,20 @@ func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
 // resulting epoch. A kick during an in-flight solve is retained, so the
 // loop always converges onto the latest registry generation.
 //
-// With the default solver the resolver runs incrementally: it keeps a
+// On the heuristic tier the resolver runs incrementally: it keeps a
 // core.SolverSession across epochs and feeds it the task delta between
 // the session's state and the registry snapshot, so only the cliques the
 // churn touched are rebuilt and allocations warm-start from the previous
-// epoch. A custom Config.Solve opts out (the session exists to accelerate
-// the default heuristic, not arbitrary strategies) and every epoch is a
-// full controller admission round.
+// epoch. Every other tier, and the heuristic while the circuit breaker is
+// open, is a full solve through core.SolveSpec.
 //
 // The resolver is built to survive its solver. A panic inside the solve
 // step is recovered into a counted solve error; a hung solve is bounded
-// by Config.SolveTimeout; consecutive failures back off exponentially
+// by the SolveTimeout setting; consecutive failures back off exponentially
 // (capped, jittered) instead of retrying hot; and a circuit breaker
 // drops the incremental session after breakerN consecutive failures,
-// falling back to full admission rounds until a solve succeeds. In every
-// failure mode the last-good epoch keeps serving.
+// falling back to full solves until one succeeds. In every failure mode
+// the last-good epoch keeps serving.
 type Resolver struct {
 	reg      *Registry
 	ctrl     *edge.Controller
@@ -130,7 +133,7 @@ type Resolver struct {
 	backoffBase  time.Duration
 	backoffMax   time.Duration
 	breakerN     int
-	// spec selects the epoch solver tier (Config.Solver); approxAfter is
+	// spec selects the epoch solver tier (the Solver setting); approxAfter is
 	// the auto tier's size-based escalation threshold (0 = disabled).
 	spec        core.SolverSpec
 	approxAfter int
@@ -164,12 +167,10 @@ type Resolver struct {
 	// readers never take it.
 	solveMu sync.Mutex
 	epochN  uint64
-	// incremental selects the SolverSession path; session is the live
-	// session (nil before the first non-empty solve and after any error,
-	// so the next epoch rebuilds from scratch). Both are guarded by
-	// solveMu.
-	incremental bool
-	session     *core.SolverSession
+	// session is the live SolverSession (nil before the first non-empty
+	// solve and after any error, so the next epoch rebuilds from
+	// scratch). Guarded by solveMu.
+	session *core.SolverSession
 	// pressureLeft implements the auto tier's deadline-pressure
 	// hysteresis: an exact-tier solve that blows the epoch deadline sets
 	// it to pressureHold, each successful epoch decrements it, and while
@@ -206,7 +207,7 @@ type resolverParams struct {
 
 func newResolver(reg *Registry, ctrl *edge.Controller, res core.Resources, alpha float64,
 	debounce time.Duration, now func() time.Time, logf func(string, ...any), stats *Stats,
-	incremental bool, p resolverParams) *Resolver {
+	p resolverParams) *Resolver {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Resolver{
 		reg:          reg,
@@ -232,7 +233,6 @@ func newResolver(reg *Registry, ctrl *edge.Controller, res core.Resources, alpha
 		done:         make(chan struct{}),
 		ctx:          ctx,
 		cancel:       cancel,
-		incremental:  incremental,
 	}
 	r.wg.Add(1)
 	go r.loop()
@@ -246,7 +246,7 @@ func (r *Resolver) Current() *Epoch { return r.cur.Load() }
 func (r *Resolver) ConsecutiveFailures() uint64 { return r.fails.Load() }
 
 // BreakerOpen reports whether the incremental→full circuit breaker is
-// open (epochs run as full admission rounds until a solve succeeds).
+// open (epochs run as full solves until one succeeds).
 func (r *Resolver) BreakerOpen() bool { return r.breakerOpen.Load() }
 
 // StaleSince returns when the published plan first fell behind the
@@ -479,7 +479,11 @@ func (r *Resolver) pickTier(n int) core.Tier {
 
 // produce runs the solve-and-deploy step under panic isolation and the
 // configured deadline, returning the deployment and the task order its
-// assignments are parallel to. Caller holds solveMu.
+// assignments are parallel to. The solution comes from the session on the
+// heuristic tier while the breaker is closed, and from a full
+// core.SolveSpec solve otherwise (approx, optimal, breaker fallback) —
+// the session, if any, then stays cached for the next de-escalation back
+// to the exact heuristic. Caller holds solveMu.
 func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) (dep *edge.Deployment, solved []core.Task, err error) {
 	ctx := r.ctx
 	if r.solveTimeout > 0 {
@@ -510,51 +514,37 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 			return nil, nil, err
 		}
 	}
-	if !r.incremental {
-		// A custom Config.Solve owns the strategy outright; tier
-		// selection does not apply.
-		dep, err = r.ctrl.AdmitCtx(ctx, tasks, blocks, r.alpha)
-		if err != nil {
-			return nil, nil, err
-		}
-		return dep, tasks, nil
-	}
+	var in *core.Instance
+	var sol *core.Solution
 	tier := r.pickTier(len(tasks))
-	if tier == core.TierHeuristic && r.spec.Shards <= 1 && !r.breakerOpen.Load() {
-		dep, err := r.resolveIncremental(ctx, tasks, blocks)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Assignments are parallel to the session's task order (which
-		// tracks registration order); publish that order.
-		return dep, r.session.Tasks(), nil
+	incremental := tier == core.TierHeuristic && !r.breakerOpen.Load()
+	if incremental {
+		in, sol, err = r.solveSession(ctx, tasks, blocks)
+	} else {
+		in = &core.Instance{Tasks: tasks, Blocks: blocks, Res: r.res, Alpha: r.alpha}
+		spec := r.spec
+		spec.Tier = tier
+		spec.Timeout = 0 // the epoch deadline is already on ctx
+		sol, err = core.SolveSpec(ctx, in, spec)
 	}
-	// Non-incremental tiers (approx, optimal, forced sharding, breaker
-	// fallback): a full solve through the tier dispatcher, deployed via
-	// the controller. The session, if any, stays cached for the next
-	// de-escalation back to the exact heuristic.
-	dep, err = r.resolveSpec(ctx, tier, tasks, blocks)
+	if err == nil {
+		dep, err = r.ctrl.Deploy(in, sol)
+	}
 	if err != nil {
+		if incremental {
+			// Never serve off session state of unknown consistency: the
+			// next epoch rebuilds from scratch.
+			r.session = nil
+		}
 		return nil, nil, err
 	}
-	return dep, tasks, nil
-}
-
-// resolveSpec runs one full (non-incremental) admission round through
-// the tier dispatcher: build the instance from the registry snapshot,
-// solve it at the given tier with the configured spec knobs, and hand
-// the solution to the controller for checking, slicing and packaging.
-// Caller holds solveMu.
-func (r *Resolver) resolveSpec(ctx context.Context, tier core.Tier, tasks []core.Task, blocks map[string]core.BlockSpec) (*edge.Deployment, error) {
-	in := &core.Instance{Tasks: tasks, Blocks: blocks, Res: r.res, Alpha: r.alpha}
-	spec := r.spec
-	spec.Tier = tier
-	spec.Timeout = 0 // the epoch deadline is already on ctx
-	sol, err := core.SolveSpec(ctx, in, spec)
-	if err != nil {
-		return nil, err
+	if incremental {
+		// Assignments are parallel to the session's task order (which
+		// tracks registration order); publish a copy of that order — the
+		// session edits its own in place.
+		return dep, r.session.Tasks(), nil
 	}
-	return r.ctrl.Deploy(in, sol)
+	return dep, tasks, nil
 }
 
 // SetNorm installs (or clears) the objective-pricing override of every
@@ -594,7 +584,7 @@ func (r *Resolver) recordFailure(err error) {
 	r.stats.solveErrors.Add(1)
 	r.stats.setLastSolveError(err)
 	n := r.fails.Add(1)
-	if r.incremental && !r.breakerOpen.Load() && r.breakerN > 0 && n >= uint64(r.breakerN) {
+	if !r.breakerOpen.Load() && r.breakerN > 0 && n >= uint64(r.breakerN) {
 		r.session = nil
 		r.breakerOpen.Store(true)
 		if r.logf != nil {
@@ -615,13 +605,12 @@ func (r *Resolver) recordSuccess() {
 	}
 }
 
-// resolveIncremental produces a deployment through the solver session: it
-// diffs the session's task set against the registry snapshot into a
-// TaskDelta, re-solves incrementally, and hands the solution to the
-// controller for checking and slice allocation. On any error the session
-// is dropped so the next epoch rebuilds from scratch rather than serving
-// off state of unknown consistency. Caller holds solveMu.
-func (r *Resolver) resolveIncremental(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec) (*edge.Deployment, error) {
+// solveSession solves through the solver session: it diffs the session's
+// task set against the registry snapshot into a TaskDelta (building the
+// session on first use) and re-solves incrementally, returning the
+// session's instance with the solution. Caller holds solveMu and drops
+// the session on error.
+func (r *Resolver) solveSession(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec) (*core.Instance, *core.Solution, error) {
 	var delta core.TaskDelta
 	if r.session == nil {
 		sess, err := core.NewSolverSession(&core.Instance{
@@ -631,7 +620,7 @@ func (r *Resolver) resolveIncremental(ctx context.Context, tasks []core.Task, bl
 			Alpha:  r.alpha,
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		r.session = sess
 	} else {
@@ -639,15 +628,9 @@ func (r *Resolver) resolveIncremental(ctx context.Context, tasks []core.Task, bl
 	}
 	sol, err := r.session.Resolve(ctx, delta)
 	if err != nil {
-		r.session = nil
-		return nil, err
+		return nil, nil, err
 	}
-	dep, err := r.ctrl.Deploy(r.session.Instance(), sol)
-	if err != nil {
-		r.session = nil
-		return nil, err
-	}
-	return dep, nil
+	return r.session.Instance(), sol, nil
 }
 
 // sessionDelta computes the churn between a session's task set and a

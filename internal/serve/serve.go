@@ -8,7 +8,7 @@
 //
 //	admission request  → Registry (concurrent-safe task table)
 //	DOT solve          → Resolver (debounced epoch re-solve on churn)
-//	slice/compute      → edge.Controller.Admit (reused unchanged)
+//	slice/compute      → edge.Controller.Deploy
 //	deployment         → Epoch published via atomic.Pointer (RCU-style)
 //	rate notification  → Gate (token bucket at z·λ, 429 beyond it)
 //
@@ -38,7 +38,7 @@ import (
 var ErrDraining = errors.New("serve: server is draining")
 
 // DefaultSolveTimeout is the per-epoch solve deadline applied when
-// Config.SolveTimeout is zero. Together with the tiered resolver it is
+// the SolveTimeout setting is zero. Together with the tiered resolver it is
 // a completeness/latency contract: any registry the approximate tier
 // can pack inside this budget keeps publishing epochs, no matter how
 // far past the exact tiers' scale the task count grows.
@@ -78,18 +78,16 @@ type Config struct {
 	// serving) and counts toward the failure backoff and breaker — and,
 	// on the auto tier, escalates the next epochs to the approximate
 	// solver. Zero applies DefaultSolveTimeout; negative disables the
-	// deadline. With a custom non-context-aware Solve, a timed-out solve
-	// is abandoned in a goroutine that runs to completion with its
-	// result dropped.
+	// deadline.
 	SolveTimeout time.Duration
 	// Solver selects the epoch solver tier and its knobs
 	// (core.SolverSpec). The zero value is core.TierAuto: the exact
 	// incremental heuristic while the registry is small and the solves
 	// hold the deadline, the approximate admission tier at ApproxAfter
 	// tasks or under deadline pressure. A non-auto Tier pins every epoch
-	// to that tier; Workers/Shards pass through to the sharded and
-	// parallel solvers. Spec.Timeout is ignored — SolveTimeout is the
-	// epoch deadline. Ignored entirely when Solve is set.
+	// to that tier; Workers and Shards pass through to the full
+	// (non-session) solves. Spec.Timeout is ignored — SolveTimeout is the
+	// epoch deadline.
 	Solver core.SolverSpec
 	// ApproxAfter is the registry size at which an auto-tier resolver
 	// escalates to the approximate solver (default DefaultApproxAfter;
@@ -103,8 +101,8 @@ type Config struct {
 	FailureBackoffMax time.Duration
 	// BreakerThreshold is the consecutive-failure count at which the
 	// resolver drops its incremental SolverSession and falls back to
-	// full admission rounds; the breaker re-arms after the next
-	// successful solve (default 3; irrelevant when Solve is set).
+	// full solves; the breaker re-arms after the next successful solve
+	// (default 3).
 	BreakerThreshold int
 	// DegradedAfter is the consecutive-failure count at which /healthz
 	// turns degraded (default 3).
@@ -131,14 +129,6 @@ type Config struct {
 	// and no logits; wire an exec.Real for tensor-backed inference. The
 	// server owns the backend: Close closes it.
 	Backend exec.Backend
-	// Solve optionally overrides the solver strategy. When nil the daemon
-	// runs the OffloaDNN heuristic *incrementally*: a core.SolverSession
-	// carries the weighted tree and converged allocations across epochs,
-	// so each re-solve rebuilds only the cliques the churn touched.
-	// Setting Solve opts out of the session — every epoch is then a full
-	// admission round through the given function (the epoch benchmarks
-	// use this to measure the non-incremental baseline).
-	Solve func(*core.Instance) (*core.Solution, error)
 	// Logf, when set, receives re-solve failures and other background
 	// diagnostics (e.g. log.Printf). Nil discards them.
 	Logf func(string, ...any)
@@ -234,9 +224,6 @@ func New(cfg Config) (*Server, error) {
 		cfg.Backend = exec.NewSimulated(exec.SimulatedConfig{})
 	}
 	ctrl := edge.NewController(cfg.Res)
-	if cfg.Solve != nil {
-		ctrl.Solve = cfg.Solve
-	}
 	ctrl.Faults = cfg.Faults
 	s := &Server{
 		cfg:         cfg,
@@ -246,7 +233,7 @@ func New(cfg Config) (*Server, error) {
 		stageClient: &http.Client{Timeout: 30 * time.Second},
 	}
 	s.resolver = newResolver(s.reg, ctrl, cfg.Res, cfg.Alpha, cfg.Debounce, cfg.Now, cfg.Logf, s.stats,
-		cfg.Solve == nil, resolverParams{
+		resolverParams{
 			solveTimeout: cfg.SolveTimeout,
 			backoffBase:  cfg.FailureBackoff,
 			backoffMax:   cfg.FailureBackoffMax,

@@ -95,7 +95,7 @@ func TestAutoTierEscalatesBySize(t *testing.T) {
 	}
 }
 
-// TestPinnedTierWins checks an explicit Config.Solver tier overrides the
+// TestPinnedTierWins checks an explicitly configured Solver tier overrides the
 // auto escalation in both directions.
 func TestPinnedTierWins(t *testing.T) {
 	approx := newTestServer(t, Config{

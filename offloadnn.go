@@ -43,7 +43,7 @@ import (
 )
 
 // Sentinel errors of the solver layer. Match them with errors.Is: every
-// infeasibility reported by Solve, SolveOptimal, Check or a SolverSession
+// infeasibility reported by Solve, Check or a SolverSession
 // wraps ErrInfeasible; the two named causes additionally identify why.
 var (
 	// ErrInfeasible is the root of the infeasibility hierarchy: the
@@ -190,10 +190,6 @@ func WithSpec(spec SolverSpec) SolveOption { return func(s *SolverSpec) { *s = s
 // task count warrants it. The returned Solution records the tier and
 // shard count that produced it, and Solution.Stats carries the search
 // statistics of optimal-tier solves.
-//
-// The former Solve(in)/SolveCtx/SolveOptimal/SolveOptimalCtx/
-// SolveOptimalParallel/SolveOptimalParallelCtx/SolveConfigured entry
-// points are thin deprecated wrappers over this function.
 func Solve(ctx context.Context, in *Instance, opts ...SolveOption) (*Solution, error) {
 	var spec SolverSpec
 	for _, o := range opts {
@@ -208,39 +204,6 @@ func Solve(ctx context.Context, in *Instance, opts ...SolveOption) (*Solution, e
 // tier's weighted-priority loss against the exact heuristic.
 func CompareTiers(ctx context.Context, in *Instance, ref, cand SolverSpec) (*TierRegret, error) {
 	return core.CompareTiers(ctx, in, ref, cand)
-}
-
-// SolveCtx runs the serial (unsharded) OffloaDNN heuristic.
-//
-// Deprecated: use Solve(ctx, in, WithShards(1)), or plain Solve(ctx, in)
-// to let large instances shard.
-func SolveCtx(ctx context.Context, in *Instance) (*Solution, error) {
-	return Solve(ctx, in, WithTier(TierHeuristic), WithShards(1))
-}
-
-// SolveOptimal exhaustively searches every tree branch — exponential in
-// the number of tasks; the benchmark for small instances.
-//
-// Deprecated: use Solve(ctx, in, WithTier(TierOptimal), WithWorkers(1));
-// the search statistics are on Solution.Stats.
-func SolveOptimal(in *Instance) (*Solution, *OptimalStats, error) {
-	sol, err := Solve(context.Background(), in, WithTier(TierOptimal), WithWorkers(1))
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol, sol.Stats, nil
-}
-
-// SolveOptimalCtx is SolveOptimal with cancellation.
-//
-// Deprecated: use Solve(ctx, in, WithTier(TierOptimal), WithWorkers(1));
-// the search statistics are on Solution.Stats.
-func SolveOptimalCtx(ctx context.Context, in *Instance) (*Solution, *OptimalStats, error) {
-	sol, err := Solve(ctx, in, WithTier(TierOptimal), WithWorkers(1))
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol, sol.Stats, nil
 }
 
 // SolveSEMORAN runs the SEM-O-RAN baseline: binary admission maximizing
@@ -310,21 +273,13 @@ type (
 	Repository = edge.Repository
 )
 
-// Clique orderings for SolveConfigured.
+// Clique orderings for WithHeuristic.
 const (
 	OrderCompute  = core.OrderCompute
 	OrderMemory   = core.OrderMemory
 	OrderAccuracy = core.OrderAccuracy
 	OrderNone     = core.OrderNone
 )
-
-// SolveConfigured runs an OffloaDNN ablation variant (clique ordering,
-// binary admission), serially.
-//
-// Deprecated: use Solve(ctx, in, WithHeuristic(cfg), WithShards(1)).
-func SolveConfigured(in *Instance, cfg HeuristicConfig) (*Solution, error) {
-	return Solve(context.Background(), in, WithTier(TierHeuristic), WithHeuristic(cfg), WithShards(1))
-}
 
 // PrivatizeBlocks returns a copy of the instance with all cross-task
 // block sharing disabled (the sharing ablation).
@@ -401,32 +356,6 @@ func NewSimulatedBackend(cfg SimulatedBackendConfig) *SimulatedBackend {
 // ChurnTimeline derives a deterministic register/deregister schedule
 // over the Table-IV small-scenario tasks for driving an EdgeServer.
 func ChurnTimeline(p ChurnParams) ([]ChurnEvent, error) { return workload.ChurnTimeline(p) }
-
-// SolveOptimalParallel is the exhaustive solver with the first tree layer
-// fanned out over a bounded worker pool (workers ≤ 0 = NumCPU).
-//
-// Deprecated: use Solve(ctx, in, WithTier(TierOptimal),
-// WithWorkers(workers)); the search statistics are on Solution.Stats.
-func SolveOptimalParallel(in *Instance, workers int) (*Solution, *OptimalStats, error) {
-	return SolveOptimalParallelCtx(context.Background(), in, workers)
-}
-
-// SolveOptimalParallelCtx is SolveOptimalParallel with cancellation.
-//
-// Deprecated: use Solve(ctx, in, WithTier(TierOptimal),
-// WithWorkers(workers)); the search statistics are on Solution.Stats.
-func SolveOptimalParallelCtx(ctx context.Context, in *Instance, workers int) (*Solution, *OptimalStats, error) {
-	if workers == 1 {
-		// The bounded pool with one worker explores the same tree in the
-		// same order as the serial DFS; route it there directly.
-		workers = 0
-	}
-	sol, err := Solve(ctx, in, WithTier(TierOptimal), WithWorkers(workers))
-	if err != nil {
-		return nil, nil, err
-	}
-	return sol, sol.Stats, nil
-}
 
 // Incremental solving types.
 type (

@@ -28,11 +28,11 @@ func TestPublicAPIOptimalAndBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, stats, err := SolveOptimal(in)
+	opt, err := Solve(context.Background(), in, WithTier(TierOptimal), WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BranchesExplored == 0 {
+	if opt.Stats.BranchesExplored == 0 {
 		t.Fatal("no branches explored")
 	}
 	h, err := Solve(context.Background(), in)

@@ -67,55 +67,6 @@ func sameSolution(t *testing.T, name string, a, b *offloadnn.Solution) {
 	}
 }
 
-// TestDeprecatedWrappersMatchSolve proves the API redesign is purely a
-// re-plumbing: every legacy entry point returns exactly what the
-// equivalent Solve(ctx, in, opts...) call does.
-func TestDeprecatedWrappersMatchSolve(t *testing.T) {
-	ctx := context.Background()
-	for name, in := range paperLoads(t) {
-		legacy, err := offloadnn.SolveCtx(ctx, in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sol, err := offloadnn.Solve(ctx, in,
-			offloadnn.WithTier(offloadnn.TierHeuristic), offloadnn.WithShards(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSolution(t, name+"/SolveCtx", legacy, sol)
-
-		cfgLegacy, err := offloadnn.SolveConfigured(in, offloadnn.HeuristicConfig{BinaryAdmission: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgSol, err := offloadnn.Solve(ctx, in,
-			offloadnn.WithTier(offloadnn.TierHeuristic), offloadnn.WithShards(1),
-			offloadnn.WithHeuristic(offloadnn.HeuristicConfig{BinaryAdmission: true}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSolution(t, name+"/SolveConfigured", cfgLegacy, cfgSol)
-	}
-
-	small, err := offloadnn.SmallScenario(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, legacyStats, err := offloadnn.SolveOptimal(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := offloadnn.Solve(ctx, small,
-		offloadnn.WithTier(offloadnn.TierOptimal), offloadnn.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSolution(t, "SolveOptimal", legacy, sol)
-	if legacyStats == nil || sol.Stats == nil || legacyStats.BranchesExplored != sol.Stats.BranchesExplored {
-		t.Fatalf("optimal stats differ: %+v vs %+v", legacyStats, sol.Stats)
-	}
-}
-
 // TestShardedWorkerEquivalence10k is the scale acceptance bound for the
 // sharded heuristic: at 10k tasks the auto-sharded solve must produce a
 // bitwise-identical solution whether the bands run on one worker or
