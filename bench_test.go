@@ -19,6 +19,7 @@ import (
 
 	"offloadnn/internal/core"
 	"offloadnn/internal/dnn"
+	"offloadnn/internal/edge"
 	"offloadnn/internal/exec"
 	"offloadnn/internal/experiments"
 	"offloadnn/internal/profile"
@@ -525,11 +526,33 @@ func BenchmarkEpochResolve10k(b *testing.B) {
 	}
 }
 
+// BenchmarkDeploy10k times Controller.Deploy — solution check, one radio
+// slice per admitted task, deployment assembly — on the approximate
+// tier's answer to the 10k-task scale scenario: the step of a 10k epoch
+// that was quadratic while the slice pool re-summed itself per grant.
+func BenchmarkDeploy10k(b *testing.B) {
+	in, err := workload.ScaleScenario(10000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol, err := core.SolveSpec(context.Background(), in, core.SolverSpec{Tier: core.TierApprox})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctl := edge.NewController(in.Res)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ctl.Deploy(in, sol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIncrementalChurn times one epoch of the incremental solver
 // under single-task churn over the 20-task large scenario: each iteration
 // removes or re-adds task-20 and re-solves through the SolverSession, so
-// 19 of 20 cliques come from the cache and surviving tasks warm-start
-// their allocations.
+// 19 of 20 cliques come from the cache.
 func BenchmarkIncrementalChurn(b *testing.B) {
 	in, err := workload.LargeScenario(workload.LoadHigh)
 	if err != nil {

@@ -38,21 +38,13 @@ type allocState struct {
 // Assignments must carry the chosen Path per task (nil = rejected); Z and
 // RBs are filled in place.
 func (in *Instance) OptimizeAllocation(assignments []Assignment) error {
-	return in.optimizeAllocation(context.Background(), assignments, nil)
+	return in.optimizeAllocation(context.Background(), assignments)
 }
 
 // optimizeAllocation is OptimizeAllocation with cancellation checked
-// between alternation rounds and an optional warm start. warmR maps a
-// task index to the converged RB allocation of a previous epoch; a warm
-// entry replaces the analytic initial point max(rLat, rFull) of the
-// alternation, clamped into [rLat, max(rLat, rFull)]. Because every
-// iterate of the alternation is feasible and the result is the best
-// feasible iterate, warm starting never yields an infeasible allocation —
-// it only changes where the (convergent) alternation begins. When the
-// previous epoch admitted the task fully (z = 1), the warm point equals
-// the analytic point exactly, so the iterate sequence — and hence the
-// solution — is identical to a cold start.
-func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assignment, warmR map[int]int) error {
+// between alternation rounds. The alternation starts from the analytic
+// point r = max(rLat, ceil(λβ/B)), z = 1.
+func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assignment) error {
 	var active []*allocState
 	for i := range assignments {
 		a := &assignments[i]
@@ -82,14 +74,6 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 		st.r = st.rLat
 		if rFull > st.r {
 			st.r = rFull
-		}
-		if w, ok := warmR[i]; ok {
-			if w < st.rLat {
-				w = st.rLat
-			}
-			if w < st.r {
-				st.r = w
-			}
 		}
 		st.z = 1
 		active = append(active, st)

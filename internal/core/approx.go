@@ -103,10 +103,7 @@ func solveApproxCtx(ctx context.Context, in *Instance, spec SolverSpec) (*Soluti
 	// Pass 2: greedy packing in descending priority with shared-block
 	// memory and training accounting.
 	state := newBranchState(in)
-	assignments := make([]Assignment, len(in.Tasks))
-	for i := range assignments {
-		assignments[i] = Assignment{TaskID: in.Tasks[i].ID}
-	}
+	assignments := in.unassigned()
 	remC := in.Res.ComputeSeconds
 	remRB := float64(in.Res.RBs)
 	for oi, ti := range order {

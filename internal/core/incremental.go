@@ -43,37 +43,12 @@ type SessionStats struct {
 	CliqueHits uint64
 	// CliqueMisses counts cliques (re)built.
 	CliqueMisses uint64
-	// WarmStarts counts tasks whose allocation was warm-started from a
-	// previous epoch's converged (z, r).
-	WarmStarts uint64
-}
-
-// allocHint is the per-task warm-start state retained between epochs: the
-// converged allocation of the last epoch, keyed to the decision (path ×
-// quality) it was solved for. The hint applies only when the new epoch's
-// first-branch walk picks the same decision again.
-type allocHint struct {
-	dnn     string
-	pathID  string
-	quality string
-	z       float64
-	r       int
-}
-
-// qualityKey identifies a vertex's quality level for hint matching.
-func qualityKey(q *QualityLevel) string {
-	if q == nil {
-		return ""
-	}
-	return q.ID
 }
 
 // SolverSession is an incremental OffloaDNN solver for the serving loop's
 // hot path: it caches the layered weighted tree across epochs, feeds on
-// task deltas instead of whole instances, invalidates only the cliques a
-// delta touches, tracks block-sharing deployment memory by refcount, and
-// warm-starts the per-branch convex allocation from the previous epoch's
-// converged (z, r).
+// task deltas instead of whole instances, and invalidates only the
+// cliques a delta touches.
 //
 // A session is not safe for concurrent use; serialize Resolve calls (the
 // serve resolver does so under its solve mutex).
@@ -81,14 +56,7 @@ type SolverSession struct {
 	inst  *Instance
 	index map[string]int // task ID → position in inst.Tasks
 	cache *treeCache
-	hints map[string]allocHint
-	// refcount counts, per deployed block, the admitted tasks whose
-	// selected path uses it — the block-sharing accounting of the last
-	// epoch. deployedGB is maintained incrementally: it changes only when
-	// a block's refcount crosses zero.
-	refcount   map[string]int
-	deployedGB float64
-	stats      SessionStats
+	stats SessionStats
 }
 
 // NewSolverSession validates the instance and prepares an incremental
@@ -116,11 +84,9 @@ func NewSolverSession(in *Instance) (*SolverSession, error) {
 		}
 	}
 	s := &SolverSession{
-		inst:     inst,
-		index:    make(map[string]int, len(inst.Tasks)),
-		cache:    newTreeCache(),
-		hints:    make(map[string]allocHint),
-		refcount: make(map[string]int),
+		inst:  inst,
+		index: make(map[string]int, len(inst.Tasks)),
+		cache: newTreeCache(),
 	}
 	s.reindex()
 	return s, nil
@@ -152,12 +118,6 @@ func (s *SolverSession) Stats() SessionStats {
 	st.CliqueMisses = s.cache.misses
 	return st
 }
-
-// DeployedMemoryGB returns the refcount-tracked memory of the blocks
-// deployed by the last epoch's admitted tasks. It equals the last
-// solution's Breakdown.MemoryGB, maintained incrementally: only blocks
-// whose refcount crossed zero were re-accounted.
-func (s *SolverSession) DeployedMemoryGB() float64 { return s.deployedGB }
 
 // apply folds a delta into the session state, invalidating exactly the
 // cached cliques the delta touches. It validates before mutating, so a
@@ -233,27 +193,21 @@ func (s *SolverSession) apply(delta TaskDelta) error {
 		s.inst.Tasks = kept
 		for id := range removed {
 			s.cache.invalidateTask(id)
-			delete(s.hints, id)
 		}
 	}
 	for i := range delta.Add {
 		t := delta.Add[i]
 		s.inst.Tasks = append(s.inst.Tasks, t)
-		// A re-added ID must not inherit stale cache or hints from its
+		// A re-added ID must not inherit a stale clique from its
 		// previous life.
 		s.cache.invalidateTask(t.ID)
-		delete(s.hints, t.ID)
 	}
 	if len(removed) > 0 || len(delta.Add) > 0 {
 		s.reindex()
 	}
 	for id, rate := range delta.Rate {
+		// The cached clique survives: λ does not enter the tree.
 		s.inst.Tasks[s.index[id]].Rate = rate
-		// The cached clique survives (λ does not enter the tree), but the
-		// warm-start hint does not: the alternation's analytic initial
-		// point moves with the rate, so resuming at the old converged r
-		// would no longer retrace the from-scratch iterate sequence.
-		delete(s.hints, id)
 	}
 	return nil
 }
@@ -261,10 +215,9 @@ func (s *SolverSession) apply(delta TaskDelta) error {
 // Resolve folds the delta into the session and re-solves the OffloaDNN
 // heuristic incrementally: layers are assembled from cached cliques
 // (rebuilding only invalidated ones), the first-branch walk re-runs over
-// them, and the per-branch convex allocation is warm-started from the
-// previous epoch's converged (z, r) for every task whose selected
-// decision is unchanged. The result is the same solution
-// SolveOffloaDNN computes from scratch on the equivalent instance.
+// them, and the per-branch convex allocation is solved afresh. The result
+// is the same solution SolveOffloaDNN computes from scratch on the
+// equivalent instance.
 //
 // On a delta validation error the session is unchanged; on a solver
 // error the delta remains applied (the session tracks the registry, the
@@ -283,53 +236,13 @@ func (s *SolverSession) Resolve(ctx context.Context, delta TaskDelta) (*Solution
 
 	// First-branch walk over cached cliques, in priority-layer order.
 	order := priorityOrder(s.inst)
-	state := newBranchState(s.inst)
-	assignments := make([]Assignment, len(s.inst.Tasks))
-	for i := range assignments {
-		assignments[i] = Assignment{TaskID: s.inst.Tasks[i].ID}
+	assignments, err := firstBranch(ctx, s.inst, order, func(li int) []Vertex {
+		return s.cache.cliqueFor(s.inst, order[li])
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, ti := range order {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		picked := false
-		for _, v := range s.cache.cliqueFor(s.inst, ti) {
-			mem := state.push(v)
-			if mem <= s.inst.Res.MemoryGB+1e-12 {
-				assignments[ti].Path = v.Path
-				assignments[ti].Quality = v.Quality
-				picked = true
-				break
-			}
-			state.pop()
-		}
-		if !picked {
-			return nil, fmt.Errorf("%w: no vertex fits the memory budget", ErrNoFeasiblePath)
-		}
-	}
-
-	// Warm starts: tasks whose (path × quality) decision survived the
-	// walk and were fully admitted last epoch resume the allocation
-	// alternation at their previous converged slice size. The z = 1 gate
-	// is what keeps incremental solutions bit-identical to from-scratch
-	// ones: a fully-admitted task's converged r provably equals the
-	// alternation's analytic initial point max(rLat, ceil(λβ/B)), so the
-	// iterate sequence is unchanged, whereas a fractional-z fixed point
-	// can sit below it and would steer the alternation elsewhere.
-	warmR := make(map[int]int)
-	for i := range assignments {
-		a := &assignments[i]
-		if a.Path == nil {
-			continue
-		}
-		h, ok := s.hints[a.TaskID]
-		if !ok || h.z < 1 || h.dnn != a.Path.DNN || h.pathID != a.Path.ID || h.quality != qualityKey(a.Quality) {
-			continue
-		}
-		warmR[i] = h.r
-	}
-	s.stats.WarmStarts += uint64(len(warmR))
-	if err := s.inst.optimizeAllocation(ctx, assignments, warmR); err != nil {
+	if err := s.inst.optimizeAllocation(ctx, assignments); err != nil {
 		return nil, err
 	}
 	sol, err := s.inst.newSolution(assignments, time.Since(start))
@@ -337,45 +250,6 @@ func (s *SolverSession) Resolve(ctx context.Context, delta TaskDelta) (*Solution
 		return nil, err
 	}
 	sol.Tier = TierHeuristic
-	s.commit(sol)
-	return sol, nil
-}
-
-// commit retains the epoch's converged allocation as warm-start hints and
-// refreshes the refcounted block-sharing memory accounting.
-func (s *SolverSession) commit(sol *Solution) {
 	s.stats.Epochs++
-	next := make(map[string]int, len(s.refcount))
-	for i := range sol.Assignments {
-		a := &sol.Assignments[i]
-		if a.Path == nil {
-			delete(s.hints, a.TaskID)
-			continue
-		}
-		s.hints[a.TaskID] = allocHint{
-			dnn:     a.Path.DNN,
-			pathID:  a.Path.ID,
-			quality: qualityKey(a.Quality),
-			z:       a.Z,
-			r:       a.RBs,
-		}
-		if !a.Admitted() {
-			continue
-		}
-		for _, b := range a.Path.Blocks {
-			next[b]++
-		}
-	}
-	// Re-account memory only for blocks whose refcount crossed zero.
-	for id := range next {
-		if s.refcount[id] == 0 {
-			s.deployedGB += s.inst.BlockMemoryGB(id)
-		}
-	}
-	for id := range s.refcount {
-		if next[id] == 0 {
-			s.deployedGB -= s.inst.BlockMemoryGB(id)
-		}
-	}
-	s.refcount = next
+	return sol, nil
 }

@@ -49,9 +49,6 @@ func scratchEquivalent(t *testing.T, sess *SolverSession, got *Solution) {
 				g.TaskID, g.Z, g.RBs, w.Z, w.RBs)
 		}
 	}
-	if mem := sess.DeployedMemoryGB(); math.Abs(mem-got.Breakdown.MemoryGB) > 1e-9 {
-		t.Fatalf("refcounted memory %v differs from breakdown %v", mem, got.Breakdown.MemoryGB)
-	}
 }
 
 func TestSessionMatchesScratchAcrossDeltas(t *testing.T) {
@@ -148,9 +145,6 @@ func TestSessionCliqueInvalidation(t *testing.T) {
 	st = sess.Stats()
 	if st.CliqueMisses != 13 || st.CliqueHits != 22 {
 		t.Fatalf("after identical re-spec: want 13 misses / 22 hits, got %d / %d", st.CliqueMisses, st.CliqueHits)
-	}
-	if st.WarmStarts == 0 {
-		t.Fatal("expected some warm-started allocations across epochs")
 	}
 }
 

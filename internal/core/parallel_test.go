@@ -77,3 +77,38 @@ func TestParallelOptimalMemoryPruning(t *testing.T) {
 		t.Fatalf("pruned %d vs %d subtrees", parStats.BranchesPruned, seqStats.BranchesPruned)
 	}
 }
+
+// TestOptimalTieBreakIndependentOfWorkers gives the top-priority task two
+// paths of identical cost, so two first-layer subtrees hold equal-cost
+// optima: the left-most must win at every worker count, not whichever
+// subtree happens to finish first.
+func TestOptimalTieBreakIndependentOfWorkers(t *testing.T) {
+	in := testInstance(4, 3, 213)
+	twin := in.Tasks[0].Paths[0]
+	twinA, twinB := twin, twin
+	twinA.ID, twinB.ID = "twin-a", "twin-b"
+	in.Tasks[0].Paths = []PathSpec{twinA, twinB}
+
+	ctx := context.Background()
+	want, _, err := SolveOptimalParallelCtx(ctx, in, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Assignments[0].Path != &in.Tasks[0].Paths[0] {
+		t.Fatalf("one worker picked %v for the tied task, want the left-most twin", want.Assignments[0].Path)
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 50; rep++ {
+			got, _, err := SolveOptimalParallelCtx(ctx, in, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Assignments {
+				if got.Assignments[i].Path != want.Assignments[i].Path {
+					t.Fatalf("workers=%d rep %d: task %s on path %v, one worker chose %v",
+						workers, rep, in.Tasks[i].ID, got.Assignments[i].Path, want.Assignments[i].Path)
+				}
+			}
+		}
+	}
+}

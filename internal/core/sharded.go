@@ -3,11 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"offloadnn/internal/tensor"
 )
 
 // bandSpan is one contiguous priority band of the sharded solve: task
@@ -116,50 +112,16 @@ func solveShardedCtx(ctx context.Context, in *Instance, shards, workers int, cfg
 
 	sols := make([]*Solution, len(bands))
 	errs := make([]error, len(bands))
-	solveBand := func(s int) {
+	fanOut(len(bands), workers, func(s int) {
 		sols[s], errs[s] = SolveOffloaDNNConfiguredCtx(ctx, shardIns[s], cfg)
-	}
-	w := workers
-	if w <= 0 {
-		w = tensor.Parallelism()
-	}
-	if w > len(bands) {
-		w = len(bands)
-	}
-	if w <= 1 {
-		for s := range bands {
-			solveBand(s)
-		}
-	} else {
-		// Plain goroutines, not the tensor pool: a band solve is not a
-		// leaf (its own tree construction may fan out over the pool).
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= len(bands) {
-						return
-					}
-					solveBand(s)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: priority band %d/%d: %w", s, len(bands), err)
 		}
 	}
 
-	merged := make([]Assignment, len(in.Tasks))
-	for i := range merged {
-		merged[i] = Assignment{TaskID: in.Tasks[i].ID}
-	}
+	merged := make([]Assignment, len(in.Tasks)) // the bands cover every task
 	for s, b := range bands {
 		for j, ti := range order[b.lo:b.hi] {
 			merged[ti] = sols[s].Assignments[j]

@@ -128,21 +128,8 @@ func SolveSpec(ctx context.Context, in *Instance, spec SolverSpec) (*Solution, e
 	}
 	switch spec.Tier {
 	case TierOptimal:
-		var (
-			sol   *Solution
-			stats *OptimalStats
-			err   error
-		)
-		if spec.Workers == 1 {
-			sol, stats, err = SolveOptimalCtx(ctx, in)
-		} else {
-			sol, stats, err = SolveOptimalParallelCtx(ctx, in, spec.Workers)
-		}
-		if err != nil {
-			return nil, err
-		}
-		sol.Stats = stats
-		return sol, nil
+		sol, _, err := SolveOptimalParallelCtx(ctx, in, spec.Workers)
+		return sol, err
 	case TierApprox:
 		return solveApproxCtx(ctx, in, spec)
 	case TierAuto, TierHeuristic:

@@ -42,14 +42,14 @@ func TestEffectiveShards(t *testing.T) {
 	cases := []struct {
 		n, requested, want int
 	}{
-		{1, 0, 1},              // single task stays serial
-		{100, 1, 1},            // explicit serial
-		{100, 4, 4},            // explicit count
-		{3, 8, 3},              // clamped to task count
-		{100, 0, 1},            // below autoShardMin: auto stays serial
-		{autoShardMin, 0, 2},   // 256/128
-		{10000, 0, 79},         // ceil(10000/128)
-		{10000, 10001, 10000},  // clamp
+		{1, 0, 1},             // single task stays serial
+		{100, 1, 1},           // explicit serial
+		{100, 4, 4},           // explicit count
+		{3, 8, 3},             // clamped to task count
+		{100, 0, 1},           // below autoShardMin: auto stays serial
+		{autoShardMin, 0, 2},  // 256/128
+		{10000, 0, 79},        // ceil(10000/128)
+		{10000, 10001, 10000}, // clamp
 	}
 	for _, c := range cases {
 		if got := EffectiveShards(c.n, c.requested); got != c.want {

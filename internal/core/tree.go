@@ -225,6 +225,16 @@ func (s *branchState) pop() {
 	}
 }
 
+// unassigned returns one pathless assignment per task, parallel to
+// Instance.Tasks — every task rejected until a walk says otherwise.
+func (in *Instance) unassigned() []Assignment {
+	out := make([]Assignment, len(in.Tasks))
+	for i := range in.Tasks {
+		out[i] = Assignment{TaskID: in.Tasks[i].ID}
+	}
+	return out
+}
+
 // assignmentsFor converts chosen vertices (parallel to t.Layers) into an
 // assignment slice parallel to Instance.Tasks, with z and r left for the
 // allocator.
@@ -232,14 +242,41 @@ func (t *Tree) assignmentsFor(chosen []Vertex) ([]Assignment, error) {
 	if len(chosen) != len(t.Layers) {
 		return nil, fmt.Errorf("%w: %d chosen vertices for %d layers", ErrModel, len(chosen), len(t.Layers))
 	}
-	out := make([]Assignment, len(t.inst.Tasks))
-	for i := range t.inst.Tasks {
-		out[i] = Assignment{TaskID: t.inst.Tasks[i].ID}
-	}
+	out := t.inst.unassigned()
 	for li, v := range chosen {
 		ti := t.Layers[li].TaskIndex
 		out[ti].Path = v.Path
 		out[ti].Quality = v.Quality
+	}
+	return out, nil
+}
+
+// firstBranch is OffloaDNN's first-branch rule (Sec. IV-A), the only
+// such walk: layers lists the task index of each tree layer in traversal
+// order and cliqueOf yields a layer's vertices (reject vertex last); at
+// every layer the left-most vertex whose blocks fit the remaining memory
+// budget is taken. Cancellation is checked per layer. The assignments are
+// parallel to in.Tasks, with z and r left for the allocator.
+func firstBranch(ctx context.Context, in *Instance, layers []int, cliqueOf func(layer int) []Vertex) ([]Assignment, error) {
+	state := newBranchState(in)
+	out := in.unassigned()
+	for li, ti := range layers {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		picked := false
+		for _, v := range cliqueOf(li) {
+			if state.push(v) <= in.Res.MemoryGB+1e-12 {
+				out[ti].Path = v.Path
+				out[ti].Quality = v.Quality
+				picked = true
+				break
+			}
+			state.pop()
+		}
+		if !picked {
+			return nil, fmt.Errorf("%w: no vertex fits the memory budget", ErrNoFeasiblePath)
+		}
 	}
 	return out, nil
 }

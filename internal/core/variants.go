@@ -68,34 +68,18 @@ func SolveOffloaDNNConfiguredCtx(ctx context.Context, in *Instance, cfg Heuristi
 	}
 	reorderCliques(tree, cfg.Order)
 
-	state := newBranchState(in)
-	chosen := make([]Vertex, 0, len(tree.Layers))
-	for _, clique := range tree.Layers {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		picked := false
-		for _, v := range clique.Vertices {
-			mem := state.push(v)
-			if mem <= in.Res.MemoryGB+1e-12 {
-				chosen = append(chosen, v)
-				picked = true
-				break
-			}
-			state.pop()
-		}
-		if !picked {
-			return nil, fmt.Errorf("%w: no vertex fits the memory budget", ErrNoFeasiblePath)
-		}
+	layers := make([]int, len(tree.Layers))
+	for li := range tree.Layers {
+		layers[li] = tree.Layers[li].TaskIndex
 	}
-	assignments, err := tree.assignmentsFor(chosen)
+	assignments, err := firstBranch(ctx, in, layers, func(li int) []Vertex { return tree.Layers[li].Vertices })
 	if err != nil {
 		return nil, err
 	}
 	if cfg.BinaryAdmission {
 		err = in.optimizeBinaryAllocation(assignments)
 	} else {
-		err = in.optimizeAllocation(ctx, assignments, nil)
+		err = in.optimizeAllocation(ctx, assignments)
 	}
 	if err != nil {
 		return nil, err

@@ -148,6 +148,9 @@ type sliceGrant struct {
 type SliceAllocator struct {
 	total  int
 	grants map[string]sliceGrant
+	// used is the time-averaged RB usage Σ r·share over grants, kept as a
+	// running total so a grant costs O(1) whatever the pool holds.
+	used float64
 }
 
 // NewSliceAllocator creates an allocator over `total` RBs.
@@ -158,29 +161,20 @@ func NewSliceAllocator(total int) *SliceAllocator {
 // Total returns the RB pool size.
 func (s *SliceAllocator) Total() int { return s.total }
 
-// usedExact is the time-averaged RB usage Σ r·share.
-func (s *SliceAllocator) usedExact() float64 {
-	u := 0.0
-	for _, g := range s.grants {
-		u += float64(g.rbs) * g.share
-	}
-	return u
-}
-
 // Used returns the time-averaged RB usage, rounded to the nearest block.
-func (s *SliceAllocator) Used() int { return int(s.usedExact() + 0.5) }
+func (s *SliceAllocator) Used() int { return int(s.used + 0.5) }
 
 // UsedFraction returns the pool utilization Σ r·share / R.
 func (s *SliceAllocator) UsedFraction() float64 {
 	if s.total == 0 {
 		return 0
 	}
-	return s.usedExact() / float64(s.total)
+	return s.used / float64(s.total)
 }
 
 // Available returns the whole RBs still unallocated (time-averaged).
 func (s *SliceAllocator) Available() int {
-	a := float64(s.total) - s.usedExact()
+	a := float64(s.total) - s.used
 	if a < 0 {
 		return 0
 	}
@@ -210,21 +204,29 @@ func (s *SliceAllocator) AllocateShared(task string, rbs int, share float64) err
 		return fmt.Errorf("radio: share %v for %s outside [0,1]", share, task)
 	}
 	prev := s.grants[task]
-	newUsed := s.usedExact() - float64(prev.rbs)*prev.share + float64(rbs)*share
+	without := s.used - float64(prev.rbs)*prev.share
+	newUsed := without + float64(rbs)*share
 	if newUsed > float64(s.total)+1e-9 {
 		return fmt.Errorf("%w: want %.2f RBs (%d×%.2f) for %s, %.2f available",
 			ErrCapacity, float64(rbs)*share, rbs, share, task,
-			float64(s.total)-s.usedExact()+float64(prev.rbs)*prev.share)
+			float64(s.total)-without)
 	}
 	if rbs == 0 || share == 0 {
-		delete(s.grants, task)
+		s.Release(task)
 		return nil
 	}
+	s.used = newUsed
 	s.grants[task] = sliceGrant{rbs: rbs, share: share}
 	return nil
 }
 
-// Release frees the task's slice.
+// Release frees the task's slice. An emptied pool reads exactly zero:
+// the running total's rounding residue does not outlive the grants.
 func (s *SliceAllocator) Release(task string) {
+	prev := s.grants[task]
+	s.used -= float64(prev.rbs) * prev.share
 	delete(s.grants, task)
+	if len(s.grants) == 0 {
+		s.used = 0
+	}
 }

@@ -216,3 +216,53 @@ func TestSliceAllocatorTimeSharing(t *testing.T) {
 		t.Fatal("zero-share grant not removed")
 	}
 }
+
+// TestSliceAllocatorRunningTotal pins the O(1) usage total against a
+// re-sum over the public per-task view after every kind of mutation.
+func TestSliceAllocatorRunningTotal(t *testing.T) {
+	const total = 20
+	a := NewSliceAllocator(total)
+	tasks := []string{"t1", "t2", "t3"}
+	check := func(step string) {
+		t.Helper()
+		sum := 0.0
+		for _, id := range tasks {
+			sum += float64(a.Allocation(id)) * a.Share(id)
+		}
+		if got := a.UsedFraction(); math.Abs(got-sum/total) > 1e-9 {
+			t.Fatalf("%s: UsedFraction = %v, re-sum gives %v", step, got, sum/total)
+		}
+		if got, want := a.Available(), int(total-sum+1e-9); got != want {
+			t.Fatalf("%s: Available = %d, re-sum gives %d", step, got, want)
+		}
+	}
+	grant := func(step, id string, rbs int, share float64) {
+		t.Helper()
+		if err := a.AllocateShared(id, rbs, share); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		check(step)
+	}
+	grant("grant t1", "t1", 7, 0.3)
+	grant("grant t2", "t2", 9, 0.7)
+	grant("grant t3", "t3", 5, 1)
+	grant("re-grant t1 larger", "t1", 12, 0.6)
+	grant("re-grant t2 smaller", "t2", 3, 0.1)
+	if err := a.AllocateShared("t2", 20, 1); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("over-capacity err = %v, want ErrCapacity", err)
+	}
+	check("refused over-capacity grant")
+	if a.Allocation("t2") != 3 || a.Share("t2") != 0.1 {
+		t.Fatalf("refused grant replaced t2: %d×%v", a.Allocation("t2"), a.Share("t2"))
+	}
+	grant("zero-share removal of t3", "t3", 5, 0)
+	a.Release("t1")
+	check("release t1")
+	a.Release("unknown")
+	check("release of an absent task")
+	a.Release("t2")
+	check("release t2")
+	if a.UsedFraction() != 0 {
+		t.Fatalf("emptied pool reads %v, want exactly 0", a.UsedFraction())
+	}
+}

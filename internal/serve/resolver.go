@@ -102,9 +102,8 @@ func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
 // On the heuristic tier the resolver runs incrementally: it keeps a
 // core.SolverSession across epochs and feeds it the task delta between
 // the session's state and the registry snapshot, so only the cliques the
-// churn touched are rebuilt and allocations warm-start from the previous
-// epoch. Every other tier, and the heuristic while the circuit breaker is
-// open, is a full solve through core.SolveSpec.
+// churn touched are rebuilt. Every other tier, and the heuristic while
+// the circuit breaker is open, is a full solve through core.SolveSpec.
 //
 // The resolver is built to survive its solver. A panic inside the solve
 // step is recovered into a counted solve error; a hung solve is bounded

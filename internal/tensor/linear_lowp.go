@@ -11,7 +11,7 @@ import "fmt"
 // goroutine — serial, and therefore trivially deterministic.
 
 // checkLinearPrepared validates a prepared-weight linear call.
-func checkLinearPrepared(dst, x, bias *Tensor, out, in int) (n int, err error) {
+func checkLinearPrepared(x, bias *Tensor, out, in int) (n int, err error) {
 	if x.Rank() != 2 {
 		return 0, fmt.Errorf("%w: linear needs rank-2 x, got %v", ErrShape, x.shape)
 	}
@@ -22,32 +22,19 @@ func checkLinearPrepared(dst, x, bias *Tensor, out, in int) (n int, err error) {
 	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != out) {
 		return 0, fmt.Errorf("%w: linear bias shape %v, want [%d]", ErrShape, bias.shape, out)
 	}
-	if dst != nil && (dst.Rank() != 2 || dst.shape[0] != n || dst.shape[1] != out) {
-		return 0, fmt.Errorf("%w: linear dst %v, want [%d %d]", ErrShape, dst.shape, n, out)
-	}
 	return n, nil
 }
 
 // LinearF32 computes y = x·Wᵀ + b in float32 from a prepared weight; the
 // result is pool-backed like Linear.
 func LinearF32(x *Tensor, weight *LinearWeightsF32, bias *Tensor) (*Tensor, error) {
-	n, err := checkLinearPrepared(nil, x, bias, weight.out, weight.in)
+	n, err := checkLinearPrepared(x, bias, weight.out, weight.in)
 	if err != nil {
 		return nil, err
 	}
 	y := rentRaw(n, weight.out)
 	linearIntoF32(y.data, x, weight, bias, n)
 	return y, nil
-}
-
-// LinearIntoF32 is the destination-reuse variant of LinearF32.
-func LinearIntoF32(dst, x *Tensor, weight *LinearWeightsF32, bias *Tensor) error {
-	n, err := checkLinearPrepared(dst, x, bias, weight.out, weight.in)
-	if err != nil {
-		return err
-	}
-	linearIntoF32(dst.data, x, weight, bias, n)
-	return nil
 }
 
 func linearIntoF32(dst []float64, x *Tensor, weight *LinearWeightsF32, bias *Tensor, n int) {
@@ -76,23 +63,13 @@ func linearIntoF32(dst []float64, x *Tensor, weight *LinearWeightsF32, bias *Ten
 // accumulation. xScale semantics match Conv2DI8 (<= 0 derives a dynamic
 // per-row scale, keeping results independent of batch sharding).
 func LinearI8(x *Tensor, weight *LinearWeightsI8, bias *Tensor, xScale float64) (*Tensor, error) {
-	n, err := checkLinearPrepared(nil, x, bias, weight.out, weight.in)
+	n, err := checkLinearPrepared(x, bias, weight.out, weight.in)
 	if err != nil {
 		return nil, err
 	}
 	y := rentRaw(n, weight.out)
 	linearIntoI8(y.data, x, weight, bias, n, xScale)
 	return y, nil
-}
-
-// LinearIntoI8 is the destination-reuse variant of LinearI8.
-func LinearIntoI8(dst, x *Tensor, weight *LinearWeightsI8, bias *Tensor, xScale float64) error {
-	n, err := checkLinearPrepared(dst, x, bias, weight.out, weight.in)
-	if err != nil {
-		return err
-	}
-	linearIntoI8(dst.data, x, weight, bias, n, xScale)
-	return nil
 }
 
 func linearIntoI8(dst []float64, x *Tensor, weight *LinearWeightsI8, bias *Tensor, n int, xScale float64) {

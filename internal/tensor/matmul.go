@@ -148,23 +148,6 @@ func MatMulTransA(a, b *Tensor) (*Tensor, error) {
 	return out, nil
 }
 
-// MatMulTransAInto computes dst = Aᵀ·B into an existing m×n tensor.
-func MatMulTransAInto(dst, a, b *Tensor) error {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return fmt.Errorf("%w: matmulTransA needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		return fmt.Errorf("%w: matmulTransA inner dims %d != %d", ErrShape, k, k2)
-	}
-	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmulTransA dst %v, want [%d %d]", ErrShape, dst.shape, m, n)
-	}
-	gemmTransA(dst.data, a.data, b.data, k, m, n)
-	return nil
-}
-
 // gemmTransA computes dst (m×n) = Aᵀ·B for A k×m, B k×n. The serial
 // kernel keeps the seed's kk-outer order (one row of A and B per step,
 // streaming dst); the parallel variant shards dst rows, keeping the

@@ -360,15 +360,14 @@ func ChurnTimeline(p ChurnParams) ([]ChurnEvent, error) { return workload.ChurnT
 // Incremental solving types.
 type (
 	// SolverSession is an incremental solver for serving loops: it caches
-	// the weighted tree across epochs, consumes task deltas instead of
-	// whole instances, and warm-starts allocations from the previous
-	// epoch. Resolve produces the same solution Solve computes from
-	// scratch on the equivalent instance.
+	// the weighted tree across epochs and consumes task deltas instead of
+	// whole instances. Resolve produces the same solution Solve computes
+	// from scratch on the equivalent instance.
 	SolverSession = core.SolverSession
 	// TaskDelta is the churn between two epochs: task adds, removals,
 	// rate updates, and new blocks.
 	TaskDelta = core.TaskDelta
-	// SessionStats counts a session's cache hits/misses and warm starts.
+	// SessionStats counts a session's epochs and clique-cache hits/misses.
 	SessionStats = core.SessionStats
 )
 
