@@ -167,6 +167,53 @@ func BenchmarkSolveOffloaDNNLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveOffloaDNNScale512 times the unsharded exact heuristic on
+// the 512-task scale scenario — the solve `solve-scale` reports as
+// op_p50_ms, cubic while the z-step was a dense LP.
+func BenchmarkSolveOffloaDNNScale512(b *testing.B) {
+	in, err := workload.ScaleScenario(512)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SolveOffloaDNN(in); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeAllocation times the (z, r) alternation alone on the
+// first branch of a scale scenario. B/op is the check that nothing in
+// the z-step is O(T²): at 10k tasks the LP's box rows alone were 800 MB.
+func BenchmarkOptimizeAllocation(b *testing.B) {
+	for _, size := range []struct {
+		name  string
+		tasks int
+	}{{"512", 512}, {"10k", 10000}} {
+		b.Run(size.name, func(b *testing.B) {
+			in, err := workload.ScaleScenario(size.tasks)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sol, err := core.SolveSpec(context.Background(), in, core.SolverSpec{Tier: core.TierHeuristic, Shards: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			branch := make([]core.Assignment, len(sol.Assignments))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(branch, sol.Assignments)
+				if err := in.OptimizeAllocation(branch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkSolveSEMORANLarge times the baseline on the same instance.
 func BenchmarkSolveSEMORANLarge(b *testing.B) {
 	in, err := workload.LargeScenario(workload.LoadHigh)

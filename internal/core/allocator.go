@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-
-	"offloadnn/internal/lp"
 )
 
 // allocMaxIters bounds the r/z alternation of the per-branch allocator.
@@ -22,6 +20,20 @@ type allocState struct {
 	z     float64 // current admission
 }
 
+// ceilRB rounds an RB demand up to whole blocks. The 1e-12 forgives a
+// demand that is integral up to float noise (λ = 0.1·3, β = 1e6, B = 1e5
+// is 3.0000000000000004 RBs, not 4).
+func ceilRB(x float64) int { return int(math.Ceil(x - 1e-12)) }
+
+// minSlices is the minimal-RB rule of constraints (1g) and (1e) for one
+// (path × quality) decision, the only place it is written: rLat is the
+// smallest slice (at least one RB) that moves bits over a bRate-per-RB
+// link inside the latency slack left after processing, rFull the
+// smallest that carries the whole request rate.
+func minSlices(bits, bRate, slack, rate float64) (rLat, rFull int) {
+	return max(1, ceilRB(bits/(bRate*slack))), ceilRB(rate * bits / bRate)
+}
+
 // OptimizeAllocation solves the per-branch convex problem of Sec. IV-B:
 // with the paths fixed (xd, yπ given), choose the admission ratios z and
 // RB allocations r minimizing the DOT objective under constraints
@@ -31,9 +43,10 @@ type allocState struct {
 // The method alternates two exact steps and keeps the best feasible pair:
 // given z, the optimal r is the smallest integer satisfying the rate (1e)
 // and latency (1g) constraints (the objective strictly increases in r);
-// given r, the problem is a linear program in z solved by simplex. Every
-// iterate is feasible, so the best-of-iterates is feasible; the loop stops
-// when r reaches a fixed point or after allocMaxIters rounds.
+// given r, the problem is a linear program in z with two coupling rows,
+// solved by solveZStep. Every iterate is feasible, so the
+// best-of-iterates is feasible; the loop stops when r reaches a fixed
+// point or after allocMaxIters rounds.
 //
 // Assignments must carry the chosen Path per task (nil = rejected); Z and
 // RBs are filled in place.
@@ -41,11 +54,13 @@ func (in *Instance) OptimizeAllocation(assignments []Assignment) error {
 	return in.optimizeAllocation(context.Background(), assignments)
 }
 
-// optimizeAllocation is OptimizeAllocation with cancellation checked
-// between alternation rounds. The alternation starts from the analytic
-// point r = max(rLat, ceil(λβ/B)), z = 1.
-func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assignment) error {
-	var active []*allocState
+// allocStates zeroes every assignment's Z and RBs and returns the working
+// state of the tasks that can be admitted at all — a path, link capacity,
+// latency slack after processing, and a latency slice within the pool —
+// at the alternation's analytic starting point r = max(rLat, ceil(λβ/B)),
+// z = 1.
+func (in *Instance) allocStates(assignments []Assignment) []allocState {
+	var active []allocState
 	for i := range assignments {
 		a := &assignments[i]
 		a.Z = 0
@@ -54,7 +69,7 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 			continue
 		}
 		task := &in.Tasks[i]
-		st := &allocState{idx: i, bits: a.Bits(task), cPath: in.PathCompute(a.Path)}
+		st := allocState{idx: i, bits: a.Bits(task), cPath: in.PathCompute(a.Path), z: 1}
 		st.bRate = in.Res.Capacity.BitsPerRBPerSecond(task.SNRdB)
 		if st.bRate <= 0 {
 			continue // no link capacity: task cannot be admitted
@@ -63,21 +78,21 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 		if slack <= 0 {
 			continue // processing alone exceeds the latency bound
 		}
-		st.rLat = int(math.Ceil(a.Bits(task)/(st.bRate*slack) - 1e-12))
-		if st.rLat < 1 {
-			st.rLat = 1
-		}
+		var rFull int
+		st.rLat, rFull = minSlices(st.bits, st.bRate, slack, task.Rate)
 		if st.rLat > in.Res.RBs {
 			continue // even the full pool cannot meet the latency bound
 		}
-		rFull := int(math.Ceil(task.Rate*a.Bits(task)/st.bRate - 1e-12))
-		st.r = st.rLat
-		if rFull > st.r {
-			st.r = rFull
-		}
-		st.z = 1
+		st.r = max(st.rLat, rFull)
 		active = append(active, st)
 	}
+	return active
+}
+
+// optimizeAllocation is OptimizeAllocation with cancellation checked
+// between alternation rounds and on every pass of the z-step.
+func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assignment) error {
+	active := in.allocStates(assignments)
 	if len(active) == 0 {
 		return nil
 	}
@@ -85,9 +100,12 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 	bestCost := math.Inf(1)
 	bestZ := make([]float64, len(active))
 	bestR := make([]int, len(active))
+	cols := make([]zColumn, len(active))
+	z := make([]float64, len(active))
 
 	evalCurrent := func() error {
-		for _, st := range active {
+		for i := range active {
+			st := &active[i]
 			assignments[st.idx].Z = st.z
 			assignments[st.idx].RBs = st.r
 		}
@@ -97,9 +115,9 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 		}
 		if c := bd.CostValue(); c < bestCost {
 			bestCost = c
-			for i, st := range active {
-				bestZ[i] = st.z
-				bestR[i] = st.r
+			for i := range active {
+				bestZ[i] = active[i].z
+				bestR[i] = active[i].r
 			}
 		}
 		return nil
@@ -109,25 +127,13 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		if err := in.solveZLP(ctx, active); err != nil {
-			return fmt.Errorf("core: allocator LP: %w", err)
+		if err := in.zStep(ctx, active, cols, z); err != nil {
+			return err
 		}
 		if err := evalCurrent(); err != nil {
 			return err
 		}
-		changed := false
-		for _, st := range active {
-			task := &in.Tasks[st.idx]
-			r := st.rLat
-			if need := int(math.Ceil(st.z*task.Rate*st.bits/st.bRate - 1e-12)); need > r {
-				r = need
-			}
-			if r != st.r {
-				st.r = r
-				changed = true
-			}
-		}
-		if !changed {
+		if !in.updateSlices(active) {
 			break
 		}
 	}
@@ -135,80 +141,78 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 	if math.IsInf(bestCost, 1) {
 		return fmt.Errorf("%w: allocator found no feasible allocation", ErrInfeasible)
 	}
-	for i, st := range active {
-		z := bestZ[i]
-		switch {
+	for i := range active {
+		a := &assignments[active[i].idx]
+		switch z := bestZ[i]; {
 		case z < zEps:
-			assignments[st.idx].Z = 0
-			assignments[st.idx].RBs = 0
+			a.Z = 0
+			a.RBs = 0
 		case z > 1-1e-9:
-			assignments[st.idx].Z = 1
-			assignments[st.idx].RBs = bestR[i]
+			a.Z = 1
+			a.RBs = bestR[i]
 		default:
-			assignments[st.idx].Z = z
-			assignments[st.idx].RBs = bestR[i]
+			a.Z = z
+			a.RBs = bestR[i]
 		}
 	}
 	return nil
 }
 
-// solveZLP solves the z-subproblem with RBs fixed:
-//
-//	min Σ k_i z_i,  k_i = (1−α)λ_i(r_i/R + c_i/C) − α p_i
-//	s.t. Σ z λ c ≤ C, Σ z r ≤ R, 0 ≤ z_i ≤ min(1, B r_i/(λ_i β_i)).
-//
-// It writes the solution into the states' z fields. The context bounds
-// the simplex run itself — at thousands of active tasks one LP call can
-// outlast any deadline by orders of magnitude, so cancellation between
-// alternation rounds alone would come far too late.
-func (in *Instance) solveZLP(ctx context.Context, active []*allocState) error {
-	n := len(active)
-	p := lp.Problem{C: make([]float64, n)}
-	computeRow := make([]float64, n)
-	rbRow := make([]float64, n)
-	for i, st := range active {
+// updateSlices is the r-step: with z fixed every task takes the smallest
+// slice that still carries z·λ and meets its latency bound. It reports
+// whether any slice changed.
+func (in *Instance) updateSlices(active []allocState) bool {
+	changed := false
+	for i := range active {
+		st := &active[i]
+		r := max(st.rLat, ceilRB(st.z*in.Tasks[st.idx].Rate*st.bits/st.bRate))
+		if r != st.r {
+			st.r = r
+			changed = true
+		}
+	}
+	return changed
+}
+
+// zColumns writes the z-step columns for the states' current slices into
+// cols (parallel to active). Prices come from the (possibly fleet-wide)
+// normalizers, the row coefficients are against the pool's own budgets.
+func (in *Instance) zColumns(active []allocState, cols []zColumn) {
+	rNorm, cNorm := float64(in.Res.PriceRBs()), in.Res.PriceComputeSeconds()
+	for i := range active {
+		st := &active[i]
 		task := &in.Tasks[st.idx]
-		// Prices come from the (possibly fleet-wide) normalizers, the
-		// capacity rows below from the pool's own budgets.
-		k := -in.Alpha * task.Priority
-		if rNorm := in.Res.PriceRBs(); rNorm > 0 {
-			k += (1 - in.Alpha) * float64(st.r) / float64(rNorm)
+		col := zColumn{
+			v: in.Alpha * task.Priority,
+			a: task.Rate * st.cPath,
+			b: float64(st.r),
+			u: math.Min(1, st.bRate*float64(st.r)/(task.Rate*st.bits)),
 		}
-		if cNorm := in.Res.PriceComputeSeconds(); cNorm > 0 {
-			k += (1 - in.Alpha) * task.Rate * st.cPath / cNorm
+		if rNorm > 0 {
+			col.v -= (1 - in.Alpha) * col.b / rNorm
 		}
-		p.C[i] = k
-		computeRow[i] = task.Rate * st.cPath
-		rbRow[i] = float64(st.r)
+		if cNorm > 0 {
+			col.v -= (1 - in.Alpha) * col.a / cNorm
+		}
+		cols[i] = col
 	}
-	p.A = append(p.A, computeRow)
-	p.B = append(p.B, in.Res.ComputeSeconds)
-	p.A = append(p.A, rbRow)
-	p.B = append(p.B, float64(in.Res.RBs))
-	for i, st := range active {
-		task := &in.Tasks[st.idx]
-		ub := 1.0
-		if lim := st.bRate * float64(st.r) / (task.Rate * st.bits); lim < ub {
-			ub = lim
-		}
-		row := make([]float64, n)
-		row[i] = 1
-		p.A = append(p.A, row)
-		p.B = append(p.B, ub)
+}
+
+// zStep solves the z-subproblem with the slices fixed,
+//
+//	max Σ vᵢzᵢ,  vᵢ = α pᵢ − (1−α)(rᵢ/R̂ + λᵢcᵢ/Ĉ)
+//	s.t. Σ z λ c ≤ C, Σ z r ≤ R, 0 ≤ zᵢ ≤ min(1, B rᵢ/(λᵢ βᵢ)),
+//
+// and writes the solution into the states' z fields; cols and z are
+// scratch parallel to active. The context is checked on every pricing
+// pass of the solve, not only between alternation rounds.
+func (in *Instance) zStep(ctx context.Context, active []allocState, cols []zColumn, z []float64) error {
+	in.zColumns(active, cols)
+	if err := solveZStep(ctx, cols, in.Res.ComputeSeconds, float64(in.Res.RBs), z); err != nil {
+		return fmt.Errorf("core: allocator z-step: %w", err)
 	}
-	sol, err := lp.SolveCtx(ctx, p)
-	if err != nil {
-		return err
-	}
-	for i, st := range active {
-		z := sol.X[i]
-		if z < 0 {
-			z = 0
-		}
-		if z > 1 {
-			z = 1
-		}
-		st.z = z
+	for i := range active {
+		active[i].z = z[i]
 	}
 	return nil
 }

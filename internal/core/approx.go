@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"offloadnn/internal/tensor"
@@ -14,15 +13,15 @@ import (
 const approxShortlistK = 6
 
 // approxCand is one shortlisted decision with its precomputed minimal
-// latency-feasible slice.
+// slice: enough RBs for the latency bound and the full request rate.
 type approxCand struct {
-	v    Vertex
-	rLat int
+	v Vertex
+	r int
 }
 
 // solveApproxCtx is the approximate admission tier: score-based path
 // ranking followed by greedy budget packing. It replaces the per-branch
-// (z, r) LP alternation with two linear passes —
+// (z, r) alternation with two linear passes —
 //
 //  1. Shortlist (parallel over tasks on the tensor pool): each task's
 //     feasible (path × quality) decisions are ranked by the same
@@ -34,18 +33,17 @@ type approxCand struct {
 //  2. Packing (sequential, descending priority): each task takes its
 //     best-ranked shortlisted decision that fits the remaining memory
 //     and admits a positive ratio, with z clamped by the same
-//     constraints the exact allocator's LP rows encode: z ≤ remC/(λc),
+//     constraints the exact allocator's z-step encodes: z ≤ remC/(λc),
 //     z ≤ B·r/(λβ) and z·r ≤ remRB. A decision is rejected when its
 //     marginal objective change is non-negative —
 //     (1−α)·(z·r/R + z·λc/C + Δct/Ct) − α·p·z ≥ 0, where Δct counts
 //     only blocks not already activated by higher-priority tasks — the
-//     greedy, sharing-aware mirror of the LP pricing a z_i out of the
+//     greedy, sharing-aware mirror of the z-step pricing a z_i out of the
 //     basis.
 //
 // Every admitted assignment satisfies (1b)–(1g) by construction, so the
 // result always passes Instance.Check. Complexity is O(T·paths) — no
-// LP, no alternation — which is why this tier holds an epoch deadline
-// at task counts where even the sharded heuristic cannot.
+// z-step, no alternation.
 func solveApproxCtx(ctx context.Context, in *Instance, spec SolverSpec) (*Solution, error) {
 	start := time.Now()
 	if err := in.Validate(); err != nil {
@@ -81,14 +79,11 @@ func solveApproxCtx(ctx context.Context, in *Instance, spec SolverSpec) (*Soluti
 				if slack <= 0 {
 					continue
 				}
-				rLat := int(math.Ceil(v.Bits/(bRate*slack) - 1e-12))
-				if rLat < 1 {
-					rLat = 1
-				}
+				rLat, rFull := minSlices(v.Bits, bRate, slack, task.Rate)
 				if rLat > in.Res.RBs {
 					continue
 				}
-				list = append(list, approxCand{v: v, rLat: rLat})
+				list = append(list, approxCand{v: v, r: max(rLat, rFull)})
 				if len(list) == approxShortlistK {
 					break
 				}
@@ -129,10 +124,7 @@ func solveApproxCtx(ctx context.Context, in *Instance, spec SolverSpec) (*Soluti
 			if state.memoryGB+addMem > in.Res.MemoryGB+1e-12 {
 				continue
 			}
-			r := c.rLat
-			if rFull := int(math.Ceil(task.Rate*c.v.Bits/bRate - 1e-12)); rFull > r {
-				r = rFull
-			}
+			r := c.r
 			z := 1.0
 			if demand := task.Rate * c.v.Compute; demand > 0 && remC < demand {
 				z = remC / demand

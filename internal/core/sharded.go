@@ -69,9 +69,12 @@ func shardResources(res Resources, shards int) []Resources {
 // each band becomes an independent DOT instance over its slice of the
 // resource pool (shardResources), and the bands are solved concurrently.
 // The per-band solve is the unmodified first-branch heuristic — same
-// tree construction, same per-branch (z, r) allocator — so the whole
-// win is asymptotic: the allocator's LP is ~cubic in the instance size,
-// and S bands of n/S tasks cost ~n·(n/S)² instead of n³.
+// tree construction, same per-branch (z, r) allocator. The win was
+// asymptotic while the allocator's z-step was a dense LP, ~cubic in the
+// instance size; with the two-row z-step a serial 10k-task solve takes
+// as long as 79 bands and admits more (see shardBandTasks), so what the
+// bands still buy is only the fan-out over workers. Keeping them is an
+// open ROADMAP decision.
 //
 // The merged solution is feasible on the full instance by construction:
 // band budgets sum to the pool (memory conservatively — a block shared

@@ -23,8 +23,8 @@ const (
 	TierOptimal
 	// TierApprox is the approximate admission tier: score-based path
 	// ranking with greedy budget packing. One shortlist scoring pass and
-	// one greedy pass — no per-branch LP — so it holds the epoch deadline
-	// at task counts where even the sharded heuristic cannot.
+	// one greedy pass, no (z, r) alternation. At 10k tasks it and the
+	// exact heuristic now take about as long (see shardBandTasks).
 	TierApprox
 )
 
@@ -84,13 +84,16 @@ type SolverSpec struct {
 
 const (
 	// shardBandTasks is the target priority-band width of an
-	// automatically sharded solve. The per-branch allocator's LP is
-	// cubic in the band size, so O(n/S) bands of S tasks cost
-	// ~n·S² instead of n³ — the entire asymptotic win of sharding.
+	// automatically sharded solve. Bands were sized when the allocator's
+	// z-step was a dense LP, cubic in the band size, so n/S bands of S
+	// tasks cost ~n·S² instead of n³. The z-step is a two-row simplex
+	// now and bands no longer buy time: on ScaleScenario(10000) the
+	// serial solve takes 0.25 s for Σz·p 5932.6 at cost 36.4, 79 bands
+	// 0.12–0.28 s for 5818.4 at 93.6 (TestSerialExact10k). Whether to
+	// keep them is an open ROADMAP decision; nothing here changed.
 	shardBandTasks = 128
 	// autoShardMin is the task count at which TierAuto starts sharding
-	// the heuristic. Below it the serial solve is fast enough that
-	// partitioning the budgets would cost admission quality for nothing.
+	// the heuristic — chosen, like the band width, against the cubic LP.
 	autoShardMin = 256
 )
 

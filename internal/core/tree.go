@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
-
-	"offloadnn/internal/tensor"
 )
 
 // Vertex is one decision for a task: a feasible DNN path, or the implicit
@@ -62,37 +62,17 @@ func BuildTree(in *Instance) (*Tree, error) {
 	return buildTreeCtx(context.Background(), in)
 }
 
-// parallelTreeMin is the task count at which clique construction fans
-// out over the tensor worker pool. Below it the per-task work does not
-// amortize the pool handoff.
-const parallelTreeMin = 256
-
 // buildTreeCtx is BuildTree with cancellation checked between layers.
-// At parallelTreeMin tasks and beyond the per-task cliques are built
-// concurrently on the tensor worker pool: each layer's vertices depend
-// only on that task's fields and the shared (read-only) block catalog,
-// and every goroutine writes a distinct layer slot, so the result is
-// identical to the serial build at any pool size.
+// The layers are built on the calling goroutine, deliberately: a clique
+// is ≈ 2.5 µs of map lookups, so fanning them out over the tensor pool
+// saves at most half of 1.3 ms at 512 tasks — when a second core happens
+// to be free — and measured 2 ms of 49 at 10 000, while making a solve
+// that is mostly tree build read 2.3 or 3.2 ms from one run to the next.
 func buildTreeCtx(ctx context.Context, in *Instance) (*Tree, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	order := priorityOrder(in)
-	if len(order) >= parallelTreeMin {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		layers := make([]Clique, len(order))
-		tensor.ParallelFor(len(order), 16, 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				layers[i] = Clique{TaskIndex: order[i], Vertices: buildCliqueVertices(in, order[i])}
-			}
-		})
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		return &Tree{inst: in, Layers: layers}, nil
-	}
 	t := &Tree{inst: in, Layers: make([]Clique, 0, len(order))}
 	for _, ti := range order {
 		if err := ctxErr(ctx); err != nil {
@@ -116,57 +96,89 @@ func priorityOrder(in *Instance) []int {
 	return order
 }
 
+// pathKey is a feasible path's part of the clique ordering: the three
+// sort keys every vertex of the path shares, and the path's index.
+type pathKey struct {
+	compute, train, memory float64
+	index                  int
+}
+
+// comparePathKeys orders two paths by ascending inference compute time,
+// then training cost, then memory.
+func comparePathKeys(a, b pathKey) int {
+	if c := cmp.Compare(a.compute, b.compute); c != 0 {
+		return c // the common case: skip the tie-break keys
+	}
+	return cmp.Or(cmp.Compare(a.train, b.train), cmp.Compare(a.memory, b.memory))
+}
+
 // buildCliqueVertices constructs the sibling group of one task: every
 // feasible (path × quality) combination sorted by the clique ordering,
 // with the reject vertex last. The result depends only on the task's own
 // fields and the specs of the blocks its paths reference — the property
 // the incremental solver's clique cache relies on for invalidation.
+//
+// Primary order is ascending inference compute time (the paper's clique
+// ordering); compute ties — frequent among pruned variants and quality
+// twins — break toward lower training cost, then lower memory, then
+// fewer input bits, so the first-branch rule does not pick a gratuitously
+// expensive twin; full ties keep (path, quality) order. Three of the four
+// keys belong to the path, so it is the paths' 32-byte pointer-free keys
+// that are sorted, and the vertices are written once, in their final
+// place: only a run of paths equal in all three keys has its vertices
+// sorted, by bits alone. That is the order a stable four-key sort of the
+// vertices gives, without moving 64-byte pointer-carrying values through
+// the garbage collector's write barrier.
 func buildCliqueVertices(in *Instance, ti int) []Vertex {
 	task := &in.Tasks[ti]
 	qualities := task.QualityOptions()
-	var vertices []Vertex
+	var buf [16]pathKey
+	paths := buf[:0]
 	for pi := range task.Paths {
-		p := &task.Paths[pi]
-		c := in.PathCompute(p)
+		// One Blocks and one Predeployed lookup per block for all three
+		// sums; the per-quantity accessors would make five.
+		var c, train, mem float64
+		for _, id := range task.Paths[pi].Blocks {
+			b := in.Blocks[id]
+			c += b.ComputeSeconds
+			if !in.Predeployed[id] {
+				train += b.TrainSeconds
+				mem += b.MemoryGB
+			}
+		}
 		if time.Duration(c*float64(time.Second)) > task.MaxLatency {
 			continue
 		}
-		var train, mem float64
-		for _, id := range p.Blocks {
-			train += in.BlockTrainSeconds(id)
-			mem += in.BlockMemoryGB(id)
-		}
-		for qi := range qualities {
-			q := qualities[qi]
-			if p.Accuracy-q.AccuracyDelta < task.MinAccuracy {
-				continue
-			}
-			v := Vertex{Path: p, Compute: c, Train: train, Memory: mem, Bits: q.Bits}
-			if qi > 0 { // level 0 is the implicit full quality
-				quality := q
-				v.Quality = &quality
-			}
-			vertices = append(vertices, v)
-		}
+		paths = append(paths, pathKey{compute: c, train: train, memory: mem, index: pi})
 	}
-	// Primary order is ascending inference compute time (the paper's
-	// clique ordering); compute ties — frequent among pruned variants
-	// and quality twins — break toward lower training cost, then lower
-	// memory, then fewer input bits, so the first-branch rule does not
-	// pick a gratuitously expensive twin.
-	sort.SliceStable(vertices, func(a, b int) bool {
-		va, vb := vertices[a], vertices[b]
-		if va.Compute != vb.Compute {
-			return va.Compute < vb.Compute
+	slices.SortStableFunc(paths, comparePathKeys)
+	vertices := make([]Vertex, 0, len(paths)*len(qualities)+1) // +1: the reject vertex
+	for lo := 0; lo < len(paths); {
+		hi := lo + 1
+		for hi < len(paths) && comparePathKeys(paths[lo], paths[hi]) == 0 {
+			hi++
 		}
-		if va.Train != vb.Train {
-			return va.Train < vb.Train
+		run := len(vertices)
+		for _, k := range paths[lo:hi] {
+			p := &task.Paths[k.index]
+			for qi := range qualities {
+				q := qualities[qi]
+				if p.Accuracy-q.AccuracyDelta < task.MinAccuracy {
+					continue
+				}
+				v := Vertex{Path: p, Compute: k.compute, Train: k.train, Memory: k.memory, Bits: q.Bits}
+				if qi > 0 { // level 0 is the implicit full quality
+					quality := q
+					v.Quality = &quality
+				}
+				vertices = append(vertices, v)
+			}
 		}
-		if va.Memory != vb.Memory {
-			return va.Memory < vb.Memory
+		if len(vertices)-run > 1 {
+			slices.SortStableFunc(vertices[run:], func(va, vb Vertex) int { return cmp.Compare(va.Bits, vb.Bits) })
 		}
-		return va.Bits < vb.Bits
-	})
+		lo = hi
+	}
 	return append(vertices, Vertex{}) // reject vertex
 }
 
@@ -249,6 +261,15 @@ func (t *Tree) assignmentsFor(chosen []Vertex) ([]Assignment, error) {
 		out[ti].Quality = v.Quality
 	}
 	return out, nil
+}
+
+// firstBranch walks the tree's own layers by the first-branch rule.
+func (t *Tree) firstBranch(ctx context.Context) ([]Assignment, error) {
+	layers := make([]int, len(t.Layers))
+	for li := range t.Layers {
+		layers[li] = t.Layers[li].TaskIndex
+	}
+	return firstBranch(ctx, t.inst, layers, func(li int) []Vertex { return t.Layers[li].Vertices })
 }
 
 // firstBranch is OffloaDNN's first-branch rule (Sec. IV-A), the only

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 )
@@ -68,11 +67,7 @@ func SolveOffloaDNNConfiguredCtx(ctx context.Context, in *Instance, cfg Heuristi
 	}
 	reorderCliques(tree, cfg.Order)
 
-	layers := make([]int, len(tree.Layers))
-	for li := range tree.Layers {
-		layers[li] = tree.Layers[li].TaskIndex
-	}
-	assignments, err := firstBranch(ctx, in, layers, func(li int) []Vertex { return tree.Layers[li].Vertices })
+	assignments, err := tree.firstBranch(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -169,14 +164,8 @@ func (in *Instance) optimizeBinaryAllocation(assignments []Assignment) error {
 		if slack <= 0 {
 			continue
 		}
-		bits := a.Bits(task)
-		r := int(math.Ceil(bits / (b * slack)))
-		if need := int(math.Ceil(task.Rate * bits / b)); need > r {
-			r = need
-		}
-		if r < 1 {
-			r = 1
-		}
+		rLat, rFull := minSlices(a.Bits(task), b, slack, task.Rate)
+		r := max(rLat, rFull)
 		demand := task.Rate * cPath
 		if r > remainingRBs || demand > remainingCompute {
 			continue

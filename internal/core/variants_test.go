@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"offloadnn/internal/radio"
 )
 
 // qualityInstance is testInstance plus a two-level quality ladder on
@@ -249,5 +251,34 @@ func TestVariantsRuntimeComparable(t *testing.T) {
 	}
 	if sol.Runtime <= 0 || sol.Runtime > time.Second {
 		t.Fatalf("variant runtime %v implausible", sol.Runtime)
+	}
+}
+
+// TestBinaryAndFractionalAgreeOnIntegralDemand pins the one slice
+// formula (minSlices): a rate demand that is integral up to float noise
+// — λβ/B = (0.1·3)·1e6/1e5 = 3.0000000000000004 — costs 3 RBs under both
+// admission modes, so the binary ablation admits the task in a 3-RB pool
+// exactly as the fractional allocator does. A bare ceil made it 4 and
+// rejected the task.
+func TestBinaryAndFractionalAgreeOnIntegralDemand(t *testing.T) {
+	in := tinyAllocInstance(3, 1)
+	in.Alpha = 0.9 // the slice is the whole pool: keep admission worth its price
+	in.Res.Capacity = radio.FixedRate{Rate: 1e5}
+	in.Tasks = in.Tasks[:1]
+	tenth := 0.1 // a variable: the constant 0.1*3 would fold to an exact 0.3
+	in.Tasks[0].Rate = tenth * 3
+	in.Tasks[0].InputBits = 1e6
+	in.Tasks[0].MaxLatency = 10 * time.Second
+	for _, binary := range []bool{false, true} {
+		sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{BinaryAdmission: binary})
+		if err != nil {
+			t.Fatalf("binary=%v: %v", binary, err)
+		}
+		if a := sol.Assignments[0]; a.Z != 1 || a.RBs != 3 {
+			t.Errorf("binary=%v: admitted z=%v on %d RBs, want z=1 on 3", binary, a.Z, a.RBs)
+		}
+		if err := in.Check(sol.Assignments); err != nil {
+			t.Errorf("binary=%v: %v", binary, err)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package lp implements a dense two-phase primal simplex solver for small
-// linear programs. OffloaDNN uses it to solve the per-branch convex
-// allocation problem in the admission ratios z and (relaxed) resource
-// blocks r once the tree traversal has fixed the DNN paths, and the tests
-// use it to cross-check the specialized allocator.
+// linear programs. It is the test oracle for core's z-step: the
+// allocator's per-branch problem in the admission ratios z is solved by
+// a two-row bounded-variable simplex in internal/core, and the tests
+// state the same problem here — one explicit row per variable bound —
+// to hold that solver to this one's objective. Only _test.go files
+// import the package.
 //
 // Problems are stated in inequality form:
 //
@@ -70,14 +72,15 @@ func Solve(p Problem) (*Solution, error) {
 // the context on every pivot instead of every 64th: a pivot touches
 // O(rows × cols) tableau entries, so on large problems one pivot alone
 // can take a noticeable fraction of a second and the per-iteration
-// check is what keeps the cancellation lag to roughly one pivot.
+// check is what keeps the cancellation lag to roughly one pivot. It
+// dates from when the allocator handed this solver one row per task; as
+// an oracle it sees at most the 512-task differential test.
 const ctxCheckRows = 256
 
 // SolveCtx is Solve with cancellation checked every few pivots. Large
 // problems (thousands of variables) can spend minutes inside a single
-// simplex run, far longer than the gaps between the allocator's own
-// context checks — this is what lets a solve deadline actually bound
-// the exact tiers at scale.
+// simplex run, so a caller with a deadline needs the check inside the
+// run, not around it.
 func SolveCtx(ctx context.Context, p Problem) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

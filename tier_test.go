@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	offloadnn "offloadnn"
+	"offloadnn/internal/serve"
 )
 
 // paperLoads are the instances the approximate tier's regret bound is
@@ -97,5 +98,54 @@ func TestShardedWorkerEquivalence10k(t *testing.T) {
 	sameSolution(t, "10k", serial, parallel)
 	if err := offloadnn.Check(in, parallel.Assignments); err != nil {
 		t.Fatalf("10k sharded solution infeasible: %v", err)
+	}
+}
+
+// TestSerialExact10k records the fact a tier deletion would rest on:
+// with the allocator's z-step no longer a dense LP, one unsharded exact
+// heuristic solve of the 10k-task scale scenario finishes inside the
+// default epoch deadline, is feasible, and admits at least as much
+// weighted priority as both mechanisms that exist to avoid it — the
+// approximate tier and the auto-sharded heuristic.
+func TestSerialExact10k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-task solves")
+	}
+	ctx := context.Background()
+	in, err := offloadnn.ScaleScenario(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierHeuristic), offloadnn.WithShards(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := serve.DefaultSolveTimeout
+	if raceDetectorEnabled {
+		bound *= 5
+	}
+	if serial.Runtime >= bound {
+		t.Errorf("serial exact 10k solve took %v, epoch deadline %v", serial.Runtime, bound)
+	}
+	if serial.Shards > 1 {
+		t.Fatalf("WithShards(1) solved on %d bands", serial.Shards)
+	}
+	if err := offloadnn.Check(in, serial.Assignments); err != nil {
+		t.Fatalf("serial exact 10k solution infeasible: %v", err)
+	}
+	got := serial.Breakdown.WeightedAdmission
+	for name, opts := range map[string][]offloadnn.SolveOption{
+		"approx":  {offloadnn.WithTier(offloadnn.TierApprox)},
+		"sharded": {offloadnn.WithTier(offloadnn.TierHeuristic)},
+	} {
+		other, err := offloadnn.Solve(ctx, in, opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		t.Logf("serial %v Σz·p %.2f cost %.2f | %s %v Σz·p %.2f cost %.2f (%d bands)", serial.Runtime, got, serial.Cost,
+			name, other.Runtime, other.Breakdown.WeightedAdmission, other.Cost, other.Shards)
+		if got < other.Breakdown.WeightedAdmission {
+			t.Errorf("serial exact Σz·p %.4f below %s tier's %.4f", got, name, other.Breakdown.WeightedAdmission)
+		}
 	}
 }
