@@ -167,7 +167,7 @@ func BenchmarkSolveOffloaDNNLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveOffloaDNNScale512 times the unsharded exact heuristic on
+// BenchmarkSolveOffloaDNNScale512 times the exact heuristic on
 // the 512-task scale scenario — the solve `solve-scale` reports as
 // op_p50_ms, cubic while the z-step was a dense LP.
 func BenchmarkSolveOffloaDNNScale512(b *testing.B) {
@@ -197,7 +197,7 @@ func BenchmarkOptimizeAllocation(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sol, err := core.SolveSpec(context.Background(), in, core.SolverSpec{Tier: core.TierHeuristic, Shards: 1})
+			sol, err := core.SolveSpec(context.Background(), in, core.SolverSpec{Tier: core.TierHeuristic})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -60,7 +60,6 @@ func main() {
 func run() int {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	alpha := flag.Float64("alpha", 0.5, "admission/resource trade-off α for per-node solves")
-	approxAfter := flag.Int("approx-after", 0, "fleet-wide task count at which placements switch to the approximate tier (0 = default 512, negative = never)")
 	catalog := flag.String("catalog", "small", "DNN catalog for submitted tasks: small|large (must match the members)")
 	debounce := flag.Duration("debounce", 100*time.Millisecond, "churn batching window before a cluster-wide re-placement")
 	heartbeatTimeout := flag.Duration("heartbeat-timeout", 3*time.Second, "silence before a member is declared stale and re-placed")
@@ -102,7 +101,6 @@ func run() int {
 
 	coord, err := cluster.NewCoordinator(cluster.Config{
 		Alpha:              *alpha,
-		ApproxAfter:        *approxAfter,
 		Catalog:            params,
 		Debounce:           *debounce,
 		HeartbeatTimeout:   *heartbeatTimeout,

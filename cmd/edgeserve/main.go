@@ -114,9 +114,8 @@ func run() int {
 	modelWidth := flag.Int("model-width", 8, "real backend: base channel width of the model template")
 	inputShape := flag.String("input", "8x8", "real backend: input HxW (channels fixed at 3)")
 	solveTimeout := flag.Duration("solve-timeout", 0, "deadline for one epoch's solve (0 = default 2s, negative = unbounded)")
-	solverTier := flag.String("solver-tier", "auto", "epoch solver tier: auto|heuristic|optimal|approx")
-	solverWorkers := flag.Int("solver-workers", 0, "worker bound for parallel solver tiers (0 = all cores)")
-	approxAfter := flag.Int("approx-after", 0, "task count at which the auto tier escalates to the approximate solver (0 = default 512, negative = never)")
+	solverTier := flag.String("solver-tier", "auto", "epoch solver tier: auto|heuristic|optimal|approx (auto = heuristic below 512 tasks, approx from there up)")
+	solverWorkers := flag.Int("solver-workers", 0, "worker bound for the optimal tier's search and the approx tier's scoring pass (0 = all cores)")
 	staleAfter := flag.Duration("stale-after", 10*time.Second, "plan staleness before /healthz reports degraded")
 	backoff := flag.Duration("backoff", 0, "initial retry delay after a failed re-solve (0 = debounce)")
 	backoffMax := flag.Duration("backoff-max", 5*time.Second, "retry delay cap under consecutive failures")
@@ -230,7 +229,6 @@ func run() int {
 		Window:            *window,
 		SolveTimeout:      *solveTimeout,
 		Solver:            core.SolverSpec{Tier: tier, Workers: *solverWorkers},
-		ApproxAfter:       *approxAfter,
 		StaleAfter:        *staleAfter,
 		OverloadWindow:    *overloadWindow,
 		OverloadAfter:     *overloadAfter,

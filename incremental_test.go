@@ -138,7 +138,7 @@ func TestSolveCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = Solve(ctx, in, WithTier(TierHeuristic), WithShards(1))
+	_, err = Solve(ctx, in, WithTier(TierHeuristic))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

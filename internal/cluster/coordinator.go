@@ -24,11 +24,6 @@ type Config struct {
 	// Alpha weights admission against resource cost in every per-node
 	// solve (default 0.5).
 	Alpha float64
-	// ApproxAfter is the fleet-wide task count at which placements switch
-	// from the exact per-node session bin-pack to the approximate
-	// partition-and-pack tier. 0 applies DefaultPlaceApproxAfter;
-	// negative pins the exact bin-pack at every scale.
-	ApproxAfter int
 	// Catalog builds candidate paths for tasks submitted over HTTP; it
 	// must match the members' catalogs so a 1-node cluster reproduces the
 	// standalone daemon exactly. Zero value: the Table-IV small catalog.
@@ -344,7 +339,7 @@ func (c *Coordinator) placeOnce(ctx context.Context) error {
 		nodes := c.aliveNodes()
 		split := *c.cfg.Split
 		split.Link = c.linkFunc()
-		p := PlaceWith(ctx, tasks, blocks, nodes, PlaceConfig{Alpha: c.cfg.Alpha, ApproxAfter: c.cfg.ApproxAfter, Split: &split})
+		p := PlaceWith(ctx, tasks, blocks, nodes, PlaceConfig{Alpha: c.cfg.Alpha, Split: &split})
 		failed := c.pushPlans(ctx, p)
 		if len(failed) == 0 {
 			c.publish(p, gen, len(nodes))

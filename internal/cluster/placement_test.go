@@ -143,6 +143,60 @@ func TestPlaceSpillsAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestPlaceApproxAtScale drives the approximate partition-and-pack
+// placement, which PlaceWith selects from DefaultPlaceApproxAfter tasks:
+// 1024 tasks over a pool split four ways. Every node's solution must be
+// feasible on that node's instance, every task must end up routed or
+// unplaced exactly once, and the fleet must admit within 1 % of what the
+// exact heuristic admits on the pooled instance — a relaxation of every
+// placement, so an upper yardstick.
+func TestPlaceApproxAtScale(t *testing.T) {
+	in, err := workload.ScaleScenario(2 * DefaultPlaceApproxAfter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := clusterNodes(edge.PartitionResources(in.Res, 4))
+	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
+	if len(p.Errors) != 0 {
+		t.Fatalf("placement errors: %v", p.Errors)
+	}
+	seen := make(map[string]int, len(in.Tasks))
+	for _, plan := range p.Plans {
+		if plan.Solution == nil {
+			t.Fatalf("node %s got no solution", plan.Node.ID)
+		}
+		if plan.Solution.Tier != core.TierApprox {
+			t.Fatalf("node %s solved at tier %v: the approximate placement did not run", plan.Node.ID, plan.Solution.Tier)
+		}
+		nodeIn := &core.Instance{Tasks: plan.Tasks, Blocks: plan.Blocks, Res: plan.Node.Res, Alpha: in.Alpha}
+		if err := nodeIn.Check(plan.Solution.Assignments); err != nil {
+			t.Errorf("node %s: infeasible plan: %v", plan.Node.ID, err)
+		}
+		for id := range plan.Admitted {
+			seen[id]++
+			if p.Route[id] != plan.Node.ID {
+				t.Errorf("task %s admitted on %s but routed to %q", id, plan.Node.ID, p.Route[id])
+			}
+		}
+	}
+	for _, id := range p.Unplaced {
+		seen[id]++
+	}
+	for _, task := range in.Tasks {
+		if seen[task.ID] != 1 {
+			t.Errorf("task %s appears %d times across routed and unplaced, want once", task.ID, seen[task.ID])
+		}
+	}
+	if len(seen) != len(in.Tasks) || len(p.Route)+len(p.Unplaced) != len(in.Tasks) {
+		t.Errorf("%d routed + %d unplaced over %d distinct IDs, want %d tasks", len(p.Route), len(p.Unplaced), len(seen), len(in.Tasks))
+	}
+	pooled := singleSolve(t, in).Breakdown.WeightedAdmission
+	t.Logf("approx placement Σz·p %.2f, pooled exact %.2f, unplaced %d", p.WeightedAdmission, pooled, len(p.Unplaced))
+	if p.WeightedAdmission < 0.99*pooled {
+		t.Errorf("approx placement admits Σz·p %.2f, under 99%% of the pooled solve's %.2f", p.WeightedAdmission, pooled)
+	}
+}
+
 // TestPlaceBandwidthShrinksLatencyBudget: a node behind a slow link must
 // lose tight-latency tasks to a well-connected peer, and a link that
 // eats the whole budget excludes the node entirely.

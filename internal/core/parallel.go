@@ -14,8 +14,8 @@ import (
 // tensor pool's Parallelism()), each taking the next index until none is
 // left, and returns when all are done; with one worker the jobs run in
 // order on the caller's goroutine. Plain goroutines, not the tensor pool:
-// a job is not a leaf (its own tree construction may fan out over the
-// pool).
+// the pool never queues, so a job as long as a subtree search would hold
+// its workers away from kernels, and get none while kernels hold them.
 func fanOut(n, workers int, job func(i int)) {
 	if workers <= 0 {
 		workers = tensor.Parallelism()

@@ -12,19 +12,21 @@ type Tier int
 
 // Solver tiers.
 const (
-	// TierAuto lets the dispatcher pick: the exact OffloaDNN heuristic,
-	// sharded across priority bands once the task count warrants it.
+	// TierAuto lets the dispatcher pick. SolveSpec resolves it to the
+	// exact heuristic at every size; the serve resolver and the cluster
+	// placement, which re-plan on every change, apply a size rule of
+	// their own on top.
 	TierAuto Tier = iota
 	// TierHeuristic is the polynomial-time OffloaDNN first-branch
-	// heuristic (Sec. IV), optionally sharded by priority band.
+	// heuristic (Sec. IV): one tree walk, one (z, r) allocation.
 	TierHeuristic
 	// TierOptimal is the exhaustive weighted-tree search — exponential in
 	// the task count, the paper's small-scale benchmark.
 	TierOptimal
 	// TierApprox is the approximate admission tier: score-based path
 	// ranking with greedy budget packing. One shortlist scoring pass and
-	// one greedy pass, no (z, r) alternation. At 10k tasks it and the
-	// exact heuristic now take about as long (see shardBandTasks).
+	// one greedy pass, no (z, r) alternation and no session to build —
+	// why epochs from 512 tasks run on it (serve.DefaultApproxAfter).
 	TierApprox
 )
 
@@ -62,19 +64,16 @@ func ParseTier(s string) (Tier, error) {
 }
 
 // SolverSpec selects a solver tier and its execution knobs. The zero
-// value is TierAuto with automatic sharding and the pool's parallelism —
-// the right default for callers that just want the instance solved.
+// value is TierAuto with the pool's parallelism — the right default for
+// callers that just want the instance solved.
 type SolverSpec struct {
 	// Tier picks the solver; TierAuto defers to the dispatcher.
 	Tier Tier
-	// Workers bounds the goroutines a parallel tier may use (the
-	// caller's included). <= 0 uses the tensor pool's Parallelism().
+	// Workers bounds the goroutines the optimal tier's first-layer
+	// fan-out and the approx tier's scoring pass may use (the caller's
+	// included). <= 0 uses the tensor pool's Parallelism(). The
+	// heuristic tier is serial.
 	Workers int
-	// Shards is the number of priority-band shards for the heuristic
-	// tier: 1 forces a serial (unsharded) solve, 0 picks automatically
-	// from the task count, >= 2 forces that many bands. Ignored by the
-	// optimal and approx tiers.
-	Shards int
 	// Timeout bounds the solve; 0 means no deadline beyond the caller's
 	// context.
 	Timeout time.Duration
@@ -82,47 +81,12 @@ type SolverSpec struct {
 	Heuristic HeuristicConfig
 }
 
-const (
-	// shardBandTasks is the target priority-band width of an
-	// automatically sharded solve. Bands were sized when the allocator's
-	// z-step was a dense LP, cubic in the band size, so n/S bands of S
-	// tasks cost ~n·S² instead of n³. The z-step is a two-row simplex
-	// now and bands no longer buy time: on ScaleScenario(10000) the
-	// serial solve takes 0.25 s for Σz·p 5932.6 at cost 36.4, 79 bands
-	// 0.12–0.28 s for 5818.4 at 93.6 (TestSerialExact10k). Whether to
-	// keep them is an open ROADMAP decision; nothing here changed.
-	shardBandTasks = 128
-	// autoShardMin is the task count at which TierAuto starts sharding
-	// the heuristic — chosen, like the band width, against the cubic LP.
-	autoShardMin = 256
-)
-
-// EffectiveShards resolves a requested shard count against the task
-// count: 1 (or a single task) stays serial, an explicit count is clamped
-// to the task count, and 0 picks ceil(n/shardBandTasks) bands once n
-// reaches autoShardMin.
-func EffectiveShards(n, requested int) int {
-	if n <= 1 || requested == 1 {
-		return 1
-	}
-	if requested > 1 {
-		if requested > n {
-			requested = n
-		}
-		return requested
-	}
-	if n < autoShardMin {
-		return 1
-	}
-	return (n + shardBandTasks - 1) / shardBandTasks
-}
-
 // SolveSpec solves the instance with the tier and knobs the spec
 // selects. It is the single dispatch point behind the facade's
-// Solve(ctx, in, ...SolveOption) API: the heuristic tier (serial or
-// sharded by priority band), the exhaustive optimal tier (serial or
-// first-layer-parallel), and the approximate admission tier all route
-// through here, and the returned Solution records which tier produced it.
+// Solve(ctx, in, ...SolveOption) API: the heuristic tier, the
+// exhaustive optimal tier (serial or first-layer-parallel), and the
+// approximate admission tier all route through here, and the returned
+// Solution records which tier produced it.
 func SolveSpec(ctx context.Context, in *Instance, spec SolverSpec) (*Solution, error) {
 	if spec.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -136,9 +100,6 @@ func SolveSpec(ctx context.Context, in *Instance, spec SolverSpec) (*Solution, e
 	case TierApprox:
 		return solveApproxCtx(ctx, in, spec)
 	case TierAuto, TierHeuristic:
-		if shards := EffectiveShards(len(in.Tasks), spec.Shards); shards > 1 {
-			return solveShardedCtx(ctx, in, shards, spec.Workers, spec.Heuristic)
-		}
 		return SolveOffloaDNNConfiguredCtx(ctx, in, spec.Heuristic)
 	default:
 		return nil, fmt.Errorf("%w: unknown solver tier %d", ErrModel, int(spec.Tier))

@@ -38,26 +38,6 @@ func TestParseTierRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEffectiveShards(t *testing.T) {
-	cases := []struct {
-		n, requested, want int
-	}{
-		{1, 0, 1},             // single task stays serial
-		{100, 1, 1},           // explicit serial
-		{100, 4, 4},           // explicit count
-		{3, 8, 3},             // clamped to task count
-		{100, 0, 1},           // below autoShardMin: auto stays serial
-		{autoShardMin, 0, 2},  // 256/128
-		{10000, 0, 79},        // ceil(10000/128)
-		{10000, 10001, 10000}, // clamp
-	}
-	for _, c := range cases {
-		if got := EffectiveShards(c.n, c.requested); got != c.want {
-			t.Errorf("EffectiveShards(%d, %d) = %d, want %d", c.n, c.requested, got, c.want)
-		}
-	}
-}
-
 // TestSolveSpecTierTagging checks that every tier routes through the
 // dispatcher, produces a feasible solution, and tags it with its tier.
 func TestSolveSpecTierTagging(t *testing.T) {
@@ -69,8 +49,7 @@ func TestSolveSpecTierTagging(t *testing.T) {
 		want Tier
 	}{
 		{"auto", SolverSpec{}, TierHeuristic},
-		{"heuristic-serial", SolverSpec{Tier: TierHeuristic, Shards: 1}, TierHeuristic},
-		{"heuristic-sharded", SolverSpec{Tier: TierHeuristic, Shards: 3}, TierHeuristic},
+		{"heuristic", SolverSpec{Tier: TierHeuristic}, TierHeuristic},
 		{"approx", SolverSpec{Tier: TierApprox}, TierApprox},
 	}
 	for _, c := range cases {
@@ -83,9 +62,6 @@ func TestSolveSpecTierTagging(t *testing.T) {
 		}
 		if err := in.Check(sol.Assignments); err != nil {
 			t.Fatalf("%s: infeasible: %v", c.name, err)
-		}
-		if c.spec.Shards > 1 && sol.Shards != c.spec.Shards {
-			t.Fatalf("%s: recorded %d shards, want %d", c.name, sol.Shards, c.spec.Shards)
 		}
 	}
 
@@ -103,39 +79,12 @@ func TestSolveSpecTierTagging(t *testing.T) {
 	}
 }
 
-// TestShardedDeterministicAcrossWorkers proves the sharded heuristic is
-// bitwise-identical in the worker count: bands merge in band order, so
-// scheduling cannot leak into the solution.
-func TestShardedDeterministicAcrossWorkers(t *testing.T) {
-	ctx := context.Background()
-	in := testInstance(40, 3, 2)
-	base, err := SolveSpec(ctx, in, SolverSpec{Tier: TierHeuristic, Shards: 5, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		got, err := SolveSpec(ctx, in, SolverSpec{Tier: TierHeuristic, Shards: 5, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got.Cost != base.Cost {
-			t.Fatalf("workers=%d: objective %v != %v", workers, got.Cost, base.Cost)
-		}
-		for i := range got.Assignments {
-			a, b := got.Assignments[i], base.Assignments[i]
-			if a.Path != b.Path || a.Z != b.Z || a.RBs != b.RBs || a.Quality != b.Quality {
-				t.Fatalf("workers=%d: assignment %d differs: %+v vs %+v", workers, i, a, b)
-			}
-		}
-	}
-}
-
 // TestCompareTiersReport checks the regret harness solves both tiers,
 // verifies feasibility, and fills the ratio fields.
 func TestCompareTiersReport(t *testing.T) {
 	in := testInstance(10, 3, 3)
 	r, err := CompareTiers(context.Background(), in,
-		SolverSpec{Tier: TierHeuristic, Shards: 1},
+		SolverSpec{Tier: TierHeuristic},
 		SolverSpec{Tier: TierApprox})
 	if err != nil {
 		t.Fatal(err)

@@ -325,9 +325,6 @@ type Solution struct {
 	// optimal, approx). Zero (TierAuto) on solutions from custom solver
 	// callbacks that predate the tiered API.
 	Tier Tier
-	// Shards is the number of priority-band shards the weighted tree was
-	// split into; 0 or 1 means the solve was unsharded.
-	Shards int
 	// Stats carries search statistics for the optimal tier, nil
 	// otherwise.
 	Stats *OptimalStats

@@ -88,15 +88,15 @@ func (c *Controller) AdmitCtx(ctx context.Context, tasks []core.Task, blocks map
 	return c.deployLocked(in, sol)
 }
 
-// solve runs the serial heuristic under ctx, turning a solver panic into
-// an error.
+// solve runs the heuristic under ctx, turning a solver panic into an
+// error.
 func solve(ctx context.Context, in *core.Instance) (sol *core.Solution, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			sol, err = nil, fmt.Errorf("solver panic: %v", p)
 		}
 	}()
-	return core.SolveSpec(ctx, in, core.SolverSpec{Tier: core.TierHeuristic, Shards: 1})
+	return core.SolveSpec(ctx, in, core.SolverSpec{Tier: core.TierHeuristic})
 }
 
 // Deploy runs steps 3–6 of the workflow for a solution produced outside

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"offloadnn/internal/core"
 	"offloadnn/internal/edge"
 	"offloadnn/internal/faultinject"
 	"offloadnn/internal/workload"
@@ -211,11 +212,31 @@ func TestSolveTimeoutIncrementalHang(t *testing.T) {
 
 // TestBreakerTripAndRearm drives the incremental→full circuit breaker:
 // three consecutive failures drop the SolverSession and switch to full
-// admission rounds; the next success re-arms incremental solving.
+// admission rounds; the next success re-arms incremental solving. The
+// fallback must publish the plan the session would: it runs on the
+// 4-task small scenario and on a 300-task registry, wide enough that a
+// fallback solving anything but the one exact heuristic shows.
 func TestBreakerTripAndRearm(t *testing.T) {
-	inj := faultinject.New(1)
-	srv := newTestServer(t, Config{Debounce: time.Hour, BreakerThreshold: 3, Faults: inj})
-	registerSmall(t, srv, 3)
+	t.Run("small", func(t *testing.T) {
+		inj := faultinject.New(1)
+		srv := newTestServer(t, Config{Debounce: time.Hour, BreakerThreshold: 3, Faults: inj})
+		registerSmall(t, srv, 3)
+		last, err := workload.SmallTask(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		breakerTripAndRearm(t, srv, inj, last)
+	})
+	t.Run("scale-300", func(t *testing.T) {
+		inj := faultinject.New(1)
+		srv, tasks := scaleServer(t, Config{BreakerThreshold: 3, Faults: inj}, 300, 299)
+		breakerTripAndRearm(t, srv, inj, tasks[299])
+	})
+}
+
+// breakerTripAndRearm takes a server with everything but `last`
+// registered and walks it through trip, fallback solve and re-arm.
+func breakerTripAndRearm(t *testing.T, srv *Server, inj *faultinject.Injector, last core.Task) {
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +245,7 @@ func TestBreakerTripAndRearm(t *testing.T) {
 	}
 
 	inj.Set(faultinject.PointSolverError, faultinject.Rule{EveryN: 1, Count: 3})
-	task, err := workload.SmallTask(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register(task, nil); err != nil {
+	if err := srv.Register(last, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
@@ -266,7 +283,7 @@ func TestBreakerTripAndRearm(t *testing.T) {
 	}
 	sess := srv.Current().Deployment
 	samePlan(t, "session vs breaker-open", sess.Solution.Cost, full.Solution.Cost, sess.AdmittedRates, full.AdmittedRates)
-	if err := srv.Deregister("task-4"); err != nil {
+	if err := srv.Deregister(last.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.ResolveNow(); err != nil {

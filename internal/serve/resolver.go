@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime/debug"
@@ -132,10 +131,8 @@ type Resolver struct {
 	backoffBase  time.Duration
 	backoffMax   time.Duration
 	breakerN     int
-	// spec selects the epoch solver tier (the Solver setting); approxAfter is
-	// the auto tier's size-based escalation threshold (0 = disabled).
-	spec        core.SolverSpec
-	approxAfter int
+	// spec selects the epoch solver tier (the Solver setting).
+	spec core.SolverSpec
 	// jitter draws the backoff jitter factor source in [0,1);
 	// injectable for deterministic schedule tests.
 	jitter func() float64
@@ -170,21 +167,7 @@ type Resolver struct {
 	// solve and after any error, so the next epoch rebuilds from
 	// scratch). Guarded by solveMu.
 	session *core.SolverSession
-	// pressureLeft implements the auto tier's deadline-pressure
-	// hysteresis: an exact-tier solve that blows the epoch deadline sets
-	// it to pressureHold, each successful epoch decrements it, and while
-	// it is positive the auto tier runs the approximate solver. When it
-	// reaches zero the resolver probes the exact tier again — another
-	// deadline miss re-arms the hold, so a registry that stays too big
-	// for the exact tier costs one probe every pressureHold epochs
-	// instead of thrashing. Guarded by solveMu.
-	pressureLeft int
 }
-
-// pressureHold is how many successful epochs the auto tier stays on the
-// approximate solver after an exact-tier deadline miss before probing
-// the exact tier again.
-const pressureHold = 8
 
 // resolverParams carries the fault-tolerance knobs from Config into
 // newResolver without a ten-argument signature.
@@ -194,7 +177,6 @@ type resolverParams struct {
 	backoffMax   time.Duration
 	breakerN     int
 	spec         core.SolverSpec
-	approxAfter  int
 	faults       *faultinject.Injector
 	backend      exec.Backend
 	node         string
@@ -226,7 +208,6 @@ func newResolver(reg *Registry, ctrl *edge.Controller, res core.Resources, alpha
 		backoffMax:   p.backoffMax,
 		breakerN:     p.breakerN,
 		spec:         p.spec,
-		approxAfter:  p.approxAfter,
 		jitter:       rand.Float64,
 		kick:         make(chan struct{}, 1),
 		done:         make(chan struct{}),
@@ -385,11 +366,6 @@ func (r *Resolver) resolve(force bool) error {
 	} else {
 		dep, solved, err := r.produce(tasks, blocks)
 		if err != nil {
-			if r.solveTimeout > 0 && errors.Is(err, context.DeadlineExceeded) {
-				// The solve blew the epoch deadline: hold the auto tier on
-				// the approximate solver for the next pressureHold epochs.
-				r.pressureLeft = pressureHold
-			}
 			r.recordFailure(err)
 			return err
 		}
@@ -451,26 +427,19 @@ func (r *Resolver) resolve(force bool) error {
 	if ep.Deployment != nil {
 		r.stats.recordSolveTier(ep.Tier, ep.SolveLatency)
 	}
-	if r.pressureLeft > 0 {
-		r.pressureLeft--
-	}
 	r.recordSuccess()
 	return nil
 }
 
 // pickTier resolves the configured solver spec against the registry
-// size: a pinned tier wins outright; the auto tier runs the exact
-// incremental heuristic while the registry is small and the solves hold
-// the deadline, and the approximate admission tier at approxAfter tasks
-// or under deadline pressure (see pressureLeft). Caller holds solveMu.
+// size: a pinned tier wins outright; the auto tier runs the approximate
+// admission tier from DefaultApproxAfter tasks and the exact incremental
+// heuristic below.
 func (r *Resolver) pickTier(n int) core.Tier {
 	if r.spec.Tier != core.TierAuto {
 		return r.spec.Tier
 	}
-	if r.approxAfter > 0 && n >= r.approxAfter {
-		return core.TierApprox
-	}
-	if r.pressureLeft > 0 {
+	if n >= DefaultApproxAfter {
 		return core.TierApprox
 	}
 	return core.TierHeuristic
@@ -481,8 +450,8 @@ func (r *Resolver) pickTier(n int) core.Tier {
 // assignments are parallel to. The solution comes from the session on the
 // heuristic tier while the breaker is closed, and from a full
 // core.SolveSpec solve otherwise (approx, optimal, breaker fallback) —
-// the session, if any, then stays cached for the next de-escalation back
-// to the exact heuristic. Caller holds solveMu.
+// the session, if any, then stays cached for when the registry shrinks
+// back under DefaultApproxAfter. Caller holds solveMu.
 func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) (dep *edge.Deployment, solved []core.Task, err error) {
 	ctx := r.ctx
 	if r.solveTimeout > 0 {

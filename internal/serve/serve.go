@@ -38,18 +38,19 @@ import (
 var ErrDraining = errors.New("serve: server is draining")
 
 // DefaultSolveTimeout is the per-epoch solve deadline applied when
-// the SolveTimeout setting is zero. Together with the tiered resolver it is
-// a completeness/latency contract: any registry the approximate tier
-// can pack inside this budget keeps publishing epochs, no matter how
-// far past the exact tiers' scale the task count grows.
+// the SolveTimeout setting is zero. An epoch that misses it fails like
+// any other solver error: the last plan keeps serving and the resolver
+// backs off and retries. Both tiers sit well inside it at 10k tasks
+// (TestSerialExact10k, TestScaleEpochUnderDefaultDeadline).
 const DefaultSolveTimeout = 2 * time.Second
 
-// DefaultApproxAfter is the registry size at which an auto-tier
-// resolver switches from the exact heuristic to the approximate
-// admission tier. Below it the exact heuristic holds the default solve
-// deadline comfortably; above it the sharded heuristic still works but
-// the approximate tier buys an order of magnitude of headroom for the
-// same epoch cadence.
+// DefaultApproxAfter is the registry size from which an auto-tier
+// resolver runs the approximate admission tier instead of the exact
+// session. The exact heuristic admits more at every size, but its
+// session is what a large cold epoch pays for: with the 10k-task epoch
+// of bench's solve-scale workload routed to it, setup_s read 0.39 →
+// 0.77–0.84 s and rss_mb 60.6 → 115–117 MB. bench has a workload on
+// each side of the rule: epoch-churn (≈ 20 tasks) and solve-scale (10k).
 const DefaultApproxAfter = 512
 
 // Config parameterizes a serving daemon.
@@ -75,25 +76,17 @@ type Config struct {
 	// SolveTimeout bounds one epoch's solve-and-deploy step, enforced
 	// through a context composed with the resolver's shutdown context. A
 	// solve that overruns fails that epoch (the last-good plan keeps
-	// serving) and counts toward the failure backoff and breaker — and,
-	// on the auto tier, escalates the next epochs to the approximate
-	// solver. Zero applies DefaultSolveTimeout; negative disables the
-	// deadline.
+	// serving) and counts toward the failure backoff and breaker. Zero
+	// applies DefaultSolveTimeout; negative disables the deadline.
 	SolveTimeout time.Duration
 	// Solver selects the epoch solver tier and its knobs
 	// (core.SolverSpec). The zero value is core.TierAuto: the exact
-	// incremental heuristic while the registry is small and the solves
-	// hold the deadline, the approximate admission tier at ApproxAfter
-	// tasks or under deadline pressure. A non-auto Tier pins every epoch
-	// to that tier; Workers and Shards pass through to the full
-	// (non-session) solves. Spec.Timeout is ignored — SolveTimeout is the
+	// incremental heuristic below DefaultApproxAfter tasks, the
+	// approximate admission tier from there up. A non-auto Tier pins
+	// every epoch to that tier; Workers passes through to the optimal
+	// and approx solves. Spec.Timeout is ignored — SolveTimeout is the
 	// epoch deadline.
 	Solver core.SolverSpec
-	// ApproxAfter is the registry size at which an auto-tier resolver
-	// escalates to the approximate solver (default DefaultApproxAfter;
-	// negative disables size-based escalation, leaving only deadline
-	// pressure). Ignored when Solver.Tier is not core.TierAuto.
-	ApproxAfter int
 	// FailureBackoff is the delay before retrying after one failed
 	// re-solve; consecutive failures double it up to FailureBackoffMax,
 	// with ±20% jitter. Defaults: the debounce window and 5 s.
@@ -190,12 +183,6 @@ func New(cfg Config) (*Server, error) {
 	if _, err := core.ParseTier(cfg.Solver.Tier.String()); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if cfg.ApproxAfter == 0 {
-		cfg.ApproxAfter = DefaultApproxAfter
-	}
-	if cfg.ApproxAfter < 0 {
-		cfg.ApproxAfter = 0 // size-based escalation disabled
-	}
 	if cfg.FailureBackoff <= 0 {
 		cfg.FailureBackoff = cfg.Debounce
 	}
@@ -239,7 +226,6 @@ func New(cfg Config) (*Server, error) {
 			backoffMax:   cfg.FailureBackoffMax,
 			breakerN:     cfg.BreakerThreshold,
 			spec:         cfg.Solver,
-			approxAfter:  cfg.ApproxAfter,
 			faults:       cfg.Faults,
 			backend:      cfg.Backend,
 			node:         cfg.Node,

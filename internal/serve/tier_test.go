@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -36,35 +38,49 @@ func getSolveTier(t *testing.T, srv *Server) string {
 	return h.SolveTier
 }
 
-// TestAutoTierEscalatesBySize checks the auto tier switches to the
-// approximate solver at the configured registry size, and that the
-// chosen tier is visible on the epoch, /healthz and /metrics.
+// scaleServer starts a daemon sized for ScaleScenario(n) with the first
+// `registered` of its tasks registered, and returns the full task list.
+func scaleServer(t *testing.T, cfg Config, n, registered int) (*Server, []core.Task) {
+	t.Helper()
+	in, err := workload.ScaleScenario(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Res, cfg.Alpha, cfg.Blocks, cfg.Debounce = in.Res, in.Alpha, in.Blocks, time.Hour
+	srv := newTestServer(t, cfg)
+	for _, task := range in.Tasks[:registered] {
+		if err := srv.Register(task, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, in.Tasks
+}
+
+// TestAutoTierEscalatesBySize walks the auto tier across its size rule:
+// 511 tasks solve on the exact session, the 512th moves the epoch to the
+// approximate solver, deregistering it moves it back — and the chosen
+// tier is visible on the epoch, /healthz and /metrics.
 func TestAutoTierEscalatesBySize(t *testing.T) {
-	srv := newTestServer(t, Config{Debounce: time.Hour, ApproxAfter: 3})
-	registerSmall(t, srv, 2)
+	srv, tasks := scaleServer(t, Config{}, DefaultApproxAfter, DefaultApproxAfter-1)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
 	if ep := srv.Current(); ep.Tier != core.TierHeuristic {
-		t.Fatalf("2 tasks solved at tier %v, want heuristic", ep.Tier)
+		t.Fatalf("%d tasks solved at tier %v, want heuristic", len(ep.Tasks), ep.Tier)
 	}
 	if got := getSolveTier(t, srv); got != "heuristic" {
 		t.Fatalf("healthz solve_tier = %q", got)
 	}
 
-	task, err := workload.SmallTask(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Register(task, nil); err != nil {
+	last := tasks[DefaultApproxAfter-1]
+	if err := srv.Register(last, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
-	ep := srv.Current()
-	if ep.Tier != core.TierApprox {
-		t.Fatalf("3 tasks solved at tier %v, want approx", ep.Tier)
+	if ep := srv.Current(); ep.Tier != core.TierApprox {
+		t.Fatalf("%d tasks solved at tier %v, want approx", len(ep.Tasks), ep.Tier)
 	}
 	if got := getSolveTier(t, srv); got != "approx" {
 		t.Fatalf("healthz solve_tier = %q", got)
@@ -83,8 +99,8 @@ func TestAutoTierEscalatesBySize(t *testing.T) {
 		}
 	}
 
-	// Dropping back under the threshold de-escalates to the exact tier.
-	if err := srv.Deregister(task.ID); err != nil {
+	// Dropping back under the boundary returns to the exact tier.
+	if err := srv.Deregister(last.ID); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.ResolveNow(); err != nil {
@@ -95,8 +111,8 @@ func TestAutoTierEscalatesBySize(t *testing.T) {
 	}
 }
 
-// TestPinnedTierWins checks an explicitly configured Solver tier overrides the
-// auto escalation in both directions.
+// TestPinnedTierWins checks an explicitly configured Solver tier overrides
+// the size rule on both sides of the boundary.
 func TestPinnedTierWins(t *testing.T) {
 	approx := newTestServer(t, Config{
 		Debounce: time.Hour,
@@ -122,18 +138,14 @@ func TestPinnedTierWins(t *testing.T) {
 		t.Fatalf("pinned optimal solved at tier %v", ep.Tier)
 	}
 
-	// Exceeding ApproxAfter with a pinned heuristic stays heuristic.
-	pinned := newTestServer(t, Config{
-		Debounce:    time.Hour,
-		ApproxAfter: 2,
-		Solver:      core.SolverSpec{Tier: core.TierHeuristic},
-	})
-	registerSmall(t, pinned, 3)
+	// At the boundary a pinned heuristic stays heuristic.
+	pinned, _ := scaleServer(t, Config{Solver: core.SolverSpec{Tier: core.TierHeuristic}},
+		DefaultApproxAfter, DefaultApproxAfter)
 	if err := pinned.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
-	if ep := pinned.Current(); ep.Tier != core.TierHeuristic {
-		t.Fatalf("pinned heuristic solved at tier %v", ep.Tier)
+	if ep := pinned.Current(); ep.Tier != core.TierHeuristic || len(ep.Tasks) != DefaultApproxAfter {
+		t.Fatalf("pinned heuristic solved %d tasks at tier %v", len(ep.Tasks), ep.Tier)
 	}
 }
 
@@ -148,11 +160,12 @@ func TestBadSolverTierRejected(t *testing.T) {
 	}
 }
 
-// TestDeadlinePressureEscalation checks the auto tier's hysteresis: a
-// solve that blows the epoch deadline holds the next pressureHold
-// epochs on the approximate tier, then the exact heuristic is probed
-// again.
-func TestDeadlinePressureEscalation(t *testing.T) {
+// TestSolveTimeoutKeepsPlanAndRetriesExact pins what a blown epoch
+// deadline is: a solver error like any other. The hung solve fails with
+// DeadlineExceeded, the previous epoch keeps serving, and the very next
+// epoch runs the exact tier again — nothing holds the resolver on another
+// tier.
+func TestSolveTimeoutKeepsPlanAndRetriesExact(t *testing.T) {
 	inj := faultinject.New(1)
 	srv := newTestServer(t, Config{
 		Debounce:     time.Hour,
@@ -163,38 +176,28 @@ func TestDeadlinePressureEscalation(t *testing.T) {
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
-	if ep := srv.Current(); ep.Tier != core.TierHeuristic {
-		t.Fatalf("baseline epoch at tier %v", ep.Tier)
+	before := srv.Current()
+	if before.Tier != core.TierHeuristic {
+		t.Fatalf("baseline epoch at tier %v", before.Tier)
 	}
 
-	// One hung solve: the epoch deadline fires and arms the pressure.
 	inj.Set(faultinject.PointSolverHang, faultinject.Rule{EveryN: 1, Count: 1})
-	if err := srv.ForceResolve(); err == nil {
-		t.Fatal("hung solve succeeded")
+	if err := srv.ForceResolve(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("hung solve: err %v, want DeadlineExceeded", err)
 	}
-	if got := srv.resolver.pressureLeft; got != pressureHold {
-		t.Fatalf("pressureLeft = %d after deadline, want %d", got, pressureHold)
+	if got := srv.Current(); got != before {
+		t.Fatalf("deadline miss replaced epoch %d with %d", before.N, got.N)
 	}
-
-	// The next pressureHold epochs run on the approximate tier...
-	for i := 0; i < pressureHold; i++ {
-		if err := srv.ForceResolve(); err != nil {
-			t.Fatalf("epoch %d under pressure: %v", i, err)
-		}
-		if ep := srv.Current(); ep.Tier != core.TierApprox {
-			t.Fatalf("epoch %d under pressure at tier %v, want approx", i, ep.Tier)
-		}
-	}
-	if got := srv.resolver.pressureLeft; got != 0 {
-		t.Fatalf("pressureLeft = %d after hold, want 0", got)
+	if got := srv.resolver.ConsecutiveFailures(); got != 1 {
+		t.Fatalf("consecutive failures = %d after one deadline miss, want 1", got)
 	}
 
-	// ...then the exact tier is probed again.
 	if err := srv.ForceResolve(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("retry after deadline miss: %v", err)
 	}
-	if ep := srv.Current(); ep.Tier != core.TierHeuristic {
-		t.Fatalf("post-pressure probe at tier %v, want heuristic", ep.Tier)
+	ep := srv.Current()
+	if ep.N != before.N+1 || ep.Tier != core.TierHeuristic {
+		t.Fatalf("retry published epoch %d at tier %v, want %d at heuristic", ep.N, ep.Tier, before.N+1)
 	}
 }
 

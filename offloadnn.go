@@ -18,10 +18,9 @@
 //
 // Solve takes functional options selecting a solver tier and its knobs:
 //
-//	offloadnn.Solve(ctx, in)                                  // auto: heuristic, sharded at scale
+//	offloadnn.Solve(ctx, in)                                  // auto: the exact heuristic
 //	offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierOptimal))
 //	offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierApprox))
-//	offloadnn.Solve(ctx, in, offloadnn.WithShards(1))         // force an unsharded solve
 //
 // The exhaustive benchmark solver, the SEM-O-RAN baseline, the edge
 // emulator and the experiment drivers for every figure and table of the
@@ -130,12 +129,11 @@ const (
 
 // Solver tiers behind the unified Solve API.
 type (
-	// Tier identifies a solver tier: the exact OffloaDNN heuristic
-	// (optionally sharded by priority band), the exhaustive optimal
-	// search, or the approximate admission tier.
+	// Tier identifies a solver tier: the exact OffloaDNN heuristic, the
+	// exhaustive optimal search, or the approximate admission tier.
 	Tier = core.Tier
 	// SolverSpec is the resolved configuration of a Solve call: tier,
-	// worker and shard counts, timeout, and heuristic ablation knobs.
+	// worker count, timeout, and heuristic ablation knobs.
 	SolverSpec = core.SolverSpec
 	// TierRegret quantifies a candidate tier's solution-quality loss
 	// against a reference tier on one instance.
@@ -144,8 +142,9 @@ type (
 
 // Solver tiers for WithTier.
 const (
-	// TierAuto picks for you: the exact heuristic, sharded by priority
-	// band once the task count warrants it.
+	// TierAuto picks for you: Solve runs the exact heuristic at every
+	// size; the serving daemon and the cluster placement, which re-plan
+	// on every change, run TierApprox from 512 tasks.
 	TierAuto = core.TierAuto
 	// TierHeuristic is the polynomial-time OffloaDNN heuristic.
 	TierHeuristic = core.TierHeuristic
@@ -162,14 +161,10 @@ type SolveOption func(*SolverSpec)
 // WithTier selects the solver tier (default TierAuto).
 func WithTier(t Tier) SolveOption { return func(s *SolverSpec) { s.Tier = t } }
 
-// WithWorkers bounds the goroutines a parallel tier may use, the
-// caller's included (<= 0 uses the tensor pool's parallelism).
+// WithWorkers bounds the goroutines the optimal tier's search and the
+// approx tier's scoring pass may use, the caller's included (<= 0 uses
+// the tensor pool's parallelism).
 func WithWorkers(n int) SolveOption { return func(s *SolverSpec) { s.Workers = n } }
-
-// WithShards sets the heuristic tier's priority-band shard count: 1
-// forces a serial (unsharded) solve, 0 (the default) picks
-// automatically from the task count, >= 2 forces that many bands.
-func WithShards(n int) SolveOption { return func(s *SolverSpec) { s.Shards = n } }
 
 // WithTimeout bounds the solve independent of the caller's context.
 func WithTimeout(d time.Duration) SolveOption { return func(s *SolverSpec) { s.Timeout = d } }
@@ -184,12 +179,11 @@ func WithHeuristic(cfg HeuristicConfig) SolveOption {
 func WithSpec(spec SolverSpec) SolveOption { return func(s *SolverSpec) { *s = spec } }
 
 // Solve solves a DOT instance. It is the single solver entry point:
-// options select the tier (exact heuristic, sharded parallel heuristic,
-// exhaustive optimal, approximate admission) and its knobs; the default
-// is TierAuto — the exact heuristic, sharded by priority band once the
-// task count warrants it. The returned Solution records the tier and
-// shard count that produced it, and Solution.Stats carries the search
-// statistics of optimal-tier solves.
+// options select the tier (exact heuristic, exhaustive optimal,
+// approximate admission) and its knobs; the default is TierAuto — the
+// exact heuristic. The returned Solution records the tier that produced
+// it, and Solution.Stats carries the search statistics of optimal-tier
+// solves.
 func Solve(ctx context.Context, in *Instance, opts ...SolveOption) (*Solution, error) {
 	var spec SolverSpec
 	for _, o := range opts {

@@ -40,7 +40,7 @@ func TestApproxRegretPaperLoads(t *testing.T) {
 	ctx := context.Background()
 	for name, in := range paperLoads(t) {
 		r, err := offloadnn.CompareTiers(ctx, in,
-			offloadnn.SolverSpec{Tier: offloadnn.TierHeuristic, Shards: 1},
+			offloadnn.SolverSpec{Tier: offloadnn.TierHeuristic},
 			offloadnn.SolverSpec{Tier: offloadnn.TierApprox})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -68,45 +68,11 @@ func sameSolution(t *testing.T, name string, a, b *offloadnn.Solution) {
 	}
 }
 
-// TestShardedWorkerEquivalence10k is the scale acceptance bound for the
-// sharded heuristic: at 10k tasks the auto-sharded solve must produce a
-// bitwise-identical solution whether the bands run on one worker or
-// many — parallelism is a scheduling detail, never a results change.
-func TestShardedWorkerEquivalence10k(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10k-task solve")
-	}
-	ctx := context.Background()
-	in, err := offloadnn.ScaleScenario(10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := offloadnn.Solve(ctx, in, offloadnn.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Shards <= 1 {
-		t.Fatalf("10k-task auto solve did not shard (shards=%d)", serial.Shards)
-	}
-	parallel, err := offloadnn.Solve(ctx, in, offloadnn.WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parallel.Shards != serial.Shards {
-		t.Fatalf("shard counts differ: %d vs %d", parallel.Shards, serial.Shards)
-	}
-	sameSolution(t, "10k", serial, parallel)
-	if err := offloadnn.Check(in, parallel.Assignments); err != nil {
-		t.Fatalf("10k sharded solution infeasible: %v", err)
-	}
-}
-
-// TestSerialExact10k records the fact a tier deletion would rest on:
-// with the allocator's z-step no longer a dense LP, one unsharded exact
-// heuristic solve of the 10k-task scale scenario finishes inside the
-// default epoch deadline, is feasible, and admits at least as much
-// weighted priority as both mechanisms that exist to avoid it — the
-// approximate tier and the auto-sharded heuristic.
+// TestSerialExact10k pins what the default tier is at scale: Solve with
+// no option is the exact heuristic, the same plan bit for bit as
+// TierHeuristic on the 10k-task scale scenario. That solve finishes
+// inside the default epoch deadline, is feasible, and admits at least as
+// much weighted priority as the approximate tier.
 func TestSerialExact10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-task solves")
@@ -116,7 +82,7 @@ func TestSerialExact10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierHeuristic), offloadnn.WithShards(1))
+	exact, err := offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierHeuristic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,28 +90,26 @@ func TestSerialExact10k(t *testing.T) {
 	if raceDetectorEnabled {
 		bound *= 5
 	}
-	if serial.Runtime >= bound {
-		t.Errorf("serial exact 10k solve took %v, epoch deadline %v", serial.Runtime, bound)
+	if exact.Runtime >= bound {
+		t.Errorf("exact 10k solve took %v, epoch deadline %v", exact.Runtime, bound)
 	}
-	if serial.Shards > 1 {
-		t.Fatalf("WithShards(1) solved on %d bands", serial.Shards)
+	if err := offloadnn.Check(in, exact.Assignments); err != nil {
+		t.Fatalf("exact 10k solution infeasible: %v", err)
 	}
-	if err := offloadnn.Check(in, serial.Assignments); err != nil {
-		t.Fatalf("serial exact 10k solution infeasible: %v", err)
+	auto, err := offloadnn.Solve(ctx, in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := serial.Breakdown.WeightedAdmission
-	for name, opts := range map[string][]offloadnn.SolveOption{
-		"approx":  {offloadnn.WithTier(offloadnn.TierApprox)},
-		"sharded": {offloadnn.WithTier(offloadnn.TierHeuristic)},
-	} {
-		other, err := offloadnn.Solve(ctx, in, opts...)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		t.Logf("serial %v Σz·p %.2f cost %.2f | %s %v Σz·p %.2f cost %.2f (%d bands)", serial.Runtime, got, serial.Cost,
-			name, other.Runtime, other.Breakdown.WeightedAdmission, other.Cost, other.Shards)
-		if got < other.Breakdown.WeightedAdmission {
-			t.Errorf("serial exact Σz·p %.4f below %s tier's %.4f", got, name, other.Breakdown.WeightedAdmission)
-		}
+	sameSolution(t, "default vs TierHeuristic at 10k", auto, exact)
+
+	approx, err := offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierApprox))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := exact.Breakdown.WeightedAdmission
+	t.Logf("exact %v Σz·p %.2f cost %.2f | approx %v Σz·p %.2f cost %.2f", exact.Runtime, got, exact.Cost,
+		approx.Runtime, approx.Breakdown.WeightedAdmission, approx.Cost)
+	if got < approx.Breakdown.WeightedAdmission {
+		t.Errorf("exact Σz·p %.4f below the approx tier's %.4f", got, approx.Breakdown.WeightedAdmission)
 	}
 }
