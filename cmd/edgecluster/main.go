@@ -1,11 +1,12 @@
 // Command edgecluster runs the OffloaDNN multi-node coordinator: member
 // edgeserve daemons register over HTTP (each with its own M/C/R budgets
 // and a measured coordinator↔node link rate), the coordinator places
-// every registered task's execution path on one member — greedy
-// bin-packing by descending priority over per-node DOT solves, priced at
-// the fleet-wide capacity totals — pushes each node its task subset, and
-// proxies /v1/offload along the resulting task→node routing table. A
-// task whose only viable path fits no single node is split into
+// every registered task's execution path on one member — tasks
+// partitioned by compute headroom in descending priority, one DOT solve
+// per node priced at the fleet-wide capacity totals, rejected tasks
+// retried on the nodes they have not tried — pushes each node its task
+// subset, and proxies /v1/offload along the resulting task→node routing
+// table. A task whose only viable path fits no single node is split into
 // pipelined stage segments across members (activations handed off over
 // POST /v1/stage, priced against the measured inter-node link matrix);
 // the route then points at the head segment's node.

@@ -12,9 +12,10 @@
 //	              (POSTing a probe payload) and reports it with every
 //	              heartbeat; the link rate shrinks the latency budget a
 //	              task has left once its frames are forwarded to the node
-//	placement   → Place bin-packs tasks by descending priority over
-//	              per-node core.SolverSessions, spilling to the next
-//	              node when a budget binds (placement.go)
+//	placement   → PlaceWith partitions tasks by compute headroom in
+//	              descending priority, solves each node's subset once,
+//	              and retries every rejected task on the nodes it has
+//	              not tried (placement.go)
 //	deployment  → the coordinator pushes each node's task subset and
 //	              budgets (PUT /v1/cluster/plan); the member re-solves
 //	              locally and installs through its exec backend as a

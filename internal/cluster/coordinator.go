@@ -547,8 +547,20 @@ func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePl
 func (c *Coordinator) publish(p *Placement, gen uint64, nodes int) {
 	entries := make(map[string]routeEntry, len(p.Route))
 	byNode := make(map[string]*NodePlan, len(p.Plans))
+	// A task is listed on at most one node, so one index over every
+	// node's assignments finds each routed task's path.
+	paths := make(map[string]*core.PathSpec, len(p.Route))
 	for i := range p.Plans {
-		byNode[p.Plans[i].Node.ID] = &p.Plans[i]
+		plan := &p.Plans[i]
+		byNode[plan.Node.ID] = plan
+		if plan.Solution == nil {
+			continue
+		}
+		for _, a := range plan.Solution.Assignments {
+			if a.Path != nil {
+				paths[a.TaskID] = a.Path
+			}
+		}
 	}
 	splitBy := make(map[string]*SplitPath, len(p.Splits))
 	for i := range p.Splits {
@@ -559,14 +571,10 @@ func (c *Coordinator) publish(p *Placement, gen uint64, nodes int) {
 		if plan := byNode[nodeID]; plan != nil {
 			e.Addr = plan.Node.Addr
 			e.Rate = plan.Admitted[taskID]
-			if plan.Solution != nil {
-				for _, a := range plan.Solution.Assignments {
-					if a.TaskID == taskID && a.Path != nil {
-						e.Path = a.Path.ID
-						e.DNN = a.Path.DNN
-					}
-				}
-			}
+		}
+		if path := paths[taskID]; path != nil {
+			e.Path = path.ID
+			e.DNN = path.DNN
 		}
 		if sp := splitBy[taskID]; sp != nil {
 			e.Rate = sp.Rate

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,7 +42,7 @@ func TestPlaceOneNodeMatchesSingleServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := singleSolve(t, in)
-	p := Place(context.Background(), in.Tasks, in.Blocks, []Node{{ID: "solo", Res: in.Res, FloorMbps: -1}}, in.Alpha)
+	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, []Node{{ID: "solo", Res: in.Res, FloorMbps: -1}}, PlaceConfig{Alpha: in.Alpha})
 	if len(p.Errors) != 0 {
 		t.Fatalf("placement errors: %v", p.Errors)
 	}
@@ -98,7 +100,7 @@ func TestPlaceTwoHalfNodesAdmitNoLess(t *testing.T) {
 		}
 		single := singleSolve(t, in).Breakdown.WeightedAdmission
 		nodes := clusterNodes(shares)
-		p := Place(context.Background(), in.Tasks, in.Blocks, nodes, in.Alpha)
+		p := PlaceWith(context.Background(), in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
 		if len(p.Errors) != 0 {
 			t.Fatalf("load %v: placement errors: %v", load, p.Errors)
 		}
@@ -110,7 +112,7 @@ func TestPlaceTwoHalfNodesAdmitNoLess(t *testing.T) {
 	}
 }
 
-// TestPlaceSpillsAcrossNodes checks the bin-packing shape: with per-node
+// TestPlaceSpillsAcrossNodes checks the placement shape: with per-node
 // budgets sized so one node cannot hold everything, tasks spill onto the
 // second node instead of being rejected.
 func TestPlaceSpillsAcrossNodes(t *testing.T) {
@@ -119,7 +121,7 @@ func TestPlaceSpillsAcrossNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := clusterNodes(edge.PartitionResources(in.Res, 2))
-	p := Place(context.Background(), in.Tasks, in.Blocks, nodes, in.Alpha)
+	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
 	perNode := map[string]int{}
 	for _, nid := range p.Route {
 		perNode[nid]++
@@ -143,57 +145,88 @@ func TestPlaceSpillsAcrossNodes(t *testing.T) {
 	}
 }
 
-// TestPlaceApproxAtScale drives the approximate partition-and-pack
-// placement, which PlaceWith selects from DefaultPlaceApproxAfter tasks:
-// 1024 tasks over a pool split four ways. Every node's solution must be
-// feasible on that node's instance, every task must end up routed or
-// unplaced exactly once, and the fleet must admit within 1 % of what the
-// exact heuristic admits on the pooled instance — a relaxation of every
-// placement, so an upper yardstick.
-func TestPlaceApproxAtScale(t *testing.T) {
-	in, err := workload.ScaleScenario(2 * DefaultPlaceApproxAfter)
-	if err != nil {
-		t.Fatal(err)
+// TestPlaceAgainstPooledSolve is the placement's yardstick: the DOT on
+// the pooled fleet (ΣM, ΣC, ΣR, no links) is a relaxation of every
+// placement, so what the exact heuristic admits there bounds what a good
+// placement can. Every row's per-node solutions must be feasible on their
+// node instances, every task routed or unplaced exactly once, and Σz·p
+// within 0.5 % of the pooled solve — 0.1 % from 512 tasks up, where one
+// task is a small share of a node. (The bound is not 1: splitting integer
+// radio blocks and shared block memory across nodes costs something the
+// pooled relaxation does not pay, and both sides are heuristic, so a row
+// can also land above it.)
+func TestPlaceAgainstPooledSolve(t *testing.T) {
+	type row struct {
+		name  string
+		in    *core.Instance
+		nodes []Node
 	}
-	nodes := clusterNodes(edge.PartitionResources(in.Res, 4))
-	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
-	if len(p.Errors) != 0 {
-		t.Fatalf("placement errors: %v", p.Errors)
-	}
-	seen := make(map[string]int, len(in.Tasks))
-	for _, plan := range p.Plans {
-		if plan.Solution == nil {
-			t.Fatalf("node %s got no solution", plan.Node.ID)
-		}
-		if plan.Solution.Tier != core.TierApprox {
-			t.Fatalf("node %s solved at tier %v: the approximate placement did not run", plan.Node.ID, plan.Solution.Tier)
-		}
-		nodeIn := &core.Instance{Tasks: plan.Tasks, Blocks: plan.Blocks, Res: plan.Node.Res, Alpha: in.Alpha}
-		if err := nodeIn.Check(plan.Solution.Assignments); err != nil {
-			t.Errorf("node %s: infeasible plan: %v", plan.Node.ID, err)
-		}
-		for id := range plan.Admitted {
-			seen[id]++
-			if p.Route[id] != plan.Node.ID {
-				t.Errorf("task %s admitted on %s but routed to %q", id, plan.Node.ID, p.Route[id])
+	var rows []row
+	for _, load := range []workload.Load{workload.LoadLow, workload.LoadMedium, workload.LoadHigh} {
+		for _, n := range []int{2, 3, 4} {
+			in, shares, err := workload.ClusterScenario(load, n)
+			if err != nil {
+				t.Fatal(err)
 			}
+			rows = append(rows, row{fmt.Sprintf("large-%v x%d", load, n), in, clusterNodes(shares)})
 		}
 	}
-	for _, id := range p.Unplaced {
-		seen[id]++
-	}
-	for _, task := range in.Tasks {
-		if seen[task.ID] != 1 {
-			t.Errorf("task %s appears %d times across routed and unplaced, want once", task.ID, seen[task.ID])
+	for _, size := range []int{128, 511, 1024} {
+		in, err := workload.ScaleScenario(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{2, 4} {
+			rows = append(rows, row{fmt.Sprintf("scale-%d x%d", size, n), in, clusterNodes(edge.PartitionResources(in.Res, n))})
 		}
 	}
-	if len(seen) != len(in.Tasks) || len(p.Route)+len(p.Unplaced) != len(in.Tasks) {
-		t.Errorf("%d routed + %d unplaced over %d distinct IDs, want %d tasks", len(p.Route), len(p.Unplaced), len(seen), len(in.Tasks))
-	}
-	pooled := singleSolve(t, in).Breakdown.WeightedAdmission
-	t.Logf("approx placement Σz·p %.2f, pooled exact %.2f, unplaced %d", p.WeightedAdmission, pooled, len(p.Unplaced))
-	if p.WeightedAdmission < 0.99*pooled {
-		t.Errorf("approx placement admits Σz·p %.2f, under 99%% of the pooled solve's %.2f", p.WeightedAdmission, pooled)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			in := r.in
+			start := time.Now()
+			p := PlaceWith(context.Background(), in.Tasks, in.Blocks, r.nodes, PlaceConfig{Alpha: in.Alpha})
+			took := time.Since(start)
+			if len(p.Errors) != 0 {
+				t.Fatalf("placement errors: %v", p.Errors)
+			}
+			seen := make(map[string]int, len(in.Tasks))
+			for _, plan := range p.Plans {
+				if plan.Solution == nil {
+					continue // nothing landed here (no Errors, checked above)
+				}
+				nodeIn := &core.Instance{Tasks: plan.Tasks, Blocks: plan.Blocks, Res: plan.Node.Res, Alpha: in.Alpha}
+				if err := nodeIn.Check(plan.Solution.Assignments); err != nil {
+					t.Errorf("node %s: infeasible plan: %v", plan.Node.ID, err)
+				}
+				for id := range plan.Admitted {
+					seen[id]++
+					if p.Route[id] != plan.Node.ID {
+						t.Errorf("task %s admitted on %s but routed to %q", id, plan.Node.ID, p.Route[id])
+					}
+				}
+			}
+			for _, id := range p.Unplaced {
+				seen[id]++
+			}
+			for _, task := range in.Tasks {
+				if seen[task.ID] != 1 {
+					t.Errorf("task %s appears %d times across routed and unplaced, want once", task.ID, seen[task.ID])
+				}
+			}
+			if len(seen) != len(in.Tasks) || len(p.Route)+len(p.Unplaced) != len(in.Tasks) {
+				t.Errorf("%d routed + %d unplaced over %d distinct IDs, want %d tasks", len(p.Route), len(p.Unplaced), len(seen), len(in.Tasks))
+			}
+			pooled := singleSolve(t, in).Breakdown.WeightedAdmission
+			bound := 0.995
+			if len(in.Tasks) >= 512 {
+				bound = 0.999
+			}
+			t.Logf("Σz·p %.3f, pooled %.3f, ratio %.4f, unplaced %d, placed in %v",
+				p.WeightedAdmission, pooled, p.WeightedAdmission/pooled, len(p.Unplaced), took.Round(100*time.Microsecond))
+			if p.WeightedAdmission < bound*pooled {
+				t.Errorf("placement admits Σz·p %.3f, under %.1f%% of the pooled solve's %.3f", p.WeightedAdmission, 100*bound, pooled)
+			}
+		})
 	}
 }
 
@@ -210,14 +243,36 @@ func TestPlaceBandwidthShrinksLatencyBudget(t *testing.T) {
 	// 1000 Mb/s link costs 0.35ms.
 	slow := Node{ID: "slow", Res: in.Res, BandwidthMbps: 2}
 	fast := Node{ID: "fast", Res: in.Res, BandwidthMbps: 1000}
-	p := Place(context.Background(), in.Tasks, in.Blocks, []Node{slow, fast}, in.Alpha)
+	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, []Node{slow, fast}, PlaceConfig{Alpha: in.Alpha})
 	if nid, ok := p.Route["task-1"]; !ok || nid != "fast" {
 		t.Errorf("task-1 (L=200ms) routed to %q, want the fast node (route %v, unplaced %v)", nid, p.Route, p.Unplaced)
 	}
 
+	// The retry walks every node the task has not tried, not just the
+	// next-best one: two slow nodes with four times the fast node's compute
+	// are the partition's first and second choice for task-1, and it is
+	// rejected on both before it reaches the fast node.
+	big := in.Res
+	big.ComputeSeconds *= 4
+	three := []Node{
+		{ID: "slow", Res: big, BandwidthMbps: 2},
+		{ID: "slow2", Res: big, BandwidthMbps: 2},
+		fast,
+	}
+	p = PlaceWith(context.Background(), in.Tasks, in.Blocks, three, PlaceConfig{Alpha: in.Alpha})
+	if nid, ok := p.Route["task-1"]; !ok || nid != "fast" {
+		t.Errorf("three nodes: task-1 routed to %q, want the fast node (route %v, unplaced %v)", nid, p.Route, p.Unplaced)
+	}
+	// Same input, same placement.
+	again := PlaceWith(context.Background(), in.Tasks, in.Blocks, three, PlaceConfig{Alpha: in.Alpha})
+	if !reflect.DeepEqual(p.Route, again.Route) || !reflect.DeepEqual(p.Unplaced, again.Unplaced) || p.WeightedAdmission != again.WeightedAdmission {
+		t.Errorf("placement not deterministic: route %v / %v, unplaced %v / %v, Σz·p %v / %v",
+			p.Route, again.Route, p.Unplaced, again.Unplaced, p.WeightedAdmission, again.WeightedAdmission)
+	}
+
 	// A link slower than the frame rate of any budget excludes the node.
 	dead := Node{ID: "dead", Res: in.Res, BandwidthMbps: 0.1}
-	p = Place(context.Background(), in.Tasks, in.Blocks, []Node{dead}, in.Alpha)
+	p = PlaceWith(context.Background(), in.Tasks, in.Blocks, []Node{dead}, PlaceConfig{Alpha: in.Alpha})
 	if len(p.Route) != 0 {
 		t.Errorf("0.1 Mb/s node admitted %v, want nothing", p.Route)
 	}
@@ -287,5 +342,31 @@ func TestBandwidthFloor(t *testing.T) {
 	}
 	if got := (Node{}).ForwardDelay(0); got != 0 {
 		t.Errorf("zero-bit forward took %v, want 0", got)
+	}
+}
+
+// TestPlaceSolveErrorLeavesNodeWithoutPlan: a node whose solve fails (here
+// every node's, on a canceled context) is recorded in Errors and gets no
+// plan, its tasks are unplaced, and nothing is routed off an unchecked
+// solution.
+func TestPlaceSolveErrorLeavesNodeWithoutPlan(t *testing.T) {
+	in, err := workload.SmallScenario(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	nodes := clusterNodes(edge.PartitionResources(in.Res, 2))
+	p := PlaceWith(ctx, in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
+	if len(p.Errors) != len(nodes) {
+		t.Errorf("errors %v, want one per node", p.Errors)
+	}
+	for _, plan := range p.Plans {
+		if plan.Solution != nil || len(plan.Tasks) != 0 {
+			t.Errorf("node %s has a plan (%d tasks) after its solve failed", plan.Node.ID, len(plan.Tasks))
+		}
+	}
+	if len(p.Route) != 0 || len(p.Unplaced) != len(in.Tasks) {
+		t.Errorf("route %v, unplaced %v: want nothing routed, all %d tasks unplaced", p.Route, p.Unplaced, len(in.Tasks))
 	}
 }
