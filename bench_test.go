@@ -558,7 +558,7 @@ func BenchmarkEpochResolve10k(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.ReplaceTasks(in.Tasks, in.Blocks, nil); err != nil {
+	if _, err := srv.ReplacePlan(in.Tasks, in.Blocks, nil, nil); err != nil {
 		b.Fatal(err)
 	}
 	if ep := srv.Current(); ep == nil || ep.Tier != core.TierApprox {
@@ -755,9 +755,9 @@ func BenchmarkOffloadServe(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveOptimalParallelT4 times the parallel exhaustive solver at
-// T=4 against BenchmarkSolveOptimalSmallT3's sequential baseline scale.
-func BenchmarkSolveOptimalParallelT4(b *testing.B) {
+// BenchmarkSolveOptimalT4 times the exhaustive solver at T=4, one task
+// above BenchmarkSolveOptimalSmallT3.
+func BenchmarkSolveOptimalT4(b *testing.B) {
 	in, err := workload.SmallScenario(4)
 	if err != nil {
 		b.Fatal(err)
@@ -765,7 +765,7 @@ func BenchmarkSolveOptimalParallelT4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SolveOptimalParallelCtx(context.Background(), in, 0); err != nil {
+		if _, _, err := core.SolveOptimal(in); err != nil {
 			b.Fatal(err)
 		}
 	}

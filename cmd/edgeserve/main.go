@@ -114,12 +114,9 @@ func run() int {
 	modelWidth := flag.Int("model-width", 8, "real backend: base channel width of the model template")
 	inputShape := flag.String("input", "8x8", "real backend: input HxW (channels fixed at 3)")
 	solveTimeout := flag.Duration("solve-timeout", 0, "deadline for one epoch's solve (0 = default 2s, negative = unbounded)")
-	solverTier := flag.String("solver-tier", "auto", "epoch solver tier: auto|heuristic|optimal|approx (auto = heuristic below 512 tasks, approx from there up)")
-	solverWorkers := flag.Int("solver-workers", 0, "worker bound for the optimal tier's search and the approx tier's scoring pass (0 = all cores)")
 	staleAfter := flag.Duration("stale-after", 10*time.Second, "plan staleness before /healthz reports degraded")
 	backoff := flag.Duration("backoff", 0, "initial retry delay after a failed re-solve (0 = debounce)")
 	backoffMax := flag.Duration("backoff-max", 5*time.Second, "retry delay cap under consecutive failures")
-	breaker := flag.Int("breaker", 3, "consecutive failures before falling back to full (non-incremental) solves")
 	drainGrace := flag.Duration("drain-grace", 1*time.Second, "window after SIGTERM where the listener stays open in draining mode")
 	clusterJoin := flag.String("cluster-join", "", "coordinator base URL to join as a cluster member (empty = standalone)")
 	nodeID := flag.String("node-id", "", "cluster member node ID (required with -cluster-join)")
@@ -133,12 +130,6 @@ func run() int {
 		return nil
 	})
 	flag.Parse()
-
-	tier, err := core.ParseTier(*solverTier)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "edgeserve:", err)
-		return 2
-	}
 
 	var faults *faultinject.Injector
 	if len(faultSpecs) > 0 {
@@ -228,13 +219,11 @@ func run() int {
 		Debounce:          *debounce,
 		Window:            *window,
 		SolveTimeout:      *solveTimeout,
-		Solver:            core.SolverSpec{Tier: tier, Workers: *solverWorkers},
 		StaleAfter:        *staleAfter,
 		OverloadWindow:    *overloadWindow,
 		OverloadAfter:     *overloadAfter,
 		FailureBackoff:    *backoff,
 		FailureBackoffMax: *backoffMax,
-		BreakerThreshold:  *breaker,
 		Faults:            faults,
 		Backend:           backend,
 		Logf:              log.Printf,

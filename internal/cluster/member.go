@@ -74,7 +74,7 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	for _, wt := range push.Tasks {
 		tasks = append(tasks, wt.Task())
 	}
-	changed, err := srv.ReplaceTasks(tasks, FromWireBlocks(push.Blocks), push.Res.NormResources())
+	changed, err := srv.ReplacePlan(tasks, FromWireBlocks(push.Blocks), push.Res.NormResources(), push.Segments)
 	if err != nil {
 		if errors.Is(err, serve.ErrDraining) {
 			writeError(w, http.StatusServiceUnavailable, serve.CodeDraining, "%v", err)
@@ -83,12 +83,6 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
-	segChanged, err := srv.ReplaceSegments(push.Segments)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
-		return
-	}
-	changed = changed || segChanged
 	var epoch uint64
 	if ep := srv.Current(); ep != nil {
 		epoch = ep.N
@@ -221,7 +215,7 @@ func (a *Agent) loop() {
 // the node.
 func (a *Agent) register() error {
 	if a.mbps <= 0 {
-		if mbps, err := a.probeBandwidth(); err == nil {
+		if mbps, err := a.probe(a.cfg.Coordinator); err == nil {
 			a.mbps = mbps
 			if a.cfg.Logf != nil {
 				a.cfg.Logf("cluster: agent %s: measured link %.1f Mb/s", a.cfg.NodeID, mbps)
@@ -318,8 +312,7 @@ func (a *Agent) beat() error {
 }
 
 // probeNextPeer round-robins one inter-node bandwidth probe over the
-// current peer address book, streaming ProbeBytes to the peer's probe
-// sink and timing the transfer.
+// current peer address book.
 func (a *Agent) probeNextPeer() {
 	a.mu.Lock()
 	if len(a.peerBook) == 0 {
@@ -336,27 +329,13 @@ func (a *Agent) probeNextPeer() {
 	a.probeSeq++
 	a.mu.Unlock()
 
-	payload := make([]byte, a.cfg.ProbeBytes)
-	start := time.Now()
-	req, err := http.NewRequestWithContext(a.ctx, http.MethodPost, addr+"/v1/cluster/bwprobe", bytes.NewReader(payload))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := a.client.Do(req)
+	mbps, err := a.probe(addr)
 	if err != nil {
 		if a.cfg.Logf != nil {
 			a.cfg.Logf("cluster: agent %s: peer probe %s: %v", a.cfg.NodeID, id, err)
 		}
 		return
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	elapsed := time.Since(start).Seconds()
-	if resp.StatusCode != http.StatusOK || elapsed <= 0 {
-		return
-	}
-	mbps := float64(a.cfg.ProbeBytes) * 8 / elapsed / 1e6
 	a.mu.Lock()
 	if a.peerMbps == nil {
 		a.peerMbps = make(map[string]float64)
@@ -365,13 +344,12 @@ func (a *Agent) probeNextPeer() {
 	a.mu.Unlock()
 }
 
-// probeBandwidth measures the node↔coordinator link by streaming
-// ProbeBytes to the coordinator's probe sink and timing the transfer.
-func (a *Agent) probeBandwidth() (float64, error) {
+// probe measures the link to the node or coordinator at base URL url by
+// streaming ProbeBytes to its probe sink and timing the transfer.
+func (a *Agent) probe(url string) (mbps float64, err error) {
 	payload := make([]byte, a.cfg.ProbeBytes)
 	start := time.Now()
-	req, err := http.NewRequestWithContext(a.ctx, http.MethodPost,
-		a.cfg.Coordinator+"/v1/cluster/bwprobe", bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(a.ctx, http.MethodPost, url+"/v1/cluster/bwprobe", bytes.NewReader(payload))
 	if err != nil {
 		return 0, err
 	}

@@ -44,7 +44,7 @@ type approxCand struct {
 // Every admitted assignment satisfies (1b)–(1g) by construction, so the
 // result always passes Instance.Check. Complexity is O(T·paths) — no
 // z-step, no alternation.
-func solveApproxCtx(ctx context.Context, in *Instance, spec SolverSpec) (*Solution, error) {
+func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 	start := time.Now()
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -62,7 +62,7 @@ func solveApproxCtx(ctx context.Context, in *Instance, spec SolverSpec) (*Soluti
 	// task and the read-only catalog, so the result is deterministic at
 	// any worker count.
 	cands := make([][]approxCand, len(order))
-	tensor.ParallelFor(len(order), 16, spec.Workers, func(lo, hi int) {
+	tensor.ParallelFor(len(order), 16, 0, func(lo, hi int) {
 		for oi := lo; oi < hi; oi++ {
 			ti := order[oi]
 			task := &in.Tasks[ti]

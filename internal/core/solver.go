@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 )
 
 // ctxErr surfaces a context cancellation as a wrapped error, so callers
@@ -43,8 +44,66 @@ func SolveOptimal(in *Instance) (*Solution, *OptimalStats, error) {
 
 // SolveOptimalCtx is SolveOptimal with cancellation checked between tree
 // layers of the depth-first traversal — essential for bounding the
-// exponential search from a caller's deadline. It is the one-worker case
-// of SolveOptimalParallelCtx.
+// exponential search from a caller's deadline. A leaf replaces the
+// incumbent only on a strictly lower cost, so among equal-cost leaves the
+// left-most in depth-first order wins.
 func SolveOptimalCtx(ctx context.Context, in *Instance) (*Solution, *OptimalStats, error) {
-	return SolveOptimalParallelCtx(ctx, in, 1)
+	start := time.Now()
+	tree, err := buildTreeCtx(ctx, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats := &OptimalStats{}
+	var best *Solution
+	state := newBranchState(in)
+	chosen := make([]Vertex, len(tree.Layers))
+
+	var dfs func(layer int) error
+	dfs = func(layer int) error {
+		if err := ctxErr(ctx); err != nil {
+			return err
+		}
+		if layer == len(tree.Layers) {
+			stats.BranchesExplored++
+			assignments, err := tree.assignmentsFor(chosen)
+			if err != nil {
+				return err
+			}
+			if err := in.OptimizeAllocation(assignments); err != nil {
+				return err
+			}
+			bd, err := in.Evaluate(assignments)
+			if err != nil {
+				return err
+			}
+			if c := bd.CostValue(); best == nil || c < best.Cost {
+				best = &Solution{Assignments: assignments, Cost: c, Breakdown: bd}
+			}
+			return nil
+		}
+		for _, u := range tree.Layers[layer].Vertices {
+			mem := state.push(u)
+			if mem > in.Res.MemoryGB+1e-12 {
+				stats.BranchesPruned++
+				state.pop()
+				continue
+			}
+			chosen[layer] = u
+			if err := dfs(layer + 1); err != nil {
+				return err
+			}
+			state.pop()
+		}
+		return nil
+	}
+	if err := dfs(0); err != nil {
+		return nil, nil, err
+	}
+	if best == nil {
+		return nil, nil, fmt.Errorf("%w: no feasible branch", ErrNoFeasiblePath)
+	}
+	best.Runtime = time.Since(start)
+	best.Tier = TierOptimal
+	best.Stats = stats
+	return best, stats, nil
 }

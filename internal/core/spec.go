@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Tier identifies one of the solver tiers behind the unified Solve API.
@@ -25,8 +24,11 @@ const (
 	TierOptimal
 	// TierApprox is the approximate admission tier: score-based path
 	// ranking with greedy budget packing. One shortlist scoring pass and
-	// one greedy pass, no (z, r) alternation and no session to build —
-	// why epochs from 512 tasks run on it (serve.DefaultApproxAfter).
+	// one greedy pass, no (z, r) alternation and no session to build. The
+	// exact heuristic admits more at every size; epochs from 512 tasks run
+	// on this tier (serve.DefaultApproxAfter) because the cold 10k-task
+	// epoch is ≈ 0.25 s cheaper on it, and bench/control.go's
+	// core.approx_admission_ratio probe names it.
 	TierApprox
 )
 
@@ -63,42 +65,27 @@ func ParseTier(s string) (Tier, error) {
 	}
 }
 
-// SolverSpec selects a solver tier and its execution knobs. The zero
-// value is TierAuto with the pool's parallelism — the right default for
-// callers that just want the instance solved.
+// SolverSpec selects a solver tier. The zero value is TierAuto — the
+// right default for callers that just want the instance solved.
 type SolverSpec struct {
 	// Tier picks the solver; TierAuto defers to the dispatcher.
 	Tier Tier
-	// Workers bounds the goroutines the optimal tier's first-layer
-	// fan-out and the approx tier's scoring pass may use (the caller's
-	// included). <= 0 uses the tensor pool's Parallelism(). The
-	// heuristic tier is serial.
-	Workers int
-	// Timeout bounds the solve; 0 means no deadline beyond the caller's
-	// context.
-	Timeout time.Duration
 	// Heuristic carries the ablation knobs of the heuristic tier.
 	Heuristic HeuristicConfig
 }
 
-// SolveSpec solves the instance with the tier and knobs the spec
-// selects. It is the single dispatch point behind the facade's
-// Solve(ctx, in, ...SolveOption) API: the heuristic tier, the
-// exhaustive optimal tier (serial or first-layer-parallel), and the
-// approximate admission tier all route through here, and the returned
-// Solution records which tier produced it.
+// SolveSpec solves the instance with the tier the spec selects, bounded
+// by the caller's context. It is the single dispatch point behind the
+// facade's Solve(ctx, in, ...SolveOption) API: the heuristic tier, the
+// exhaustive optimal tier and the approximate admission tier all route
+// through here, and the returned Solution records which tier produced it.
 func SolveSpec(ctx context.Context, in *Instance, spec SolverSpec) (*Solution, error) {
-	if spec.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, spec.Timeout)
-		defer cancel()
-	}
 	switch spec.Tier {
 	case TierOptimal:
-		sol, _, err := SolveOptimalParallelCtx(ctx, in, spec.Workers)
+		sol, _, err := SolveOptimalCtx(ctx, in)
 		return sol, err
 	case TierApprox:
-		return solveApproxCtx(ctx, in, spec)
+		return solveApproxCtx(ctx, in)
 	case TierAuto, TierHeuristic:
 		return SolveOffloaDNNConfiguredCtx(ctx, in, spec.Heuristic)
 	default:

@@ -299,7 +299,7 @@ func TestPrunedVariantSmaller(t *testing.T) {
 }
 
 func TestSimulatedBackend(t *testing.T) {
-	s := exec.NewSimulated(exec.SimulatedConfig{})
+	s := exec.NewSimulated()
 	t.Cleanup(s.Close)
 	plan := planFor(1, map[string][]string{"t1": {"base/s1", "base/s2"}})
 	if err := s.Install(plan); err != nil {

@@ -3,26 +3,11 @@ package exec
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"offloadnn/internal/edge"
 )
-
-// SimulatedConfig parameterizes the cost-model backend.
-type SimulatedConfig struct {
-	// LinkRateFactor scales the delivered per-RB rate against the
-	// planning value B(σ); ≤ 0 means 1.0 (see edge.EmulatorConfig).
-	LinkRateFactor float64
-	// ComputeScale scales every path compute time; ≤ 0 means 1.0.
-	ComputeScale float64
-	// Jitter adds ±Jitter·latency uniform noise to each answer,
-	// emulating per-frame variability; 0 is deterministic.
-	Jitter float64
-	// Seed drives the jitter.
-	Seed int64
-}
 
 // Simulated is the predict-only execution backend: it answers every
 // admitted request with the installed deployment's planned per-task cost
@@ -30,11 +15,8 @@ type SimulatedConfig struct {
 // resolver's predicted latency and the Fig. 11 emulator). It runs no
 // model and returns no logits.
 type Simulated struct {
-	cfg SimulatedConfig
-
 	mu     sync.Mutex
 	costs  map[string]edge.TaskCost
-	rng    *rand.Rand
 	served int64
 	hits   int64
 	misses int64
@@ -43,16 +25,12 @@ type Simulated struct {
 
 // NewSimulated constructs a cost-model backend; no plan is installed
 // yet, so every Infer fails with ErrNoModel until the first Install.
-func NewSimulated(cfg SimulatedConfig) *Simulated {
-	return &Simulated{
-		cfg:   cfg,
-		costs: map[string]edge.TaskCost{},
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
+func NewSimulated() *Simulated {
+	return &Simulated{costs: map[string]edge.TaskCost{}}
 }
 
 // Install implements Backend: it re-evaluates the per-task cost table
-// for the new deployment.
+// for the new deployment at the unscaled planning rates.
 func (s *Simulated) Install(plan *Plan) error {
 	if plan == nil {
 		return fmt.Errorf("exec: nil plan")
@@ -62,15 +40,10 @@ func (s *Simulated) Install(plan *Plan) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.costs = edge.PlanCosts(plan.Tasks, plan.Blocks, plan.Res, plan.Deployment,
-		s.cfg.LinkRateFactor, s.cfg.ComputeScale)
+	s.costs = edge.PlanCosts(plan.Tasks, plan.Blocks, plan.Res, plan.Deployment, 0, 0)
 	// Segment ranges answer with their slice's modeled compute; the
 	// transfer legs live in the serving layer, which never forwards a
 	// simulated activation (there is none).
-	scale := s.cfg.ComputeScale
-	if scale <= 0 {
-		scale = 1
-	}
 	for _, seg := range plan.Segments {
 		if err := seg.Validate(); err != nil {
 			return err
@@ -80,14 +53,14 @@ func (s *Simulated) Install(plan *Plan) error {
 			proc += plan.Blocks[id].ComputeSeconds
 		}
 		s.costs[RouteKey(seg.TaskID, seg.From)] = edge.TaskCost{
-			Proc: time.Duration(proc * scale * float64(time.Second)),
+			Proc: time.Duration(proc * float64(time.Second)),
 		}
 	}
 	return nil
 }
 
 // Infer implements Backend: the answer is the planned per-frame cost of
-// the task, optionally jittered. The input payload is accepted but not
+// the task. The input payload is accepted but not
 // interpreted; no logits are produced. The cost model answers instantly,
 // so a request deadline matters only when the *modeled* latency blows
 // it: the simulated hit/miss accounting mirrors what the deadline-aware
@@ -103,9 +76,6 @@ func (s *Simulated) Infer(_ context.Context, req Request) (Output, error) {
 		return Output{}, fmt.Errorf("%w: %q (stage %d)", ErrNoModel, req.TaskID, req.FromStage)
 	}
 	lat := cost.Total()
-	if s.cfg.Jitter > 0 {
-		lat = time.Duration(float64(lat) * (1 + s.cfg.Jitter*(2*s.rng.Float64()-1)))
-	}
 	s.served++
 	if !req.Deadline.IsZero() {
 		if time.Now().Add(lat).After(req.Deadline) {

@@ -40,7 +40,6 @@ type healthBody struct {
 	GenerationLag       uint64  `json:"generation_lag"`
 	StaleForSeconds     float64 `json:"stale_for_seconds"`
 	ConsecutiveFailures uint64  `json:"consecutive_failures"`
-	BreakerOpen         bool    `json:"breaker_open"`
 	LastSolveError      string  `json:"last_solve_error"`
 }
 
@@ -210,88 +209,98 @@ func TestSolveTimeoutIncrementalHang(t *testing.T) {
 	}
 }
 
-// TestBreakerTripAndRearm drives the incremental→full circuit breaker:
-// three consecutive failures drop the SolverSession and switch to full
-// admission rounds; the next success re-arms incremental solving. The
-// fallback must publish the plan the session would: it runs on the
-// 4-task small scenario and on a 300-task registry, wide enough that a
-// fallback solving anything but the one exact heuristic shows.
-func TestBreakerTripAndRearm(t *testing.T) {
+// TestSolveFailuresDropSessionAndRecover pins what recovery is without a
+// second solve path: every failed solve drops the SolverSession and leaves
+// the previous epoch serving, the failure run counts up and degrades
+// /healthz from the third, and the first clean epoch rebuilds the session
+// on the heuristic tier and publishes the plan a from-scratch
+// core.SolveOffloaDNN gives for the same registry. It runs on the 4-task
+// small scenario and on a 300-task registry, wide enough that a rebuilt
+// session solving anything but the one exact heuristic shows.
+func TestSolveFailuresDropSessionAndRecover(t *testing.T) {
 	t.Run("small", func(t *testing.T) {
 		inj := faultinject.New(1)
-		srv := newTestServer(t, Config{Debounce: time.Hour, BreakerThreshold: 3, Faults: inj})
+		srv := newTestServer(t, Config{Debounce: time.Hour, Faults: inj})
 		registerSmall(t, srv, 3)
 		last, err := workload.SmallTask(4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		breakerTripAndRearm(t, srv, inj, last)
+		solveFailuresDropSessionAndRecover(t, srv, inj, last)
 	})
 	t.Run("scale-300", func(t *testing.T) {
 		inj := faultinject.New(1)
-		srv, tasks := scaleServer(t, Config{BreakerThreshold: 3, Faults: inj}, 300, 299)
-		breakerTripAndRearm(t, srv, inj, tasks[299])
+		srv, tasks := scaleServer(t, Config{Faults: inj}, 300, 299)
+		solveFailuresDropSessionAndRecover(t, srv, inj, tasks[299])
 	})
 }
 
-// breakerTripAndRearm takes a server with everything but `last`
-// registered and walks it through trip, fallback solve and re-arm.
-func breakerTripAndRearm(t *testing.T, srv *Server, inj *faultinject.Injector, last core.Task) {
+// solveFailuresDropSessionAndRecover takes a server with everything but
+// `last` registered and walks it through five failed solves and the
+// recovery.
+func solveFailuresDropSessionAndRecover(t *testing.T, srv *Server, inj *faultinject.Injector, last core.Task) {
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
 	if !sessionLive(srv) {
 		t.Fatal("no incremental session after a clean solve")
 	}
+	before := srv.Current()
 
-	inj.Set(faultinject.PointSolverError, faultinject.Rule{EveryN: 1, Count: 3})
+	const failures = 5
+	inj.Set(faultinject.PointSolverError, faultinject.Rule{EveryN: 1, Count: failures})
 	if err := srv.Register(last, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= failures; i++ {
 		if err := srv.ResolveNow(); !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("failure %d: err %v, want injected", i, err)
 		}
-		wantOpen := i >= 3
-		if got := srv.resolver.BreakerOpen(); got != wantOpen {
-			t.Fatalf("after failure %d: breaker open=%v, want %v", i, got, wantOpen)
+		if sessionLive(srv) {
+			t.Fatalf("failure %d left the incremental session live", i)
+		}
+		if got := srv.Current(); got != before {
+			t.Fatalf("failure %d replaced epoch %d with %d", i, before.N, got.N)
+		}
+		if got := srv.resolver.ConsecutiveFailures(); got != uint64(i) {
+			t.Fatalf("failure %d: consecutive failures = %d", i, got)
+		}
+		wantStatus := "healthy"
+		if i >= 3 { // the DegradedAfter default
+			wantStatus = "degraded"
+		}
+		if _, h := getHealth(t, srv); h.Status != wantStatus {
+			t.Fatalf("failure %d: /healthz %q, want %q", i, h.Status, wantStatus)
 		}
 	}
-	if sessionLive(srv) {
-		t.Fatal("breaker open but the incremental session survived")
-	}
 
-	// Fault exhausted: the full-path solve succeeds and re-arms the
-	// breaker; the session rebuilds on the next churned solve.
+	// Fault exhausted: the next epoch rebuilds the session from the
+	// registry and equals the from-scratch heuristic.
 	if err := srv.ResolveNow(); err != nil {
-		t.Fatalf("full-path solve: %v", err)
+		t.Fatalf("solve after the failure run: %v", err)
 	}
-	if srv.resolver.BreakerOpen() {
-		t.Fatal("breaker still open after a successful solve")
-	}
-	if sessionLive(srv) {
-		t.Fatal("full-path solve built an incremental session")
-	}
-	// The one fork in produce is equivalent: the session's epoch for the
-	// same registry matches the breaker-open one.
-	full := srv.Current().Deployment
-	if err := srv.ForceResolve(); err != nil {
-		t.Fatal(err)
+	ep := srv.Current()
+	if ep.N != before.N+1 || ep.Tier != core.TierHeuristic {
+		t.Fatalf("recovery published epoch %d at tier %v, want %d at heuristic", ep.N, ep.Tier, before.N+1)
 	}
 	if !sessionLive(srv) {
-		t.Fatal("re-armed breaker did not route the next solve to the session")
+		t.Fatal("clean epoch did not rebuild the incremental session")
 	}
-	sess := srv.Current().Deployment
-	samePlan(t, "session vs breaker-open", sess.Solution.Cost, full.Solution.Cost, sess.AdmittedRates, full.AdmittedRates)
-	if err := srv.Deregister(last.ID); err != nil {
+	if code, h := getHealth(t, srv); code != http.StatusOK || h.Status != "healthy" || h.ConsecutiveFailures != 0 {
+		t.Fatalf("after recovery: /healthz %d %+v", code, h)
+	}
+	tasks, blocks, _ := srv.Registry().Snapshot()
+	full, err := core.SolveOffloaDNN(&core.Instance{Tasks: tasks, Blocks: blocks, Res: srv.Resources(), Alpha: srv.Alpha()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.ResolveNow(); err != nil {
-		t.Fatal(err)
+	want := make(map[string]float64)
+	for i, a := range full.Assignments {
+		if a.Admitted() {
+			want[a.TaskID] = a.Z * tasks[i].Rate
+		}
 	}
-	if !sessionLive(srv) {
-		t.Fatal("incremental path did not resume after the breaker re-armed")
-	}
+	samePlan(t, "rebuilt session vs from scratch", ep.Deployment.Solution.Cost, full.Cost, ep.Deployment.AdmittedRates, want)
 }
 
 // sessionLive peeks at the resolver's incremental session under its

@@ -273,7 +273,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"epoch_age_seconds":    h.EpochAge.Seconds(),
 		"stale_for_seconds":    h.StaleFor.Seconds(),
 		"consecutive_failures": h.ConsecutiveFailures,
-		"breaker_open":         h.BreakerOpen,
 		"overloaded":           h.Overloaded,
 		"recent_sheds":         h.RecentSheds,
 		"tasks":                s.reg.Len(),
@@ -311,7 +310,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "offloadnn_solve_panics_total %d\n", s.stats.SolvePanics())
 	family("offloadnn_solve_duration_seconds", "gauge", "Duration of the most recent solve, overall and per solver tier.")
 	fmt.Fprintf(w, "offloadnn_solve_duration_seconds %g\n", s.stats.LastSolveLatency().Seconds())
-	solveTiers := []core.Tier{core.TierHeuristic, core.TierOptimal, core.TierApprox}
+	solveTiers := []core.Tier{core.TierHeuristic, core.TierApprox} // the two sides of pickTier
 	for _, t := range solveTiers {
 		if s.stats.TierSolves(t) > 0 {
 			fmt.Fprintf(w, "offloadnn_solve_duration_seconds{tier=%q} %g\n", t.String(), s.stats.TierLastSolveLatency(t).Seconds())
@@ -334,8 +333,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "offloadnn_epoch_age_seconds %g\n", h.EpochAge.Seconds())
 	family("offloadnn_epoch_stale_seconds", "gauge", "How long the plan has trailed the registry; 0 while current.")
 	fmt.Fprintf(w, "offloadnn_epoch_stale_seconds %g\n", h.StaleFor.Seconds())
-	family("offloadnn_breaker_open", "gauge", "Incremental-to-full circuit breaker: 1 open, 0 closed.")
-	fmt.Fprintf(w, "offloadnn_breaker_open %d\n", boolGauge(h.BreakerOpen))
 	family("offloadnn_offload_requests_total", "counter", "Offload requests received.")
 	fmt.Fprintf(w, "offloadnn_offload_requests_total %d\n", s.stats.Requests())
 	family("offloadnn_offload_aborted_total", "counter", "Offload requests whose client disconnected before gate work.")

@@ -61,8 +61,6 @@ type Health struct {
 	StaleFor time.Duration
 	// ConsecutiveFailures is the current run of failed re-solves.
 	ConsecutiveFailures uint64
-	// BreakerOpen reports the incremental→full circuit breaker.
-	BreakerOpen bool
 	// Overloaded reports sustained deadline pressure in the execution
 	// runtime: RecentSheds ≥ Config.OverloadAfter inside the trailing
 	// OverloadWindow. Degrades the aggregate state while it lasts; the
@@ -88,7 +86,6 @@ func (s *Server) Health() Health {
 	h := Health{
 		Generation:          gen,
 		ConsecutiveFailures: s.resolver.ConsecutiveFailures(),
-		BreakerOpen:         s.resolver.BreakerOpen(),
 		LastError:           s.stats.LastSolveError(),
 	}
 	var epGen uint64

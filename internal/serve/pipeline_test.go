@@ -162,7 +162,8 @@ func TestRequestPipelineEveryUnitKind(t *testing.T) {
 	const path = "prop/π"
 	blocks := []string{"prop/s1", "prop/s2", "prop/s3", "prop/s4"}
 	const hourMS = 3.6e6
-	if _, err := srv.ReplaceSegments([]SegmentSpec{
+	regTasks, regBlocks, _ := srv.Registry().Snapshot()
+	if _, err := srv.ReplacePlan(regTasks, regBlocks, nil, []SegmentSpec{
 		{Task: "h", Path: path, DNN: "prop", Blocks: blocks, From: 0, To: 2, Rate: 5, BudgetMS: hourMS, Hop: 0, Hops: 2, Next: next.URL, NextNode: "n2"},
 		{Task: "m", Path: path, DNN: "prop", Blocks: blocks, From: 1, To: 3, Hop: 1, Hops: 3, Next: next.URL, NextNode: "n2"},
 		{Task: "t", Path: path, DNN: "prop", Blocks: blocks, From: 2, To: 4, Hop: 1, Hops: 2},

@@ -101,16 +101,15 @@ func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
 // On the heuristic tier the resolver runs incrementally: it keeps a
 // core.SolverSession across epochs and feeds it the task delta between
 // the session's state and the registry snapshot, so only the cliques the
-// churn touched are rebuilt. Every other tier, and the heuristic while
-// the circuit breaker is open, is a full solve through core.SolveSpec.
+// churn touched are rebuilt. The approximate tier is a full solve through
+// core.SolveSpec.
 //
 // The resolver is built to survive its solver. A panic inside the solve
 // step is recovered into a counted solve error; a hung solve is bounded
-// by the SolveTimeout setting; consecutive failures back off exponentially
-// (capped, jittered) instead of retrying hot; and a circuit breaker
-// drops the incremental session after breakerN consecutive failures,
-// falling back to full solves until one succeeds. In every failure mode
-// the last-good epoch keeps serving.
+// by the SolveTimeout setting; a failed epoch drops the session, so the
+// next one rebuilds it from the registry; and consecutive failures back
+// off exponentially (capped, jittered) instead of retrying hot. In every
+// failure mode the last-good epoch keeps serving.
 type Resolver struct {
 	reg      *Registry
 	ctrl     *edge.Controller
@@ -130,9 +129,6 @@ type Resolver struct {
 	solveTimeout time.Duration
 	backoffBase  time.Duration
 	backoffMax   time.Duration
-	breakerN     int
-	// spec selects the epoch solver tier (the Solver setting).
-	spec core.SolverSpec
 	// jitter draws the backoff jitter factor source in [0,1);
 	// injectable for deterministic schedule tests.
 	jitter func() float64
@@ -151,9 +147,6 @@ type Resolver struct {
 	// fails counts consecutive solve failures; zeroed on success. Read
 	// by the health state machine and /metrics without solveMu.
 	fails atomic.Uint64
-	// breakerOpen reports the incremental→full circuit breaker state.
-	// Only the resolve path writes it (under solveMu); handlers read it.
-	breakerOpen atomic.Bool
 	// staleSince is when the published plan first fell behind the
 	// registry (unix nanos on the injected clock); zero while current.
 	// Kick sets it, a publish clears it.
@@ -175,8 +168,6 @@ type resolverParams struct {
 	solveTimeout time.Duration
 	backoffBase  time.Duration
 	backoffMax   time.Duration
-	breakerN     int
-	spec         core.SolverSpec
 	faults       *faultinject.Injector
 	backend      exec.Backend
 	node         string
@@ -206,8 +197,6 @@ func newResolver(reg *Registry, ctrl *edge.Controller, res core.Resources, alpha
 		solveTimeout: p.solveTimeout,
 		backoffBase:  p.backoffBase,
 		backoffMax:   p.backoffMax,
-		breakerN:     p.breakerN,
-		spec:         p.spec,
 		jitter:       rand.Float64,
 		kick:         make(chan struct{}, 1),
 		done:         make(chan struct{}),
@@ -224,10 +213,6 @@ func (r *Resolver) Current() *Epoch { return r.cur.Load() }
 
 // ConsecutiveFailures returns the current run of failed solves.
 func (r *Resolver) ConsecutiveFailures() uint64 { return r.fails.Load() }
-
-// BreakerOpen reports whether the incremental→full circuit breaker is
-// open (epochs run as full solves until one succeeds).
-func (r *Resolver) BreakerOpen() bool { return r.breakerOpen.Load() }
 
 // StaleSince returns when the published plan first fell behind the
 // registry, and false while the plan is current.
@@ -431,14 +416,10 @@ func (r *Resolver) resolve(force bool) error {
 	return nil
 }
 
-// pickTier resolves the configured solver spec against the registry
-// size: a pinned tier wins outright; the auto tier runs the approximate
-// admission tier from DefaultApproxAfter tasks and the exact incremental
-// heuristic below.
-func (r *Resolver) pickTier(n int) core.Tier {
-	if r.spec.Tier != core.TierAuto {
-		return r.spec.Tier
-	}
+// pickTier is the size rule: the approximate admission tier from
+// DefaultApproxAfter registered tasks, the exact incremental heuristic
+// below.
+func pickTier(n int) core.Tier {
 	if n >= DefaultApproxAfter {
 		return core.TierApprox
 	}
@@ -448,10 +429,9 @@ func (r *Resolver) pickTier(n int) core.Tier {
 // produce runs the solve-and-deploy step under panic isolation and the
 // configured deadline, returning the deployment and the task order its
 // assignments are parallel to. The solution comes from the session on the
-// heuristic tier while the breaker is closed, and from a full
-// core.SolveSpec solve otherwise (approx, optimal, breaker fallback) —
-// the session, if any, then stays cached for when the registry shrinks
-// back under DefaultApproxAfter. Caller holds solveMu.
+// heuristic tier and from a full core.SolveSpec solve on the approximate
+// one — the session, if any, then stays cached for when the registry
+// shrinks back under DefaultApproxAfter. Caller holds solveMu.
 func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) (dep *edge.Deployment, solved []core.Task, err error) {
 	ctx := r.ctx
 	if r.solveTimeout > 0 {
@@ -461,9 +441,6 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			// A mid-solve panic leaves the session in an unknown state;
-			// drop it so the next epoch rebuilds from scratch.
-			r.session = nil
 			r.stats.solvePanics.Add(1)
 			if r.logf != nil {
 				r.logf("serve: recovered solver panic: %v\n%s", p, debug.Stack())
@@ -484,26 +461,18 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 	}
 	var in *core.Instance
 	var sol *core.Solution
-	tier := r.pickTier(len(tasks))
-	incremental := tier == core.TierHeuristic && !r.breakerOpen.Load()
+	tier := pickTier(len(tasks))
+	incremental := tier == core.TierHeuristic
 	if incremental {
 		in, sol, err = r.solveSession(ctx, tasks, blocks)
 	} else {
 		in = &core.Instance{Tasks: tasks, Blocks: blocks, Res: r.res, Alpha: r.alpha}
-		spec := r.spec
-		spec.Tier = tier
-		spec.Timeout = 0 // the epoch deadline is already on ctx
-		sol, err = core.SolveSpec(ctx, in, spec)
+		sol, err = core.SolveSpec(ctx, in, core.SolverSpec{Tier: tier})
 	}
 	if err == nil {
 		dep, err = r.ctrl.Deploy(in, sol)
 	}
 	if err != nil {
-		if incremental {
-			// Never serve off session state of unknown consistency: the
-			// next epoch rebuilds from scratch.
-			r.session = nil
-		}
 		return nil, nil, err
 	}
 	if incremental {
@@ -518,8 +487,8 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 // SetNorm installs (or clears) the objective-pricing override of every
 // subsequent solve and reports whether it differed from the current one.
 // A pricing change drops the incremental session: its cached state was
-// costed at the old prices. The caller decides whether to re-solve (a
-// plan push follows SetNorm with ResolveNow when anything changed).
+// costed at the old prices. The caller decides whether to re-solve
+// (ReplacePlan forces one when anything changed).
 func (r *Resolver) SetNorm(norm *core.Resources) bool {
 	r.solveMu.Lock()
 	defer r.solveMu.Unlock()
@@ -546,38 +515,28 @@ func normEqual(a, b *core.Resources) bool {
 		a.TrainBudgetSeconds == b.TrainBudgetSeconds
 }
 
-// recordFailure counts a failed solve and trips the incremental→full
-// circuit breaker once the run reaches breakerN. Caller holds solveMu.
+// recordFailure counts a failed epoch and drops the session: an error or a
+// recovered panic mid-solve leaves its state of unknown consistency, so
+// the next epoch rebuilds it from the registry. Caller holds solveMu.
 func (r *Resolver) recordFailure(err error) {
+	r.session = nil
 	r.stats.solveErrors.Add(1)
 	r.stats.setLastSolveError(err)
-	n := r.fails.Add(1)
-	if !r.breakerOpen.Load() && r.breakerN > 0 && n >= uint64(r.breakerN) {
-		r.session = nil
-		r.breakerOpen.Store(true)
-		if r.logf != nil {
-			r.logf("serve: circuit breaker open after %d consecutive solve failures; falling back to full admission rounds", n)
-		}
-	}
+	r.fails.Add(1)
 }
 
-// recordSuccess resets the failure run and re-arms the breaker; the
-// next epoch may use the incremental path again (rebuilding its session
-// from scratch). Caller holds solveMu.
+// recordSuccess resets the failure run. Caller holds solveMu.
 func (r *Resolver) recordSuccess() {
 	r.fails.Store(0)
 	r.staleSince.Store(0)
 	r.stats.setLastSolveError(nil)
-	if r.breakerOpen.CompareAndSwap(true, false) && r.logf != nil {
-		r.logf("serve: circuit breaker re-armed after successful solve")
-	}
 }
 
 // solveSession solves through the solver session: it diffs the session's
 // task set against the registry snapshot into a TaskDelta (building the
 // session on first use) and re-solves incrementally, returning the
-// session's instance with the solution. Caller holds solveMu and drops
-// the session on error.
+// session's instance with the solution. Caller holds solveMu; on error
+// recordFailure drops the session.
 func (r *Resolver) solveSession(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec) (*core.Instance, *core.Solution, error) {
 	var delta core.TaskDelta
 	if r.session == nil {

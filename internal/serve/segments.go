@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 
 	"offloadnn/internal/exec"
@@ -60,28 +59,25 @@ func (s *Server) Segments() []SegmentSpec {
 	return nil
 }
 
-// ReplaceSegments swaps the node's split-path segment set, reporting
-// whether anything changed. A change forces a re-resolve: the next epoch
-// installs the segment models into the execution backend and files the
-// segments in its unit table, atomically (segment pushes don't bump the
-// task-registry generation, so a plain resolve would short-circuit).
-func (s *Server) ReplaceSegments(specs []SegmentSpec) (bool, error) {
+// sortedSegments validates a pushed segment set and returns it sorted by
+// route key, the order Segments reports and ReplacePlan compares in.
+func sortedSegments(specs []SegmentSpec) ([]SegmentSpec, error) {
 	var next []SegmentSpec
 	seen := make(map[string]bool, len(specs))
 	for _, sp := range specs {
 		if sp.Task == "" || sp.Path == "" {
-			return false, fmt.Errorf("serve: segment missing task or path identity")
+			return nil, fmt.Errorf("serve: segment missing task or path identity")
 		}
 		if err := sp.execSegment().Validate(); err != nil {
-			return false, fmt.Errorf("serve: path %s: %w", sp.Path, err)
+			return nil, fmt.Errorf("serve: path %s: %w", sp.Path, err)
 		}
 		if !sp.TailSeg() && sp.Next == "" {
-			return false, fmt.Errorf("serve: non-tail segment %s/%s[%d,%d) has no next hop",
+			return nil, fmt.Errorf("serve: non-tail segment %s/%s[%d,%d) has no next hop",
 				sp.Task, sp.Path, sp.From, sp.To)
 		}
 		k := exec.RouteKey(sp.Task, sp.From)
 		if seen[k] {
-			return false, fmt.Errorf("serve: duplicate segment route %s", k)
+			return nil, fmt.Errorf("serve: duplicate segment route %s", k)
 		}
 		seen[k] = true
 		next = append(next, sp)
@@ -89,9 +85,5 @@ func (s *Server) ReplaceSegments(specs []SegmentSpec) (bool, error) {
 	sort.Slice(next, func(i, j int) bool {
 		return exec.RouteKey(next[i].Task, next[i].From) < exec.RouteKey(next[j].Task, next[j].From)
 	})
-	if reflect.DeepEqual(s.Segments(), next) {
-		return false, nil
-	}
-	s.segments.Store(&next)
-	return true, s.resolver.ForceResolve()
+	return next, nil
 }

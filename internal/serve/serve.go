@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync/atomic"
 	"time"
 
@@ -44,8 +45,7 @@ var ErrDraining = errors.New("serve: server is draining")
 // (TestSerialExact10k, TestScaleEpochUnderDefaultDeadline).
 const DefaultSolveTimeout = 2 * time.Second
 
-// DefaultApproxAfter is the registry size from which an auto-tier
-// resolver runs the approximate admission tier instead of the exact
+// DefaultApproxAfter is the registry size from which the resolver runs the approximate admission tier instead of the exact
 // session. The exact heuristic admits more at every size, but its
 // session is what a large cold epoch pays for: with the 10k-task epoch
 // of bench's solve-scale workload routed to it, setup_s read 0.39 →
@@ -76,27 +76,13 @@ type Config struct {
 	// SolveTimeout bounds one epoch's solve-and-deploy step, enforced
 	// through a context composed with the resolver's shutdown context. A
 	// solve that overruns fails that epoch (the last-good plan keeps
-	// serving) and counts toward the failure backoff and breaker. Zero
-	// applies DefaultSolveTimeout; negative disables the deadline.
+	// serving) and counts toward the failure backoff. Zero applies DefaultSolveTimeout; negative disables the deadline.
 	SolveTimeout time.Duration
-	// Solver selects the epoch solver tier and its knobs
-	// (core.SolverSpec). The zero value is core.TierAuto: the exact
-	// incremental heuristic below DefaultApproxAfter tasks, the
-	// approximate admission tier from there up. A non-auto Tier pins
-	// every epoch to that tier; Workers passes through to the optimal
-	// and approx solves. Spec.Timeout is ignored — SolveTimeout is the
-	// epoch deadline.
-	Solver core.SolverSpec
 	// FailureBackoff is the delay before retrying after one failed
 	// re-solve; consecutive failures double it up to FailureBackoffMax,
 	// with ±20% jitter. Defaults: the debounce window and 5 s.
 	FailureBackoff    time.Duration
 	FailureBackoffMax time.Duration
-	// BreakerThreshold is the consecutive-failure count at which the
-	// resolver drops its incremental SolverSession and falls back to
-	// full solves; the breaker re-arms after the next successful solve
-	// (default 3).
-	BreakerThreshold int
 	// DegradedAfter is the consecutive-failure count at which /healthz
 	// turns degraded (default 3).
 	DegradedAfter int
@@ -117,8 +103,7 @@ type Config struct {
 	Faults *faultinject.Injector
 	// Backend is the execution layer every published epoch is installed
 	// into and admitted offloads with a payload run through. Nil — the
-	// default — uses the cost-model backend (exec.NewSimulated with the
-	// planning-rate factors), so offloads answer with planned latencies
+	// default — uses the cost-model backend (exec.NewSimulated), so offloads answer with planned latencies
 	// and no logits; wire an exec.Real for tensor-backed inference. The
 	// server owns the backend: Close closes it.
 	Backend exec.Backend
@@ -144,7 +129,7 @@ type Server struct {
 	mux      *http.ServeMux
 	draining atomic.Bool
 	// segments is the split-path segment set pushed to the node, sorted by
-	// route key (see segments.go); nil until the first ReplaceSegments.
+	// route key (see segments.go); nil until the first ReplacePlan.
 	segments atomic.Pointer[[]SegmentSpec]
 	// stageClient posts boundary activations to the next hop of a split
 	// path; overridable in tests.
@@ -180,9 +165,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SolveTimeout < 0 {
 		cfg.SolveTimeout = 0 // explicit opt-out: no epoch deadline
 	}
-	if _, err := core.ParseTier(cfg.Solver.Tier.String()); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	if cfg.FailureBackoff <= 0 {
 		cfg.FailureBackoff = cfg.Debounce
 	}
@@ -191,9 +173,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.FailureBackoffMax < cfg.FailureBackoff {
 		cfg.FailureBackoffMax = cfg.FailureBackoff
-	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
 	}
 	if cfg.DegradedAfter <= 0 {
 		cfg.DegradedAfter = 3
@@ -208,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.OverloadAfter = 10
 	}
 	if cfg.Backend == nil {
-		cfg.Backend = exec.NewSimulated(exec.SimulatedConfig{})
+		cfg.Backend = exec.NewSimulated()
 	}
 	ctrl := edge.NewController(cfg.Res)
 	ctrl.Faults = cfg.Faults
@@ -224,8 +203,6 @@ func New(cfg Config) (*Server, error) {
 			solveTimeout: cfg.SolveTimeout,
 			backoffBase:  cfg.FailureBackoff,
 			backoffMax:   cfg.FailureBackoffMax,
-			breakerN:     cfg.BreakerThreshold,
-			spec:         cfg.Solver,
 			faults:       cfg.Faults,
 			backend:      cfg.Backend,
 			node:         cfg.Node,
@@ -279,28 +256,42 @@ func (s *Server) Deregister(id string) error {
 	return nil
 }
 
-// ReplaceTasks swaps the whole task set for the given pre-built one and
-// synchronously brings the published epoch up to date — the
-// cluster-member plan push. norm, when non-nil, overrides the objective
-// pricing of every subsequent solve with the coordinator's fleet-wide
-// capacity totals (core.Resources.Norm), so the member reprices exactly
-// as the placement did. Unchanged tasks keep their registry structs, so
-// consecutive pushes of a stable placement re-solve incrementally (or
-// not at all). A push to a draining server is refused like any other
-// registration.
-func (s *Server) ReplaceTasks(tasks []core.Task, blocks map[string]core.BlockSpec, norm *core.Resources) (bool, error) {
+// ReplacePlan swaps the node's whole plan — the pre-built task set and
+// the split-path segment set — and synchronously publishes one epoch
+// serving both: the cluster-member plan push. norm, when non-nil,
+// overrides the objective pricing of every subsequent solve with the
+// coordinator's fleet-wide capacity totals (core.Resources.Norm), so the
+// member reprices exactly as the placement did. Everything is validated
+// before anything is stored, so a refused push leaves the previous plan
+// whole. Unchanged tasks keep their registry structs, so consecutive
+// pushes of a stable placement re-solve incrementally, and an identical
+// push publishes nothing and reports false. A push to a draining server
+// is refused like any other registration.
+func (s *Server) ReplacePlan(tasks []core.Task, blocks map[string]core.BlockSpec, norm *core.Resources, segments []SegmentSpec) (bool, error) {
 	if s.draining.Load() {
 		return false, ErrDraining
 	}
-	normChanged := s.resolver.SetNorm(norm)
+	segs, err := sortedSegments(segments)
+	if err != nil {
+		return false, err
+	}
 	changed, err := s.reg.Replace(tasks, blocks)
 	if err != nil {
 		return false, err
 	}
-	if !changed && !normChanged {
+	if s.resolver.SetNorm(norm) {
+		changed = true
+	}
+	if !reflect.DeepEqual(s.Segments(), segs) {
+		s.segments.Store(&segs)
+		changed = true
+	}
+	if !changed {
 		return false, nil
 	}
-	return true, s.resolver.ResolveNow()
+	// Forced: neither a segment nor a pricing change bumps the registry
+	// generation a plain resolve short-circuits on.
+	return true, s.resolver.ForceResolve()
 }
 
 // Resources returns the capacity pool every epoch is solved against —

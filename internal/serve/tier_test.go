@@ -98,6 +98,9 @@ func TestAutoTierEscalatesBySize(t *testing.T) {
 			t.Errorf("metrics missing %q", want)
 		}
 	}
+	if strings.Contains(metrics, `tier="optimal"`) {
+		t.Error("metrics carry a series for the optimal tier, which no epoch can run on")
+	}
 
 	// Dropping back under the boundary returns to the exact tier.
 	if err := srv.Deregister(last.ID); err != nil {
@@ -108,55 +111,6 @@ func TestAutoTierEscalatesBySize(t *testing.T) {
 	}
 	if ep := srv.Current(); ep.Tier != core.TierHeuristic {
 		t.Fatalf("after deregister solved at tier %v, want heuristic", ep.Tier)
-	}
-}
-
-// TestPinnedTierWins checks an explicitly configured Solver tier overrides
-// the size rule on both sides of the boundary.
-func TestPinnedTierWins(t *testing.T) {
-	approx := newTestServer(t, Config{
-		Debounce: time.Hour,
-		Solver:   core.SolverSpec{Tier: core.TierApprox},
-	})
-	registerSmall(t, approx, 2)
-	if err := approx.ResolveNow(); err != nil {
-		t.Fatal(err)
-	}
-	if ep := approx.Current(); ep.Tier != core.TierApprox {
-		t.Fatalf("pinned approx solved at tier %v", ep.Tier)
-	}
-
-	optimal := newTestServer(t, Config{
-		Debounce: time.Hour,
-		Solver:   core.SolverSpec{Tier: core.TierOptimal},
-	})
-	registerSmall(t, optimal, 2)
-	if err := optimal.ResolveNow(); err != nil {
-		t.Fatal(err)
-	}
-	if ep := optimal.Current(); ep.Tier != core.TierOptimal {
-		t.Fatalf("pinned optimal solved at tier %v", ep.Tier)
-	}
-
-	// At the boundary a pinned heuristic stays heuristic.
-	pinned, _ := scaleServer(t, Config{Solver: core.SolverSpec{Tier: core.TierHeuristic}},
-		DefaultApproxAfter, DefaultApproxAfter)
-	if err := pinned.ResolveNow(); err != nil {
-		t.Fatal(err)
-	}
-	if ep := pinned.Current(); ep.Tier != core.TierHeuristic || len(ep.Tasks) != DefaultApproxAfter {
-		t.Fatalf("pinned heuristic solved %d tasks at tier %v", len(ep.Tasks), ep.Tier)
-	}
-}
-
-func TestBadSolverTierRejected(t *testing.T) {
-	_, err := New(Config{
-		Res:    smallResources(),
-		Alpha:  0.5,
-		Solver: core.SolverSpec{Tier: core.Tier(42)},
-	})
-	if err == nil {
-		t.Fatal("New accepted an unknown solver tier")
 	}
 }
 
@@ -220,12 +174,12 @@ func TestScaleEpochUnderDefaultDeadline(t *testing.T) {
 		// SolveTimeout left zero: the default 2s epoch deadline is the
 		// bound under test.
 	})
-	changed, err := srv.ReplaceTasks(in.Tasks, in.Blocks, nil)
+	changed, err := srv.ReplacePlan(in.Tasks, in.Blocks, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !changed {
-		t.Fatal("ReplaceTasks reported no change")
+		t.Fatal("ReplacePlan reported no change")
 	}
 	ep := srv.Current()
 	if ep == nil || ep.Deployment == nil {

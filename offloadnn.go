@@ -16,7 +16,7 @@
 //	sol, _ := offloadnn.Solve(ctx, in)         // the OffloaDNN heuristic
 //	for _, a := range sol.Assignments { ... }  // per-task z, path, RBs
 //
-// Solve takes functional options selecting a solver tier and its knobs:
+// Solve takes functional options selecting a solver tier:
 //
 //	offloadnn.Solve(ctx, in)                                  // auto: the exact heuristic
 //	offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierOptimal))
@@ -29,7 +29,6 @@ package offloadnn
 
 import (
 	"context"
-	"time"
 
 	"offloadnn/internal/core"
 	"offloadnn/internal/edge"
@@ -132,12 +131,9 @@ type (
 	// Tier identifies a solver tier: the exact OffloaDNN heuristic, the
 	// exhaustive optimal search, or the approximate admission tier.
 	Tier = core.Tier
-	// SolverSpec is the resolved configuration of a Solve call: tier,
-	// worker count, timeout, and heuristic ablation knobs.
+	// SolverSpec is the resolved configuration of a Solve call: tier
+	// and heuristic ablation knobs.
 	SolverSpec = core.SolverSpec
-	// TierRegret quantifies a candidate tier's solution-quality loss
-	// against a reference tier on one instance.
-	TierRegret = core.TierRegret
 )
 
 // Solver tiers for WithTier.
@@ -161,43 +157,24 @@ type SolveOption func(*SolverSpec)
 // WithTier selects the solver tier (default TierAuto).
 func WithTier(t Tier) SolveOption { return func(s *SolverSpec) { s.Tier = t } }
 
-// WithWorkers bounds the goroutines the optimal tier's search and the
-// approx tier's scoring pass may use, the caller's included (<= 0 uses
-// the tensor pool's parallelism).
-func WithWorkers(n int) SolveOption { return func(s *SolverSpec) { s.Workers = n } }
-
-// WithTimeout bounds the solve independent of the caller's context.
-func WithTimeout(d time.Duration) SolveOption { return func(s *SolverSpec) { s.Timeout = d } }
-
 // WithHeuristic applies ablation knobs (clique ordering, binary
 // admission) to the heuristic tier.
 func WithHeuristic(cfg HeuristicConfig) SolveOption {
 	return func(s *SolverSpec) { s.Heuristic = cfg }
 }
 
-// WithSpec replaces the whole spec; later options still apply on top.
-func WithSpec(spec SolverSpec) SolveOption { return func(s *SolverSpec) { *s = spec } }
-
 // Solve solves a DOT instance. It is the single solver entry point:
 // options select the tier (exact heuristic, exhaustive optimal,
-// approximate admission) and its knobs; the default is TierAuto — the
-// exact heuristic. The returned Solution records the tier that produced
-// it, and Solution.Stats carries the search statistics of optimal-tier
-// solves.
+// approximate admission), the default is TierAuto — the exact heuristic
+// — and ctx bounds the solve. The returned Solution records the tier that
+// produced it, and Solution.Stats carries the search statistics of
+// optimal-tier solves.
 func Solve(ctx context.Context, in *Instance, opts ...SolveOption) (*Solution, error) {
 	var spec SolverSpec
 	for _, o := range opts {
 		o(&spec)
 	}
 	return core.SolveSpec(ctx, in, spec)
-}
-
-// CompareTiers solves the instance with a reference and a candidate
-// spec, verifies both solutions against every DOT constraint, and
-// reports the candidate's regret — the harness bounding the approximate
-// tier's weighted-priority loss against the exact heuristic.
-func CompareTiers(ctx context.Context, in *Instance, ref, cand SolverSpec) (*TierRegret, error) {
-	return core.CompareTiers(ctx, in, ref, cand)
 }
 
 // SolveSEMORAN runs the SEM-O-RAN baseline: binary admission maximizing
@@ -333,8 +310,6 @@ type (
 	// SimulatedBackend answers offloads from the deployment's planned
 	// cost model (the same arithmetic the emulator uses).
 	SimulatedBackend = exec.Simulated
-	// SimulatedBackendConfig parameterizes a SimulatedBackend.
-	SimulatedBackendConfig = exec.SimulatedConfig
 )
 
 // NewRealBackend constructs the tensor-backed execution backend; wire it
@@ -343,9 +318,7 @@ func NewRealBackend(cfg RealBackendConfig) (*RealBackend, error) { return exec.N
 
 // NewSimulatedBackend constructs the cost-model execution backend (the
 // EdgeServer default).
-func NewSimulatedBackend(cfg SimulatedBackendConfig) *SimulatedBackend {
-	return exec.NewSimulated(cfg)
-}
+func NewSimulatedBackend() *SimulatedBackend { return exec.NewSimulated() }
 
 // ChurnTimeline derives a deterministic register/deregister schedule
 // over the Table-IV small-scenario tasks for driving an EdgeServer.

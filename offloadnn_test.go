@@ -28,7 +28,7 @@ func TestPublicAPIOptimalAndBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Solve(context.Background(), in, WithTier(TierOptimal), WithWorkers(1))
+	opt, err := Solve(context.Background(), in, WithTier(TierOptimal))
 	if err != nil {
 		t.Fatal(err)
 	}
