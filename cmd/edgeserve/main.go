@@ -105,7 +105,7 @@ func run() int {
 	precisionList := flag.String("precision", "f64", "comma-separated kernel-precision tiers the catalog offers: f64, f32, i8 (e.g. f64,i8; plain i8 quantizes every path)")
 	backendKind := flag.String("backend", "sim", "execution backend: sim (cost model) | real (tensor models)")
 	batchSize := flag.Int("batch-size", 8, "real backend: max requests per inference batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "real backend: max wait for a partial batch")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "real backend: max wait for a partial batch (under edf, none on a path whose admitted rate × window < 1)")
 	sched := flag.String("sched", "edf", "real backend: batching queue intake order: edf (deadline-aware) | fifo (fixed-window baseline)")
 	queueDepth := flag.Int("queue-depth", 0, "real backend: per-model intake queue bound before backpressure sheds the latest-deadline waiter (0 = 16x batch size, negative = unbounded)")
 	overloadWindow := flag.Duration("overload-window", 5*time.Second, "sliding window over backend sheds driving the overload health signal")

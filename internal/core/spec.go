@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strings"
 )
 
 // Tier identifies one of the solver tiers behind the unified Solve API.
@@ -45,23 +44,6 @@ func (t Tier) String() string {
 		return "approx"
 	default:
 		return fmt.Sprintf("tier(%d)", int(t))
-	}
-}
-
-// ParseTier converts a tier name ("auto", "heuristic", "optimal",
-// "approx") to its Tier value.
-func ParseTier(s string) (Tier, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return TierAuto, nil
-	case "heuristic", "exact":
-		return TierHeuristic, nil
-	case "optimal":
-		return TierOptimal, nil
-	case "approx", "approximate":
-		return TierApprox, nil
-	default:
-		return TierAuto, fmt.Errorf("%w: unknown solver tier %q (want auto|heuristic|optimal|approx)", ErrModel, s)
 	}
 }
 

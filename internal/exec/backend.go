@@ -83,6 +83,10 @@ type Segment struct {
 	// consumes raw frames); To == len(Blocks) makes it the tail (it
 	// includes the classifier and emits logits).
 	From, To int
+	// Rate is the admitted request rate z·λ the plan routes into this
+	// range: the batch window reads it to tell whether a second request
+	// can arrive before the timer fires.
+	Rate float64
 }
 
 // Validate reports a range that does not index the segment's block list.
@@ -216,7 +220,8 @@ type Stats struct {
 	QueueSlack map[string]time.Duration
 	// LastWindow is the batch window most recently applied by an
 	// adaptive-window executor: BatchWindow when slack is plentiful,
-	// shrunk toward zero under deadline pressure.
+	// shrunk toward zero under deadline pressure, and zero on a path whose
+	// admitted rate expects no second request inside the window.
 	LastWindow time.Duration
 	// QuantFallbacks counts reduced-precision paths the install-time
 	// accuracy gate demoted a tier (i8→f32 or f32→f64). Each demotion

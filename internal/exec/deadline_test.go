@@ -327,6 +327,49 @@ func TestCanceledRequestsCounted(t *testing.T) {
 	}
 }
 
+// TestInstallRefreshesEntryRate pins that every Install rewrites the
+// admitted rate of the entries it keeps: two tasks sharing a path at
+// 300/s each expect 1.2 arrivals per 2 ms window and wait; once one task
+// leaves, the surviving entry (same pointer, warm swap) expects 0.6 and a
+// lone request no longer waits.
+func TestInstallRefreshesEntryRate(t *testing.T) {
+	r := dlReal(t, RealConfig{BatchSize: 8, BatchWindow: 2 * time.Millisecond})
+	shared := func(epoch uint64, tasks ...string) *Plan {
+		p := dlPlan(epoch)
+		path := p.Deployment.Solution.Assignments[0].Path
+		p.Deployment.Solution.Assignments = nil
+		for _, id := range tasks {
+			p.Deployment.Solution.Assignments = append(p.Deployment.Solution.Assignments,
+				core.Assignment{TaskID: id, Path: path, Z: 1, RBs: 2})
+			p.Deployment.AdmittedRates[id] = 300
+		}
+		return p
+	}
+	window := func() time.Duration {
+		t.Helper()
+		if _, err := r.Infer(context.Background(), Request{TaskID: "t1", Input: dlInput(r)}); err != nil {
+			t.Fatal(err)
+		}
+		return r.Stats().LastWindow
+	}
+	if err := r.Install(shared(1, "t1", "t2")); err != nil {
+		t.Fatal(err)
+	}
+	entry := r.models["base/s1"]
+	if w := window(); w != 2*time.Millisecond {
+		t.Fatalf("two tasks at 300/s: window %v, want the full 2ms", w)
+	}
+	if err := r.Install(shared(2, "t1")); err != nil {
+		t.Fatal(err)
+	}
+	if r.models["base/s1"] != entry {
+		t.Fatal("the warm swap rebuilt the shared entry")
+	}
+	if w := window(); w != 0 {
+		t.Fatalf("one task at 300/s: window %v, want 0", w)
+	}
+}
+
 // TestEDFBeatsFIFOOnSameSeededBurst is the acceptance pin: on one
 // adversarial burst — arrivals in reverse deadline order, served by a
 // single executor with a fixed per-batch cost — EDF intake achieves a

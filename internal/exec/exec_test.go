@@ -191,7 +191,11 @@ func TestEmptyPlanReleasesEverything(t *testing.T) {
 // input produces identical logits.
 func TestBatchingDeterministic(t *testing.T) {
 	r := newReal(t, exec.RealConfig{BatchSize: 4, BatchWindow: 20 * time.Millisecond})
-	if err := r.Install(planFor(1, map[string][]string{"t1": {"base/s1", "base/s2"}})); err != nil {
+	plan := planFor(1, map[string][]string{"t1": {"base/s1", "base/s2"}})
+	// 8 concurrent callers inside one 20 ms window drive 400/s; the plan
+	// declares it (≥ 1/BatchWindow = 50/s), so the executor waits.
+	plan.Deployment.AdmittedRates["t1"] = 400
+	if err := r.Install(plan); err != nil {
 		t.Fatal(err)
 	}
 	in := input(r)
@@ -236,6 +240,59 @@ func TestBatchingDeterministic(t *testing.T) {
 	}
 	if maxBatch < 2 {
 		t.Fatalf("8 concurrent requests never batched (max batch %d)", maxBatch)
+	}
+}
+
+// A path the plan admits at 1/s expects no second request inside a
+// 500 ms window (1/s × 0.5 s < 1), so a lone request does not wait for
+// one.
+func TestWindowSkippedWhenPlanExpectsNoArrival(t *testing.T) {
+	r := newReal(t, exec.RealConfig{BatchSize: 8, BatchWindow: 500 * time.Millisecond})
+	plan := planFor(1, map[string][]string{"t1": {"base/s1"}})
+	plan.Deployment.AdmittedRates["t1"] = 1
+	if err := r.Install(plan); err != nil {
+		t.Fatal(err)
+	}
+	out, err := r.Infer(context.Background(), exec.Request{TaskID: "t1", Input: input(r)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Latency >= 250*time.Millisecond {
+		t.Fatalf("lone request at 1/s took %v: it sat out the 500 ms window", out.Latency)
+	}
+}
+
+// At 1 000/s a 200 ms window expects 200 arrivals, so the executor keeps
+// waiting: two requests 20 ms apart land in one batch.
+func TestWindowKeptWhenPlanExpectsArrivals(t *testing.T) {
+	r := newReal(t, exec.RealConfig{BatchSize: 8, BatchWindow: 200 * time.Millisecond})
+	plan := planFor(1, map[string][]string{"t1": {"base/s1"}})
+	plan.Deployment.AdmittedRates["t1"] = 1000
+	if err := r.Install(plan); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		out exec.Output
+		err error
+	}
+	results := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(20 * time.Millisecond) // the arrival gap under test
+		}
+		go func() {
+			out, err := r.Infer(context.Background(), exec.Request{TaskID: "t1", Input: input(r)})
+			results <- result{out, err}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		got := <-results
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if got.out.BatchSize != 2 {
+			t.Fatalf("request served in a batch of %d, want both in one batch of 2", got.out.BatchSize)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,6 +45,10 @@ type modelEntry struct {
 	// the execution-cost estimate the adaptive batch window subtracts
 	// from the tightest pending slack.
 	execEWMA atomic.Int64
+	// rate holds the float64 bits of the summed admitted rate (req/s) of
+	// the ranges the installed plan routes here: every Install rewrites it
+	// and the executor reads it to skip a window no second arrival fills.
+	rate atomic.Uint64
 }
 
 // pathSignature keys a model entry: two assignments with the same block
@@ -188,9 +193,10 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 
 // Install implements Backend. The swap is warm: model entries (and the
 // block instances they alias) that survive from the previous plan are
-// retained untouched — their batch queues keep draining across the
-// epoch boundary — while entries no surviving assignment references are
-// released and their blocks' refcounts decremented (freed at zero).
+// retained with only their admitted rate refreshed — their batch queues
+// keep draining across the epoch boundary — while entries no surviving
+// assignment references are released and their blocks' refcounts
+// decremented (freed at zero).
 // On error the previous plan stays installed.
 func (r *Real) Install(plan *Plan) error {
 	if plan == nil {
@@ -205,6 +211,7 @@ func (r *Real) Install(plan *Plan) error {
 	// Resolve the desired model set, building entries for new paths.
 	desired := make(map[string]*modelEntry)
 	routes := make(map[string]*modelEntry)
+	rates := make(map[*modelEntry]float64)
 	var created []*modelEntry
 	fail := func(err error) error {
 		// Creation is side-effect free until commit except for library
@@ -222,7 +229,7 @@ func (r *Real) Install(plan *Plan) error {
 		for _, a := range plan.Deployment.Solution.Assignments {
 			if a.Admitted() {
 				segs = append(segs, Segment{TaskID: a.TaskID, PathID: a.Path.ID, DNN: a.Path.DNN,
-					Blocks: a.Path.Blocks, To: len(a.Path.Blocks)})
+					Blocks: a.Path.Blocks, To: len(a.Path.Blocks), Rate: plan.Deployment.AdmittedRates[a.TaskID]})
 			}
 		}
 	}
@@ -243,10 +250,15 @@ func (r *Real) Install(plan *Plan) error {
 			desired[sig] = e
 		}
 		routes[RouteKey(seg.TaskID, seg.From)] = e
+		rates[e] += seg.Rate
 	}
 
-	// Commit: retire entries absent from the desired set, start the
-	// executors of the created ones, swap the routing table.
+	// Commit: refresh every kept entry's rate, retire entries absent from
+	// the desired set, start the executors of the created ones, swap the
+	// routing table.
+	for e, rate := range rates {
+		e.rate.Store(math.Float64bits(rate))
+	}
 	for sig, e := range r.models {
 		if _, keep := desired[sig]; !keep {
 			for _, k := range e.keys {

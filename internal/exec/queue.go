@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"offloadnn/internal/faultinject"
@@ -158,10 +159,15 @@ func (r *Real) nextReq(e *modelEntry) *inferReq {
 // slack minus the entry's smoothed execution cost, clamped to
 // [0, BatchWindow]. With no deadline-carrying waiters (or under FIFO)
 // the full BatchWindow applies — plentiful slack grows the batch, a
-// deadline about to expire collapses the wait to zero.
+// deadline about to expire collapses the wait to zero. Under EDF an
+// entry whose admitted rate × BatchWindow is below one does not wait at
+// all: the plan expects no second arrival before the timer fires.
 func (r *Real) windowFor(e *modelEntry, first *inferReq) time.Duration {
 	w := r.cfg.BatchWindow
-	if r.cfg.Sched == SchedEDF {
+	if r.cfg.Sched == SchedEDF && math.Float64frombits(e.rate.Load())*w.Seconds() < 1 {
+		w = 0
+	}
+	if r.cfg.Sched == SchedEDF && w > 0 {
 		minDL := first.deadline
 		e.qmu.Lock()
 		for _, q := range e.queue.items {

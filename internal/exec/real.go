@@ -62,7 +62,9 @@ type RealConfig struct {
 	// serves (default 8; 1 disables batching).
 	BatchSize int
 	// BatchWindow bounds how long a partially filled batch waits for
-	// more requests before executing (default 2 ms).
+	// more requests before executing (default 2 ms). Under SchedEDF the
+	// window is zero on a path whose admitted rate expects no second
+	// request inside it (rate × BatchWindow < 1).
 	BatchWindow time.Duration
 	// Repo optionally supplies trained weights: a block whose mangled ID
 	// ('/' → '_') names a stored one-block model starts from those

@@ -434,7 +434,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "offloadnn_shed_total{reason=\"late\"} %d\n", bs.ShedLate+int64(s.stats.EarlySheds()))
 	fmt.Fprintf(w, "offloadnn_shed_total{reason=\"queue_full\"} %d\n", bs.ShedQueueFull)
 	fmt.Fprintf(w, "offloadnn_shed_total{reason=\"canceled\"} %d\n", bs.ShedCanceled)
-	family("offloadnn_batch_window_seconds", "gauge", "Batch window most recently applied by the adaptive executor.")
+	family("offloadnn_batch_window_seconds", "gauge", "Batch window most recently applied by the adaptive executor; 0 on a path whose admitted rate expects no second request inside it.")
 	fmt.Fprintf(w, "offloadnn_batch_window_seconds %g\n", bs.LastWindow.Seconds())
 	family("offloadnn_overload", "gauge", "1 while backend sheds inside the overload window exceed the threshold.")
 	fmt.Fprintf(w, "offloadnn_overload %d\n", boolGauge(h.Overloaded))

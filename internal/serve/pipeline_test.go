@@ -100,6 +100,33 @@ func TestGateRateChangeMintsNoBurst(t *testing.T) {
 	}
 }
 
+// TestWindowReadsPushedSegmentRate: a pushed mid-path segment's batch
+// window follows the rate the coordinator pushed with it. At 2 000/s a
+// 1 ms window expects two arrivals and waits; at 10/s it does not.
+func TestWindowReadsPushedSegmentRate(t *testing.T) {
+	be := newRealBackend(t)
+	srv := newTestServer(t, Config{Debounce: time.Hour, Backend: be})
+	blocks := []string{"prop/s1", "prop/s2", "prop/s3", "prop/s4"}
+	shape := dnn.SegmentBoundaryShape(dnn.ResNetConfig{BaseWidth: 4}, [3]int{3, 8, 8}, 2)
+	act := make([]float64, shape[0]*shape[1]*shape[2])
+	for _, tc := range []struct {
+		rate float64
+		want time.Duration
+	}{{2000, time.Millisecond}, {10, 0}} {
+		if _, err := srv.ReplacePlan(nil, nil, nil, []SegmentSpec{
+			{Task: "t", Path: "prop/π", DNN: "prop", Blocks: blocks, From: 2, To: 4, Rate: tc.rate, Hop: 1, Hops: 2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := be.Infer(context.Background(), exec.Request{TaskID: "t", FromStage: 2, Input: act}); err != nil {
+			t.Fatal(err)
+		}
+		if got := be.Stats().LastWindow; got != tc.want {
+			t.Fatalf("segment pushed at %v/s: window %v, want %v", tc.rate, got, tc.want)
+		}
+	}
+}
+
 // hopStub is a next hop: it records the envelope it was handed and
 // answers with a canned status and body.
 type hopStub struct {

@@ -23,8 +23,9 @@ type SegmentSpec struct {
 	Blocks []string `json:"blocks"`
 	From   int      `json:"from"`
 	To     int      `json:"to"`
-	// Rate is the admitted request rate z·λ the head gates intake at;
-	// ignored on non-head segments (their intake is the previous hop).
+	// Rate is the admitted request rate z·λ: the head gates intake at it,
+	// and every hop's batch window reads it to tell whether a second
+	// request can arrive inside the window.
 	Rate float64 `json:"rate"`
 	// BudgetMS is the end-to-end deadline budget the head opens the
 	// pipeline with (the task's L_τ minus the coordinator→head forward
@@ -48,7 +49,7 @@ func (s SegmentSpec) TailSeg() bool { return s.To == len(s.Blocks) }
 
 // execSegment is the execution-layer form of the spec.
 func (s SegmentSpec) execSegment() exec.Segment {
-	return exec.Segment{TaskID: s.Task, PathID: s.Path, DNN: s.DNN, Blocks: s.Blocks, From: s.From, To: s.To}
+	return exec.Segment{TaskID: s.Task, PathID: s.Path, DNN: s.DNN, Blocks: s.Blocks, From: s.From, To: s.To, Rate: s.Rate}
 }
 
 // Segments returns the pushed segment specs, sorted by route key.
