@@ -4,51 +4,19 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
-	"time"
 
+	"offloadnn/internal/metrics"
 	"offloadnn/internal/serve"
 )
 
 // CodeNodeUnreachable is the coordinator-specific error code for an
 // offload whose owning node could not be reached; the task is re-placed
-// and the client retries. The other codes mirror the serve envelope.
+// and the client retries. Every other code, and the envelope itself, is
+// serve's, so cluster clients parse one shape against either daemon.
 const CodeNodeUnreachable = "node_unreachable"
-
-// errorBody mirrors serve's unified error envelope
-// {"error":{"code":...,"message":...}} so cluster clients parse one
-// shape against either daemon.
-type errorBody struct {
-	Error errorDetail `json:"error"`
-}
-
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: fmt.Sprintf(format, args...)}})
-}
-
-func retryAfter(d time.Duration) string {
-	secs := int(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.Itoa(secs)
-}
 
 func (c *Coordinator) routesMux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -74,19 +42,19 @@ func (c *Coordinator) handleRegisterTask(w http.ResponseWriter, r *http.Request)
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid task spec: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid task spec: %v", err)
 		return
 	}
 	if err := c.reg.Register(spec.Task(), nil); err != nil {
 		if errors.Is(err, serve.ErrExists) {
-			writeError(w, http.StatusConflict, serve.CodeTaskExists, "%v", err)
+			serve.WriteError(w, http.StatusConflict, serve.CodeTaskExists, "%v", err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
 	c.Kick()
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	serve.WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id":         spec.ID,
 		"status":     "pending",
 		"generation": c.reg.Generation(),
@@ -95,7 +63,7 @@ func (c *Coordinator) handleRegisterTask(w http.ResponseWriter, r *http.Request)
 
 func (c *Coordinator) handleDeregisterTask(w http.ResponseWriter, r *http.Request) {
 	if err := c.reg.Deregister(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusNotFound, serve.CodeUnknownTask, "%v", err)
+		serve.WriteError(w, http.StatusNotFound, serve.CodeUnknownTask, "%v", err)
 		return
 	}
 	c.Kick()
@@ -134,7 +102,7 @@ func (c *Coordinator) handleListTasks(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, st)
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleOffload proxies the request to the node the routing table maps
@@ -143,14 +111,14 @@ func (c *Coordinator) handleListTasks(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleOffload(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "reading offload request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "reading offload request: %v", err)
 		return
 	}
 	var req struct {
 		Task string `json:"task"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid offload request: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid offload request: %v", err)
 		return
 	}
 	entry, ok := c.routes.Load().entries[req.Task]
@@ -158,12 +126,12 @@ func (c *Coordinator) handleOffload(w http.ResponseWriter, r *http.Request) {
 		if c.reg.Has(req.Task) {
 			// Registered but unrouted: no node admits it under the current
 			// placement (or the re-placement is still pending).
-			w.Header().Set("Retry-After", retryAfter(c.cfg.Debounce))
-			writeError(w, http.StatusTooManyRequests, serve.CodeNotAdmitted,
+			w.Header().Set("Retry-After", serve.RetryAfter(c.cfg.Debounce))
+			serve.WriteError(w, http.StatusTooManyRequests, serve.CodeNotAdmitted,
 				"task %q not admitted by current placement", req.Task)
 			return
 		}
-		writeError(w, http.StatusNotFound, serve.CodeUnknownTask, "task %q not registered", req.Task)
+		serve.WriteError(w, http.StatusNotFound, serve.CodeUnknownTask, "task %q not registered", req.Task)
 		return
 	}
 	c.mu.Lock()
@@ -173,12 +141,12 @@ func (c *Coordinator) handleOffload(w http.ResponseWriter, r *http.Request) {
 		if m != nil {
 			m.proxyErrs.Add(1)
 		}
-		writeError(w, http.StatusBadGateway, CodeNodeUnreachable, "node %s: %v", entry.NodeID, err)
+		serve.WriteError(w, http.StatusBadGateway, CodeNodeUnreachable, "node %s: %v", entry.NodeID, err)
 		return
 	}
 	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, entry.Addr+"/v1/offload", bytes.NewReader(body))
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, CodeNodeUnreachable, "%v", err)
+		serve.WriteError(w, http.StatusInternalServerError, CodeNodeUnreachable, "%v", err)
 		return
 	}
 	preq.Header.Set("Content-Type", "application/json")
@@ -191,8 +159,8 @@ func (c *Coordinator) handleOffload(w http.ResponseWriter, r *http.Request) {
 		// the debounced re-placement moves its tasks to survivors; the
 		// client retries and lands on the new route.
 		c.markFailed(entry.NodeID)
-		w.Header().Set("Retry-After", retryAfter(c.cfg.Debounce))
-		writeError(w, http.StatusBadGateway, CodeNodeUnreachable, "node %s: %v", entry.NodeID, err)
+		w.Header().Set("Retry-After", serve.RetryAfter(c.cfg.Debounce))
+		serve.WriteError(w, http.StatusBadGateway, CodeNodeUnreachable, "node %s: %v", entry.NodeID, err)
 		return
 	}
 	defer resp.Body.Close()
@@ -239,21 +207,21 @@ func (c *Coordinator) handleNodeList(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Coordinator) handleNodeRegister(w http.ResponseWriter, r *http.Request) {
 	var req RegisterRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid registration: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid registration: %v", err)
 		return
 	}
 	if err := c.register(req); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"node":              req.Node,
 		"heartbeat_timeout": c.cfg.HeartbeatTimeout.Seconds(),
 	})
@@ -264,7 +232,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid heartbeat: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid heartbeat: %v", err)
 		return
 	}
 	// A dropped beat answers 204 like a recorded one: the member cannot
@@ -274,18 +242,18 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !c.heartbeat(id, req) {
-		writeError(w, http.StatusNotFound, serve.CodeUnknownTask, "node %q not registered", id)
+		serve.WriteError(w, http.StatusNotFound, serve.CodeUnknownTask, "node %q not registered", id)
 		return
 	}
 	// The response hands back the peer address book so the member's agent
 	// can round-robin inter-node bandwidth probes (the measurements come
 	// back in later heartbeats' Peers field).
-	writeJSON(w, http.StatusOK, HeartbeatResponse{Peers: c.peerAddrs(id)})
+	serve.WriteJSON(w, http.StatusOK, HeartbeatResponse{Peers: c.peerAddrs(id)})
 }
 
 func (c *Coordinator) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 	if !c.leave(r.PathValue("id")) {
-		writeError(w, http.StatusNotFound, serve.CodeUnknownTask, "node %q not registered", r.PathValue("id"))
+		serve.WriteError(w, http.StatusNotFound, serve.CodeUnknownTask, "node %q not registered", r.PathValue("id"))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -297,10 +265,10 @@ func (c *Coordinator) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleBandwidthProbe(w http.ResponseWriter, r *http.Request) {
 	n, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, 64<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "probe: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "probe: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"bytes": n})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"bytes": n})
 }
 
 // nodeHealth is one member's entry in the aggregate /healthz payload.
@@ -365,122 +333,95 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if len(failing) > 0 {
 		body["failing"] = failing
 	}
-	writeJSON(w, http.StatusOK, body)
+	serve.WriteJSON(w, http.StatusOK, body)
 }
 
 // handleMetrics exposes cluster-level families plus per-node families
-// labelled {node="..."} in the same text exposition format (with HELP and
-// TYPE metadata) as the members' own /metrics.
+// labelled {node="..."} through the same writer as the members' own
+// /metrics.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := c.cfg.Now()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	family := func(name, typ, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-	}
 	sum := c.summary.Load()
-	family("offloadnn_cluster_uptime_seconds", "gauge", "Seconds since the coordinator started.")
-	fmt.Fprintf(w, "offloadnn_cluster_uptime_seconds %g\n", now.Sub(c.start).Seconds())
-	family("offloadnn_cluster_nodes", "gauge", "Members currently registered.")
-	c.mu.Lock()
-	nNodes := len(c.members)
+	// One row per member, copied under the lock and sorted by node ID.
 	type nodeRow struct {
-		id    string
-		m     *memberState
-		beat  float64
-		state serve.HealthState
-		peers map[string]float64
+		id                      string
+		up                      bool
+		state                   serve.HealthState
+		beat, mbps, rate, zp    float64
+		epoch, proxied, proxErr uint64
+		tasks                   int
+		peers                   map[string]float64
 	}
-	rows := make([]nodeRow, 0, nNodes)
+	c.mu.Lock()
+	rows := make([]nodeRow, 0, len(c.members))
 	for id, m := range c.members {
-		row := nodeRow{id: id, m: m, beat: now.Sub(m.lastBeat).Seconds(), state: m.state}
-		if len(m.peerMbps) > 0 {
-			row.peers = make(map[string]float64, len(m.peerMbps))
-			for peer, mbps := range m.peerMbps {
-				row.peers[peer] = mbps
-			}
+		row := nodeRow{id: id, up: m.alive(), state: m.state, beat: now.Sub(m.lastBeat).Seconds(),
+			mbps: m.node.BandwidthMbps, rate: m.admittedSum, zp: m.weighted, epoch: m.epoch,
+			proxied: m.proxied.Load(), proxErr: m.proxyErrs.Load(), tasks: m.placedTasks,
+			peers: make(map[string]float64, len(m.peerMbps))}
+		for peer, mbps := range m.peerMbps {
+			row.peers[peer] = mbps
 		}
 		rows = append(rows, row)
 	}
 	c.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-	fmt.Fprintf(w, "offloadnn_cluster_nodes %d\n", nNodes)
-	family("offloadnn_cluster_tasks_registered", "gauge", "Tasks currently registered with the coordinator.")
-	fmt.Fprintf(w, "offloadnn_cluster_tasks_registered %d\n", c.reg.Len())
-	family("offloadnn_cluster_tasks_unplaced", "gauge", "Registered tasks no node admits under the current placement.")
-	fmt.Fprintf(w, "offloadnn_cluster_tasks_unplaced %d\n", len(sum.unplaced))
-	family("offloadnn_cluster_placements_total", "counter", "Cluster-wide re-placements published.")
-	fmt.Fprintf(w, "offloadnn_cluster_placements_total %d\n", c.placements.Load())
-	family("offloadnn_cluster_placement_errors_total", "counter", "Plan pushes that failed and caused a retry without the node.")
-	fmt.Fprintf(w, "offloadnn_cluster_placement_errors_total %d\n", c.placeErrs.Load())
-	family("offloadnn_cluster_placement_seq", "counter", "Sequence number of the active placement.")
-	fmt.Fprintf(w, "offloadnn_cluster_placement_seq %d\n", sum.seq)
-	family("offloadnn_cluster_placement_age_seconds", "gauge", "Age of the active placement.")
-	fmt.Fprintf(w, "offloadnn_cluster_placement_age_seconds %g\n", now.Sub(sum.at).Seconds())
-	family("offloadnn_cluster_weighted_admission", "gauge", "Cluster-wide admitted weighted priority Σ z·p.")
-	fmt.Fprintf(w, "offloadnn_cluster_weighted_admission %g\n", sum.weighted)
-	family("offloadnn_split_paths", "gauge", "Tasks served as pipelined split paths under the current placement.")
-	fmt.Fprintf(w, "offloadnn_split_paths %d\n", len(sum.splits))
+
+	e := metrics.NewExposition(w)
+	e.Gauge("offloadnn_cluster_uptime_seconds", "Seconds since the coordinator started.").Float(now.Sub(c.start).Seconds())
+	e.Gauge("offloadnn_cluster_nodes", "Members currently registered.").Int(int64(len(rows)))
+	e.Gauge("offloadnn_cluster_tasks_registered", "Tasks currently registered with the coordinator.").Int(int64(c.reg.Len()))
+	e.Gauge("offloadnn_cluster_tasks_unplaced", "Registered tasks no node admits under the current placement.").Int(int64(len(sum.unplaced)))
+	e.Counter("offloadnn_cluster_placements_total", "Cluster-wide re-placements published.").Int(int64(c.placements.Load()))
+	e.Counter("offloadnn_cluster_placement_errors_total", "Plan pushes that failed and caused a retry without the node.").Int(int64(c.placeErrs.Load()))
+	e.Counter("offloadnn_cluster_placement_seq", "Sequence number of the active placement.").Int(int64(sum.seq))
+	e.Gauge("offloadnn_cluster_placement_age_seconds", "Age of the active placement.").Float(now.Sub(sum.at).Seconds())
+	e.Gauge("offloadnn_cluster_weighted_admission", "Cluster-wide admitted weighted priority Σ z·p.").Float(sum.weighted)
+	e.Gauge("offloadnn_split_paths", "Tasks served as pipelined split paths under the current placement.").Int(int64(len(sum.splits)))
 	if len(sum.splits) > 0 {
-		family("offloadnn_split_hops", "gauge", "Pipeline length of each split-path task.")
+		f := e.Gauge("offloadnn_split_hops", "Pipeline length of each split-path task.")
 		for i := range sum.splits {
-			fmt.Fprintf(w, "offloadnn_split_hops{task=%q} %d\n", sum.splits[i].TaskID, len(sum.splits[i].Segments))
+			f.Int(int64(len(sum.splits[i].Segments)), "task", sum.splits[i].TaskID)
 		}
 	}
 
-	family("offloadnn_node_up", "gauge", "Member liveness: 1 when the node is neither stale nor failed.")
-	for _, row := range rows {
-		up := 0
-		if row.m.alive() {
-			up = 1
-		}
-		fmt.Fprintf(w, "offloadnn_node_up{node=%q} %d\n", row.id, up)
-	}
-	family("offloadnn_node_health_state", "gauge", "Member-reported serving condition: 0 healthy, 1 degraded, 2 draining.")
-	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_health_state{node=%q} %d\n", row.id, int(row.state))
-	}
-	family("offloadnn_node_heartbeat_age_seconds", "gauge", "Seconds since the member's last heartbeat.")
-	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_heartbeat_age_seconds{node=%q} %g\n", row.id, row.beat)
-	}
-	family("offloadnn_node_bandwidth_mbps", "gauge", "Measured coordinator-node link rate; 0 when unmeasured.")
-	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_bandwidth_mbps{node=%q} %g\n", row.id, row.m.node.BandwidthMbps)
-	}
-	family("offloadnn_link_mbps", "gauge", "Measured inter-node link rate from heartbeat-reported peer probes.")
-	for _, row := range rows {
-		peers := make([]string, 0, len(row.peers))
-		for peer := range row.peers {
-			peers = append(peers, peer)
-		}
-		sort.Strings(peers)
-		for _, peer := range peers {
-			fmt.Fprintf(w, "offloadnn_link_mbps{from=%q,to=%q} %g\n", row.id, peer, row.peers[peer])
+	// Per-node families, one series per member.
+	ints := func(f metrics.Family, v func(nodeRow) int64) {
+		for _, row := range rows {
+			f.Int(v(row), "node", row.id)
 		}
 	}
-	family("offloadnn_node_epoch", "counter", "Member's active deployment epoch as of its last contact.")
-	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_epoch{node=%q} %d\n", row.id, row.m.epoch)
+	floats := func(f metrics.Family, v func(nodeRow) float64) {
+		for _, row := range rows {
+			f.Float(v(row), "node", row.id)
+		}
 	}
-	family("offloadnn_node_tasks", "gauge", "Tasks the current placement assigns to the node.")
+	f := e.Gauge("offloadnn_node_up", "Member liveness: 1 when the node is neither stale nor failed.")
 	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_tasks{node=%q} %d\n", row.id, row.m.placedTasks)
+		f.Bool(row.up, "node", row.id)
 	}
-	family("offloadnn_node_admitted_rate", "gauge", "Sum of admitted frame rates z*lambda on the node, frames/s.")
+	ints(e.Gauge("offloadnn_node_health_state", "Member-reported serving condition: 0 healthy, 1 degraded, 2 draining."),
+		func(r nodeRow) int64 { return int64(r.state) })
+	floats(e.Gauge("offloadnn_node_heartbeat_age_seconds", "Seconds since the member's last heartbeat."),
+		func(r nodeRow) float64 { return r.beat })
+	floats(e.Gauge("offloadnn_node_bandwidth_mbps", "Measured coordinator-node link rate; 0 when unmeasured."),
+		func(r nodeRow) float64 { return r.mbps })
+	f = e.Gauge("offloadnn_link_mbps", "Measured inter-node link rate from heartbeat-reported peer probes.")
 	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_admitted_rate{node=%q} %g\n", row.id, row.m.admittedSum)
+		for _, peer := range metrics.SortedKeys(row.peers) {
+			f.Float(row.peers[peer], "from", row.id, "to", peer)
+		}
 	}
-	family("offloadnn_node_weighted_admission", "gauge", "Admitted weighted priority on the node.")
-	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_weighted_admission{node=%q} %g\n", row.id, row.m.weighted)
-	}
-	family("offloadnn_node_proxied_total", "counter", "Offload requests proxied to the node.")
-	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_proxied_total{node=%q} %d\n", row.id, row.m.proxied.Load())
-	}
-	family("offloadnn_node_proxy_errors_total", "counter", "Proxied offloads that failed in transport to the node.")
-	for _, row := range rows {
-		fmt.Fprintf(w, "offloadnn_node_proxy_errors_total{node=%q} %d\n", row.id, row.m.proxyErrs.Load())
-	}
+	ints(e.Counter("offloadnn_node_epoch", "Member's active deployment epoch as of its last contact."),
+		func(r nodeRow) int64 { return int64(r.epoch) })
+	ints(e.Gauge("offloadnn_node_tasks", "Tasks the current placement assigns to the node."),
+		func(r nodeRow) int64 { return int64(r.tasks) })
+	floats(e.Gauge("offloadnn_node_admitted_rate", "Sum of admitted frame rates z*lambda on the node, frames/s."),
+		func(r nodeRow) float64 { return r.rate })
+	floats(e.Gauge("offloadnn_node_weighted_admission", "Admitted weighted priority on the node."),
+		func(r nodeRow) float64 { return r.zp })
+	ints(e.Counter("offloadnn_node_proxied_total", "Offload requests proxied to the node."),
+		func(r nodeRow) int64 { return int64(r.proxied) })
+	ints(e.Counter("offloadnn_node_proxy_errors_total", "Proxied offloads that failed in transport to the node."),
+		func(r nodeRow) int64 { return int64(r.proxErr) })
 }

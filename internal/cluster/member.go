@@ -8,11 +8,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
 	"offloadnn/internal/core"
+	"offloadnn/internal/metrics"
 	"offloadnn/internal/serve"
 )
 
@@ -37,7 +37,7 @@ func MemberHandler(srv *serve.Server) http.Handler {
 	})
 	mux.HandleFunc("GET /v1/cluster/info", func(w http.ResponseWriter, r *http.Request) {
 		h := srv.Health()
-		writeJSON(w, http.StatusOK, map[string]any{
+		serve.WriteJSON(w, http.StatusOK, map[string]any{
 			"node":  srv.Node(),
 			"state": h.State.String(),
 			"epoch": h.Epoch,
@@ -58,16 +58,16 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	var push PlanPush
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err := dec.Decode(&push); err != nil {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid plan push: %v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid plan push: %v", err)
 		return
 	}
 	if push.Node != "" && srv.Node() != "" && push.Node != srv.Node() {
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest,
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest,
 			"plan for node %q pushed to node %q", push.Node, srv.Node())
 		return
 	}
 	if err := push.Res.Matches(srv.Resources()); err != nil {
-		writeError(w, http.StatusConflict, serve.CodeInvalidRequest, "%v", err)
+		serve.WriteError(w, http.StatusConflict, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
 	tasks := make([]core.Task, 0, len(push.Tasks))
@@ -77,17 +77,17 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	changed, err := srv.ReplacePlan(tasks, FromWireBlocks(push.Blocks), push.Res.NormResources(), push.Segments)
 	if err != nil {
 		if errors.Is(err, serve.ErrDraining) {
-			writeError(w, http.StatusServiceUnavailable, serve.CodeDraining, "%v", err)
+			serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeDraining, "%v", err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
 	var epoch uint64
 	if ep := srv.Current(); ep != nil {
 		epoch = ep.N
 	}
-	writeJSON(w, http.StatusOK, PlanAck{
+	serve.WriteJSON(w, http.StatusOK, PlanAck{
 		Node:    srv.Node(),
 		Epoch:   epoch,
 		Tasks:   len(tasks),
@@ -319,11 +319,7 @@ func (a *Agent) probeNextPeer() {
 		a.mu.Unlock()
 		return
 	}
-	ids := make([]string, 0, len(a.peerBook))
-	for id := range a.peerBook {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := metrics.SortedKeys(a.peerBook)
 	id := ids[a.probeSeq%len(ids)]
 	addr := a.peerBook[id]
 	a.probeSeq++

@@ -1,5 +1,6 @@
-// Package metrics provides the small statistics helpers used by the
-// experiment harness: summaries, percentiles and moving averages.
+// Package metrics holds the statistics both the experiment harness and
+// the daemons use: summaries, percentiles, moving averages, a streaming
+// quantile window, and the Prometheus text writer behind /metrics.
 package metrics
 
 import (

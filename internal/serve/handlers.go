@@ -6,12 +6,12 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
 	"offloadnn/internal/core"
 	"offloadnn/internal/dnn"
+	"offloadnn/internal/metrics"
 )
 
 // TaskSpec is the JSON body of POST /v1/tasks: the request-side fields
@@ -107,7 +107,8 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as a JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
@@ -152,21 +153,15 @@ type errorDetail struct {
 	Message string `json:"message"`
 }
 
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: fmt.Sprintf(format, args...)}})
+// WriteError writes the unified error envelope; the coordinator answers
+// with it too, so clients parse one shape against either daemon.
+func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
+	WriteJSON(w, status, errorBody{Error: errorDetail{Code: code, Message: fmt.Sprintf(format, args...)}})
 }
 
-// boolGauge renders a bool as a 0/1 metric value.
-func boolGauge(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// retryAfter formats a Retry-After header value: whole seconds, at
+// RetryAfter formats a Retry-After header value: whole seconds, at
 // least 1.
-func retryAfter(d time.Duration) string {
+func RetryAfter(d time.Duration) string {
 	secs := int(math.Ceil(d.Seconds()))
 	if secs < 1 {
 		secs = 1
@@ -179,24 +174,24 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid task spec: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid task spec: %v", err)
 		return
 	}
 	if err := s.Register(spec.Task(), nil); err != nil {
 		if errors.Is(err, ErrDraining) {
-			writeError(w, http.StatusServiceUnavailable, CodeDraining, "%v", err)
+			WriteError(w, http.StatusServiceUnavailable, CodeDraining, "%v", err)
 			return
 		}
 		if errors.Is(err, ErrExists) {
-			writeError(w, http.StatusConflict, CodeTaskExists, "%v", err)
+			WriteError(w, http.StatusConflict, CodeTaskExists, "%v", err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 		return
 	}
 	// 202: the task is registered; its admission verdict arrives with
 	// the next epoch, within the debounce window.
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id":         spec.ID,
 		"status":     "pending",
 		"generation": s.reg.Generation(),
@@ -205,7 +200,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	if err := s.Deregister(r.PathValue("id")); err != nil {
-		writeError(w, http.StatusNotFound, CodeUnknownTask, "%v", err)
+		WriteError(w, http.StatusNotFound, CodeUnknownTask, "%v", err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -226,7 +221,7 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, st)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
@@ -236,7 +231,7 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 	// (e.g. 3x32x32 floats) comfortably fits; anything bigger is abuse.
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid offload request: %v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid offload request: %v", err)
 		return
 	}
 	s.serveUnit(w, r, intake{task: req.Task, input: req.Input, deadlineMS: req.DeadlineMS})
@@ -249,7 +244,7 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
 	man, act, err := dnn.DecodeActivation(http.MaxBytesReader(w, r.Body, maxStageBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 		return
 	}
 	s.serveUnit(w, r, intake{task: man.Task, from: man.From, input: act, man: &man})
@@ -281,7 +276,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if h.LastError != "" {
 		body["last_solve_error"] = h.LastError
 	}
-	writeJSON(w, status, body)
+	WriteJSON(w, status, body)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -290,67 +285,50 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if ep != nil {
 		epoch = ep.N
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// family writes the exposition-format metadata once per metric family.
-	family := func(name, typ, help string) {
-		fmt.Fprintf(w, "# HELP %s %s\n", name, help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
-	}
-	family("offloadnn_uptime_seconds", "gauge", "Seconds since the server started.")
-	fmt.Fprintf(w, "offloadnn_uptime_seconds %g\n", s.cfg.Now().Sub(s.stats.start).Seconds())
-	family("offloadnn_tasks_registered", "gauge", "Tasks currently registered with the controller.")
-	fmt.Fprintf(w, "offloadnn_tasks_registered %d\n", s.reg.Len())
-	family("offloadnn_epoch", "counter", "Sequence number of the active deployment epoch.")
-	fmt.Fprintf(w, "offloadnn_epoch %d\n", epoch)
-	family("offloadnn_solves_total", "counter", "DOT solver invocations.")
-	fmt.Fprintf(w, "offloadnn_solves_total %d\n", s.stats.Solves())
-	family("offloadnn_solve_errors_total", "counter", "DOT solver invocations that failed.")
-	fmt.Fprintf(w, "offloadnn_solve_errors_total %d\n", s.stats.SolveErrors())
-	family("offloadnn_solve_panics_total", "counter", "Solver panics recovered into solve errors.")
-	fmt.Fprintf(w, "offloadnn_solve_panics_total %d\n", s.stats.SolvePanics())
-	family("offloadnn_solve_duration_seconds", "gauge", "Duration of the most recent solve, overall and per solver tier.")
-	fmt.Fprintf(w, "offloadnn_solve_duration_seconds %g\n", s.stats.LastSolveLatency().Seconds())
+	e := metrics.NewExposition(w)
+	e.Gauge("offloadnn_uptime_seconds", "Seconds since the server started.").Float(s.cfg.Now().Sub(s.stats.start).Seconds())
+	e.Gauge("offloadnn_tasks_registered", "Tasks currently registered with the controller.").Int(int64(s.reg.Len()))
+	e.Counter("offloadnn_epoch", "Sequence number of the active deployment epoch.").Int(int64(epoch))
+	e.Counter("offloadnn_solves_total", "DOT solver invocations.").Int(int64(s.stats.solves.Load()))
+	e.Counter("offloadnn_solve_errors_total", "DOT solver invocations that failed.").Int(int64(s.stats.solveErrors.Load()))
+	e.Counter("offloadnn_solve_panics_total", "Solver panics recovered into solve errors.").Int(int64(s.stats.SolvePanics()))
+	f := e.Gauge("offloadnn_solve_duration_seconds", "Duration of the most recent solve, overall and per solver tier.")
+	f.Float(time.Duration(s.stats.lastSolveNanos.Load()).Seconds())
 	solveTiers := []core.Tier{core.TierHeuristic, core.TierApprox} // the two sides of pickTier
 	for _, t := range solveTiers {
 		if s.stats.TierSolves(t) > 0 {
-			fmt.Fprintf(w, "offloadnn_solve_duration_seconds{tier=%q} %g\n", t.String(), s.stats.TierLastSolveLatency(t).Seconds())
+			f.Float(s.stats.TierLastSolveLatency(t).Seconds(), "tier", t.String())
 		}
 	}
-	family("offloadnn_solve_tier", "gauge", "Solver tier of the last published epoch, one-hot per tier.")
+	f = e.Gauge("offloadnn_solve_tier", "Solver tier of the last published epoch, one-hot per tier.")
 	for _, t := range solveTiers {
-		fmt.Fprintf(w, "offloadnn_solve_tier{tier=%q} %d\n", t.String(), boolGauge(ep != nil && ep.Deployment != nil && ep.Tier == t))
+		f.Bool(ep != nil && ep.Deployment != nil && ep.Tier == t, "tier", t.String())
 	}
-	family("offloadnn_solve_tier_total", "counter", "Published epochs per solver tier.")
+	f = e.Counter("offloadnn_solve_tier_total", "Published epochs per solver tier.")
 	for _, t := range solveTiers {
-		fmt.Fprintf(w, "offloadnn_solve_tier_total{tier=%q} %d\n", t.String(), s.stats.TierSolves(t))
+		f.Int(int64(s.stats.TierSolves(t)), "tier", t.String())
 	}
 	h := s.Health()
-	family("offloadnn_health_state", "gauge", "Serving condition: 0 healthy, 1 degraded, 2 draining.")
-	fmt.Fprintf(w, "offloadnn_health_state %d\n", int(h.State))
-	family("offloadnn_consecutive_solve_failures", "gauge", "Current run of failed re-solves.")
-	fmt.Fprintf(w, "offloadnn_consecutive_solve_failures %d\n", h.ConsecutiveFailures)
-	family("offloadnn_epoch_age_seconds", "gauge", "Age of the published plan (uptime before the first solve).")
-	fmt.Fprintf(w, "offloadnn_epoch_age_seconds %g\n", h.EpochAge.Seconds())
-	family("offloadnn_epoch_stale_seconds", "gauge", "How long the plan has trailed the registry; 0 while current.")
-	fmt.Fprintf(w, "offloadnn_epoch_stale_seconds %g\n", h.StaleFor.Seconds())
-	family("offloadnn_offload_requests_total", "counter", "Offload requests received.")
-	fmt.Fprintf(w, "offloadnn_offload_requests_total %d\n", s.stats.Requests())
-	family("offloadnn_offload_aborted_total", "counter", "Offload requests whose client disconnected before gate work.")
-	fmt.Fprintf(w, "offloadnn_offload_aborted_total %d\n", s.stats.Aborted())
-	family("offloadnn_offload_admitted_total", "counter", "Offload requests admitted, per task.")
-	for _, id := range s.stats.taskIDs() {
-		fmt.Fprintf(w, "offloadnn_offload_admitted_total{task=%q} %d\n", id, s.stats.Admitted(id))
+	e.Gauge("offloadnn_health_state", "Serving condition: 0 healthy, 1 degraded, 2 draining.").Int(int64(h.State))
+	e.Gauge("offloadnn_consecutive_solve_failures", "Current run of failed re-solves.").Int(int64(h.ConsecutiveFailures))
+	e.Gauge("offloadnn_epoch_age_seconds", "Age of the published plan (uptime before the first solve).").Float(h.EpochAge.Seconds())
+	e.Gauge("offloadnn_epoch_stale_seconds", "How long the plan has trailed the registry; 0 while current.").Float(h.StaleFor.Seconds())
+	e.Counter("offloadnn_offload_requests_total", "Offload requests received.").Int(int64(s.stats.requests.Load()))
+	e.Counter("offloadnn_offload_aborted_total", "Offload requests whose client disconnected before gate work.").Int(int64(s.stats.Aborted()))
+	taskIDs := s.stats.taskIDs()
+	f = e.Counter("offloadnn_offload_admitted_total", "Offload requests admitted, per task.")
+	for _, id := range taskIDs {
+		f.Int(int64(s.stats.Admitted(id)), "task", id)
 	}
-	family("offloadnn_offload_rejected_total", "counter", "Offload requests rejected, per task.")
-	for _, id := range s.stats.taskIDs() {
-		fmt.Fprintf(w, "offloadnn_offload_rejected_total{task=%q} %d\n", id, s.stats.Rejected(id))
+	f = e.Counter("offloadnn_offload_rejected_total", "Offload requests rejected, per task.")
+	for _, id := range taskIDs {
+		f.Int(int64(s.stats.Rejected(id)), "task", id)
 	}
 	if ep != nil && ep.Deployment != nil {
-		family("offloadnn_admitted_rate", "gauge", "Admitted frame rate z*lambda per task, frames/s.")
+		f = e.Gauge("offloadnn_admitted_rate", "Admitted frame rate z*lambda per task, frames/s.")
 		for i := range ep.Tasks {
-			id := ep.Tasks[i].ID
-			if rate := ep.AdmittedRate(id); rate > 0 {
-				fmt.Fprintf(w, "offloadnn_admitted_rate{task=%q} %g\n", id, rate)
+			if rate := ep.AdmittedRate(ep.Tasks[i].ID); rate > 0 {
+				f.Float(rate, "task", ep.Tasks[i].ID)
 			}
 		}
 	}
@@ -360,93 +338,57 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		for _, sp := range segs {
 			splitTasks[sp.Task] = true
 		}
-		family("offloadnn_split_paths", "gauge", "Split-path pipelines this node serves a segment of.")
-		fmt.Fprintf(w, "offloadnn_split_paths %d\n", len(splitTasks))
-		family("offloadnn_split_segments", "gauge", "Installed stage-range segments, one series per route.")
+		e.Gauge("offloadnn_split_paths", "Split-path pipelines this node serves a segment of.").Int(int64(len(splitTasks)))
+		f = e.Gauge("offloadnn_split_segments", "Installed stage-range segments, one series per route.")
 		for _, sp := range segs {
-			fmt.Fprintf(w, "offloadnn_split_segments{task=%q,from=\"%d\",to=\"%d\",hop=\"%d\"} 1\n", sp.Task, sp.From, sp.To, sp.Hop)
+			f.Int(1, "task", sp.Task, "from", strconv.Itoa(sp.From), "to", strconv.Itoa(sp.To), "hop", strconv.Itoa(sp.Hop))
 		}
 	}
-	family("offloadnn_activation_bytes", "counter", "Boundary-activation envelope bytes forwarded to next hops.")
-	fmt.Fprintf(w, "offloadnn_activation_bytes %d\n", s.stats.ActivationBytes())
-	if s.stats.HopLatency().Len() > 0 {
-		if qs, err := s.stats.HopLatency().Quantiles(50, 95, 99); err == nil {
-			family("offloadnn_hop_latency_seconds", "summary", "Split-segment execution latency quantiles on this node.")
-			for i, q := range []string{"0.5", "0.95", "0.99"} {
-				fmt.Fprintf(w, "offloadnn_hop_latency_seconds{quantile=%q} %g\n", q, qs[i])
-			}
-		}
+	e.Counter("offloadnn_activation_bytes", "Boundary-activation envelope bytes forwarded to next hops.").Int(int64(s.stats.activationBytes.Load()))
+	if s.stats.hopLatency.Len() > 0 {
+		e.Summary("offloadnn_hop_latency_seconds", "Split-segment execution latency quantiles on this node.").Quantiles(s.stats.hopLatency)
 	}
-	family("offloadnn_latency_samples", "gauge", "End-to-end latency samples in the quantile window.")
-	fmt.Fprintf(w, "offloadnn_latency_samples %d\n", s.stats.latency.Len())
-	if qs, err := s.stats.latency.Quantiles(50, 95, 99); err == nil {
-		family("offloadnn_latency_seconds", "summary", "End-to-end offload latency quantiles.")
-		for i, q := range []string{"0.5", "0.95", "0.99"} {
-			fmt.Fprintf(w, "offloadnn_latency_seconds{quantile=%q} %g\n", q, qs[i])
-		}
+	e.Gauge("offloadnn_latency_samples", "End-to-end latency samples in the quantile window.").Int(int64(s.stats.latency.Len()))
+	if s.stats.latency.Len() > 0 {
+		e.Summary("offloadnn_latency_seconds", "End-to-end offload latency quantiles.").Quantiles(s.stats.latency)
 	}
 	// Execution-layer families: per-task measured inference latency plus
 	// the backend's batching state.
-	family("offloadnn_infer_latency_seconds", "summary", "Measured inference latency quantiles per task (executed offloads only).")
-	for _, id := range s.stats.taskIDs() {
-		win := s.stats.InferWindow(id)
-		if win == nil {
-			continue
-		}
-		if qs, err := win.Quantiles(50, 95, 99); err == nil {
-			for i, q := range []string{"0.5", "0.95", "0.99"} {
-				fmt.Fprintf(w, "offloadnn_infer_latency_seconds{task=%q,quantile=%q} %g\n", id, q, qs[i])
-			}
+	f = e.Summary("offloadnn_infer_latency_seconds", "Measured inference latency quantiles per task (executed offloads only).")
+	for _, id := range taskIDs {
+		if win := s.stats.InferWindow(id); win != nil {
+			f.Quantiles(win, "task", id)
 		}
 	}
 	bs := s.backend.Stats()
-	family("offloadnn_batch_size", "gauge", "Size of the most recently executed inference batch.")
-	fmt.Fprintf(w, "offloadnn_batch_size %d\n", bs.LastBatchSize)
-	family("offloadnn_backend_queue_depth", "gauge", "Requests waiting in the backend's batching queues.")
-	fmt.Fprintf(w, "offloadnn_backend_queue_depth %d\n", bs.QueueDepth)
-	family("offloadnn_backend_models", "gauge", "Live assembled path models in the execution backend.")
-	fmt.Fprintf(w, "offloadnn_backend_models %d\n", bs.Models)
-	family("offloadnn_backend_blocks", "gauge", "Live shared block instances in the execution backend.")
-	fmt.Fprintf(w, "offloadnn_backend_blocks %d\n", bs.Blocks)
+	e.Gauge("offloadnn_batch_size", "Size of the most recently executed inference batch.").Int(int64(bs.LastBatchSize))
+	e.Gauge("offloadnn_backend_queue_depth", "Requests waiting in the backend's batching queues.").Int(int64(bs.QueueDepth))
+	e.Gauge("offloadnn_backend_models", "Live assembled path models in the execution backend.").Int(int64(bs.Models))
+	e.Gauge("offloadnn_backend_blocks", "Live shared block instances in the execution backend.").Int(int64(bs.Blocks))
 	if len(bs.PathPrecisions) > 0 {
-		family("offloadnn_model_precision", "gauge", "Kernel precision each deployed path runs at (post accuracy-gate), one series per path.")
-		sigs := make([]string, 0, len(bs.PathPrecisions))
-		for sig := range bs.PathPrecisions {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			fmt.Fprintf(w, "offloadnn_model_precision{path=%q,precision=%q} 1\n", sig, bs.PathPrecisions[sig])
+		f = e.Gauge("offloadnn_model_precision", "Kernel precision each deployed path runs at (post accuracy-gate), one series per path.")
+		for _, sig := range metrics.SortedKeys(bs.PathPrecisions) {
+			f.Int(1, "path", sig, "precision", bs.PathPrecisions[sig])
 		}
 	}
-	family("offloadnn_quant_fallback_total", "counter", "Precision-tier demotions applied by the install-time accuracy gate.")
-	fmt.Fprintf(w, "offloadnn_quant_fallback_total %d\n", bs.QuantFallbacks)
-	family("offloadnn_weights_mmap_bytes", "gauge", "Resident bytes of artifact weight buffers aliased zero-copy by live blocks.")
-	fmt.Fprintf(w, "offloadnn_weights_mmap_bytes %d\n", bs.WeightBytes)
+	e.Counter("offloadnn_quant_fallback_total", "Precision-tier demotions applied by the install-time accuracy gate.").Int(bs.QuantFallbacks)
+	e.Gauge("offloadnn_weights_mmap_bytes", "Resident bytes of artifact weight buffers aliased zero-copy by live blocks.").Int(bs.WeightBytes)
 	// Deadline-aware runtime families.
-	family("offloadnn_deadline_hit_ratio", "gauge", "Fraction of deadline-carrying requests served at or before their deadline; 1 with no samples.")
 	hitRatio := 1.0
 	if total := bs.DeadlineHits + bs.DeadlineMisses; total > 0 {
 		hitRatio = float64(bs.DeadlineHits) / float64(total)
 	}
-	fmt.Fprintf(w, "offloadnn_deadline_hit_ratio %g\n", hitRatio)
-	family("offloadnn_shed_total", "counter", "Requests shed by the deadline-aware runtime, by reason.")
-	fmt.Fprintf(w, "offloadnn_shed_total{reason=\"late\"} %d\n", bs.ShedLate+int64(s.stats.EarlySheds()))
-	fmt.Fprintf(w, "offloadnn_shed_total{reason=\"queue_full\"} %d\n", bs.ShedQueueFull)
-	fmt.Fprintf(w, "offloadnn_shed_total{reason=\"canceled\"} %d\n", bs.ShedCanceled)
-	family("offloadnn_batch_window_seconds", "gauge", "Batch window most recently applied by the adaptive executor; 0 on a path whose admitted rate expects no second request inside it.")
-	fmt.Fprintf(w, "offloadnn_batch_window_seconds %g\n", bs.LastWindow.Seconds())
-	family("offloadnn_overload", "gauge", "1 while backend sheds inside the overload window exceed the threshold.")
-	fmt.Fprintf(w, "offloadnn_overload %d\n", boolGauge(h.Overloaded))
+	e.Gauge("offloadnn_deadline_hit_ratio", "Fraction of deadline-carrying requests served at or before their deadline; 1 with no samples.").Float(hitRatio)
+	f = e.Counter("offloadnn_shed_total", "Requests shed by the deadline-aware runtime, by reason.")
+	f.Int(bs.ShedLate+int64(s.stats.EarlySheds()), "reason", "late")
+	f.Int(bs.ShedQueueFull, "reason", "queue_full")
+	f.Int(bs.ShedCanceled, "reason", "canceled")
+	e.Gauge("offloadnn_batch_window_seconds", "Batch window most recently applied by the adaptive executor; 0 on a path whose admitted rate expects no second request inside it.").Float(bs.LastWindow.Seconds())
+	e.Gauge("offloadnn_overload", "1 while backend sheds inside the overload window exceed the threshold.").Bool(h.Overloaded)
 	if len(bs.QueueSlack) > 0 {
-		family("offloadnn_queue_slack_seconds", "gauge", "Tightest remaining deadline slack per model intake queue; negative means a late waiter.")
-		sigs := make([]string, 0, len(bs.QueueSlack))
-		for sig := range bs.QueueSlack {
-			sigs = append(sigs, sig)
-		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			fmt.Fprintf(w, "offloadnn_queue_slack_seconds{path=%q} %g\n", sig, bs.QueueSlack[sig].Seconds())
+		f = e.Gauge("offloadnn_queue_slack_seconds", "Tightest remaining deadline slack per model intake queue; negative means a late waiter.")
+		for _, sig := range metrics.SortedKeys(bs.QueueSlack) {
+			f.Float(bs.QueueSlack[sig].Seconds(), "path", sig)
 		}
 	}
 }

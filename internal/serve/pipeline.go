@@ -76,17 +76,17 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 	frame := in.man == nil
 	switch {
 	case !frame && (u == nil || u.whole()):
-		writeError(w, http.StatusNotFound, CodeUnknownTask,
+		WriteError(w, http.StatusNotFound, CodeUnknownTask,
 			"no segment installed for task %q entering stage %d", in.task, in.from)
 		return
 	case !frame && in.man.Path != u.Path:
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest,
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest,
 			"activation is for path %q, segment installed for %q", in.man.Path, u.Path)
 		return
 	case frame && (u == nil || u.whole()) && !s.reg.Has(in.task):
 		// A whole path serves only while its task is registered here; a
 		// pushed segment's task lives in the coordinator's registry.
-		writeError(w, http.StatusNotFound, CodeUnknownTask, "task %q not registered", in.task)
+		WriteError(w, http.StatusNotFound, CodeUnknownTask, "task %q not registered", in.task)
 		return
 	}
 
@@ -104,14 +104,14 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 			// re-solve is still pending (retry after the debounce window)
 			// or the solver rejected the task under current load.
 			s.stats.recordReject(in.task)
-			w.Header().Set("Retry-After", retryAfter(s.cfg.Debounce))
-			writeError(w, http.StatusTooManyRequests, CodeNotAdmitted, "task %q not admitted by current epoch", in.task)
+			w.Header().Set("Retry-After", RetryAfter(s.cfg.Debounce))
+			WriteError(w, http.StatusTooManyRequests, CodeNotAdmitted, "task %q not admitted by current epoch", in.task)
 			return
 		}
 		if ok, wait := u.gate.Allow(); !ok {
 			s.stats.recordReject(in.task)
-			w.Header().Set("Retry-After", retryAfter(wait))
-			writeError(w, http.StatusTooManyRequests, CodeOverRate,
+			w.Header().Set("Retry-After", RetryAfter(wait))
+			WriteError(w, http.StatusTooManyRequests, CodeOverRate,
 				"task %q over its admitted rate %.3g req/s", in.task, u.Rate)
 			return
 		}
@@ -134,7 +134,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 	if frame && len(in.input) == 0 {
 		// Admission probe: the token is spent, report the planned serving
 		// parameters.
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -160,7 +160,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 			// queue slot another request could hit its deadline in.
 			if u.planned > budget && s.Overloaded() {
 				s.stats.earlySheds.Add(1)
-				writeError(w, http.StatusGatewayTimeout, CodeDeadline,
+				WriteError(w, http.StatusGatewayTimeout, CodeDeadline,
 					"task %q: predicted latency %.1fms exceeds deadline budget %.1fms under overload",
 					in.task, msOf(u.planned), msOf(budget))
 				return
@@ -171,7 +171,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		resp.DeadlineMS = in.man.BudgetMS
 		if in.man.RemainingMS < 0 {
 			s.stats.noteShed(start)
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineHop,
+			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineHop,
 				"task %q: deadline budget exhausted entering hop %d", in.task, u.Hop)
 			return
 		}
@@ -200,7 +200,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		resp.Argmax = &am
 	}
 	if u.whole() {
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -216,7 +216,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		if frame {
 			s.stats.latency.Add(out.Latency.Seconds())
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	hop.ActivationBytes = len(out.Activation) * 8
@@ -232,14 +232,14 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		man.RemainingMS = msOf(deadline.Sub(s.cfg.Now()))
 		if man.RemainingMS <= 0 {
 			s.stats.noteShed(s.cfg.Now())
-			writeError(w, http.StatusGatewayTimeout, CodeDeadlineHop,
+			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineHop,
 				"task %q: deadline budget exhausted after hop %d", in.task, u.Hop)
 			return
 		}
 	}
 	status, body, err := s.forwardActivation(r.Context(), u.Next, man, out.Activation)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackend, "task %q: relay to %s: %v", in.task, u.NextNode, err)
+		WriteError(w, http.StatusBadGateway, CodeBackend, "task %q: relay to %s: %v", in.task, u.NextNode, err)
 		return
 	}
 	if !frame || status != http.StatusOK {
@@ -253,7 +253,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 	}
 	var tail OffloadResponse
 	if err := json.Unmarshal(body, &tail); err != nil {
-		writeError(w, http.StatusBadGateway, CodeBackend, "task %q: malformed tail response: %v", in.task, err)
+		WriteError(w, http.StatusBadGateway, CodeBackend, "task %q: malformed tail response: %v", in.task, err)
 		return
 	}
 	resp.MeasuredLatencyMS = msOf(s.cfg.Now().Sub(start))
@@ -263,7 +263,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 	resp.Argmax = tail.Argmax
 	resp.Hops = tail.Hops
 	s.stats.latency.Add(resp.MeasuredLatencyMS / 1e3)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeInferError maps an execution-backend error onto the unified
@@ -272,14 +272,14 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 func (s *Server) writeInferError(w http.ResponseWriter, err error, deadlineCode string) {
 	switch {
 	case errors.Is(err, exec.ErrBadInput):
-		writeError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 	case errors.Is(err, exec.ErrLate):
 		s.stats.noteShed(s.cfg.Now())
-		writeError(w, http.StatusGatewayTimeout, deadlineCode, "%v", err)
+		WriteError(w, http.StatusGatewayTimeout, deadlineCode, "%v", err)
 	case errors.Is(err, exec.ErrQueueFull):
 		s.stats.noteShed(s.cfg.Now())
-		w.Header().Set("Retry-After", retryAfter(s.cfg.Debounce))
-		writeError(w, http.StatusServiceUnavailable, CodeOverload, "%v", err)
+		w.Header().Set("Retry-After", RetryAfter(s.cfg.Debounce))
+		WriteError(w, http.StatusServiceUnavailable, CodeOverload, "%v", err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		s.stats.aborted.Add(1)
 		w.WriteHeader(499)
@@ -287,7 +287,7 @@ func (s *Server) writeInferError(w http.ResponseWriter, err error, deadlineCode 
 		// ErrNoModel/ErrReleased mean the request raced an epoch swap;
 		// the client retries against the new epoch like any backend
 		// failure.
-		writeError(w, http.StatusInternalServerError, CodeBackend, "%v", err)
+		WriteError(w, http.StatusInternalServerError, CodeBackend, "%v", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,13 +156,6 @@ func (s *Stats) recordHop(latencySeconds float64) {
 	s.hopLatency.Add(latencySeconds)
 }
 
-// HopLatency exposes the split-segment hop latency window (seconds).
-func (s *Stats) HopLatency() *metrics.Window { return s.hopLatency }
-
-// ActivationBytes returns the total boundary-activation bytes this node
-// forwarded to next hops.
-func (s *Stats) ActivationBytes() uint64 { return s.activationBytes.Load() }
-
 // recordReject counts a rate-rejected offload.
 func (s *Stats) recordReject(id string) {
 	s.task(id).rejected.Add(1)
@@ -174,12 +166,7 @@ func (s *Stats) recordReject(id string) {
 func (s *Stats) taskIDs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.perTask))
-	for id := range s.perTask {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
+	return metrics.SortedKeys(s.perTask)
 }
 
 // setLastSolveError records (or, on nil, clears) the most recent solve
@@ -202,27 +189,13 @@ func (s *Stats) LastSolveError() string {
 	return s.lastSolveErr
 }
 
-// Requests returns the total offload requests seen.
-func (s *Stats) Requests() uint64 { return s.requests.Load() }
-
 // Aborted returns the offload requests whose client disconnected before
 // gate work; they are counted here instead of consuming tokens.
 func (s *Stats) Aborted() uint64 { return s.aborted.Load() }
 
-// Solves returns the number of published epochs.
-func (s *Stats) Solves() uint64 { return s.solves.Load() }
-
-// SolveErrors returns the number of failed re-solves.
-func (s *Stats) SolveErrors() uint64 { return s.solveErrors.Load() }
-
 // SolvePanics returns how many solver panics were recovered into
 // counted solve errors.
 func (s *Stats) SolvePanics() uint64 { return s.solvePanics.Load() }
-
-// LastSolveLatency returns the duration of the most recent solve.
-func (s *Stats) LastSolveLatency() time.Duration {
-	return time.Duration(s.lastSolveNanos.Load())
-}
 
 // recordSolveTier counts a published epoch against the solver tier that
 // produced it.
@@ -256,6 +229,3 @@ func (s *Stats) Admitted(id string) uint64 { return s.task(id).admitted.Load() }
 
 // Rejected returns a task's rate-rejected offload count.
 func (s *Stats) Rejected(id string) uint64 { return s.task(id).rejected.Load() }
-
-// Latency exposes the end-to-end latency window (seconds).
-func (s *Stats) Latency() *metrics.Window { return s.latency }
