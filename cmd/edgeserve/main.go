@@ -35,16 +35,15 @@
 //
 //	edgeserve -backend real -precision f64,i8 -quant-gate 0.02
 //
-// The real backend's batching queues are deadline-aware (EDF) by
-// default: each executed offload carries a deadline derived from its
+// The real backend's batching queues take requests earliest deadline
+// first (EDF): each executed offload carries a deadline derived from its
 // task's plan-time latency bound L_τ (overridable per request with
 // "deadline_ms"), already-late requests are shed with 504
 // deadline_exceeded, and a full intake queue sheds its latest-deadline
 // waiter with 503 overloaded. Sustained shedding degrades /healthz
-// until the spike drains. -sched fifo restores the fixed-window
-// baseline:
+// until the spike drains:
 //
-//	edgeserve -backend real -sched edf -queue-depth 64 -overload-after 10
+//	edgeserve -backend real -queue-depth 64 -overload-after 10
 //
 // Chaos runs arm fault-injection points (repeatable -fault flag):
 //
@@ -70,6 +69,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -105,8 +105,7 @@ func run() int {
 	precisionList := flag.String("precision", "f64", "comma-separated kernel-precision tiers the catalog offers: f64, f32, i8 (e.g. f64,i8; plain i8 quantizes every path)")
 	backendKind := flag.String("backend", "sim", "execution backend: sim (cost model) | real (tensor models)")
 	batchSize := flag.Int("batch-size", 8, "real backend: max requests per inference batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "real backend: max wait for a partial batch (under edf, none on a path whose admitted rate × window < 1)")
-	sched := flag.String("sched", "edf", "real backend: batching queue intake order: edf (deadline-aware) | fifo (fixed-window baseline)")
+	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "real backend: max wait for a partial batch (none on a path whose admitted rate × window < 1)")
 	queueDepth := flag.Int("queue-depth", 0, "real backend: per-model intake queue bound before backpressure sheds the latest-deadline waiter (0 = 16x batch size, negative = unbounded)")
 	overloadWindow := flag.Duration("overload-window", 5*time.Second, "sliding window over backend sheds driving the overload health signal")
 	overloadAfter := flag.Int("overload-after", 10, "sheds inside the overload window before /healthz degrades (negative disables)")
@@ -120,7 +119,7 @@ func run() int {
 	drainGrace := flag.Duration("drain-grace", 1*time.Second, "window after SIGTERM where the listener stays open in draining mode")
 	clusterJoin := flag.String("cluster-join", "", "coordinator base URL to join as a cluster member (empty = standalone)")
 	nodeID := flag.String("node-id", "", "cluster member node ID (required with -cluster-join)")
-	advertise := flag.String("advertise", "", "base URL the coordinator reaches this member on (default: http://127.0.0.1<addr>)")
+	advertise := flag.String("advertise", "", "base URL the coordinator reaches this member on (default: http://<addr>, host 127.0.0.1 when -addr has none)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat period")
 	bandwidthMbps := flag.Float64("bandwidth-mbps", 0, "coordinator link rate to report; 0 measures it with a probe transfer")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault triggers")
@@ -176,11 +175,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "edgeserve: bad -input %q (want HxW, e.g. 8x8)\n", *inputShape)
 			return 2
 		}
-		pol, err := exec.ParseSched(*sched)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "edgeserve:", err)
-			return 2
-		}
 		model := dnn.DefaultResNetConfig()
 		model.BaseWidth = *modelWidth
 		be, err := exec.NewReal(exec.RealConfig{
@@ -189,7 +183,6 @@ func run() int {
 			BatchSize:   *batchSize,
 			BatchWindow: *batchWindow,
 			QuantGate:   *quantGate,
-			Sched:       pol,
 			QueueDepth:  *queueDepth,
 			Faults:      faults,
 			Logf:        log.Printf,
@@ -199,8 +192,8 @@ func run() int {
 			return 2
 		}
 		backend = be
-		log.Printf("edgeserve: real backend (width=%d, input=3x%dx%d, batch=%d/%v, sched=%s)",
-			*modelWidth, h, w, *batchSize, *batchWindow, pol)
+		log.Printf("edgeserve: real backend (width=%d, input=3x%dx%d, batch=%d/%v)",
+			*modelWidth, h, w, *batchSize, *batchWindow)
 	default:
 		fmt.Fprintf(os.Stderr, "edgeserve: unknown backend %q (want sim|real)\n", *backendKind)
 		return 2
@@ -236,10 +229,17 @@ func run() int {
 	defer srv.Close()
 
 	var handler http.Handler = srv
+	adv := *advertise
 	if *clusterJoin != "" {
 		if *nodeID == "" {
 			fmt.Fprintln(os.Stderr, "edgeserve: -cluster-join requires -node-id")
 			return 2
+		}
+		if adv == "" {
+			if adv, err = advertiseURL(*addr); err != nil {
+				fmt.Fprintln(os.Stderr, "edgeserve:", err)
+				return 2
+			}
 		}
 		// A member serves the full standalone API plus the plan-push
 		// endpoint the coordinator installs placements through.
@@ -258,14 +258,6 @@ func run() int {
 
 	var agent *cluster.Agent
 	if *clusterJoin != "" {
-		adv := *advertise
-		if adv == "" {
-			if (*addr)[0] == ':' {
-				adv = "http://127.0.0.1" + *addr
-			} else {
-				adv = "http://" + *addr
-			}
-		}
 		agent, err = cluster.StartAgent(srv, cluster.AgentConfig{
 			Coordinator:   *clusterJoin,
 			NodeID:        *nodeID,
@@ -316,4 +308,21 @@ func run() int {
 		}
 	}
 	return 0
+}
+
+// advertiseURL derives the default -advertise base URL from the listen
+// address: an empty host (":8081", or an empty -addr, which net/http
+// serves on port 80) advertises the loopback address.
+func advertiseURL(addr string) (string, error) {
+	if addr == "" {
+		addr = ":80"
+	}
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", fmt.Errorf("cannot derive -advertise from -addr %q: %v", addr, err)
+	}
+	if host == "" {
+		host = "127.0.0.1"
+	}
+	return "http://" + net.JoinHostPort(host, port), nil
 }

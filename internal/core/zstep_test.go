@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"offloadnn/internal/lp"
 )
 
 // approxEqual reports whether got is within tol of want.
@@ -20,7 +18,7 @@ func approxEqual(got, want, tol float64) bool {
 // and returns the oracle's optimum of max Σ v·z.
 func lpZStep(cols []zColumn, capA, capB float64) (float64, error) {
 	n := len(cols)
-	p := lp.Problem{C: make([]float64, n), A: make([][]float64, 2, n+2), B: []float64{capA, capB}}
+	p := lpProblem{C: make([]float64, n), A: make([][]float64, 2, n+2), B: []float64{capA, capB}}
 	p.A[0], p.A[1] = make([]float64, n), make([]float64, n)
 	for j, c := range cols {
 		p.C[j] = -c.v
@@ -30,7 +28,7 @@ func lpZStep(cols []zColumn, capA, capB float64) (float64, error) {
 		p.A = append(p.A, box)
 		p.B = append(p.B, c.u)
 	}
-	sol, err := lp.Solve(p)
+	sol, err := lpSolve(p)
 	if err != nil {
 		return 0, err
 	}

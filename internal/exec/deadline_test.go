@@ -86,25 +86,21 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // TestIntakeOrderingProperty drives the intake heap with concurrent
 // enqueuers across worker counts and asserts the pop order is exactly
-// the intake order lessReq defines: under EDF, deadlines non-decreasing
-// with deadline-free requests last; under FIFO — and under EDF with no
-// deadlines set, the bit-identical-to-FIFO guarantee — strict arrival
-// order.
+// the intake order lessReq defines: deadlines non-decreasing with
+// deadline-free requests last and, with no deadlines set at all, strict
+// arrival order.
 func TestIntakeOrderingProperty(t *testing.T) {
 	const perWorker = 64
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, mode := range []struct {
 			name      string
-			sched     SchedPolicy
 			deadlines bool
 		}{
-			{"edf", SchedEDF, true},
-			{"edf-no-deadlines", SchedEDF, false},
-			{"fifo", SchedFIFO, true},
+			{"edf", true},
+			{"edf-no-deadlines", false},
 		} {
-			r := &Real{cfg: RealConfig{QueueDepth: -1, Sched: mode.sched}}
+			r := &Real{cfg: RealConfig{QueueDepth: -1}}
 			e := &modelEntry{
-				queue: reqQueue{edf: mode.sched == SchedEDF},
 				avail: make(chan struct{}, 1),
 				done:  make(chan struct{}),
 			}
@@ -143,9 +139,8 @@ func TestIntakeOrderingProperty(t *testing.T) {
 			if len(popped) != workers*perWorker {
 				t.Fatalf("%s/%d workers: popped %d of %d", mode.name, workers, len(popped), workers*perWorker)
 			}
-			edf := mode.sched == SchedEDF
 			for i := 1; i < len(popped); i++ {
-				if lessReq(popped[i], popped[i-1], edf) {
+				if lessReq(popped[i], popped[i-1]) {
 					t.Fatalf("%s/%d workers: pop %d (deadline %d, seq %d) out of order after (deadline %d, seq %d)",
 						mode.name, workers, i, popped[i].deadline, popped[i].seq, popped[i-1].deadline, popped[i-1].seq)
 				}
@@ -373,33 +368,43 @@ func TestInstallRefreshesEntryRate(t *testing.T) {
 // TestEDFBeatsFIFOOnSameSeededBurst is the acceptance pin: on one
 // adversarial burst — arrivals in reverse deadline order, served by a
 // single executor with a fixed per-batch cost — EDF intake achieves a
-// strictly higher deadline-hit-rate than the FIFO/fixed-window baseline
-// at the same offered load.
+// strictly higher deadline-hit-rate than arrival order at the same
+// offered load. The baseline is the same burst with every Deadline
+// withheld: the backend then serves it in arrival order, and each answer
+// is judged against the deadline its request would have carried.
 func TestEDFBeatsFIFOOnSameSeededBurst(t *testing.T) {
 	const (
 		n    = 7
 		cost = 40 * time.Millisecond
 	)
-	run := func(policy SchedPolicy) (hits, misses int64) {
-		r := dlReal(t, RealConfig{BatchSize: 1, QueueDepth: -1, Sched: policy})
+	run := func(withhold bool) (hits int) {
+		r := dlReal(t, RealConfig{BatchSize: 1, QueueDepth: -1})
 		start := make(chan struct{})
 		var popped atomic.Int64
 		r.batchHook = func(int) {
 			if popped.Add(1) == 1 {
 				<-start // hold the burst window open until arrivals queue up
 			}
-			time.Sleep(cost) // the injected, policy-independent batch cost
+			time.Sleep(cost) // the injected, order-independent batch cost
 		}
 		if err := r.Install(dlPlan(1)); err != nil {
 			t.Fatal(err)
 		}
 		in := dlInput(r)
 
-		errs := make(chan error, n+1)
+		type answer struct {
+			deadline, done time.Time
+			err            error
+		}
+		answers := make(chan answer, n+1)
 		infer := func(dl time.Time) {
+			req := Request{TaskID: "t1", Input: in}
+			if !withhold {
+				req.Deadline = dl
+			}
 			go func() {
-				_, err := r.Infer(context.Background(), Request{TaskID: "t1", Input: in, Deadline: dl})
-				errs <- err
+				_, err := r.Infer(context.Background(), req)
+				answers <- answer{dl, time.Now(), err}
 			}()
 		}
 		// The deadline-free blocker pins the executor so the whole burst
@@ -417,24 +422,29 @@ func TestEDFBeatsFIFOOnSameSeededBurst(t *testing.T) {
 		}
 		close(start)
 		for i := 0; i < n+1; i++ {
-			if err := <-errs; err != nil && !errors.Is(err, ErrLate) {
-				t.Fatalf("%v: burst request failed: %v", policy, err)
+			a := <-answers
+			if a.err != nil && !errors.Is(a.err, ErrLate) {
+				t.Fatalf("withhold=%v: burst request failed: %v", withhold, a.err)
+			}
+			if !a.deadline.IsZero() && a.err == nil && !a.done.After(a.deadline) {
+				hits++
 			}
 		}
-		st := r.Stats()
-		return st.DeadlineHits, st.DeadlineMisses
+		carried := int64(n)
+		if withhold {
+			carried = 0
+		}
+		if st := r.Stats(); st.DeadlineHits+st.DeadlineMisses != carried {
+			t.Fatalf("withhold=%v: backend judged %d+%d deadlines, want %d",
+				withhold, st.DeadlineHits, st.DeadlineMisses, carried)
+		}
+		return hits
 	}
 
-	edfHits, edfMisses := run(SchedEDF)
-	fifoHits, fifoMisses := run(SchedFIFO)
-	if edfHits+edfMisses != n || fifoHits+fifoMisses != n {
-		t.Fatalf("accounting drift: edf %d+%d, fifo %d+%d, want %d carried each",
-			edfHits, edfMisses, fifoHits, fifoMisses, n)
-	}
-	edfRate := float64(edfHits) / float64(n)
-	fifoRate := float64(fifoHits) / float64(n)
-	t.Logf("deadline-hit-rate: edf %.3f (%d/%d), fifo %.3f (%d/%d)", edfRate, edfHits, n, fifoRate, fifoHits, n)
-	if edfRate <= fifoRate {
-		t.Fatalf("EDF hit rate %.3f not above FIFO %.3f on the same burst", edfRate, fifoRate)
+	edf := run(false)
+	baseline := run(true)
+	t.Logf("deadline hits: edf %d/%d, arrival order %d/%d", edf, n, baseline, n)
+	if edf <= baseline {
+		t.Fatalf("EDF hits %d/%d not above arrival order's %d/%d on the same burst", edf, n, baseline, n)
 	}
 }

@@ -160,7 +160,6 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 		from:        seg.From,
 		inShape:     r.cfg.Input,
 		emitsLogits: seg.Tail(),
-		queue:       reqQueue{edf: r.cfg.Sched == SchedEDF},
 		avail:       make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}

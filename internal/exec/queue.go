@@ -15,7 +15,7 @@ import (
 type inferReq struct {
 	ctx      context.Context
 	input    []float64
-	deadline int64 // unix nanos; 0 = no deadline (sorts last under EDF)
+	deadline int64 // unix nanos; 0 = no deadline (sorts last)
 	seq      uint64
 	resp     chan inferResp
 }
@@ -26,12 +26,12 @@ type inferResp struct {
 	err    error
 }
 
-// lessReq is the intake order: under EDF, earlier deadlines first with
-// zero (no deadline) after every deadline-carrying request; ties — and
-// all of FIFO — break on the per-entry arrival sequence. With no
-// deadlines set, EDF order therefore degenerates to exact arrival order.
-func lessReq(a, b *inferReq, edf bool) bool {
-	if edf && a.deadline != b.deadline {
+// lessReq is the intake order, earliest deadline first: zero (no
+// deadline) sorts after every deadline-carrying request and ties break
+// on the per-entry arrival sequence. With no deadlines set, the order
+// is therefore exact arrival order.
+func lessReq(a, b *inferReq) bool {
+	if a.deadline != b.deadline {
 		if a.deadline == 0 {
 			return false
 		}
@@ -45,12 +45,11 @@ func lessReq(a, b *inferReq, edf bool) bool {
 
 // reqQueue is a model entry's intake queue: a min-heap under lessReq.
 type reqQueue struct {
-	edf   bool
 	items []*inferReq
 }
 
 func (q *reqQueue) Len() int           { return len(q.items) }
-func (q *reqQueue) Less(i, j int) bool { return lessReq(q.items[i], q.items[j], q.edf) }
+func (q *reqQueue) Less(i, j int) bool { return lessReq(q.items[i], q.items[j]) }
 func (q *reqQueue) Swap(i, j int)      { q.items[i], q.items[j] = q.items[j], q.items[i] }
 func (q *reqQueue) Push(x any)         { q.items = append(q.items, x.(*inferReq)) }
 func (q *reqQueue) Pop() any {
@@ -63,7 +62,7 @@ func (q *reqQueue) Pop() any {
 
 // enqueue pushes a request onto its entry's intake heap, applying the
 // bounded-queue backpressure policy first: when the queue is full, the
-// waiter that sorts last (latest deadline — under pure FIFO, the newest
+// waiter that sorts last (latest deadline — with no deadlines, the newest
 // arrival) is shed with ErrQueueFull rather than the newest arrival
 // being rejected outright, so an urgent late-burst request can displace
 // a leisurely one.
@@ -79,11 +78,11 @@ func (r *Real) enqueue(e *modelEntry, q *inferReq) error {
 	if r.cfg.QueueDepth > 0 && len(e.queue.items) >= r.cfg.QueueDepth {
 		worst := 0
 		for i := 1; i < len(e.queue.items); i++ {
-			if lessReq(e.queue.items[worst], e.queue.items[i], e.queue.edf) {
+			if lessReq(e.queue.items[worst], e.queue.items[i]) {
 				worst = i
 			}
 		}
-		if !lessReq(q, e.queue.items[worst], e.queue.edf) {
+		if !lessReq(q, e.queue.items[worst]) {
 			// The incoming request is the least worth serving: shed it.
 			e.qmu.Unlock()
 			r.shedQueueFull.Add(1)
@@ -111,8 +110,8 @@ func (r *Real) enqueue(e *modelEntry, q *inferReq) error {
 	return nil
 }
 
-// tryPop pops the most urgent waiter, shedding canceled and (under EDF)
-// already-late requests on the way: neither enters a batch.
+// tryPop pops the most urgent waiter, shedding canceled and already-late
+// requests on the way: neither enters a batch.
 func (r *Real) tryPop(e *modelEntry) *inferReq {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
@@ -123,7 +122,7 @@ func (r *Real) tryPop(e *modelEntry) *inferReq {
 			q.resp <- inferResp{err: q.ctx.Err()}
 			continue
 		}
-		if e.queue.edf && q.deadline != 0 && time.Now().UnixNano() >= q.deadline {
+		if q.deadline != 0 && time.Now().UnixNano() >= q.deadline {
 			r.shedLate.Add(1)
 			r.deadlineMisses.Add(1)
 			q.resp <- inferResp{err: ErrLate}
@@ -157,17 +156,17 @@ func (r *Real) nextReq(e *modelEntry) *inferReq {
 
 // windowFor is the adaptive batch window: the tightest pending deadline
 // slack minus the entry's smoothed execution cost, clamped to
-// [0, BatchWindow]. With no deadline-carrying waiters (or under FIFO)
-// the full BatchWindow applies — plentiful slack grows the batch, a
-// deadline about to expire collapses the wait to zero. Under EDF an
-// entry whose admitted rate × BatchWindow is below one does not wait at
-// all: the plan expects no second arrival before the timer fires.
+// [0, BatchWindow]. With no deadline-carrying waiters the full
+// BatchWindow applies — plentiful slack grows the batch, a deadline
+// about to expire collapses the wait to zero. An entry whose admitted
+// rate × BatchWindow is below one does not wait at all: the plan expects
+// no second arrival before the timer fires.
 func (r *Real) windowFor(e *modelEntry, first *inferReq) time.Duration {
 	w := r.cfg.BatchWindow
-	if r.cfg.Sched == SchedEDF && math.Float64frombits(e.rate.Load())*w.Seconds() < 1 {
+	if math.Float64frombits(e.rate.Load())*w.Seconds() < 1 {
 		w = 0
 	}
-	if r.cfg.Sched == SchedEDF && w > 0 {
+	if w > 0 {
 		minDL := first.deadline
 		e.qmu.Lock()
 		for _, q := range e.queue.items {

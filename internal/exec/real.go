@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,44 +12,9 @@ import (
 	"offloadnn/internal/faultinject"
 )
 
-// SchedPolicy selects how a model's batching queue orders intake.
-type SchedPolicy int
-
-const (
-	// SchedEDF (the default) pops waiters earliest-deadline-first,
-	// sheds requests that are already past deadline before they enter a
-	// batch, and shrinks the batch window under deadline pressure.
-	// Requests without deadlines sort after every deadline-carrying
-	// waiter, in arrival order — with no deadlines set anywhere, EDF
-	// intake is bit-identical to FIFO.
-	SchedEDF SchedPolicy = iota
-	// SchedFIFO is the pre-deadline baseline: strict arrival order, a
-	// fixed BatchWindow, and no lateness shedding. Kept selectable so the
-	// deadline-hit-rate win of EDF is measurable against it on the same
-	// offered load.
-	SchedFIFO
-)
-
-// String implements flag.Value-style printing.
-func (p SchedPolicy) String() string {
-	if p == SchedFIFO {
-		return "fifo"
-	}
-	return "edf"
-}
-
-// ParseSched parses a scheduling policy name ("edf" or "fifo").
-func ParseSched(s string) (SchedPolicy, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "edf":
-		return SchedEDF, nil
-	case "fifo":
-		return SchedFIFO, nil
-	}
-	return SchedEDF, fmt.Errorf("exec: unknown sched policy %q (want edf or fifo)", s)
-}
-
-// RealConfig parameterizes the tensor-backed execution backend.
+// RealConfig parameterizes the tensor-backed execution backend. Every
+// model's batching queue takes requests earliest-deadline-first (see
+// lessReq): with no deadlines set, that is exact arrival order.
 type RealConfig struct {
 	// Model is the scaled architecture template every catalog block is
 	// instantiated from (zero value: dnn.DefaultResNetConfig).
@@ -62,9 +26,9 @@ type RealConfig struct {
 	// serves (default 8; 1 disables batching).
 	BatchSize int
 	// BatchWindow bounds how long a partially filled batch waits for
-	// more requests before executing (default 2 ms). Under SchedEDF the
-	// window is zero on a path whose admitted rate expects no second
-	// request inside it (rate × BatchWindow < 1).
+	// more requests before executing (default 2 ms). The window is zero
+	// on a path whose admitted rate expects no second request inside it
+	// (rate × BatchWindow < 1).
 	BatchWindow time.Duration
 	// Repo optionally supplies trained weights: a block whose mangled ID
 	// ('/' → '_') names a stored one-block model starts from those
@@ -78,10 +42,6 @@ type RealConfig struct {
 	// CalibBatch is the batch size of the deterministic calibration/gate
 	// input (default 8).
 	CalibBatch int
-	// Sched selects the batching queue's intake order: SchedEDF (the
-	// zero value) for deadline-aware serving, SchedFIFO for the
-	// fixed-window baseline.
-	Sched SchedPolicy
 	// QueueDepth bounds how many requests may wait in one model's intake
 	// queue before backpressure sheds the latest-deadline waiter
 	// (ErrQueueFull). Default 16×BatchSize; negative disables the bound.
@@ -176,7 +136,7 @@ func NewReal(cfg RealConfig) (*Real, error) {
 }
 
 // Infer implements Backend: the request joins its model's batching
-// queue in EDF (or FIFO) order and blocks until the batch it lands in
+// queue in EDF order and blocks until the batch it lands in
 // executes. Requests already past their deadline are shed before they
 // touch the queue (ErrLate); a full queue sheds its latest-deadline
 // waiter (ErrQueueFull). The measured latency spans enqueue to result —
@@ -195,7 +155,7 @@ func (r *Real) Infer(ctx context.Context, req Request) (Output, error) {
 	if !req.Deadline.IsZero() {
 		dl = req.Deadline.UnixNano()
 	}
-	if r.cfg.Sched == SchedEDF && dl != 0 && time.Now().UnixNano() >= dl {
+	if dl != 0 && time.Now().UnixNano() >= dl {
 		r.shedLate.Add(1)
 		r.deadlineMisses.Add(1)
 		return Output{}, ErrLate

@@ -4,7 +4,7 @@
 // implementations, and renders it as fixed-width text tables.
 //
 // Index (see DESIGN.md §4): fig2 (training configs), fig3 (pruning
-// effects), fig6 (solver runtime), fig7 (DOT cost and memory vs optimum),
+// effects), profile (per-block c(s)/µ(s) at each precision), fig6 (solver runtime), fig7 (DOT cost and memory vs optimum),
 // fig8 (cost breakdown vs optimum), fig9 (large-scale per-task admission),
 // fig10 (large-scale comparison vs SEM-O-RAN), headline (§V-A aggregate
 // numbers), fig11 (emulated end-to-end latency), table1 and table2 (the
@@ -147,6 +147,7 @@ func All() []Experiment {
 		{ID: "fig2", Name: "Fig. 2 — training configurations: accuracy curves and GPU memory", Run: runFig2},
 		{ID: "fig2-real", Name: "Fig. 2 (mechanism) — real scaled-down training comparison", Run: runFig2Real},
 		{ID: "fig3", Name: "Fig. 3 — pruning: inference compute time and class accuracy", Run: runFig3},
+		{ID: "profile", Name: "c(s), µ(s) — per-block compute time and memory at f64/f32/i8", Run: runProfile},
 		{ID: "fig6", Name: "Fig. 6 — solver runtime, optimum vs OffloaDNN", Run: runFig6},
 		{ID: "fig7", Name: "Fig. 7 — normalized DOT cost and memory vs optimum", Run: runFig7},
 		{ID: "fig8", Name: "Fig. 8 — cost breakdown vs optimum (4 panels)", Run: runFig8},

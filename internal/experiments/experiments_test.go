@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"offloadnn/internal/tensor"
 	"offloadnn/internal/workload"
 )
 
@@ -324,6 +325,70 @@ func TestDynamicWavesReuseBlocks(t *testing.T) {
 		}
 		if reused == 0 {
 			t.Fatalf("wave %s reused no deployed blocks", row[0])
+		}
+	}
+}
+
+// TestProfileExperimentCoversGrid pins the profile grid: both
+// architectures, all three precisions, one row per block plus TOTAL, a
+// params column summing to the model's count, and an i8 memory column
+// equal to the footprint of the model instantiated at i8.
+func TestProfileExperimentCoversGrid(t *testing.T) {
+	tables, err := runProfile(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != len(profileArchs) {
+		t.Fatalf("%d tables, want one per architecture (%d)", len(tables), len(profileArchs))
+	}
+	for ti, arch := range profileArchs {
+		tab := tables[ti]
+		col := map[string]int{}
+		for i, c := range tab.Columns {
+			col[c] = i
+		}
+		for _, prec := range []string{"f64", "f32", "i8"} {
+			if _, ok := col["c(s) "+prec]; !ok {
+				t.Fatalf("%s: no c(s) column for %s in %v", arch.name, prec, tab.Columns)
+			}
+			if _, ok := col["µ(s) "+prec]; !ok {
+				t.Fatalf("%s: no µ(s) column for %s in %v", arch.name, prec, tab.Columns)
+			}
+		}
+		m := arch.build()
+		if len(tab.Rows) != len(m.Blocks)+1 {
+			t.Fatalf("%s: %d rows, want %d blocks + TOTAL", arch.name, len(tab.Rows), len(m.Blocks))
+		}
+		params := 0
+		for i, b := range m.Blocks {
+			row := tab.Rows[i]
+			if row[col["block"]] != b.ID {
+				t.Fatalf("%s: row %d is %q, want block %q", arch.name, i, row[col["block"]], b.ID)
+			}
+			n, err := strconv.Atoi(row[col["params"]])
+			if err != nil {
+				t.Fatal(err)
+			}
+			params += n
+		}
+		total := tab.Rows[len(m.Blocks)]
+		if total[col["block"]] != "TOTAL" || total[col["params"]] != strconv.Itoa(m.ParamCount()) {
+			t.Fatalf("%s: TOTAL row %v, want params %d", arch.name, total, m.ParamCount())
+		}
+		if params != m.ParamCount() {
+			t.Fatalf("%s: params column sums to %d, want %d", arch.name, params, m.ParamCount())
+		}
+
+		if err := m.SetPrecision(tensor.I8); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range m.Blocks {
+			if got, want := tab.Rows[i][col["µ(s) i8"]], f1(float64(b.MemoryBytes())/1024); got != want {
+				t.Fatalf("%s: %s i8 memory %s KB, want %s", arch.name, b.ID, got, want)
+			}
+		}
+		if got, want := total[col["µ(s) i8"]], f1(float64(m.MemoryBytes())/1024); got != want {
+			t.Fatalf("%s: TOTAL i8 memory %s KB, want %s", arch.name, got, want)
 		}
 	}
 }

@@ -57,12 +57,6 @@ type Profiler struct {
 	Precision tensor.Precision
 }
 
-// DefaultProfiler returns a configuration suitable for tests and the
-// experiment harness.
-func DefaultProfiler() Profiler {
-	return Profiler{ImageSize: 16, Repeats: 5, Warmup: 1}
-}
-
 // ProfileModel runs a dummy tensor through the model block by block,
 // timing each block's forward pass. The dummy input is all-ones, matching
 // common practice (values do not affect dense-conv timing).
@@ -145,26 +139,4 @@ func TotalMemory(costs []BlockCost) int64 {
 		m += c.MemoryBytes
 	}
 	return m
-}
-
-// Scale multiplies all compute times by factor, used to calibrate
-// test-scale measurements to paper-scale magnitudes (e.g., so the full
-// unpruned path lands at the paper's ~8–9 ms GPU inference time).
-func Scale(costs []BlockCost, factor float64) []BlockCost {
-	out := make([]BlockCost, len(costs))
-	copy(out, costs)
-	for i := range out {
-		out[i].ComputeTime = time.Duration(float64(out[i].ComputeTime) * factor)
-	}
-	return out
-}
-
-// CalibrationFactor returns the factor that maps the measured total model
-// compute time onto the target (paper) total.
-func CalibrationFactor(costs []BlockCost, target time.Duration) (float64, error) {
-	total := TotalCompute(costs)
-	if total <= 0 {
-		return 0, fmt.Errorf("%w: non-positive measured total %v", ErrProfile, total)
-	}
-	return float64(target) / float64(total), nil
 }

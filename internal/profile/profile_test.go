@@ -2,14 +2,13 @@ package profile
 
 import (
 	"testing"
-	"time"
 
 	"offloadnn/internal/dnn"
 )
 
 func TestProfileModelCoversAllBlocks(t *testing.T) {
 	m := dnn.BuildResNet18(dnn.DefaultResNetConfig())
-	p := DefaultProfiler()
+	p := Profiler{ImageSize: 16, Repeats: 5, Warmup: 1}
 	costs, err := p.ProfileModel(m)
 	if err != nil {
 		t.Fatal(err)
@@ -54,31 +53,6 @@ func TestPrunedBlocksProfileCheaper(t *testing.T) {
 	// total by requiring a clear margin.
 	if TotalCompute(pc) >= TotalCompute(fc) {
 		t.Fatalf("pruned model compute %v >= full %v", TotalCompute(pc), TotalCompute(fc))
-	}
-}
-
-func TestScaleAndCalibration(t *testing.T) {
-	costs := []BlockCost{
-		{ID: "a", ComputeTime: 2 * time.Millisecond},
-		{ID: "b", ComputeTime: 6 * time.Millisecond},
-	}
-	f, err := CalibrationFactor(costs, 16*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 2 {
-		t.Fatalf("calibration factor %v, want 2", f)
-	}
-	scaled := Scale(costs, f)
-	if TotalCompute(scaled) != 16*time.Millisecond {
-		t.Fatalf("scaled total %v, want 16ms", TotalCompute(scaled))
-	}
-	// Original untouched.
-	if costs[0].ComputeTime != 2*time.Millisecond {
-		t.Fatal("Scale mutated its input")
-	}
-	if _, err := CalibrationFactor(nil, time.Second); err == nil {
-		t.Fatal("empty costs should error")
 	}
 }
 

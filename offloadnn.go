@@ -32,11 +32,9 @@ import (
 
 	"offloadnn/internal/core"
 	"offloadnn/internal/edge"
-	"offloadnn/internal/exec"
 	"offloadnn/internal/experiments"
 	"offloadnn/internal/radio"
 	"offloadnn/internal/semoran"
-	"offloadnn/internal/serve"
 	"offloadnn/internal/workload"
 )
 
@@ -104,8 +102,6 @@ type (
 	Emulator = edge.Emulator
 	// EmulatorConfig tunes an emulation run.
 	EmulatorConfig = edge.EmulatorConfig
-	// EmulationResult aggregates per-task latency traces.
-	EmulationResult = edge.Result
 )
 
 // Baseline types.
@@ -266,62 +262,16 @@ func HeterogeneousScenario(load Load) (*Instance, error) {
 // memory-only store.
 func NewRepository(dir string) *Repository { return edge.NewRepository(dir) }
 
-// Online serving types (the edgeserve daemon as a library).
+// Serving-churn types.
 type (
-	// EdgeServer is the online serving daemon: task registry, debounced
-	// epoch re-solver with atomic deployment swap, token-bucket admission
-	// gates at z·λ, and an HTTP API (tasks, offload, healthz, metrics).
-	EdgeServer = serve.Server
-	// EdgeServerConfig parameterizes an EdgeServer.
-	EdgeServerConfig = serve.Config
-	// ServingEpoch is one published pass of the Fig. 4 loop.
-	ServingEpoch = serve.Epoch
 	// ChurnEvent is one task arrival/departure in a serving timeline.
 	ChurnEvent = workload.ChurnEvent
 	// ChurnParams parameterizes ChurnTimeline.
 	ChurnParams = workload.ChurnParams
 )
 
-// NewEdgeServer starts a serving daemon (its epoch re-solver goroutine
-// runs until Close). Serve it with net/http: it implements http.Handler.
-func NewEdgeServer(cfg EdgeServerConfig) (*EdgeServer, error) { return serve.New(cfg) }
-
-// Execution-layer types: the pluggable backend admitted offloads run
-// through. Every published epoch is installed into the configured
-// backend atomically with the deployment swap.
-type (
-	// ExecBackend is the execution-layer interface: Install an epoch's
-	// deployment, Infer admitted inputs under it.
-	ExecBackend = exec.Backend
-	// ExecPlan is one epoch's deployment handed to a backend.
-	ExecPlan = exec.Plan
-	// ExecRequest is one admitted offload handed to a backend: task,
-	// input tensor and completion deadline (zero time = no deadline).
-	ExecRequest = exec.Request
-	// ExecOutput is the result of one executed offload (logits, argmax,
-	// batch size, measured latency).
-	ExecOutput = exec.Output
-	// RealBackend assembles tensor-backed models per deployed path,
-	// instantiating shared blocks exactly once and batching admitted
-	// requests through dnn ForwardBatch.
-	RealBackend = exec.Real
-	// RealBackendConfig parameterizes a RealBackend.
-	RealBackendConfig = exec.RealConfig
-	// SimulatedBackend answers offloads from the deployment's planned
-	// cost model (the same arithmetic the emulator uses).
-	SimulatedBackend = exec.Simulated
-)
-
-// NewRealBackend constructs the tensor-backed execution backend; wire it
-// into EdgeServerConfig.Backend for real inference behind /v1/offload.
-func NewRealBackend(cfg RealBackendConfig) (*RealBackend, error) { return exec.NewReal(cfg) }
-
-// NewSimulatedBackend constructs the cost-model execution backend (the
-// EdgeServer default).
-func NewSimulatedBackend() *SimulatedBackend { return exec.NewSimulated() }
-
 // ChurnTimeline derives a deterministic register/deregister schedule
-// over the Table-IV small-scenario tasks for driving an EdgeServer.
+// over the Table-IV small-scenario tasks for driving the edgeserve daemon.
 func ChurnTimeline(p ChurnParams) ([]ChurnEvent, error) { return workload.ChurnTimeline(p) }
 
 // Incremental solving types.
