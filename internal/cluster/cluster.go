@@ -108,21 +108,11 @@ func (n Node) ForwardDelay(bits float64) time.Duration {
 	return time.Duration(bits / (mbps * 1e6) * float64(time.Second))
 }
 
-// TransferDelay prices shipping the given number of bits over the slower
-// of the two nodes' coordinator links — the conservative estimate of the
-// a→b inter-node path when no direct measurement exists. A measured
-// peer rate, when available, overrides this (see the coordinator's
-// link matrix).
-func TransferDelay(a, b Node, bits float64) time.Duration {
-	mbps := a.LinkMbps()
-	if mb := b.LinkMbps(); mb < mbps {
-		mbps = mb
-	}
-	if mbps <= 0 || bits <= 0 {
-		return 0
-	}
-	return time.Duration(bits / (mbps * 1e6) * float64(time.Second))
-}
+// slowerLinkMbps prices the a→b inter-node path at the slower of the two
+// nodes' coordinator links — the conservative estimate when no direct
+// measurement exists (a measured peer rate overrides it, see the
+// coordinator's link matrix).
+func slowerLinkMbps(a, b Node) float64 { return min(a.LinkMbps(), b.LinkMbps()) }
 
 // AdjustTask returns the task as node n's DOT instance must see it: the
 // latency ceiling L_τ shrunk by the forward delay of one full-quality

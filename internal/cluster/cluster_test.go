@@ -479,6 +479,40 @@ func TestClusterPushErrorFault(t *testing.T) {
 	}
 }
 
+// TestPlacementRetryRacesRegistration re-places in a loop, every push
+// failing, while another goroutine registers 200 nodes: the retry bound
+// must not read the membership map outside c.mu (run under -race).
+func TestPlacementRetryRacesRegistration(t *testing.T) {
+	inj := faultinject.New(1)
+	inj.Set(PointPushError, faultinject.Rule{EveryN: 1})
+	c := startCoordinator(t, Config{Faults: inj, Debounce: time.Hour})
+	res := ToWireResources(fullRes())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			err := c.register(RegisterRequest{
+				Node: fmt.Sprintf("n%03d", i), Addr: "http://127.0.0.1:1", Res: res, State: "healthy",
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for registering := true; registering; {
+		select {
+		case <-done:
+			registering = false
+		default:
+		}
+		c.PlaceNow() // every push fails, so placements over members abort
+	}
+	if inj.Fires(PointPushError) == 0 {
+		t.Fatal("push fault never fired")
+	}
+}
+
 // TestClusterAgentLifecycle runs the real membership agent end to end:
 // register (with bandwidth probe), placement of an HTTP-registered task,
 // offload through the proxy, and deregistration on Close.

@@ -39,11 +39,8 @@ type Config struct {
 	Debounce time.Duration
 	// HeartbeatTimeout is how long a member may go without a heartbeat
 	// before the failure detector declares it stale and re-places its
-	// tasks (default 3 s).
+	// tasks (default 3 s). The detector checks every HeartbeatTimeout/4.
 	HeartbeatTimeout time.Duration
-	// SweepEvery is the failure detector's check period (default
-	// HeartbeatTimeout/4).
-	SweepEvery time.Duration
 	// BandwidthDriftFrac is the fractional change in a member's smoothed
 	// link rate — relative to the rate the latest placement priced with —
 	// that triggers a re-placement; smaller drift is recorded for the
@@ -62,7 +59,7 @@ type Config struct {
 	// into the search.
 	Split *SplitConfig
 	// PushTimeout bounds one plan push — including the member's
-	// synchronous re-solve (default 30 s).
+	// synchronous re-solve — and one proxied offload (default 30 s).
 	PushTimeout time.Duration
 	// Now is the injectable clock (default time.Now).
 	Now func() time.Time
@@ -70,9 +67,6 @@ type Config struct {
 	Logf func(string, ...any)
 	// Faults optionally arms the coordinator's fault-injection points.
 	Faults *faultinject.Injector
-	// Client performs plan pushes and offload proxying (default: a
-	// client with PushTimeout).
-	Client *http.Client
 }
 
 // routeEntry is one admitted task's serving location. A split task
@@ -185,9 +179,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 3 * time.Second
 	}
-	if cfg.SweepEvery <= 0 {
-		cfg.SweepEvery = cfg.HeartbeatTimeout / 4
-	}
 	if cfg.BandwidthDriftFrac <= 0 {
 		cfg.BandwidthDriftFrac = 0.2
 	}
@@ -197,16 +188,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: cfg.PushTimeout}
-	}
 	if cfg.Split == nil {
 		cfg.Split = &SplitConfig{}
 	}
 	c := &Coordinator{
 		cfg:     cfg,
 		reg:     serve.NewRegistry(cfg.Catalog, cfg.Blocks),
-		client:  cfg.Client,
+		client:  &http.Client{Timeout: cfg.PushTimeout},
 		members: make(map[string]*memberState),
 		kick:    make(chan struct{}, 1),
 		start:   cfg.Now(),
@@ -265,10 +253,10 @@ func (c *Coordinator) placeLoop() {
 	}
 }
 
-// sweepLoop runs the heartbeat failure detector.
+// sweepLoop runs the heartbeat failure detector every HeartbeatTimeout/4.
 func (c *Coordinator) sweepLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.SweepEvery)
+	t := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
 	defer t.Stop()
 	for {
 		select {
@@ -335,8 +323,11 @@ func (c *Coordinator) placeOnce(ctx context.Context) error {
 	c.placeMu.Lock()
 	defer c.placeMu.Unlock()
 	tasks, blocks, gen := c.reg.Snapshot()
+	nodes := c.aliveNodes()
+	// Every failed attempt marks at least one node failed, so the first
+	// attempt's alive count bounds the retries.
+	retries := len(nodes) + 1
 	for attempt := 0; ; attempt++ {
-		nodes := c.aliveNodes()
 		split := *c.cfg.Split
 		split.Link = c.linkFunc()
 		p := PlaceWith(ctx, tasks, blocks, nodes, PlaceConfig{Alpha: c.cfg.Alpha, Split: &split})
@@ -356,16 +347,17 @@ func (c *Coordinator) placeOnce(ctx context.Context) error {
 		if c.cfg.Logf != nil {
 			c.cfg.Logf("cluster: plan push failed for %v, re-placing without them", failed)
 		}
-		if attempt >= len(c.members)+1 {
+		if attempt >= retries {
 			return fmt.Errorf("cluster: placement aborted after %d push-failure retries", attempt)
 		}
+		nodes = c.aliveNodes()
 	}
 }
 
 // linkFunc snapshots the measured inter-node bandwidth matrix into the
 // split search's link oracle: a measured a→b (or, failing that, b→a)
 // probe wins; with no measurement the a↔b path is priced at the slower
-// of the two coordinator links, floors applied (TransferDelay's rule).
+// of the two coordinator links, floors applied (slowerLinkMbps).
 func (c *Coordinator) linkFunc() func(a, b Node) float64 {
 	c.mu.Lock()
 	matrix := make(map[string]map[string]float64, len(c.members))
@@ -391,11 +383,7 @@ func (c *Coordinator) linkFunc() func(a, b Node) float64 {
 		if mbps, ok := matrix[b.ID][a.ID]; ok && mbps > 0 {
 			return mbps
 		}
-		mbps := a.LinkMbps()
-		if mb := b.LinkMbps(); mb < mbps {
-			mbps = mb
-		}
-		return mbps
+		return slowerLinkMbps(a, b)
 	}
 }
 

@@ -109,13 +109,12 @@ type AgentConfig struct {
 	// BandwidthMbps fixes the link rate reported to the coordinator;
 	// zero or negative measures it with a probe transfer at registration.
 	BandwidthMbps float64
-	// ProbeBytes sizes the bandwidth probe (default 1 MiB).
-	ProbeBytes int
-	// Client performs the membership calls (default: 10 s timeout).
-	Client *http.Client
 	// Logf receives agent diagnostics; nil discards them.
 	Logf func(string, ...any)
 }
+
+// probeBytes sizes one bandwidth probe transfer.
+const probeBytes = 1 << 20
 
 // Agent is a member's side of the membership protocol: it registers the
 // node with the coordinator, reports health/epoch/bandwidth with every
@@ -149,13 +148,7 @@ func StartAgent(srv *serve.Server, cfg AgentConfig) (*Agent, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
-	if cfg.ProbeBytes <= 0 {
-		cfg.ProbeBytes = 1 << 20
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	a := &Agent{cfg: cfg, srv: srv, client: cfg.Client, mbps: cfg.BandwidthMbps}
+	a := &Agent{cfg: cfg, srv: srv, client: &http.Client{Timeout: 10 * time.Second}, mbps: cfg.BandwidthMbps}
 	a.ctx, a.cancel = context.WithCancel(context.Background())
 	a.wg.Add(1)
 	go a.loop()
@@ -341,9 +334,9 @@ func (a *Agent) probeNextPeer() {
 }
 
 // probe measures the link to the node or coordinator at base URL url by
-// streaming ProbeBytes to its probe sink and timing the transfer.
+// streaming probeBytes to its probe sink and timing the transfer.
 func (a *Agent) probe(url string) (mbps float64, err error) {
-	payload := make([]byte, a.cfg.ProbeBytes)
+	payload := make([]byte, probeBytes)
 	start := time.Now()
 	req, err := http.NewRequestWithContext(a.ctx, http.MethodPost, url+"/v1/cluster/bwprobe", bytes.NewReader(payload))
 	if err != nil {
@@ -363,5 +356,5 @@ func (a *Agent) probe(url string) (mbps float64, err error) {
 	if elapsed <= 0 {
 		return 0, fmt.Errorf("probe transfer too fast to time")
 	}
-	return float64(a.cfg.ProbeBytes) * 8 / elapsed / 1e6, nil
+	return float64(probeBytes) * 8 / elapsed / 1e6, nil
 }

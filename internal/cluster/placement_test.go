@@ -314,7 +314,7 @@ func TestAdjustTask(t *testing.T) {
 	}
 }
 
-// TestBandwidthFloor pins LinkMbps and the pairwise TransferDelay.
+// TestBandwidthFloor pins LinkMbps and the pairwise slowerLinkMbps.
 func TestBandwidthFloor(t *testing.T) {
 	if got := (Node{}).LinkMbps(); got != DefaultFloorMbps {
 		t.Errorf("unmeasured link rate %v, want default floor %v", got, DefaultFloorMbps)
@@ -331,11 +331,11 @@ func TestBandwidthFloor(t *testing.T) {
 	// Pairwise transfer is priced at the slower of the two links.
 	a := Node{BandwidthMbps: 10}
 	b := Node{BandwidthMbps: 2}
-	if got := TransferDelay(a, b, 1e6); got != 500*time.Millisecond {
-		t.Errorf("transfer over 10/2 Mb/s pair took %v, want 500ms", got)
+	if got := slowerLinkMbps(a, b); got != 2 {
+		t.Errorf("10/2 Mb/s pair priced at %v Mb/s, want 2", got)
 	}
-	if got := TransferDelay(a, Node{FloorMbps: -1}, 1e6); got != 0 {
-		t.Errorf("transfer to an opted-out node took %v, want 0", got)
+	if got := slowerLinkMbps(a, Node{FloorMbps: -1}); got != 0 {
+		t.Errorf("link to an opted-out node priced at %v Mb/s, want 0 (free)", got)
 	}
 	if got := (Node{}).ForwardDelay(1e6); got != time.Second {
 		t.Errorf("floor-priced forward of 1 Mb took %v, want 1s", got)

@@ -68,6 +68,14 @@ type SplitPath struct {
 	BudgetMS float64
 }
 
+// The split search caps the pipeline length at maxSegments and draws
+// node tuples from the candidateNodes nodes with the most residual
+// memory.
+const (
+	maxSegments    = 4
+	candidateNodes = 6
+)
+
 // SplitConfig parameterizes the split-placement search.
 type SplitConfig struct {
 	// Model is the geometry cut points are enumerated against; the zero
@@ -75,14 +83,9 @@ type SplitConfig struct {
 	Model dnn.ResNetConfig
 	// Input is the frame shape (C, H, W); zero applies (3, 8, 8).
 	Input [3]int
-	// MaxSegments caps the pipeline length; 0 means 4.
-	MaxSegments int
-	// CandidateNodes caps how many nodes (by residual memory) the node-
-	// tuple enumeration draws from; 0 means 6.
-	CandidateNodes int
 	// Link returns the planned a→b inter-node rate in Mbps; nil prices
 	// conservatively at the slower of the two coordinator links (see
-	// TransferDelay). The coordinator wires its measured peer matrix in
+	// slowerLinkMbps). The coordinator wires its measured peer matrix in
 	// here.
 	Link func(a, b Node) float64
 }
@@ -179,23 +182,9 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 	if input == [3]int{} {
 		input = [3]int{3, 8, 8}
 	}
-	maxSeg := cfg.MaxSegments
-	if maxSeg <= 0 {
-		maxSeg = 4
-	}
-	cand := cfg.CandidateNodes
-	if cand <= 0 {
-		cand = 6
-	}
 	link := cfg.Link
 	if link == nil {
-		link = func(a, b Node) float64 {
-			mbps := a.LinkMbps()
-			if mb := b.LinkMbps(); mb < mbps {
-				mbps = mb
-			}
-			return mbps
-		}
+		link = slowerLinkMbps
 	}
 
 	res := residuals(p)
@@ -215,7 +204,7 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 
 	for _, ti := range order {
 		t := tasks[ti]
-		best := bestSplit(&t, blocks, res, model, input, maxSeg, cand, link)
+		best := bestSplit(&t, blocks, res, model, input, link)
 		if best == nil {
 			continue
 		}
@@ -265,7 +254,7 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 // node tuples for the feasible plan with the highest admitted fraction,
 // latency breaking ties.
 func bestSplit(t *core.Task, blocks map[string]core.BlockSpec, res []*nodeResidual,
-	model dnn.ResNetConfig, input [3]int, maxSeg, cand int, link func(a, b Node) float64) *SplitPath {
+	model dnn.ResNetConfig, input [3]int, link func(a, b Node) float64) *SplitPath {
 
 	// Candidate nodes: the most memory-headroom first, capped. The
 	// enumeration below draws ordered tuples from this pool.
@@ -274,8 +263,8 @@ func bestSplit(t *core.Task, blocks map[string]core.BlockSpec, res []*nodeResidu
 		pool = append(pool, r)
 	}
 	sort.SliceStable(pool, func(a, b int) bool { return pool[a].memory > pool[b].memory })
-	if len(pool) > cand {
-		pool = pool[:cand]
+	if len(pool) > candidateNodes {
+		pool = pool[:candidateNodes]
 	}
 
 	var best *SplitPath
@@ -299,13 +288,7 @@ func bestSplit(t *core.Task, blocks map[string]core.BlockSpec, res []*nodeResidu
 			continue
 		}
 		cuts := dnn.EnumerateCutPoints(model, n, input)
-		segMax := maxSeg
-		if n < segMax {
-			segMax = n
-		}
-		if len(pool) < segMax {
-			segMax = len(pool)
-		}
+		segMax := min(maxSegments, n, len(pool))
 		for m := 2; m <= segMax; m++ {
 			forEachCutCombo(len(cuts), m-1, func(combo []int) {
 				bounds := make([]int, 0, m+1)

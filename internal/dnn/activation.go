@@ -5,21 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Activation envelope: the wire format of a mid-path boundary
-// activation handed from one segment's node to the next. It mirrors the
-// .dnnw weight artifact's layout —
+// activation handed from one segment's node to the next:
 //
 //	[8]  magic "ODNNACT1"
 //	[4]  uint32 LE manifest length
 //	[M]  manifest JSON (routing, shape, deadline budget, hop trail)
 //	[W]  raw activation: little-endian float64, one frame
 //
-// — so both sides reuse the same primitive codec. The payload is always
-// float64, the inter-block interchange format, which is what makes a
-// split path bit-identical to the whole one: the receiver resumes from
-// exactly the values the sender's last block produced.
+// The payload is always float64, the inter-block interchange format,
+// which is what makes a split path bit-identical to the whole one: the
+// receiver resumes from exactly the values the sender's last block
+// produced.
 
 const activationMagic = "ODNNACT1"
 
@@ -116,4 +116,22 @@ func DecodeActivation(r io.Reader) (ActivationManifest, []float64, error) {
 		return man, nil, fmt.Errorf("dnn: activation decode: payload: %w", err)
 	}
 	return man, bytesF64(raw), nil
+}
+
+// f64Bytes serializes float64s to little-endian bytes.
+func f64Bytes(src []float64) []byte {
+	out := make([]byte, len(src)*8)
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+	}
+	return out
+}
+
+// bytesF64 decodes little-endian bytes into one float64 buffer.
+func bytesF64(raw []byte) []float64 {
+	out := make([]float64, len(raw)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+	}
+	return out
 }

@@ -264,18 +264,3 @@ func DeployedMemoryBytes(models []*Model) int64 {
 	}
 	return total
 }
-
-// ParamsCompatible reports whether two blocks have identical parameter
-// tensor shapes — the adoption check for zero-copy artifact blocks.
-func ParamsCompatible(a, b *Block) bool {
-	ap, bp := a.Params(), b.Params()
-	if len(ap) != len(bp) {
-		return false
-	}
-	for i := range ap {
-		if !ap[i].SameShape(bp[i]) {
-			return false
-		}
-	}
-	return true
-}

@@ -19,7 +19,7 @@ import (
 // and redundant). The suffix is how quantization is surfaced to the
 // solver: "base/s3@i8" is a distinct priced block variant of "base/s3",
 // but shares its trained weights — callers strip the suffix before
-// resolving seeds, prune ratios and repository weights.
+// resolving seeds and prune ratios.
 func BlockIDPrecision(id string) (string, tensor.Precision, error) {
 	i := strings.LastIndex(id, "@")
 	if i < 0 {

@@ -52,7 +52,7 @@ func TestCalibrateRecordsActivationScales(t *testing.T) {
 
 func TestTop1DeltaIdenticalModelsIsZero(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
-	clone := roundTrip(t, m)
+	clone := BuildResNet18(DefaultResNetConfig())
 	x := CalibrationBatch(6, 3, 16, 16, 9)
 	d, err := Top1Delta(m, clone, x)
 	if err != nil {

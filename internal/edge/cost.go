@@ -25,10 +25,9 @@ func (c TaskCost) Total() time.Duration { return c.Tx + c.Proc }
 // the task order dep.Solution.Assignments is parallel to. linkRateFactor
 // scales the delivered per-RB rate against the conservative planning
 // value B(σ) (≤ 0 means 1.0: the link delivers exactly the planning
-// rate); computeScale scales every path compute time (≤ 0 means 1.0).
-// Non-admitted tasks are absent from the result.
+// rate). Non-admitted tasks are absent from the result.
 func PlanCosts(tasks []core.Task, blocks map[string]core.BlockSpec, res core.Resources,
-	dep *Deployment, linkRateFactor, computeScale float64) map[string]TaskCost {
+	dep *Deployment, linkRateFactor float64) map[string]TaskCost {
 	out := make(map[string]TaskCost)
 	if dep == nil || dep.Solution == nil {
 		return out
@@ -49,9 +48,6 @@ func PlanCosts(tasks []core.Task, blocks map[string]core.BlockSpec, res core.Res
 		proc := 0.0
 		for _, id := range a.Path.Blocks {
 			proc += blocks[id].ComputeSeconds
-		}
-		if computeScale > 0 {
-			proc *= computeScale
 		}
 		out[a.TaskID] = TaskCost{
 			Tx:   time.Duration(tx * float64(time.Second)),

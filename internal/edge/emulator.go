@@ -34,12 +34,6 @@ type EmulatorConfig struct {
 	// targets with headroom; 1.0 means the link delivers exactly the
 	// planning rate (slices sized at ρ = 1 then oscillate).
 	LinkRateFactor float64
-	// ComputeScale multiplies every path compute time (0 = 1.0, unscaled).
-	// The c(s^d) tables are characterized at a single worker; when an edge
-	// node runs the parallel kernels, profile the path at that worker count
-	// and set ComputeScale to the measured ratio c_parallel/c_serial to
-	// emulate the faster executor without re-deriving the tables.
-	ComputeScale float64
 	// Seed drives the jitter.
 	Seed int64
 }
@@ -145,8 +139,7 @@ func (e *Emulator) Run() (*Result, error) {
 	res := &Result{}
 	// The emulator draws its per-task design values from the same cost
 	// model the resolver and the simulated execution backend use.
-	costs := PlanCosts(e.inst.Tasks, e.inst.Blocks, e.inst.Res, e.deploy,
-		e.cfg.LinkRateFactor, e.cfg.ComputeScale)
+	costs := PlanCosts(e.inst.Tasks, e.inst.Blocks, e.inst.Res, e.deploy, e.cfg.LinkRateFactor)
 	var states []*taskState
 	for i, a := range e.deploy.Solution.Assignments {
 		task := &e.inst.Tasks[i]

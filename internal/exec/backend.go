@@ -227,10 +227,6 @@ type Stats struct {
 	// accuracy gate demoted a tier (i8→f32 or f32→f64). Each demotion
 	// step of each gated path counts once.
 	QuantFallbacks int64
-	// WeightBytes is the total resident size of weight buffers that live
-	// block instances alias zero-copy from binary artifacts; 0 when every
-	// block was built from seeds.
-	WeightBytes int64
 	// PathPrecisions maps each deployed path signature to the kernel
 	// precision it currently runs at ("f64", "f32" or "i8") after any
 	// gate demotions; nil for backends without real models.

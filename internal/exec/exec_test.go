@@ -370,7 +370,7 @@ func TestSimulatedBackend(t *testing.T) {
 		t.Fatalf("simulated output %+v, want simulated / no logits", out)
 	}
 	// The modeled latency is exactly the plan's cost-model prediction.
-	want := edge.PlanCosts(plan.Tasks, plan.Blocks, plan.Res, plan.Deployment, 0, 0)["t1"].Total()
+	want := edge.PlanCosts(plan.Tasks, plan.Blocks, plan.Res, plan.Deployment, 0)["t1"].Total()
 	if out.Latency != want {
 		t.Fatalf("simulated latency %v, want planned %v", out.Latency, want)
 	}

@@ -103,14 +103,14 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 	gated := prec != tensor.F64 && r.cfg.QuantGate >= 0
 	// bound resolves the stem or the classifier at the path's precision.
 	bound := func(key string, stage int, build func() *dnn.Block) (*dnn.Block, error) {
-		inst, err := r.instantiate(key, stage, func() (*dnn.Block, int64, error) {
+		inst, err := r.instantiate(key, stage, func() (*dnn.Block, error) {
 			b := build()
 			if prec != tensor.F64 {
 				if err := b.SetPrecision(prec); err != nil {
-					return nil, 0, err
+					return nil, err
 				}
 			}
-			return b, 0, nil
+			return b, nil
 		})
 		if err != nil {
 			return nil, err
@@ -135,7 +135,7 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 	stages := make([]*dnn.Block, n)
 	for i := lo; i < hi; i++ {
 		id, stage := seg.Blocks[i], min(i+1, 4)
-		inst, err := r.instantiate(id, stage, func() (*dnn.Block, int64, error) {
+		inst, err := r.instantiate(id, stage, func() (*dnn.Block, error) {
 			return r.stageBlock(id, stage)
 		})
 		if err != nil {

@@ -1,19 +1,21 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"offloadnn/internal/dnn"
-	"offloadnn/internal/edge"
 	"offloadnn/internal/tensor"
 )
 
 // calibSeed fixes the calibration/gate batch across processes so gate
 // verdicts are reproducible for a given catalog and weight set.
 const calibSeed = 20240131
+
+// calibBatch is the batch size of the deterministic calibration/gate
+// input.
+const calibBatch = 8
 
 // blockInstance is one live shared block: the unit of the refcount that
 // operationalizes constraint (1b) — however many deployed paths (and
@@ -22,9 +24,6 @@ type blockInstance struct {
 	block *dnn.Block
 	stage int // 0 stem, 1..4 stages, 5 classifier
 	refs  int // models currently aliasing the instance
-	// weightBytes is the resident size of the artifact weight buffer the
-	// block aliases zero-copy; 0 for seeded weights.
-	weightBytes int64
 }
 
 // pruneRatioOf parses the structured-pruning convention of catalog block
@@ -41,10 +40,6 @@ func pruneRatioOf(id string) float64 {
 	return float64(n) / 100
 }
 
-// mangleRepoName maps a catalog block ID onto a repository model name
-// (the repository forbids path separators).
-func mangleRepoName(id string) string { return strings.ReplaceAll(id, "/", "_") }
-
 // seedOf decorrelates the initialization of distinct block IDs sharing a
 // stage (FNV-1a over the ID).
 func seedOf(id string) int64 {
@@ -60,60 +55,41 @@ func seedOf(id string) int64 {
 // on first reference. build runs with mu held (instantiation is part of
 // the epoch swap, not the request path). The returned instance has its
 // refcount untouched — retain/release manage it.
-func (r *Real) instantiate(key string, stage int, build func() (*dnn.Block, int64, error)) (*blockInstance, error) {
+func (r *Real) instantiate(key string, stage int, build func() (*dnn.Block, error)) (*blockInstance, error) {
 	if inst, ok := r.lib[key]; ok {
 		if inst.stage != stage {
 			return nil, fmt.Errorf("exec: block %q used at stage %d and %d", key, inst.stage, stage)
 		}
 		return inst, nil
 	}
-	b, wb, err := build()
+	b, err := build()
 	if err != nil {
 		return nil, err
 	}
-	inst := &blockInstance{block: b, stage: stage, weightBytes: wb}
+	inst := &blockInstance{block: b, stage: stage}
 	r.lib[key] = inst
 	return inst, nil
 }
 
 // stageBlock builds one catalog block as a template stage. The precision
-// suffix ("@f32"/"@i8") is stripped before resolving seed, prune ratio
-// and repository weights, so precision variants of a block share the base
-// block's trained weights; the precision is then instantiated on the
-// finished block. A model stored in the repository under the base ID is
-// adopted wholesale — its tensors alias one decoded buffer, so the
-// install copies no weights (the returned byte count is that buffer's
-// resident size).
-func (r *Real) stageBlock(id string, stage int) (*dnn.Block, int64, error) {
+// suffix ("@f32"/"@i8") is stripped before resolving seed and prune
+// ratio, so precision variants of a block share the base block's
+// weights; the precision is then instantiated on the finished block.
+func (r *Real) stageBlock(id string, stage int) (*dnn.Block, error) {
 	base, prec, err := dnn.BlockIDPrecision(id)
 	if err != nil {
-		return nil, 0, fmt.Errorf("exec: block %q: %w", id, err)
+		return nil, fmt.Errorf("exec: block %q: %w", id, err)
 	}
 	b, err := dnn.BuildStageBlock(r.cfg.Model, id, stage, pruneRatioOf(base), seedOf(base))
 	if err != nil {
-		return nil, 0, fmt.Errorf("exec: block %q: %w", id, err)
-	}
-	var artBytes int64
-	if r.cfg.Repo != nil {
-		m, size, err := r.cfg.Repo.Load(mangleRepoName(base))
-		if err == nil && (len(m.Blocks) == 0 || !dnn.ParamsCompatible(b, m.Blocks[0])) {
-			err = errors.New("stored parameter shapes differ from the template's")
-		}
-		if err == nil {
-			stored := m.Blocks[0]
-			stored.ID, stored.Stage = b.ID, b.Stage
-			stored.Variant, stored.PruneRatio, stored.Frozen = b.Variant, b.PruneRatio, b.Frozen
-			b, artBytes = stored, size
-		} else if !errors.Is(err, edge.ErrNotFound) && r.cfg.Logf != nil {
-			r.cfg.Logf("exec: weights for %q ignored: %v", id, err)
-		}
+		return nil, fmt.Errorf("exec: block %q: %w", id, err)
 	}
 	if prec != tensor.F64 {
 		if err := b.SetPrecision(prec); err != nil {
-			return nil, 0, fmt.Errorf("exec: block %q: %w", id, err)
+			return nil, fmt.Errorf("exec: block %q: %w", id, err)
 		}
 	}
-	return b, artBytes, nil
+	return b, nil
 }
 
 // pathPrecisionOf is the precision variant a path's block IDs select
@@ -129,14 +105,14 @@ func pathPrecisionOf(blockIDs []string) tensor.Precision {
 }
 
 // twinModel assembles the float64 twin of a path — the same base block
-// IDs resolve to the same seeds and stored weights, so the twin is the
-// accuracy reference the gate compares against. Twin instances go
+// IDs resolve to the same seeds, so the twin is the accuracy reference
+// the gate compares against. Twin instances go
 // through the regular library (a base block also deployed at f64 is
 // shared, not duplicated) and enter it unreferenced; pruneUnreferenced
 // at the end of Install drops the ones no deployed path retains. mu held.
 func (r *Real) twinModel(blockIDs []string) (*dnn.Model, error) {
-	stem, err := r.instantiate("stem", 0, func() (*dnn.Block, int64, error) {
-		return dnn.BuildStemBlock(r.cfg.Model), 0, nil
+	stem, err := r.instantiate("stem", 0, func() (*dnn.Block, error) {
+		return dnn.BuildStemBlock(r.cfg.Model), nil
 	})
 	if err != nil {
 		return nil, err
@@ -148,7 +124,7 @@ func (r *Real) twinModel(blockIDs []string) (*dnn.Model, error) {
 			return nil, err
 		}
 		stage := min(i+1, 4)
-		inst, err := r.instantiate(base, stage, func() (*dnn.Block, int64, error) {
+		inst, err := r.instantiate(base, stage, func() (*dnn.Block, error) {
 			return r.stageBlock(base, stage)
 		})
 		if err != nil {
@@ -157,8 +133,8 @@ func (r *Real) twinModel(blockIDs []string) (*dnn.Model, error) {
 		stages = append(stages, inst.block)
 	}
 	featureDim := dnn.StageWidth(r.cfg.Model, len(blockIDs))
-	cls, err := r.instantiate("classifier/"+strconv.Itoa(featureDim), 5, func() (*dnn.Block, int64, error) {
-		return dnn.BuildClassifierBlock(r.cfg.Model, featureDim), 0, nil
+	cls, err := r.instantiate("classifier/"+strconv.Itoa(featureDim), 5, func() (*dnn.Block, error) {
+		return dnn.BuildClassifierBlock(r.cfg.Model, featureDim), nil
 	})
 	if err != nil {
 		return nil, err
@@ -180,7 +156,7 @@ func (r *Real) gate(path *dnn.Model, blockIDs []string, prec tensor.Precision) (
 	if err != nil {
 		return prec, fmt.Errorf("gate %s: %w", sig, err)
 	}
-	x := dnn.CalibrationBatch(r.cfg.CalibBatch, r.cfg.Input[0], r.cfg.Input[1], r.cfg.Input[2], calibSeed)
+	x := dnn.CalibrationBatch(calibBatch, r.cfg.Input[0], r.cfg.Input[1], r.cfg.Input[2], calibSeed)
 	if err := dnn.Calibrate(path, x); err != nil {
 		return prec, fmt.Errorf("gate %s: calibrate: %w", sig, err)
 	}

@@ -1,13 +1,10 @@
 package exec_test
 
 import (
-	"bytes"
 	"context"
 	"testing"
 	"time"
 
-	"offloadnn/internal/dnn"
-	"offloadnn/internal/edge"
 	"offloadnn/internal/exec"
 	"offloadnn/internal/tensor"
 )
@@ -120,79 +117,6 @@ func TestQuantizedArgmaxParityWithF64(t *testing.T) {
 	}
 	if qo.Argmax != fo.Argmax {
 		t.Fatalf("argmax disagrees: i8=%d f64=%d (logits %v vs %v)", qo.Argmax, fo.Argmax, qo.Logits, fo.Logits)
-	}
-}
-
-// A stored binary artifact is adopted zero-copy: the installed block IS
-// the artifact's block graph (weights bit-identical to what was stored,
-// WeightBytes reports the aliased buffer) rather than a seeded rebuild.
-func TestArtifactAdoptedZeroCopy(t *testing.T) {
-	dir := t.TempDir()
-	repo := edge.NewRepository(dir)
-	cfg := tinyModel()
-	trained, err := dnn.BuildStageBlock(cfg, "base/s1", 1, 0, 12345)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range trained.Params() {
-		for i := range p.Data() {
-			p.Data()[i] *= 1.5 // distinguishable from any seeded init
-		}
-	}
-	if err := repo.Store("base_s1", &dnn.Model{Arch: "resnet18", Blocks: []*dnn.Block{trained}}); err != nil {
-		t.Fatal(err)
-	}
-
-	r := newReal(t, exec.RealConfig{Model: cfg, Repo: repo})
-	plan := planFor(1, map[string][]string{"t1": {"base/s1"}})
-	if err := r.Install(plan); err != nil {
-		t.Fatal(err)
-	}
-	got := r.SharedBlock("base/s1")
-	if got == nil {
-		t.Fatal("block not installed")
-	}
-	gp, wp := got.Params(), trained.Params()
-	for i := range wp {
-		for j := range wp[i].Data() {
-			if gp[i].Data()[j] != wp[i].Data()[j] {
-				t.Fatalf("installed weights differ from artifact at param %d[%d]", i, j)
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := dnn.SaveArtifact(&buf, &dnn.Model{Arch: "resnet18", Blocks: []*dnn.Block{trained}}); err != nil {
-		t.Fatal(err)
-	}
-	st := r.Stats()
-	if st.WeightBytes <= 0 {
-		t.Fatalf("WeightBytes %d, want > 0 for an adopted artifact", st.WeightBytes)
-	}
-	// The aliased buffer holds exactly the artifact's weight section.
-	if want := int64(trained.ParamCount()) * 8; st.WeightBytes < want {
-		t.Fatalf("WeightBytes %d < artifact weight section %d", st.WeightBytes, want)
-	}
-
-	// A quantized variant of the same base ID starts from the same stored
-	// weights.
-	plan2 := planFor(2, map[string][]string{
-		"t1": {"base/s1"},
-		"t2": {"base/s1@i8"},
-	})
-	if err := r.Install(plan2); err != nil {
-		t.Fatal(err)
-	}
-	q := r.SharedBlock("base/s1@i8")
-	if q == nil {
-		t.Fatal("quantized variant not installed")
-	}
-	qp := q.Params()
-	for i := range wp {
-		for j := range wp[i].Data() {
-			if qp[i].Data()[j] != wp[i].Data()[j] {
-				t.Fatalf("quantized variant master weights differ from artifact at param %d[%d]", i, j)
-			}
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"offloadnn/internal/dnn"
-	"offloadnn/internal/edge"
 	"offloadnn/internal/faultinject"
 )
 
@@ -30,18 +29,11 @@ type RealConfig struct {
 	// on a path whose admitted rate expects no second request inside it
 	// (rate × BatchWindow < 1).
 	BatchWindow time.Duration
-	// Repo optionally supplies trained weights: a block whose mangled ID
-	// ('/' → '_') names a stored one-block model starts from those
-	// weights instead of the seeded initialization, adopted zero-copy.
-	Repo *edge.Repository
 	// QuantGate bounds the top-1 disagreement (fraction of the gate
 	// batch) a reduced-precision path may show against its float64 twin
 	// at install time before being demoted one precision tier (default
 	// 0.02; negative disables the gate).
 	QuantGate float64
-	// CalibBatch is the batch size of the deterministic calibration/gate
-	// input (default 8).
-	CalibBatch int
 	// QueueDepth bounds how many requests may wait in one model's intake
 	// queue before backpressure sheds the latest-deadline waiter
 	// (ErrQueueFull). Default 16×BatchSize; negative disables the bound.
@@ -49,7 +41,7 @@ type RealConfig struct {
 	// Faults optionally arms the exec.slow / exec.hang chaos points in
 	// the batch executors. Nil (the usual case) costs a nil check.
 	Faults *faultinject.Injector
-	// Logf, when set, receives weight-loading diagnostics. Nil discards.
+	// Logf, when set, receives install and gate diagnostics. Nil discards.
 	Logf func(string, ...any)
 }
 
@@ -117,9 +109,6 @@ func NewReal(cfg RealConfig) (*Real, error) {
 	}
 	if cfg.QuantGate == 0 {
 		cfg.QuantGate = 0.02
-	}
-	if cfg.CalibBatch <= 0 {
-		cfg.CalibBatch = 8
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 16 * cfg.BatchSize
@@ -230,10 +219,6 @@ func (r *Real) Stats() Stats {
 		}
 		precisions[sig] = e.prec.String()
 	}
-	var weightBytes int64
-	for _, inst := range r.lib {
-		weightBytes += inst.weightBytes
-	}
 	return Stats{
 		Models:         len(r.models),
 		Blocks:         len(r.lib),
@@ -249,7 +234,6 @@ func (r *Real) Stats() Stats {
 		QueueSlack:     slack,
 		LastWindow:     time.Duration(r.lastWindow.Load()),
 		QuantFallbacks: r.quantFallbacks.Load(),
-		WeightBytes:    weightBytes,
 		PathPrecisions: precisions,
 	}
 }

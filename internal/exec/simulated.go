@@ -40,7 +40,7 @@ func (s *Simulated) Install(plan *Plan) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.costs = edge.PlanCosts(plan.Tasks, plan.Blocks, plan.Res, plan.Deployment, 0, 0)
+	s.costs = edge.PlanCosts(plan.Tasks, plan.Blocks, plan.Res, plan.Deployment, 0)
 	// Segment ranges answer with their slice's modeled compute; the
 	// transfer legs live in the serving layer, which never forwards a
 	// simulated activation (there is none).

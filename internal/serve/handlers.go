@@ -372,7 +372,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	e.Counter("offloadnn_quant_fallback_total", "Precision-tier demotions applied by the install-time accuracy gate.").Int(bs.QuantFallbacks)
-	e.Gauge("offloadnn_weights_mmap_bytes", "Resident bytes of artifact weight buffers aliased zero-copy by live blocks.").Int(bs.WeightBytes)
 	// Deadline-aware runtime families.
 	hitRatio := 1.0
 	if total := bs.DeadlineHits + bs.DeadlineMisses; total > 0 {

@@ -17,7 +17,7 @@ import (
 
 // goldenBackend is the cost-model backend with a fixed execution-state
 // overlay, so one scrape reaches the families only a tensor backend
-// fills (precision, queue slack, weights, sheds, batch window).
+// fills (precision, queue slack, sheds, batch window).
 type goldenBackend struct{ exec.Backend }
 
 func (b goldenBackend) Stats() exec.Stats {
@@ -28,7 +28,7 @@ func (b goldenBackend) Stats() exec.Stats {
 	st.PathPrecisions = map[string]string{"r18/q1": "f32", "r18/q0": "f64"}
 	st.QueueSlack = map[string]time.Duration{"r18/q1": 1500 * time.Microsecond, "r18/q0": -time.Millisecond}
 	st.LastWindow = 2 * time.Millisecond
-	st.QuantFallbacks, st.WeightBytes = 1, 4096
+	st.QuantFallbacks = 1
 	return st
 }
 

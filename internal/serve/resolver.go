@@ -363,7 +363,7 @@ func (r *Resolver) resolve(force bool) error {
 		// The predicted latencies are the unscaled planning costs — the
 		// same arithmetic the emulator and the simulated backend apply
 		// their factors to.
-		costs := edge.PlanCosts(tasks, blocks, r.res, dep, 0, 0)
+		costs := edge.PlanCosts(tasks, blocks, r.res, dep, 0)
 		for i := range dep.Solution.Assignments {
 			a := &dep.Solution.Assignments[i]
 			if !a.Admitted() {

@@ -219,9 +219,6 @@ func New(cfg Config) (*Server, error) {
 // Idempotent; there is no un-drain.
 func (s *Server) Drain() { s.draining.Store(true) }
 
-// Draining reports whether Drain (or Close) has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close drains the server, stops the background re-solver, then closes
 // the execution backend (in that order: the resolver is the only caller
 // of Install, so stopping it first means no epoch can race the

@@ -236,8 +236,6 @@ type (
 	HeuristicConfig = core.HeuristicConfig
 	// CliqueOrder selects the clique vertex ordering.
 	CliqueOrder = core.CliqueOrder
-	// Repository is the edge's persistent DNN repository (Fig. 4).
-	Repository = edge.Repository
 )
 
 // Clique orderings for WithHeuristic.
@@ -257,10 +255,6 @@ func PrivatizeBlocks(in *Instance) *Instance { return core.PrivatizeBlocks(in) }
 func HeterogeneousScenario(load Load) (*Instance, error) {
 	return workload.HeterogeneousScenario(load)
 }
-
-// NewRepository creates a DNN repository; dir may be empty for a
-// memory-only store.
-func NewRepository(dir string) *Repository { return edge.NewRepository(dir) }
 
 // Serving-churn types.
 type (
