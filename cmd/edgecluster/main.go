@@ -12,7 +12,7 @@
 // the route then points at the head segment's node.
 //
 // Membership churn (join, leave, heartbeat timeout, push or proxy
-// failure, bandwidth drift beyond -bw-drift) kicks a debounced
+// failure, link-rate drift beyond 20 %) kicks a debounced
 // cluster-wide re-placement, so killing a member moves its tasks to the
 // survivors within one debounce window.
 //
@@ -63,10 +63,8 @@ func run() int {
 	alpha := flag.Float64("alpha", 0.5, "admission/resource trade-off α for per-node solves")
 	catalog := flag.String("catalog", "small", "DNN catalog for submitted tasks: small|large (must match the members)")
 	debounce := flag.Duration("debounce", 100*time.Millisecond, "churn batching window before a cluster-wide re-placement")
-	heartbeatTimeout := flag.Duration("heartbeat-timeout", 3*time.Second, "silence before a member is declared stale and re-placed")
-	bwDrift := flag.Float64("bw-drift", 0.2, "fractional link-rate change that forces a re-placement")
+	heartbeatTimeout := flag.Duration("heartbeat-timeout", 3*time.Second, "silence before a member is declared stale and re-placed; members beat at a quarter of it")
 	bwFloor := flag.Float64("bandwidth-floor", 0, "Mb/s an unmeasured link is priced at (0 = conservative default, negative = free)")
-	pushTimeout := flag.Duration("push-timeout", 30*time.Second, "deadline for one plan push including the member's re-solve")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault triggers")
 	var faultSpecs []string
 	flag.Func("fault", "arm a fault-injection point, e.g. cluster.push.error:p=0.3 (repeatable)", func(v string) error {
@@ -105,9 +103,7 @@ func run() int {
 		Catalog:            params,
 		Debounce:           *debounce,
 		HeartbeatTimeout:   *heartbeatTimeout,
-		BandwidthDriftFrac: *bwDrift,
 		BandwidthFloorMbps: *bwFloor,
-		PushTimeout:        *pushTimeout,
 		Faults:             faults,
 		Logf:               log.Printf,
 	})

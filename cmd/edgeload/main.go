@@ -29,17 +29,22 @@
 //
 //	edgeload -payload -burst 10 -burst-every 3s -burst-for 1s -deadline 20ms
 //
-// With -cluster the loader drives an edgecluster coordinator instead:
-// 502/503 answers are counted as failover events rather than errors (a
-// member died and the re-placement is moving its tasks) and client-side
-// request latency quantiles, throughput and the admission ratio are
-// reported.
+// A target that answers GET /v1/cluster/nodes is an edgecluster
+// coordinator: the loader then waits for the cluster-wide placement
+// instead of the daemon's epoch, and adds a summary line with client-side
+// latency quantiles, throughput and the admission ratio. Every answer is
+// classified by its status and error-envelope code, whatever the target:
+// 502 node_unreachable is failover (a member died and the re-placement is
+// moving its tasks), not an error.
 //
 // Cluster responses that traveled a split pipeline carry per-hop
 // metadata; the loader reports the hop count and a per-hop latency
 // breakdown, and 504s whose budget died mid-pipeline
 // (deadline_exceeded@hop) are counted apart from single-node deadline
 // misses.
+//
+// The loader exits 1 on a transport error, an unclassified answer or an
+// executed offload without a well-formed logit vector.
 package main
 
 import (
@@ -55,37 +60,75 @@ import (
 	"sync"
 	"time"
 
+	"offloadnn/internal/cluster"
 	"offloadnn/internal/core"
 	"offloadnn/internal/dnn"
 	"offloadnn/internal/serve"
 	"offloadnn/internal/workload"
 )
 
+// verdict classifies one offload answer.
+type verdict int
+
+const (
+	verdictOK       verdict = iota
+	verdictLimited          // 429: over the admitted rate, or not admitted
+	verdictMissing          // 404: unknown task
+	verdictLate             // 504 deadline_exceeded
+	verdictHopShed          // 504 deadline_exceeded@hop: the budget died mid-pipeline
+	verdictShed             // 503 overloaded: a full intake queue shed it
+	verdictFailover         // 502 node_unreachable: the owning member is gone
+	verdictOther            // transport errors and anything unclassified
+	numVerdicts
+)
+
+// verdictCols heads each verdict's column in the report table.
+var verdictCols = [numVerdicts]string{"ok", "429", "404", "504", "504@hop", "503", "failover", "err"}
+
+// classify maps an offload answer's status and error-envelope code onto
+// its verdict.
+func classify(status int, code string) verdict {
+	switch {
+	case status == http.StatusOK:
+		return verdictOK
+	case status == http.StatusTooManyRequests:
+		return verdictLimited
+	case status == http.StatusNotFound:
+		return verdictMissing
+	case status == http.StatusGatewayTimeout && code == serve.CodeDeadline:
+		return verdictLate
+	case status == http.StatusGatewayTimeout && code == serve.CodeDeadlineHop:
+		return verdictHopShed
+	case status == http.StatusServiceUnavailable && code == serve.CodeOverload:
+		return verdictShed
+	case status == http.StatusBadGateway && code == cluster.CodeNodeUnreachable:
+		return verdictFailover
+	}
+	return verdictOther
+}
+
 // counts tallies one task's offload verdicts.
 type counts struct {
-	sent, ok, limited, missing, other int
-	failover                          int     // 502/503 answers in -cluster mode
-	badLogits                         int     // 200s with a missing/malformed logit vector
-	shedLate                          int     // 504 deadline_exceeded answers
-	shedHop                           int     // 504 deadline_exceeded@hop answers (budget died mid-pipeline)
-	shedOverload                      int     // 503 overloaded answers (standalone mode)
-	multiHop                          int     // 200s whose response traveled ≥2 pipeline hops
-	deadlined                         int     // 200s that carried a deadline budget
-	deadlineHits                      int     // ...answered within that budget, client-side
-	notified                          float64 // last admitted_rate the daemon reported
-	inferMS                           float64 // last measured inference latency
+	sent         int
+	n            [numVerdicts]int
+	badLogits    int     // 200s with a missing/malformed logit vector
+	multiHop     int     // 200s whose response traveled ≥2 pipeline hops
+	deadlined    int     // 200s that carried a deadline budget
+	deadlineHits int     // ...answered within that budget, client-side
+	notified     float64 // last admitted_rate the daemon reported
+	inferMS      float64 // last measured inference latency
 }
 
 // loader is the shared HTTP client and result table.
 type loader struct {
-	base       string
-	client     *http.Client
-	payload    []float64 // input tensor sent with each offload; nil = probe mode
-	cluster    bool      // tolerate failover answers, record client latencies
-	deadlineMS float64   // per-request deadline override; 0 sends none (server applies L_τ)
-	burst      float64   // flash-crowd rate multiplier during spikes; ≤1 = steady arrivals
-	burstEvery time.Duration
-	burstFor   time.Duration
+	base        string
+	client      *http.Client
+	payload     []float64 // input tensor sent with each offload; nil = probe mode
+	coordinator bool      // the target is an edgecluster coordinator
+	deadlineMS  float64   // per-request deadline override; 0 sends none (server applies L_τ)
+	burst       float64   // flash-crowd rate multiplier during spikes; ≤1 = steady arrivals
+	burstEvery  time.Duration
+	burstFor    time.Duration
 
 	mu     sync.Mutex
 	byTask map[string]*counts
@@ -197,7 +240,7 @@ func (l *loader) waitCurrent(timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		if l.cluster {
+		if l.coordinator {
 			if h.Placement.Seq > 0 && h.Placement.Generation >= h.Generation {
 				return nil
 			}
@@ -209,19 +252,22 @@ func (l *loader) waitCurrent(timeout time.Duration) error {
 	return fmt.Errorf("daemon epoch never caught up within %v", timeout)
 }
 
-// clusterNodes reads the coordinator's member count for the summary
-// line.
-func (l *loader) clusterNodes() int {
+// clusterNodes reads the target's member list. ok reports a
+// coordinator: an edgeserve daemon answers GET /v1/cluster/nodes 404.
+func (l *loader) clusterNodes() (n int, ok bool) {
 	resp, err := l.client.Get(l.base + "/v1/cluster/nodes")
 	if err != nil {
-		return 0
+		return 0, false
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, false
+	}
 	var nodes []json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&nodes); err != nil {
-		return 0
+		return 0, false
 	}
-	return len(nodes)
+	return len(nodes), true
 }
 
 // offloadLoop fires requests for one task at rate λ·scale until the
@@ -285,8 +331,8 @@ func (l *loader) postOffload(req serve.OffloadRequest) (int, string, serve.Offlo
 			Code string `json:"code"`
 		} `json:"error"`
 	}
-	// An unparseable error body leaves the code empty; the status alone
-	// still classifies the verdict.
+	// An unparseable error body leaves the code empty: a 429 or 404 still
+	// classifies by status, a 502, 503 or 504 then counts as an error.
 	_ = json.NewDecoder(resp.Body).Decode(&env)
 	return resp.StatusCode, env.Error.Code, or, nil
 }
@@ -297,20 +343,17 @@ func (l *loader) offloadOnce(taskID string, c *counts) {
 	sentAt := time.Now()
 	status, code, or, err := l.postOffload(req)
 	elapsedMS := float64(time.Since(sentAt)) / float64(time.Millisecond)
+	v := verdictOther
+	if err == nil {
+		v = classify(status, code)
+	}
 	l.mu.Lock()
 	c.sent++
-	if err == nil && (l.cluster || l.payload != nil) {
+	c.n[v]++
+	if err == nil && (l.coordinator || l.payload != nil) {
 		l.latMS = append(l.latMS, elapsedMS)
 	}
-	switch {
-	case err != nil:
-		c.other++
-	case l.cluster && (status == http.StatusBadGateway || status == http.StatusServiceUnavailable):
-		// A member died (or is draining) and the coordinator is
-		// re-placing its tasks; the next request lands on a survivor.
-		c.failover++
-	case status == http.StatusOK:
-		c.ok++
+	if v == verdictOK {
 		c.notified = or.AdmittedRate
 		if len(or.Hops) > 1 {
 			c.multiHop++
@@ -328,22 +371,6 @@ func (l *loader) offloadOnce(taskID string, c *counts) {
 				}
 			}
 		}
-	case status == http.StatusGatewayTimeout && code == serve.CodeDeadlineHop:
-		// The deadline budget died mid-pipeline: the head segment ran but
-		// a later hop (transfer included) had nothing left.
-		c.shedHop++
-	case status == http.StatusGatewayTimeout:
-		// The runtime shed the request as already late: load shedding
-		// doing its job under pressure, not a client error.
-		c.shedLate++
-	case status == http.StatusServiceUnavailable:
-		c.shedOverload++
-	case status == http.StatusTooManyRequests:
-		c.limited++
-	case status == http.StatusNotFound:
-		c.missing++
-	default:
-		c.other++
 	}
 	l.mu.Unlock()
 }
@@ -393,8 +420,11 @@ func run() int {
 	burst := flag.Float64("burst", 0, "flash-crowd arrival mode: rate multiplier applied during periodic spikes (<=1 disables)")
 	burstEvery := flag.Duration("burst-every", 5*time.Second, "spike period with -burst")
 	burstFor := flag.Duration("burst-for", 1*time.Second, "spike length with -burst")
-	clusterMode := flag.Bool("cluster", false, "drive an edgecluster coordinator: tolerate 502/503 failover, report client-side latency quantiles")
 	flag.Parse()
+	if *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "edgeload: -scale %v must be positive\n", *scale)
+		return 2
+	}
 
 	l := &loader{
 		base:       *addr,
@@ -402,12 +432,12 @@ func run() int {
 		byTask:     make(map[string]*counts),
 		hopLatMS:   make(map[int][]float64),
 		hopNodes:   make(map[int]map[string]bool),
-		cluster:    *clusterMode,
 		deadlineMS: float64(*deadline) / float64(time.Millisecond),
 		burst:      *burst,
 		burstEvery: *burstEvery,
 		burstFor:   *burstFor,
 	}
+	_, l.coordinator = l.clusterNodes()
 	if *payload {
 		var h, w int
 		if _, err := fmt.Sscanf(*inputShape, "%dx%d", &h, &w); err != nil || h <= 0 || w <= 0 {
@@ -533,23 +563,29 @@ func run() int {
 	}
 	sort.Strings(ids)
 	exit := 0
-	if l.payload != nil {
-		fmt.Printf("\n%-10s %6s %6s %6s %6s %6s %6s %6s %9s %14s %12s\n",
-			"task", "sent", "ok", "429", "504", "503", "404", "err", "badlogit", "notified(z·λ)", "infer(ms)")
-		var deadlined, hits, shedLate, shedOverload int
-		for _, id := range ids {
-			c := l.byTask[id]
-			fmt.Printf("%-10s %6d %6d %6d %6d %6d %6d %6d %9d %14.2f %12.3f\n",
-				id, c.sent, c.ok, c.limited, c.shedLate, c.shedOverload, c.missing, c.other, c.badLogits,
-				c.notified, c.inferMS)
-			deadlined += c.deadlined
-			hits += c.deadlineHits
-			shedLate += c.shedLate
-			shedOverload += c.shedOverload
-			if c.other > 0 || c.badLogits > 0 {
-				exit = 1
-			}
+	fmt.Printf("\n%-10s %6s", "task", "sent")
+	for _, col := range verdictCols {
+		fmt.Printf(" %8s", col)
+	}
+	fmt.Printf(" %9s %14s %12s %10s\n", "badlogit", "notified(z·λ)", "achieved/s", "infer(ms)")
+	var deadlined, hits, shedLate, shedOverload int
+	for _, id := range ids {
+		c := l.byTask[id]
+		fmt.Printf("%-10s %6d", id, c.sent)
+		for _, n := range c.n {
+			fmt.Printf(" %8d", n)
 		}
+		fmt.Printf(" %9d %14.2f %12.2f %10.3f\n",
+			c.badLogits, c.notified, float64(c.n[verdictOK])/duration.Seconds(), c.inferMS)
+		deadlined += c.deadlined
+		hits += c.deadlineHits
+		shedLate += c.n[verdictLate]
+		shedOverload += c.n[verdictShed]
+		if c.n[verdictOther] > 0 || c.badLogits > 0 {
+			exit = 1
+		}
+	}
+	if l.payload != nil {
 		// Client-side deadline accounting: served-within-budget over every
 		// deadline-carrying outcome (served or shed). Sheds are the
 		// runtime's deliberate misses, so they count in the denominator.
@@ -560,30 +596,6 @@ func run() int {
 				float64(hits)/float64(carried), carried, shedLate, shedOverload)
 		}
 		fmt.Println()
-	} else if l.cluster {
-		fmt.Printf("\n%-10s %6s %6s %6s %6s %8s %9s %9s %6s %14s %12s\n",
-			"task", "sent", "ok", "429", "404", "504", "504@hop", "failover", "err", "notified(z·λ)", "achieved/s")
-		for _, id := range ids {
-			c := l.byTask[id]
-			fmt.Printf("%-10s %6d %6d %6d %6d %8d %9d %9d %6d %14.2f %12.2f\n",
-				id, c.sent, c.ok, c.limited, c.missing, c.shedLate, c.shedHop, c.failover, c.other,
-				c.notified, float64(c.ok)/duration.Seconds())
-			if c.other > 0 {
-				exit = 1
-			}
-		}
-	} else {
-		fmt.Printf("\n%-10s %6s %6s %6s %6s %6s %14s %12s\n",
-			"task", "sent", "ok", "429", "404", "err", "notified(z·λ)", "achieved/s")
-		for _, id := range ids {
-			c := l.byTask[id]
-			fmt.Printf("%-10s %6d %6d %6d %6d %6d %14.2f %12.2f\n",
-				id, c.sent, c.ok, c.limited, c.missing, c.other,
-				c.notified, float64(c.ok)/duration.Seconds())
-			if c.other > 0 {
-				exit = 1
-			}
-		}
 	}
 
 	// Split-pipeline accounting applies to payload and cluster reports
@@ -591,7 +603,7 @@ func run() int {
 	var multiHop, shedHop int
 	for _, id := range ids {
 		multiHop += l.byTask[id].multiHop
-		shedHop += l.byTask[id].shedHop
+		shedHop += l.byTask[id].n[verdictHopShed]
 	}
 	if multiHop > 0 || shedHop > 0 {
 		fmt.Printf("\nsplit: %d multi-hop answers, %d shed as %s\n", multiHop, shedHop, serve.CodeDeadlineHop)
@@ -608,12 +620,12 @@ func run() int {
 		}
 	}
 
-	if l.cluster {
+	if l.coordinator {
 		var ok, failover int
 		var notified, offered float64
 		for id, c := range l.byTask {
-			ok += c.ok
-			failover += c.failover
+			ok += c.n[verdictOK]
+			failover += c.n[verdictFailover]
 			notified += c.notified
 			// Offered rate λ comes from the task's small-scenario index.
 			var idx int
@@ -628,8 +640,9 @@ func run() int {
 			admission = notified / offered
 		}
 		sort.Float64s(l.latMS)
+		nodes, _ := l.clusterNodes()
 		fmt.Printf("\ncluster: %d nodes, %.1f req/s served, p50 %.2f ms, p99 %.2f ms, admission ratio %.3f, %d failover answers\n",
-			l.clusterNodes(), float64(ok)/duration.Seconds(), percentile(l.latMS, 0.50), percentile(l.latMS, 0.99), admission, failover)
+			nodes, float64(ok)/duration.Seconds(), percentile(l.latMS, 0.50), percentile(l.latMS, 0.99), admission, failover)
 	}
 	l.mu.Unlock()
 	return exit

@@ -40,22 +40,24 @@
 // task's plan-time latency bound L_τ (overridable per request with
 // "deadline_ms"), already-late requests are shed with 504
 // deadline_exceeded, and a full intake queue sheds its latest-deadline
-// waiter with 503 overloaded. Sustained shedding degrades /healthz
-// until the spike drains:
+// waiter with 503 overloaded. Ten sheds inside five seconds degrade
+// /healthz until the spike drains:
 //
-//	edgeserve -backend real -queue-depth 64 -overload-after 10
+//	edgeserve -backend real -queue-depth 64
 //
 // Chaos runs arm fault-injection points (repeatable -fault flag):
 //
 //	edgeserve -fault solver.error:p=0.3                      # random solve failures
 //	edgeserve -fault solver.panic:every=5 -fault deploy.error:p=0.1
-//	edgeserve -fault solver.hang:every=3 -solve-timeout 2s   # hung solves, bounded
+//	edgeserve -fault solver.hang:every=3                     # hung solves, cut at 2 s
 //
 // Under injected faults the daemon keeps serving off its last-good
-// epoch and /healthz reports degraded until solves recover.
+// epoch, retries with a backoff that starts at -debounce, and /healthz
+// reports degraded until solves recover.
 //
 // Cluster-member mode joins an edgecluster coordinator: the daemon
-// advertises its budgets, heartbeats, and accepts plan pushes (its task
+// advertises its budgets, heartbeats at the period the coordinator's
+// -heartbeat-timeout implies, and accepts plan pushes (its task
 // subset of the cluster-wide placement) on PUT /v1/cluster/plan while the
 // standalone API keeps serving:
 //
@@ -100,27 +102,19 @@ func run() int {
 	trainBudget := flag.Float64("train-budget", 1000, "training budget Ct in seconds")
 	alpha := flag.Float64("alpha", 0.5, "admission/resource trade-off α")
 	debounce := flag.Duration("debounce", 100*time.Millisecond, "churn batching window before a re-solve")
-	window := flag.Int("window", 4096, "latency quantile window (samples)")
 	catalog := flag.String("catalog", "small", "DNN catalog for submitted tasks: small|large")
 	precisionList := flag.String("precision", "f64", "comma-separated kernel-precision tiers the catalog offers: f64, f32, i8 (e.g. f64,i8; plain i8 quantizes every path)")
 	backendKind := flag.String("backend", "sim", "execution backend: sim (cost model) | real (tensor models)")
 	batchSize := flag.Int("batch-size", 8, "real backend: max requests per inference batch")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "real backend: max wait for a partial batch (none on a path whose admitted rate × window < 1)")
 	queueDepth := flag.Int("queue-depth", 0, "real backend: per-model intake queue bound before backpressure sheds the latest-deadline waiter (0 = 16x batch size, negative = unbounded)")
-	overloadWindow := flag.Duration("overload-window", 5*time.Second, "sliding window over backend sheds driving the overload health signal")
-	overloadAfter := flag.Int("overload-after", 10, "sheds inside the overload window before /healthz degrades (negative disables)")
 	quantGate := flag.Float64("quant-gate", 0, "real backend: max top-1 disagreement vs float64 before a quantized path is demoted a tier (0 = default 0.02, negative disables)")
 	modelWidth := flag.Int("model-width", 8, "real backend: base channel width of the model template")
 	inputShape := flag.String("input", "8x8", "real backend: input HxW (channels fixed at 3)")
-	solveTimeout := flag.Duration("solve-timeout", 0, "deadline for one epoch's solve (0 = default 2s, negative = unbounded)")
-	staleAfter := flag.Duration("stale-after", 10*time.Second, "plan staleness before /healthz reports degraded")
-	backoff := flag.Duration("backoff", 0, "initial retry delay after a failed re-solve (0 = debounce)")
-	backoffMax := flag.Duration("backoff-max", 5*time.Second, "retry delay cap under consecutive failures")
 	drainGrace := flag.Duration("drain-grace", 1*time.Second, "window after SIGTERM where the listener stays open in draining mode")
 	clusterJoin := flag.String("cluster-join", "", "coordinator base URL to join as a cluster member (empty = standalone)")
 	nodeID := flag.String("node-id", "", "cluster member node ID (required with -cluster-join)")
 	advertise := flag.String("advertise", "", "base URL the coordinator reaches this member on (default: http://<addr>, host 127.0.0.1 when -addr has none)")
-	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat period")
 	bandwidthMbps := flag.Float64("bandwidth-mbps", 0, "coordinator link rate to report; 0 measures it with a probe transfer")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for probabilistic fault triggers")
 	var faultSpecs []string
@@ -207,20 +201,13 @@ func run() int {
 			TrainBudgetSeconds: *trainBudget,
 			Capacity:           radio.PaperRate(),
 		},
-		Alpha:             *alpha,
-		Catalog:           params,
-		Debounce:          *debounce,
-		Window:            *window,
-		SolveTimeout:      *solveTimeout,
-		StaleAfter:        *staleAfter,
-		OverloadWindow:    *overloadWindow,
-		OverloadAfter:     *overloadAfter,
-		FailureBackoff:    *backoff,
-		FailureBackoffMax: *backoffMax,
-		Faults:            faults,
-		Backend:           backend,
-		Logf:              log.Printf,
-		Node:              *nodeID,
+		Alpha:    *alpha,
+		Catalog:  params,
+		Debounce: *debounce,
+		Faults:   faults,
+		Backend:  backend,
+		Logf:     log.Printf,
+		Node:     *nodeID,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "edgeserve:", err)
@@ -262,7 +249,6 @@ func run() int {
 			Coordinator:   *clusterJoin,
 			NodeID:        *nodeID,
 			Advertise:     adv,
-			Heartbeat:     *heartbeat,
 			BandwidthMbps: *bandwidthMbps,
 			Logf:          log.Printf,
 		})

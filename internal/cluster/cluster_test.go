@@ -526,7 +526,6 @@ func TestClusterAgentLifecycle(t *testing.T) {
 		Coordinator: front.URL,
 		NodeID:      "a",
 		Advertise:   m.ts.URL,
-		Heartbeat:   20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -567,6 +566,38 @@ func TestClusterAgentLifecycle(t *testing.T) {
 		getJSON(t, front.URL+"/v1/cluster/nodes", &nodes)
 		return len(nodes) == 0
 	})
+}
+
+// TestAgentBeatsInsideCoordinatorTimeout: an agent started with no period
+// of its own beats fast enough for a coordinator whose heartbeat timeout
+// is well under a second, so the failure detector never marks the
+// healthy member stale.
+func TestAgentBeatsInsideCoordinatorTimeout(t *testing.T) {
+	m := startMember(t, "a", fullRes())
+	c := startCoordinator(t, Config{HeartbeatTimeout: 300 * time.Millisecond})
+	front := httptest.NewServer(c)
+	defer front.Close()
+
+	agent, err := StartAgent(m.srv, AgentConfig{Coordinator: front.URL, NodeID: "a", Advertise: m.ts.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agent.Close()
+	waitFor(t, 5*time.Second, "agent registration", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.members["a"] != nil
+	})
+
+	for end := time.Now().Add(1500 * time.Millisecond); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+		c.Sweep()
+		c.mu.Lock()
+		stale := c.members["a"].stale
+		c.mu.Unlock()
+		if stale {
+			t.Fatal("failure detector marked a healthy, beating member stale")
+		}
+	}
 }
 
 func getJSON(t *testing.T, url string, v any) {

@@ -39,15 +39,9 @@ type Config struct {
 	Debounce time.Duration
 	// HeartbeatTimeout is how long a member may go without a heartbeat
 	// before the failure detector declares it stale and re-places its
-	// tasks (default 3 s). The detector checks every HeartbeatTimeout/4.
+	// tasks (default 3 s). The detector checks, and members beat, every
+	// HeartbeatTimeout/beatsPerTimeout.
 	HeartbeatTimeout time.Duration
-	// BandwidthDriftFrac is the fractional change in a member's smoothed
-	// link rate — relative to the rate the latest placement priced with —
-	// that triggers a re-placement; smaller drift is recorded for the
-	// next placement without forcing one (default 0.2). Raw probes are
-	// EMA-smoothed first so per-beat measurement jitter does not thrash
-	// the placement loop.
-	BandwidthDriftFrac float64
 	// BandwidthFloorMbps is the rate unmeasured links are priced at
 	// (Node.FloorMbps for every member). 0 applies DefaultFloorMbps;
 	// negative prices unmeasured links as free — the co-located setting
@@ -58,9 +52,6 @@ type Config struct {
 	// coordinator always wires its measured inter-node bandwidth matrix
 	// into the search.
 	Split *SplitConfig
-	// PushTimeout bounds one plan push — including the member's
-	// synchronous re-solve — and one proxied offload (default 30 s).
-	PushTimeout time.Duration
 	// Now is the injectable clock (default time.Now).
 	Now func() time.Time
 	// Logf receives background diagnostics; nil discards them.
@@ -68,6 +59,26 @@ type Config struct {
 	// Faults optionally arms the coordinator's fault-injection points.
 	Faults *faultinject.Injector
 }
+
+// The coordinator's control-plane constants.
+const (
+	// beatsPerTimeout is how many heartbeats a member sends, and how many
+	// sweeps the failure detector runs, per HeartbeatTimeout: a member
+	// goes stale only after missing several beats in a row. Members
+	// derive their period from the heartbeat_timeout their registration
+	// answer carries, so the two daemons cannot disagree.
+	beatsPerTimeout = 4
+	// bandwidthDriftFrac is the fractional change in a member's smoothed
+	// link rate — relative to the rate the latest placement priced with —
+	// that triggers a re-placement; smaller drift is recorded for the
+	// next placement without forcing one. Raw probes are EMA-smoothed
+	// first (bwSmoothing) so per-beat measurement jitter does not thrash
+	// the placement loop.
+	bandwidthDriftFrac = 0.2
+	// pushTimeout bounds one plan push — including the member's
+	// synchronous re-solve — and one proxied offload.
+	pushTimeout = 30 * time.Second
+)
 
 // routeEntry is one admitted task's serving location. A split task
 // routes to its head node; Hops > 1 marks the pipeline length.
@@ -93,7 +104,6 @@ type memberState struct {
 	state    serve.HealthState
 	lastBeat time.Time
 	epoch    uint64
-	reported int  // task count from the last heartbeat
 	stale    bool // heartbeat timeout fired
 	failed   bool // a push or proxy to the node failed; cleared on contact
 	// peerMbps is the member's measured node→peer link rates (peer node
@@ -179,12 +189,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 3 * time.Second
 	}
-	if cfg.BandwidthDriftFrac <= 0 {
-		cfg.BandwidthDriftFrac = 0.2
-	}
-	if cfg.PushTimeout <= 0 {
-		cfg.PushTimeout = 30 * time.Second
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -194,7 +198,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:     cfg,
 		reg:     serve.NewRegistry(cfg.Catalog, cfg.Blocks),
-		client:  &http.Client{Timeout: cfg.PushTimeout},
+		client:  &http.Client{Timeout: pushTimeout},
 		members: make(map[string]*memberState),
 		kick:    make(chan struct{}, 1),
 		start:   cfg.Now(),
@@ -253,10 +257,11 @@ func (c *Coordinator) placeLoop() {
 	}
 }
 
-// sweepLoop runs the heartbeat failure detector every HeartbeatTimeout/4.
+// sweepLoop runs the heartbeat failure detector every
+// HeartbeatTimeout/beatsPerTimeout.
 func (c *Coordinator) sweepLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.HeartbeatTimeout / 4)
+	t := time.NewTicker(c.cfg.HeartbeatTimeout / beatsPerTimeout)
 	defer t.Stop()
 	for {
 		select {
@@ -502,7 +507,7 @@ func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePl
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.PushTimeout)
+	ctx, cancel := context.WithTimeout(ctx, pushTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPut, m.node.Addr+"/v1/cluster/plan", bytes.NewReader(body))
 	if err != nil {
@@ -525,7 +530,6 @@ func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePl
 	c.mu.Lock()
 	if cur, ok := c.members[m.node.ID]; ok {
 		cur.epoch = ack.Epoch
-		cur.reported = ack.Tasks
 	}
 	c.mu.Unlock()
 	return nil
@@ -657,7 +661,6 @@ func (c *Coordinator) heartbeat(id string, req HeartbeatRequest) (ok bool) {
 		m.lastBeat = now
 		m.state = parseHealthState(req.State)
 		m.epoch = req.Epoch
-		m.reported = req.Tasks
 		if m.stale || m.failed {
 			m.stale, m.failed = false, false
 			kick = true
@@ -669,7 +672,7 @@ func (c *Coordinator) heartbeat(id string, req HeartbeatRequest) (ok bool) {
 			if ref <= 0 {
 				ref = old // no placement has priced this link yet
 			}
-			if ref <= 0 || absFrac(m.node.BandwidthMbps, ref) > c.cfg.BandwidthDriftFrac {
+			if ref <= 0 || absFrac(m.node.BandwidthMbps, ref) > bandwidthDriftFrac {
 				kick = true
 				if c.cfg.Logf != nil {
 					c.cfg.Logf("cluster: node %s link rate drifted to %.1f Mb/s (placed at %.1f), re-placing", id, m.node.BandwidthMbps, ref)
@@ -689,7 +692,7 @@ func (c *Coordinator) heartbeat(id string, req HeartbeatRequest) (ok bool) {
 			if ref <= 0 {
 				ref = old
 			}
-			if ref <= 0 || absFrac(m.peerMbps[peer], ref) > c.cfg.BandwidthDriftFrac {
+			if ref <= 0 || absFrac(m.peerMbps[peer], ref) > bandwidthDriftFrac {
 				kick = true
 				if c.cfg.Logf != nil {
 					c.cfg.Logf("cluster: link %s→%s now %.1f Mb/s (placed at %.1f), re-placing", id, peer, m.peerMbps[peer], ref)
@@ -761,8 +764,8 @@ func absFrac(a, b float64) float64 {
 // bwSmoothing is the weight one fresh probe carries in the smoothed
 // link rate. 0.1 keeps a steady 5× probe jitter (loopback links
 // routinely measure anywhere from 2 to 11 Gb/s beat to beat) inside
-// the default 20% drift gate, while a sustained order-of-magnitude
-// shift still crosses it within a few beats.
+// the 20% drift gate, while a sustained order-of-magnitude shift still
+// crosses it within a few beats.
 const bwSmoothing = 0.1
 
 // smoothRate folds a fresh probe into the smoothed link rate.

@@ -21,7 +21,6 @@ import (
 // edgeserve daemon), plus
 //
 //	PUT /v1/cluster/plan      install the coordinator's task subset
-//	GET /v1/cluster/info      node identity, budgets and epoch state
 //	POST /v1/cluster/bwprobe  sink for peers' inter-node bandwidth probes
 func MemberHandler(srv *serve.Server) http.Handler {
 	mux := http.NewServeMux()
@@ -34,17 +33,6 @@ func MemberHandler(srv *serve.Server) http.Handler {
 		// measure the node→node link the split placement prices.
 		io.Copy(io.Discard, r.Body)
 		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("GET /v1/cluster/info", func(w http.ResponseWriter, r *http.Request) {
-		h := srv.Health()
-		serve.WriteJSON(w, http.StatusOK, map[string]any{
-			"node":  srv.Node(),
-			"state": h.State.String(),
-			"epoch": h.Epoch,
-			"tasks": srv.Registry().Len(),
-			"res":   ToWireResources(srv.Resources()),
-			"alpha": srv.Alpha(),
-		})
 	})
 	return mux
 }
@@ -104,8 +92,6 @@ type AgentConfig struct {
 	// Advertise is the base URL the coordinator reaches this member's
 	// API on.
 	Advertise string
-	// Heartbeat is the beat period (default 1 s).
-	Heartbeat time.Duration
 	// BandwidthMbps fixes the link rate reported to the coordinator;
 	// zero or negative measures it with a probe transfer at registration.
 	BandwidthMbps float64
@@ -125,6 +111,10 @@ type Agent struct {
 	srv    *serve.Server
 	client *http.Client
 	mbps   float64
+	// period is the heartbeat period: the heartbeat_timeout of the latest
+	// registration answer over beatsPerTimeout. Only the loop goroutine
+	// touches it.
+	period time.Duration
 
 	// Peer state for the inter-node bandwidth matrix: the coordinator's
 	// heartbeat response carries the live peer address book, the agent
@@ -144,9 +134,6 @@ type Agent struct {
 func StartAgent(srv *serve.Server, cfg AgentConfig) (*Agent, error) {
 	if cfg.Coordinator == "" || cfg.NodeID == "" || cfg.Advertise == "" {
 		return nil, fmt.Errorf("cluster: agent needs coordinator, node ID and advertise address")
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = time.Second
 	}
 	a := &Agent{cfg: cfg, srv: srv, client: &http.Client{Timeout: 10 * time.Second}, mbps: cfg.BandwidthMbps}
 	a.ctx, a.cancel = context.WithCancel(context.Background())
@@ -169,10 +156,12 @@ func (a *Agent) Close() {
 	}
 }
 
-// loop registers (retrying until it lands) and then heartbeats.
+// loop registers (retrying 1 s → 10 s until it lands) and then
+// heartbeats at the period the registration answer set, resetting the
+// ticker when a re-registration changes it.
 func (a *Agent) loop() {
 	defer a.wg.Done()
-	backoff := a.cfg.Heartbeat
+	backoff := time.Second
 	for {
 		if err := a.register(); err == nil {
 			break
@@ -184,11 +173,9 @@ func (a *Agent) loop() {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff < 10*time.Second {
-			backoff *= 2
-		}
+		backoff = min(2*backoff, 10*time.Second)
 	}
-	t := time.NewTicker(a.cfg.Heartbeat)
+	t := time.NewTicker(a.period)
 	defer t.Stop()
 	for {
 		select {
@@ -196,16 +183,21 @@ func (a *Agent) loop() {
 			return
 		case <-t.C:
 		}
+		period := a.period
 		if err := a.beat(); err != nil {
 			if a.cfg.Logf != nil {
 				a.cfg.Logf("cluster: agent %s: heartbeat: %v", a.cfg.NodeID, err)
 			}
 		}
+		if a.period != period {
+			t.Reset(a.period)
+		}
 	}
 }
 
-// register measures the link (unless a rate was configured) and announces
-// the node.
+// register measures the link (unless a rate was configured), announces
+// the node, and takes its heartbeat period from the coordinator's
+// heartbeat_timeout.
 func (a *Agent) register() error {
 	if a.mbps <= 0 {
 		if mbps, err := a.probe(a.cfg.Coordinator); err == nil {
@@ -243,6 +235,17 @@ func (a *Agent) register() error {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("coordinator answered %d: %s", resp.StatusCode, msg)
 	}
+	var ack struct {
+		HeartbeatTimeout float64 `json:"heartbeat_timeout"`
+	}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ack); err != nil {
+		return fmt.Errorf("registration answer: %v", err)
+	}
+	period := time.Duration(ack.HeartbeatTimeout * float64(time.Second) / beatsPerTimeout)
+	if period <= 0 {
+		return fmt.Errorf("registration answer carries no positive heartbeat_timeout (got %v)", ack.HeartbeatTimeout)
+	}
+	a.period = period
 	return nil
 }
 
@@ -261,7 +264,6 @@ func (a *Agent) beat() error {
 	body, err := json.Marshal(HeartbeatRequest{
 		State:         h.State.String(),
 		Epoch:         h.Epoch,
-		Tasks:         a.srv.Registry().Len(),
 		BandwidthMbps: a.mbps,
 		Peers:         peers,
 	})

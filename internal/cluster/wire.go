@@ -81,7 +81,6 @@ type RegisterRequest struct {
 type HeartbeatRequest struct {
 	State         string  `json:"state"`
 	Epoch         uint64  `json:"epoch"`
-	Tasks         int     `json:"tasks"`
 	BandwidthMbps float64 `json:"bandwidth_mbps,omitempty"`
 	// Peers carries the member's measured node→peer link rates in Mbps
 	// (peer node ID → rate), filling the coordinator's inter-node

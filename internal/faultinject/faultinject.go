@@ -28,7 +28,7 @@ const (
 	// exercising the panic-isolation path.
 	PointSolverPanic = "solver.panic"
 	// PointSolverHang stalls the solve step until the rule's HangFor
-	// elapses or the solve context is done (the serve SolveTimeout or
+	// elapses or the solve context is done (serve.DefaultSolveTimeout or
 	// shutdown), exercising the deadline path.
 	PointSolverHang = "solver.hang"
 	// PointDeployError fails the controller's deploy step after a

@@ -111,10 +111,7 @@ func TestOffloadDeadline504(t *testing.T) {
 func TestOverloadDegradesHealthAndRecovers(t *testing.T) {
 	clock := newFakeClock()
 	be := newRealBackend(t)
-	srv := newTestServer(t, Config{
-		Debounce: time.Millisecond, Now: clock.Now, Backend: be,
-		OverloadAfter: 2, OverloadWindow: 10 * time.Second,
-	})
+	srv := newTestServer(t, Config{Debounce: time.Millisecond, Now: clock.Now, Backend: be})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -126,9 +123,10 @@ func TestOverloadDegradesHealthAndRecovers(t *testing.T) {
 	// The deadline is computed off the injected clock — months in the
 	// past of the backend's real clock — so every budgeted offload is
 	// hopelessly late and sheds. Advance between requests to refill the
-	// admission gate.
-	for i := 0; i < 2; i++ {
-		clock.Advance(time.Second)
+	// admission gate, keeping all overloadAfter sheds inside one
+	// overloadWindow.
+	for i := 0; i < overloadAfter; i++ {
+		clock.Advance(400 * time.Millisecond)
 		resp = postJSON(t, ts.URL+"/v1/offload", OffloadRequest{Task: "task-1", Input: in, DeadlineMS: 1})
 		if resp.StatusCode != http.StatusGatewayTimeout {
 			t.Fatalf("shed %d: %d, want 504 (%s)", i, resp.StatusCode, drain(t, resp))
@@ -152,10 +150,10 @@ func TestOverloadDegradesHealthAndRecovers(t *testing.T) {
 
 	h := health()
 	if h["status"] != "degraded" || h["overloaded"] != true {
-		t.Fatalf("after 2 sheds: status=%v overloaded=%v, want degraded/true", h["status"], h["overloaded"])
+		t.Fatalf("after %d sheds: status=%v overloaded=%v, want degraded/true", overloadAfter, h["status"], h["overloaded"])
 	}
-	if sheds, _ := h["recent_sheds"].(float64); sheds < 2 {
-		t.Fatalf("recent_sheds = %v, want >= 2", h["recent_sheds"])
+	if sheds, _ := h["recent_sheds"].(float64); sheds < overloadAfter {
+		t.Fatalf("recent_sheds = %v, want >= %d", h["recent_sheds"], overloadAfter)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -167,7 +165,7 @@ func TestOverloadDegradesHealthAndRecovers(t *testing.T) {
 	}
 
 	// Once the shed window drains the server is healthy again.
-	clock.Advance(11 * time.Second)
+	clock.Advance(6 * time.Second)
 	h = health()
 	if h["status"] != "healthy" || h["overloaded"] != false {
 		t.Fatalf("after the window drained: status=%v overloaded=%v, want healthy/false", h["status"], h["overloaded"])

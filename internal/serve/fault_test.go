@@ -163,12 +163,7 @@ func TestSolverPanicSurvival(t *testing.T) {
 func TestResolverLoopSurvivesPanics(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Set(faultinject.PointSolverPanic, faultinject.Rule{EveryN: 1, Count: 4})
-	srv := newTestServer(t, Config{
-		Debounce:          time.Millisecond,
-		FailureBackoff:    time.Millisecond,
-		FailureBackoffMax: 5 * time.Millisecond,
-		Faults:            inj,
-	})
+	srv := newTestServer(t, Config{Debounce: time.Millisecond, Faults: inj})
 	registerSmall(t, srv, 3)
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -191,15 +186,20 @@ func TestResolverLoopSurvivesPanics(t *testing.T) {
 	}
 }
 
-// TestSolveTimeoutIncrementalHang bounds a hang injected into the
-// default incremental path; the next solve succeeds cleanly.
+// TestSolveTimeoutIncrementalHang bounds a hang injected into the very
+// first solve, before any epoch or session exists: it fails with
+// DeadlineExceeded after DefaultSolveTimeout, and the next solve builds
+// the session and publishes cleanly.
 func TestSolveTimeoutIncrementalHang(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Set(faultinject.PointSolverHang, faultinject.Rule{EveryN: 1, Count: 1})
-	srv := newTestServer(t, Config{Debounce: time.Hour, SolveTimeout: 20 * time.Millisecond, Faults: inj})
+	srv := newTestServer(t, Config{Debounce: time.Hour, Faults: inj})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("hung solve: err %v, want context.DeadlineExceeded", err)
+	}
+	if ep := srv.Current(); ep != nil {
+		t.Fatalf("hung first solve published epoch %d", ep.N)
 	}
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatalf("solve after hang: %v", err)
@@ -266,7 +266,7 @@ func solveFailuresDropSessionAndRecover(t *testing.T, srv *Server, inj *faultinj
 			t.Fatalf("failure %d: consecutive failures = %d", i, got)
 		}
 		wantStatus := "healthy"
-		if i >= 3 { // the DegradedAfter default
+		if i >= degradedAfter {
 			wantStatus = "degraded"
 		}
 		if _, h := getHealth(t, srv); h.Status != wantStatus {
@@ -336,7 +336,7 @@ func TestDeployErrorFault(t *testing.T) {
 func TestHealthTransitions(t *testing.T) {
 	inj := faultinject.New(1)
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Faults: inj, DegradedAfter: 3})
+	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Faults: inj})
 	registerSmall(t, srv, 3)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -388,11 +388,11 @@ func TestHealthTransitions(t *testing.T) {
 }
 
 // TestHealthStaleDegraded degrades on plan staleness alone: churn that
-// stays unsolved past StaleAfter flips /healthz without a single solve
+// stays unsolved past staleAfter flips /healthz without a single solve
 // failure.
 func TestHealthStaleDegraded(t *testing.T) {
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, StaleAfter: 10 * time.Second})
+	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -411,7 +411,7 @@ func TestHealthStaleDegraded(t *testing.T) {
 	clock.Advance(2 * time.Second)
 	_, h := getHealth(t, srv)
 	if h.Status != "degraded" || h.StaleForSeconds < 10 {
-		t.Fatalf("status %q stale %.0fs, want degraded past StaleAfter", h.Status, h.StaleForSeconds)
+		t.Fatalf("status %q stale %.0fs, want degraded past staleAfter", h.Status, h.StaleForSeconds)
 	}
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -500,12 +500,7 @@ func TestOffloadAbortedClientNotCharged(t *testing.T) {
 func TestChaosChurnSoak(t *testing.T) {
 	inj := faultinject.New(42)
 	inj.Set(faultinject.PointSolverError, faultinject.Rule{P: 0.3})
-	srv := newTestServer(t, Config{
-		Debounce:          time.Millisecond,
-		FailureBackoff:    time.Millisecond,
-		FailureBackoffMax: 10 * time.Millisecond,
-		Faults:            inj,
-	})
+	srv := newTestServer(t, Config{Debounce: time.Millisecond, Faults: inj})
 	registerSmall(t, srv, 3)
 	// Ignore the verdict: with p=0.3 this may fail; the soak only needs
 	// a first attempt in flight.

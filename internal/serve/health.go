@@ -5,10 +5,10 @@ import "time"
 // HealthState is the daemon's coarse serving condition, the state
 // machine /healthz and /metrics report.
 //
-//	healthy  ──ConsecutiveFailures ≥ DegradedAfter, the plan trails
-//	│   ▲      the registry longer than StaleAfter, or the execution
-//	│   │      runtime sheds ≥ OverloadAfter requests inside the
-//	│   │      trailing OverloadWindow──▶  degraded
+//	healthy  ──ConsecutiveFailures ≥ degradedAfter (3), the plan trails
+//	│   ▲      the registry longer than staleAfter (10 s), or the
+//	│   │      execution runtime sheds ≥ overloadAfter (10) requests
+//	│   │      inside the trailing overloadWindow (5 s)──▶  degraded
 //	│   └──successful, current re-solve and a drained shed window──┘
 //	└──Drain/Close──▶  draining   (terminal: no un-drain)
 type HealthState int
@@ -62,8 +62,8 @@ type Health struct {
 	// ConsecutiveFailures is the current run of failed re-solves.
 	ConsecutiveFailures uint64
 	// Overloaded reports sustained deadline pressure in the execution
-	// runtime: RecentSheds ≥ Config.OverloadAfter inside the trailing
-	// OverloadWindow. Degrades the aggregate state while it lasts; the
+	// runtime: RecentSheds ≥ overloadAfter inside the trailing
+	// overloadWindow. Degrades the aggregate state while it lasts; the
 	// server returns to healthy once the shed window drains.
 	Overloaded bool
 	// RecentSheds is the backend shed count inside the overload window.
@@ -75,8 +75,8 @@ type Health struct {
 
 // Health computes the current health snapshot. Degradation is driven by
 // the two signals that matter to a plan consumer: the resolver keeps
-// failing (ConsecutiveFailures ≥ DegradedAfter), or the published plan
-// has trailed the registry for longer than StaleAfter — generation lag
+// failing (ConsecutiveFailures ≥ degradedAfter), or the published plan
+// has trailed the registry for longer than staleAfter — generation lag
 // alone is normal churn inside the debounce window, so only sustained
 // lag degrades.
 func (s *Server) Health() Health {
@@ -106,14 +106,14 @@ func (s *Server) Health() Health {
 	if since, ok := s.resolver.StaleSince(); ok {
 		h.StaleFor = now.Sub(since)
 	}
-	h.RecentSheds = s.stats.RecentSheds(s.cfg.OverloadWindow, now)
-	h.Overloaded = s.cfg.OverloadAfter >= 0 && h.RecentSheds >= s.cfg.OverloadAfter
+	h.RecentSheds = s.stats.RecentSheds(overloadWindow, now)
+	h.Overloaded = h.RecentSheds >= overloadAfter
 	switch {
 	case s.draining.Load():
 		h.State = Draining
-	case h.ConsecutiveFailures >= uint64(s.cfg.DegradedAfter):
+	case h.ConsecutiveFailures >= degradedAfter:
 		h.State = Degraded
-	case h.StaleFor > s.cfg.StaleAfter:
+	case h.StaleFor > staleAfter:
 		h.State = Degraded
 	case h.Overloaded:
 		h.State = Degraded

@@ -106,29 +106,21 @@ func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
 //
 // The resolver is built to survive its solver. A panic inside the solve
 // step is recovered into a counted solve error; a hung solve is bounded
-// by the SolveTimeout setting; a failed epoch drops the session, so the
+// by DefaultSolveTimeout; a failed epoch drops the session, so the
 // next one rebuilds it from the registry; and consecutive failures back
 // off exponentially (capped, jittered) instead of retrying hot. In every
 // failure mode the last-good epoch keeps serving.
 type Resolver struct {
-	reg      *Registry
-	ctrl     *edge.Controller
-	backend  exec.Backend
-	res      core.Resources
-	alpha    float64
-	debounce time.Duration
-	now      func() time.Time
-	logf     func(string, ...any)
-	stats    *Stats
-	faults   *faultinject.Injector
-	node     string
-	// segments supplies the split-path segment set pushed to the node (see
-	// resolverParams).
+	// cfg is the server's configuration; SetNorm edits this copy's
+	// Res.Norm under solveMu.
+	cfg   Config
+	reg   *Registry
+	ctrl  *edge.Controller
+	stats *Stats
+	// segments supplies the node's pushed split-path segment set; every
+	// epoch installs and serves it, so segment models and routes swap
+	// atomically with the deployment.
 	segments func() []SegmentSpec
-
-	solveTimeout time.Duration
-	backoffBase  time.Duration
-	backoffMax   time.Duration
 	// jitter draws the backoff jitter factor source in [0,1);
 	// injectable for deterministic schedule tests.
 	jitter func() float64
@@ -162,46 +154,21 @@ type Resolver struct {
 	session *core.SolverSession
 }
 
-// resolverParams carries the fault-tolerance knobs from Config into
-// newResolver without a ten-argument signature.
-type resolverParams struct {
-	solveTimeout time.Duration
-	backoffBase  time.Duration
-	backoffMax   time.Duration
-	faults       *faultinject.Injector
-	backend      exec.Backend
-	node         string
-	// segments supplies the node's pushed split-path segment set; every
-	// epoch installs and serves it, so segment models and routes swap
-	// atomically with the deployment.
-	segments func() []SegmentSpec
-}
-
-func newResolver(reg *Registry, ctrl *edge.Controller, res core.Resources, alpha float64,
-	debounce time.Duration, now func() time.Time, logf func(string, ...any), stats *Stats,
-	p resolverParams) *Resolver {
+func newResolver(cfg Config, reg *Registry, stats *Stats, segments func() []SegmentSpec) *Resolver {
+	ctrl := edge.NewController(cfg.Res)
+	ctrl.Faults = cfg.Faults
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Resolver{
-		reg:          reg,
-		ctrl:         ctrl,
-		backend:      p.backend,
-		res:          res,
-		alpha:        alpha,
-		debounce:     debounce,
-		now:          now,
-		logf:         logf,
-		stats:        stats,
-		faults:       p.faults,
-		node:         p.node,
-		segments:     p.segments,
-		solveTimeout: p.solveTimeout,
-		backoffBase:  p.backoffBase,
-		backoffMax:   p.backoffMax,
-		jitter:       rand.Float64,
-		kick:         make(chan struct{}, 1),
-		done:         make(chan struct{}),
-		ctx:          ctx,
-		cancel:       cancel,
+		cfg:      cfg,
+		reg:      reg,
+		ctrl:     ctrl,
+		stats:    stats,
+		segments: segments,
+		jitter:   rand.Float64,
+		kick:     make(chan struct{}, 1),
+		done:     make(chan struct{}),
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	r.wg.Add(1)
 	go r.loop()
@@ -228,7 +195,7 @@ func (r *Resolver) StaleSince() (time.Time, bool) {
 // while one is pending fold into it. The first kick after a publish
 // starts the staleness clock the health state machine reads.
 func (r *Resolver) Kick() {
-	r.staleSince.CompareAndSwap(0, r.now().UnixNano())
+	r.staleSince.CompareAndSwap(0, r.cfg.Now().UnixNano())
 	select {
 	case r.kick <- struct{}{}:
 	default:
@@ -246,7 +213,7 @@ func (r *Resolver) Close() {
 }
 
 // loop debounces churn into epochs: the first kick opens a batching
-// window of `debounce`; everything that arrives within it lands in the
+// window of Config.Debounce; everything that arrives within it lands in the
 // same re-solve, and churn during the solve leaves a pending kick that
 // triggers the next round. A failed re-solve retries with capped
 // exponential backoff instead of waiting for (or being re-triggered hot
@@ -260,7 +227,7 @@ func (r *Resolver) loop() {
 			return
 		case <-r.kick:
 		}
-		if !r.sleep(r.debounce) {
+		if !r.sleep(r.cfg.Debounce) {
 			return
 		}
 		for {
@@ -268,8 +235,8 @@ func (r *Resolver) loop() {
 			if err == nil {
 				break
 			}
-			if r.logf != nil {
-				r.logf("serve: epoch re-solve: %v", err)
+			if r.cfg.Logf != nil {
+				r.cfg.Logf("serve: epoch re-solve: %v", err)
 			}
 			if !r.sleep(r.backoffDelay()) {
 				return
@@ -302,9 +269,11 @@ func (r *Resolver) sleep(d time.Duration) bool {
 }
 
 // backoffDelay returns the wait before the next retry given the current
-// consecutive-failure count.
+// consecutive-failure count: from the debounce window up to backoffMax,
+// or up to the debounce when that is longer.
 func (r *Resolver) backoffDelay() time.Duration {
-	return backoffDelay(r.backoffBase, r.backoffMax, int(r.fails.Load()), r.jitter)
+	base := r.cfg.Debounce
+	return backoffDelay(base, max(base, backoffMax), int(r.fails.Load()), r.jitter)
 }
 
 // backoffDelay computes base·2^(n−1) capped at max, scaled by a jitter
@@ -343,7 +312,7 @@ func (r *Resolver) resolve(force bool) error {
 		r.staleSince.Store(0) // a pending kick raced an already-current epoch
 		return nil
 	}
-	start := r.now()
+	start := r.cfg.Now()
 	prev, segs := r.cur.Load(), r.segments()
 	ep := &Epoch{Generation: gen, Tasks: tasks, units: make(map[string]*unit, len(tasks)+len(segs))}
 	if len(tasks) == 0 {
@@ -363,7 +332,7 @@ func (r *Resolver) resolve(force bool) error {
 		// The predicted latencies are the unscaled planning costs — the
 		// same arithmetic the emulator and the simulated backend apply
 		// their factors to.
-		costs := edge.PlanCosts(tasks, blocks, r.res, dep, 0)
+		costs := edge.PlanCosts(tasks, blocks, r.cfg.Res, dep, 0)
 		for i := range dep.Solution.Assignments {
 			a := &dep.Solution.Assignments[i]
 			if !a.Admitted() {
@@ -375,35 +344,33 @@ func (r *Resolver) resolve(force bool) error {
 				budget:  dep.LatencyBounds[a.TaskID],
 				planned: costs[a.TaskID].Total(),
 				assign:  a,
-			}, r.now)
+			}, r.cfg.Now)
 		}
 	}
 	execSegs := make([]exec.Segment, 0, len(segs))
 	for _, sp := range segs {
-		ep.addUnit(prev, &unit{SegmentSpec: sp, budget: time.Duration(sp.BudgetMS * float64(time.Millisecond))}, r.now)
+		ep.addUnit(prev, &unit{SegmentSpec: sp, budget: time.Duration(sp.BudgetMS * float64(time.Millisecond))}, r.cfg.Now)
 		execSegs = append(execSegs, sp.execSegment())
 	}
 	// Install the deployment into the execution backend before the epoch
 	// becomes visible: a failed install (e.g. a path naming a block the
 	// model template cannot realize) keeps the previous epoch — and the
 	// previous backend plan — serving.
-	if r.backend != nil {
-		if err := r.backend.Install(&exec.Plan{
-			Epoch:      r.epochN + 1,
-			Node:       r.node,
-			Tasks:      ep.Tasks,
-			Blocks:     blocks,
-			Res:        r.res,
-			Deployment: ep.Deployment,
-			Segments:   execSegs,
-		}); err != nil {
-			err = fmt.Errorf("serve: backend install: %w", err)
-			r.recordFailure(err)
-			return err
-		}
+	if err := r.cfg.Backend.Install(&exec.Plan{
+		Epoch:      r.epochN + 1,
+		Node:       r.cfg.Node,
+		Tasks:      ep.Tasks,
+		Blocks:     blocks,
+		Res:        r.cfg.Res,
+		Deployment: ep.Deployment,
+		Segments:   execSegs,
+	}); err != nil {
+		err = fmt.Errorf("serve: backend install: %w", err)
+		r.recordFailure(err)
+		return err
 	}
-	ep.SolveLatency = r.now().Sub(start)
-	ep.PublishedAt = r.now()
+	ep.SolveLatency = r.cfg.Now().Sub(start)
+	ep.PublishedAt = r.cfg.Now()
 	r.epochN++
 	ep.N = r.epochN
 	r.cur.Store(ep)
@@ -427,23 +394,19 @@ func pickTier(n int) core.Tier {
 }
 
 // produce runs the solve-and-deploy step under panic isolation and the
-// configured deadline, returning the deployment and the task order its
+// DefaultSolveTimeout deadline, returning the deployment and the task order its
 // assignments are parallel to. The solution comes from the session on the
 // heuristic tier and from a full core.SolveSpec solve on the approximate
 // one — the session, if any, then stays cached for when the registry
 // shrinks back under DefaultApproxAfter. Caller holds solveMu.
 func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) (dep *edge.Deployment, solved []core.Task, err error) {
-	ctx := r.ctx
-	if r.solveTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.solveTimeout)
-		defer cancel()
-	}
+	ctx, cancel := context.WithTimeout(r.ctx, DefaultSolveTimeout)
+	defer cancel()
 	defer func() {
 		if p := recover(); p != nil {
 			r.stats.solvePanics.Add(1)
-			if r.logf != nil {
-				r.logf("serve: recovered solver panic: %v\n%s", p, debug.Stack())
+			if r.cfg.Logf != nil {
+				r.cfg.Logf("serve: recovered solver panic: %v\n%s", p, debug.Stack())
 			}
 			dep, solved, err = nil, nil, fmt.Errorf("serve: recovered solver panic: %v", p)
 		}
@@ -455,7 +418,7 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 		faultinject.PointSolverPanic,
 		faultinject.PointSolverHang,
 	} {
-		if err := r.faults.Hit(ctx, point); err != nil {
+		if err := r.cfg.Faults.Hit(ctx, point); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -466,7 +429,7 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 	if incremental {
 		in, sol, err = r.solveSession(ctx, tasks, blocks)
 	} else {
-		in = &core.Instance{Tasks: tasks, Blocks: blocks, Res: r.res, Alpha: r.alpha}
+		in = &core.Instance{Tasks: tasks, Blocks: blocks, Res: r.cfg.Res, Alpha: r.cfg.Alpha}
 		sol, err = core.SolveSpec(ctx, in, core.SolverSpec{Tier: tier})
 	}
 	if err == nil {
@@ -492,10 +455,10 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 func (r *Resolver) SetNorm(norm *core.Resources) bool {
 	r.solveMu.Lock()
 	defer r.solveMu.Unlock()
-	if normEqual(r.res.Norm, norm) {
+	if normEqual(r.cfg.Res.Norm, norm) {
 		return false
 	}
-	r.res.Norm = norm
+	r.cfg.Res.Norm = norm
 	r.session = nil
 	return true
 }
@@ -543,8 +506,8 @@ func (r *Resolver) solveSession(ctx context.Context, tasks []core.Task, blocks m
 		sess, err := core.NewSolverSession(&core.Instance{
 			Tasks:  tasks,
 			Blocks: blocks,
-			Res:    r.res,
-			Alpha:  r.alpha,
+			Res:    r.cfg.Res,
+			Alpha:  r.cfg.Alpha,
 		})
 		if err != nil {
 			return nil, nil, err

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"offloadnn/internal/core"
-	"offloadnn/internal/edge"
 	"offloadnn/internal/exec"
 	"offloadnn/internal/faultinject"
 	"offloadnn/internal/workload"
@@ -38,12 +37,33 @@ import (
 // tasks keep serving off the last epoch through the drain window.
 var ErrDraining = errors.New("serve: server is draining")
 
-// DefaultSolveTimeout is the per-epoch solve deadline applied when
-// the SolveTimeout setting is zero. An epoch that misses it fails like
-// any other solver error: the last plan keeps serving and the resolver
-// backs off and retries. Both tiers sit well inside it at 10k tasks
-// (TestSerialExact10k, TestScaleEpochUnderDefaultDeadline).
+// DefaultSolveTimeout is the per-epoch solve deadline. An epoch that
+// misses it fails like any other solver error: the last plan keeps
+// serving and the resolver backs off and retries. Both tiers sit well
+// inside it at 10k tasks (TestSerialExact10k,
+// TestScaleEpochUnderDefaultDeadline).
 const DefaultSolveTimeout = 2 * time.Second
+
+// The control plane's timings and thresholds.
+const (
+	// latencyWindow is the latency-quantile window size in samples.
+	latencyWindow = 1024
+	// backoffMax caps the failure backoff. The backoff starts at the
+	// debounce window and doubles per consecutive failure, with ±20%
+	// jitter; a debounce longer than the cap raises the cap to it.
+	backoffMax = 5 * time.Second
+	// degradedAfter is the consecutive-failure count at which /healthz
+	// turns degraded.
+	degradedAfter = 3
+	// staleAfter is how long the published plan may trail the registry
+	// before /healthz turns degraded.
+	staleAfter = 10 * time.Second
+	// overloadWindow slides over backend shed verdicts (late or
+	// queue-full); overloadAfter sheds inside it turn /healthz degraded
+	// and arm the admission gate's early deadline shed.
+	overloadWindow = 5 * time.Second
+	overloadAfter  = 10
+)
 
 // DefaultApproxAfter is the registry size from which the resolver runs the approximate admission tier instead of the exact
 // session. The exact heuristic admits more at every size, but its
@@ -67,36 +87,9 @@ type Config struct {
 	// Debounce is the churn batching window before a re-solve
 	// (default 100 ms).
 	Debounce time.Duration
-	// Window is the latency-quantile window size in samples
-	// (default 1024).
-	Window int
 	// Now is the clock used by the admission gates and uptime
 	// (default time.Now); injectable for deterministic tests.
 	Now func() time.Time
-	// SolveTimeout bounds one epoch's solve-and-deploy step, enforced
-	// through a context composed with the resolver's shutdown context. A
-	// solve that overruns fails that epoch (the last-good plan keeps
-	// serving) and counts toward the failure backoff. Zero applies DefaultSolveTimeout; negative disables the deadline.
-	SolveTimeout time.Duration
-	// FailureBackoff is the delay before retrying after one failed
-	// re-solve; consecutive failures double it up to FailureBackoffMax,
-	// with ±20% jitter. Defaults: the debounce window and 5 s.
-	FailureBackoff    time.Duration
-	FailureBackoffMax time.Duration
-	// DegradedAfter is the consecutive-failure count at which /healthz
-	// turns degraded (default 3).
-	DegradedAfter int
-	// StaleAfter is how long the published plan may trail the registry
-	// before /healthz turns degraded (default 10 s).
-	StaleAfter time.Duration
-	// OverloadWindow is the sliding window over backend shed verdicts
-	// (late or queue-full) that drives the overload health signal
-	// (default 5 s).
-	OverloadWindow time.Duration
-	// OverloadAfter is how many sheds inside OverloadWindow turn
-	// /healthz degraded and arm the admission gate's early deadline shed
-	// (default 10; negative disables the overload signal).
-	OverloadAfter int
 	// Faults optionally arms the serving stack's fault-injection points
 	// (see internal/faultinject). Nil — the default — leaves every
 	// point a no-op; chaos tests and the edgeserve -fault flag set it.
@@ -150,64 +143,23 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Debounce <= 0 {
 		cfg.Debounce = 100 * time.Millisecond
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 1024
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	if cfg.Catalog.NumDNNs == 0 {
 		cfg.Catalog = workload.SmallCatalogParams()
 	}
-	if cfg.SolveTimeout == 0 {
-		cfg.SolveTimeout = DefaultSolveTimeout
-	}
-	if cfg.SolveTimeout < 0 {
-		cfg.SolveTimeout = 0 // explicit opt-out: no epoch deadline
-	}
-	if cfg.FailureBackoff <= 0 {
-		cfg.FailureBackoff = cfg.Debounce
-	}
-	if cfg.FailureBackoffMax <= 0 {
-		cfg.FailureBackoffMax = 5 * time.Second
-	}
-	if cfg.FailureBackoffMax < cfg.FailureBackoff {
-		cfg.FailureBackoffMax = cfg.FailureBackoff
-	}
-	if cfg.DegradedAfter <= 0 {
-		cfg.DegradedAfter = 3
-	}
-	if cfg.StaleAfter <= 0 {
-		cfg.StaleAfter = 10 * time.Second
-	}
-	if cfg.OverloadWindow <= 0 {
-		cfg.OverloadWindow = 5 * time.Second
-	}
-	if cfg.OverloadAfter == 0 {
-		cfg.OverloadAfter = 10
-	}
 	if cfg.Backend == nil {
 		cfg.Backend = exec.NewSimulated()
 	}
-	ctrl := edge.NewController(cfg.Res)
-	ctrl.Faults = cfg.Faults
 	s := &Server{
 		cfg:         cfg,
 		reg:         NewRegistry(cfg.Catalog, cfg.Blocks),
 		backend:     cfg.Backend,
-		stats:       newStats(cfg.Window, cfg.Now()),
+		stats:       newStats(cfg.Now()),
 		stageClient: &http.Client{Timeout: 30 * time.Second},
 	}
-	s.resolver = newResolver(s.reg, ctrl, cfg.Res, cfg.Alpha, cfg.Debounce, cfg.Now, cfg.Logf, s.stats,
-		resolverParams{
-			solveTimeout: cfg.SolveTimeout,
-			backoffBase:  cfg.FailureBackoff,
-			backoffMax:   cfg.FailureBackoffMax,
-			faults:       cfg.Faults,
-			backend:      cfg.Backend,
-			node:         cfg.Node,
-			segments:     s.Segments,
-		})
+	s.resolver = newResolver(cfg, s.reg, s.stats, s.Segments)
 	s.mux = s.routes()
 	return s, nil
 }
@@ -325,16 +277,13 @@ func (s *Server) Stats() *Stats { return s.stats }
 func (s *Server) Backend() exec.Backend { return s.backend }
 
 // Overloaded reports sustained deadline pressure in the execution
-// runtime: at least OverloadAfter backend sheds (late or queue-full)
-// landed inside the trailing OverloadWindow. While true, /healthz
+// runtime: at least overloadAfter backend sheds (late or queue-full)
+// landed inside the trailing overloadWindow. While true, /healthz
 // reports degraded and the offload path sheds deadline-carrying
 // requests whose predicted latency already exceeds their budget before
 // they burn a backend queue slot.
 func (s *Server) Overloaded() bool {
-	if s.cfg.OverloadAfter < 0 {
-		return false
-	}
-	return s.stats.RecentSheds(s.cfg.OverloadWindow, s.cfg.Now()) >= s.cfg.OverloadAfter
+	return s.stats.RecentSheds(overloadWindow, s.cfg.Now()) >= overloadAfter
 }
 
 // ServeHTTP implements http.Handler over the daemon's API surface.

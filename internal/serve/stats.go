@@ -39,7 +39,6 @@ type Stats struct {
 	tierSolves    [tierSlots]atomic.Uint64
 	tierLastNanos [tierSlots]atomic.Int64
 	latency       *metrics.Window
-	window        int
 	// earlySheds counts requests the serve layer shed before they reached
 	// the backend queue (overload fast path: predicted latency exceeds
 	// the deadline budget while the runtime is under deadline pressure).
@@ -57,7 +56,7 @@ type Stats struct {
 	lastSolveErr string
 	// shedTimes is a bounded ring of recent backend shed instants (late
 	// and queue-full verdicts) — the overload signal /healthz degrades
-	// on while sheds inside Config.OverloadWindow stay ≥ OverloadAfter.
+	// on while sheds inside overloadWindow stay ≥ overloadAfter.
 	shedTimes []time.Time
 	shedHead  int
 }
@@ -96,12 +95,11 @@ func (s *Stats) RecentSheds(window time.Duration, now time.Time) int {
 // backend queue (counted under the "late" shed reason on /metrics).
 func (s *Stats) EarlySheds() uint64 { return s.earlySheds.Load() }
 
-func newStats(window int, start time.Time) *Stats {
+func newStats(start time.Time) *Stats {
 	return &Stats{
 		start:      start,
-		latency:    metrics.NewWindow(window),
-		hopLatency: metrics.NewWindow(window),
-		window:     window,
+		latency:    metrics.NewWindow(latencyWindow),
+		hopLatency: metrics.NewWindow(latencyWindow),
 		perTask:    make(map[string]*taskCounters),
 	}
 }
@@ -128,7 +126,7 @@ func (s *Stats) recordInfer(id string, latencySeconds float64) {
 	c := s.task(id)
 	w := c.infer.Load()
 	if w == nil {
-		fresh := metrics.NewWindow(s.window)
+		fresh := metrics.NewWindow(latencyWindow)
 		if c.infer.CompareAndSwap(nil, fresh) {
 			w = fresh
 		} else {

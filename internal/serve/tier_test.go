@@ -116,16 +116,12 @@ func TestAutoTierEscalatesBySize(t *testing.T) {
 
 // TestSolveTimeoutKeepsPlanAndRetriesExact pins what a blown epoch
 // deadline is: a solver error like any other. The hung solve fails with
-// DeadlineExceeded, the previous epoch keeps serving, and the very next
-// epoch runs the exact tier again — nothing holds the resolver on another
-// tier.
+// DeadlineExceeded after DefaultSolveTimeout, the previous epoch keeps
+// serving, and the very next epoch runs the exact tier again — nothing
+// holds the resolver on another tier.
 func TestSolveTimeoutKeepsPlanAndRetriesExact(t *testing.T) {
 	inj := faultinject.New(1)
-	srv := newTestServer(t, Config{
-		Debounce:     time.Hour,
-		SolveTimeout: 20 * time.Millisecond,
-		Faults:       inj,
-	})
+	srv := newTestServer(t, Config{Debounce: time.Hour, Faults: inj})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -157,7 +153,7 @@ func TestSolveTimeoutKeepsPlanAndRetriesExact(t *testing.T) {
 
 // TestScaleEpochUnderDefaultDeadline is the 10k-task acceptance bound:
 // one epoch over the full scale scenario must publish through the serve
-// daemon inside the default SolveTimeout, on the approximate tier the
+// daemon inside DefaultSolveTimeout, on the approximate tier the
 // auto escalation picks.
 func TestScaleEpochUnderDefaultDeadline(t *testing.T) {
 	if testing.Short() {
@@ -171,8 +167,6 @@ func TestScaleEpochUnderDefaultDeadline(t *testing.T) {
 		Res:      in.Res,
 		Alpha:    in.Alpha,
 		Debounce: time.Hour,
-		// SolveTimeout left zero: the default 2s epoch deadline is the
-		// bound under test.
 	})
 	changed, err := srv.ReplacePlan(in.Tasks, in.Blocks, nil, nil)
 	if err != nil {
