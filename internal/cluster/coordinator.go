@@ -447,41 +447,6 @@ func (c *Coordinator) pushPlans(ctx context.Context, p *Placement) []string {
 	return failed
 }
 
-// wireSegments converts a placement's split plans into each node's wire
-// segments, threading the relay coordinates (next hop, pipeline length,
-// head budget) through.
-func wireSegments(splits []SplitPath) map[string][]WireSegment {
-	if len(splits) == 0 {
-		return nil
-	}
-	out := make(map[string][]WireSegment)
-	for i := range splits {
-		sp := &splits[i]
-		for si, seg := range sp.Segments {
-			w := WireSegment{
-				Task:   sp.TaskID,
-				Path:   sp.Path.ID,
-				DNN:    sp.Path.DNN,
-				Blocks: sp.Path.Blocks,
-				From:   seg.From,
-				To:     seg.To,
-				Rate:   sp.Rate,
-				Hop:    si,
-				Hops:   len(sp.Segments),
-			}
-			if si == 0 {
-				w.BudgetMS = sp.BudgetMS
-			}
-			if si+1 < len(sp.Segments) {
-				w.Next = sp.Segments[si+1].Addr
-				w.NextNode = sp.Segments[si+1].NodeID
-			}
-			out[seg.NodeID] = append(out[seg.NodeID], w)
-		}
-	}
-	return out
-}
-
 // pushPlan PUTs one node's task subset to the member and waits for its
 // re-solve to acknowledge.
 func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePlan, segs []WireSegment, norm *core.Resources) error {
@@ -615,13 +580,8 @@ func (c *Coordinator) register(req RegisterRequest) error {
 	if req.Node == "" || req.Addr == "" {
 		return fmt.Errorf("cluster: registration needs node and addr")
 	}
-	res := core.Resources{
-		RBs:                req.Res.RBs,
-		ComputeSeconds:     req.Res.ComputeSeconds,
-		MemoryGB:           req.Res.MemoryGB,
-		TrainBudgetSeconds: req.Res.TrainBudgetSeconds,
-		Capacity:           c.cfg.Capacity,
-	}
+	res := req.Res.budgets()
+	res.Capacity = c.cfg.Capacity
 	if res.RBs <= 0 || res.ComputeSeconds <= 0 || res.TrainBudgetSeconds <= 0 {
 		return fmt.Errorf("cluster: node %s registered unusable budgets %+v", req.Node, req.Res)
 	}

@@ -314,21 +314,25 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		status = "degraded"
 	}
 	sum := c.summary.Load()
+	placement := map[string]any{
+		"seq":                sum.seq,
+		"generation":         sum.gen,
+		"nodes":              sum.nodes,
+		"weighted_admission": sum.weighted,
+		"unplaced":           len(sum.unplaced),
+		"splits":             len(sum.splits),
+		"age_seconds":        now.Sub(sum.at).Seconds(),
+	}
+	if len(sum.errors) > 0 { // nodes a failed solve or Check dropped
+		placement["errors"] = sum.errors
+	}
 	body := map[string]any{
 		"status":           status,
 		"nodes":            nodes,
 		"tasks_registered": c.reg.Len(),
 		"generation":       c.reg.Generation(),
-		"placement": map[string]any{
-			"seq":                sum.seq,
-			"generation":         sum.gen,
-			"nodes":              sum.nodes,
-			"weighted_admission": sum.weighted,
-			"unplaced":           len(sum.unplaced),
-			"splits":             len(sum.splits),
-			"age_seconds":        now.Sub(sum.at).Seconds(),
-		},
-		"uptime_seconds": now.Sub(c.start).Seconds(),
+		"placement":        placement,
+		"uptime_seconds":   now.Sub(c.start).Seconds(),
 	}
 	if len(failing) > 0 {
 		body["failing"] = failing

@@ -38,10 +38,11 @@ func MemberHandler(srv *serve.Server) http.Handler {
 }
 
 // handlePlanPush installs one placement slice: the pushed tasks arrive
-// fully built (paths and blocks included), the member re-solves them
-// against its own budgets — priced at the pushed fleet-wide norm, so its
-// epoch reaches the coordinator's per-node solution — and installs the
-// result through its execution backend.
+// fully built (paths and blocks included), the member charges the pushed
+// segments to its own budgets, re-solves the tasks against what is left —
+// priced at the pushed fleet-wide norm, so its epoch reaches the
+// coordinator's per-node solution — and installs the result through its
+// execution backend. A plan the budgets cannot hold is refused with 409.
 func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	var push PlanPush
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -64,11 +65,13 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	}
 	changed, err := srv.ReplacePlan(tasks, FromWireBlocks(push.Blocks), push.Res.NormResources(), push.Segments)
 	if err != nil {
+		status, code := http.StatusBadRequest, serve.CodeInvalidRequest
 		if errors.Is(err, serve.ErrDraining) {
-			serve.WriteError(w, http.StatusServiceUnavailable, serve.CodeDraining, "%v", err)
-			return
+			status, code = http.StatusServiceUnavailable, serve.CodeDraining
+		} else if errors.Is(err, core.ErrOverCapacity) {
+			status = http.StatusConflict // the budgets cannot hold the plan
 		}
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
+		serve.WriteError(w, status, code, "%v", err)
 		return
 	}
 	var epoch uint64

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"offloadnn/internal/core"
+	"offloadnn/internal/serve"
 )
 
 // NodePlan is one node's slice of a cluster placement: the (bandwidth-
@@ -43,8 +44,9 @@ type Placement struct {
 	// counterpart of the single-server Breakdown.WeightedAdmission.
 	WeightedAdmission float64
 	// Errors records per-node failures — a solve that errored or whose
-	// solution failed Instance.Check. Such a node gets no plan and its
-	// tasks are unplaced; the rest of the placement is still valid.
+	// solution failed Instance.Check, alone or beside the node's segments.
+	// Such a node gets no plan, or no segments, and those tasks are
+	// unplaced; the rest of the placement is still valid.
 	Errors []string
 	// Norm holds the fleet-wide capacity totals every per-node solve was
 	// priced against (core.Resources.Norm); pushes carry it so members
@@ -101,10 +103,11 @@ type PlaceConfig struct {
 //
 // The returned placement carries each node's final solution; members
 // re-solve the same per-node instance locally after the push. Tasks still
-// unplaced are then offered split plans when cfg.Split is set.
+// unplaced are then offered split plans when cfg.Split is set, and every
+// node's solution is checked again with its segments reserved.
 func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec, nodes []Node, cfg PlaceConfig) *Placement {
 	norm := fleetNorm(nodes)
-	p := &Placement{Plans: make([]NodePlan, len(nodes)), Route: make(map[string]string), Norm: norm}
+	p := &Placement{Plans: make([]NodePlan, len(nodes)), Norm: norm}
 	subsets := make([]nodeSubset, len(nodes))
 	for i, n := range nodes {
 		n.Res.Norm = norm // price at fleet-wide rates, constrain at node budgets
@@ -169,7 +172,8 @@ func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.Bl
 			}
 			in.Blocks = referencedBlocks(in.Tasks, blocks)
 			// The one solve site, and its post-condition: no route table is
-			// ever built from a plan that was not checked on its node.
+			// ever built from a plan that was not checked on its node
+			// (checkSplits re-checks it beside the node's segments).
 			sol, err := core.SolveSpec(ctx, in, core.SolverSpec{})
 			if err == nil {
 				err = in.Check(sol.Assignments)
@@ -202,6 +206,10 @@ func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.Bl
 
 	p.assemble(tasks)
 	splitPlace(p, tasks, blocks, cfg.Split)
+	if len(p.Splits) > 0 {
+		p.checkSplits()
+		p.assemble(tasks)
+	}
 	return p
 }
 
@@ -236,8 +244,10 @@ func byPriority(tasks []core.Task) []int {
 }
 
 // assemble reads the routing table, the admitted rates, the weighted
-// admission and the sorted unplaced list off the nodes' final solutions.
+// admission and the sorted unplaced list off the nodes' final solutions
+// and the split plans, which route to their head nodes.
 func (p *Placement) assemble(tasks []core.Task) {
+	p.Route, p.Unplaced, p.WeightedAdmission = make(map[string]string), nil, 0
 	for i := range p.Plans {
 		plan := &p.Plans[i]
 		plan.Admitted = make(map[string]float64)
@@ -252,12 +262,94 @@ func (p *Placement) assemble(tasks []core.Task) {
 		}
 		p.WeightedAdmission += plan.Solution.Breakdown.WeightedAdmission
 	}
+	if len(p.Splits) > 0 {
+		priority := make(map[string]float64, len(tasks))
+		for i := range tasks {
+			priority[tasks[i].ID] = tasks[i].Priority
+		}
+		// A split admission carries the same z·p weight a whole-path
+		// admission would have contributed through its node's solution.
+		for _, sp := range p.Splits {
+			p.Route[sp.TaskID] = sp.Segments[0].NodeID
+			p.WeightedAdmission += sp.Z * priority[sp.TaskID]
+		}
+	}
 	for i := range tasks {
 		if _, ok := p.Route[tasks[i].ID]; !ok {
 			p.Unplaced = append(p.Unplaced, tasks[i].ID)
 		}
 	}
 	sort.Strings(p.Unplaced)
+}
+
+// checkSplits is the post-condition on split plans: on every node, the
+// wire segments the member will be pushed are reserved on its instance
+// and its whole-path solution is Checked beside them, as the member does
+// on receipt. A failing node is named in Errors and its splits dropped
+// (assemble then unroutes them); dropping only frees capacity.
+func (p *Placement) checkSplits() {
+	wire := wireSegments(p.Splits)
+	drop := make(map[string]bool)
+	for i := range p.Plans {
+		plan := &p.Plans[i]
+		segs := wire[plan.Node.ID]
+		if len(segs) == 0 {
+			continue
+		}
+		in := &core.Instance{Tasks: plan.Tasks, Blocks: plan.Blocks, Res: plan.Node.Res}
+		err := in.Reserve(serve.Reservations(segs)...)
+		if err == nil && plan.Solution != nil {
+			err = in.Check(plan.Solution.Assignments)
+		}
+		if err != nil {
+			p.Errors = append(p.Errors, fmt.Sprintf("node %s with its segments: %v", plan.Node.ID, err))
+			for _, seg := range segs {
+				drop[seg.Task] = true
+			}
+		}
+	}
+	if len(drop) > 0 {
+		keep := p.Splits[:0]
+		for _, sp := range p.Splits {
+			if !drop[sp.TaskID] {
+				keep = append(keep, sp)
+			}
+		}
+		p.Splits = keep
+	}
+}
+
+// wireSegments converts split plans into each node's wire segments,
+// threading the relay coordinates (next hop, pipeline length, head budget
+// and slice) through.
+func wireSegments(splits []SplitPath) map[string][]WireSegment {
+	out := make(map[string][]WireSegment)
+	for i := range splits {
+		sp := &splits[i]
+		for si, seg := range sp.Segments {
+			w := WireSegment{
+				Task:   sp.TaskID,
+				Path:   sp.Path.ID,
+				DNN:    sp.Path.DNN,
+				Blocks: sp.Path.Blocks,
+				From:   seg.From,
+				To:     seg.To,
+				Rate:   sp.Rate,
+				Hop:    si,
+				Hops:   len(sp.Segments),
+			}
+			if si == 0 {
+				w.BudgetMS = sp.BudgetMS
+				w.RBs = sp.RBs
+			}
+			if si+1 < len(sp.Segments) {
+				w.Next = sp.Segments[si+1].Addr
+				w.NextNode = sp.Segments[si+1].NodeID
+			}
+			out[seg.NodeID] = append(out[seg.NodeID], w)
+		}
+	}
+	return out
 }
 
 // referencedBlocks gathers the catalog subset the tasks' paths (and

@@ -192,6 +192,11 @@ func TestClusterSplitEndToEnd(t *testing.T) {
 
 	front := httptest.NewServer(c)
 	defer front.Close()
+	// Both nodes passed the placement's post-condition with their
+	// segments reserved: /healthz names no dropped node.
+	if pl, _ := getHealth(t, front.URL)["placement"].(map[string]any); pl == nil || pl["errors"] != nil {
+		t.Fatalf("coordinator /healthz placement %v, want no errors", pl)
+	}
 	status, body = postOffloadJSON(t, front.URL, serve.OffloadRequest{Task: "big", Input: frame})
 	if status != http.StatusOK {
 		t.Fatalf("2-node split offload: %d %s", status, body)

@@ -3,11 +3,9 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"offloadnn/internal/core"
 	"offloadnn/internal/dnn"
-	"offloadnn/internal/radio"
 )
 
 // Split placement: when whole-path placement spills — a task no single
@@ -18,15 +16,15 @@ import (
 // consecutive nodes over the measured inter-node link. The search prices
 // end-to-end latency analytically (coordinator→head forward + radio
 // slice transmission + per-segment compute + per-cut activation
-// transfer) against the task's L_τ, and fits each segment into the
-// node's residual capacity left over by the whole-path plans.
+// transfer) against the task's L_τ.
 //
-// Split admission rides outside the per-node DOT solve: a stage-range is
-// not a catalog path, so members install segments directly through the
-// serving layer rather than re-deriving them from a local solve. The
-// coordinator deducts the residuals itself and re-runs the search every
-// placement epoch, so node failure or drift re-plans splits exactly as
-// it re-places whole paths.
+// Segments are charged through core's cost model: the search fits them
+// into a copy of each node's instance with its whole paths reserved
+// (core.Instance.Reserve), and the placement's post-condition
+// (Placement.checkSplits) and the member (serve.Server.ReplacePlan)
+// reserve them on the node's own instance and Check its whole paths
+// beside them. The search re-runs every placement, so node failure or
+// drift re-plans splits exactly as it re-places whole paths.
 
 // SplitSegment is one node's slice of a split path plan.
 type SplitSegment struct {
@@ -36,13 +34,9 @@ type SplitSegment struct {
 	// From and To bound the stage range [From, To) into the path's
 	// block list.
 	From, To int
-	// ComputeSeconds is the per-frame compute of the range.
-	ComputeSeconds float64
 	// TransferBits is the boundary activation size shipped to the next
 	// hop (zero for the tail).
 	TransferBits float64
-	// TransferMS prices that shipment over the planned inter-node link.
-	TransferMS float64
 }
 
 // SplitPath is one task's pipelined multi-node plan.
@@ -90,85 +84,44 @@ type SplitConfig struct {
 	Link func(a, b Node) float64
 }
 
-// nodeResidual is a node's capacity left over after the whole-path plans
-// (and previously accepted splits) are charged against it.
-type nodeResidual struct {
-	node     Node
-	rbs      int
-	compute  float64
-	memory   float64
-	train    float64
-	deployed map[string]bool // block IDs already resident (memory/train charged)
+// splitHost is one node as the split search sees it: a copy of its
+// instance with everything placed on it so far reserved.
+type splitHost struct {
+	node Node
+	in   *core.Instance
 }
 
-// residuals computes each node's leftover capacity from its NodePlan.
-func residuals(p *Placement) []*nodeResidual {
-	out := make([]*nodeResidual, len(p.Plans))
+// splitHosts copies every planned node's instance over the fleet catalog,
+// parallel to p.Plans, and reserves its admitted whole paths, each as
+// {path, z·λ, r}. Where z < 1, Σ r may pass R: the node then has no radio
+// left for a head. A node whose solution does not reserve is left nil.
+func splitHosts(p *Placement, blocks map[string]core.BlockSpec) []*splitHost {
+	hosts := make([]*splitHost, len(p.Plans))
 	for i := range p.Plans {
 		plan := &p.Plans[i]
-		r := &nodeResidual{
-			node:     plan.Node,
-			rbs:      plan.Node.Res.RBs,
-			compute:  plan.Node.Res.ComputeSeconds,
-			memory:   plan.Node.Res.MemoryGB,
-			train:    plan.Node.Res.TrainBudgetSeconds,
-			deployed: make(map[string]bool),
-		}
+		in := &core.Instance{Blocks: blocks, Res: plan.Node.Res}
+		var rs []core.Reservation
 		if plan.Solution != nil {
+			left := in.Res.RBs
 			for ai, a := range plan.Solution.Assignments {
-				if !a.Admitted() || a.Path == nil || ai >= len(plan.Tasks) {
-					continue
-				}
-				r.rbs -= a.RBs
-				rate := a.Z * plan.Tasks[ai].Rate
-				for _, id := range a.Path.Blocks {
-					b := plan.Blocks[id]
-					r.compute -= rate * b.ComputeSeconds
-					if !r.deployed[id] {
-						r.deployed[id] = true
-						r.memory -= b.MemoryGB
-						r.train -= b.TrainSeconds
-					}
+				if a.Admitted() {
+					rbs := min(a.RBs, left)
+					left -= rbs
+					rs = append(rs, core.Reservation{Blocks: a.Path.Blocks, Rate: a.Z * plan.Tasks[ai].Rate, RBs: rbs})
 				}
 			}
 		}
-		out[i] = r
-	}
-	return out
-}
-
-// memoryNeeded is the additional footprint of deploying the given block
-// range on the node (blocks already resident are free — the constraint
-// (1b) sharing applies to segments too).
-func (r *nodeResidual) memoryNeeded(blocks []string, catalog map[string]core.BlockSpec) (mem, train float64) {
-	for _, id := range blocks {
-		if r.deployed[id] {
-			continue
-		}
-		b := catalog[id]
-		mem += b.MemoryGB
-		train += b.TrainSeconds
-	}
-	return mem, train
-}
-
-// charge deducts an accepted segment from the node's residuals.
-func (r *nodeResidual) charge(blocks []string, catalog map[string]core.BlockSpec, rate float64, rbs int) {
-	r.rbs -= rbs
-	for _, id := range blocks {
-		r.compute -= rate * catalog[id].ComputeSeconds
-		if !r.deployed[id] {
-			r.deployed[id] = true
-			r.memory -= catalog[id].MemoryGB
-			r.train -= catalog[id].TrainSeconds
+		if in.Reserve(rs...) == nil {
+			hosts[i] = &splitHost{node: plan.Node, in: in}
 		}
 	}
+	return hosts
 }
 
 // splitPlace searches cut points and node tuples for every task the
-// whole-path placement left unplaced, in descending priority, appending
-// accepted plans to p.Splits and rerouting the tasks to their head
-// nodes. Residual capacity is deducted as plans are accepted, so later
+// whole-path placement left unplaced, in descending priority, and appends
+// accepted plans to p.Splits (assemble then routes their tasks to the
+// head nodes). Each accepted plan is reserved on its hosts, so later
 // tasks see what earlier splits consumed.
 func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpec, cfg *SplitConfig) {
 	if cfg == nil || len(p.Unplaced) == 0 || len(p.Plans) < 2 {
@@ -187,7 +140,7 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 		link = slowerLinkMbps
 	}
 
-	res := residuals(p)
+	hosts := splitHosts(p, blocks)
 	unplaced := make(map[string]bool, len(p.Unplaced))
 	for _, id := range p.Unplaced {
 		unplaced[id] = true
@@ -204,31 +157,30 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 
 	for _, ti := range order {
 		t := tasks[ti]
-		best := bestSplit(&t, blocks, res, model, input, link)
+		best := bestSplit(&t, hosts, model, input, link)
 		if best == nil {
 			continue
 		}
-		for _, seg := range best.Segments {
-			for _, r := range res {
-				if r.node.ID != seg.NodeID {
-					continue
-				}
-				rbs := 0
-				if seg.From == 0 {
-					rbs = best.RBs
-				}
-				r.charge(best.Path.Blocks[seg.From:seg.To], blocks, best.Rate, rbs)
-			}
-			// The member's catalog must carry the specs of the blocks its
-			// segment deploys (pushed inside its NodePlan).
+		for si, seg := range best.Segments {
 			for pi := range p.Plans {
 				if p.Plans[pi].Node.ID != seg.NodeID {
 					continue
 				}
+				// evalSplit priced this charge on this copy; a refusal
+				// here fails the node in checkSplits as well.
+				rsv := core.Reservation{Blocks: best.Path.Blocks[seg.From:seg.To], Rate: best.Rate}
+				if si == 0 {
+					rsv.RBs = best.RBs
+				}
+				if err := hosts[pi].in.Reserve(rsv); err != nil {
+					p.Errors = append(p.Errors, fmt.Sprintf("node %s: split %s: %v", seg.NodeID, t.ID, err))
+				}
+				// The member's catalog must carry the specs of the blocks
+				// its segment deploys (pushed inside its NodePlan).
 				if p.Plans[pi].Blocks == nil {
 					p.Plans[pi].Blocks = make(map[string]core.BlockSpec)
 				}
-				for _, id := range best.Path.Blocks[seg.From:seg.To] {
+				for _, id := range rsv.Blocks {
 					if b, ok := blocks[id]; ok {
 						p.Plans[pi].Blocks[id] = b
 					}
@@ -236,33 +188,22 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 			}
 		}
 		p.Splits = append(p.Splits, *best)
-		p.Route[t.ID] = best.Segments[0].NodeID
-		// A split admission carries the same z·p weight a whole-path
-		// admission would have contributed through its node's solution.
-		p.WeightedAdmission += best.Z * t.Priority
-		keep := p.Unplaced[:0]
-		for _, id := range p.Unplaced {
-			if id != t.ID {
-				keep = append(keep, id)
-			}
-		}
-		p.Unplaced = keep
 	}
 }
 
 // bestSplit searches one task's candidate paths, cut combinations and
 // node tuples for the feasible plan with the highest admitted fraction,
 // latency breaking ties.
-func bestSplit(t *core.Task, blocks map[string]core.BlockSpec, res []*nodeResidual,
-	model dnn.ResNetConfig, input [3]int, link func(a, b Node) float64) *SplitPath {
-
+func bestSplit(t *core.Task, hosts []*splitHost, model dnn.ResNetConfig, input [3]int, link func(a, b Node) float64) *SplitPath {
 	// Candidate nodes: the most memory-headroom first, capped. The
 	// enumeration below draws ordered tuples from this pool.
-	pool := make([]*nodeResidual, 0, len(res))
-	for _, r := range res {
-		pool = append(pool, r)
+	pool := make([]*splitHost, 0, len(hosts))
+	for _, h := range hosts {
+		if h != nil {
+			pool = append(pool, h)
+		}
 	}
-	sort.SliceStable(pool, func(a, b int) bool { return pool[a].memory > pool[b].memory })
+	sort.SliceStable(pool, func(a, b int) bool { return pool[a].in.Res.MemoryGB > pool[b].in.Res.MemoryGB })
 	if len(pool) > candidateNodes {
 		pool = pool[:candidateNodes]
 	}
@@ -290,19 +231,17 @@ func bestSplit(t *core.Task, blocks map[string]core.BlockSpec, res []*nodeResidu
 		cuts := dnn.EnumerateCutPoints(model, n, input)
 		segMax := min(maxSegments, n, len(pool))
 		for m := 2; m <= segMax; m++ {
-			forEachCutCombo(len(cuts), m-1, func(combo []int) {
-				bounds := make([]int, 0, m+1)
-				bounds = append(bounds, 0)
-				for _, ci := range combo {
-					bounds = append(bounds, cuts[ci].After)
+			forEachPick(len(cuts), m-1, false, func(combo []int) {
+				chosen := make([]dnn.CutPoint, len(combo))
+				for i, ci := range combo {
+					chosen[i] = cuts[ci]
 				}
-				bounds = append(bounds, n)
-				forEachTuple(len(pool), m, func(tuple []int) {
-					nodes := make([]*nodeResidual, m)
+				forEachPick(len(pool), m, true, func(tuple []int) {
+					nodes := make([]*splitHost, m)
 					for i, idx := range tuple {
 						nodes[i] = pool[idx]
 					}
-					if c := evalSplit(t, path, blocks, cuts, bounds, nodes, link); c != nil && better(c) {
+					if c := evalSplit(t, path, chosen, nodes, link); c != nil && better(c) {
 						best = c
 					}
 				})
@@ -312,104 +251,72 @@ func bestSplit(t *core.Task, blocks map[string]core.BlockSpec, res []*nodeResidu
 	return best
 }
 
-// evalSplit prices one concrete (path, bounds, node tuple) plan and
-// returns it when feasible, nil otherwise.
-func evalSplit(t *core.Task, path *core.PathSpec, blocks map[string]core.BlockSpec,
-	cuts []dnn.CutPoint, bounds []int, nodes []*nodeResidual, link func(a, b Node) float64) *SplitPath {
-
-	m := len(nodes)
-	segs := make([]SplitSegment, m)
-	fixed := 0.0 // seconds of everything except radio transmission
-	z := 1.0
-
+// evalSplit prices one plan — the path cut at the chosen cut points,
+// segment i on nodes[i] — against the hosts' reserved instances and
+// returns it when feasible, nil otherwise. It adds to core's charges only
+// the forward delay, the cut bytes over each link and the head's budget.
+func evalSplit(t *core.Task, path *core.PathSpec, cuts []dnn.CutPoint, nodes []*splitHost, link func(a, b Node) float64) *SplitPath {
+	segs := make([]SplitSegment, len(nodes))
 	head := nodes[0]
-	fixed += head.node.ForwardDelay(t.InputBits).Seconds()
-
-	for i := 0; i < m; i++ {
-		r := nodes[i]
-		from, to := bounds[i], bounds[i+1]
-		ids := path.Blocks[from:to]
-		mem, train := r.memoryNeeded(ids, blocks)
-		if mem > r.memory+1e-12 || train > r.train+1e-12 {
+	fixed := head.node.ForwardDelay(t.InputBits).Seconds() // everything except radio transmission
+	z := 1.0
+	for i, h := range nodes {
+		from, to := 0, len(path.Blocks)
+		if i > 0 {
+			from = cuts[i-1].After
+		}
+		if i < len(cuts) {
+			to = cuts[i].After
+		}
+		seg := core.PathSpec{Blocks: path.Blocks[from:to]}
+		mem := 0.0
+		for _, id := range seg.Blocks {
+			mem += h.in.BlockMemoryGB(id)
+		}
+		if mem > h.in.Res.MemoryGB+1e-12 {
 			return nil
 		}
-		comp := 0.0
-		for _, id := range ids {
-			comp += blocks[id].ComputeSeconds
-		}
-		// Compute residual caps the admitted fraction on this node.
+		// The node's compute left caps the admitted fraction.
+		comp := h.in.PathCompute(&seg)
 		if comp > 0 {
-			if cap := r.compute / (t.Rate * comp); cap < z {
-				z = cap
-			}
+			z = min(z, h.in.Res.ComputeSeconds/(t.Rate*comp))
 		}
 		fixed += comp
-		segs[i] = SplitSegment{NodeID: r.node.ID, Addr: r.node.Addr, From: from, To: to, ComputeSeconds: comp}
-		if i+1 < m {
+		segs[i] = SplitSegment{NodeID: h.node.ID, Addr: h.node.Addr, From: from, To: to}
+		if i < len(cuts) {
 			// The cut after stage `to` ships its boundary activation to
 			// the next hop; transfers are always raw f64 on the wire.
-			bits := float64(cuts[cutIndex(cuts, to)].WireBytes) * 8
-			mbps := link(r.node, nodes[i+1].node)
-			tr := 0.0
-			if mbps > 0 {
-				tr = bits / (mbps * 1e6)
+			segs[i].TransferBits = float64(cuts[i].WireBytes) * 8
+			if mbps := link(h.node, nodes[i+1].node); mbps > 0 {
+				fixed += segs[i].TransferBits / (mbps * 1e6)
 			}
-			fixed += tr
-			segs[i].TransferBits = bits
-			segs[i].TransferMS = tr * 1e3
 		}
 	}
 	if z <= 1e-9 {
 		return nil
 	}
-	if z > 1 {
-		z = 1
-	}
 
-	// Radio: the head needs a slice big enough for both the admitted
-	// throughput and the per-frame latency left after compute and
-	// transfers.
-	budget := t.MaxLatency.Seconds() - fixed
-	if budget <= 0 {
+	// Radio: the head's slice is core's minimal one for the admitted rate
+	// and for one frame inside the latency left after compute and
+	// transfers. When the head's residual RBs cannot carry that, z shrinks
+	// to what they carry, as long as the latency-minimal slice fits.
+	slack := t.MaxLatency.Seconds() - fixed
+	b := head.in.Res.Capacity.BitsPerRBPerSecond(t.SNRdB)
+	if slack <= 0 || b <= 0 {
 		return nil
 	}
-	cm := head.node.Res.Capacity
-	rbsTP, err := radio.MinRBsForThroughput(z*t.Rate, t.InputBits, cm, t.SNRdB)
-	if err != nil {
-		return nil
-	}
-	rbsLat, err := radio.MinRBsForLatency(t.InputBits, time.Duration(budget*float64(time.Second)), cm, t.SNRdB)
-	if err != nil {
-		return nil
-	}
-	rbs := rbsTP
-	if rbsLat > rbs {
-		rbs = rbsLat
-	}
-	if rbs > head.rbs {
-		// Not enough radio for full z; shrink to what the throughput
-		// constraint allows at the node's residual slice, as long as the
-		// latency-minimal slice itself fits.
-		if rbsLat > head.rbs {
+	rLat, rFull := core.MinSlices(t.InputBits, b, slack, z*t.Rate)
+	rbs := max(rLat, rFull)
+	if left := head.in.Res.RBs; rbs > left {
+		if rLat > left {
 			return nil
 		}
-		rbs = head.rbs
-		b := cm.BitsPerRBPerSecond(t.SNRdB)
-		if b <= 0 || t.Rate <= 0 {
-			return nil
-		}
-		if cap := float64(rbs) * b / (t.Rate * t.InputBits); cap < z {
-			z = cap
-		}
-		if z <= 1e-9 {
+		rbs = left
+		if z = min(z, float64(rbs)*b/(t.Rate*t.InputBits)); z <= 1e-9 {
 			return nil
 		}
 	}
-	tx, err := radio.TransmissionTime(t.InputBits, rbs, cm, t.SNRdB)
-	if err != nil {
-		return nil
-	}
-	total := fixed + tx.Seconds()
+	total := fixed + t.InputBits/(b*float64(rbs))
 	if total > t.MaxLatency.Seconds()+1e-12 {
 		return nil
 	}
@@ -422,65 +329,39 @@ func evalSplit(t *core.Task, path *core.PathSpec, blocks map[string]core.BlockSp
 		RBs:       rbs,
 		Segments:  segs,
 		LatencyMS: total * 1e3,
-		BudgetMS:  (t.MaxLatency - nodes[0].node.ForwardDelay(t.InputBits)).Seconds() * 1e3,
+		BudgetMS:  (t.MaxLatency - head.node.ForwardDelay(t.InputBits)).Seconds() * 1e3,
 	}
 }
 
-// cutIndex finds the cut point after the given stage count.
-func cutIndex(cuts []dnn.CutPoint, after int) int {
-	for i := range cuts {
-		if cuts[i].After == after {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("cluster: no cut point after stage %d", after))
-}
-
-// forEachCutCombo enumerates the k-subsets of {0..n-1} in increasing
-// order (the cut indices of one pipeline, ordered along the path).
-func forEachCutCombo(n, k int, fn func([]int)) {
+// forEachPick enumerates k distinct indices from {0..n-1} in
+// lexicographic order: every ordering when ordered (node tuples: the head
+// needs radio headroom, interior hops link bandwidth), else only the
+// increasing ones (the cut indices of one pipeline, along the path).
+func forEachPick(n, k int, ordered bool, fn func([]int)) {
 	if k > n || k <= 0 {
 		return
 	}
-	combo := make([]int, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
+	pick := make([]int, k)
+	used := make([]bool, n)
+	var rec func(depth, start int)
+	rec = func(depth, start int) {
 		if depth == k {
-			fn(combo)
+			fn(pick)
 			return
 		}
 		for i := start; i < n; i++ {
-			combo[depth] = i
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-}
-
-// forEachTuple enumerates ordered m-tuples of distinct indices from
-// {0..n-1} (which node serves which segment matters: the head needs
-// radio headroom, interior hops need link bandwidth).
-func forEachTuple(n, m int, fn func([]int)) {
-	if m > n || m <= 0 {
-		return
-	}
-	tuple := make([]int, m)
-	used := make([]bool, n)
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == m {
-			fn(tuple)
-			return
-		}
-		for i := 0; i < n; i++ {
 			if used[i] {
 				continue
 			}
 			used[i] = true
-			tuple[depth] = i
-			rec(depth + 1)
+			pick[depth] = i
+			if ordered {
+				rec(depth+1, 0)
+			} else {
+				rec(depth+1, i+1)
+			}
 			used[i] = false
 		}
 	}
-	rec(0)
+	rec(0, 0)
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,5 +141,54 @@ func TestSplitPlaceRespectsLatency(t *testing.T) {
 	}
 	if len(p.Unplaced) != 1 {
 		t.Fatalf("unplaced %v, want the task back", p.Unplaced)
+	}
+}
+
+// TestSplitPlaceIgnoresTrainNormalizer: Ct normalizes the objective's
+// training term, it is not a budget (DOT (1b)–(1e) never charge it). A
+// node whose Ct is smaller than the blocks' training cost still hosts
+// them: the task splits 2|2 as it does at Ct = 1000.
+func TestSplitPlaceIgnoresTrainNormalizer(t *testing.T) {
+	tasks, blocks := splitScenario()
+	nodes := []Node{splitNode("a"), splitNode("b")}
+	for i := range nodes {
+		nodes[i].Res.TrainBudgetSeconds = 1
+	}
+	p := PlaceWith(context.Background(), tasks, blocks, nodes, PlaceConfig{Alpha: 0.5, Split: &SplitConfig{}})
+	if len(p.Unplaced) != 0 || len(p.Splits) != 1 {
+		t.Fatalf("unplaced %v, %d splits; want the task split", p.Unplaced, len(p.Splits))
+	}
+	if segs := p.Splits[0].Segments; len(segs) != 2 || segs[0].To != 2 {
+		t.Fatalf("segments %+v, want the 2|2 cut", segs)
+	}
+}
+
+// TestCheckSplitsDropsOvercommit: the placement post-condition reserves
+// each node's wire segments on its instance; a split whose segment no
+// longer fits is dropped, its route removed, its task unplaced and its
+// weight taken back, and the node is named in Errors.
+func TestCheckSplitsDropsOvercommit(t *testing.T) {
+	tasks, blocks := splitScenario()
+	p := PlaceWith(context.Background(), tasks, blocks, []Node{splitNode("a"), splitNode("b")},
+		PlaceConfig{Alpha: 0.5, Split: &SplitConfig{}})
+	if len(p.Splits) != 1 || len(p.Errors) != 0 || len(wireSegments(p.Splits)) != 2 {
+		t.Fatalf("placement: %d splits, errors %v, segments on %d nodes", len(p.Splits), p.Errors, len(wireSegments(p.Splits)))
+	}
+	// 2.5 s/s of compute over the two 1e-4 s stages of a segment: 12 500
+	// requests per second fit, 20 000 do not.
+	p.Splits[0].Rate = 20000
+	p.checkSplits()
+	p.assemble(tasks)
+	if len(p.Splits) != 0 {
+		t.Fatalf("overcommitted split kept: %+v", p.Splits)
+	}
+	if _, ok := p.Route["big"]; ok || len(p.Unplaced) != 1 || p.Unplaced[0] != "big" {
+		t.Fatalf("route %v, unplaced %v; want big unrouted", p.Route, p.Unplaced)
+	}
+	if p.WeightedAdmission != 0 {
+		t.Errorf("weighted admission %v after the drop, want 0", p.WeightedAdmission)
+	}
+	if len(p.Errors) != 2 || !strings.Contains(p.Errors[0], "(1c)") {
+		t.Errorf("errors %v, want both nodes named with (1c)", p.Errors)
 	}
 }

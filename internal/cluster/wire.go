@@ -200,15 +200,16 @@ func ToWireResources(r core.Resources) WireResources {
 		TrainBudgetSeconds: r.TrainBudgetSeconds,
 	}
 	if r.Norm != nil {
-		n := ToWireResources(core.Resources{
-			RBs:                r.Norm.RBs,
-			ComputeSeconds:     r.Norm.ComputeSeconds,
-			MemoryGB:           r.Norm.MemoryGB,
-			TrainBudgetSeconds: r.Norm.TrainBudgetSeconds,
-		})
+		n := ToWireResources(*r.Norm)
+		n.Norm = nil // never nested
 		w.Norm = &n
 	}
 	return w
+}
+
+// budgets converts the wire budgets back, with no capacity model or norm.
+func (w WireResources) budgets() core.Resources {
+	return core.Resources{RBs: w.RBs, ComputeSeconds: w.ComputeSeconds, MemoryGB: w.MemoryGB, TrainBudgetSeconds: w.TrainBudgetSeconds}
 }
 
 // NormResources converts the wire norm into the pricing override a member
@@ -217,29 +218,18 @@ func (w WireResources) NormResources() *core.Resources {
 	if w.Norm == nil {
 		return nil
 	}
-	return &core.Resources{
-		RBs:                w.Norm.RBs,
-		ComputeSeconds:     w.Norm.ComputeSeconds,
-		MemoryGB:           w.Norm.MemoryGB,
-		TrainBudgetSeconds: w.Norm.TrainBudgetSeconds,
-	}
+	norm := w.Norm.budgets()
+	return &norm
 }
 
 // Matches reports whether the wire budgets equal the given pool (the
 // member-side check that a pushed plan was solved for its capacities).
+// Budgets cross the wire as JSON, which round-trips a float64 exactly.
 func (w WireResources) Matches(r core.Resources) error {
-	const eps = 1e-9
-	if w.RBs != r.RBs {
-		return fmt.Errorf("cluster: plan solved for %d RBs, node has %d", w.RBs, r.RBs)
-	}
-	if diff := w.ComputeSeconds - r.ComputeSeconds; diff > eps || diff < -eps {
-		return fmt.Errorf("cluster: plan solved for C=%gs, node has %gs", w.ComputeSeconds, r.ComputeSeconds)
-	}
-	if diff := w.MemoryGB - r.MemoryGB; diff > eps || diff < -eps {
-		return fmt.Errorf("cluster: plan solved for M=%g GB, node has %g GB", w.MemoryGB, r.MemoryGB)
-	}
-	if diff := w.TrainBudgetSeconds - r.TrainBudgetSeconds; diff > eps || diff < -eps {
-		return fmt.Errorf("cluster: plan solved for Ct=%gs, node has %gs", w.TrainBudgetSeconds, r.TrainBudgetSeconds)
+	r.Capacity, r.Norm = nil, nil
+	if got := w.budgets(); got != r {
+		return fmt.Errorf("cluster: plan solved for R=%d, C=%gs, M=%g GB, Ct=%gs; node has R=%d, C=%gs, M=%g GB, Ct=%gs",
+			got.RBs, got.ComputeSeconds, got.MemoryGB, got.TrainBudgetSeconds, r.RBs, r.ComputeSeconds, r.MemoryGB, r.TrainBudgetSeconds)
 	}
 	return nil
 }

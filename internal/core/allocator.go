@@ -25,12 +25,13 @@ type allocState struct {
 // is 3.0000000000000004 RBs, not 4).
 func ceilRB(x float64) int { return int(math.Ceil(x - 1e-12)) }
 
-// minSlices is the minimal-RB rule of constraints (1g) and (1e) for one
+// MinSlices is the minimal-RB rule of constraints (1g) and (1e) for one
 // (path × quality) decision, the only place it is written: rLat is the
 // smallest slice (at least one RB) that moves bits over a bRate-per-RB
 // link inside the latency slack left after processing, rFull the
-// smallest that carries the whole request rate.
-func minSlices(bits, bRate, slack, rate float64) (rLat, rFull int) {
+// smallest that carries the request rate (zero at rate 0). bRate and
+// slack must be positive.
+func MinSlices(bits, bRate, slack, rate float64) (rLat, rFull int) {
 	return max(1, ceilRB(bits/(bRate*slack))), ceilRB(rate * bits / bRate)
 }
 
@@ -79,7 +80,7 @@ func (in *Instance) allocStates(assignments []Assignment) []allocState {
 			continue // processing alone exceeds the latency bound
 		}
 		var rFull int
-		st.rLat, rFull = minSlices(st.bits, st.bRate, slack, task.Rate)
+		st.rLat, rFull = MinSlices(st.bits, st.bRate, slack, task.Rate)
 		if st.rLat > in.Res.RBs {
 			continue // even the full pool cannot meet the latency bound
 		}

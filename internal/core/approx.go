@@ -79,7 +79,7 @@ func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 				if slack <= 0 {
 					continue
 				}
-				rLat, rFull := minSlices(v.Bits, bRate, slack, task.Rate)
+				rLat, rFull := MinSlices(v.Bits, bRate, slack, task.Rate)
 				if rLat > in.Res.RBs {
 					continue
 				}

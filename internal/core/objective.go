@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"sort"
 	"time"
 )
@@ -9,6 +11,9 @@ import (
 // zEps is the threshold below which an admission ratio counts as zero,
 // matching the indicator 1_{z>0} of constraints (1f)–(1i).
 const zEps = 1e-9
+
+// checkTol is the slack Check and Reserve allow a capacity constraint.
+const checkTol = 1e-6
 
 // Evaluate computes the DOT objective (1a) and its breakdown for a
 // candidate solution. It does not check feasibility; use Check for that.
@@ -78,19 +83,18 @@ func (in *Instance) Check(assignments []Assignment) error {
 	if err != nil {
 		return err
 	}
-	const tol = 1e-6
-	if bd.MemoryGB > in.Res.MemoryGB+tol {
+	if bd.MemoryGB > in.Res.MemoryGB+checkTol {
 		return fmt.Errorf("%w: memory %v GB exceeds M=%v (1b)", ErrOverCapacity, bd.MemoryGB, in.Res.MemoryGB)
 	}
-	if bd.ComputeUsage > in.Res.ComputeSeconds+tol {
+	if bd.ComputeUsage > in.Res.ComputeSeconds+checkTol {
 		return fmt.Errorf("%w: compute %v s/s exceeds C=%v (1c)", ErrOverCapacity, bd.ComputeUsage, in.Res.ComputeSeconds)
 	}
-	if bd.RBsAllocated > float64(in.Res.RBs)+tol {
+	if bd.RBsAllocated > float64(in.Res.RBs)+checkTol {
 		return fmt.Errorf("%w: RB usage %v exceeds R=%d (1d)", ErrOverCapacity, bd.RBsAllocated, in.Res.RBs)
 	}
 	for i, a := range assignments {
 		task := &in.Tasks[i]
-		if a.Z < -tol || a.Z > 1+tol {
+		if a.Z < -checkTol || a.Z > 1+checkTol {
 			return fmt.Errorf("%w: task %s admission ratio %v outside [0,1]", ErrInfeasible, task.ID, a.Z)
 		}
 		if a.Z < zEps || a.Path == nil {
@@ -98,11 +102,11 @@ func (in *Instance) Check(assignments []Assignment) error {
 		}
 		b := in.Res.Capacity.BitsPerRBPerSecond(task.SNRdB)
 		bits := a.Bits(task)
-		if a.Z*task.Rate*bits > b*float64(a.RBs)+tol {
+		if a.Z*task.Rate*bits > b*float64(a.RBs)+checkTol {
 			return fmt.Errorf("%w: task %s rate %v×%v bits exceeds slice capacity %v×%d (1e)",
 				ErrOverCapacity, task.ID, a.Z*task.Rate, bits, b, a.RBs)
 		}
-		if a.Accuracy() < task.MinAccuracy-tol {
+		if a.Accuracy() < task.MinAccuracy-checkTol {
 			return fmt.Errorf("%w: task %s accuracy %v below A=%v (1f)",
 				ErrInfeasible, task.ID, a.Accuracy(), task.MinAccuracy)
 		}
@@ -148,4 +152,70 @@ func (in *Instance) newSolution(assignments []Assignment, runtime time.Duration)
 		Breakdown:   bd,
 		Runtime:     runtime,
 	}, nil
+}
+
+// Reservation is capacity committed on an instance before it is solved:
+// a block range kept resident and served at a fixed request rate through
+// a fixed radio slice. A split-path segment placed on a node is one.
+type Reservation struct {
+	// Blocks are the IDs of the reserved blocks.
+	Blocks []string
+	// Rate is the request rate the blocks serve, in requests per second.
+	Rate float64
+	// RBs is the radio slice the reservation holds whole.
+	RBs int
+}
+
+// Reserve charges reservations to the instance's budgets as (1b)–(1d)
+// would charge them in a solve. Their blocks become resident: memory is
+// charged once against M and the blocks join Predeployed (cloned first),
+// so a path sharing them pays nothing more. Rate·Σc(s) comes off C and
+// RBs off R. A reservation changes budgets, never prices: a nil Res.Norm
+// is first pinned to the budgets as they were. Reserve refuses without
+// mutating anything — ErrModel for an unknown block, a negative rate or
+// RB count or a charge that is not finite, ErrOverCapacity naming (1b),
+// (1c) or (1d) when a budget would go negative.
+func (in *Instance) Reserve(rs ...Reservation) error {
+	if len(rs) == 0 {
+		return nil
+	}
+	resident := make(map[string]bool, len(in.Predeployed))
+	maps.Copy(resident, in.Predeployed)
+	var mem, comp, rbs float64
+	for _, r := range rs {
+		if !(r.Rate >= 0) || r.RBs < 0 {
+			return fmt.Errorf("%w: reservation at rate %v with %d RBs", ErrModel, r.Rate, r.RBs)
+		}
+		for _, id := range r.Blocks {
+			b, ok := in.Blocks[id]
+			if !ok {
+				return fmt.Errorf("%w: reservation references unknown block %q", ErrModel, id)
+			}
+			comp += r.Rate * b.ComputeSeconds
+			if !resident[id] {
+				resident[id] = true
+				mem += b.MemoryGB
+			}
+		}
+		rbs += float64(r.RBs)
+	}
+	switch {
+	case math.IsInf(mem+comp, 0) || math.IsNaN(mem+comp):
+		return fmt.Errorf("%w: reservation charges memory %v GB, compute %v s/s", ErrModel, mem, comp)
+	case mem > in.Res.MemoryGB+checkTol:
+		return fmt.Errorf("%w: reserved memory %v GB exceeds M=%v (1b)", ErrOverCapacity, mem, in.Res.MemoryGB)
+	case comp > in.Res.ComputeSeconds+checkTol:
+		return fmt.Errorf("%w: reserved compute %v s/s exceeds C=%v (1c)", ErrOverCapacity, comp, in.Res.ComputeSeconds)
+	case rbs > float64(in.Res.RBs):
+		return fmt.Errorf("%w: reserved %v RBs exceed R=%d (1d)", ErrOverCapacity, rbs, in.Res.RBs)
+	}
+	if in.Res.Norm == nil {
+		norm := in.Res
+		in.Res.Norm = &norm
+	}
+	in.Res.MemoryGB = max(0, in.Res.MemoryGB-mem)
+	in.Res.ComputeSeconds = max(0, in.Res.ComputeSeconds-comp)
+	in.Res.RBs -= int(rbs)
+	in.Predeployed = resident
+	return nil
 }

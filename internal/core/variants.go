@@ -164,7 +164,7 @@ func (in *Instance) optimizeBinaryAllocation(assignments []Assignment) error {
 		if slack <= 0 {
 			continue
 		}
-		rLat, rFull := minSlices(a.Bits(task), b, slack, task.Rate)
+		rLat, rFull := MinSlices(a.Bits(task), b, slack, task.Rate)
 		r := max(rLat, rFull)
 		demand := task.Rate * cPath
 		if r > remainingRBs || demand > remainingCompute {

@@ -255,7 +255,7 @@ func TestVariantsRuntimeComparable(t *testing.T) {
 }
 
 // TestBinaryAndFractionalAgreeOnIntegralDemand pins the one slice
-// formula (minSlices): a rate demand that is integral up to float noise
+// formula (MinSlices): a rate demand that is integral up to float noise
 // — λβ/B = (0.1·3)·1e6/1e5 = 3.0000000000000004 — costs 3 RBs under both
 // admission modes, so the binary ablation admits the task in a 3-RB pool
 // exactly as the fractional allocator does. A bare ceil made it 4 and

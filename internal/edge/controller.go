@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -121,7 +120,6 @@ func (c *Controller) deployLocked(in *core.Instance, sol *core.Solution) (*Deplo
 	slices := radio.NewSliceAllocator(c.res.RBs)
 	rates := make(map[string]float64)
 	bounds := make(map[string]time.Duration)
-	active := make(map[string]bool)
 	for i, a := range sol.Assignments {
 		if !a.Admitted() {
 			continue
@@ -131,22 +129,12 @@ func (c *Controller) deployLocked(in *core.Instance, sol *core.Solution) (*Deplo
 		}
 		rates[a.TaskID] = a.Z * in.Tasks[i].Rate
 		bounds[a.TaskID] = in.Tasks[i].MaxLatency
-		for _, b := range a.Path.Blocks {
-			active[b] = true
-		}
 	}
-	ids := make([]string, 0, len(active))
-	mem := 0.0
-	for id := range active {
-		ids = append(ids, id)
-		mem += in.BlockMemoryGB(id)
-	}
-	sort.Strings(ids)
 	return &Deployment{
 		Solution:      sol,
 		Slices:        slices,
-		ActiveBlocks:  ids,
-		MemoryUsedGB:  mem,
+		ActiveBlocks:  sol.Breakdown.ActiveBlocks,
+		MemoryUsedGB:  sol.Breakdown.MemoryGB,
 		AdmittedRates: rates,
 		LatencyBounds: bounds,
 	}, nil

@@ -1,7 +1,7 @@
 // Package radio models the vRAN side of OffloaDNN: resource blocks (RBs),
-// the SNR-dependent per-RB capacity B(σ), transmission latency of task
-// input data, and the slice accounting the controller performs when it
-// allocates r_τ RBs to each admitted task.
+// the SNR-dependent per-RB capacity B(σ), and the slice accounting the
+// controller performs when it allocates r_τ RBs to each admitted task.
+// The minimal-slice rule that sizes r_τ is core.MinSlices.
 //
 // Two capacity models are provided. FixedRate reproduces the paper's
 // evaluation setting (B(σ) = 0.35 Mb/s per RB regardless of σ, Table IV);
@@ -12,8 +12,6 @@ package radio
 import (
 	"errors"
 	"fmt"
-	"math"
-	"time"
 )
 
 // ErrCapacity reports an allocation that exceeds the RB pool.
@@ -82,55 +80,6 @@ func (c CQITable) BitsPerRBPerSecond(snrDB float64) float64 {
 	const resPerRBPerMs = 12 * 14
 	eff := c.SpectralEfficiency(snrDB)
 	return eff * resPerRBPerMs * 1000 * (1 - c.Overhead)
-}
-
-// TransmissionTime returns the time to move `bits` over a slice of rbs
-// resource blocks at capacity model cm and SNR snrDB. It returns +Inf
-// duration semantics as an error instead: zero capacity or zero RBs is an
-// error because the DOT constraints forbid admitting such a task.
-func TransmissionTime(bits float64, rbs int, cm CapacityModel, snrDB float64) (time.Duration, error) {
-	if bits < 0 {
-		return 0, fmt.Errorf("radio: negative bits %v", bits)
-	}
-	if rbs <= 0 {
-		return 0, fmt.Errorf("radio: non-positive RB count %d", rbs)
-	}
-	rate := cm.BitsPerRBPerSecond(snrDB) * float64(rbs)
-	if rate <= 0 {
-		return 0, fmt.Errorf("radio: zero link capacity at SNR %.1f dB", snrDB)
-	}
-	return time.Duration(bits / rate * float64(time.Second)), nil
-}
-
-// MinRBsForThroughput returns the smallest integer r satisfying the DOT
-// rate constraint (1e): z·λ·β ≤ B(σ)·r.
-func MinRBsForThroughput(admittedRate, bitsPerTask float64, cm CapacityModel, snrDB float64) (int, error) {
-	need := admittedRate * bitsPerTask
-	if need <= 0 {
-		return 0, nil
-	}
-	b := cm.BitsPerRBPerSecond(snrDB)
-	if b <= 0 {
-		return 0, fmt.Errorf("radio: zero link capacity at SNR %.1f dB", snrDB)
-	}
-	return int(math.Ceil(need/b - 1e-12)), nil
-}
-
-// MinRBsForLatency returns the smallest integer r such that the
-// transmission component β/(B(σ)·r) fits in the latency budget.
-func MinRBsForLatency(bitsPerTask float64, budget time.Duration, cm CapacityModel, snrDB float64) (int, error) {
-	if budget <= 0 {
-		return 0, fmt.Errorf("radio: non-positive latency budget %v", budget)
-	}
-	b := cm.BitsPerRBPerSecond(snrDB)
-	if b <= 0 {
-		return 0, fmt.Errorf("radio: zero link capacity at SNR %.1f dB", snrDB)
-	}
-	r := int(math.Ceil(bitsPerTask/(b*budget.Seconds()) - 1e-12))
-	if r < 1 {
-		r = 1
-	}
-	return r, nil
 }
 
 // sliceGrant is one task's slice: rbs resource blocks scheduled for a

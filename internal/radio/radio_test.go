@@ -3,10 +3,7 @@ package radio
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
-	"time"
 )
 
 func TestPaperRateMatchesTableIV(t *testing.T) {
@@ -21,21 +18,14 @@ func TestPaperRateMatchesTableIV(t *testing.T) {
 }
 
 func TestPaperScenarioOneRBOneImagePerSecond(t *testing.T) {
-	// β = 350 Kb, B = 0.35 Mb/s → one RB transmits one image per second.
-	d, err := TransmissionTime(350e3, 1, PaperRate(), 0)
-	if err != nil {
-		t.Fatal(err)
+	// β = 350 Kb, B = 0.35 Mb/s → one RB transmits one image per second,
+	// and five RBs one in 200 ms.
+	b := PaperRate().BitsPerRBPerSecond(0)
+	if got := 350e3 / b; math.Abs(got-1.0) > 1e-9 {
+		t.Fatalf("tx time on 1 RB %v s, want 1 s", got)
 	}
-	if math.Abs(d.Seconds()-1.0) > 1e-9 {
-		t.Fatalf("tx time %v, want 1 s", d)
-	}
-	// Five RBs → 200 ms.
-	d5, err := TransmissionTime(350e3, 5, PaperRate(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d5.Seconds()-0.2) > 1e-9 {
-		t.Fatalf("tx time %v, want 200 ms", d5)
+	if got := 350e3 / (5 * b); math.Abs(got-0.2) > 1e-9 {
+		t.Fatalf("tx time on 5 RBs %v s, want 200 ms", got)
 	}
 }
 
@@ -57,84 +47,6 @@ func TestCQITableMonotone(t *testing.T) {
 	}
 	if c.SpectralEfficiency(-20) != 0 {
 		t.Fatal("efficiency below sensitivity should be 0")
-	}
-}
-
-func TestTransmissionTimeErrors(t *testing.T) {
-	if _, err := TransmissionTime(100, 0, PaperRate(), 0); err == nil {
-		t.Fatal("zero RBs should error")
-	}
-	if _, err := TransmissionTime(-1, 1, PaperRate(), 0); err == nil {
-		t.Fatal("negative bits should error")
-	}
-	if _, err := TransmissionTime(100, 1, NewCQITable(), -30); err == nil {
-		t.Fatal("zero capacity should error")
-	}
-}
-
-func TestMinRBsForThroughput(t *testing.T) {
-	// 5 req/s × 350 Kb = 1.75 Mb/s over 0.35 Mb/s per RB → 5 RBs.
-	r, err := MinRBsForThroughput(5, 350e3, PaperRate(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 5 {
-		t.Fatalf("r = %d, want 5", r)
-	}
-	// Fractional admission: 2.5 req/s → 2.5 RBs → 3.
-	r2, err := MinRBsForThroughput(2.5, 350e3, PaperRate(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2 != 3 {
-		t.Fatalf("r = %d, want 3", r2)
-	}
-	// Zero admitted rate needs zero RBs.
-	r0, err := MinRBsForThroughput(0, 350e3, PaperRate(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r0 != 0 {
-		t.Fatalf("r = %d, want 0", r0)
-	}
-}
-
-func TestMinRBsForLatency(t *testing.T) {
-	// β/(B·r) ≤ 200 ms with β=350Kb, B=0.35Mb/s → r ≥ 5.
-	r, err := MinRBsForLatency(350e3, 200*time.Millisecond, PaperRate(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 5 {
-		t.Fatalf("r = %d, want 5", r)
-	}
-	if _, err := MinRBsForLatency(350e3, 0, PaperRate(), 0); err == nil {
-		t.Fatal("zero budget should error")
-	}
-}
-
-// Property: the minimal RB counts actually satisfy their constraints, and
-// one fewer RB violates them.
-func TestQuickMinRBsTight(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rate := rng.Float64()*9 + 0.5 // req/s
-		bits := rng.Float64()*5e5 + 1e4
-		r, err := MinRBsForThroughput(rate, bits, PaperRate(), 0)
-		if err != nil {
-			return false
-		}
-		b := PaperRate().Rate
-		if rate*bits > b*float64(r)+1e-6 {
-			return false // constraint violated
-		}
-		if r > 0 && rate*bits <= b*float64(r-1)-1e-6 {
-			return false // not minimal
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"offloadnn/internal/core"
 	"offloadnn/internal/dnn"
 	"offloadnn/internal/exec"
 	"offloadnn/internal/workload"
@@ -100,6 +102,19 @@ func TestGateRateChangeMintsNoBurst(t *testing.T) {
 	}
 }
 
+// specsFor prices the given blocks the way a coordinator's push carries
+// their specs, merged into base: a pushed segment is charged to the node.
+func specsFor(base map[string]core.BlockSpec, ids []string) map[string]core.BlockSpec {
+	out := maps.Clone(base)
+	if out == nil {
+		out = make(map[string]core.BlockSpec, len(ids))
+	}
+	for _, id := range ids {
+		out[id] = core.BlockSpec{ID: id, ComputeSeconds: 1e-4, MemoryGB: 0.01}
+	}
+	return out
+}
+
 // TestWindowReadsPushedSegmentRate: a pushed mid-path segment's batch
 // window follows the rate the coordinator pushed with it. At 2 000/s a
 // 1 ms window expects two arrivals and waits; at 10/s it does not.
@@ -113,7 +128,7 @@ func TestWindowReadsPushedSegmentRate(t *testing.T) {
 		rate float64
 		want time.Duration
 	}{{2000, time.Millisecond}, {10, 0}} {
-		if _, err := srv.ReplacePlan(nil, nil, nil, []SegmentSpec{
+		if _, err := srv.ReplacePlan(nil, specsFor(nil, blocks), nil, []SegmentSpec{
 			{Task: "t", Path: "prop/π", DNN: "prop", Blocks: blocks, From: 2, To: 4, Rate: tc.rate, Hop: 1, Hops: 2},
 		}); err != nil {
 			t.Fatal(err)
@@ -190,7 +205,7 @@ func TestRequestPipelineEveryUnitKind(t *testing.T) {
 	blocks := []string{"prop/s1", "prop/s2", "prop/s3", "prop/s4"}
 	const hourMS = 3.6e6
 	regTasks, regBlocks, _ := srv.Registry().Snapshot()
-	if _, err := srv.ReplacePlan(regTasks, regBlocks, nil, []SegmentSpec{
+	if _, err := srv.ReplacePlan(regTasks, specsFor(regBlocks, blocks), nil, []SegmentSpec{
 		{Task: "h", Path: path, DNN: "prop", Blocks: blocks, From: 0, To: 2, Rate: 5, BudgetMS: hourMS, Hop: 0, Hops: 2, Next: next.URL, NextNode: "n2"},
 		{Task: "m", Path: path, DNN: "prop", Blocks: blocks, From: 1, To: 3, Hop: 1, Hops: 3, Next: next.URL, NextNode: "n2"},
 		{Task: "t", Path: path, DNN: "prop", Blocks: blocks, From: 2, To: 4, Hop: 1, Hops: 2},

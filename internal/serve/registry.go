@@ -128,6 +128,12 @@ func (r *Registry) Replace(tasks []core.Task, blocks map[string]core.BlockSpec) 
 		}
 		seen[tasks[i].ID] = true
 	}
+	// A spec core.Instance.Validate would refuse fails the push, not an epoch.
+	for id, b := range blocks {
+		if b.ID != id || !(b.ComputeSeconds >= 0 && b.MemoryGB >= 0 && b.TrainSeconds >= 0) {
+			return false, fmt.Errorf("serve: replace: invalid spec %+v for block %q", b, id)
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	merged := make(map[string]core.BlockSpec, len(r.blocks)+len(blocks))
@@ -141,6 +147,9 @@ func (r *Registry) Replace(tasks []core.Task, blocks map[string]core.BlockSpec) 
 	}
 	for i := range tasks {
 		for _, p := range tasks[i].Paths {
+			if len(p.Blocks) == 0 {
+				return false, fmt.Errorf("serve: replace: task %s path %s has no blocks", tasks[i].ID, p.ID)
+			}
 			for _, b := range p.Blocks {
 				if _, ok := merged[b]; !ok {
 					return false, fmt.Errorf("serve: replace: task %s path %s references unknown block %q", tasks[i].ID, p.ID, b)

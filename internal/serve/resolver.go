@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime/debug"
 	"sync"
@@ -111,8 +112,7 @@ func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
 // off exponentially (capped, jittered) instead of retrying hot. In every
 // failure mode the last-good epoch keeps serving.
 type Resolver struct {
-	// cfg is the server's configuration; SetNorm edits this copy's
-	// Res.Norm under solveMu.
+	// cfg is the server's configuration.
 	cfg   Config
 	reg   *Registry
 	ctrl  *edge.Controller
@@ -152,6 +152,11 @@ type Resolver struct {
 	// solve and after any error, so the next epoch rebuilds from
 	// scratch). Guarded by solveMu.
 	session *core.SolverSession
+	// budget is the pool every epoch is solved against, net of the pushed
+	// segments and priced at the pushed norm; resident marks the blocks
+	// the segments hold. Guarded by solveMu.
+	budget   core.Resources
+	resident map[string]bool
 }
 
 func newResolver(cfg Config, reg *Registry, stats *Stats, segments func() []SegmentSpec) *Resolver {
@@ -164,6 +169,7 @@ func newResolver(cfg Config, reg *Registry, stats *Stats, segments func() []Segm
 		ctrl:     ctrl,
 		stats:    stats,
 		segments: segments,
+		budget:   cfg.Res,
 		jitter:   rand.Float64,
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
@@ -429,7 +435,7 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 	if incremental {
 		in, sol, err = r.solveSession(ctx, tasks, blocks)
 	} else {
-		in = &core.Instance{Tasks: tasks, Blocks: blocks, Res: r.cfg.Res, Alpha: r.cfg.Alpha}
+		in = &core.Instance{Tasks: tasks, Blocks: blocks, Res: r.budget, Alpha: r.cfg.Alpha, Predeployed: r.resident}
 		sol, err = core.SolveSpec(ctx, in, core.SolverSpec{Tier: tier})
 	}
 	if err == nil {
@@ -447,35 +453,29 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 	return dep, tasks, nil
 }
 
-// SetNorm installs (or clears) the objective-pricing override of every
-// subsequent solve and reports whether it differed from the current one.
-// A pricing change drops the incremental session: its cached state was
-// costed at the old prices. The caller decides whether to re-solve
-// (ReplacePlan forces one when anything changed).
-func (r *Resolver) SetNorm(norm *core.Resources) bool {
+// setBudget installs the budget and resident blocks of every subsequent
+// solve and reports whether either changed. A change drops the
+// incremental session: its cached state was built against the old
+// budgets and prices. ReplacePlan forces a re-solve when anything changed.
+func (r *Resolver) setBudget(res core.Resources, resident map[string]bool) bool {
 	r.solveMu.Lock()
 	defer r.solveMu.Unlock()
-	if normEqual(r.cfg.Res.Norm, norm) {
+	if sameBudget(r.budget, res) && maps.Equal(r.resident, resident) {
 		return false
 	}
-	r.cfg.Res.Norm = norm
+	r.budget, r.resident = res, resident
 	r.session = nil
 	return true
 }
 
-// normEqual compares two pricing overrides by the fields PriceRBs &co
-// read.
-func normEqual(a, b *core.Resources) bool {
-	if (a == nil) != (b == nil) {
+// sameBudget compares two pools by the fields a solve reads, the pricing
+// override's included.
+func sameBudget(a, b core.Resources) bool {
+	if (a.Norm == nil) != (b.Norm == nil) || a.Norm != nil && !sameBudget(*a.Norm, *b.Norm) {
 		return false
 	}
-	if a == nil {
-		return true
-	}
-	return a.RBs == b.RBs &&
-		a.ComputeSeconds == b.ComputeSeconds &&
-		a.MemoryGB == b.MemoryGB &&
-		a.TrainBudgetSeconds == b.TrainBudgetSeconds
+	a.Norm, b.Norm, a.Capacity, b.Capacity = nil, nil, nil, nil
+	return a == b
 }
 
 // recordFailure counts a failed epoch and drops the session: an error or a
@@ -504,10 +504,11 @@ func (r *Resolver) solveSession(ctx context.Context, tasks []core.Task, blocks m
 	var delta core.TaskDelta
 	if r.session == nil {
 		sess, err := core.NewSolverSession(&core.Instance{
-			Tasks:  tasks,
-			Blocks: blocks,
-			Res:    r.cfg.Res,
-			Alpha:  r.cfg.Alpha,
+			Tasks:       tasks,
+			Blocks:      blocks,
+			Res:         r.budget,
+			Alpha:       r.cfg.Alpha,
+			Predeployed: r.resident,
 		})
 		if err != nil {
 			return nil, nil, err

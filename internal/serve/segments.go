@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"offloadnn/internal/core"
 	"offloadnn/internal/exec"
 )
 
@@ -32,6 +33,9 @@ type SegmentSpec struct {
 	// delay); zero on non-head segments, which trust the envelope's
 	// remaining budget.
 	BudgetMS float64 `json:"budget_ms,omitempty"`
+	// RBs is the radio slice the head holds whole for frame intake; zero
+	// on non-head segments.
+	RBs int `json:"rbs,omitempty"`
 	// Hop and Hops are this segment's position and the pipeline length.
 	Hop  int `json:"hop"`
 	Hops int `json:"hops"`
@@ -50,6 +54,18 @@ func (s SegmentSpec) TailSeg() bool { return s.To == len(s.Blocks) }
 // execSegment is the execution-layer form of the spec.
 func (s SegmentSpec) execSegment() exec.Segment {
 	return exec.Segment{TaskID: s.Task, PathID: s.Path, DNN: s.DNN, Blocks: s.Blocks, From: s.From, To: s.To, Rate: s.Rate}
+}
+
+// Reservations are the capacity the specs commit on their node — each
+// block range at its admitted rate, and the head's slice — as both the
+// coordinator's post-condition and the member charge them. The ranges
+// must be valid (sortedSegments checks them).
+func Reservations(specs []SegmentSpec) []core.Reservation {
+	rs := make([]core.Reservation, len(specs))
+	for i, s := range specs {
+		rs[i] = core.Reservation{Blocks: s.Blocks[s.From:s.To], Rate: s.Rate, RBs: s.RBs}
+	}
+	return rs
 }
 
 // Segments returns the pushed segment specs, sorted by route key.

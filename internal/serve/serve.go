@@ -19,6 +19,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -210,12 +211,13 @@ func (s *Server) Deregister(id string) error {
 // serving both: the cluster-member plan push. norm, when non-nil,
 // overrides the objective pricing of every subsequent solve with the
 // coordinator's fleet-wide capacity totals (core.Resources.Norm), so the
-// member reprices exactly as the placement did. Everything is validated
-// before anything is stored, so a refused push leaves the previous plan
-// whole. Unchanged tasks keep their registry structs, so consecutive
-// pushes of a stable placement re-solve incrementally, and an identical
-// push publishes nothing and reports false. A push to a draining server
-// is refused like any other registration.
+// member reprices exactly as the placement did. The plan is charged to
+// the node (see reserve) before anything is stored, so a refused push —
+// core.ErrOverCapacity when the budgets cannot hold it — leaves the
+// previous plan whole. Unchanged tasks keep their registry structs, so
+// consecutive pushes of a stable placement re-solve incrementally, and an
+// identical push publishes nothing and reports false. A push to a
+// draining server is refused like any other registration.
 func (s *Server) ReplacePlan(tasks []core.Task, blocks map[string]core.BlockSpec, norm *core.Resources, segments []SegmentSpec) (bool, error) {
 	if s.draining.Load() {
 		return false, ErrDraining
@@ -224,11 +226,15 @@ func (s *Server) ReplacePlan(tasks []core.Task, blocks map[string]core.BlockSpec
 	if err != nil {
 		return false, err
 	}
+	net, err := s.reserve(tasks, blocks, norm, segs)
+	if err != nil {
+		return false, err
+	}
 	changed, err := s.reg.Replace(tasks, blocks)
 	if err != nil {
 		return false, err
 	}
-	if s.resolver.SetNorm(norm) {
+	if s.resolver.setBudget(net.Res, net.Predeployed) {
 		changed = true
 	}
 	if !reflect.DeepEqual(s.Segments(), segs) {
@@ -238,13 +244,40 @@ func (s *Server) ReplacePlan(tasks []core.Task, blocks map[string]core.BlockSpec
 	if !changed {
 		return false, nil
 	}
-	// Forced: neither a segment nor a pricing change bumps the registry
+	// Forced: neither a segment nor a budget change bumps the registry
 	// generation a plain resolve short-circuits on.
 	return true, s.resolver.ForceResolve()
 }
 
-// Resources returns the capacity pool every epoch is solved against —
-// the budgets a cluster member advertises to its coordinator.
+// reserve charges a pushed plan to the node: its segments are reserved at
+// the pushed block specs, and its tasks, solved on the node's budgets as
+// the coordinator solved them, must pass Check beside them. It returns
+// the instance net of the segments every later epoch is solved against.
+func (s *Server) reserve(tasks []core.Task, blocks map[string]core.BlockSpec, norm *core.Resources, segs []SegmentSpec) (*core.Instance, error) {
+	full := core.Instance{Tasks: tasks, Blocks: blocks, Res: s.cfg.Res, Alpha: s.cfg.Alpha}
+	full.Res.Norm = norm
+	net := full
+	if err := net.Reserve(Reservations(segs)...); err != nil {
+		return nil, fmt.Errorf("serve: segments: %w", err)
+	}
+	if len(segs) == 0 || len(tasks) == 0 {
+		return &net, nil
+	}
+	ctx, cancel := context.WithTimeout(s.resolver.ctx, DefaultSolveTimeout)
+	defer cancel()
+	sol, err := core.SolveSpec(ctx, &full, core.SolverSpec{})
+	if err == nil {
+		err = net.Check(sol.Assignments)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: whole paths beside the segments: %w", err)
+	}
+	return &net, nil
+}
+
+// Resources returns the node's capacity pool — the budgets a cluster
+// member advertises to its coordinator. Epochs are solved against it,
+// net of any pushed segments.
 func (s *Server) Resources() core.Resources { return s.cfg.Res }
 
 // Alpha returns the admission/resource trade-off the daemon solves with.
