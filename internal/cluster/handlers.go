@@ -109,15 +109,13 @@ func (c *Coordinator) handleListTasks(w http.ResponseWriter, r *http.Request) {
 // its task to, streaming the member's verdict — admission parameters,
 // logits, 429s — back unchanged.
 func (c *Coordinator) handleOffload(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxOffloadBody))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "reading offload request: %v", err)
 		return
 	}
-	var req struct {
-		Task string `json:"task"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := serve.DecodeOffload(body)
+	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid offload request: %v", err)
 		return
 	}

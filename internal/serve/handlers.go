@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -226,11 +227,17 @@ func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 	s.stats.requests.Add(1)
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxOffloadBody))
 	var req OffloadRequest
-	// 1 MiB: a full-quality input tensor serialized as JSON numbers
-	// (e.g. 3x32x32 floats) comfortably fits; anything bigger is abuse.
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	if err == nil {
+		req, err = DecodeOffload(buf.Bytes())
+	}
+	if buf.Cap() <= MaxOffloadBody { // one a near-limit body grew is left to the GC
+		bodyPool.Put(buf)
+	}
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "invalid offload request: %v", err)
 		return
 	}
@@ -350,7 +357,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	e.Gauge("offloadnn_latency_samples", "End-to-end latency samples in the quantile window.").Int(int64(s.stats.latency.Len()))
 	if s.stats.latency.Len() > 0 {
-		e.Summary("offloadnn_latency_seconds", "End-to-end offload latency quantiles.").Quantiles(s.stats.latency)
+		e.Summary("offloadnn_latency_seconds", "Measured end-to-end latency quantiles of executed offloads.").Quantiles(s.stats.latency)
 	}
 	// Execution-layer families: per-task measured inference latency plus
 	// the backend's batching state.

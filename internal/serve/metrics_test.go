@@ -37,14 +37,16 @@ func (b goldenBackend) Stats() exec.Stats {
 // recorded before the writer was shared with the coordinator. The
 // fixture: a published epoch on an injected clock, two tasks with
 // admits, rejects and executed samples, one pushed head segment and the
-// simulated backend. Every clock the scrape reads is injected, so no
+// simulated backend, each frame taking 4 ms of the injected clock
+// (offloadnn_latency_seconds measures that, not the plan's price).
+// Every clock the scrape reads is injected, so no
 // value is masked. The one series the fixture cannot reach is
 // offloadnn_solve_duration_seconds{tier="approx"} (≥ 512 tasks), pinned
 // by TestAutoTierEscalatesBySize.
 func TestMetricsGolden(t *testing.T) {
 	clock := newFakeClock()
 	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Node: "n1",
-		Backend: goldenBackend{exec.NewSimulated()}})
+		Backend: &steppingBackend{Backend: goldenBackend{exec.NewSimulated()}, clock: clock, step: 4 * time.Millisecond}})
 	registerSmall(t, srv, 2)
 	regTasks, regBlocks, _ := srv.Registry().Snapshot()
 	path := regTasks[0].Paths[0]

@@ -116,11 +116,6 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 			return
 		}
 		s.stats.recordAdmit(in.task)
-		if u.whole() {
-			// A whole path's end-to-end sample is its planned latency; a
-			// pipeline's is measured when the tail's verdict comes back.
-			s.stats.latency.Add(u.planned.Seconds())
-		}
 	}
 
 	resp := OffloadResponse{
@@ -201,6 +196,9 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 	}
 	if u.whole() {
 		WriteJSON(w, http.StatusOK, resp)
+		// The end-to-end sample is measured here, serve-local, for a whole
+		// path and when the tail's verdict comes back for a pipeline.
+		s.stats.latency.Add(s.cfg.Now().Sub(start).Seconds())
 		return
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"maps"
 	"net/http"
@@ -173,17 +174,60 @@ func (h *hopStub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // steppingBackend advances the injected clock by step after every
-// executed request: the time the unit's range "took".
+// executed request: the time the unit's range "took". It sheds the
+// frames of task late as the deadline-aware runtime would.
 type steppingBackend struct {
 	exec.Backend
 	clock *fakeClock
 	step  time.Duration
+	late  string
 }
 
 func (b *steppingBackend) Infer(ctx context.Context, req exec.Request) (exec.Output, error) {
 	out, err := b.Backend.Infer(ctx, req)
 	b.clock.Advance(b.step)
+	if b.late != "" && req.TaskID == b.late {
+		return exec.Output{}, fmt.Errorf("%w: %s", exec.ErrLate, req.TaskID)
+	}
 	return out, err
+}
+
+// TestLatencySummaryIsMeasured: offloadnn_latency_seconds holds what a
+// whole-path frame took on this node, admission to answer, not the
+// latency its plan priced; an admission probe and a shed frame add no
+// sample.
+func TestLatencySummaryIsMeasured(t *testing.T) {
+	clock := newFakeClock()
+	const took = 37 * time.Millisecond
+	be := &steppingBackend{Backend: exec.NewSimulated(), clock: clock, step: took, late: "task-2"}
+	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Backend: be})
+	registerSmall(t, srv, 2)
+	if err := srv.ResolveNow(); err != nil {
+		t.Fatal(err)
+	}
+	if u := srv.Current().unit("task-1", 0); u == nil || u.planned == took {
+		t.Fatalf("task-1's plan must admit it at a latency other than %v: %+v", took, u)
+	}
+	for _, tc := range []struct {
+		body   string
+		status int
+	}{
+		{`{"task":"task-1"}`, http.StatusOK},
+		{`{"task":"task-1","input":[1,2,3],"deadline_ms":-1}`, http.StatusOK},
+		{`{"task":"task-2","input":[1,2,3],"deadline_ms":-1}`, http.StatusGatewayTimeout},
+	} {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/offload", strings.NewReader(tc.body)))
+		if w.Code != tc.status {
+			t.Fatalf("%s: status %d, want %d: %s", tc.body, w.Code, tc.status, w.Body)
+		}
+	}
+	text := getMetricsBody(t, srv)
+	for _, want := range []string{"offloadnn_latency_samples 1\n", `offloadnn_latency_seconds{quantile="0.5"} 0.037` + "\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("scrape lacks %q:\n%s", want, text)
+		}
+	}
 }
 
 // TestRequestPipelineEveryUnitKind drives the one request pipeline

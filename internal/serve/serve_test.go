@@ -207,6 +207,19 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 
+	// One executed frame: probes add no end-to-end latency sample.
+	clock.Advance(time.Second)
+	for _, st := range listing {
+		if st.Admitted {
+			r := postJSON(t, ts.URL+"/v1/offload", OffloadRequest{Task: st.ID, Input: []float64{1}, DeadlineMS: -1})
+			if r.StatusCode != http.StatusOK {
+				t.Fatalf("executed offload %s: status %d: %s", st.ID, r.StatusCode, drain(t, r))
+			}
+			drain(t, r)
+			break
+		}
+	}
+
 	// The metrics endpoint reports the live state.
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -398,16 +411,28 @@ func TestChurnUnderRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// Offloaders fire at the base tasks across epoch swaps.
+	// Offloaders fire probes and frames at the base tasks across epoch
+	// swaps; each answer names its own task although the bodies share
+	// pooled read buffers.
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds*4; i++ {
 				id := fmt.Sprintf("task-%d", i%3+1)
-				w := rec(http.MethodPost, "/v1/offload", OffloadRequest{Task: id})
+				req := OffloadRequest{Task: id}
+				if i%2 == 1 {
+					req.Input, req.DeadlineMS = []float64{float64(i), 0.5}, -1
+				}
+				w := rec(http.MethodPost, "/v1/offload", req)
 				switch w.Code {
-				case http.StatusOK, http.StatusTooManyRequests:
+				case http.StatusOK:
+					var out OffloadResponse
+					if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil || out.Task != id {
+						t.Errorf("offload %s answered for %q (%v)", id, out.Task, err)
+						return
+					}
+				case http.StatusTooManyRequests:
 				default:
 					t.Errorf("offload %s: status %d: %s", id, w.Code, w.Body)
 					return
