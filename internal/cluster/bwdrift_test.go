@@ -1,11 +1,18 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"offloadnn/internal/serve"
 )
 
 // driftLog counts the heartbeat path's bandwidth-drift re-placement
@@ -33,6 +40,45 @@ func (l *driftLog) reset() int {
 	n := l.kicks
 	l.kicks = 0
 	return n
+}
+
+// TestBandwidthProbeSinkSameOnBothDaemons: the coordinator and a member
+// sink a probe alike, an empty 200 for the probeBytes an agent sends and
+// 400 invalid_request one byte past it.
+func TestBandwidthProbeSinkSameOnBothDaemons(t *testing.T) {
+	m := startMember(t, "a", fullRes())
+	front := httptest.NewServer(startCoordinator(t, Config{}))
+	defer front.Close()
+	for _, base := range []string{m.ts.URL, front.URL} {
+		for _, row := range []struct {
+			size, status int
+			code         string
+		}{
+			{probeBytes, http.StatusOK, ""},
+			{probeBytes + 1, http.StatusBadRequest, serve.CodeInvalidRequest},
+		} {
+			resp, err := http.Post(base+"/v1/cluster/bwprobe", "application/octet-stream", bytes.NewReader(make([]byte, row.size)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var envelope struct {
+				Error struct {
+					Code string `json:"code"`
+				} `json:"error"`
+			}
+			if row.code != "" {
+				json.Unmarshal(body, &envelope)
+			}
+			if resp.StatusCode != row.status || envelope.Error.Code != row.code || (row.code == "" && len(body) != 0) {
+				t.Errorf("%d bytes to %s: %d %q, want %d %q", row.size, base, resp.StatusCode, body, row.status, row.code)
+			}
+		}
+	}
 }
 
 // TestBandwidthProbeJitterDoesNotThrash pins the drift gate's smoothing:

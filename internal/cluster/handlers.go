@@ -28,7 +28,7 @@ func (c *Coordinator) routesMux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/cluster/nodes", c.handleNodeList)
 	mux.HandleFunc("POST /v1/cluster/nodes/{id}/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("DELETE /v1/cluster/nodes/{id}", c.handleNodeLeave)
-	mux.HandleFunc("POST /v1/cluster/bwprobe", c.handleBandwidthProbe)
+	mux.HandleFunc("POST /v1/cluster/bwprobe", handleProbe)
 	mux.HandleFunc("GET /healthz", c.handleHealth)
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	return mux
@@ -255,18 +255,6 @@ func (c *Coordinator) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleBandwidthProbe sinks a member's bandwidth probe: the member
-// streams a payload and measures the wall-clock transfer rate (the
-// coordinator↔node link is assumed symmetric).
-func (c *Coordinator) handleBandwidthProbe(w http.ResponseWriter, r *http.Request) {
-	n, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "probe: %v", err)
-		return
-	}
-	serve.WriteJSON(w, http.StatusOK, map[string]any{"bytes": n})
 }
 
 // nodeHealth is one member's entry in the aggregate /healthz payload.

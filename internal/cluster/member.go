@@ -28,13 +28,20 @@ func MemberHandler(srv *serve.Server) http.Handler {
 	mux.HandleFunc("PUT /v1/cluster/plan", func(w http.ResponseWriter, r *http.Request) {
 		handlePlanPush(srv, w, r)
 	})
-	mux.HandleFunc("POST /v1/cluster/bwprobe", func(w http.ResponseWriter, r *http.Request) {
-		// Peer agents time a payload transfer against this sink to
-		// measure the node→node link the split placement prices.
-		io.Copy(io.Discard, r.Body)
-		w.WriteHeader(http.StatusOK)
-	})
+	mux.HandleFunc("POST /v1/cluster/bwprobe", handleProbe)
 	return mux
+}
+
+// handleProbe is both daemons' bandwidth-probe sink: an agent times the
+// transfer of probeBytes to it to measure the link (coordinator↔node,
+// or the node→node link the split placement prices; links are assumed
+// symmetric). A body past probeBytes is refused, not read.
+func handleProbe(w http.ResponseWriter, r *http.Request) {
+	if _, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, probeBytes)); err != nil {
+		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "probe: %v", err)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
 }
 
 // handlePlanPush installs one placement slice: the pushed tasks arrive
@@ -295,8 +302,8 @@ func (a *Agent) beat() error {
 		a.probeNextPeer()
 		return nil
 	case http.StatusNoContent:
-		// Older coordinators (and the fault-injected heartbeat-drop path)
-		// answer an empty 204; the beat still counts.
+		// The fault-injected heartbeat drop answers an empty 204; the
+		// beat still counts.
 		return nil
 	case http.StatusNotFound:
 		if a.cfg.Logf != nil {

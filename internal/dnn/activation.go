@@ -26,6 +26,12 @@ const activationMagic = "ODNNACT1"
 // maxActivationManifest bounds the manifest a receiver will parse.
 const maxActivationManifest = 1 << 20
 
+// maxActivationElems bounds the payload a shape may claim: 1 Mi float64s
+// (8 MiB), far beyond any boundary this model family produces. The
+// decoder reads no more than the header, a capped manifest and this
+// payload, so it is also the bound on a /v1/stage body.
+const maxActivationElems = 1 << 20
+
 // ActivationHop is one completed hop's accounting, accumulated in the
 // envelope as the activation travels so the tail node can report the
 // full per-hop breakdown to the client.
@@ -61,7 +67,11 @@ type ActivationManifest struct {
 // EncodeActivation writes one frame's boundary activation as an
 // envelope.
 func EncodeActivation(w io.Writer, man ActivationManifest, data []float64) error {
-	if n := man.Shape[0] * man.Shape[1] * man.Shape[2]; n != len(data) {
+	n, err := activationElems(man.Shape)
+	if err != nil {
+		return fmt.Errorf("dnn: activation encode: %w", err)
+	}
+	if n != len(data) {
 		return fmt.Errorf("dnn: activation encode: shape %v wants %d elems, have %d", man.Shape, n, len(data))
 	}
 	manJSON, err := json.Marshal(man)
@@ -86,7 +96,9 @@ func EncodeActivation(w io.Writer, man ActivationManifest, data []float64) error
 }
 
 // DecodeActivation reads one envelope, validating the magic and that
-// the payload matches the manifest's shape.
+// the payload matches the manifest's shape. The shape is bounded before
+// the payload is allocated, so the decoder never reads or allocates more
+// than a header, maxActivationManifest and maxActivationElems float64s.
 func DecodeActivation(r io.Reader) (ActivationManifest, []float64, error) {
 	var man ActivationManifest
 	header := make([]byte, len(activationMagic)+4)
@@ -107,15 +119,32 @@ func DecodeActivation(r io.Reader) (ActivationManifest, []float64, error) {
 	if err := json.Unmarshal(manJSON, &man); err != nil {
 		return man, nil, fmt.Errorf("dnn: activation decode: manifest: %w", err)
 	}
-	elems := man.Shape[0] * man.Shape[1] * man.Shape[2]
-	if elems <= 0 {
-		return man, nil, fmt.Errorf("dnn: activation decode: degenerate shape %v", man.Shape)
+	elems, err := activationElems(man.Shape)
+	if err != nil {
+		return man, nil, fmt.Errorf("dnn: activation decode: %w", err)
 	}
 	raw := make([]byte, elems*8)
 	if _, err := io.ReadFull(r, raw); err != nil {
 		return man, nil, fmt.Errorf("dnn: activation decode: payload: %w", err)
 	}
 	return man, bytesF64(raw), nil
+}
+
+// activationElems is the element count of shape: every dimension at
+// least 1 and the product, computed without overflow, at most
+// maxActivationElems.
+func activationElems(shape [3]int) (int, error) {
+	n := 1
+	for _, d := range shape {
+		if d < 1 {
+			return 0, fmt.Errorf("degenerate shape %v", shape)
+		}
+		if d > maxActivationElems/n {
+			return 0, fmt.Errorf("shape %v exceeds %d elements", shape, maxActivationElems)
+		}
+		n *= d
+	}
+	return n, nil
 }
 
 // f64Bytes serializes float64s to little-endian bytes.

@@ -247,9 +247,10 @@ func (s *Server) handleOffload(w http.ResponseWriter, r *http.Request) {
 // handleStage serves POST /v1/stage: one boundary-activation handoff
 // inside a split pipeline. The body is an activation envelope
 // (dnn.EncodeActivation); the response is either the tail's
-// OffloadResponse (JSON) or a relayed error envelope.
+// OffloadResponse (JSON) or a relayed error envelope. The decoder bounds
+// the body: it reads one envelope and refuses a shape past its cap.
 func (s *Server) handleStage(w http.ResponseWriter, r *http.Request) {
-	man, act, err := dnn.DecodeActivation(http.MaxBytesReader(w, r.Body, maxStageBody))
+	man, act, err := dnn.DecodeActivation(r.Body)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 		return

@@ -22,10 +22,10 @@ import (
 // single-node miss from a multi-hop one.
 const CodeDeadlineHop = "deadline_exceeded@hop"
 
-// maxStageBody bounds a relayed activation envelope: manifest plus a
-// ~1M-element float64 activation, far beyond any boundary this model
-// family produces.
-const maxStageBody = 8 << 20
+// maxHopAnswer bounds the next hop's answer a relay reads back: an
+// OffloadResponse or error envelope, whose hop trail comes from a
+// manifest the activation decoder caps at 1 MiB.
+const maxHopAnswer = 8 << 20
 
 // unit is the one thing this node serves requests with: a stage range of
 // a task's path, entered at From. A whole path is the range [0, n) with
@@ -307,7 +307,7 @@ func (s *Server) forwardActivation(ctx context.Context, next string, man dnn.Act
 		return 0, nil, err
 	}
 	defer res.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(res.Body, maxStageBody))
+	body, err := io.ReadAll(io.LimitReader(res.Body, maxHopAnswer))
 	if err != nil {
 		return 0, nil, err
 	}
