@@ -34,28 +34,38 @@ func ReLUInPlace(x *Tensor) []bool {
 
 // ReLUInto writes max(0, x) into dst without computing a backward mask —
 // the inference fast path. dst must have x's element count; its previous
-// contents are overwritten.
+// contents are overwritten. Every v that is not > 0 — NaN and −0
+// included — becomes +0.
+//
+// Activations are random-signed, so a branch on the sign mispredicts
+// about every other element; the select goes through the bits instead
+// (an all-ones or zero mask, which compiles to a CMOV), same result.
 func ReLUInto(dst, x *Tensor) error {
 	if dst.Len() != x.Len() {
 		return fmt.Errorf("%w: relu dst has %d elems, x %d", ErrShape, dst.Len(), x.Len())
 	}
+	d := dst.data[:len(x.data)]
 	for i, v := range x.data {
+		var keep uint64
 		if v > 0 {
-			dst.data[i] = v
-		} else {
-			dst.data[i] = 0
+			keep = ^uint64(0)
 		}
+		d[i] = math.Float64frombits(math.Float64bits(v) & keep)
 	}
 	return nil
 }
 
 // ReLUInPlaceInfer applies max(0, x) in place without allocating the
-// backward mask — the inference counterpart of ReLUInPlace.
+// backward mask — the inference counterpart of ReLUInPlace. Only v < 0
+// becomes +0: NaN and −0 pass through unchanged, unlike ReLUInto and
+// ReLUInPlace, which map both to +0. Branch-free like ReLUInto.
 func ReLUInPlaceInfer(x *Tensor) {
 	for i, v := range x.data {
+		keep := ^uint64(0)
 		if v < 0 {
-			x.data[i] = 0
+			keep = 0
 		}
+		x.data[i] = math.Float64frombits(math.Float64bits(v) & keep)
 	}
 }
 

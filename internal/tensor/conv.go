@@ -79,7 +79,9 @@ func (s *convShape) grain() int {
 // gatherRows writes the patches of pixel rows [lo,hi) as the rows of a
 // (hi-lo)×patch matrix: each row is one output pixel's receptive field in
 // weight order (channel, ky, kx), zero where it overhangs the padding.
-// src holds whole images starting at image b0.
+// src holds whole images starting at image b0. Each pixel clamps its tap
+// window to the image and clears its row once if anything overhangs, so
+// a tap that reads padding for the whole call is never walked here either.
 func gatherRows[T any](dst, src []T, s *convShape, b0, lo, hi int) {
 	k, hw := s.p.Kernel, s.h*s.w
 	b, pix := lo/s.cols, lo%s.cols
@@ -123,12 +125,20 @@ func gatherCols[T any](dst, src []T, s *convShape, b0, lo, hi int) {
 // zero beyond the pixels, for a kernel whose vector tile needs whole
 // groups of lanes.
 func gatherColsStride[T any](dst, src []T, s *convShape, b0, lo, hi, ld int) {
-	k, st, hw, nc := s.p.Kernel, s.p.Stride, s.h*s.w, hi-lo
+	k, st, pad, hw, nc := s.p.Kernel, s.p.Stride, s.p.Padding, s.h*s.w, hi-lo
 	var zero T
 	for ch := 0; ch < s.c; ch++ {
 		for ky := 0; ky < k; ky++ {
+			// A tap that reads padding for every output pixel of the call
+			// (every one of a 1×1 map's taps but the centre) is a row of
+			// zeros: cleared in one go, not walked run by run.
+			deadY := (s.oh-1)*st+ky-pad < 0 || ky-pad >= s.h
 			for kx := 0; kx < k; kx++ {
 				row := dst[((ch*k+ky)*k+kx)*ld:][:ld]
+				if deadY || (s.ow-1)*st+kx-pad < 0 || kx-pad >= s.w {
+					clear(row)
+					continue
+				}
 				clear(row[nc:])
 				b, oy, ox := lo/s.cols, lo%s.cols/s.ow, lo%s.ow
 				for i := 0; i < nc; {
@@ -137,9 +147,9 @@ func gatherColsStride[T any](dst, src []T, s *convShape, b0, lo, hi, ld int) {
 					// line, zeros right of it.
 					run := row[i:min(i+s.ow-ox, nc)]
 					j := 0
-					if iy := oy*st + ky - s.p.Padding; iy >= 0 && iy < s.h {
+					if iy := oy*st + ky - pad; iy >= 0 && iy < s.h {
 						line := src[(b-b0)*s.c*hw+ch*hw+iy*s.w:][:s.w]
-						ix := ox*st + kx - s.p.Padding
+						ix := ox*st + kx - pad
 						for ; j < len(run) && ix < 0; j, ix = j+1, ix+st {
 							run[j] = zero
 						}

@@ -342,24 +342,52 @@ func TestConv2DF64TileMatchesScalarAndReference(t *testing.T) {
 // mid-row and mid-image — the ranges chunking and sharding produce.
 func TestConv2DLoweringGathers(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, p := range []Conv2DParams{
-		{InChannels: 3, OutChannels: 1, Kernel: 3, Stride: 1, Padding: 1},
-		{InChannels: 2, OutChannels: 1, Kernel: 3, Stride: 2, Padding: 1},
-		{InChannels: 4, OutChannels: 1, Kernel: 1, Stride: 2, Padding: 0},
-		{InChannels: 2, OutChannels: 1, Kernel: 5, Stride: 3, Padding: 2},
+	for _, c := range []struct {
+		p    Conv2DParams
+		h, w int
+	}{
+		{Conv2DParams{InChannels: 3, OutChannels: 1, Kernel: 3, Stride: 1, Padding: 1}, 7, 6},
+		{Conv2DParams{InChannels: 2, OutChannels: 1, Kernel: 3, Stride: 2, Padding: 1}, 7, 6},
+		{Conv2DParams{InChannels: 4, OutChannels: 1, Kernel: 1, Stride: 2, Padding: 0}, 7, 6},
+		{Conv2DParams{InChannels: 2, OutChannels: 1, Kernel: 5, Stride: 3, Padding: 2}, 7, 6},
+		// Small maps, where whole tap rows read only padding for every
+		// pixel of the call (gatherColsStride clears them in one go).
+		{Conv2DParams{InChannels: 3, OutChannels: 1, Kernel: 3, Stride: 1, Padding: 1}, 1, 1},
+		{Conv2DParams{InChannels: 3, OutChannels: 1, Kernel: 3, Stride: 2, Padding: 1}, 1, 1},
+		{Conv2DParams{InChannels: 2, OutChannels: 1, Kernel: 3, Stride: 1, Padding: 1}, 2, 2},
+		{Conv2DParams{InChannels: 2, OutChannels: 1, Kernel: 3, Stride: 2, Padding: 1}, 3, 3},
+		{Conv2DParams{InChannels: 2, OutChannels: 1, Kernel: 3, Stride: 2, Padding: 1}, 2, 1},
+		{Conv2DParams{InChannels: 2, OutChannels: 1, Kernel: 5, Stride: 1, Padding: 2}, 2, 2},
 	} {
-		const n, h, w = 3, 7, 6
+		p, h, w := c.p, c.h, c.w
+		const n = 3
 		x := randTensor(rng, n, p.InChannels, h, w)
 		oh, ow := p.OutSize(h, w)
 		s := newConvShape(x, p, oh, ow)
 		for lo := 0; lo < s.rows; lo += 5 {
 			for hi := lo + 1; hi <= s.rows; hi += 7 {
-				nc := hi - lo
-				rowsBuf, colsBuf := make([]float64, nc*s.patch), make([]float64, nc*s.patch)
+				// Stale scratch holds anything: start from NaN so a tap the
+				// gathers leave unwritten shows. The strided gather's rows
+				// are ld = nc+3 apart, zero beyond the pixels.
+				nc, ld := hi-lo, hi-lo+3
+				rowsBuf, colsBuf, strideBuf := make([]float64, nc*s.patch), make([]float64, nc*s.patch), make([]float64, ld*s.patch)
+				for _, buf := range [][]float64{rowsBuf, colsBuf, strideBuf} {
+					for i := range buf {
+						buf[i] = math.NaN()
+					}
+				}
 				b0 := lo / s.cols
 				src := x.data[b0*p.InChannels*h*w:]
 				gatherRows(rowsBuf, src, &s, b0, lo, hi)
 				gatherCols(colsBuf, src, &s, b0, lo, hi)
+				gatherColsStride(strideBuf, src, &s, b0, lo, hi, ld)
+				for q := 0; q < s.patch; q++ {
+					for j := nc; j < ld; j++ {
+						if got := strideBuf[q*ld+j]; got != 0 {
+							t.Fatalf("%+v %dx%d rows[%d,%d): gatherColsStride tap %d lane %d past the pixels = %v, want 0", p, h, w, lo, hi, q, j, got)
+						}
+					}
+				}
 				for r := lo; r < hi; r++ {
 					b, oy, ox := r/s.cols, r%s.cols/ow, r%ow
 					q := 0
@@ -372,10 +400,13 @@ func TestConv2DLoweringGathers(t *testing.T) {
 									want = x.At(b, ch, iy, ix)
 								}
 								if got := rowsBuf[(r-lo)*s.patch+q]; got != want {
-									t.Fatalf("%+v rows[%d,%d): gatherRows pixel %d tap %d = %v, want %v", p, lo, hi, r, q, got, want)
+									t.Fatalf("%+v %dx%d rows[%d,%d): gatherRows pixel %d tap %d = %v, want %v", p, h, w, lo, hi, r, q, got, want)
 								}
 								if got := colsBuf[q*nc+r-lo]; got != want {
-									t.Fatalf("%+v rows[%d,%d): gatherCols pixel %d tap %d = %v, want %v", p, lo, hi, r, q, got, want)
+									t.Fatalf("%+v %dx%d rows[%d,%d): gatherCols pixel %d tap %d = %v, want %v", p, h, w, lo, hi, r, q, got, want)
+								}
+								if got := strideBuf[q*ld+r-lo]; got != want {
+									t.Fatalf("%+v %dx%d rows[%d,%d): gatherColsStride pixel %d tap %d = %v, want %v", p, h, w, lo, hi, r, q, got, want)
 								}
 								q++
 							}

@@ -552,6 +552,50 @@ func TestInferenceOpVariantsMatch(t *testing.T) {
 	Release(lin)
 }
 
+// TestInferenceOpVariantsReLUBits pins the two inference ReLUs bit for
+// bit against the branchy loops they replaced, on the values where a
+// select through the bits could go wrong: NaNs of either sign and with a
+// payload, ±0, ±Inf, the extreme subnormals, ±1 and random values. The
+// two differ on purpose: ReLUInto maps NaN and −0 to +0 (like the
+// training ReLUInPlace), ReLUInPlaceInfer passes them through.
+func TestInferenceOpVariantsReLUBits(t *testing.T) {
+	vals := []float64{
+		math.NaN(), -math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff0000000000001),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), math.Float64frombits(0x800fffffffffffff),
+		1, -1, math.MaxFloat64, -math.MaxFloat64,
+	}
+	rng := rand.New(rand.NewSource(16))
+	for i := 0; i < 64; i++ {
+		vals = append(vals, rng.NormFloat64())
+	}
+	x := MustFromSlice(vals, len(vals))
+
+	got := New(len(vals))
+	if err := ReLUInto(got, x); err != nil {
+		t.Fatal(err)
+	}
+	inPlace := x.Clone()
+	ReLUInPlaceInfer(inPlace)
+	for i, v := range vals {
+		into := v // ReLUInto's branchy loop
+		if !(v > 0) {
+			into = 0
+		}
+		infer := v // ReLUInPlaceInfer's
+		if v < 0 {
+			infer = 0
+		}
+		if g := got.Data()[i]; math.Float64bits(g) != math.Float64bits(into) {
+			t.Errorf("ReLUInto(%#x) = %#x, want %#x", math.Float64bits(v), math.Float64bits(g), math.Float64bits(into))
+		}
+		if g := inPlace.Data()[i]; math.Float64bits(g) != math.Float64bits(infer) {
+			t.Errorf("ReLUInPlaceInfer(%#x) = %#x, want %#x", math.Float64bits(v), math.Float64bits(g), math.Float64bits(infer))
+		}
+	}
+}
+
 func TestRentReleaseSemantics(t *testing.T) {
 	r := Rent(3, 4)
 	for _, v := range r.Data() {

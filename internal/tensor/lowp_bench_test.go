@@ -8,7 +8,8 @@ import (
 
 // Kernel-level precision benchmarks: the raw GEMM and Conv2D speed ratios
 // the root-level BenchmarkMatMul/BenchmarkConv2DForward precision
-// variants (and BENCH_infer.json) are built on.
+// variants are built on, and the pair a narrow-kernel change alternates
+// against its parent. CI's bench smoke runs each once.
 
 func benchRand64(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))

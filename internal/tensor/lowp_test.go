@@ -109,12 +109,26 @@ func TestMatMulLowpWorkerDeterminism(t *testing.T) {
 	}
 }
 
+// TestMatMulLowpSIMDMatchesScalar holds the narrow register tiles to the
+// portable panels bit for bit on every remainder: 1–9 rows (whole 4-row
+// tiles and 1–3 rows left over), lane counts either side of the f32 tile's
+// 8 and the i8 tile's 16, and k across every k%4 (the f32 quartet tail)
+// and both parities (the i8 tap pairs) — each product with A row-major
+// and again stored transposed, the strides the conv lowering uses.
 func TestMatMulLowpSIMDMatchesScalar(t *testing.T) {
 	if !SIMDEnabled() {
 		t.Skip("SIMD not active on this host")
 	}
 	rng := rand.New(rand.NewSource(13))
-	for _, dims := range [][3]int{{5, 9, 23}, {33, 65, 129}, {64, 144, 256}} {
+	grid := [][3]int{{5, 9, 23}, {33, 65, 129}, {64, 144, 256}}
+	for m := 1; m <= 9; m++ {
+		for _, n := range []int{7, 8, 9, 15, 16, 17, 127, 128, 129, 257} {
+			for _, k := range []int{1, 2, 3, 4, 5, 127, 128, 129, 1152} {
+				grid = append(grid, [3]int{m, k, n})
+			}
+		}
+	}
+	for _, dims := range grid {
 		m, k, n := dims[0], dims[1], dims[2]
 		a64 := randSlice64(rng, m*k)
 		b64 := randSlice64(rng, k*n)
@@ -124,28 +138,83 @@ func TestMatMulLowpSIMDMatchesScalar(t *testing.T) {
 		toF32(b32, b64)
 		a8 := randSlice8(rng, m*k)
 		b8 := randSlice8(rng, k*n)
+		aT32 := make([]float32, k*m)
+		aT8 := make([]int8, k*m)
+		for i := 0; i < m; i++ {
+			for kk := 0; kk < k; kk++ {
+				aT32[kk*m+i], aT8[kk*m+i] = a32[i*k+kk], a8[i*k+kk]
+			}
+		}
 
-		simd32 := make([]float32, m*n)
-		simd8 := make([]int32, m*n)
-		GemmF32(simd32, a32, b32, m, k, n)
-		GemmI8(simd8, a8, b8, m, k, n)
-
-		scalar32 := make([]float32, m*n)
-		scalar8 := make([]int32, m*n)
+		run := func() (g32, t32 []float32, g8, t8 []int32) {
+			g32, t32 = make([]float32, m*n), make([]float32, m*n)
+			g8, t8 = make([]int32, m*n), make([]int32, m*n)
+			GemmF32(g32, a32, b32, m, k, n)
+			GemmI8(g8, a8, b8, m, k, n)
+			gemmPanel32(t32, aT32, b32, 1, m, 0, m, k, n)
+			gemmPanel8(t8, aT8, b8, 1, m, 0, m, k, n)
+			return
+		}
+		simd32, simdT32, simd8, simdT8 := run()
 		prev := useSIMD
 		useSIMD = false
-		GemmF32(scalar32, a32, b32, m, k, n)
-		GemmI8(scalar8, a8, b8, m, k, n)
+		scalar32, scalarT32, scalar8, scalarT8 := run()
 		useSIMD = prev
 
 		for i := range simd32 {
-			if simd32[i] != scalar32[i] {
+			if math.Float32bits(simd32[i]) != math.Float32bits(scalar32[i]) {
 				t.Fatalf("m=%d k=%d n=%d: AVX2 f32 differs from scalar at %d: %g vs %g", m, k, n, i, simd32[i], scalar32[i])
+			}
+			if math.Float32bits(simdT32[i]) != math.Float32bits(scalarT32[i]) {
+				t.Fatalf("m=%d k=%d n=%d, A transposed: AVX2 f32 differs from scalar at %d: %g vs %g", m, k, n, i, simdT32[i], scalarT32[i])
 			}
 		}
 		for i := range simd8 {
 			if simd8[i] != scalar8[i] {
 				t.Fatalf("m=%d k=%d n=%d: AVX2 i8 differs from scalar at %d: %d vs %d", m, k, n, i, simd8[i], scalar8[i])
+			}
+			if simdT8[i] != scalarT8[i] {
+				t.Fatalf("m=%d k=%d n=%d, A transposed: AVX2 i8 differs from scalar at %d: %d vs %d", m, k, n, i, simdT8[i], scalarT8[i])
+			}
+		}
+	}
+}
+
+// TestGemmI8ExtremeOperands runs GemmI8 on operands that are all −128 or
+// 127 — −128 is outside the symmetric quantizer's range but GemmI8
+// accepts it — at a deep k, against the naive int32 loop, on every tile
+// remainder of rows and lanes.
+func TestGemmI8ExtremeOperands(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	const k = 1152
+	for _, mn := range [][2]int{{1, 16}, {4, 17}, {7, 33}, {9, 129}} {
+		m, n := mn[0], mn[1]
+		// All −128, all 127, and each operand one of the two at random.
+		for _, fill := range []string{"-128", "127", "mixed"} {
+			operands := func(count int) []int8 {
+				s := make([]int8, count)
+				for i := range s {
+					if fill == "-128" || fill == "mixed" && rng.Intn(2) == 0 {
+						s[i] = -128
+					} else {
+						s[i] = 127
+					}
+				}
+				return s
+			}
+			a, b := operands(m*k), operands(k*n)
+			got := make([]int32, m*n)
+			GemmI8(got, a, b, m, k, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					var want int32
+					for kk := 0; kk < k; kk++ {
+						want += int32(a[i*k+kk]) * int32(b[kk*n+j])
+					}
+					if got[i*n+j] != want {
+						t.Fatalf("m=%d n=%d %s: GemmI8[%d,%d] = %d, naive int32 = %d", m, n, fill, i, j, got[i*n+j], want)
+					}
+				}
 			}
 		}
 	}

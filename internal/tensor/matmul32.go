@@ -1,15 +1,15 @@
 package tensor
 
-// Float32 GEMM: the same panel/shard structure as the float64 kernels in
+// Float32 GEMM: the same shard structure as the float64 kernels in
 // matmul.go, with two deliberate differences. First, operands are packed
-// float32, so the cache-resident B panel and the streamed A/dst rows move
-// half the bytes — the dominant win on a memory-bound kernel. Second, the
-// k loop is unrolled four-wide with the partial products summed before
-// touching dst, quartering the dst load/store traffic. The per-element
-// summation grouping depends only on the fixed gemmKC tiling (never on
-// worker count), so results are bit-identical at any parallelism, just
-// not bit-identical to the f64 kernel (property tests bound the relative
-// error instead).
+// float32, so B and the streamed A/dst rows move half the bytes. Second,
+// every element is summed in quartets — four taps' products added
+// together before they join the element's sum — which is what lets the
+// portable panel touch dst only every fourth tap. The per-element
+// summation grouping depends only on k (never on worker count or on
+// which kernel ran), so results are bit-identical at any parallelism and
+// on either path, just not bit-identical to the f64 kernel (property
+// tests bound the relative error instead).
 
 // GemmF32 computes dst = A·B for row-major float32 A (m×k) and B (k×n).
 // dst must have at least m*n elements; previous contents are overwritten.
@@ -29,15 +29,24 @@ func GemmF32(dst, a, b []float32, m, k, n int) {
 	})
 }
 
-// gemmPanel32 computes rows [i0,i1) of dst = A·B with j/k cache blocking
-// (the f32 B tile is gemmKC×gemmNC×4 B ≈ 128 KiB) and a 4-wide k unroll.
-// The unroll groups each element's k sum as fixed (kb-aligned) quartets,
-// so the grouping — and therefore the float result — depends only on k
-// and the tile constants, never on the row sharding. A is read as
-// a[i*ars+kk*aks]: (k, 1) for a row-major m×k matrix, (1, m) for one
-// stored transposed. Only its scalars are read, so either costs the same
-// arithmetic; the vector axis is always B's and dst's contiguous n.
+// gemmPanel32 computes rows [i0,i1) of dst = A·B. Every element is
+// summed in one fixed order: from +0, one quartet of taps
+// (((a0·b0 + a1·b1) + a2·b2) + a3·b3) at a time, the quartets
+// gemmKC-aligned, then the k%4 tail one tap at a time. The grouping
+// depends only on k and the tile constants, never on the row sharding or
+// on which kernel ran: the AVX2 tiles (gemmTiles32) and the portable
+// panel below produce the same bits. A is read as a[i*ars+kk*aks]: (k, 1)
+// for a row-major m×k matrix, (1, m) for one stored transposed. Only its
+// scalars are read, so either costs the same arithmetic; the vector axis
+// is always B's and dst's contiguous n.
 func gemmPanel32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
+	if useSIMD && k > 0 {
+		gemmTiles32(dst, a, b, ars, aks, i0, i1, k, n)
+		return
+	}
+	// The portable panel: j/k cache blocking (the f32 B tile is
+	// gemmKC×gemmNC×4 B ≈ 128 KiB), each quartet summed before it touches
+	// dst.
 	for jb := 0; jb < n; jb += gemmNC {
 		jEnd := jb + gemmNC
 		if jEnd > n {
@@ -56,17 +65,18 @@ func gemmPanel32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
 				ai := a[i*ars:]
 				kk := kb
 				for ; kk+3 < kEnd; kk += 4 {
-					quadAxpy32(di,
-						b[kk*n+jb:kk*n+jEnd],
-						b[(kk+1)*n+jb:(kk+1)*n+jEnd],
-						b[(kk+2)*n+jb:(kk+2)*n+jEnd],
-						b[(kk+3)*n+jb:(kk+3)*n+jEnd],
-						ai[kk*aks], ai[(kk+1)*aks], ai[(kk+2)*aks], ai[(kk+3)*aks])
+					a0, a1, a2, a3 := ai[kk*aks], ai[(kk+1)*aks], ai[(kk+2)*aks], ai[(kk+3)*aks]
+					b0 := b[kk*n+jb:][:len(di)]
+					b1 := b[(kk+1)*n+jb:][:len(di)]
+					b2 := b[(kk+2)*n+jb:][:len(di)]
+					b3 := b[(kk+3)*n+jb:][:len(di)]
+					for j := range di {
+						di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+					}
 				}
 				for ; kk < kEnd; kk++ {
 					av := ai[kk*aks]
-					bk := b[kk*n+jb : kk*n+jEnd]
-					bk = bk[:len(di)]
+					bk := b[kk*n+jb:][:len(di)]
 					for j := range di {
 						di[j] += av * bk[j]
 					}
@@ -76,24 +86,54 @@ func gemmPanel32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
 	}
 }
 
-// quadAxpy32 applies four fused axpy rows to one dst strip:
-// di[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], left-associated.
-// The AVX2 path computes the exact same association with VMULPS+VADDPS
-// (no FMA), so both paths produce identical bits.
-func quadAxpy32(di, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	b0 = b0[:len(di)]
-	b1 = b1[:len(di)]
-	b2 = b2[:len(di)]
-	b3 = b3[:len(di)]
-	j := 0
-	if useSIMD && len(di) >= 8 {
-		aa := [4]float32{a0, a1, a2, a3}
-		j = len(di) &^ 7
-		quadAxpyF32AVX2(&di[0], &b0[0], &b1[0], &b2[0], &b3[0], &aa[0], j)
+// gemmTiles32 is gemmPanel32 on the vector unit: register tiles of 4 rows
+// × 8 lanes that keep their sums in YMM across the whole k loop and store
+// them once, where the portable panel loads and stores its strip of sums
+// every fourth tap. The tile reads A in place through one pointer per row
+// and the tap stride, so neither orientation is copied. A last group of
+// 2–3 rows runs through the 4-row tile, its last row repeated into tile
+// rows that are never stored: B streams once either way, and that is what
+// such a remainder costs (measured against one 1-row tile per row: 1.2×
+// faster at two rows, 1.7× at three). A lone last row runs through the
+// 1-row tile. A ragged last group of lanes is copied, zero padded to 8,
+// into scratch and computed into a stack tile, of which only the real
+// lanes are kept. None of this moves a tap across a quartet.
+func gemmTiles32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
+	nv := n &^ 7
+	var bt []float32
+	if nv < n {
+		bt = scratchF32.get(8 * k)
+		for kk := 0; kk < k; kk++ {
+			t := bt[kk*8:][:8]
+			clear(t[copy(t, b[kk*n+nv:(kk+1)*n]):])
+		}
 	}
-	for ; j < len(di); j++ {
-		di[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+	var tile [4 * 8]float32
+	i := i0
+	for ; i+1 < i1; i += 4 {
+		rows, last := min(4, i1-i), i1-1
+		a0, a1 := &a[i*ars], &a[(i+1)*ars]
+		a2, a3 := &a[min(i+2, last)*ars], &a[min(i+3, last)*ars]
+		if nv > 0 {
+			tileF32x4AVX2(&dst[i*n], n, a0, a1, a2, a3, aks, &b[0], n, k, nv, rows)
+		}
+		if bt != nil {
+			tileF32x4AVX2(&tile[0], 8, a0, a1, a2, a3, aks, &bt[0], 8, k, 8, rows)
+			for r := 0; r < rows; r++ {
+				copy(dst[(i+r)*n+nv:(i+r+1)*n], tile[r*8:])
+			}
+		}
 	}
+	if i < i1 {
+		if nv > 0 {
+			tileF32x1AVX2(&dst[i*n], &a[i*ars], aks, &b[0], n, k, nv)
+		}
+		if bt != nil {
+			tileF32x1AVX2(&tile[0], &a[i*ars], aks, &bt[0], 8, k, 8)
+			copy(dst[i*n+nv:(i+1)*n], tile[:])
+		}
+	}
+	scratchF32.put(bt)
 }
 
 // dotF32 is the 4-wide-unrolled float32 dot product used by the linear

@@ -2,12 +2,11 @@ package tensor
 
 // Int8 GEMM with int32 accumulation: the integer half of the quantized
 // kernel layer. Operands are symmetric-quantized int8 (no zero points),
-// products are exact in int32 (127·127·k fits for any k the engine
-// meets: k < 2^17 leaves headroom of 2^31/127² ≈ 133k), and integer
+// products are exact in int32 (128·128·k fits for any k the engine
+// meets: k < 2^17 leaves headroom of 2^31/128² = 131k), and integer
 // addition is associative — so unlike the float kernels the result is
 // exactly equal to the naive triple loop regardless of tiling, unroll or
-// worker count. The B panel is one byte per element (gemmKC×gemmNC ≈
-// 32 KiB, L1-resident), which is where the speedup over f64 comes from.
+// worker count. B is one byte per element, an eighth of f64's.
 
 // GemmI8 computes dst = A·B for row-major int8 A (m×k) and B (k×n),
 // accumulating exactly in int32. dst must have at least m*n elements;
@@ -27,12 +26,17 @@ func GemmI8(dst []int32, a, b []int8, m, k, n int) {
 	})
 }
 
-// gemmPanel8 computes rows [i0,i1) of dst = A·B with the same j/k
-// blocking as the float kernels and a 4-wide k unroll. Sign extension of
-// the int8 loads is a single instruction; the four partial products per
-// element are summed before the dst update, quartering accumulator
-// traffic. A is read through the strides (ars, aks) like gemmPanel32's.
+// gemmPanel8 computes rows [i0,i1) of dst = A·B. Integer sums are
+// exact, so the AVX2 tiles (gemmTiles8) and the portable panel below —
+// any order, any tiling — give the same answer. A is read through the
+// strides (ars, aks) like gemmPanel32's.
 func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
+	if useSIMD && k > 0 {
+		gemmTiles8(dst, a, b, ars, aks, i0, i1, k, n)
+		return
+	}
+	// The portable panel: the float kernels' j/k blocking and a 4-wide k
+	// unroll whose four products are summed before the dst update.
 	for jb := 0; jb < n; jb += gemmNC {
 		jEnd := jb + gemmNC
 		if jEnd > n {
@@ -51,17 +55,19 @@ func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 				ai := a[i*ars:]
 				kk := kb
 				for ; kk+3 < kEnd; kk += 4 {
-					quadAxpy8(di,
-						b[kk*n+jb:kk*n+jEnd],
-						b[(kk+1)*n+jb:(kk+1)*n+jEnd],
-						b[(kk+2)*n+jb:(kk+2)*n+jEnd],
-						b[(kk+3)*n+jb:(kk+3)*n+jEnd],
-						int32(ai[kk*aks]), int32(ai[(kk+1)*aks]), int32(ai[(kk+2)*aks]), int32(ai[(kk+3)*aks]))
+					a0, a1 := int32(ai[kk*aks]), int32(ai[(kk+1)*aks])
+					a2, a3 := int32(ai[(kk+2)*aks]), int32(ai[(kk+3)*aks])
+					b0 := b[kk*n+jb:][:len(di)]
+					b1 := b[(kk+1)*n+jb:][:len(di)]
+					b2 := b[(kk+2)*n+jb:][:len(di)]
+					b3 := b[(kk+3)*n+jb:][:len(di)]
+					for j := range di {
+						di[j] += a0*int32(b0[j]) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
+					}
 				}
 				for ; kk < kEnd; kk++ {
 					av := int32(ai[kk*aks])
-					bk := b[kk*n+jb : kk*n+jEnd]
-					bk = bk[:len(di)]
+					bk := b[kk*n+jb:][:len(di)]
 					for j := range di {
 						di[j] += av * int32(bk[j])
 					}
@@ -71,22 +77,76 @@ func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 	}
 }
 
-// quadAxpy8 applies four fused int8 axpy rows to one int32 dst strip:
-// di[j] += a0·b0[j] + ... + a3·b3[j], exact in int32 on both the AVX2
-// and scalar paths.
-func quadAxpy8(di []int32, b0, b1, b2, b3 []int8, a0, a1, a2, a3 int32) {
-	b0 = b0[:len(di)]
-	b1 = b1[:len(di)]
-	b2 = b2[:len(di)]
-	b3 = b3[:len(di)]
-	j := 0
-	if useSIMD && len(di) >= 8 {
-		aa := [4]int32{a0, a1, a2, a3}
-		j = len(di) &^ 7
-		quadAxpyI8AVX2(&di[0], &b0[0], &b1[0], &b2[0], &b3[0], &aa[0], j)
+// gemmTiles8 is gemmPanel8 on the vector unit: register tiles of 4 rows ×
+// 16 lanes of int32 sums, held across the whole k loop, two taps per
+// VPMADDWD. Each group of rows is widened once into pooled scratch as
+// int16 tap pairs (dword p*4+r: taps 2p and 2p+1 of row r, the high word
+// zero past an odd k), so the tile broadcasts a row's pair with one
+// VPBROADCASTD. Remainders follow gemmTiles32: a last group of 2–3 rows
+// through the 4-row tile (only real rows stored), a lone last row through
+// the 1-row tile, and a ragged last group of lanes through scratch zero
+// padded to 16 and a stack tile.
+func gemmTiles8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
+	nv, kp := n&^15, (k+1)/2
+	ap := scratchI32.get(4 * kp)
+	var bt []int8
+	if nv < n {
+		bt = scratchI8.get(16 * k)
+		for kk := 0; kk < k; kk++ {
+			t := bt[kk*16:][:16]
+			clear(t[copy(t, b[kk*n+nv:(kk+1)*n]):])
+		}
 	}
-	for ; j < len(di); j++ {
-		di[j] += a0*int32(b0[j]) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
+	var tile [4 * 16]int32
+	i := i0
+	for ; i+1 < i1; i += 4 {
+		rows := min(4, i1-i)
+		for r := 0; r < 4; r++ {
+			packPairs(ap[r:], 4, a[min(i+r, i1-1)*ars:], aks, k)
+		}
+		if nv > 0 {
+			tileI8x4AVX2(&dst[i*n], n, &ap[0], &b[0], n, k, nv, rows)
+		}
+		if bt != nil {
+			tileI8x4AVX2(&tile[0], 16, &ap[0], &bt[0], 16, k, 16, rows)
+			for r := 0; r < rows; r++ {
+				copy(dst[(i+r)*n+nv:(i+r+1)*n], tile[r*16:])
+			}
+		}
+	}
+	if i < i1 {
+		packPairs(ap, 1, a[i*ars:], aks, k)
+		if nv > 0 {
+			tileI8x1AVX2(&dst[i*n], &ap[0], &b[0], n, k, nv)
+		}
+		if bt != nil {
+			tileI8x1AVX2(&tile[0], &ap[0], &bt[0], 16, k, 16)
+			copy(dst[i*n+nv:(i+1)*n], tile[:])
+		}
+	}
+	scratchI8.put(bt)
+	scratchI32.put(ap)
+}
+
+// packPairs writes the k taps ar[kk*aks] of one row as int16 pairs into
+// dst[p*step] for p < (k+1)/2: tap 2p in the low word, 2p+1 (or zero past
+// k) in the high word.
+func packPairs(dst []int32, step int, ar []int8, aks, k int) {
+	p := 0
+	if aks == 1 {
+		// Row-major A, the common case: the taps are contiguous.
+		ar = ar[:k]
+		for kk := 1; kk < len(ar); kk += 2 {
+			dst[p*step] = int32(uint16(ar[kk-1])) | int32(ar[kk])<<16
+			p++
+		}
+	} else {
+		for kk := 0; kk+1 < k; kk, p = kk+2, p+1 {
+			dst[p*step] = int32(uint16(ar[kk*aks])) | int32(ar[(kk+1)*aks])<<16
+		}
+	}
+	if k%2 == 1 {
+		dst[p*step] = int32(uint16(ar[(k-1)*aks]))
 	}
 }
 

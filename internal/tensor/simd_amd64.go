@@ -5,15 +5,15 @@ package tensor
 import "os"
 
 // AVX2 fast paths for the kernels of every precision. The assembly
-// implements the SAME sums the scalar loops compute — the narrow types'
-// fused quad-axpy, per element di[j] + (((a0·b0[j] + a1·b1[j]) + a2·b2[j])
-// + a3·b3[j]), and float64's single k-ascending accumulator — with
-// identical association and no FMA, so the SIMD and scalar paths are
-// bit-identical and every determinism property holds on both. The binary
-// stays GOAMD64=v1 portable: AVX2 is detected at startup via CPUID (incl.
-// the OSXSAVE/XGETBV dance for OS YMM-state support) and the scalar
-// kernels remain the fallback. OFFLOADNN_NO_SIMD=1 forces the fallback,
-// which tests use to compare the two paths.
+// implements the SAME sums the scalar loops compute — float32's
+// quartets, per element acc + (((a0·b0[j] + a1·b1[j]) + a2·b2[j]) +
+// a3·b3[j]), float64's single k-ascending accumulator, and int8's exact
+// int32 sums — with identical association and no FMA, so the SIMD and
+// scalar paths are bit-identical and every determinism property holds on
+// both. The binary stays GOAMD64=v1 portable: AVX2 is detected at startup
+// via CPUID (incl. the OSXSAVE/XGETBV dance for OS YMM-state support) and
+// the scalar kernels remain the fallback. OFFLOADNN_NO_SIMD=1 forces the
+// fallback, which tests use to compare the two paths.
 
 // cpuidAsm executes CPUID for the given leaf/subleaf.
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -21,19 +21,32 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbvAsm() (eax, edx uint32)
 
-// quadAxpyF32AVX2 computes dst[j] += a[0]*b0[j] + a[1]*b1[j] +
-// a[2]*b2[j] + a[3]*b3[j] (left-associated) for j in [0,n); n must be a
-// multiple of 8 and > 0.
+// tileF32x4AVX2 computes rows r < rows (2..4) of dst (ldd apart) = A·B
+// for the rows of A whose taps start at a0..a3, lda apart, and B read in
+// place (ldb apart), lanes [0,n); n must be a positive multiple of 8.
+// Every element is summed in gemmPanel32's order with VMULPS then VADDPS,
+// so it equals the scalar panel bit for bit.
 //
 //go:noescape
-func quadAxpyF32AVX2(dst, b0, b1, b2, b3 *float32, a *float32, n int)
+func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, ldb, k, n, rows int)
 
-// quadAxpyI8AVX2 computes dst[j] += a[0]*int32(b0[j]) + ... +
-// a[3]*int32(b3[j]) exactly in int32 for j in [0,n); n must be a
-// multiple of 8 and > 0.
+// tileF32x1AVX2 is tileF32x4AVX2 for one row.
 //
 //go:noescape
-func quadAxpyI8AVX2(dst *int32, b0, b1, b2, b3 *int8, a *int32, n int)
+func tileF32x1AVX2(dst, a *float32, lda int, b *float32, ldb, k, n int)
+
+// tileI8x4AVX2 computes rows r < rows (2..4) of dst (ldd apart) = A·B
+// exactly in int32 for A packed as int16 tap pairs (dword a[p*4+r] holds taps 2p and
+// 2p+1 of row r) and int8 B read in place (ldb apart), lanes [0,n); n must
+// be a positive multiple of 16.
+//
+//go:noescape
+func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, ldb, k, n, rows int)
+
+// tileI8x1AVX2 is tileI8x4AVX2 for one row, its tap pairs a[p] contiguous.
+//
+//go:noescape
+func tileI8x1AVX2(dst *int32, a *int32, b *int8, ldb, k, n int)
 
 // convTileF64AVX2 computes dst[c*n+j] = Σ_kk p[kk*n+j]·wc[kk] for the
 // four weight rows w0..w3 (c = 0..3, k taps each) and j in [0,n): p is a

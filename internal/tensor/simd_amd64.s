@@ -23,159 +23,347 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func quadAxpyF32AVX2(dst, b0, b1, b2, b3 *float32, a *float32, n int)
+// The narrow register tiles. B is read in place, ldb elements between
+// taps, and n (the lanes) must be a positive multiple of the tile's
+// width; A is read a scalar at a time and broadcast. Sums stay in
+// registers across the whole k loop and are stored once.
+
+// F32TAP(row, bc, t) adds the tap's product b·a (b in Y8, a at row's
+// pointer plus AX) to quartet sum t.
+#define F32TAP(row, bc, t) VBROADCASTSS (row)(AX*1), bc; VMULPS bc, Y8, bc; VADDPS bc, t, t
+
+// F32ONE(row, bc, acc) adds a tail tap's product b·a to acc.
+#define F32ONE(row, bc, acc) VBROADCASTSS (row)(AX*1), bc; VMULPS bc, Y8, bc; VADDPS acc, bc, acc
+
+// func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, ldb, k, n, rows int)
 //
-// dst[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] + a[3]*b3[j] for
-// j in [0,n), n a positive multiple of 8. VMULPS+VADDPS (not FMA) in the
-// scalar loop's left-associated order, so results are bit-identical to
-// the pure-Go fallback.
-TEXT ·quadAxpyF32AVX2(SB), NOSPLIT, $0-56
+// dst[r*ldd+j] = Σ ar[kk*lda]·b[kk*ldb+j] for the rows r < rows (2..4)
+// whose taps start at a0..a3, and j in [0,n), n a positive multiple of 8:
+// a tile of 4 rows × 8 lanes in Y0–Y3 across the whole k loop. Each sum
+// runs gemmPanel32's order: from +0, one quartet ((p0 + p1) + p2) + p3
+// at a time added to it, then the k%4 tail one tap at a time; VMULPS then
+// VADDPS, never FMA, with the scalar panel's operand order, so every
+// element carries its bits.
+TEXT ·tileF32x4AVX2(SB), NOSPLIT, $0-96
 	MOVQ dst+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ a+40(FP), SI
-	MOVQ n+48(FP), CX
-	VBROADCASTSS (SI), Y8
-	VBROADCASTSS 4(SI), Y9
-	VBROADCASTSS 8(SI), Y10
-	VBROADCASTSS 12(SI), Y11
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	CMPQ DX, $0
-	JE   f32loop8
+	MOVQ ldd+8(FP), R12
+	SHLQ $2, R12           // bytes between dst rows
+	MOVQ a0+16(FP), R8
+	MOVQ a1+24(FP), R9
+	MOVQ a2+32(FP), R10
+	MOVQ a3+40(FP), R11
+	MOVQ lda+48(FP), R13
+	SHLQ $2, R13           // bytes between A's taps
+	MOVQ b+56(FP), SI
+	MOVQ ldb+64(FP), R14
+	SHLQ $2, R14           // bytes between B's taps
+	MOVQ n+80(FP), BX
 
-f32loop16:
-	// Two 8-lane groups per iteration for ILP across the add chains.
-	VMOVUPS (R8)(AX*4), Y1
-	VMOVUPS 32(R8)(AX*4), Y5
-	VMULPS  Y8, Y1, Y1
-	VMULPS  Y8, Y5, Y5
-	VMOVUPS (R9)(AX*4), Y2
-	VMOVUPS 32(R9)(AX*4), Y6
-	VMULPS  Y9, Y2, Y2
-	VMULPS  Y9, Y6, Y6
-	VADDPS  Y2, Y1, Y1
-	VADDPS  Y6, Y5, Y5
-	VMOVUPS (R10)(AX*4), Y3
-	VMOVUPS 32(R10)(AX*4), Y7
-	VMULPS  Y10, Y3, Y3
-	VMULPS  Y10, Y7, Y7
-	VADDPS  Y3, Y1, Y1
-	VADDPS  Y7, Y5, Y5
-	VMOVUPS (R11)(AX*4), Y4
-	VMOVUPS 32(R11)(AX*4), Y12
-	VMULPS  Y11, Y4, Y4
-	VMULPS  Y11, Y12, Y12
-	VADDPS  Y4, Y1, Y1
-	VADDPS  Y12, Y5, Y5
-	VADDPS  (DI)(AX*4), Y1, Y1
-	VADDPS  32(DI)(AX*4), Y5, Y5
-	VMOVUPS Y1, (DI)(AX*4)
-	VMOVUPS Y5, 32(DI)(AX*4)
-	ADDQ    $16, AX
-	CMPQ    AX, DX
-	JL      f32loop16
+f32x4lanes:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ   AX, AX
+	MOVQ   SI, DX
+	MOVQ   k+72(FP), CX
+	SHRQ   $2, CX
+	JZ     f32x4tail
 
-f32loop8:
-	CMPQ AX, CX
-	JGE  f32done
-	VMOVUPS (R8)(AX*4), Y1
-	VMULPS  Y8, Y1, Y1
-	VMOVUPS (R9)(AX*4), Y2
-	VMULPS  Y9, Y2, Y2
-	VADDPS  Y2, Y1, Y1
-	VMOVUPS (R10)(AX*4), Y3
-	VMULPS  Y10, Y3, Y3
-	VADDPS  Y3, Y1, Y1
-	VMOVUPS (R11)(AX*4), Y4
-	VMULPS  Y11, Y4, Y4
-	VADDPS  Y4, Y1, Y1
-	VADDPS  (DI)(AX*4), Y1, Y1
-	VMOVUPS Y1, (DI)(AX*4)
-	ADDQ    $8, AX
-	JMP     f32loop8
+f32x4quad:
+	// The quartet's first tap starts its four sums Y4–Y7.
+	VMOVUPS      (DX), Y8
+	VBROADCASTSS (R8)(AX*1), Y9
+	VMULPS       Y9, Y8, Y4
+	VBROADCASTSS (R9)(AX*1), Y10
+	VMULPS       Y10, Y8, Y5
+	VBROADCASTSS (R10)(AX*1), Y11
+	VMULPS       Y11, Y8, Y6
+	VBROADCASTSS (R11)(AX*1), Y12
+	VMULPS       Y12, Y8, Y7
+	ADDQ         R13, AX
+	VMOVUPS      (DX)(R14*1), Y8
+	F32TAP(R8, Y9, Y4)
+	F32TAP(R9, Y10, Y5)
+	F32TAP(R10, Y11, Y6)
+	F32TAP(R11, Y12, Y7)
+	ADDQ         R13, AX
+	LEAQ         (DX)(R14*2), DX
+	VMOVUPS      (DX), Y8
+	F32TAP(R8, Y9, Y4)
+	F32TAP(R9, Y10, Y5)
+	F32TAP(R10, Y11, Y6)
+	F32TAP(R11, Y12, Y7)
+	ADDQ         R13, AX
+	VMOVUPS      (DX)(R14*1), Y8
+	F32TAP(R8, Y9, Y4)
+	F32TAP(R9, Y10, Y5)
+	F32TAP(R10, Y11, Y6)
+	F32TAP(R11, Y12, Y7)
+	ADDQ         R13, AX
+	LEAQ         (DX)(R14*2), DX
+	VADDPS       Y0, Y4, Y0
+	VADDPS       Y1, Y5, Y1
+	VADDPS       Y2, Y6, Y2
+	VADDPS       Y3, Y7, Y3
+	DECQ         CX
+	JNZ          f32x4quad
 
-f32done:
+f32x4tail:
+	MOVQ k+72(FP), CX
+	ANDQ $3, CX
+	JZ   f32x4store
+
+f32x4one:
+	VMOVUPS (DX), Y8
+	F32ONE(R8, Y9, Y0)
+	F32ONE(R9, Y10, Y1)
+	F32ONE(R10, Y11, Y2)
+	F32ONE(R11, Y12, Y3)
+	ADDQ    R13, AX
+	ADDQ    R14, DX
+	DECQ    CX
+	JNZ     f32x4one
+
+f32x4store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, (DI)(R12*1)
+	MOVQ    rows+88(FP), CX
+	CMPQ    CX, $3
+	JL      f32x4next
+	VMOVUPS Y2, (DI)(R12*2)
+	JE      f32x4next
+	LEAQ    (DI)(R12*2), CX
+	VMOVUPS Y3, (CX)(R12*1)
+
+f32x4next:
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $8, BX
+	JNZ  f32x4lanes
 	VZEROUPPER
 	RET
 
-// func quadAxpyI8AVX2(dst *int32, b0, b1, b2, b3 *int8, a *int32, n int)
+// func tileF32x1AVX2(dst, a *float32, lda int, b *float32, ldb, k, n int)
 //
-// dst[j] += a[0]*int32(b0[j]) + ... + a[3]*int32(b3[j]) for j in [0,n),
-// n a positive multiple of 8. Exact int32 arithmetic (VPMOVSXBD widens,
-// VPMULLD multiplies in 32 bits).
-TEXT ·quadAxpyI8AVX2(SB), NOSPLIT, $0-56
+// tileF32x4AVX2 for one row: a panel's lone last row. Same order, same
+// bits.
+TEXT ·tileF32x1AVX2(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
-	MOVQ b0+8(FP), R8
-	MOVQ b1+16(FP), R9
-	MOVQ b2+24(FP), R10
-	MOVQ b3+32(FP), R11
-	MOVQ a+40(FP), SI
-	MOVQ n+48(FP), CX
-	VPBROADCASTD (SI), Y8
-	VPBROADCASTD 4(SI), Y9
-	VPBROADCASTD 8(SI), Y10
-	VPBROADCASTD 12(SI), Y11
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-16, DX
-	CMPQ DX, $0
-	JE   i8loop8
+	MOVQ a+8(FP), R8
+	MOVQ lda+16(FP), R13
+	SHLQ $2, R13
+	MOVQ b+24(FP), SI
+	MOVQ ldb+32(FP), R14
+	SHLQ $2, R14
+	MOVQ n+48(FP), BX
 
-i8loop16:
-	VPMOVSXBD (R8)(AX*1), Y1
-	VPMOVSXBD 8(R8)(AX*1), Y5
-	VPMULLD   Y8, Y1, Y1
-	VPMULLD   Y8, Y5, Y5
-	VPMOVSXBD (R9)(AX*1), Y2
-	VPMOVSXBD 8(R9)(AX*1), Y6
-	VPMULLD   Y9, Y2, Y2
-	VPMULLD   Y9, Y6, Y6
-	VPADDD    Y2, Y1, Y1
-	VPADDD    Y6, Y5, Y5
-	VPMOVSXBD (R10)(AX*1), Y3
-	VPMOVSXBD 8(R10)(AX*1), Y7
-	VPMULLD   Y10, Y3, Y3
-	VPMULLD   Y10, Y7, Y7
-	VPADDD    Y3, Y1, Y1
-	VPADDD    Y7, Y5, Y5
-	VPMOVSXBD (R11)(AX*1), Y4
-	VPMOVSXBD 8(R11)(AX*1), Y12
-	VPMULLD   Y11, Y4, Y4
-	VPMULLD   Y11, Y12, Y12
-	VPADDD    Y4, Y1, Y1
-	VPADDD    Y12, Y5, Y5
-	VPADDD    (DI)(AX*4), Y1, Y1
-	VPADDD    32(DI)(AX*4), Y5, Y5
-	VMOVDQU   Y1, (DI)(AX*4)
-	VMOVDQU   Y5, 32(DI)(AX*4)
-	ADDQ      $16, AX
-	CMPQ      AX, DX
-	JL        i8loop16
+f32x1lanes:
+	VXORPS Y0, Y0, Y0
+	XORQ   AX, AX
+	MOVQ   SI, DX
+	MOVQ   k+40(FP), CX
+	SHRQ   $2, CX
+	JZ     f32x1tail
 
-i8loop8:
-	CMPQ AX, CX
-	JGE  i8done
-	VPMOVSXBD (R8)(AX*1), Y1
-	VPMULLD   Y8, Y1, Y1
-	VPMOVSXBD (R9)(AX*1), Y2
-	VPMULLD   Y9, Y2, Y2
-	VPADDD    Y2, Y1, Y1
-	VPMOVSXBD (R10)(AX*1), Y3
-	VPMULLD   Y10, Y3, Y3
-	VPADDD    Y3, Y1, Y1
-	VPMOVSXBD (R11)(AX*1), Y4
-	VPMULLD   Y11, Y4, Y4
-	VPADDD    Y4, Y1, Y1
-	VPADDD    (DI)(AX*4), Y1, Y1
-	VMOVDQU   Y1, (DI)(AX*4)
-	ADDQ      $8, AX
-	JMP       i8loop8
+f32x1quad:
+	VMOVUPS      (DX), Y8
+	VBROADCASTSS (R8)(AX*1), Y9
+	VMULPS       Y9, Y8, Y4
+	ADDQ         R13, AX
+	VMOVUPS      (DX)(R14*1), Y8
+	F32TAP(R8, Y10, Y4)
+	ADDQ         R13, AX
+	LEAQ         (DX)(R14*2), DX
+	VMOVUPS      (DX), Y8
+	F32TAP(R8, Y11, Y4)
+	ADDQ         R13, AX
+	VMOVUPS      (DX)(R14*1), Y8
+	F32TAP(R8, Y12, Y4)
+	ADDQ         R13, AX
+	LEAQ         (DX)(R14*2), DX
+	VADDPS       Y0, Y4, Y0
+	DECQ         CX
+	JNZ          f32x1quad
 
-i8done:
+f32x1tail:
+	MOVQ k+40(FP), CX
+	ANDQ $3, CX
+	JZ   f32x1store
+
+f32x1one:
+	VMOVUPS (DX), Y8
+	F32ONE(R8, Y9, Y0)
+	ADDQ    R13, AX
+	ADDQ    R14, DX
+	DECQ    CX
+	JNZ     f32x1one
+
+f32x1store:
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, BX
+	JNZ     f32x1lanes
+	VZEROUPPER
+	RET
+
+// The i8 tiles read A packed by gemmTiles8 as int16 tap pairs: for a
+// 4-row tile, pair p of rows 0..3 is the 16 bytes at a+16·p, so one
+// VPBROADCASTD per row and pair needs no stride; a 1-row tile reads its
+// row's pairs one after another.
+
+// I8PAIR(off, lo, hi) adds the pair of taps' products for the row whose
+// packed int16 pair is at off(AX) to its sums lo (lanes 0–3, 8–11) and
+// hi (lanes 4–7, 12–15); B's two taps are interleaved in Y10 and Y11.
+#define I8PAIR(off, lo, hi) VPBROADCASTD off(AX), Y12; VPMADDWD Y12, Y10, Y13; VPMADDWD Y12, Y11, Y14; VPADDD Y13, lo, lo; VPADDD Y14, hi, hi
+
+// func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, ldb, k, n, rows int)
+//
+// dst[r*ldd+j] = Σ_kk int32(A[r][kk])·int32(b[kk*ldb+j]) for r < rows
+// (2..4) and j in [0,n), n a positive multiple of 16. a holds A as int16 pairs:
+// dword a[p*4+r] is taps 2p (low word) and 2p+1 (high word, zero past k)
+// of row r. Two of B's int8 taps are sign-extended to words and
+// interleaved the same way, so one VPMADDWD per row and 8 lanes adds two
+// products into int32 sums. That is exact: every word came from an int8,
+// so a pair of products is at most 2·128² and never the one VPMADDWD
+// case that wraps (both words −32768). The interleave leaves a row's
+// lanes 0–3 and 8–11 in one register and 4–7 and 12–15 in another;
+// VPERM2I128 puts them back in order at the store.
+TEXT ·tileI8x4AVX2(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ ldd+8(FP), R12
+	SHLQ $2, R12
+	LEAQ (R12)(R12*2), R13
+	MOVQ b+24(FP), SI
+	MOVQ ldb+32(FP), R14
+	MOVQ n+48(FP), BX
+
+i8x4lanes:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ  a+16(FP), AX
+	MOVQ  SI, DX
+	MOVQ  k+40(FP), CX
+	SHRQ  $1, CX
+	JZ    i8x4odd
+
+i8x4pair:
+	VPMOVSXBW  (DX), Y8
+	VPMOVSXBW  (DX)(R14*1), Y9
+	VPUNPCKLWD Y9, Y8, Y10
+	VPUNPCKHWD Y9, Y8, Y11
+	I8PAIR(0, Y0, Y1)
+	I8PAIR(4, Y2, Y3)
+	I8PAIR(8, Y4, Y5)
+	I8PAIR(12, Y6, Y7)
+	ADDQ       $16, AX
+	LEAQ       (DX)(R14*2), DX
+	DECQ       CX
+	JNZ        i8x4pair
+
+i8x4odd:
+	// An odd k's last tap pairs with zeros.
+	MOVQ       k+40(FP), CX
+	ANDQ       $1, CX
+	JZ         i8x4store
+	VPMOVSXBW  (DX), Y8
+	VPXOR      Y9, Y9, Y9
+	VPUNPCKLWD Y9, Y8, Y10
+	VPUNPCKHWD Y9, Y8, Y11
+	I8PAIR(0, Y0, Y1)
+	I8PAIR(4, Y2, Y3)
+	I8PAIR(8, Y4, Y5)
+	I8PAIR(12, Y6, Y7)
+
+i8x4store:
+	VPERM2I128 $0x20, Y1, Y0, Y8
+	VPERM2I128 $0x31, Y1, Y0, Y9
+	VMOVDQU    Y8, (DI)
+	VMOVDQU    Y9, 32(DI)
+	LEAQ       (DI)(R12*1), R8
+	VPERM2I128 $0x20, Y3, Y2, Y8
+	VPERM2I128 $0x31, Y3, Y2, Y9
+	VMOVDQU    Y8, (R8)
+	VMOVDQU    Y9, 32(R8)
+	MOVQ       rows+56(FP), CX
+	CMPQ       CX, $3
+	JL         i8x4next
+	LEAQ       (DI)(R12*2), R8
+	VPERM2I128 $0x20, Y5, Y4, Y8
+	VPERM2I128 $0x31, Y5, Y4, Y9
+	VMOVDQU    Y8, (R8)
+	VMOVDQU    Y9, 32(R8)
+	CMPQ       CX, $3
+	JE         i8x4next
+	LEAQ       (DI)(R13*1), R8
+	VPERM2I128 $0x20, Y7, Y6, Y8
+	VPERM2I128 $0x31, Y7, Y6, Y9
+	VMOVDQU    Y8, (R8)
+	VMOVDQU    Y9, 32(R8)
+
+i8x4next:
+	ADDQ       $64, DI
+	ADDQ       $16, SI
+	SUBQ       $16, BX
+	JNZ        i8x4lanes
+	VZEROUPPER
+	RET
+
+// func tileI8x1AVX2(dst *int32, a *int32, b *int8, ldb, k, n int)
+//
+// tileI8x4AVX2 for one row, its int16 pairs a[p] contiguous.
+TEXT ·tileI8x1AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ b+16(FP), SI
+	MOVQ ldb+24(FP), R14
+	MOVQ n+40(FP), BX
+
+i8x1lanes:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	MOVQ  a+8(FP), AX
+	MOVQ  SI, DX
+	MOVQ  k+32(FP), CX
+	SHRQ  $1, CX
+	JZ    i8x1odd
+
+i8x1pair:
+	VPMOVSXBW  (DX), Y8
+	VPMOVSXBW  (DX)(R14*1), Y9
+	VPUNPCKLWD Y9, Y8, Y10
+	VPUNPCKHWD Y9, Y8, Y11
+	I8PAIR(0, Y0, Y1)
+	ADDQ       $4, AX
+	LEAQ       (DX)(R14*2), DX
+	DECQ       CX
+	JNZ        i8x1pair
+
+i8x1odd:
+	MOVQ       k+32(FP), CX
+	ANDQ       $1, CX
+	JZ         i8x1store
+	VPMOVSXBW  (DX), Y8
+	VPXOR      Y9, Y9, Y9
+	VPUNPCKLWD Y9, Y8, Y10
+	VPUNPCKHWD Y9, Y8, Y11
+	I8PAIR(0, Y0, Y1)
+
+i8x1store:
+	VPERM2I128 $0x20, Y1, Y0, Y8
+	VPERM2I128 $0x31, Y1, Y0, Y9
+	VMOVDQU    Y8, (DI)
+	VMOVDQU    Y9, 32(DI)
+	ADDQ       $64, DI
+	ADDQ       $16, SI
+	SUBQ       $16, BX
+	JNZ        i8x1lanes
 	VZEROUPPER
 	RET
 

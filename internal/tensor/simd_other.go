@@ -10,11 +10,19 @@ var useSIMD = false
 // false off amd64 or under OFFLOADNN_NO_SIMD=1).
 func SIMDEnabled() bool { return false }
 
-func quadAxpyF32AVX2(dst, b0, b1, b2, b3 *float32, a *float32, n int) {
+func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, ldb, k, n, rows int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func quadAxpyI8AVX2(dst *int32, b0, b1, b2, b3 *int8, a *int32, n int) {
+func tileF32x1AVX2(dst, a *float32, lda int, b *float32, ldb, k, n int) {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
+
+func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, ldb, k, n, rows int) {
+	panic("tensor: SIMD kernel called on non-amd64 build")
+}
+
+func tileI8x1AVX2(dst *int32, a *int32, b *int8, ldb, k, n int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
