@@ -145,7 +145,7 @@ func BenchmarkSolveOptimalSmallT3(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SolveOptimal(in); err != nil {
+		if _, _, err := core.SolveOptimal(context.Background(), in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -340,9 +340,9 @@ func BenchmarkMatMul(b *testing.B) {
 		for i := range x32 {
 			x32[i] = float32(x.Data()[i])
 			y32[i] = float32(y.Data()[i])
+			// A constant tensor quantizes to the int8 extreme.
+			x8[i], y8[i] = 127, 127
 		}
-		tensor.QuantizeSymmetric(x8, x.Data(), tensor.SymmetricScale(x.Data()))
-		tensor.QuantizeSymmetric(y8, y.Data(), tensor.SymmetricScale(y.Data()))
 		for _, workers := range []int{1, 4} {
 			tag := fmt.Sprintf("n%d/workers%d", n, workers)
 			b.Run(tag+"/f64", func(b *testing.B) {
@@ -489,17 +489,17 @@ func BenchmarkEmulation20s(b *testing.B) {
 	}
 	res := in.Res
 	res.RBs = 100
-	controller := NewController(res)
+	controller := edge.NewController(res)
 	dep, err := controller.Admit(in.Tasks, in.Blocks, in.Alpha)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := DefaultEmulatorConfig()
+	cfg := edge.DefaultEmulatorConfig()
 	cfg.Duration = 20 * time.Second
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		em, err := NewEmulator(in, dep, cfg)
+		em, err := edge.NewEmulator(in, dep, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -765,7 +765,7 @@ func BenchmarkSolveOptimalT4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.SolveOptimal(in); err != nil {
+		if _, _, err := core.SolveOptimal(context.Background(), in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,7 +33,7 @@
 // as cheaper solver-priced options; with the real backend the chosen
 // kernels serve the path, guarded by an install-time accuracy gate:
 //
-//	edgeserve -backend real -precision f64,i8 -quant-gate 0.02
+//	edgeserve -backend real -precision f64,i8
 //
 // The real backend's batching queues take requests earliest deadline
 // first (EDF): each executed offload carries a deadline derived from its
@@ -108,7 +108,6 @@ func run() int {
 	batchSize := flag.Int("batch-size", 8, "real backend: max requests per inference batch")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "real backend: max wait for a partial batch (none on a path whose admitted rate × window < 1)")
 	queueDepth := flag.Int("queue-depth", 0, "real backend: per-model intake queue bound before backpressure sheds the latest-deadline waiter (0 = 16x batch size, negative = unbounded)")
-	quantGate := flag.Float64("quant-gate", 0, "real backend: max top-1 disagreement vs float64 before a quantized path is demoted a tier (0 = default 0.02, negative disables)")
 	modelWidth := flag.Int("model-width", 8, "real backend: base channel width of the model template")
 	inputShape := flag.String("input", "8x8", "real backend: input HxW (channels fixed at 3)")
 	drainGrace := flag.Duration("drain-grace", 1*time.Second, "window after SIGTERM where the listener stays open in draining mode")
@@ -176,7 +175,6 @@ func run() int {
 			Input:       [3]int{model.InChannels, h, w},
 			BatchSize:   *batchSize,
 			BatchWindow: *batchWindow,
-			QuantGate:   *quantGate,
 			QueueDepth:  *queueDepth,
 			Faults:      faults,
 			Logf:        log.Printf,

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -149,7 +150,7 @@ func run() int {
 	var solveErr error
 	if *optimal {
 		var stats *core.OptimalStats
-		sol, stats, solveErr = core.SolveOptimal(in)
+		sol, stats, solveErr = core.SolveOptimal(context.Background(), in)
 		if solveErr == nil {
 			fmt.Fprintf(os.Stderr, "explored %d branches (%d pruned)\n",
 				stats.BranchesExplored, stats.BranchesPruned)

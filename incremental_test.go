@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"offloadnn/internal/core"
 	"offloadnn/internal/workload"
 )
 
@@ -22,7 +23,7 @@ import (
 // bookkeeping, and checks after every event that the incremental solution
 // equals a from-scratch Solve of the equivalent instance.
 func TestSessionMatchesSolveAcrossChurnTimeline(t *testing.T) {
-	events, err := ChurnTimeline(workload.ChurnParams{
+	events, err := workload.ChurnTimeline(workload.ChurnParams{
 		Tasks:     5,
 		Duration:  time.Minute,
 		Seed:      11,
@@ -44,11 +45,11 @@ func TestSessionMatchesSolveAcrossChurnTimeline(t *testing.T) {
 	blocks := make(map[string]BlockSpec)
 	seq := 0
 	var shadow []Task
-	var sess *SolverSession
+	var sess *core.SolverSession
 	rateKinds := 0
 
 	for ei, ev := range events {
-		var delta TaskDelta
+		var delta core.TaskDelta
 		switch ev.Kind {
 		case workload.ChurnRegister:
 			task := ev.Task
@@ -80,10 +81,10 @@ func TestSessionMatchesSolveAcrossChurnTimeline(t *testing.T) {
 
 		if sess == nil {
 			first := &Instance{Tasks: []Task{delta.Add[0]}, Blocks: blocks, Res: base.Res, Alpha: base.Alpha}
-			if sess, err = NewSolverSession(first); err != nil {
+			if sess, err = core.NewSolverSession(first); err != nil {
 				t.Fatalf("event %d: new session: %v", ei, err)
 			}
-			delta = TaskDelta{}
+			delta = core.TaskDelta{}
 		}
 		got, err := sess.Resolve(context.Background(), delta)
 		if err != nil {
@@ -131,14 +132,14 @@ func TestSessionMatchesSolveAcrossChurnTimeline(t *testing.T) {
 // the 20-task large scenario promptly, with the context's error exposed
 // through errors.Is.
 func TestSolveCtxCanceled(t *testing.T) {
-	in, err := LargeScenario(LoadHigh)
+	in, err := LargeScenario(workload.LoadHigh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err = Solve(ctx, in, WithTier(TierHeuristic))
+	_, err = core.SolveSpec(ctx, in, core.SolverSpec{Tier: core.TierHeuristic})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -157,7 +158,7 @@ func TestSolveOptimalCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = Solve(ctx, in, WithTier(TierOptimal))
+	_, _, err = core.SolveOptimal(ctx, in)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
@@ -170,10 +171,10 @@ func TestSolveOptimalCtxDeadline(t *testing.T) {
 // wrap ErrInfeasible, and an over-constrained instance surfaces
 // ErrNoFeasiblePath through Solve.
 func TestSentinelErrors(t *testing.T) {
-	if !errors.Is(ErrNoFeasiblePath, ErrInfeasible) {
+	if !errors.Is(core.ErrNoFeasiblePath, core.ErrInfeasible) {
 		t.Fatal("ErrNoFeasiblePath must wrap ErrInfeasible")
 	}
-	if !errors.Is(ErrOverCapacity, ErrInfeasible) {
+	if !errors.Is(core.ErrOverCapacity, core.ErrInfeasible) {
 		t.Fatal("ErrOverCapacity must wrap ErrInfeasible")
 	}
 
@@ -191,10 +192,10 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	in.Res.MemoryGB = 1e-6 // shrink the pool under the deployed footprint
 	err = Check(in, sol.Assignments)
-	if !errors.Is(err, ErrOverCapacity) {
+	if !errors.Is(err, core.ErrOverCapacity) {
 		t.Fatalf("want error wrapping ErrOverCapacity, got %v", err)
 	}
-	if !errors.Is(err, ErrInfeasible) {
+	if !errors.Is(err, core.ErrInfeasible) {
 		t.Fatalf("capacity violation must also wrap ErrInfeasible, got %v", err)
 	}
 }

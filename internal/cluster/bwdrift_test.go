@@ -98,7 +98,7 @@ func TestBandwidthProbeJitterDoesNotThrash(t *testing.T) {
 
 	// First probe seeds the matrix; the placement snapshots it as the
 	// rate the routing currently prices with.
-	c.heartbeat("a", HeartbeatRequest{State: "healthy", BandwidthMbps: 100, Peers: map[string]float64{"b": 6500}})
+	c.heartbeat("a", heartbeatRequest{State: "healthy", BandwidthMbps: 100, Peers: map[string]float64{"b": 6500}})
 	if err := c.PlaceNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestBandwidthProbeJitterDoesNotThrash(t *testing.T) {
 		if i%2 == 1 {
 			mbps = 11000.0
 		}
-		c.heartbeat("a", HeartbeatRequest{State: "healthy", BandwidthMbps: 100, Peers: map[string]float64{"b": mbps}})
+		c.heartbeat("a", heartbeatRequest{State: "healthy", BandwidthMbps: 100, Peers: map[string]float64{"b": mbps}})
 	}
 	if n := lg.reset(); n != 0 {
 		t.Fatalf("stable-mean jitter kicked %d re-placements, want 0", n)
@@ -120,7 +120,7 @@ func TestBandwidthProbeJitterDoesNotThrash(t *testing.T) {
 	// A genuine collapse (6.5 Gb/s placed → 500 Mb/s measured) must
 	// cross the gate once the smoothed rate catches up.
 	for i := 0; i < 10; i++ {
-		c.heartbeat("a", HeartbeatRequest{State: "healthy", BandwidthMbps: 100, Peers: map[string]float64{"b": 500}})
+		c.heartbeat("a", heartbeatRequest{State: "healthy", BandwidthMbps: 100, Peers: map[string]float64{"b": 500}})
 	}
 	if n := lg.reset(); n == 0 {
 		t.Fatal("sustained link collapse never kicked a re-placement")

@@ -38,25 +38,25 @@ import (
 // Fault-injection points wired into the coordinator (see
 // internal/faultinject; the suffix selects the failure mode).
 const (
-	// PointPushError fails a plan push to a member node after placement
+	// pointPushError fails a plan push to a member node after placement
 	// (the node is treated as failed and the placement retried without
 	// it).
-	PointPushError = "cluster.push.error"
-	// PointProxyError fails a proxied offload before it reaches the
+	pointPushError = "cluster.push.error"
+	// pointProxyError fails a proxied offload before it reaches the
 	// owning node (answered 502, counted per node).
-	PointProxyError = "cluster.proxy.error"
-	// PointHeartbeatDrop makes the coordinator silently discard a
+	pointProxyError = "cluster.proxy.error"
+	// pointHeartbeatDrop makes the coordinator silently discard a
 	// received heartbeat, simulating beat loss on the path to the
 	// heartbeat-timeout failure detector.
-	PointHeartbeatDrop = "cluster.heartbeat.drop"
+	pointHeartbeatDrop = "cluster.heartbeat.drop"
 )
 
-// DefaultFloorMbps is the conservative rate an unmeasured link is priced
+// defaultFloorMbps is the conservative rate an unmeasured link is priced
 // at. An unprobed link used to be priced as free, which made placement
 // systematically prefer exactly the nodes it knew least about; the floor
 // inverts that bias — unknown links look slow until a probe proves
 // otherwise.
-const DefaultFloorMbps = 1.0
+const defaultFloorMbps = 1.0
 
 // Node is one cluster member as the placement layer sees it: an identity,
 // a serving address, its own capacity pool and the measured bandwidth of
@@ -74,7 +74,7 @@ type Node struct {
 	// priced at the conservative floor (see FloorMbps) rather than free.
 	BandwidthMbps float64
 	// FloorMbps is the rate an unmeasured link is priced at. Zero means
-	// DefaultFloorMbps; negative opts the node out of floor pricing
+	// defaultFloorMbps; negative opts the node out of floor pricing
 	// entirely (unmeasured forwarding is free — the co-located /
 	// loopback case, and the setting single-node parity tests use).
 	FloorMbps float64
@@ -93,7 +93,7 @@ func (n Node) LinkMbps() float64 {
 	if n.FloorMbps > 0 {
 		return n.FloorMbps
 	}
-	return DefaultFloorMbps
+	return defaultFloorMbps
 }
 
 // ForwardDelay returns how long one frame of the given size spends on

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"offloadnn/internal/core"
-	"offloadnn/internal/edge"
 	"offloadnn/internal/faultinject"
 	"offloadnn/internal/radio"
 	"offloadnn/internal/serve"
@@ -53,7 +52,7 @@ func startMember(t *testing.T, id string, res core.Resources) *liveMember {
 	return &liveMember{srv: srv, ts: ts}
 }
 
-func startCoordinator(t *testing.T, cfg Config) *Coordinator {
+func startCoordinator(t testing.TB, cfg Config) *Coordinator {
 	t.Helper()
 	if cfg.Debounce == 0 {
 		cfg.Debounce = 10 * time.Millisecond
@@ -201,7 +200,7 @@ func TestClusterOneNodeMatchesStandalone(t *testing.T) {
 // the survivor, traffic flows again, and the aggregate /healthz names the
 // failed node (satellites 2 and 3).
 func TestClusterFailoverToSurvivor(t *testing.T) {
-	halves := edge.PartitionResources(fullRes(), 2)
+	halves := partitionResources(fullRes(), 2)
 	ma := startMember(t, "a", halves[0])
 	mb := startMember(t, "b", halves[1])
 	c := startCoordinator(t, Config{})
@@ -310,7 +309,7 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.mu.Unlock()
 }
 
-func postHeartbeat(t *testing.T, baseURL, node string, req HeartbeatRequest) *http.Response {
+func postHeartbeat(t *testing.T, baseURL, node string, req heartbeatRequest) *http.Response {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(baseURL+"/v1/cluster/nodes/"+node+"/heartbeat", "application/json", bytes.NewReader(body))
@@ -328,7 +327,7 @@ func postHeartbeat(t *testing.T, baseURL, node string, req HeartbeatRequest) *ht
 // it.
 func TestClusterHeartbeatTimeout(t *testing.T) {
 	clock := newFakeClock()
-	halves := edge.PartitionResources(fullRes(), 2)
+	halves := partitionResources(fullRes(), 2)
 	ma := startMember(t, "a", halves[0])
 	mb := startMember(t, "b", halves[1])
 	c := startCoordinator(t, Config{Now: clock.Now, HeartbeatTimeout: 100 * time.Millisecond})
@@ -347,7 +346,7 @@ func TestClusterHeartbeatTimeout(t *testing.T) {
 
 	// b beats inside the window; only a keeps beating afterwards.
 	clock.Advance(90 * time.Millisecond)
-	if resp := postHeartbeat(t, front.URL, "a", HeartbeatRequest{State: "healthy"}); resp.StatusCode != http.StatusOK {
+	if resp := postHeartbeat(t, front.URL, "a", heartbeatRequest{State: "healthy"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("heartbeat answered %d", resp.StatusCode)
 	}
 	clock.Advance(30 * time.Millisecond) // b is now 120 ms silent, a only 30 ms
@@ -373,7 +372,7 @@ func TestClusterHeartbeatTimeout(t *testing.T) {
 	}
 
 	// The member resumes beating: revived, cluster healthy again.
-	if resp := postHeartbeat(t, front.URL, "b", HeartbeatRequest{State: "healthy"}); resp.StatusCode != http.StatusOK {
+	if resp := postHeartbeat(t, front.URL, "b", heartbeatRequest{State: "healthy"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("revival heartbeat answered %d", resp.StatusCode)
 	}
 	c.Sweep()
@@ -394,7 +393,7 @@ func TestClusterHeartbeatTimeout(t *testing.T) {
 func TestClusterHeartbeatDropFault(t *testing.T) {
 	clock := newFakeClock()
 	inj := faultinject.New(1)
-	inj.Set(PointHeartbeatDrop, faultinject.Rule{EveryN: 1})
+	inj.Set(pointHeartbeatDrop, faultinject.Rule{EveryN: 1})
 	ma := startMember(t, "a", fullRes())
 	c := startCoordinator(t, Config{Now: clock.Now, HeartbeatTimeout: 100 * time.Millisecond, Faults: inj})
 	front := httptest.NewServer(c)
@@ -402,10 +401,10 @@ func TestClusterHeartbeatDropFault(t *testing.T) {
 	joinMember(t, c, "a", ma, 0)
 
 	clock.Advance(150 * time.Millisecond)
-	if resp := postHeartbeat(t, front.URL, "a", HeartbeatRequest{State: "healthy"}); resp.StatusCode != http.StatusNoContent {
+	if resp := postHeartbeat(t, front.URL, "a", heartbeatRequest{State: "healthy"}); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("dropped heartbeat answered %d, want 204 (indistinguishable)", resp.StatusCode)
 	}
-	if inj.Fires(PointHeartbeatDrop) == 0 {
+	if inj.Fires(pointHeartbeatDrop) == 0 {
 		t.Fatal("drop point never fired")
 	}
 	c.Sweep()
@@ -422,8 +421,8 @@ func TestClusterHeartbeatDropFault(t *testing.T) {
 // it, landing every route on the survivor.
 func TestClusterPushErrorFault(t *testing.T) {
 	inj := faultinject.New(1)
-	inj.Set(PointPushError, faultinject.Rule{EveryN: 1, Count: 1})
-	halves := edge.PartitionResources(fullRes(), 2)
+	inj.Set(pointPushError, faultinject.Rule{EveryN: 1, Count: 1})
+	halves := partitionResources(fullRes(), 2)
 	ma := startMember(t, "a", halves[0])
 	mb := startMember(t, "b", halves[1])
 	c := startCoordinator(t, Config{Faults: inj})
@@ -437,8 +436,8 @@ func TestClusterPushErrorFault(t *testing.T) {
 	if err := c.PlaceNow(); err != nil {
 		t.Fatal(err)
 	}
-	if inj.Fires(PointPushError) != 1 {
-		t.Fatalf("push fault fired %d times, want 1", inj.Fires(PointPushError))
+	if inj.Fires(pointPushError) != 1 {
+		t.Fatalf("push fault fired %d times, want 1", inj.Fires(pointPushError))
 	}
 
 	c.mu.Lock()
@@ -468,7 +467,7 @@ func TestClusterPushErrorFault(t *testing.T) {
 	}
 
 	// The failed node's next heartbeat revives it for future placements.
-	if !c.heartbeat(failed[0], HeartbeatRequest{State: "healthy"}) {
+	if !c.heartbeat(failed[0], heartbeatRequest{State: "healthy"}) {
 		t.Fatal("heartbeat for failed node not accepted")
 	}
 	c.mu.Lock()
@@ -484,7 +483,7 @@ func TestClusterPushErrorFault(t *testing.T) {
 // must not read the membership map outside c.mu (run under -race).
 func TestPlacementRetryRacesRegistration(t *testing.T) {
 	inj := faultinject.New(1)
-	inj.Set(PointPushError, faultinject.Rule{EveryN: 1})
+	inj.Set(pointPushError, faultinject.Rule{EveryN: 1})
 	c := startCoordinator(t, Config{Faults: inj, Debounce: time.Hour})
 	res := ToWireResources(fullRes())
 	done := make(chan struct{})
@@ -508,7 +507,7 @@ func TestPlacementRetryRacesRegistration(t *testing.T) {
 		}
 		c.PlaceNow() // every push fails, so placements over members abort
 	}
-	if inj.Fires(PointPushError) == 0 {
+	if inj.Fires(pointPushError) == 0 {
 		t.Fatal("push fault never fired")
 	}
 }

@@ -43,7 +43,7 @@ type Config struct {
 	// HeartbeatTimeout/beatsPerTimeout.
 	HeartbeatTimeout time.Duration
 	// BandwidthFloorMbps is the rate unmeasured links are priced at
-	// (Node.FloorMbps for every member). 0 applies DefaultFloorMbps;
+	// (Node.FloorMbps for every member). 0 applies defaultFloorMbps;
 	// negative prices unmeasured links as free — the co-located setting
 	// single-node parity comparisons use.
 	BandwidthFloorMbps float64
@@ -449,13 +449,13 @@ func (c *Coordinator) pushPlans(ctx context.Context, p *Placement) []string {
 
 // pushPlan PUTs one node's task subset to the member and waits for its
 // re-solve to acknowledge.
-func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePlan, segs []WireSegment, norm *core.Resources) error {
-	if err := c.cfg.Faults.Hit(ctx, PointPushError); err != nil {
+func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePlan, segs []wireSegment, norm *core.Resources) error {
+	if err := c.cfg.Faults.Hit(ctx, pointPushError); err != nil {
 		return err
 	}
 	res := m.node.Res
 	res.Norm = norm
-	push := PlanPush{
+	push := planPush{
 		Node:      m.node.ID,
 		Placement: c.placeSeq.Load() + 1,
 		Alpha:     c.cfg.Alpha,
@@ -464,9 +464,9 @@ func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePl
 	}
 	if plan != nil {
 		for _, t := range plan.Tasks {
-			push.Tasks = append(push.Tasks, ToWireTask(t))
+			push.Tasks = append(push.Tasks, toWireTask(t))
 		}
-		push.Blocks = ToWireBlocks(plan.Blocks)
+		push.Blocks = toWireBlocks(plan.Blocks)
 	}
 	body, err := json.Marshal(push)
 	if err != nil {
@@ -488,7 +488,7 @@ func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePl
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("cluster: member %s answered %d to plan push: %s", m.node.ID, resp.StatusCode, msg)
 	}
-	var ack PlanAck
+	var ack planAck
 	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
 		return fmt.Errorf("cluster: member %s plan ack: %v", m.node.ID, err)
 	}
@@ -582,8 +582,11 @@ func (c *Coordinator) register(req RegisterRequest) error {
 	}
 	res := req.Res.budgets()
 	res.Capacity = c.cfg.Capacity
-	if res.RBs <= 0 || res.ComputeSeconds <= 0 || res.TrainBudgetSeconds <= 0 {
-		return fmt.Errorf("cluster: node %s registered unusable budgets %+v", req.Node, req.Res)
+	if err := res.Validate(); err != nil {
+		return fmt.Errorf("cluster: node %s registered unusable budgets %+v: %w", req.Node, req.Res, err)
+	}
+	if res.RBs == 0 || res.ComputeSeconds == 0 {
+		return fmt.Errorf("cluster: node %s registered no radio or no compute %+v", req.Node, req.Res)
 	}
 	now := c.cfg.Now()
 	c.mu.Lock()
@@ -612,7 +615,7 @@ func (c *Coordinator) register(req RegisterRequest) error {
 // probes (coordinator link and node→peer rates) are EMA-smoothed and
 // drift is judged against the rates the latest placement priced with,
 // so noisy probes settle instead of re-placing every beat.
-func (c *Coordinator) heartbeat(id string, req HeartbeatRequest) (ok bool) {
+func (c *Coordinator) heartbeat(id string, req heartbeatRequest) (ok bool) {
 	now := c.cfg.Now()
 	kick := false
 	c.mu.Lock()

@@ -71,7 +71,7 @@ func (c *Coordinator) handleDeregisterTask(w http.ResponseWriter, r *http.Reques
 }
 
 // clusterTaskStatus is one entry of the coordinator's GET /v1/tasks: the
-// serve TaskStatus fields plus the owning node.
+// fields of serve's task status plus the owning node.
 type clusterTaskStatus struct {
 	ID           string  `json:"id"`
 	Priority     float64 `json:"priority"`
@@ -135,7 +135,7 @@ func (c *Coordinator) handleOffload(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	m := c.members[entry.NodeID]
 	c.mu.Unlock()
-	if err := c.cfg.Faults.Hit(r.Context(), PointProxyError); err != nil {
+	if err := c.cfg.Faults.Hit(r.Context(), pointProxyError); err != nil {
 		if m != nil {
 			m.proxyErrs.Add(1)
 		}
@@ -227,7 +227,7 @@ func (c *Coordinator) handleNodeRegister(w http.ResponseWriter, r *http.Request)
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req HeartbeatRequest
+	var req heartbeatRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid heartbeat: %v", err)
@@ -235,7 +235,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	// A dropped beat answers 204 like a recorded one: the member cannot
 	// tell, and the failure detector sees only silence (chaos tests).
-	if err := c.cfg.Faults.Hit(r.Context(), PointHeartbeatDrop); err != nil {
+	if err := c.cfg.Faults.Hit(r.Context(), pointHeartbeatDrop); err != nil {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
@@ -246,7 +246,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	// The response hands back the peer address book so the member's agent
 	// can round-robin inter-node bandwidth probes (the measurements come
 	// back in later heartbeats' Peers field).
-	serve.WriteJSON(w, http.StatusOK, HeartbeatResponse{Peers: c.peerAddrs(id)})
+	serve.WriteJSON(w, http.StatusOK, heartbeatResponse{Peers: c.peerAddrs(id)})
 }
 
 func (c *Coordinator) handleNodeLeave(w http.ResponseWriter, r *http.Request) {

@@ -51,7 +51,7 @@ func handleProbe(w http.ResponseWriter, r *http.Request) {
 // coordinator's per-node solution — and installs the result through its
 // execution backend. A plan the budgets cannot hold is refused with 409.
 func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
-	var push PlanPush
+	var push planPush
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err := dec.Decode(&push); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "invalid plan push: %v", err)
@@ -70,7 +70,7 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	for _, wt := range push.Tasks {
 		tasks = append(tasks, wt.Task())
 	}
-	changed, err := srv.ReplacePlan(tasks, FromWireBlocks(push.Blocks), push.Res.NormResources(), push.Segments)
+	changed, err := srv.ReplacePlan(tasks, fromWireBlocks(push.Blocks), push.Res.NormResources(), push.Segments)
 	if err != nil {
 		status, code := http.StatusBadRequest, serve.CodeInvalidRequest
 		if errors.Is(err, serve.ErrDraining) {
@@ -85,7 +85,7 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	if ep := srv.Current(); ep != nil {
 		epoch = ep.N
 	}
-	serve.WriteJSON(w, http.StatusOK, PlanAck{
+	serve.WriteJSON(w, http.StatusOK, planAck{
 		Node:    srv.Node(),
 		Epoch:   epoch,
 		Tasks:   len(tasks),
@@ -271,7 +271,7 @@ func (a *Agent) beat() error {
 	}
 	a.mu.Unlock()
 	h := a.srv.Health()
-	body, err := json.Marshal(HeartbeatRequest{
+	body, err := json.Marshal(heartbeatRequest{
 		State:         h.State.String(),
 		Epoch:         h.Epoch,
 		BandwidthMbps: a.mbps,
@@ -293,7 +293,7 @@ func (a *Agent) beat() error {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		var hb HeartbeatResponse
+		var hb heartbeatResponse
 		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hb); err == nil {
 			a.mu.Lock()
 			a.peerBook = hb.Peers

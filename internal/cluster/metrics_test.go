@@ -11,8 +11,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"offloadnn/internal/edge"
 )
 
 func scrape(t *testing.T, c *Coordinator) string {
@@ -35,7 +33,7 @@ func scrape(t *testing.T, c *Coordinator) string {
 // reached without a memory-starved member pair.
 func TestClusterMetricsGolden(t *testing.T) {
 	clock := newFakeClock()
-	halves := edge.PartitionResources(fullRes(), 2)
+	halves := partitionResources(fullRes(), 2)
 	ma := startMember(t, "a", halves[0])
 	mb := startMember(t, "b", halves[1])
 	c := startCoordinator(t, Config{Now: clock.Now, Debounce: time.Hour})
@@ -53,7 +51,7 @@ func TestClusterMetricsGolden(t *testing.T) {
 	sum.splits = []SplitPath{{TaskID: "cam-9", Segments: make([]SplitSegment, 2)}}
 	c.summary.Store(&sum)
 	clock.Advance(400 * time.Millisecond)
-	if !c.heartbeat("a", HeartbeatRequest{State: "healthy", Epoch: 2, Peers: map[string]float64{"b": 80}}) {
+	if !c.heartbeat("a", heartbeatRequest{State: "healthy", Epoch: 2, Peers: map[string]float64{"b": 80}}) {
 		t.Fatal("heartbeat from a refused")
 	}
 	clock.Advance(100 * time.Millisecond)
@@ -101,7 +99,7 @@ func TestClusterMetricsEscapesLabelValues(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("register: %d %s", w.Code, w.Body)
 	}
-	c.heartbeat(hostileID, HeartbeatRequest{State: "healthy", Peers: map[string]float64{hostileID: 50}})
+	c.heartbeat(hostileID, heartbeatRequest{State: "healthy", Peers: map[string]float64{hostileID: 50}})
 
 	unescape := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
 	value := regexp.MustCompile(`(node|from|to)="((?:[^"\\\n]|\\[\\"n])*)"`)

@@ -322,12 +322,12 @@ func (p *Placement) checkSplits() {
 // wireSegments converts split plans into each node's wire segments,
 // threading the relay coordinates (next hop, pipeline length, head budget
 // and slice) through.
-func wireSegments(splits []SplitPath) map[string][]WireSegment {
-	out := make(map[string][]WireSegment)
+func wireSegments(splits []SplitPath) map[string][]wireSegment {
+	out := make(map[string][]wireSegment)
 	for i := range splits {
 		sp := &splits[i]
 		for si, seg := range sp.Segments {
-			w := WireSegment{
+			w := wireSegment{
 				Task:   sp.TaskID,
 				Path:   sp.Path.ID,
 				DNN:    sp.Path.DNN,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"offloadnn/internal/core"
-	"offloadnn/internal/edge"
 	"offloadnn/internal/workload"
 )
 
@@ -20,6 +19,83 @@ func singleSolve(t *testing.T, in *core.Instance) *core.Solution {
 		t.Fatalf("single-server solve: %v", err)
 	}
 	return sol
+}
+
+// partitionResources splits one edge server's capacity pool into n
+// per-node budgets for a cluster of edge nodes: compute C and memory M
+// divide evenly, the R radio resource blocks split integrally with the
+// remainder spread over the first nodes, and every node keeps the full
+// training budget Ct (it normalizes the DOT objective's training term —
+// shrinking it would inflate each node's train cost relative to the
+// single-server objective) and the shared capacity model B(σ).
+func partitionResources(res core.Resources, n int) []core.Resources {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]core.Resources, n)
+	base, extra := res.RBs/n, res.RBs%n
+	for i := range out {
+		out[i] = core.Resources{
+			RBs:                base,
+			ComputeSeconds:     res.ComputeSeconds / float64(n),
+			MemoryGB:           res.MemoryGB / float64(n),
+			TrainBudgetSeconds: res.TrainBudgetSeconds,
+			Capacity:           res.Capacity,
+		}
+		if i < extra {
+			out[i].RBs++
+		}
+	}
+	return out
+}
+
+// clusterScenario is the 20-task large scenario at load for an n-node
+// cluster: the full task set and catalog, and each node's
+// partitionResources share of the Table-IV pool.
+func clusterScenario(load workload.Load, n int) (*core.Instance, []core.Resources, error) {
+	if n < 1 {
+		return nil, nil, fmt.Errorf("cluster scenario needs at least 1 node, got %d", n)
+	}
+	in, err := workload.LargeScenario(load)
+	if err != nil {
+		return nil, nil, err
+	}
+	return in, partitionResources(in.Res, n), nil
+}
+
+func TestClusterScenarioShares(t *testing.T) {
+	in, shares, err := clusterScenario(workload.LoadMedium, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shares) != 3 {
+		t.Fatalf("got %d shares, want 3", len(shares))
+	}
+	rbs := 0
+	var compute, memory float64
+	for i, s := range shares {
+		rbs += s.RBs
+		compute += s.ComputeSeconds
+		memory += s.MemoryGB
+		if s.TrainBudgetSeconds != in.Res.TrainBudgetSeconds {
+			t.Errorf("share %d train budget %v, want the full %v per node", i, s.TrainBudgetSeconds, in.Res.TrainBudgetSeconds)
+		}
+		if s.Capacity == nil {
+			t.Errorf("share %d lost the capacity model", i)
+		}
+	}
+	if rbs != in.Res.RBs {
+		t.Errorf("shares hold %d RBs total, pool has %d", rbs, in.Res.RBs)
+	}
+	if diff := compute - in.Res.ComputeSeconds; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("shares hold %v compute total, pool has %v", compute, in.Res.ComputeSeconds)
+	}
+	if diff := memory - in.Res.MemoryGB; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("shares hold %v GB total, pool has %v", memory, in.Res.MemoryGB)
+	}
+	if _, _, err := clusterScenario(workload.LoadMedium, 0); err == nil {
+		t.Error("0-node cluster scenario did not error")
+	}
 }
 
 func clusterNodes(res []core.Resources) []Node {
@@ -94,7 +170,7 @@ func TestPlaceOneNodeMatchesSingleServer(t *testing.T) {
 // full-budget server on the 20-task scenario.
 func TestPlaceTwoHalfNodesAdmitNoLess(t *testing.T) {
 	for _, load := range []workload.Load{workload.LoadLow, workload.LoadMedium, workload.LoadHigh} {
-		in, shares, err := workload.ClusterScenario(load, 2)
+		in, shares, err := clusterScenario(load, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +196,7 @@ func TestPlaceSpillsAcrossNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := clusterNodes(edge.PartitionResources(in.Res, 2))
+	nodes := clusterNodes(partitionResources(in.Res, 2))
 	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
 	perNode := map[string]int{}
 	for _, nid := range p.Route {
@@ -164,7 +240,7 @@ func TestPlaceAgainstPooledSolve(t *testing.T) {
 	var rows []row
 	for _, load := range []workload.Load{workload.LoadLow, workload.LoadMedium, workload.LoadHigh} {
 		for _, n := range []int{2, 3, 4} {
-			in, shares, err := workload.ClusterScenario(load, n)
+			in, shares, err := clusterScenario(load, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +253,7 @@ func TestPlaceAgainstPooledSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{2, 4} {
-			rows = append(rows, row{fmt.Sprintf("scale-%d x%d", size, n), in, clusterNodes(edge.PartitionResources(in.Res, n))})
+			rows = append(rows, row{fmt.Sprintf("scale-%d x%d", size, n), in, clusterNodes(partitionResources(in.Res, n))})
 		}
 	}
 	for _, r := range rows {
@@ -296,7 +372,7 @@ func TestAdjustTask(t *testing.T) {
 	if _, ok := (Node{BandwidthMbps: 4}).AdjustTask(task); ok {
 		t.Error("250ms forward delay must exhaust a 200ms budget")
 	}
-	// An unmeasured link is priced at the conservative DefaultFloorMbps
+	// An unmeasured link is priced at the conservative defaultFloorMbps
 	// (1 Mb/s): a 1 Mb frame costs the whole 200 ms budget and more.
 	if _, ok := (Node{}).AdjustTask(task); ok {
 		t.Error("unmeasured link must be priced at the floor, exhausting a 200ms budget")
@@ -316,8 +392,8 @@ func TestAdjustTask(t *testing.T) {
 
 // TestBandwidthFloor pins LinkMbps and the pairwise slowerLinkMbps.
 func TestBandwidthFloor(t *testing.T) {
-	if got := (Node{}).LinkMbps(); got != DefaultFloorMbps {
-		t.Errorf("unmeasured link rate %v, want default floor %v", got, DefaultFloorMbps)
+	if got := (Node{}).LinkMbps(); got != defaultFloorMbps {
+		t.Errorf("unmeasured link rate %v, want default floor %v", got, defaultFloorMbps)
 	}
 	if got := (Node{BandwidthMbps: 25}).LinkMbps(); got != 25 {
 		t.Errorf("measured link rate %v, want 25", got)
@@ -356,7 +432,7 @@ func TestPlaceSolveErrorLeavesNodeWithoutPlan(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	nodes := clusterNodes(edge.PartitionResources(in.Res, 2))
+	nodes := clusterNodes(partitionResources(in.Res, 2))
 	p := PlaceWith(ctx, in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
 	if len(p.Errors) != len(nodes) {
 		t.Errorf("errors %v, want one per node", p.Errors)

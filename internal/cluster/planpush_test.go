@@ -47,12 +47,12 @@ func TestPlanPushPublishesOneEpoch(t *testing.T) {
 	defer srv.Close()
 	member := MemberHandler(srv)
 
-	push := func(tasks []core.Task, segments []WireSegment) PlanAck {
+	push := func(tasks []core.Task, segments []wireSegment) planAck {
 		t.Helper()
-		plan := PlanPush{Node: "a", Alpha: in.Alpha, Res: ToWireResources(in.Res),
-			Blocks: ToWireBlocks(in.Blocks), Segments: segments}
+		plan := planPush{Node: "a", Alpha: in.Alpha, Res: ToWireResources(in.Res),
+			Blocks: toWireBlocks(in.Blocks), Segments: segments}
 		for _, task := range tasks {
-			plan.Tasks = append(plan.Tasks, ToWireTask(task))
+			plan.Tasks = append(plan.Tasks, toWireTask(task))
 		}
 		body, err := json.Marshal(plan)
 		if err != nil {
@@ -63,7 +63,7 @@ func TestPlanPushPublishesOneEpoch(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("plan push answered %d: %s", w.Code, w.Body)
 		}
-		var ack PlanAck
+		var ack planAck
 		if err := json.Unmarshal(w.Body.Bytes(), &ack); err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestPlanPushPublishesOneEpoch(t *testing.T) {
 
 	moved := in.Tasks[1]
 	path := moved.Paths[0]
-	split := push(in.Tasks[:1], []WireSegment{{
+	split := push(in.Tasks[:1], []wireSegment{{
 		Task: moved.ID, Path: path.ID, DNN: path.DNN, Blocks: path.Blocks,
 		From: 0, To: 1, Rate: moved.Rate, BudgetMS: 100, Hop: 0, Hops: 2,
 		Next: "http://peer.invalid", NextNode: "b",
@@ -94,16 +94,16 @@ func TestPlanPushPublishesOneEpoch(t *testing.T) {
 // overcommitPush is a plan no node with res can hold: a whole-path task
 // over two blocks and the [2,4) segment of another four-block path, every
 // block blockGB, where either half fits res.MemoryGB and both do not.
-func overcommitPush(res core.Resources, blockGB float64) PlanPush {
+func overcommitPush(res core.Resources, blockGB float64) planPush {
 	blocks := make(map[string]core.BlockSpec)
 	for _, id := range []string{"w/s1", "w/s2", "big/s1", "big/s2", "big/s3", "big/s4"} {
 		blocks[id] = core.BlockSpec{ID: id, ComputeSeconds: 1e-4, MemoryGB: blockGB, TrainSeconds: 1}
 	}
 	whole := core.Task{ID: "whole", Priority: 1, Rate: 2, MinAccuracy: 0.9, MaxLatency: 500 * time.Millisecond,
 		InputBits: 350e3, SNRdB: 20, Paths: []core.PathSpec{{ID: "w/p", DNN: "w", Blocks: []string{"w/s1", "w/s2"}, Accuracy: 0.95}}}
-	return PlanPush{Node: "a", Alpha: 0.5, Res: ToWireResources(res), Blocks: ToWireBlocks(blocks),
-		Tasks: []WireTask{ToWireTask(whole)},
-		Segments: []WireSegment{{Task: "big", Path: "big/p", DNN: "big", Blocks: []string{"big/s1", "big/s2", "big/s3", "big/s4"},
+	return planPush{Node: "a", Alpha: 0.5, Res: ToWireResources(res), Blocks: toWireBlocks(blocks),
+		Tasks: []wireTask{toWireTask(whole)},
+		Segments: []wireSegment{{Task: "big", Path: "big/p", DNN: "big", Blocks: []string{"big/s1", "big/s2", "big/s3", "big/s4"},
 			From: 2, To: 4, Rate: 2, Hop: 1, Hops: 2}}}
 }
 
@@ -177,14 +177,14 @@ func weightedAdmission(sol *core.Solution) float64 {
 }
 
 // nodePush is the body the coordinator pushes node i of a placement.
-func nodePush(p *Placement, i int, alpha float64) PlanPush {
+func nodePush(p *Placement, i int, alpha float64) planPush {
 	plan := &p.Plans[i]
 	res := plan.Node.Res
 	res.Norm = p.Norm
-	push := PlanPush{Node: plan.Node.ID, Alpha: alpha, Res: ToWireResources(res),
-		Blocks: ToWireBlocks(plan.Blocks), Segments: wireSegments(p.Splits)[plan.Node.ID]}
+	push := planPush{Node: plan.Node.ID, Alpha: alpha, Res: ToWireResources(res),
+		Blocks: toWireBlocks(plan.Blocks), Segments: wireSegments(p.Splits)[plan.Node.ID]}
 	for _, task := range plan.Tasks {
-		push.Tasks = append(push.Tasks, ToWireTask(task))
+		push.Tasks = append(push.Tasks, toWireTask(task))
 	}
 	return push
 }
@@ -272,20 +272,20 @@ func FuzzPlanPush(f *testing.F) {
 
 	// TestPlanPushPublishesOneEpoch's two bodies, a push the 8 GB member
 	// cannot hold, and its segment at a negative and at a huge rate.
-	whole := PlanPush{Node: "a", Alpha: in.Alpha, Res: ToWireResources(in.Res), Blocks: ToWireBlocks(in.Blocks)}
+	whole := planPush{Node: "a", Alpha: in.Alpha, Res: ToWireResources(in.Res), Blocks: toWireBlocks(in.Blocks)}
 	for _, task := range in.Tasks {
-		whole.Tasks = append(whole.Tasks, ToWireTask(task))
+		whole.Tasks = append(whole.Tasks, toWireTask(task))
 	}
 	split := whole
 	split.Tasks = whole.Tasks[:1]
 	moved := in.Tasks[1]
-	split.Segments = []WireSegment{{Task: moved.ID, Path: moved.Paths[0].ID, DNN: moved.Paths[0].DNN,
+	split.Segments = []wireSegment{{Task: moved.ID, Path: moved.Paths[0].ID, DNN: moved.Paths[0].DNN,
 		Blocks: moved.Paths[0].Blocks, From: 0, To: 1, Rate: moved.Rate, BudgetMS: 100, Hop: 0, Hops: 2,
 		Next: "http://peer.invalid", NextNode: "b"}}
 	negative, huge := overcommitPush(in.Res, 2.5), overcommitPush(in.Res, 2.5)
 	negative.Segments[0].Rate = -1
 	huge.Segments[0].Rate = 1e308
-	for _, push := range []PlanPush{whole, split, overcommitPush(in.Res, 2.5), negative, huge} {
+	for _, push := range []planPush{whole, split, overcommitPush(in.Res, 2.5), negative, huge} {
 		f.Add(mustJSON(f, push))
 	}
 
@@ -306,7 +306,7 @@ func FuzzPlanPush(f *testing.F) {
 		if ep == nil || ep.Deployment == nil {
 			return
 		}
-		var push PlanPush
+		var push planPush
 		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&push); err != nil {
 			t.Fatalf("accepted push does not decode: %v", err)
 		}
@@ -314,7 +314,7 @@ func FuzzPlanPush(f *testing.F) {
 		// the catalog the epoch solved with.
 		res := in.Res
 		res.Norm = push.Res.NormResources()
-		check := &core.Instance{Blocks: FromWireBlocks(push.Blocks), Res: res}
+		check := &core.Instance{Blocks: fromWireBlocks(push.Blocks), Res: res}
 		if err := check.Reserve(serve.Reservations(push.Segments)...); err != nil {
 			t.Fatalf("accepted push's segments do not reserve: %v", err)
 		}

@@ -15,31 +15,31 @@ import (
 // the member's DOT instance is byte-for-byte the per-node instance the
 // coordinator placed with, whatever catalog the member was started with.
 
-// WireBlock is core.BlockSpec on the wire.
-type WireBlock struct {
+// wireBlock is core.BlockSpec on the wire.
+type wireBlock struct {
 	ID             string  `json:"id"`
 	ComputeSeconds float64 `json:"compute_seconds"`
 	MemoryGB       float64 `json:"memory_gb"`
 	TrainSeconds   float64 `json:"train_seconds,omitempty"`
 }
 
-// WirePath is core.PathSpec on the wire.
-type WirePath struct {
+// wirePath is core.PathSpec on the wire.
+type wirePath struct {
 	ID       string   `json:"id"`
 	DNN      string   `json:"dnn"`
 	Blocks   []string `json:"blocks"`
 	Accuracy float64  `json:"accuracy"`
 }
 
-// WireQuality is core.QualityLevel on the wire.
-type WireQuality struct {
+// wireQuality is core.QualityLevel on the wire.
+type wireQuality struct {
 	ID            string  `json:"id"`
 	Bits          float64 `json:"bits"`
 	AccuracyDelta float64 `json:"accuracy_delta,omitempty"`
 }
 
-// WireTask is a fully built core.Task on the wire.
-type WireTask struct {
+// wireTask is a fully built core.Task on the wire.
+type wireTask struct {
 	ID           string        `json:"id"`
 	Priority     float64       `json:"priority"`
 	Rate         float64       `json:"rate"`
@@ -47,8 +47,8 @@ type WireTask struct {
 	MaxLatencyMS float64       `json:"max_latency_ms"`
 	InputBits    float64       `json:"input_bits"`
 	SNRdB        float64       `json:"snr_db"`
-	Qualities    []WireQuality `json:"qualities,omitempty"`
-	Paths        []WirePath    `json:"paths"`
+	Qualities    []wireQuality `json:"qualities,omitempty"`
+	Paths        []wirePath    `json:"paths"`
 }
 
 // WireResources is core.Resources on the wire (the capacity model is
@@ -77,8 +77,8 @@ type RegisterRequest struct {
 	Epoch         uint64        `json:"epoch,omitempty"`
 }
 
-// HeartbeatRequest is the body of POST /v1/cluster/nodes/{id}/heartbeat.
-type HeartbeatRequest struct {
+// heartbeatRequest is the body of POST /v1/cluster/nodes/{id}/heartbeat.
+type heartbeatRequest struct {
 	State         string  `json:"state"`
 	Epoch         uint64  `json:"epoch"`
 	BandwidthMbps float64 `json:"bandwidth_mbps,omitempty"`
@@ -88,48 +88,48 @@ type HeartbeatRequest struct {
 	Peers map[string]float64 `json:"peers,omitempty"`
 }
 
-// HeartbeatResponse is the coordinator's answer to a heartbeat: the
+// heartbeatResponse is the coordinator's answer to a heartbeat: the
 // current peer address book, which the member's agent round-robins its
 // inter-node bandwidth probes over.
-type HeartbeatResponse struct {
+type heartbeatResponse struct {
 	// Peers maps every other live node's ID to its base URL.
 	Peers map[string]string `json:"peers,omitempty"`
 }
 
-// WireSegment is one node's slice of a split path on the wire: the full
+// wireSegment is one node's slice of a split path on the wire: the full
 // path block list with this node's [From, To) range, plus the relay
 // coordinates — where the boundary activation goes next and what deadline
-// budget the pipeline starts with. Pushed inside PlanPush alongside the
+// budget the pipeline starts with. Pushed inside planPush alongside the
 // whole-path task subset, and installed by the member as is.
-type WireSegment = serve.SegmentSpec
+type wireSegment = serve.SegmentSpec
 
-// PlanPush is the body of PUT /v1/cluster/plan: one node's slice of a
+// planPush is the body of PUT /v1/cluster/plan: one node's slice of a
 // cluster placement. Placement is the coordinator's monotone placement
 // sequence number; Res echoes the budgets the subset was solved against
 // so the member can refuse a plan solved for capacities it doesn't have.
-type PlanPush struct {
+type planPush struct {
 	Node      string               `json:"node"`
 	Placement uint64               `json:"placement"`
 	Alpha     float64              `json:"alpha"`
 	Res       WireResources        `json:"res"`
-	Tasks     []WireTask           `json:"tasks"`
-	Blocks    map[string]WireBlock `json:"blocks,omitempty"`
+	Tasks     []wireTask           `json:"tasks"`
+	Blocks    map[string]wireBlock `json:"blocks,omitempty"`
 	// Segments are the split-path stage ranges this node serves in
 	// addition to its whole-path task subset.
-	Segments []WireSegment `json:"segments,omitempty"`
+	Segments []wireSegment `json:"segments,omitempty"`
 }
 
-// PlanAck is the member's response to a plan push.
-type PlanAck struct {
+// planAck is the member's response to a plan push.
+type planAck struct {
 	Node    string `json:"node"`
 	Epoch   uint64 `json:"epoch"`
 	Tasks   int    `json:"tasks"`
 	Changed bool   `json:"changed"`
 }
 
-// ToWireTask converts a built core.Task for the wire.
-func ToWireTask(t core.Task) WireTask {
-	w := WireTask{
+// toWireTask converts a built core.Task for the wire.
+func toWireTask(t core.Task) wireTask {
+	w := wireTask{
 		ID:           t.ID,
 		Priority:     t.Priority,
 		Rate:         t.Rate,
@@ -139,16 +139,16 @@ func ToWireTask(t core.Task) WireTask {
 		SNRdB:        t.SNRdB,
 	}
 	for _, q := range t.Qualities {
-		w.Qualities = append(w.Qualities, WireQuality{ID: q.ID, Bits: q.Bits, AccuracyDelta: q.AccuracyDelta})
+		w.Qualities = append(w.Qualities, wireQuality{ID: q.ID, Bits: q.Bits, AccuracyDelta: q.AccuracyDelta})
 	}
 	for _, p := range t.Paths {
-		w.Paths = append(w.Paths, WirePath{ID: p.ID, DNN: p.DNN, Blocks: p.Blocks, Accuracy: p.Accuracy})
+		w.Paths = append(w.Paths, wirePath{ID: p.ID, DNN: p.DNN, Blocks: p.Blocks, Accuracy: p.Accuracy})
 	}
 	return w
 }
 
 // Task converts the wire form back into a core.Task.
-func (w WireTask) Task() core.Task {
+func (w wireTask) Task() core.Task {
 	t := core.Task{
 		ID:          w.ID,
 		Priority:    w.Priority,
@@ -167,20 +167,20 @@ func (w WireTask) Task() core.Task {
 	return t
 }
 
-// ToWireBlocks converts a block catalog for the wire.
-func ToWireBlocks(blocks map[string]core.BlockSpec) map[string]WireBlock {
+// toWireBlocks converts a block catalog for the wire.
+func toWireBlocks(blocks map[string]core.BlockSpec) map[string]wireBlock {
 	if len(blocks) == 0 {
 		return nil
 	}
-	out := make(map[string]WireBlock, len(blocks))
+	out := make(map[string]wireBlock, len(blocks))
 	for id, b := range blocks {
-		out[id] = WireBlock{ID: b.ID, ComputeSeconds: b.ComputeSeconds, MemoryGB: b.MemoryGB, TrainSeconds: b.TrainSeconds}
+		out[id] = wireBlock{ID: b.ID, ComputeSeconds: b.ComputeSeconds, MemoryGB: b.MemoryGB, TrainSeconds: b.TrainSeconds}
 	}
 	return out
 }
 
-// FromWireBlocks converts a wire catalog back into core blocks.
-func FromWireBlocks(blocks map[string]WireBlock) map[string]core.BlockSpec {
+// fromWireBlocks converts a wire catalog back into core blocks.
+func fromWireBlocks(blocks map[string]wireBlock) map[string]core.BlockSpec {
 	out := make(map[string]core.BlockSpec, len(blocks))
 	for id, b := range blocks {
 		if b.ID == "" {

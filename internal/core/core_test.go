@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -98,7 +99,7 @@ func TestValidateCatchesModelErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := testInstance(3, 3, 1)
 			tc.mutate(in)
-			if err := in.Validate(); !errors.Is(err, ErrModel) {
+			if err := in.Validate(); !errors.Is(err, errModel) {
 				t.Fatalf("Validate = %v, want ErrModel", err)
 			}
 		})
@@ -334,7 +335,7 @@ func TestOptimalNeverWorseThanHeuristic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, stats, err := SolveOptimal(in)
+		o, stats, err := SolveOptimal(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +360,7 @@ func TestHeuristicCloseToOptimalOnSmallInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, _, err := SolveOptimal(in)
+		o, _, err := SolveOptimal(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +424,7 @@ func TestHeuristicRuntimeFarBelowOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, _, err := SolveOptimal(in)
+	o, _, err := SolveOptimal(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +452,7 @@ func TestQuickSolversFeasibleAndOrdered(t *testing.T) {
 		if err := in.Check(h.Assignments); err != nil {
 			return false
 		}
-		o, _, err := SolveOptimal(in)
+		o, _, err := SolveOptimal(context.Background(), in)
 		if err != nil {
 			return false
 		}
@@ -477,7 +478,7 @@ func TestReductionKnapsackToDOT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sol, _, err := SolveOptimal(in)
+	sol, _, err := SolveOptimal(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +514,7 @@ func TestQuickReductionMatchesDP(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sol, _, err := SolveOptimal(in)
+		sol, _, err := SolveOptimal(context.Background(), in)
 		if err != nil {
 			return false
 		}
@@ -527,13 +528,13 @@ func TestQuickReductionMatchesDP(t *testing.T) {
 }
 
 func TestFromKnapsackValidation(t *testing.T) {
-	if _, err := FromKnapsack(nil, 1); !errors.Is(err, ErrModel) {
+	if _, err := FromKnapsack(nil, 1); !errors.Is(err, errModel) {
 		t.Fatalf("empty items err = %v", err)
 	}
-	if _, err := FromKnapsack([]KnapsackItem{{Value: 2, Weight: 1}}, 1); !errors.Is(err, ErrModel) {
+	if _, err := FromKnapsack([]KnapsackItem{{Value: 2, Weight: 1}}, 1); !errors.Is(err, errModel) {
 		t.Fatalf("value > 1 err = %v", err)
 	}
-	if _, err := FromKnapsack([]KnapsackItem{{Value: 0.5, Weight: -1}}, 1); !errors.Is(err, ErrModel) {
+	if _, err := FromKnapsack([]KnapsackItem{{Value: 0.5, Weight: -1}}, 1); !errors.Is(err, errModel) {
 		t.Fatalf("negative weight err = %v", err)
 	}
 }

@@ -127,10 +127,10 @@ func (s *SolverSession) apply(delta TaskDelta) error {
 	removed := make(map[string]bool, len(delta.Remove))
 	for _, id := range delta.Remove {
 		if _, ok := s.index[id]; !ok {
-			return fmt.Errorf("%w: remove of unknown task %q", ErrModel, id)
+			return fmt.Errorf("%w: remove of unknown task %q", errModel, id)
 		}
 		if removed[id] {
-			return fmt.Errorf("%w: task %q removed twice in one delta", ErrModel, id)
+			return fmt.Errorf("%w: task %q removed twice in one delta", errModel, id)
 		}
 		removed[id] = true
 	}
@@ -138,32 +138,32 @@ func (s *SolverSession) apply(delta TaskDelta) error {
 	for i := range delta.Add {
 		t := &delta.Add[i]
 		if t.ID == "" {
-			return fmt.Errorf("%w: added task has empty ID", ErrModel)
+			return fmt.Errorf("%w: added task has empty ID", errModel)
 		}
 		if _, live := s.index[t.ID]; live && !removed[t.ID] {
-			return fmt.Errorf("%w: added task %q already registered", ErrModel, t.ID)
+			return fmt.Errorf("%w: added task %q already registered", errModel, t.ID)
 		}
 		if addIDs[t.ID] {
-			return fmt.Errorf("%w: task %q added twice in one delta", ErrModel, t.ID)
+			return fmt.Errorf("%w: task %q added twice in one delta", errModel, t.ID)
 		}
 		addIDs[t.ID] = true
 	}
 	for id, rate := range delta.Rate {
 		if _, ok := s.index[id]; (!ok || removed[id]) && !addIDs[id] {
-			return fmt.Errorf("%w: rate update for unknown task %q", ErrModel, id)
+			return fmt.Errorf("%w: rate update for unknown task %q", errModel, id)
 		}
 		if rate <= 0 {
-			return fmt.Errorf("%w: task %s rate %v must be positive", ErrModel, id, rate)
+			return fmt.Errorf("%w: task %s rate %v must be positive", errModel, id, rate)
 		}
 	}
 
 	// Merge blocks, invalidating cliques referencing re-specified ones.
 	for id, spec := range delta.AddBlocks {
 		if spec.ID != id {
-			return fmt.Errorf("%w: block map key %q does not match ID %q", ErrModel, id, spec.ID)
+			return fmt.Errorf("%w: block map key %q does not match ID %q", errModel, id, spec.ID)
 		}
 		if spec.ComputeSeconds < 0 || spec.MemoryGB < 0 || spec.TrainSeconds < 0 {
-			return fmt.Errorf("%w: block %s has negative cost", ErrModel, id)
+			return fmt.Errorf("%w: block %s has negative cost", errModel, id)
 		}
 		if prev, ok := s.inst.Blocks[id]; ok {
 			if prev == spec {
@@ -231,7 +231,7 @@ func (s *SolverSession) Resolve(ctx context.Context, delta TaskDelta) (*Solution
 		return nil, err
 	}
 	if len(s.inst.Tasks) == 0 {
-		return nil, fmt.Errorf("%w: no tasks", ErrModel)
+		return nil, fmt.Errorf("%w: no tasks", errModel)
 	}
 
 	// First-branch walk over cached cliques, in priority-layer order.

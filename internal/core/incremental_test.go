@@ -170,7 +170,7 @@ func TestSessionDeltaValidation(t *testing.T) {
 		{AddBlocks: map[string]BlockSpec{"x": {ID: "y"}}},
 	}
 	for i, delta := range bad {
-		if _, err := sess.Resolve(ctx, delta); !errors.Is(err, ErrModel) {
+		if _, err := sess.Resolve(ctx, delta); !errors.Is(err, errModel) {
 			t.Fatalf("delta %d: want ErrModel, got %v", i, err)
 		}
 	}

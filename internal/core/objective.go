@@ -19,14 +19,14 @@ const checkTol = 1e-6
 // candidate solution. It does not check feasibility; use Check for that.
 func (in *Instance) Evaluate(assignments []Assignment) (Breakdown, error) {
 	if len(assignments) != len(in.Tasks) {
-		return Breakdown{}, fmt.Errorf("%w: %d assignments for %d tasks", ErrModel, len(assignments), len(in.Tasks))
+		return Breakdown{}, fmt.Errorf("%w: %d assignments for %d tasks", errModel, len(assignments), len(in.Tasks))
 	}
 	var bd Breakdown
 	active := make(map[string]bool)
 	for i, a := range assignments {
 		task := &in.Tasks[i]
 		if a.TaskID != task.ID {
-			return Breakdown{}, fmt.Errorf("%w: assignment %d is for %q, want %q", ErrModel, i, a.TaskID, task.ID)
+			return Breakdown{}, fmt.Errorf("%w: assignment %d is for %q, want %q", errModel, i, a.TaskID, task.ID)
 		}
 		z := a.Z
 		if z < zEps || a.Path == nil {
@@ -172,7 +172,7 @@ type Reservation struct {
 // so a path sharing them pays nothing more. Rate·Σc(s) comes off C and
 // RBs off R. A reservation changes budgets, never prices: a nil Res.Norm
 // is first pinned to the budgets as they were. Reserve refuses without
-// mutating anything — ErrModel for an unknown block, a negative rate or
+// mutating anything — errModel for an unknown block, a negative rate or
 // RB count or a charge that is not finite, ErrOverCapacity naming (1b),
 // (1c) or (1d) when a budget would go negative.
 func (in *Instance) Reserve(rs ...Reservation) error {
@@ -184,12 +184,12 @@ func (in *Instance) Reserve(rs ...Reservation) error {
 	var mem, comp, rbs float64
 	for _, r := range rs {
 		if !(r.Rate >= 0) || r.RBs < 0 {
-			return fmt.Errorf("%w: reservation at rate %v with %d RBs", ErrModel, r.Rate, r.RBs)
+			return fmt.Errorf("%w: reservation at rate %v with %d RBs", errModel, r.Rate, r.RBs)
 		}
 		for _, id := range r.Blocks {
 			b, ok := in.Blocks[id]
 			if !ok {
-				return fmt.Errorf("%w: reservation references unknown block %q", ErrModel, id)
+				return fmt.Errorf("%w: reservation references unknown block %q", errModel, id)
 			}
 			comp += r.Rate * b.ComputeSeconds
 			if !resident[id] {
@@ -201,7 +201,7 @@ func (in *Instance) Reserve(rs ...Reservation) error {
 	}
 	switch {
 	case math.IsInf(mem+comp, 0) || math.IsNaN(mem+comp):
-		return fmt.Errorf("%w: reservation charges memory %v GB, compute %v s/s", ErrModel, mem, comp)
+		return fmt.Errorf("%w: reservation charges memory %v GB, compute %v s/s", errModel, mem, comp)
 	case mem > in.Res.MemoryGB+checkTol:
 		return fmt.Errorf("%w: reserved memory %v GB exceeds M=%v (1b)", ErrOverCapacity, mem, in.Res.MemoryGB)
 	case comp > in.Res.ComputeSeconds+checkTol:

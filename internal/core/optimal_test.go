@@ -11,7 +11,7 @@ import (
 // instance's own budget.
 func TestOptimalMemoryPruning(t *testing.T) {
 	in := testInstance(3, 3, 212)
-	_, free, err := SolveOptimal(in)
+	_, free, err := SolveOptimal(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestOptimalMemoryPruning(t *testing.T) {
 		t.Fatalf("unpruned search: explored %d, pruned %d; want 64, 0", free.BranchesExplored, free.BranchesPruned)
 	}
 	in.Res.MemoryGB = 1.2 // forces pruning of heavy subtrees
-	sol, stats, err := SolveOptimal(in)
+	sol, stats, err := SolveOptimal(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestOptimalTieBreakLeftMostLeaf(t *testing.T) {
 		twinA.ID, twinB.ID = ids[0], ids[1]
 		in.Tasks[0].Paths = []PathSpec{twinA, twinB}
 
-		sol, _, err := SolveOptimalCtx(context.Background(), in)
+		sol, _, err := SolveOptimal(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}

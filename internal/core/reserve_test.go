@@ -139,11 +139,11 @@ func TestReserveRefusesWithoutMutating(t *testing.T) {
 		want error
 		msg  string
 	}{
-		{"unknown block", Reservation{Blocks: []string{"a", "zz"}, Rate: 1}, ErrModel, `"zz"`},
-		{"negative rate", Reservation{Blocks: []string{"a"}, Rate: -1}, ErrModel, "rate"},
-		{"NaN rate", Reservation{Blocks: []string{"a"}, Rate: math.NaN()}, ErrModel, "rate"},
-		{"negative RBs", Reservation{Blocks: []string{"a"}, RBs: -1}, ErrModel, "RBs"},
-		{"infinite charge", Reservation{Blocks: []string{"d"}, Rate: math.MaxFloat64}, ErrModel, "compute"},
+		{"unknown block", Reservation{Blocks: []string{"a", "zz"}, Rate: 1}, errModel, `"zz"`},
+		{"negative rate", Reservation{Blocks: []string{"a"}, Rate: -1}, errModel, "rate"},
+		{"NaN rate", Reservation{Blocks: []string{"a"}, Rate: math.NaN()}, errModel, "rate"},
+		{"negative RBs", Reservation{Blocks: []string{"a"}, RBs: -1}, errModel, "RBs"},
+		{"infinite charge", Reservation{Blocks: []string{"d"}, Rate: math.MaxFloat64}, errModel, "compute"},
 		{"memory", Reservation{Blocks: []string{"a", "d"}}, ErrOverCapacity, "(1b)"},
 		{"compute", Reservation{Blocks: []string{"c"}, Rate: 21}, ErrOverCapacity, "(1c)"},
 		{"radio", Reservation{Blocks: []string{"a"}, RBs: 11}, ErrOverCapacity, "(1d)"},

@@ -21,7 +21,7 @@ func ctxErr(ctx context.Context) error {
 // whose blocks fit the remaining memory budget, falling back to rejection
 // when none does — and solve the per-branch convex allocation in (z, r).
 func SolveOffloaDNN(in *Instance) (*Solution, error) {
-	return SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{})
+	return solveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{})
 }
 
 // OptimalStats reports the work done by the exhaustive solver.
@@ -37,17 +37,11 @@ type OptimalStats struct {
 // (depth-first, pruning subtrees that exceed the memory budget), solves
 // the per-branch allocation for each leaf, and returns the least-cost
 // solution. Complexity is exponential in the number of tasks — it is the
-// benchmark OffloaDNN is compared against in the small-scale scenario.
-func SolveOptimal(in *Instance) (*Solution, *OptimalStats, error) {
-	return SolveOptimalCtx(context.Background(), in)
-}
-
-// SolveOptimalCtx is SolveOptimal with cancellation checked between tree
-// layers of the depth-first traversal — essential for bounding the
-// exponential search from a caller's deadline. A leaf replaces the
-// incumbent only on a strictly lower cost, so among equal-cost leaves the
-// left-most in depth-first order wins.
-func SolveOptimalCtx(ctx context.Context, in *Instance) (*Solution, *OptimalStats, error) {
+// benchmark OffloaDNN is compared against in the small-scale scenario —
+// so ctx is checked between tree layers of the traversal. A leaf
+// replaces the incumbent only on a strictly lower cost, so among
+// equal-cost leaves the left-most in depth-first order wins.
+func SolveOptimal(ctx context.Context, in *Instance) (*Solution, *OptimalStats, error) {
 	start := time.Now()
 	tree, err := buildTreeCtx(ctx, in)
 	if err != nil {
@@ -103,7 +97,7 @@ func SolveOptimalCtx(ctx context.Context, in *Instance) (*Solution, *OptimalStat
 		return nil, nil, fmt.Errorf("%w: no feasible branch", ErrNoFeasiblePath)
 	}
 	best.Runtime = time.Since(start)
-	best.Tier = TierOptimal
+	best.Tier = tierOptimal
 	best.Stats = stats
 	return best, stats, nil
 }

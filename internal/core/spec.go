@@ -10,22 +10,22 @@ type Tier int
 
 // Solver tiers.
 const (
-	// TierAuto lets the dispatcher pick. SolveSpec resolves it to the
+	// tierAuto lets the dispatcher pick. SolveSpec resolves it to the
 	// exact heuristic at every size; the serve resolver and the cluster
 	// placement, which re-plan on every change, apply a size rule of
 	// their own on top.
-	TierAuto Tier = iota
+	tierAuto Tier = iota
 	// TierHeuristic is the polynomial-time OffloaDNN first-branch
 	// heuristic (Sec. IV): one tree walk, one (z, r) allocation.
 	TierHeuristic
-	// TierOptimal is the exhaustive weighted-tree search — exponential in
+	// tierOptimal is the exhaustive weighted-tree search — exponential in
 	// the task count, the paper's small-scale benchmark.
-	TierOptimal
+	tierOptimal
 	// TierApprox is the approximate admission tier: score-based path
 	// ranking with greedy budget packing. One shortlist scoring pass and
 	// one greedy pass, no (z, r) alternation and no session to build. The
 	// exact heuristic admits more at every size; epochs from 512 tasks run
-	// on this tier (serve.DefaultApproxAfter) because the cold 10k-task
+	// on this tier (serve's defaultApproxAfter) because the cold 10k-task
 	// epoch is ≈ 0.25 s cheaper on it, and bench/control.go's
 	// core.approx_admission_ratio probe names it.
 	TierApprox
@@ -34,11 +34,11 @@ const (
 // String implements fmt.Stringer.
 func (t Tier) String() string {
 	switch t {
-	case TierAuto:
+	case tierAuto:
 		return "auto"
 	case TierHeuristic:
 		return "heuristic"
-	case TierOptimal:
+	case tierOptimal:
 		return "optimal"
 	case TierApprox:
 		return "approx"
@@ -47,10 +47,10 @@ func (t Tier) String() string {
 	}
 }
 
-// SolverSpec selects a solver tier. The zero value is TierAuto — the
+// SolverSpec selects a solver tier. The zero value is tierAuto — the
 // right default for callers that just want the instance solved.
 type SolverSpec struct {
-	// Tier picks the solver; TierAuto defers to the dispatcher.
+	// Tier picks the solver; tierAuto defers to the dispatcher.
 	Tier Tier
 	// Heuristic carries the ablation knobs of the heuristic tier.
 	Heuristic HeuristicConfig
@@ -63,14 +63,14 @@ type SolverSpec struct {
 // through here, and the returned Solution records which tier produced it.
 func SolveSpec(ctx context.Context, in *Instance, spec SolverSpec) (*Solution, error) {
 	switch spec.Tier {
-	case TierOptimal:
-		sol, _, err := SolveOptimalCtx(ctx, in)
+	case tierOptimal:
+		sol, _, err := SolveOptimal(ctx, in)
 		return sol, err
 	case TierApprox:
 		return solveApproxCtx(ctx, in)
-	case TierAuto, TierHeuristic:
-		return SolveOffloaDNNConfiguredCtx(ctx, in, spec.Heuristic)
+	case tierAuto, TierHeuristic:
+		return solveOffloaDNNConfiguredCtx(ctx, in, spec.Heuristic)
 	default:
-		return nil, fmt.Errorf("%w: unknown solver tier %d", ErrModel, int(spec.Tier))
+		return nil, fmt.Errorf("%w: unknown solver tier %d", errModel, int(spec.Tier))
 	}
 }

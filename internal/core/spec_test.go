@@ -34,11 +34,11 @@ func TestSolveSpecTierTagging(t *testing.T) {
 	}
 
 	small := testInstance(3, 2, 1)
-	sol, err := SolveSpec(ctx, small, SolverSpec{Tier: TierOptimal})
+	sol, err := SolveSpec(ctx, small, SolverSpec{Tier: tierOptimal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Tier != TierOptimal || sol.Stats == nil {
+	if sol.Tier != tierOptimal || sol.Stats == nil {
 		t.Fatalf("optimal tier = %v, stats %v", sol.Tier, sol.Stats)
 	}
 

@@ -252,7 +252,7 @@ func (in *Instance) unassigned() []Assignment {
 // allocator.
 func (t *Tree) assignmentsFor(chosen []Vertex) ([]Assignment, error) {
 	if len(chosen) != len(t.Layers) {
-		return nil, fmt.Errorf("%w: %d chosen vertices for %d layers", ErrModel, len(chosen), len(t.Layers))
+		return nil, fmt.Errorf("%w: %d chosen vertices for %d layers", errModel, len(chosen), len(t.Layers))
 	}
 	out := t.inst.unassigned()
 	for li, v := range chosen {

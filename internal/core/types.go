@@ -20,8 +20,8 @@ import (
 	"offloadnn/internal/radio"
 )
 
-// ErrModel reports an invalid instance.
-var ErrModel = errors.New("core: invalid DOT instance")
+// errModel reports an invalid instance.
+var errModel = errors.New("core: invalid DOT instance")
 
 // ErrInfeasible reports that no feasible solution exists (e.g., the memory
 // budget cannot hold any path of an admission-mandatory configuration).
@@ -135,6 +135,23 @@ type Resources struct {
 	Norm *Resources
 }
 
+// Validate checks a pool against the DOT model: a capacity model, no
+// negative budget, and a positive training budget, which normalizes the
+// objective. Instance.Validate and a cluster member's registration apply
+// this one rule.
+func (r Resources) Validate() error {
+	if r.Capacity == nil {
+		return fmt.Errorf("%w: nil capacity model", errModel)
+	}
+	if r.RBs < 0 || r.ComputeSeconds < 0 || r.MemoryGB < 0 {
+		return fmt.Errorf("%w: negative resource capacity", errModel)
+	}
+	if r.TrainBudgetSeconds <= 0 {
+		return fmt.Errorf("%w: train budget must be positive (it normalizes the objective)", errModel)
+	}
+	return nil
+}
+
 // PriceRBs returns the R the radio term is normalized by.
 func (r Resources) PriceRBs() int {
 	if r.Norm != nil && r.Norm.RBs > 0 {
@@ -179,27 +196,21 @@ type Instance struct {
 // Validate checks structural consistency of the instance.
 func (in *Instance) Validate() error {
 	if len(in.Tasks) == 0 {
-		return fmt.Errorf("%w: no tasks", ErrModel)
+		return fmt.Errorf("%w: no tasks", errModel)
 	}
 	if in.Alpha < 0 || in.Alpha > 1 {
-		return fmt.Errorf("%w: alpha %v outside [0,1]", ErrModel, in.Alpha)
+		return fmt.Errorf("%w: alpha %v outside [0,1]", errModel, in.Alpha)
 	}
-	if in.Res.Capacity == nil {
-		return fmt.Errorf("%w: nil capacity model", ErrModel)
-	}
-	if in.Res.RBs < 0 || in.Res.ComputeSeconds < 0 || in.Res.MemoryGB < 0 {
-		return fmt.Errorf("%w: negative resource capacity", ErrModel)
-	}
-	if in.Res.TrainBudgetSeconds <= 0 {
-		return fmt.Errorf("%w: train budget must be positive (it normalizes the objective)", ErrModel)
+	if err := in.Res.Validate(); err != nil {
+		return err
 	}
 	seen := make(map[string]bool, len(in.Tasks))
 	for i, t := range in.Tasks {
 		if t.ID == "" {
-			return fmt.Errorf("%w: task %d has empty ID", ErrModel, i)
+			return fmt.Errorf("%w: task %d has empty ID", errModel, i)
 		}
 		if seen[t.ID] {
-			return fmt.Errorf("%w: duplicate task ID %q", ErrModel, t.ID)
+			return fmt.Errorf("%w: duplicate task ID %q", errModel, t.ID)
 		}
 		seen[t.ID] = true
 		if err := in.validateTask(&t); err != nil {
@@ -208,10 +219,10 @@ func (in *Instance) Validate() error {
 	}
 	for id, b := range in.Blocks {
 		if b.ID != id {
-			return fmt.Errorf("%w: block map key %q does not match ID %q", ErrModel, id, b.ID)
+			return fmt.Errorf("%w: block map key %q does not match ID %q", errModel, id, b.ID)
 		}
 		if b.ComputeSeconds < 0 || b.MemoryGB < 0 || b.TrainSeconds < 0 {
-			return fmt.Errorf("%w: block %s has negative cost", ErrModel, id)
+			return fmt.Errorf("%w: block %s has negative cost", errModel, id)
 		}
 	}
 	return nil
@@ -222,24 +233,24 @@ func (in *Instance) Validate() error {
 // tasks added to a SolverSession through a delta).
 func (in *Instance) validateTask(t *Task) error {
 	if t.Priority < 0 || t.Priority > 1 {
-		return fmt.Errorf("%w: task %s priority %v outside [0,1]", ErrModel, t.ID, t.Priority)
+		return fmt.Errorf("%w: task %s priority %v outside [0,1]", errModel, t.ID, t.Priority)
 	}
 	if t.Rate <= 0 {
-		return fmt.Errorf("%w: task %s rate %v must be positive", ErrModel, t.ID, t.Rate)
+		return fmt.Errorf("%w: task %s rate %v must be positive", errModel, t.ID, t.Rate)
 	}
 	if t.MaxLatency <= 0 {
-		return fmt.Errorf("%w: task %s latency bound %v must be positive", ErrModel, t.ID, t.MaxLatency)
+		return fmt.Errorf("%w: task %s latency bound %v must be positive", errModel, t.ID, t.MaxLatency)
 	}
 	if t.InputBits <= 0 {
-		return fmt.Errorf("%w: task %s input bits %v must be positive", ErrModel, t.ID, t.InputBits)
+		return fmt.Errorf("%w: task %s input bits %v must be positive", errModel, t.ID, t.InputBits)
 	}
 	for _, p := range t.Paths {
 		if len(p.Blocks) == 0 {
-			return fmt.Errorf("%w: task %s path %s has no blocks", ErrModel, t.ID, p.ID)
+			return fmt.Errorf("%w: task %s path %s has no blocks", errModel, t.ID, p.ID)
 		}
 		for _, b := range p.Blocks {
 			if _, ok := in.Blocks[b]; !ok {
-				return fmt.Errorf("%w: task %s path %s references unknown block %q", ErrModel, t.ID, p.ID, b)
+				return fmt.Errorf("%w: task %s path %s references unknown block %q", errModel, t.ID, p.ID, b)
 			}
 		}
 	}
@@ -322,7 +333,7 @@ type Solution struct {
 	// Runtime of the solver call.
 	Runtime time.Duration
 	// Tier records which solver produced the solution (heuristic,
-	// optimal, approx). Zero (TierAuto) on solutions from custom solver
+	// optimal, approx). Zero (tierAuto) on solutions from custom solver
 	// callbacks that predate the tiered API.
 	Tier Tier
 	// Stats carries search statistics for the optimal tier, nil

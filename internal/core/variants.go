@@ -52,11 +52,11 @@ type HeuristicConfig struct {
 	BinaryAdmission bool
 }
 
-// SolveOffloaDNNConfiguredCtx runs the OffloaDNN heuristic under an
+// solveOffloaDNNConfiguredCtx runs the OffloaDNN heuristic under an
 // ablation configuration, with cancellation checked between tree layers
 // of the first-branch walk. SolveOffloaDNN is equivalent to the
 // zero-value default (compute ordering, fractional admission).
-func SolveOffloaDNNConfiguredCtx(ctx context.Context, in *Instance, cfg HeuristicConfig) (*Solution, error) {
+func solveOffloaDNNConfiguredCtx(ctx context.Context, in *Instance, cfg HeuristicConfig) (*Solution, error) {
 	start := time.Now()
 	if cfg.Order == 0 {
 		cfg.Order = OrderCompute

@@ -121,7 +121,7 @@ func TestOptimalWithQualityNoWorse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, _, err := SolveOptimal(in)
+	o, _, err := SolveOptimal(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestOptimalWithQualityNoWorse(t *testing.T) {
 func TestCliqueOrderVariantsAllFeasible(t *testing.T) {
 	in := testInstance(4, 3, 35)
 	for _, order := range []CliqueOrder{OrderCompute, OrderMemory, OrderAccuracy, OrderNone} {
-		sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: order})
+		sol, err := solveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: order})
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
@@ -150,12 +150,12 @@ func TestComputeOrderMinimizesInferenceUsage(t *testing.T) {
 	// The design claim behind Fig. 8 (right): compute-sorted cliques give
 	// the lowest inference compute usage among the orderings.
 	in := testInstance(5, 4, 36)
-	base, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: OrderCompute})
+	base, err := solveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: OrderCompute})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, order := range []CliqueOrder{OrderMemory, OrderAccuracy, OrderNone} {
-		sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: order})
+		sol, err := solveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: order})
 		if err != nil {
 			t.Fatalf("order %v: %v", order, err)
 		}
@@ -169,7 +169,7 @@ func TestComputeOrderMinimizesInferenceUsage(t *testing.T) {
 func TestBinaryAdmissionNeverFractional(t *testing.T) {
 	in := testInstance(5, 3, 37)
 	in.Res.RBs = 20 // pressure forces shedding
-	sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{BinaryAdmission: true})
+	sol, err := solveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{BinaryAdmission: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestPrivatizePreservesPredeployment(t *testing.T) {
 
 func TestVariantsRuntimeComparable(t *testing.T) {
 	in := testInstance(3, 3, 40)
-	sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: OrderMemory})
+	sol, err := solveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{Order: OrderMemory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestBinaryAndFractionalAgreeOnIntegralDemand(t *testing.T) {
 	in.Tasks[0].InputBits = 1e6
 	in.Tasks[0].MaxLatency = 10 * time.Second
 	for _, binary := range []bool{false, true} {
-		sol, err := SolveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{BinaryAdmission: binary})
+		sol, err := solveOffloaDNNConfiguredCtx(context.Background(), in, HeuristicConfig{BinaryAdmission: binary})
 		if err != nil {
 			t.Fatalf("binary=%v: %v", binary, err)
 		}

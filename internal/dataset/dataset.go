@@ -88,12 +88,6 @@ type Generator struct {
 	Noise float64
 }
 
-// DefaultGenerator returns the test-scale generator (16×16 RGB, moderate
-// noise).
-func DefaultGenerator() Generator {
-	return Generator{ImageSize: 16, Noise: 0.25}
-}
-
 // Sample draws one image of the category as a (3, S, S) tensor.
 func (g Generator) Sample(cat Category, rng *rand.Rand) *tensor.Tensor {
 	s := g.ImageSize

@@ -168,3 +168,9 @@ func TestShuffleIsPermutation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// DefaultGenerator returns the test-scale generator (16×16 RGB, moderate
+// noise).
+func DefaultGenerator() Generator {
+	return Generator{ImageSize: 16, Noise: 0.25}
+}

@@ -33,13 +33,13 @@ func StageWidth(cfg ResNetConfig, stage int) int {
 func BuildStemBlock(cfg ResNetConfig) *Block {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := cfg.BaseWidth
-	return NewBlock("stem", 0, VariantBase,
-		NewConvLayer("stem.conv", tensor.Conv2DParams{
+	return newBlock("stem", 0, variantBase,
+		newConvLayer("stem.conv", tensor.Conv2DParams{
 			InChannels: cfg.InChannels, OutChannels: w, Kernel: 3, Stride: 1, Padding: 1,
 		}, false, rng),
-		NewBatchNormLayer("stem.bn", w),
-		NewReLULayer("stem.relu"),
-		NewMaxPoolLayer("stem.pool", tensor.PoolParams{Kernel: 2, Stride: 2}),
+		newBatchNormLayer("stem.bn", w),
+		newReLULayer("stem.relu"),
+		newMaxPoolLayer("stem.pool", tensor.PoolParams{Kernel: 2, Stride: 2}),
 	)
 }
 
@@ -68,14 +68,14 @@ func BuildStageBlock(cfg ResNetConfig, id string, stage int, pruneRatio float64,
 			s = stride
 		}
 		name := fmt.Sprintf("%s.unit%d", id, unit+1)
-		layers = append(layers, NewBasicBlock(name, in, mid, out, s, rng))
+		layers = append(layers, newBasicBlock(name, in, mid, out, s, rng))
 		in = out
 	}
-	variant := VariantBase
+	variant := variantBase
 	if pruneRatio > 0 {
-		variant = VariantPruned
+		variant = variantPruned
 	}
-	blk := NewBlock(id, min(stage, 4), variant, layers...)
+	blk := newBlock(id, min(stage, 4), variant, layers...)
 	blk.PruneRatio = pruneRatio
 	return blk, nil
 }
@@ -84,9 +84,9 @@ func BuildStageBlock(cfg ResNetConfig, id string, stage int, pruneRatio float64,
 // channels — the output width of a path's final stage.
 func BuildClassifierBlock(cfg ResNetConfig, featureDim int) *Block {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(featureDim)))
-	return NewBlock(fmt.Sprintf("classifier/%d", featureDim), 5, VariantBase,
-		NewGlobalAvgPoolLayer("head.gap"),
-		NewLinearLayer("head.fc", featureDim, cfg.NumClasses, rng),
+	return newBlock(fmt.Sprintf("classifier/%d", featureDim), 5, variantBase,
+		newGlobalAvgPoolLayer("head.gap"),
+		newLinearLayer("head.fc", featureDim, cfg.NumClasses, rng),
 	)
 }
 

@@ -14,19 +14,19 @@ type Variant int
 // Block variants. A pruned block is always derived from a fine-tuned one
 // (or from the base when the whole DNN is pruned, as in CONFIG A-pruned).
 const (
-	VariantBase Variant = iota + 1
-	VariantFineTuned
-	VariantPruned
+	variantBase Variant = iota + 1
+	variantFineTuned
+	variantPruned
 )
 
 // String implements fmt.Stringer.
 func (v Variant) String() string {
 	switch v {
-	case VariantBase:
+	case variantBase:
 		return "base"
-	case VariantFineTuned:
+	case variantFineTuned:
 		return "fine-tuned"
-	case VariantPruned:
+	case variantPruned:
 		return "pruned"
 	default:
 		return fmt.Sprintf("variant(%d)", int(v))
@@ -58,8 +58,8 @@ type Block struct {
 	layers []Layer
 }
 
-// NewBlock groups the given layers under an identifier.
-func NewBlock(id string, stage int, variant Variant, layers ...Layer) *Block {
+// newBlock groups the given layers under an identifier.
+func newBlock(id string, stage int, variant Variant, layers ...Layer) *Block {
 	return &Block{ID: id, Stage: stage, Variant: variant, layers: layers}
 }
 
@@ -125,11 +125,11 @@ func (b *Block) ZeroGrads() {
 	}
 }
 
-// ParamCount returns the number of scalar parameters in the block.
+// paramCount returns the number of scalar parameters in the block.
 func (b *Block) ParamCount() int {
 	n := 0
 	for _, l := range b.layers {
-		n += ParamCount(l)
+		n += paramCount(l)
 	}
 	return n
 }

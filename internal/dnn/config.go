@@ -116,7 +116,7 @@ func BuildConfigModel(base *Model, cfg TableIConfig, taskTag string, numClasses 
 			src.Frozen = true
 			blocks = append(blocks, src)
 		default:
-			clone, err := CloneBlock(src, fmt.Sprintf("%s+ft-%s", src.ID, taskTag), rng)
+			clone, err := cloneBlock(src, fmt.Sprintf("%s+ft-%s", src.ID, taskTag), rng)
 			if err != nil {
 				return nil, err
 			}
@@ -149,7 +149,7 @@ func ApplyConfigPruning(m *Model, cfg TableIConfig, seed int64) (*Model, error) 
 			blocks = append(blocks, b)
 			continue
 		}
-		p, err := PruneBlock(b, cfg.PruneRatio, rng)
+		p, err := pruneBlock(b, cfg.PruneRatio, rng)
 		if err != nil {
 			return nil, fmt.Errorf("dnn: apply config %s pruning: %w", cfg.Name, err)
 		}
@@ -161,14 +161,14 @@ func ApplyConfigPruning(m *Model, cfg TableIConfig, seed int64) (*Model, error) 
 
 // freshLike builds a newly initialized block with src's structure.
 func freshLike(src *Block, newID string, rng *rand.Rand) (*Block, error) {
-	c, err := CloneBlock(src, newID, rng)
+	c, err := cloneBlock(src, newID, rng)
 	if err != nil {
 		return nil, err
 	}
-	// Re-randomize: CloneBlock copies weights, scratch training must not
+	// Re-randomize: cloneBlock copies weights, scratch training must not
 	// inherit them.
 	reinitBlock(c, rng)
-	c.Variant = VariantFineTuned
+	c.Variant = variantFineTuned
 	return c, nil
 }
 
@@ -180,20 +180,20 @@ func reinitBlock(b *Block, rng *rand.Rand) {
 
 func reinitLayer(l Layer, rng *rand.Rand) {
 	switch v := l.(type) {
-	case *ConvLayer:
+	case *convLayer:
 		tensor.KaimingInit(v.W, v.P.InChannels*v.P.Kernel*v.P.Kernel, rng)
 		if v.B != nil {
 			v.B.Zero()
 		}
-	case *LinearLayer:
+	case *linearLayer:
 		tensor.XavierInit(v.W, v.W.Dim(1), v.W.Dim(0), rng)
 		v.B.Zero()
-	case *BatchNormLayer:
+	case *batchNormLayer:
 		v.State.Gamma.Fill(1)
 		v.State.Beta.Zero()
 		v.State.RunningMean.Zero()
 		v.State.RunningVar.Fill(1)
-	case *BasicBlock:
+	case *basicBlock:
 		reinitLayer(v.Conv1, rng)
 		reinitLayer(v.Conv2, rng)
 		reinitLayer(v.BN1, rng)
@@ -210,15 +210,15 @@ func reinitLayer(l Layer, rng *rand.Rand) {
 func classifierHeadLike(tmpl *Block, taskTag string, numClasses int, rng *rand.Rand) (*Block, error) {
 	var featureDim int
 	for _, l := range tmpl.layers {
-		if lin, ok := l.(*LinearLayer); ok {
+		if lin, ok := l.(*linearLayer); ok {
 			featureDim = lin.W.Dim(1)
 		}
 	}
 	if featureDim == 0 {
 		return nil, fmt.Errorf("dnn: classifier template %s has no linear layer", tmpl.ID)
 	}
-	return NewBlock(fmt.Sprintf("%s+head-%s", tmpl.ID, taskTag), 5, VariantFineTuned,
-		NewGlobalAvgPoolLayer("head.gap"),
-		NewLinearLayer("head.fc", featureDim, numClasses, rng),
+	return newBlock(fmt.Sprintf("%s+head-%s", tmpl.ID, taskTag), 5, variantFineTuned,
+		newGlobalAvgPoolLayer("head.gap"),
+		newLinearLayer("head.fc", featureDim, numClasses, rng),
 	), nil
 }

@@ -166,8 +166,8 @@ func TestFullScaleResNet18ParamCount(t *testing.T) {
 
 func TestPruneBasicBlockPreservesInterface(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	src := NewBasicBlock("b", 4, 8, 8, 2, rng)
-	p, err := PruneBasicBlock(src, 0.75, rng)
+	src := newBasicBlock("b", 4, 8, 8, 2, rng)
+	p, err := pruneBasicBlock(src, 0.75, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestPruneBasicBlockPreservesInterface(t *testing.T) {
 
 func TestPruneBasicBlockKeepsLargestChannels(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	src := NewBasicBlock("b", 2, 4, 4, 1, rng)
+	src := newBasicBlock("b", 2, 4, 4, 1, rng)
 	// Make channel 2's filter dominant and channel 0 second.
 	w := src.Conv1.W.Data()
 	per := 2 * 3 * 3
@@ -203,7 +203,7 @@ func TestPruneBasicBlockKeepsLargestChannels(t *testing.T) {
 	for i := 0; i < per; i++ {
 		w[i] = 5
 	}
-	p, err := PruneBasicBlock(src, 0.5, rng)
+	p, err := pruneBasicBlock(src, 0.5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestPruneBlockReducesParamsAndMemory(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
 	stage := m.BlockByStage(3)
 	rng := rand.New(rand.NewSource(9))
-	pruned, err := PruneBlock(stage, 0.8, rng)
+	pruned, err := pruneBlock(stage, 0.8, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestPruneBlockReducesParamsAndMemory(t *testing.T) {
 	if pruned.MemoryBytes() >= stage.MemoryBytes() {
 		t.Fatalf("pruned memory %d >= original %d", pruned.MemoryBytes(), stage.MemoryBytes())
 	}
-	if pruned.Variant != VariantPruned {
+	if pruned.Variant != variantPruned {
 		t.Fatalf("pruned variant = %v, want VariantPruned", pruned.Variant)
 	}
 	if pruned.PruneRatio != 0.8 {
@@ -242,18 +242,18 @@ func TestPruneBlockReducesParamsAndMemory(t *testing.T) {
 func TestPruneBlockRejectsNonResidual(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
 	rng := rand.New(rand.NewSource(10))
-	if _, err := PruneBlock(m.BlockByStage(0), 0.5, rng); err == nil {
+	if _, err := pruneBlock(m.BlockByStage(0), 0.5, rng); err == nil {
 		t.Fatal("pruning the stem should fail (not a residual stage)")
 	}
 }
 
 func TestPruneRatioValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	src := NewBasicBlock("b", 2, 4, 4, 1, rng)
-	if _, err := PruneBasicBlock(src, 1.0, rng); err == nil {
+	src := newBasicBlock("b", 2, 4, 4, 1, rng)
+	if _, err := pruneBasicBlock(src, 1.0, rng); err == nil {
 		t.Fatal("ratio 1.0 should be rejected")
 	}
-	if _, err := PruneBasicBlock(src, -0.1, rng); err == nil {
+	if _, err := pruneBasicBlock(src, -0.1, rng); err == nil {
 		t.Fatal("negative ratio should be rejected")
 	}
 }
@@ -262,7 +262,7 @@ func TestCloneBlockIndependentWeights(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
 	src := m.BlockByStage(4)
 	rng := rand.New(rand.NewSource(12))
-	clone, err := CloneBlock(src, "clone", rng)
+	clone, err := cloneBlock(src, "clone", rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestCloneBlockIndependentWeights(t *testing.T) {
 	if sp[0].Data()[0] == cp[0].Data()[0] {
 		t.Fatal("clone shares storage with source")
 	}
-	if clone.Variant != VariantFineTuned {
+	if clone.Variant != variantFineTuned {
 		t.Fatalf("clone variant = %v, want VariantFineTuned", clone.Variant)
 	}
 }
@@ -288,7 +288,7 @@ func TestCloneProducesIdenticalForward(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
 	src := m.BlockByStage(1)
 	rng := rand.New(rand.NewSource(13))
-	clone, err := CloneBlock(src, "clone", rng)
+	clone, err := cloneBlock(src, "clone", rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +407,7 @@ func TestApplyConfigPruningPrunesOnlyFineTuned(t *testing.T) {
 			t.Fatalf("pruning CONFIG C-pruned must keep shared stage %d aliased", stage)
 		}
 	}
-	if pm.BlockByStage(4).Variant != VariantPruned {
+	if pm.BlockByStage(4).Variant != variantPruned {
 		t.Fatal("stage 4 should be pruned in CONFIG C-pruned")
 	}
 	if pm.BlockByStage(4).ParamCount() >= m.BlockByStage(4).ParamCount() {
@@ -496,9 +496,9 @@ func TestMobileNetTrainingStep(t *testing.T) {
 
 func TestBackwardBeforeForwardErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	b := NewBasicBlock("b", 2, 2, 2, 1, rng)
+	b := newBasicBlock("b", 2, 2, 2, 1, rng)
 	dy := tensor.New(1, 2, 4, 4)
-	if _, err := b.Backward(dy); !errors.Is(err, ErrState) {
+	if _, err := b.Backward(dy); !errors.Is(err, errState) {
 		t.Fatalf("backward-before-forward err = %v, want ErrState", err)
 	}
 }
@@ -513,12 +513,12 @@ func TestQuickPruneMonotone(t *testing.T) {
 			r1, r2 = r2, r1
 		}
 		rng := rand.New(rand.NewSource(seed))
-		src := NewBasicBlock("b", 4, 8, 8, 1, rng)
-		p1, err := PruneBasicBlock(src, r1, rng)
+		src := newBasicBlock("b", 4, 8, 8, 1, rng)
+		p1, err := pruneBasicBlock(src, r1, rng)
 		if err != nil {
 			return false
 		}
-		p2, err := PruneBasicBlock(src, r2, rng)
+		p2, err := pruneBasicBlock(src, r2, rng)
 		if err != nil {
 			return false
 		}
@@ -539,4 +539,33 @@ func TestQuickPruneMonotone(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// DefaultMobileNetConfig returns a test-scale MobileNetV2-style network.
+func DefaultMobileNetConfig() MobileNetConfig {
+	return MobileNetConfig{
+		InChannels:  3,
+		NumClasses:  8,
+		BaseWidth:   8,
+		Expansion:   2,
+		StageBlocks: [4]int{1, 2, 2, 1},
+		Seed:        1,
+	}
+}
+
+// DeployedMemoryBytes computes the total memory of a set of models counting
+// each distinct block (by pointer identity) once — the m(s^d) semantics of
+// constraint (1b).
+func DeployedMemoryBytes(models []*Model) int64 {
+	seen := make(map[*Block]bool)
+	var total int64
+	for _, m := range models {
+		for _, b := range m.Blocks {
+			if !seen[b] {
+				seen[b] = true
+				total += b.MemoryBytes()
+			}
+		}
+	}
+	return total
 }

@@ -17,9 +17,9 @@ import (
 	"offloadnn/internal/tensor"
 )
 
-// ErrState reports a layer used out of order (e.g., Backward before
+// errState reports a layer used out of order (e.g., Backward before
 // Forward).
-var ErrState = errors.New("dnn: invalid layer state")
+var errState = errors.New("dnn: invalid layer state")
 
 // Layer is a differentiable network stage. Layers cache whatever forward
 // intermediates they need, so Backward must follow the matching Forward.
@@ -41,8 +41,8 @@ type Layer interface {
 	ZeroGrads()
 }
 
-// ParamCount sums the number of scalar parameters of a layer.
-func ParamCount(l Layer) int {
+// paramCount sums the number of scalar parameters of a layer.
+func paramCount(l Layer) int {
 	n := 0
 	for _, p := range l.Params() {
 		n += p.Len()
@@ -50,8 +50,8 @@ func ParamCount(l Layer) int {
 	return n
 }
 
-// ConvLayer is a 2-D convolution with optional bias.
-type ConvLayer struct {
+// convLayer is a 2-D convolution with optional bias.
+type convLayer struct {
 	name   string
 	P      tensor.Conv2DParams
 	W      *tensor.Tensor
@@ -71,9 +71,9 @@ type ConvLayer struct {
 	calib    bool    // calibration pass: record ranges, run f64
 }
 
-// NewConvLayer constructs a Kaiming-initialized convolution.
-func NewConvLayer(name string, p tensor.Conv2DParams, bias bool, rng *rand.Rand) *ConvLayer {
-	l := &ConvLayer{
+// newConvLayer constructs a Kaiming-initialized convolution.
+func newConvLayer(name string, p tensor.Conv2DParams, bias bool, rng *rand.Rand) *convLayer {
+	l := &convLayer{
 		name: name,
 		P:    p,
 		W:    tensor.New(p.OutChannels, p.InChannels, p.Kernel, p.Kernel),
@@ -88,12 +88,12 @@ func NewConvLayer(name string, p tensor.Conv2DParams, bias bool, rng *rand.Rand)
 }
 
 // Name implements Layer.
-func (l *ConvLayer) Name() string { return l.name }
+func (l *convLayer) Name() string { return l.name }
 
 // Forward implements Layer. At inference the layer dispatches to the
 // kernel of its configured precision; training (and calibration) always
 // runs the float64 master path.
-func (l *ConvLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
+func (l *convLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && !l.calib {
 		switch l.prec {
 		case tensor.F32:
@@ -134,9 +134,9 @@ func releaseChain(t, in, out *tensor.Tensor) {
 }
 
 // Backward implements Layer.
-func (l *ConvLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *convLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if !l.hasFwd {
-		return nil, fmt.Errorf("%w: conv %s backward before forward", ErrState, l.name)
+		return nil, fmt.Errorf("%w: conv %s backward before forward", errState, l.name)
 	}
 	grads, err := tensor.Conv2DBackward(dy, l.lastX, l.W, l.P, l.B != nil)
 	if err != nil {
@@ -158,7 +158,7 @@ func (l *ConvLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Params implements Layer.
-func (l *ConvLayer) Params() []*tensor.Tensor {
+func (l *convLayer) Params() []*tensor.Tensor {
 	if l.B != nil {
 		return []*tensor.Tensor{l.W, l.B}
 	}
@@ -166,7 +166,7 @@ func (l *ConvLayer) Params() []*tensor.Tensor {
 }
 
 // Grads implements Layer.
-func (l *ConvLayer) Grads() []*tensor.Tensor {
+func (l *convLayer) Grads() []*tensor.Tensor {
 	if l.dB != nil {
 		return []*tensor.Tensor{l.dW, l.dB}
 	}
@@ -174,15 +174,15 @@ func (l *ConvLayer) Grads() []*tensor.Tensor {
 }
 
 // ZeroGrads implements Layer.
-func (l *ConvLayer) ZeroGrads() {
+func (l *convLayer) ZeroGrads() {
 	l.dW.Zero()
 	if l.dB != nil {
 		l.dB.Zero()
 	}
 }
 
-// BatchNormLayer wraps tensor.BatchNorm2D as a trainable layer.
-type BatchNormLayer struct {
+// batchNormLayer wraps tensor.BatchNorm2D as a trainable layer.
+type batchNormLayer struct {
 	name    string
 	State   *tensor.BatchNormState
 	dGamma  *tensor.Tensor
@@ -190,9 +190,9 @@ type BatchNormLayer struct {
 	lastRes *tensor.BatchNormResult
 }
 
-// NewBatchNormLayer constructs a batch-norm layer over the given channels.
-func NewBatchNormLayer(name string, channels int) *BatchNormLayer {
-	return &BatchNormLayer{
+// newBatchNormLayer constructs a batch-norm layer over the given channels.
+func newBatchNormLayer(name string, channels int) *batchNormLayer {
+	return &batchNormLayer{
 		name:   name,
 		State:  tensor.NewBatchNormState(channels),
 		dGamma: tensor.New(channels),
@@ -201,10 +201,10 @@ func NewBatchNormLayer(name string, channels int) *BatchNormLayer {
 }
 
 // Name implements Layer.
-func (l *BatchNormLayer) Name() string { return l.name }
+func (l *batchNormLayer) Name() string { return l.name }
 
 // Forward implements Layer.
-func (l *BatchNormLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
+func (l *batchNormLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && x.Rank() == 4 {
 		// Inference fast path: running statistics into a pooled output,
 		// no xhat cache, no result struct.
@@ -226,9 +226,9 @@ func (l *BatchNormLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tenso
 }
 
 // Backward implements Layer.
-func (l *BatchNormLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *batchNormLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.lastRes == nil {
-		return nil, fmt.Errorf("%w: bn %s backward before forward", ErrState, l.name)
+		return nil, fmt.Errorf("%w: bn %s backward before forward", errState, l.name)
 	}
 	grads, err := l.lastRes.Backward(dy)
 	if err != nil {
@@ -244,35 +244,35 @@ func (l *BatchNormLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Params implements Layer.
-func (l *BatchNormLayer) Params() []*tensor.Tensor {
+func (l *batchNormLayer) Params() []*tensor.Tensor {
 	return []*tensor.Tensor{l.State.Gamma, l.State.Beta}
 }
 
 // Grads implements Layer.
-func (l *BatchNormLayer) Grads() []*tensor.Tensor {
+func (l *batchNormLayer) Grads() []*tensor.Tensor {
 	return []*tensor.Tensor{l.dGamma, l.dBeta}
 }
 
 // ZeroGrads implements Layer.
-func (l *BatchNormLayer) ZeroGrads() {
+func (l *batchNormLayer) ZeroGrads() {
 	l.dGamma.Zero()
 	l.dBeta.Zero()
 }
 
-// ReLULayer is a parameter-free rectifier.
-type ReLULayer struct {
+// reluLayer is a parameter-free rectifier.
+type reluLayer struct {
 	name string
 	mask []bool
 }
 
-// NewReLULayer constructs a named ReLU.
-func NewReLULayer(name string) *ReLULayer { return &ReLULayer{name: name} }
+// newReLULayer constructs a named ReLU.
+func newReLULayer(name string) *reluLayer { return &reluLayer{name: name} }
 
 // Name implements Layer.
-func (l *ReLULayer) Name() string { return l.name }
+func (l *reluLayer) Name() string { return l.name }
 
 // Forward implements Layer.
-func (l *ReLULayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
+func (l *reluLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training {
 		y := tensor.RentLike(x)
 		if err := tensor.ReLUInto(y, x); err != nil {
@@ -287,9 +287,9 @@ func (l *ReLULayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, er
 }
 
 // Backward implements Layer.
-func (l *ReLULayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *reluLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.mask == nil {
-		return nil, fmt.Errorf("%w: relu %s backward before forward", ErrState, l.name)
+		return nil, fmt.Errorf("%w: relu %s backward before forward", errState, l.name)
 	}
 	dx, err := tensor.ReLUBackward(dy, l.mask)
 	if err != nil {
@@ -299,31 +299,31 @@ func (l *ReLULayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Params implements Layer.
-func (l *ReLULayer) Params() []*tensor.Tensor { return nil }
+func (l *reluLayer) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
-func (l *ReLULayer) Grads() []*tensor.Tensor { return nil }
+func (l *reluLayer) Grads() []*tensor.Tensor { return nil }
 
 // ZeroGrads implements Layer.
-func (l *ReLULayer) ZeroGrads() {}
+func (l *reluLayer) ZeroGrads() {}
 
-// MaxPoolLayer wraps tensor.MaxPool2D.
-type MaxPoolLayer struct {
+// maxPoolLayer wraps tensor.MaxPool2D.
+type maxPoolLayer struct {
 	name string
 	P    tensor.PoolParams
 	last *tensor.MaxPool2DResult
 }
 
-// NewMaxPoolLayer constructs a max-pooling layer.
-func NewMaxPoolLayer(name string, p tensor.PoolParams) *MaxPoolLayer {
-	return &MaxPoolLayer{name: name, P: p}
+// newMaxPoolLayer constructs a max-pooling layer.
+func newMaxPoolLayer(name string, p tensor.PoolParams) *maxPoolLayer {
+	return &maxPoolLayer{name: name, P: p}
 }
 
 // Name implements Layer.
-func (l *MaxPoolLayer) Name() string { return l.name }
+func (l *maxPoolLayer) Name() string { return l.name }
 
 // Forward implements Layer.
-func (l *MaxPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
+func (l *maxPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && x.Rank() == 4 {
 		oh, ow := l.P.OutSize(x.Dim(2), x.Dim(3))
 		if oh > 0 && ow > 0 {
@@ -346,9 +346,9 @@ func (l *MaxPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor,
 }
 
 // Backward implements Layer.
-func (l *MaxPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *maxPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.last == nil {
-		return nil, fmt.Errorf("%w: maxpool %s backward before forward", ErrState, l.name)
+		return nil, fmt.Errorf("%w: maxpool %s backward before forward", errState, l.name)
 	}
 	dx, err := l.last.Backward(dy)
 	if err != nil {
@@ -358,30 +358,30 @@ func (l *MaxPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Params implements Layer.
-func (l *MaxPoolLayer) Params() []*tensor.Tensor { return nil }
+func (l *maxPoolLayer) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
-func (l *MaxPoolLayer) Grads() []*tensor.Tensor { return nil }
+func (l *maxPoolLayer) Grads() []*tensor.Tensor { return nil }
 
 // ZeroGrads implements Layer.
-func (l *MaxPoolLayer) ZeroGrads() {}
+func (l *maxPoolLayer) ZeroGrads() {}
 
-// GlobalAvgPoolLayer reduces (N,C,H,W) to (N,C).
-type GlobalAvgPoolLayer struct {
+// globalAvgPoolLayer reduces (N,C,H,W) to (N,C).
+type globalAvgPoolLayer struct {
 	name    string
 	inShape []int
 }
 
-// NewGlobalAvgPoolLayer constructs a global average pooling layer.
-func NewGlobalAvgPoolLayer(name string) *GlobalAvgPoolLayer {
-	return &GlobalAvgPoolLayer{name: name}
+// newGlobalAvgPoolLayer constructs a global average pooling layer.
+func newGlobalAvgPoolLayer(name string) *globalAvgPoolLayer {
+	return &globalAvgPoolLayer{name: name}
 }
 
 // Name implements Layer.
-func (l *GlobalAvgPoolLayer) Name() string { return l.name }
+func (l *globalAvgPoolLayer) Name() string { return l.name }
 
 // Forward implements Layer.
-func (l *GlobalAvgPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
+func (l *globalAvgPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && x.Rank() == 4 {
 		y := tensor.Rent(x.Dim(0), x.Dim(1))
 		if err := tensor.GlobalAvgPool2DInto(y, x); err != nil {
@@ -401,9 +401,9 @@ func (l *GlobalAvgPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.T
 }
 
 // Backward implements Layer.
-func (l *GlobalAvgPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *globalAvgPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.inShape == nil {
-		return nil, fmt.Errorf("%w: gap %s backward before forward", ErrState, l.name)
+		return nil, fmt.Errorf("%w: gap %s backward before forward", errState, l.name)
 	}
 	dx, err := tensor.GlobalAvgPool2DBackward(dy, l.inShape)
 	if err != nil {
@@ -413,16 +413,16 @@ func (l *GlobalAvgPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error)
 }
 
 // Params implements Layer.
-func (l *GlobalAvgPoolLayer) Params() []*tensor.Tensor { return nil }
+func (l *globalAvgPoolLayer) Params() []*tensor.Tensor { return nil }
 
 // Grads implements Layer.
-func (l *GlobalAvgPoolLayer) Grads() []*tensor.Tensor { return nil }
+func (l *globalAvgPoolLayer) Grads() []*tensor.Tensor { return nil }
 
 // ZeroGrads implements Layer.
-func (l *GlobalAvgPoolLayer) ZeroGrads() {}
+func (l *globalAvgPoolLayer) ZeroGrads() {}
 
-// LinearLayer is a fully connected layer with bias.
-type LinearLayer struct {
+// linearLayer is a fully connected layer with bias.
+type linearLayer struct {
 	name  string
 	W     *tensor.Tensor
 	B     *tensor.Tensor
@@ -430,7 +430,7 @@ type LinearLayer struct {
 	dB    *tensor.Tensor
 	lastX *tensor.Tensor
 
-	// Reduced-precision inference state; see the ConvLayer fields.
+	// Reduced-precision inference state; see the convLayer fields.
 	prec     tensor.Precision
 	w32      *tensor.LinearWeightsF32
 	w8       *tensor.LinearWeightsI8
@@ -438,9 +438,9 @@ type LinearLayer struct {
 	calib    bool
 }
 
-// NewLinearLayer constructs a Xavier-initialized fully connected layer.
-func NewLinearLayer(name string, in, out int, rng *rand.Rand) *LinearLayer {
-	l := &LinearLayer{
+// newLinearLayer constructs a Xavier-initialized fully connected layer.
+func newLinearLayer(name string, in, out int, rng *rand.Rand) *linearLayer {
+	l := &linearLayer{
 		name: name,
 		W:    tensor.New(out, in),
 		B:    tensor.New(out),
@@ -452,11 +452,11 @@ func NewLinearLayer(name string, in, out int, rng *rand.Rand) *LinearLayer {
 }
 
 // Name implements Layer.
-func (l *LinearLayer) Name() string { return l.name }
+func (l *linearLayer) Name() string { return l.name }
 
 // Forward implements Layer. Inference dispatches on the configured
-// precision like ConvLayer.Forward.
-func (l *LinearLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
+// precision like convLayer.Forward.
+func (l *linearLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && !l.calib {
 		switch l.prec {
 		case tensor.F32:
@@ -487,9 +487,9 @@ func (l *LinearLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, 
 }
 
 // Backward implements Layer.
-func (l *LinearLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (l *linearLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.lastX == nil {
-		return nil, fmt.Errorf("%w: linear %s backward before forward", ErrState, l.name)
+		return nil, fmt.Errorf("%w: linear %s backward before forward", errState, l.name)
 	}
 	grads, err := tensor.LinearBackward(dy, l.lastX, l.W, true)
 	if err != nil {
@@ -505,13 +505,13 @@ func (l *LinearLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Params implements Layer.
-func (l *LinearLayer) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
+func (l *linearLayer) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 
 // Grads implements Layer.
-func (l *LinearLayer) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.dW, l.dB} }
+func (l *linearLayer) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.dW, l.dB} }
 
 // ZeroGrads implements Layer.
-func (l *LinearLayer) ZeroGrads() {
+func (l *linearLayer) ZeroGrads() {
 	l.dW.Zero()
 	l.dB.Zero()
 }

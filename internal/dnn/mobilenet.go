@@ -20,18 +20,6 @@ type MobileNetConfig struct {
 	Seed        int64
 }
 
-// DefaultMobileNetConfig returns a test-scale MobileNetV2-style network.
-func DefaultMobileNetConfig() MobileNetConfig {
-	return MobileNetConfig{
-		InChannels:  3,
-		NumClasses:  8,
-		BaseWidth:   8,
-		Expansion:   2,
-		StageBlocks: [4]int{1, 2, 2, 1},
-		Seed:        1,
-	}
-}
-
 // invertedResidual approximates the MobileNetV2 unit with the layers the
 // engine supports: a 1×1 expansion conv, a 3×3 conv at the expanded width
 // (standing in for the depthwise conv), and a 1×1 projection, with a
@@ -39,14 +27,14 @@ func DefaultMobileNetConfig() MobileNetConfig {
 // the same pruning axis (the expanded width) as the real block.
 type invertedResidual struct {
 	name   string
-	Expand *ConvLayer
-	BNe    *BatchNormLayer
-	ReluE  *ReLULayer
-	Mid    *ConvLayer
-	BNm    *BatchNormLayer
-	ReluM  *ReLULayer
-	Proj   *ConvLayer
-	BNp    *BatchNormLayer
+	Expand *convLayer
+	BNe    *batchNormLayer
+	ReluE  *reluLayer
+	Mid    *convLayer
+	BNm    *batchNormLayer
+	ReluM  *reluLayer
+	Proj   *convLayer
+	BNp    *batchNormLayer
 
 	residual bool
 	lastX    *tensor.Tensor
@@ -55,20 +43,20 @@ type invertedResidual struct {
 func newInvertedResidual(name string, in, expanded, out, stride int, rng *rand.Rand) *invertedResidual {
 	return &invertedResidual{
 		name: name,
-		Expand: NewConvLayer(name+".expand", tensor.Conv2DParams{
+		Expand: newConvLayer(name+".expand", tensor.Conv2DParams{
 			InChannels: in, OutChannels: expanded, Kernel: 1, Stride: 1,
 		}, false, rng),
-		BNe:   NewBatchNormLayer(name+".bne", expanded),
-		ReluE: NewReLULayer(name + ".relue"),
-		Mid: NewConvLayer(name+".mid", tensor.Conv2DParams{
+		BNe:   newBatchNormLayer(name+".bne", expanded),
+		ReluE: newReLULayer(name + ".relue"),
+		Mid: newConvLayer(name+".mid", tensor.Conv2DParams{
 			InChannels: expanded, OutChannels: expanded, Kernel: 3, Stride: stride, Padding: 1,
 		}, false, rng),
-		BNm:   NewBatchNormLayer(name+".bnm", expanded),
-		ReluM: NewReLULayer(name + ".relum"),
-		Proj: NewConvLayer(name+".proj", tensor.Conv2DParams{
+		BNm:   newBatchNormLayer(name+".bnm", expanded),
+		ReluM: newReLULayer(name + ".relum"),
+		Proj: newConvLayer(name+".proj", tensor.Conv2DParams{
 			InChannels: expanded, OutChannels: out, Kernel: 1, Stride: 1,
 		}, false, rng),
-		BNp:      NewBatchNormLayer(name+".bnp", out),
+		BNp:      newBatchNormLayer(name+".bnp", out),
 		residual: stride == 1 && in == out,
 	}
 }
@@ -203,13 +191,13 @@ func BuildMobileNetV2(cfg MobileNetConfig) *Model {
 	w := cfg.BaseWidth
 	widths := [4]int{w, 2 * w, 4 * w, 8 * w}
 
-	stem := NewBlock("mobilenetv2/stem", 0, VariantBase,
-		NewConvLayer("stem.conv", tensor.Conv2DParams{
+	stem := newBlock("mobilenetv2/stem", 0, variantBase,
+		newConvLayer("stem.conv", tensor.Conv2DParams{
 			InChannels: cfg.InChannels, OutChannels: w, Kernel: 3, Stride: 1, Padding: 1,
 		}, false, rng),
-		NewBatchNormLayer("stem.bn", w),
-		NewReLULayer("stem.relu"),
-		NewMaxPoolLayer("stem.pool", tensor.PoolParams{Kernel: 2, Stride: 2}),
+		newBatchNormLayer("stem.bn", w),
+		newReLULayer("stem.relu"),
+		newMaxPoolLayer("stem.pool", tensor.PoolParams{Kernel: 2, Stride: 2}),
 	)
 
 	blocks := []*Block{stem}
@@ -230,12 +218,12 @@ func BuildMobileNetV2(cfg MobileNetConfig) *Model {
 			layers = append(layers, newInvertedResidual(name, in, in*cfg.Expansion, out, s, rng))
 			in = out
 		}
-		blocks = append(blocks, NewBlock(fmt.Sprintf("mobilenetv2/stage%d", stage+1), stage+1, VariantBase, layers...))
+		blocks = append(blocks, newBlock(fmt.Sprintf("mobilenetv2/stage%d", stage+1), stage+1, variantBase, layers...))
 	}
 
-	classifier := NewBlock("mobilenetv2/classifier", 5, VariantBase,
-		NewGlobalAvgPoolLayer("head.gap"),
-		NewLinearLayer("head.fc", widths[3], cfg.NumClasses, rng),
+	classifier := newBlock("mobilenetv2/classifier", 5, variantBase,
+		newGlobalAvgPoolLayer("head.gap"),
+		newLinearLayer("head.fc", widths[3], cfg.NumClasses, rng),
 	)
 	blocks = append(blocks, classifier)
 	return &Model{Arch: "mobilenetv2", Blocks: blocks}

@@ -193,7 +193,7 @@ func (m *Model) TrainableGrads() []*tensor.Tensor {
 	return out
 }
 
-// ParamCount returns the total number of scalar parameters.
+// paramCount returns the total number of scalar parameters.
 func (m *Model) ParamCount() int {
 	n := 0
 	for _, b := range m.Blocks {
@@ -246,21 +246,4 @@ func (m *Model) BlockByStage(stage int) *Block {
 		}
 	}
 	return nil
-}
-
-// DeployedMemoryBytes computes the total memory of a set of models counting
-// each distinct block (by pointer identity) once — the m(s^d) semantics of
-// constraint (1b).
-func DeployedMemoryBytes(models []*Model) int64 {
-	seen := make(map[*Block]bool)
-	var total int64
-	for _, m := range models {
-		for _, b := range m.Blocks {
-			if !seen[b] {
-				seen[b] = true
-				total += b.MemoryBytes()
-			}
-		}
-	}
-	return total
 }

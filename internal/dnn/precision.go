@@ -48,7 +48,7 @@ type calibratable interface {
 // SetPrecision selects the inference kernel precision of the convolution
 // and (re)builds the prepared weight cache from the current master
 // weights. The calibrated activation scale survives precision changes.
-func (l *ConvLayer) SetPrecision(p tensor.Precision) error {
+func (l *convLayer) SetPrecision(p tensor.Precision) error {
 	switch p {
 	case tensor.F64:
 		l.w32, l.w8 = nil, nil
@@ -72,20 +72,20 @@ func (l *ConvLayer) SetPrecision(p tensor.Precision) error {
 }
 
 // Precision returns the configured inference precision.
-func (l *ConvLayer) Precision() tensor.Precision { return l.prec }
+func (l *convLayer) Precision() tensor.Precision { return l.prec }
 
-func (l *ConvLayer) setCalibrating(on bool) { l.calib = on }
+func (l *convLayer) setCalibrating(on bool) { l.calib = on }
 
 // observe widens the recorded activation range with the current input.
-func (l *ConvLayer) observe(x *tensor.Tensor) {
+func (l *convLayer) observe(x *tensor.Tensor) {
 	if s := tensor.SymmetricScale(x.Data()); s > l.actScale {
 		l.actScale = s
 	}
 }
 
 // SetPrecision selects the inference kernel precision of the linear layer;
-// see ConvLayer.SetPrecision.
-func (l *LinearLayer) SetPrecision(p tensor.Precision) error {
+// see convLayer.SetPrecision.
+func (l *linearLayer) SetPrecision(p tensor.Precision) error {
 	switch p {
 	case tensor.F64:
 		l.w32, l.w8 = nil, nil
@@ -109,11 +109,11 @@ func (l *LinearLayer) SetPrecision(p tensor.Precision) error {
 }
 
 // Precision returns the configured inference precision.
-func (l *LinearLayer) Precision() tensor.Precision { return l.prec }
+func (l *linearLayer) Precision() tensor.Precision { return l.prec }
 
-func (l *LinearLayer) setCalibrating(on bool) { l.calib = on }
+func (l *linearLayer) setCalibrating(on bool) { l.calib = on }
 
-func (l *LinearLayer) observe(x *tensor.Tensor) {
+func (l *linearLayer) observe(x *tensor.Tensor) {
 	if s := tensor.SymmetricScale(x.Data()); s > l.actScale {
 		l.actScale = s
 	}
@@ -123,7 +123,7 @@ func (l *LinearLayer) observe(x *tensor.Tensor) {
 // residual unit. Batch norm, the ReLUs and the residual add stay in
 // float64 — they are cheap elementwise passes over the f64 interchange
 // tensors.
-func (b *BasicBlock) SetPrecision(p tensor.Precision) error {
+func (b *basicBlock) SetPrecision(p tensor.Precision) error {
 	if err := b.Conv1.SetPrecision(p); err != nil {
 		return fmt.Errorf("block %s: %w", b.name, err)
 	}
@@ -139,9 +139,9 @@ func (b *BasicBlock) SetPrecision(p tensor.Precision) error {
 }
 
 // Precision returns the configured inference precision.
-func (b *BasicBlock) Precision() tensor.Precision { return b.Conv1.Precision() }
+func (b *basicBlock) Precision() tensor.Precision { return b.Conv1.Precision() }
 
-func (b *BasicBlock) setCalibrating(on bool) {
+func (b *basicBlock) setCalibrating(on bool) {
 	b.Conv1.calib = on
 	b.Conv2.calib = on
 	if b.DownConv != nil {
@@ -150,9 +150,9 @@ func (b *BasicBlock) setCalibrating(on bool) {
 }
 
 // SetPrecision propagates the precision to every convolution of the
-// inverted-residual unit; see BasicBlock.SetPrecision.
+// inverted-residual unit; see basicBlock.SetPrecision.
 func (b *invertedResidual) SetPrecision(p tensor.Precision) error {
-	for _, l := range []*ConvLayer{b.Expand, b.Mid, b.Proj} {
+	for _, l := range []*convLayer{b.Expand, b.Mid, b.Proj} {
 		if err := l.SetPrecision(p); err != nil {
 			return fmt.Errorf("block %s: %w", b.name, err)
 		}

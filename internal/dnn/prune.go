@@ -38,13 +38,13 @@ func topChannels(norms []float64, keep int) []int {
 	return kept
 }
 
-// PruneBasicBlock returns a structurally pruned copy of src in which the
+// pruneBasicBlock returns a structurally pruned copy of src in which the
 // internal width (conv1 output / conv2 input channels) is reduced by
 // ratio, keeping the channels with the largest conv1 filter L2 norms —
 // magnitude-based structured pruning at DepGraph granularity. The block
 // interface (input/output channels, stride) is unchanged, so the pruned
 // block drops into any path the original served.
-func PruneBasicBlock(src *BasicBlock, ratio float64, rng *rand.Rand) (*BasicBlock, error) {
+func pruneBasicBlock(src *basicBlock, ratio float64, rng *rand.Rand) (*basicBlock, error) {
 	if ratio < 0 || ratio >= 1 {
 		return nil, fmt.Errorf("dnn: prune ratio %v outside [0,1)", ratio)
 	}
@@ -55,7 +55,7 @@ func PruneBasicBlock(src *BasicBlock, ratio float64, rng *rand.Rand) (*BasicBloc
 	in := src.Conv1.P.InChannels
 	out := src.Conv2.P.OutChannels
 	stride := src.Conv1.P.Stride
-	dst := NewBasicBlock(src.name+"-pruned", in, keep, out, stride, rng)
+	dst := newBasicBlock(src.name+"-pruned", in, keep, out, stride, rng)
 
 	// conv1: copy surviving filters wholesale.
 	k := src.Conv1.P.Kernel
@@ -96,31 +96,31 @@ func PruneBasicBlock(src *BasicBlock, ratio float64, rng *rand.Rand) (*BasicBloc
 	return dst, nil
 }
 
-// PruneBlock returns a pruned copy of a residual-stage block (all layers
-// must be *BasicBlock). The new block carries VariantPruned, the prune
+// pruneBlock returns a pruned copy of a residual-stage block (all layers
+// must be *basicBlock). The new block carries variantPruned, the prune
 // ratio, and the ID suffix "+pruned<ratio%>".
-func PruneBlock(src *Block, ratio float64, rng *rand.Rand) (*Block, error) {
+func pruneBlock(src *Block, ratio float64, rng *rand.Rand) (*Block, error) {
 	layers := make([]Layer, 0, len(src.layers))
 	for _, l := range src.layers {
-		bb, ok := l.(*BasicBlock)
+		bb, ok := l.(*basicBlock)
 		if !ok {
 			return nil, fmt.Errorf("dnn: prune block %s: layer %s is %T, not *BasicBlock", src.ID, l.Name(), l)
 		}
-		p, err := PruneBasicBlock(bb, ratio, rng)
+		p, err := pruneBasicBlock(bb, ratio, rng)
 		if err != nil {
 			return nil, fmt.Errorf("dnn: prune block %s: %w", src.ID, err)
 		}
 		layers = append(layers, p)
 	}
-	out := NewBlock(fmt.Sprintf("%s+pruned%d", src.ID, int(ratio*100)), src.Stage, VariantPruned, layers...)
+	out := newBlock(fmt.Sprintf("%s+pruned%d", src.ID, int(ratio*100)), src.Stage, variantPruned, layers...)
 	out.PruneRatio = ratio
 	return out, nil
 }
 
-// CloneBlock returns a deep copy of src (fresh layers, copied weights and
+// cloneBlock returns a deep copy of src (fresh layers, copied weights and
 // statistics) under a new identifier. Cloned blocks are the starting point
 // of fine-tuning: they begin at the base weights but evolve independently.
-func CloneBlock(src *Block, newID string, rng *rand.Rand) (*Block, error) {
+func cloneBlock(src *Block, newID string, rng *rand.Rand) (*Block, error) {
 	layers := make([]Layer, 0, len(src.layers))
 	for _, l := range src.layers {
 		c, err := cloneLayer(l, rng)
@@ -129,45 +129,45 @@ func CloneBlock(src *Block, newID string, rng *rand.Rand) (*Block, error) {
 		}
 		layers = append(layers, c)
 	}
-	out := NewBlock(newID, src.Stage, VariantFineTuned, layers...)
+	out := newBlock(newID, src.Stage, variantFineTuned, layers...)
 	out.PruneRatio = src.PruneRatio
 	return out, nil
 }
 
 func cloneLayer(l Layer, rng *rand.Rand) (Layer, error) {
 	switch v := l.(type) {
-	case *ConvLayer:
-		c := NewConvLayer(v.name, v.P, v.B != nil, rng)
+	case *convLayer:
+		c := newConvLayer(v.name, v.P, v.B != nil, rng)
 		copy(c.W.Data(), v.W.Data())
 		if v.B != nil {
 			copy(c.B.Data(), v.B.Data())
 		}
 		return c, nil
-	case *BatchNormLayer:
-		c := NewBatchNormLayer(v.name, v.State.Channels())
+	case *batchNormLayer:
+		c := newBatchNormLayer(v.name, v.State.Channels())
 		copy(c.State.Gamma.Data(), v.State.Gamma.Data())
 		copy(c.State.Beta.Data(), v.State.Beta.Data())
 		copy(c.State.RunningMean.Data(), v.State.RunningMean.Data())
 		copy(c.State.RunningVar.Data(), v.State.RunningVar.Data())
 		return c, nil
-	case *ReLULayer:
-		return NewReLULayer(v.name), nil
-	case *MaxPoolLayer:
-		return NewMaxPoolLayer(v.name, v.P), nil
-	case *GlobalAvgPoolLayer:
-		return NewGlobalAvgPoolLayer(v.name), nil
-	case *LinearLayer:
+	case *reluLayer:
+		return newReLULayer(v.name), nil
+	case *maxPoolLayer:
+		return newMaxPoolLayer(v.name, v.P), nil
+	case *globalAvgPoolLayer:
+		return newGlobalAvgPoolLayer(v.name), nil
+	case *linearLayer:
 		in := v.W.Dim(1)
 		out := v.W.Dim(0)
-		c := NewLinearLayer(v.name, in, out, rng)
+		c := newLinearLayer(v.name, in, out, rng)
 		copy(c.W.Data(), v.W.Data())
 		copy(c.B.Data(), v.B.Data())
 		return c, nil
-	case *BasicBlock:
+	case *basicBlock:
 		in := v.Conv1.P.InChannels
 		mid := v.MidChannels()
 		out := v.Conv2.P.OutChannels
-		c := NewBasicBlock(v.name, in, mid, out, v.Conv1.P.Stride, rng)
+		c := newBasicBlock(v.name, in, mid, out, v.Conv1.P.Stride, rng)
 		pairs := [][2]Layer{
 			{c.Conv1, v.Conv1}, {c.BN1, v.BN1}, {c.Conv2, v.Conv2}, {c.BN2, v.BN2},
 		}
@@ -179,8 +179,8 @@ func cloneLayer(l Layer, rng *rand.Rand) (Layer, error) {
 			for i := range dp {
 				copy(dp[i].Data(), sp[i].Data())
 			}
-			if dbn, ok := pr[0].(*BatchNormLayer); ok {
-				sbn := pr[1].(*BatchNormLayer)
+			if dbn, ok := pr[0].(*batchNormLayer); ok {
+				sbn := pr[1].(*batchNormLayer)
 				copy(dbn.State.RunningMean.Data(), sbn.State.RunningMean.Data())
 				copy(dbn.State.RunningVar.Data(), sbn.State.RunningVar.Data())
 			}

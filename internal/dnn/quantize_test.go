@@ -8,10 +8,10 @@ import (
 
 // firstConv digs the stem convolution out of a model for white-box
 // assertions about calibration state.
-func firstConv(t *testing.T, m *Model) *ConvLayer {
+func firstConv(t *testing.T, m *Model) *convLayer {
 	t.Helper()
 	for _, l := range m.Blocks[0].layers {
-		if c, ok := l.(*ConvLayer); ok {
+		if c, ok := l.(*convLayer); ok {
 			return c
 		}
 	}

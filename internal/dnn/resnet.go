@@ -7,7 +7,7 @@ import (
 	"offloadnn/internal/tensor"
 )
 
-// BasicBlock is the ResNet-18 residual unit:
+// basicBlock is the ResNet-18 residual unit:
 //
 //	y = relu( bn2(conv2( relu(bn1(conv1 x)) )) + skip(x) )
 //
@@ -15,55 +15,55 @@ import (
 // size or channel count changes. The internal width (conv1 output
 // channels) is independently configurable, which is where structured
 // pruning removes channels without changing the block interface.
-type BasicBlock struct {
+type basicBlock struct {
 	name string
 
-	Conv1 *ConvLayer
-	BN1   *BatchNormLayer
-	Relu1 *ReLULayer
-	Conv2 *ConvLayer
-	BN2   *BatchNormLayer
+	Conv1 *convLayer
+	BN1   *batchNormLayer
+	Relu1 *reluLayer
+	Conv2 *convLayer
+	BN2   *batchNormLayer
 
 	// DownConv/DownBN implement the projection shortcut; nil for identity.
-	DownConv *ConvLayer
-	DownBN   *BatchNormLayer
+	DownConv *convLayer
+	DownBN   *batchNormLayer
 
 	relu2Mask []bool
 	lastX     *tensor.Tensor
 }
 
-// NewBasicBlock constructs a residual unit mapping in→out channels with the
+// newBasicBlock constructs a residual unit mapping in→out channels with the
 // given stride and internal width mid (the pruning axis).
-func NewBasicBlock(name string, in, mid, out, stride int, rng *rand.Rand) *BasicBlock {
-	b := &BasicBlock{
+func newBasicBlock(name string, in, mid, out, stride int, rng *rand.Rand) *basicBlock {
+	b := &basicBlock{
 		name: name,
-		Conv1: NewConvLayer(name+".conv1", tensor.Conv2DParams{
+		Conv1: newConvLayer(name+".conv1", tensor.Conv2DParams{
 			InChannels: in, OutChannels: mid, Kernel: 3, Stride: stride, Padding: 1,
 		}, false, rng),
-		BN1:   NewBatchNormLayer(name+".bn1", mid),
-		Relu1: NewReLULayer(name + ".relu1"),
-		Conv2: NewConvLayer(name+".conv2", tensor.Conv2DParams{
+		BN1:   newBatchNormLayer(name+".bn1", mid),
+		Relu1: newReLULayer(name + ".relu1"),
+		Conv2: newConvLayer(name+".conv2", tensor.Conv2DParams{
 			InChannels: mid, OutChannels: out, Kernel: 3, Stride: 1, Padding: 1,
 		}, false, rng),
-		BN2: NewBatchNormLayer(name+".bn2", out),
+		BN2: newBatchNormLayer(name+".bn2", out),
 	}
 	if stride != 1 || in != out {
-		b.DownConv = NewConvLayer(name+".down", tensor.Conv2DParams{
+		b.DownConv = newConvLayer(name+".down", tensor.Conv2DParams{
 			InChannels: in, OutChannels: out, Kernel: 1, Stride: stride,
 		}, false, rng)
-		b.DownBN = NewBatchNormLayer(name+".downbn", out)
+		b.DownBN = newBatchNormLayer(name+".downbn", out)
 	}
 	return b
 }
 
 // MidChannels returns the internal width of the block.
-func (b *BasicBlock) MidChannels() int { return b.Conv1.P.OutChannels }
+func (b *basicBlock) MidChannels() int { return b.Conv1.P.OutChannels }
 
 // Name implements Layer.
-func (b *BasicBlock) Name() string { return b.name }
+func (b *basicBlock) Name() string { return b.name }
 
 // Forward implements Layer.
-func (b *BasicBlock) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
+func (b *basicBlock) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	h, err := b.Conv1.Forward(x, training)
 	if err != nil {
 		return nil, err
@@ -123,9 +123,9 @@ func (b *BasicBlock) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, e
 }
 
 // Backward implements Layer.
-func (b *BasicBlock) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+func (b *basicBlock) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if b.relu2Mask == nil {
-		return nil, fmt.Errorf("%w: block %s backward before forward", ErrState, b.name)
+		return nil, fmt.Errorf("%w: block %s backward before forward", errState, b.name)
 	}
 	dSum, err := tensor.ReLUBackward(dy, b.relu2Mask)
 	if err != nil {
@@ -166,7 +166,7 @@ func (b *BasicBlock) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // Params implements Layer.
-func (b *BasicBlock) Params() []*tensor.Tensor {
+func (b *basicBlock) Params() []*tensor.Tensor {
 	out := append([]*tensor.Tensor{}, b.Conv1.Params()...)
 	out = append(out, b.BN1.Params()...)
 	out = append(out, b.Conv2.Params()...)
@@ -179,7 +179,7 @@ func (b *BasicBlock) Params() []*tensor.Tensor {
 }
 
 // Grads implements Layer.
-func (b *BasicBlock) Grads() []*tensor.Tensor {
+func (b *basicBlock) Grads() []*tensor.Tensor {
 	out := append([]*tensor.Tensor{}, b.Conv1.Grads()...)
 	out = append(out, b.BN1.Grads()...)
 	out = append(out, b.Conv2.Grads()...)
@@ -192,7 +192,7 @@ func (b *BasicBlock) Grads() []*tensor.Tensor {
 }
 
 // ZeroGrads implements Layer.
-func (b *BasicBlock) ZeroGrads() {
+func (b *basicBlock) ZeroGrads() {
 	b.Conv1.ZeroGrads()
 	b.BN1.ZeroGrads()
 	b.Conv2.ZeroGrads()
@@ -260,13 +260,13 @@ func BuildResNet18(cfg ResNetConfig) *Model {
 	w := cfg.BaseWidth
 	widths := [4]int{w, 2 * w, 4 * w, 8 * w}
 
-	stem := NewBlock("resnet18/stem", 0, VariantBase,
-		NewConvLayer("stem.conv", tensor.Conv2DParams{
+	stem := newBlock("resnet18/stem", 0, variantBase,
+		newConvLayer("stem.conv", tensor.Conv2DParams{
 			InChannels: cfg.InChannels, OutChannels: w, Kernel: 3, Stride: 1, Padding: 1,
 		}, false, rng),
-		NewBatchNormLayer("stem.bn", w),
-		NewReLULayer("stem.relu"),
-		NewMaxPoolLayer("stem.pool", tensor.PoolParams{Kernel: 2, Stride: 2}),
+		newBatchNormLayer("stem.bn", w),
+		newReLULayer("stem.relu"),
+		newMaxPoolLayer("stem.pool", tensor.PoolParams{Kernel: 2, Stride: 2}),
 	)
 
 	blocks := []*Block{stem}
@@ -285,21 +285,21 @@ func BuildResNet18(cfg ResNetConfig) *Model {
 				s = stride
 			}
 			name := fmt.Sprintf("stage%d.unit%d", stage+1, unit+1)
-			layers = append(layers, NewBasicBlock(name, in, mid, out, s, rng))
+			layers = append(layers, newBasicBlock(name, in, mid, out, s, rng))
 			in = out
 		}
-		variant := VariantBase
+		variant := variantBase
 		if cfg.PruneRatios[stage] > 0 {
-			variant = VariantPruned
+			variant = variantPruned
 		}
-		blk := NewBlock(fmt.Sprintf("resnet18/stage%d", stage+1), stage+1, variant, layers...)
+		blk := newBlock(fmt.Sprintf("resnet18/stage%d", stage+1), stage+1, variant, layers...)
 		blk.PruneRatio = cfg.PruneRatios[stage]
 		blocks = append(blocks, blk)
 	}
 
-	classifier := NewBlock("resnet18/classifier", 5, VariantBase,
-		NewGlobalAvgPoolLayer("head.gap"),
-		NewLinearLayer("head.fc", widths[3], cfg.NumClasses, rng),
+	classifier := newBlock("resnet18/classifier", 5, variantBase,
+		newGlobalAvgPoolLayer("head.gap"),
+		newLinearLayer("head.fc", widths[3], cfg.NumClasses, rng),
 	)
 	blocks = append(blocks, classifier)
 

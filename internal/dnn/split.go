@@ -43,10 +43,10 @@ func (c CutPoint) ActivationBytes(precision string) int {
 	}
 }
 
-// StemOutputShape returns the stem's output (C, H, W) for the given
+// stemOutputShape returns the stem's output (C, H, W) for the given
 // input shape: a same-padded 3x3 conv to BaseWidth channels followed by
 // a 2x2/2 max-pool (see BuildStemBlock).
-func StemOutputShape(cfg ResNetConfig, input [3]int) [3]int {
+func stemOutputShape(cfg ResNetConfig, input [3]int) [3]int {
 	return [3]int{cfg.BaseWidth, poolOut(input[1], 2, 2, 0), poolOut(input[2], 2, 2, 0)}
 }
 
@@ -54,7 +54,7 @@ func StemOutputShape(cfg ResNetConfig, input [3]int) [3]int {
 // position `after` (1-based) of a path, for the given frame shape.
 // after=0 returns the stem output — the input of stage position 1.
 func SegmentBoundaryShape(cfg ResNetConfig, input [3]int, after int) [3]int {
-	s := StemOutputShape(cfg, input)
+	s := stemOutputShape(cfg, input)
 	for p := 1; p <= after; p++ {
 		t := min(p, 4)
 		s[0] = StageWidth(cfg, t)
@@ -75,7 +75,7 @@ func EnumerateCutPoints(cfg ResNetConfig, nStages int, input [3]int) []CutPoint 
 		return nil
 	}
 	cuts := make([]CutPoint, 0, nStages-1)
-	s := StemOutputShape(cfg, input)
+	s := stemOutputShape(cfg, input)
 	for p := 1; p < nStages; p++ {
 		t := min(p, 4)
 		s[0] = StageWidth(cfg, t)

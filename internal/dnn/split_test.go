@@ -95,10 +95,8 @@ func TestSplitEqualsWholeEveryCutDNN(t *testing.T) {
 		if got2.From != cut.After || got2.Shape != cut.Shape {
 			t.Fatalf("envelope round-trip mangled manifest: %+v", got2)
 		}
-		act, err := tensor.FromSlice(data, 1, cut.Shape[0], cut.Shape[1], cut.Shape[2])
-		if err != nil {
-			t.Fatal(err)
-		}
+		act := tensor.New(1, cut.Shape[0], cut.Shape[1], cut.Shape[2])
+		copy(act.Data(), data)
 		y, err := tail.Forward(act, false)
 		if err != nil {
 			t.Fatal(err)

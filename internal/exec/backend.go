@@ -36,20 +36,20 @@ import (
 	"offloadnn/internal/edge"
 )
 
-// ErrNoModel reports an Infer for a task the installed plan does not
+// errNoModel reports an Infer for a task the installed plan does not
 // admit (or before any plan was installed).
-var ErrNoModel = errors.New("exec: no model deployed for task")
+var errNoModel = errors.New("exec: no model deployed for task")
 
 // ErrBadInput reports an input tensor whose length does not match the
 // backend's expected input shape.
 var ErrBadInput = errors.New("exec: input does not match model input shape")
 
-// ErrReleased reports an Infer that raced an epoch swap which released
+// errReleased reports an Infer that raced an epoch swap which released
 // the task's model; the caller should retry against the new epoch.
-var ErrReleased = errors.New("exec: model released by epoch swap")
+var errReleased = errors.New("exec: model released by epoch swap")
 
-// ErrClosed reports use of a closed backend.
-var ErrClosed = errors.New("exec: backend closed")
+// errClosed reports use of a closed backend.
+var errClosed = errors.New("exec: backend closed")
 
 // ErrLate reports a request shed because its deadline had already passed
 // before it entered a batch: serving it would burn compute on a result
@@ -237,7 +237,7 @@ type Stats struct {
 // Install and Close serialize with each other (the resolver calls them
 // under its solve lock); Infer is safe for concurrent use and may
 // overlap an Install (requests racing a swap that releases their model
-// get ErrReleased).
+// get errReleased).
 type Backend interface {
 	// Install swaps the backend onto a new epoch's deployment, building
 	// models for newly admitted paths, retaining those shared with the

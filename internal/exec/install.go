@@ -100,7 +100,7 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 	if prec != tensor.F64 {
 		suffix = "@" + prec.String()
 	}
-	gated := prec != tensor.F64 && r.cfg.QuantGate >= 0
+	gated := prec != tensor.F64
 	// bound resolves the stem or the classifier at the path's precision.
 	bound := func(key string, stage int, build func() *dnn.Block) (*dnn.Block, error) {
 		inst, err := r.instantiate(key, stage, func() (*dnn.Block, error) {
@@ -204,7 +204,7 @@ func (r *Real) Install(plan *Plan) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return ErrClosed
+		return errClosed
 	}
 
 	// Resolve the desired model set, building entries for new paths.

@@ -17,6 +17,11 @@ const calibSeed = 20240131
 // input.
 const calibBatch = 8
 
+// quantGate bounds the top-1 disagreement (fraction of the gate batch) a
+// reduced-precision path may show against its float64 twin at install
+// time before it is demoted one precision tier.
+const quantGate = 0.02
+
 // blockInstance is one live shared block: the unit of the refcount that
 // operationalizes constraint (1b) — however many deployed paths (and
 // tasks, and epochs) reference a block ID, exactly one instance exists.
@@ -145,7 +150,7 @@ func (r *Real) twinModel(blockIDs []string) (*dnn.Model, error) {
 // gate enforces the calibration accuracy gate on a newly built
 // reduced-precision path: the model's activation scales are calibrated
 // on a deterministic batch, then its top-1 agreement with the float64
-// twin is measured on the same batch. Disagreement above QuantGate
+// twin is measured on the same batch. Disagreement above quantGate
 // demotes every block of the path one precision tier (i8→f32→f64) and
 // rechecks; float64 always passes. Demotion is per-block state, so other
 // installed paths sharing a demoted block run the safer kernels too. The
@@ -165,7 +170,7 @@ func (r *Real) gate(path *dnn.Model, blockIDs []string, prec tensor.Precision) (
 		if err != nil {
 			return prec, fmt.Errorf("gate %s: %w", sig, err)
 		}
-		if delta <= r.cfg.QuantGate {
+		if delta <= quantGate {
 			if r.cfg.Logf != nil {
 				r.cfg.Logf("exec: gate: path %s passes at %s (top-1 delta %.3f)", sig, prec, delta)
 			}
@@ -177,7 +182,7 @@ func (r *Real) gate(path *dnn.Model, blockIDs []string, prec tensor.Precision) (
 		}
 		if r.cfg.Logf != nil {
 			r.cfg.Logf("exec: gate: path %s top-1 delta %.3f > %.3f at %s, falling back to %s",
-				sig, delta, r.cfg.QuantGate, prec, next)
+				sig, delta, quantGate, prec, next)
 		}
 		if err := path.SetPrecision(next); err != nil {
 			return prec, fmt.Errorf("gate %s: demote: %w", sig, err)

@@ -13,7 +13,7 @@ import (
 // suffixed ID) sharing the base block's master weights, and report its
 // precision through Stats.
 func TestQuantizedVariantSharesBaseWeights(t *testing.T) {
-	r := newReal(t, exec.RealConfig{QuantGate: -1}) // gate off: isolate weight sharing
+	r := newReal(t, exec.RealConfig{})
 	plan := planFor(1, map[string][]string{
 		"t1": {"base/s1"},
 		"t2": {"base/s1@i8"},
@@ -124,7 +124,7 @@ func TestQuantizedArgmaxParityWithF64(t *testing.T) {
 // same pointer serves consecutive epochs, with no weight copying in
 // between.
 func TestQuantizedWarmSwapKeepsInstance(t *testing.T) {
-	r := newReal(t, exec.RealConfig{QuantGate: -1})
+	r := newReal(t, exec.RealConfig{})
 	if err := r.Install(planFor(1, map[string][]string{"t1": {"base/s1@i8"}})); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestQuantizedWarmSwapKeepsInstance(t *testing.T) {
 }
 
 func TestQuantizedBatchingDeterministic(t *testing.T) {
-	r := newReal(t, exec.RealConfig{BatchSize: 4, BatchWindow: 20 * time.Millisecond, QuantGate: -1})
+	r := newReal(t, exec.RealConfig{BatchSize: 4, BatchWindow: 20 * time.Millisecond})
 	if err := r.Install(planFor(1, map[string][]string{"t1": {"base/s1@i8"}})); err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func (r *Real) enqueue(e *modelEntry, q *inferReq) error {
 	e.qmu.Lock()
 	if e.qclosed {
 		e.qmu.Unlock()
-		return ErrReleased
+		return errReleased
 	}
 	q.seq = e.seq
 	e.seq++
@@ -135,7 +135,7 @@ func (r *Real) tryPop(e *modelEntry) *inferReq {
 
 // nextReq blocks until a serveable request arrives or the entry is
 // released (nil). Release wins over a non-empty queue: the remaining
-// waiters belong to drain, which answers them ErrReleased.
+// waiters belong to drain, which answers them errReleased.
 func (r *Real) nextReq(e *modelEntry) *inferReq {
 	for {
 		select {
@@ -231,7 +231,7 @@ func (r *Real) serveModel(e *modelEntry) {
 	}
 }
 
-// drain answers queued requests of a released entry with ErrReleased and
+// drain answers queued requests of a released entry with errReleased and
 // closes the queue against further enqueues.
 func (r *Real) drain(e *modelEntry) {
 	e.qmu.Lock()
@@ -240,7 +240,7 @@ func (r *Real) drain(e *modelEntry) {
 	e.queue.items = nil
 	e.qmu.Unlock()
 	for _, q := range items {
-		q.resp <- inferResp{err: ErrReleased}
+		q.resp <- inferResp{err: errReleased}
 	}
 }
 

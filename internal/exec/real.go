@@ -29,11 +29,6 @@ type RealConfig struct {
 	// on a path whose admitted rate expects no second request inside it
 	// (rate × BatchWindow < 1).
 	BatchWindow time.Duration
-	// QuantGate bounds the top-1 disagreement (fraction of the gate
-	// batch) a reduced-precision path may show against its float64 twin
-	// at install time before being demoted one precision tier (default
-	// 0.02; negative disables the gate).
-	QuantGate float64
 	// QueueDepth bounds how many requests may wait in one model's intake
 	// queue before backpressure sheds the latest-deadline waiter
 	// (ErrQueueFull). Default 16×BatchSize; negative disables the bound.
@@ -87,7 +82,7 @@ type Real struct {
 }
 
 // NewReal constructs a tensor-backed backend; every Infer fails with
-// ErrNoModel until the first Install.
+// errNoModel until the first Install.
 func NewReal(cfg RealConfig) (*Real, error) {
 	if cfg.Model.BaseWidth == 0 {
 		cfg.Model = dnn.DefaultResNetConfig()
@@ -106,9 +101,6 @@ func NewReal(cfg RealConfig) (*Real, error) {
 	}
 	if cfg.BatchWindow <= 0 {
 		cfg.BatchWindow = 2 * time.Millisecond
-	}
-	if cfg.QuantGate == 0 {
-		cfg.QuantGate = 0.02
 	}
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 16 * cfg.BatchSize
@@ -133,7 +125,7 @@ func NewReal(cfg RealConfig) (*Real, error) {
 func (r *Real) Infer(ctx context.Context, req Request) (Output, error) {
 	e := (*r.routes.Load())[RouteKey(req.TaskID, req.FromStage)]
 	if e == nil {
-		return Output{}, fmt.Errorf("%w: %q (stage %d)", ErrNoModel, req.TaskID, req.FromStage)
+		return Output{}, fmt.Errorf("%w: %q (stage %d)", errNoModel, req.TaskID, req.FromStage)
 	}
 	want := e.inShape[0] * e.inShape[1] * e.inShape[2]
 	if len(req.Input) != want {

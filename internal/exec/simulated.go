@@ -24,7 +24,7 @@ type Simulated struct {
 }
 
 // NewSimulated constructs a cost-model backend; no plan is installed
-// yet, so every Infer fails with ErrNoModel until the first Install.
+// yet, so every Infer fails with errNoModel until the first Install.
 func NewSimulated() *Simulated {
 	return &Simulated{costs: map[string]edge.TaskCost{}}
 }
@@ -38,7 +38,7 @@ func (s *Simulated) Install(plan *Plan) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return errClosed
 	}
 	s.costs = edge.PlanCosts(plan.Tasks, plan.Blocks, plan.Res, plan.Deployment, 0)
 	// Segment ranges answer with their slice's modeled compute; the
@@ -69,11 +69,11 @@ func (s *Simulated) Infer(_ context.Context, req Request) (Output, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return Output{}, ErrClosed
+		return Output{}, errClosed
 	}
 	cost, ok := s.costs[RouteKey(req.TaskID, req.FromStage)]
 	if !ok {
-		return Output{}, fmt.Errorf("%w: %q (stage %d)", ErrNoModel, req.TaskID, req.FromStage)
+		return Output{}, fmt.Errorf("%w: %q (stage %d)", errNoModel, req.TaskID, req.FromStage)
 	}
 	lat := cost.Total()
 	s.served++

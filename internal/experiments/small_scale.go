@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -34,7 +35,7 @@ func runSmallScale(maxT, maxOptimal int) ([]smallRun, error) {
 		}
 		run := smallRun{tasks: tasks, heuristic: h}
 		if tasks <= maxOptimal {
-			o, stats, err := core.SolveOptimal(in)
+			o, stats, err := core.SolveOptimal(context.Background(), in)
 			if err != nil {
 				return nil, fmt.Errorf("T=%d optimal: %w", tasks, err)
 			}

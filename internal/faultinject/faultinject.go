@@ -19,7 +19,7 @@ import (
 )
 
 // Failure points wired into the serving stack. The suffix encodes the
-// failure mode (see ModeOf); the prefix names the site.
+// failure mode (see modeOf); the prefix names the site.
 const (
 	// PointSolverError makes the resolver's solve step return an error
 	// (a counted solve failure; the last-good epoch keeps serving).
@@ -47,36 +47,36 @@ const (
 // ErrInjected is the sentinel wrapped by every error-mode fire.
 var ErrInjected = errors.New("faultinject: injected fault")
 
-// Mode is what firing a point does to the caller.
-type Mode int
+// mode is what firing a point does to the caller.
+type mode int
 
 const (
-	// ModeError returns a wrapped ErrInjected.
-	ModeError Mode = iota
-	// ModePanic panics with the point name.
-	ModePanic
-	// ModeHang blocks until HangFor elapses (then returns nil, modeling
+	// modeError returns a wrapped ErrInjected.
+	modeError mode = iota
+	// modePanic panics with the point name.
+	modePanic
+	// modeHang blocks until HangFor elapses (then returns nil, modeling
 	// a slow call) or the context is done (returning ctx.Err()).
-	ModeHang
-	// ModeSlow sleeps HangFor unconditionally and returns nil — a slow
-	// call that always completes. Unlike ModeHang it ignores the context:
+	modeHang
+	// modeSlow sleeps HangFor unconditionally and returns nil — a slow
+	// call that always completes. Unlike modeHang it ignores the context:
 	// the stall is the point, and it is bounded by the rule itself.
-	ModeSlow
+	modeSlow
 )
 
-// ModeOf derives a point's failure mode from its name suffix: ".panic"
+// modeOf derives a point's failure mode from its name suffix: ".panic"
 // panics, ".hang" stalls until ctx/HangFor, ".slow" sleeps HangFor,
 // anything else returns an error.
-func ModeOf(point string) Mode {
+func modeOf(point string) mode {
 	switch {
 	case strings.HasSuffix(point, ".panic"):
-		return ModePanic
+		return modePanic
 	case strings.HasSuffix(point, ".hang"):
-		return ModeHang
+		return modeHang
 	case strings.HasSuffix(point, ".slow"):
-		return ModeSlow
+		return modeSlow
 	}
-	return ModeError
+	return modeError
 }
 
 // Rule says when an armed point fires. The count and probability
@@ -196,15 +196,15 @@ func (i *Injector) Hit(ctx context.Context, point string) error {
 	if !fire {
 		return nil
 	}
-	switch ModeOf(point) {
-	case ModePanic:
+	switch modeOf(point) {
+	case modePanic:
 		panic(fmt.Sprintf("faultinject: %s fired", point))
-	case ModeSlow:
+	case modeSlow:
 		if hangFor > 0 {
 			time.Sleep(hangFor)
 		}
 		return nil
-	case ModeHang:
+	case modeHang:
 		if hangFor <= 0 {
 			<-ctx.Done()
 			return ctx.Err()

@@ -169,13 +169,13 @@ func TestParseSpec(t *testing.T) {
 }
 
 func TestModeOf(t *testing.T) {
-	if ModeOf(PointSolverError) != ModeError || ModeOf(PointDeployError) != ModeError {
+	if modeOf(PointSolverError) != modeError || modeOf(PointDeployError) != modeError {
 		t.Fatal("error points misclassified")
 	}
-	if ModeOf(PointSolverPanic) != ModePanic {
+	if modeOf(PointSolverPanic) != modePanic {
 		t.Fatal("panic point misclassified")
 	}
-	if ModeOf(PointSolverHang) != ModeHang {
+	if modeOf(PointSolverHang) != modeHang {
 		t.Fatal("hang point misclassified")
 	}
 }

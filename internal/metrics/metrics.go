@@ -9,8 +9,8 @@ import (
 	"sort"
 )
 
-// ErrEmpty reports a statistic requested over no data.
-var ErrEmpty = errors.New("metrics: empty data")
+// errEmpty reports a statistic requested over no data.
+var errEmpty = errors.New("metrics: empty data")
 
 // Summary holds basic descriptive statistics.
 type Summary struct {
@@ -24,7 +24,7 @@ type Summary struct {
 // Summarize computes a Summary over xs.
 func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
+		return Summary{}, errEmpty
 	}
 	s := Summary{Count: len(xs), Min: xs[0], Max: xs[0]}
 	sum := 0.0
@@ -53,7 +53,7 @@ func Summarize(xs []float64) (Summary, error) {
 // nearest-rank interpolation.
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
-		return 0, ErrEmpty
+		return 0, errEmpty
 	}
 	if p < 0 || p > 100 {
 		return 0, errors.New("metrics: percentile out of [0,100]")

@@ -23,7 +23,7 @@ func TestSummarizeKnownValues(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
+	if _, err := Summarize(nil); !errors.Is(err, errEmpty) {
 		t.Fatalf("err = %v, want ErrEmpty", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestPercentile(t *testing.T) {
 	if _, err := Percentile(xs, 101); err == nil {
 		t.Fatal("percentile > 100 should error")
 	}
-	if _, err := Percentile(nil, 50); !errors.Is(err, ErrEmpty) {
+	if _, err := Percentile(nil, 50); !errors.Is(err, errEmpty) {
 		t.Fatalf("err = %v, want ErrEmpty", err)
 	}
 	// Input must not be mutated.

@@ -68,7 +68,7 @@ func (w *Window) Snapshot() []float64 {
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) over the window,
-// or ErrEmpty when no sample has been recorded yet.
+// or errEmpty when no sample has been recorded yet.
 func (w *Window) Percentile(p float64) (float64, error) {
 	return Percentile(w.Snapshot(), p)
 }
@@ -78,7 +78,7 @@ func (w *Window) Percentile(p float64) (float64, error) {
 func (w *Window) Quantiles(ps ...float64) ([]float64, error) {
 	xs := w.Snapshot()
 	if len(xs) == 0 {
-		return nil, ErrEmpty
+		return nil, errEmpty
 	}
 	sort.Float64s(xs)
 	out := make([]float64, len(ps))
@@ -101,7 +101,7 @@ func (w *Window) Quantiles(ps ...float64) ([]float64, error) {
 	return out, nil
 }
 
-// Summary computes descriptive statistics over the window, or ErrEmpty
+// Summary computes descriptive statistics over the window, or errEmpty
 // when no sample has been recorded yet.
 func (w *Window) Summary() (Summary, error) {
 	return Summarize(w.Snapshot())

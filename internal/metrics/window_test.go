@@ -11,13 +11,13 @@ func TestWindowEmpty(t *testing.T) {
 	if w.Len() != 0 {
 		t.Fatalf("Len() = %d, want 0", w.Len())
 	}
-	if _, err := w.Percentile(50); !errors.Is(err, ErrEmpty) {
+	if _, err := w.Percentile(50); !errors.Is(err, errEmpty) {
 		t.Fatalf("Percentile on empty window: err = %v, want ErrEmpty", err)
 	}
-	if _, err := w.Quantiles(50, 95); !errors.Is(err, ErrEmpty) {
+	if _, err := w.Quantiles(50, 95); !errors.Is(err, errEmpty) {
 		t.Fatalf("Quantiles on empty window: err = %v, want ErrEmpty", err)
 	}
-	if _, err := w.Summary(); !errors.Is(err, ErrEmpty) {
+	if _, err := w.Summary(); !errors.Is(err, errEmpty) {
 		t.Fatalf("Summary on empty window: err = %v, want ErrEmpty", err)
 	}
 	if got := w.Snapshot(); len(got) != 0 {

@@ -15,8 +15,8 @@ import (
 	"offloadnn/internal/tensor"
 )
 
-// ErrProfile reports a profiling failure.
-var ErrProfile = errors.New("profile: profiling failed")
+// errProfile reports a profiling failure.
+var errProfile = errors.New("profile: profiling failed")
 
 // BlockCost is the experimentally characterized cost of one layer-block.
 type BlockCost struct {
@@ -62,7 +62,7 @@ type Profiler struct {
 // common practice (values do not affect dense-conv timing).
 func (p Profiler) ProfileModel(m *dnn.Model) ([]BlockCost, error) {
 	if p.Repeats < 1 {
-		return nil, fmt.Errorf("%w: repeats %d < 1", ErrProfile, p.Repeats)
+		return nil, fmt.Errorf("%w: repeats %d < 1", errProfile, p.Repeats)
 	}
 	workers := p.Workers
 	if workers <= 0 {
@@ -71,11 +71,11 @@ func (p Profiler) ProfileModel(m *dnn.Model) ([]BlockCost, error) {
 	prev := tensor.SetParallelism(workers)
 	defer tensor.SetParallelism(prev)
 	if !p.Precision.Valid() {
-		return nil, fmt.Errorf("%w: invalid precision %d", ErrProfile, p.Precision)
+		return nil, fmt.Errorf("%w: invalid precision %d", errProfile, p.Precision)
 	}
 	if p.Precision != tensor.F64 {
 		if err := m.SetPrecision(p.Precision); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrProfile, err)
+			return nil, fmt.Errorf("%w: %v", errProfile, err)
 		}
 	}
 	x := tensor.New(1, 3, p.ImageSize, p.ImageSize)
@@ -86,7 +86,7 @@ func (p Profiler) ProfileModel(m *dnn.Model) ([]BlockCost, error) {
 		for i := 0; i < p.Warmup; i++ {
 			y, err := b.Forward(x, false)
 			if err != nil {
-				return nil, fmt.Errorf("%w: block %s warmup: %v", ErrProfile, b.ID, err)
+				return nil, fmt.Errorf("%w: block %s warmup: %v", errProfile, b.ID, err)
 			}
 			if y != x {
 				tensor.Release(y)
@@ -98,7 +98,7 @@ func (p Profiler) ProfileModel(m *dnn.Model) ([]BlockCost, error) {
 			start := time.Now()
 			y, err := b.Forward(x, false)
 			if err != nil {
-				return nil, fmt.Errorf("%w: block %s: %v", ErrProfile, b.ID, err)
+				return nil, fmt.Errorf("%w: block %s: %v", errProfile, b.ID, err)
 			}
 			samples[i] = time.Since(start)
 			if out != nil && out != x {

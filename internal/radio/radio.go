@@ -14,8 +14,8 @@ import (
 	"fmt"
 )
 
-// ErrCapacity reports an allocation that exceeds the RB pool.
-var ErrCapacity = errors.New("radio: insufficient resource blocks")
+// errCapacity reports an allocation that exceeds the RB pool.
+var errCapacity = errors.New("radio: insufficient resource blocks")
 
 // CapacityModel maps a link SNR to the number of bits one RB carries per
 // second.
@@ -157,7 +157,7 @@ func (s *SliceAllocator) AllocateShared(task string, rbs int, share float64) err
 	newUsed := without + float64(rbs)*share
 	if newUsed > float64(s.total)+1e-9 {
 		return fmt.Errorf("%w: want %.2f RBs (%d×%.2f) for %s, %.2f available",
-			ErrCapacity, float64(rbs)*share, rbs, share, task,
+			errCapacity, float64(rbs)*share, rbs, share, task,
 			float64(s.total)-without)
 	}
 	if rbs == 0 || share == 0 {

@@ -61,7 +61,7 @@ func TestSliceAllocator(t *testing.T) {
 	if a.Available() != 0 {
 		t.Fatalf("available = %d, want 0", a.Available())
 	}
-	if err := a.Allocate("t3", 1); !errors.Is(err, ErrCapacity) {
+	if err := a.Allocate("t3", 1); !errors.Is(err, errCapacity) {
 		t.Fatalf("over-allocation err = %v, want ErrCapacity", err)
 	}
 	// Replacing an existing slice only charges the delta.
@@ -110,7 +110,7 @@ func TestSliceAllocatorTimeSharing(t *testing.T) {
 		t.Fatalf("grant = %d×%v", a.Allocation("t1"), a.Share("t1"))
 	}
 	// A third 8-RB half-time slice (4 effective) would exceed the pool.
-	if err := a.AllocateShared("t3", 8, 0.5); !errors.Is(err, ErrCapacity) {
+	if err := a.AllocateShared("t3", 8, 0.5); !errors.Is(err, errCapacity) {
 		t.Fatalf("over-allocation err = %v, want ErrCapacity", err)
 	}
 	// But a quarter-time one (2 effective) fits.
@@ -160,7 +160,7 @@ func TestSliceAllocatorRunningTotal(t *testing.T) {
 	grant("grant t3", "t3", 5, 1)
 	grant("re-grant t1 larger", "t1", 12, 0.6)
 	grant("re-grant t2 smaller", "t2", 3, 0.1)
-	if err := a.AllocateShared("t2", 20, 1); !errors.Is(err, ErrCapacity) {
+	if err := a.AllocateShared("t2", 20, 1); !errors.Is(err, errCapacity) {
 		t.Fatalf("over-capacity err = %v, want ErrCapacity", err)
 	}
 	check("refused over-capacity grant")

@@ -16,7 +16,6 @@
 package semoran
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -24,9 +23,6 @@ import (
 
 	"offloadnn/internal/core"
 )
-
-// ErrNoPath reports a task with no accuracy-feasible path.
-var ErrNoPath = errors.New("semoran: no feasible path")
 
 // CompressionLevel is one semantic-compression option.
 type CompressionLevel struct {

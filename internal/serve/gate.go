@@ -6,14 +6,14 @@ import (
 	"time"
 )
 
-// Gate enforces one task's notified admission rate z·λ on the offload
+// gate enforces one task's notified admission rate z·λ on the offload
 // request path (the "rate notification" step of the Fig. 4 loop, turned
 // into an active admission control): a token bucket refilled at Rate
 // requests per second with one second of burst capacity. Requests beyond
 // the bucket are rejected with a retry hint rather than queued, so an
 // over-rate UE degrades gracefully and can never grow an unbounded
 // backlog at the edge. It is safe for concurrent use.
-type Gate struct {
+type gate struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second (z·λ)
 	burst  float64 // bucket capacity
@@ -22,16 +22,16 @@ type Gate struct {
 	now    func() time.Time
 }
 
-// NewGate creates a gate admitting `rate` requests per second. The burst
+// newGate creates a gate admitting `rate` requests per second. The burst
 // capacity is one second's worth of tokens, at least one, so a conforming
 // periodic source is never spuriously rejected. A non-positive rate
 // yields a gate that rejects everything. now is the clock (nil =
 // time.Now); injectable for deterministic tests.
-func NewGate(rate float64, now func() time.Time) *Gate {
+func newGate(rate float64, now func() time.Time) *gate {
 	if now == nil {
 		now = time.Now
 	}
-	g := &Gate{rate: rate, now: now}
+	g := &gate{rate: rate, now: now}
 	if rate > 0 {
 		g.burst = math.Max(1, rate)
 		g.tokens = g.burst
@@ -43,8 +43,8 @@ func NewGate(rate float64, now func() time.Time) *Gate {
 // rerated returns a gate enforcing the new rate that starts from g's
 // bucket — g's tokens refilled to now, clamped to the new burst — so a
 // rate change never grants tokens the old rate had not accrued.
-func (g *Gate) rerated(rate float64) *Gate {
-	n := NewGate(rate, g.now)
+func (g *gate) rerated(rate float64) *gate {
+	n := newGate(rate, g.now)
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.refill(n.last)
@@ -54,7 +54,7 @@ func (g *Gate) rerated(rate float64) *Gate {
 
 // refill credits the tokens accrued since the last refill, up to the
 // burst; g.mu must be held.
-func (g *Gate) refill(t time.Time) {
+func (g *gate) refill(t time.Time) {
 	if dt := t.Sub(g.last).Seconds(); dt > 0 {
 		g.tokens = math.Min(g.burst, g.tokens+dt*g.rate)
 	}
@@ -62,7 +62,7 @@ func (g *Gate) refill(t time.Time) {
 }
 
 // Rate returns the enforced rate in requests per second.
-func (g *Gate) Rate() float64 {
+func (g *gate) Rate() float64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.rate
@@ -72,7 +72,7 @@ func (g *Gate) Rate() float64 {
 // rejected it returns false and the duration after which a retry will
 // find a token (zero when the gate's rate is zero and no retry can ever
 // succeed).
-func (g *Gate) Allow() (bool, time.Duration) {
+func (g *gate) Allow() (bool, time.Duration) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.rate <= 0 {

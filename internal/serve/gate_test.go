@@ -30,7 +30,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 func TestGateBurstAndRefill(t *testing.T) {
 	clock := newFakeClock()
-	g := NewGate(2, clock.Now) // burst = max(1, 2) = 2 tokens
+	g := newGate(2, clock.Now) // burst = max(1, 2) = 2 tokens
 
 	for i := 0; i < 2; i++ {
 		if ok, _ := g.Allow(); !ok {
@@ -68,7 +68,7 @@ func TestGateBurstAndRefill(t *testing.T) {
 
 func TestGateSubUnitRateStillBurstsOne(t *testing.T) {
 	clock := newFakeClock()
-	g := NewGate(0.5, clock.Now) // burst clamps to 1
+	g := newGate(0.5, clock.Now) // burst clamps to 1
 	if ok, _ := g.Allow(); !ok {
 		t.Fatal("first request at sub-unit rate rejected")
 	}
@@ -82,7 +82,7 @@ func TestGateSubUnitRateStillBurstsOne(t *testing.T) {
 }
 
 func TestGateZeroRateRejectsAll(t *testing.T) {
-	g := NewGate(0, nil)
+	g := newGate(0, nil)
 	ok, wait := g.Allow()
 	if ok {
 		t.Fatal("zero-rate gate admitted a request")
@@ -94,7 +94,7 @@ func TestGateZeroRateRejectsAll(t *testing.T) {
 
 func TestGateExactRateConforming(t *testing.T) {
 	clock := newFakeClock()
-	g := NewGate(5, clock.Now)
+	g := newGate(5, clock.Now)
 	// A periodic source at exactly the admitted rate is never rejected.
 	for i := 0; i < 100; i++ {
 		clock.Advance(200 * time.Millisecond)

@@ -84,8 +84,8 @@ type OffloadResponse struct {
 	Hops []dnn.ActivationHop `json:"hops,omitempty"`
 }
 
-// TaskStatus is one entry of GET /v1/tasks.
-type TaskStatus struct {
+// taskStatus is one entry of GET /v1/tasks.
+type taskStatus struct {
 	ID           string  `json:"id"`
 	Priority     float64 `json:"priority"`
 	Rate         float64 `json:"rate"`
@@ -210,9 +210,9 @@ func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleListTasks(w http.ResponseWriter, r *http.Request) {
 	tasks, _, _ := s.reg.Snapshot()
 	ep := s.resolver.Current()
-	out := make([]TaskStatus, 0, len(tasks))
+	out := make([]taskStatus, 0, len(tasks))
 	for _, t := range tasks {
-		st := TaskStatus{ID: t.ID, Priority: t.Priority, Rate: t.Rate}
+		st := taskStatus{ID: t.ID, Priority: t.Priority, Rate: t.Rate}
 		if u := ep.unit(t.ID, 0); u != nil && u.whole() {
 			st.Admitted = true
 			st.AdmittedRate = u.Rate

@@ -36,7 +36,7 @@ type unit struct {
 	SegmentSpec
 	// gate admits raw frames at Rate; nil on units entered mid-path, whose
 	// pipeline's head already spent the token.
-	gate *Gate
+	gate *gate
 	// budget is the deadline budget a raw frame starts with: L_τ for a
 	// whole path, BudgetMS for a head segment.
 	budget time.Duration

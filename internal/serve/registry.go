@@ -12,8 +12,8 @@ import (
 // ErrExists reports a registration under an ID already live.
 var ErrExists = errors.New("serve: task already registered")
 
-// ErrUnknownTask reports an operation on an ID that is not registered.
-var ErrUnknownTask = errors.New("serve: unknown task")
+// errUnknownTask reports an operation on an ID that is not registered.
+var errUnknownTask = errors.New("serve: unknown task")
 
 // Registry is the daemon's concurrent-safe task table: the set of live
 // offloading requests the next epoch's DOT instance is assembled from,
@@ -237,7 +237,7 @@ func (r *Registry) Deregister(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.tasks[id]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTask, id)
+		return fmt.Errorf("%w: %q", errUnknownTask, id)
 	}
 	delete(r.tasks, id)
 	for i, tid := range r.order {

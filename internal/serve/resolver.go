@@ -36,7 +36,7 @@ type Epoch struct {
 	// SolveLatency is how long the solve-and-deploy step took.
 	SolveLatency time.Duration
 	// Tier is the solver tier that produced the epoch's plan
-	// (core.TierAuto for an empty registry).
+	// (the zero core.Tier, "auto", for an empty registry).
 	Tier core.Tier
 	// PublishedAt is when the epoch was installed, on the resolver's
 	// clock; the health state machine ages the plan against it.
@@ -67,7 +67,7 @@ func (e *Epoch) addUnit(prev *Epoch, u *unit, now func() time.Time) {
 	if u.HeadSeg() {
 		switch old := prev.unit(u.Task, 0); {
 		case old == nil:
-			u.gate = NewGate(u.Rate, now)
+			u.gate = newGate(u.Rate, now)
 		case old.Rate == u.Rate:
 			u.gate = old.gate
 		default:
@@ -94,7 +94,7 @@ func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
 	return core.Assignment{}, false
 }
 
-// Resolver owns the epoch lifecycle: it watches the registry for churn,
+// resolver owns the epoch lifecycle: it watches the registry for churn,
 // debounces it, re-runs the admission round and atomically publishes the
 // resulting epoch. A kick during an in-flight solve is retained, so the
 // loop always converges onto the latest registry generation.
@@ -111,7 +111,7 @@ func (e *Epoch) Assignment(id string) (core.Assignment, bool) {
 // next one rebuilds it from the registry; and consecutive failures back
 // off exponentially (capped, jittered) instead of retrying hot. In every
 // failure mode the last-good epoch keeps serving.
-type Resolver struct {
+type resolver struct {
 	// cfg is the server's configuration.
 	cfg   Config
 	reg   *Registry
@@ -159,11 +159,11 @@ type Resolver struct {
 	resident map[string]bool
 }
 
-func newResolver(cfg Config, reg *Registry, stats *Stats, segments func() []SegmentSpec) *Resolver {
+func newResolver(cfg Config, reg *Registry, stats *Stats, segments func() []SegmentSpec) *resolver {
 	ctrl := edge.NewController(cfg.Res)
 	ctrl.Faults = cfg.Faults
 	ctx, cancel := context.WithCancel(context.Background())
-	r := &Resolver{
+	r := &resolver{
 		cfg:      cfg,
 		reg:      reg,
 		ctrl:     ctrl,
@@ -182,14 +182,14 @@ func newResolver(cfg Config, reg *Registry, stats *Stats, segments func() []Segm
 }
 
 // Current returns the published epoch, nil before the first solve.
-func (r *Resolver) Current() *Epoch { return r.cur.Load() }
+func (r *resolver) Current() *Epoch { return r.cur.Load() }
 
 // ConsecutiveFailures returns the current run of failed solves.
-func (r *Resolver) ConsecutiveFailures() uint64 { return r.fails.Load() }
+func (r *resolver) ConsecutiveFailures() uint64 { return r.fails.Load() }
 
 // StaleSince returns when the published plan first fell behind the
 // registry, and false while the plan is current.
-func (r *Resolver) StaleSince() (time.Time, bool) {
+func (r *resolver) StaleSince() (time.Time, bool) {
 	ns := r.staleSince.Load()
 	if ns == 0 {
 		return time.Time{}, false
@@ -200,7 +200,7 @@ func (r *Resolver) StaleSince() (time.Time, bool) {
 // Kick signals that the registry changed. Coalesces: kicks arriving
 // while one is pending fold into it. The first kick after a publish
 // starts the staleness clock the health state machine reads.
-func (r *Resolver) Kick() {
+func (r *resolver) Kick() {
 	r.staleSince.CompareAndSwap(0, r.cfg.Now().UnixNano())
 	select {
 	case r.kick <- struct{}{}:
@@ -210,7 +210,7 @@ func (r *Resolver) Kick() {
 
 // Close stops the loop, cancels any in-flight incremental solve, and
 // waits for the loop to exit.
-func (r *Resolver) Close() {
+func (r *resolver) Close() {
 	r.once.Do(func() {
 		close(r.done)
 		r.cancel()
@@ -225,7 +225,7 @@ func (r *Resolver) Close() {
 // exponential backoff instead of waiting for (or being re-triggered hot
 // by) further churn, so a persistently failing solver costs a bounded
 // solve rate and the loop still converges the moment it recovers.
-func (r *Resolver) loop() {
+func (r *resolver) loop() {
 	defer r.wg.Done()
 	for {
 		select {
@@ -260,7 +260,7 @@ func (r *Resolver) loop() {
 }
 
 // sleep waits d, returning false when the resolver closed first.
-func (r *Resolver) sleep(d time.Duration) bool {
+func (r *resolver) sleep(d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
@@ -277,7 +277,7 @@ func (r *Resolver) sleep(d time.Duration) bool {
 // backoffDelay returns the wait before the next retry given the current
 // consecutive-failure count: from the debounce window up to backoffMax,
 // or up to the debounce when that is longer.
-func (r *Resolver) backoffDelay() time.Duration {
+func (r *resolver) backoffDelay() time.Duration {
 	base := r.cfg.Debounce
 	return backoffDelay(base, max(base, backoffMax), int(r.fails.Load()), r.jitter)
 }
@@ -304,13 +304,13 @@ func backoffDelay(base, max time.Duration, n int, jitter func() float64) time.Du
 // matches the registry generation. On solver error (or recovered solver
 // panic) the previous epoch stays in place — requests keep being served
 // under the old plan — and the error is returned.
-func (r *Resolver) ResolveNow() error { return r.resolve(false) }
+func (r *resolver) ResolveNow() error { return r.resolve(false) }
 
 // ForceResolve re-solves and republishes even when the published epoch
 // is current — the serving-path cost benchmarks measure this.
-func (r *Resolver) ForceResolve() error { return r.resolve(true) }
+func (r *resolver) ForceResolve() error { return r.resolve(true) }
 
-func (r *Resolver) resolve(force bool) error {
+func (r *resolver) resolve(force bool) error {
 	r.solveMu.Lock()
 	defer r.solveMu.Unlock()
 	tasks, blocks, gen := r.reg.Snapshot()
@@ -390,10 +390,10 @@ func (r *Resolver) resolve(force bool) error {
 }
 
 // pickTier is the size rule: the approximate admission tier from
-// DefaultApproxAfter registered tasks, the exact incremental heuristic
+// defaultApproxAfter registered tasks, the exact incremental heuristic
 // below.
 func pickTier(n int) core.Tier {
-	if n >= DefaultApproxAfter {
+	if n >= defaultApproxAfter {
 		return core.TierApprox
 	}
 	return core.TierHeuristic
@@ -404,8 +404,8 @@ func pickTier(n int) core.Tier {
 // assignments are parallel to. The solution comes from the session on the
 // heuristic tier and from a full core.SolveSpec solve on the approximate
 // one — the session, if any, then stays cached for when the registry
-// shrinks back under DefaultApproxAfter. Caller holds solveMu.
-func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) (dep *edge.Deployment, solved []core.Task, err error) {
+// shrinks back under defaultApproxAfter. Caller holds solveMu.
+func (r *resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) (dep *edge.Deployment, solved []core.Task, err error) {
 	ctx, cancel := context.WithTimeout(r.ctx, DefaultSolveTimeout)
 	defer cancel()
 	defer func() {
@@ -457,7 +457,7 @@ func (r *Resolver) produce(tasks []core.Task, blocks map[string]core.BlockSpec) 
 // solve and reports whether either changed. A change drops the
 // incremental session: its cached state was built against the old
 // budgets and prices. ReplacePlan forces a re-solve when anything changed.
-func (r *Resolver) setBudget(res core.Resources, resident map[string]bool) bool {
+func (r *resolver) setBudget(res core.Resources, resident map[string]bool) bool {
 	r.solveMu.Lock()
 	defer r.solveMu.Unlock()
 	if sameBudget(r.budget, res) && maps.Equal(r.resident, resident) {
@@ -481,7 +481,7 @@ func sameBudget(a, b core.Resources) bool {
 // recordFailure counts a failed epoch and drops the session: an error or a
 // recovered panic mid-solve leaves its state of unknown consistency, so
 // the next epoch rebuilds it from the registry. Caller holds solveMu.
-func (r *Resolver) recordFailure(err error) {
+func (r *resolver) recordFailure(err error) {
 	r.session = nil
 	r.stats.solveErrors.Add(1)
 	r.stats.setLastSolveError(err)
@@ -489,7 +489,7 @@ func (r *Resolver) recordFailure(err error) {
 }
 
 // recordSuccess resets the failure run. Caller holds solveMu.
-func (r *Resolver) recordSuccess() {
+func (r *resolver) recordSuccess() {
 	r.fails.Store(0)
 	r.staleSince.Store(0)
 	r.stats.setLastSolveError(nil)
@@ -500,7 +500,7 @@ func (r *Resolver) recordSuccess() {
 // session on first use) and re-solves incrementally, returning the
 // session's instance with the solution. Caller holds solveMu; on error
 // recordFailure drops the session.
-func (r *Resolver) solveSession(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec) (*core.Instance, *core.Solution, error) {
+func (r *resolver) solveSession(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec) (*core.Instance, *core.Solution, error) {
 	var delta core.TaskDelta
 	if r.session == nil {
 		sess, err := core.NewSolverSession(&core.Instance{

@@ -10,7 +10,7 @@ import (
 
 // SegmentSpec is one stage-range of a split path this node serves, as the
 // coordinator's split placement pushes it alongside the node's whole-path
-// task subset (it is the wire form too: cluster.WireSegment aliases it).
+// task subset (it is the wire form too: cluster's wireSegment aliases it).
 // The head segment gates intake at the admitted rate and opens the
 // deadline budget; every non-tail segment forwards its boundary
 // activation to Next.

@@ -7,10 +7,10 @@
 // The design maps the paper's Fig. 4 workflow onto a serving loop:
 //
 //	admission request  → Registry (concurrent-safe task table)
-//	DOT solve          → Resolver (debounced epoch re-solve on churn)
+//	DOT solve          → resolver (debounced epoch re-solve on churn)
 //	slice/compute      → edge.Controller.Deploy
 //	deployment         → Epoch published via atomic.Pointer (RCU-style)
-//	rate notification  → Gate (token bucket at z·λ, 429 beyond it)
+//	rate notification  → gate (token bucket at z·λ, 429 beyond it)
 //
 // Requests read the current epoch without locking; re-solves publish a
 // fresh immutable epoch and never block the request path. Over-rate
@@ -66,13 +66,13 @@ const (
 	overloadAfter  = 10
 )
 
-// DefaultApproxAfter is the registry size from which the resolver runs the approximate admission tier instead of the exact
+// defaultApproxAfter is the registry size from which the resolver runs the approximate admission tier instead of the exact
 // session. The exact heuristic admits more at every size, but its
 // session is what a large cold epoch pays for: with the 10k-task epoch
 // of bench's solve-scale workload routed to it, setup_s read 0.39 →
 // 0.77–0.84 s and rss_mb 60.6 → 115–117 MB. bench has a workload on
 // each side of the rule: epoch-churn (≈ 20 tasks) and solve-scale (10k).
-const DefaultApproxAfter = 512
+const defaultApproxAfter = 512
 
 // Config parameterizes a serving daemon.
 type Config struct {
@@ -117,7 +117,7 @@ type Config struct {
 type Server struct {
 	cfg      Config
 	reg      *Registry
-	resolver *Resolver
+	resolver *resolver
 	backend  exec.Backend
 	stats    *Stats
 	mux      *http.ServeMux

@@ -137,7 +137,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var listing []TaskStatus
+	var listing []taskStatus
 	if err := json.NewDecoder(resp.Body).Decode(&listing); err != nil {
 		t.Fatal(err)
 	}

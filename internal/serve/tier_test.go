@@ -61,7 +61,7 @@ func scaleServer(t *testing.T, cfg Config, n, registered int) (*Server, []core.T
 // approximate solver, deregistering it moves it back — and the chosen
 // tier is visible on the epoch, /healthz and /metrics.
 func TestAutoTierEscalatesBySize(t *testing.T) {
-	srv, tasks := scaleServer(t, Config{}, DefaultApproxAfter, DefaultApproxAfter-1)
+	srv, tasks := scaleServer(t, Config{}, defaultApproxAfter, defaultApproxAfter-1)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAutoTierEscalatesBySize(t *testing.T) {
 		t.Fatalf("healthz solve_tier = %q", got)
 	}
 
-	last := tasks[DefaultApproxAfter-1]
+	last := tasks[defaultApproxAfter-1]
 	if err := srv.Register(last, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// ErrPast reports scheduling an event before the current simulation time.
-var ErrPast = errors.New("sim: event scheduled in the past")
+// errPast reports scheduling an event before the current simulation time.
+var errPast = errors.New("sim: event scheduled in the past")
 
 type event struct {
 	at  time.Duration
@@ -69,7 +69,7 @@ func (e *Engine) Schedule(delay time.Duration, fn func()) error {
 // ScheduleAt enqueues fn at an absolute simulation time.
 func (e *Engine) ScheduleAt(at time.Duration, fn func()) error {
 	if at < e.now {
-		return fmt.Errorf("%w: %v before now %v", ErrPast, at, e.now)
+		return fmt.Errorf("%w: %v before now %v", errPast, at, e.now)
 	}
 	if fn == nil {
 		return errors.New("sim: nil event function")

@@ -94,7 +94,7 @@ func TestScheduleValidation(t *testing.T) {
 	e := NewEngine()
 	mustSchedule(t, e, 10*time.Millisecond, func() {})
 	e.Run(time.Second)
-	if err := e.ScheduleAt(5*time.Millisecond, func() {}); !errors.Is(err, ErrPast) {
+	if err := e.ScheduleAt(5*time.Millisecond, func() {}); !errors.Is(err, errPast) {
 		t.Fatalf("past event err = %v, want ErrPast", err)
 	}
 	if err := e.Schedule(time.Millisecond, nil); err == nil {

@@ -42,7 +42,7 @@ func ReLUInPlace(x *Tensor) []bool {
 // (an all-ones or zero mask, which compiles to a CMOV), same result.
 func ReLUInto(dst, x *Tensor) error {
 	if dst.Len() != x.Len() {
-		return fmt.Errorf("%w: relu dst has %d elems, x %d", ErrShape, dst.Len(), x.Len())
+		return fmt.Errorf("%w: relu dst has %d elems, x %d", errShape, dst.Len(), x.Len())
 	}
 	d := dst.data[:len(x.data)]
 	for i, v := range x.data {
@@ -72,7 +72,7 @@ func ReLUInPlaceInfer(x *Tensor) {
 // ReLUBackward masks the upstream gradient with the forward activation mask.
 func ReLUBackward(dy *Tensor, mask []bool) (*Tensor, error) {
 	if dy.Len() != len(mask) {
-		return nil, fmt.Errorf("%w: relu backward dy has %d elems, mask %d", ErrShape, dy.Len(), len(mask))
+		return nil, fmt.Errorf("%w: relu backward dy has %d elems, mask %d", errShape, dy.Len(), len(mask))
 	}
 	dx := New(dy.shape...)
 	for i, g := range dy.data {
@@ -83,10 +83,10 @@ func ReLUBackward(dy *Tensor, mask []bool) (*Tensor, error) {
 	return dx, nil
 }
 
-// Softmax applies a numerically stable row-wise softmax to an (N, K) tensor.
-func Softmax(x *Tensor) (*Tensor, error) {
+// softmax applies a numerically stable row-wise softmax to an (N, K) tensor.
+func softmax(x *Tensor) (*Tensor, error) {
 	if x.Rank() != 2 {
-		return nil, fmt.Errorf("%w: softmax needs rank-2, got %v", ErrShape, x.shape)
+		return nil, fmt.Errorf("%w: softmax needs rank-2, got %v", errShape, x.shape)
 	}
 	n, k := x.shape[0], x.shape[1]
 	out := New(n, k)
@@ -125,20 +125,20 @@ type CrossEntropyResult struct {
 // (N, K) against integer labels y (len N).
 func CrossEntropy(logits *Tensor, y []int) (*CrossEntropyResult, error) {
 	if logits.Rank() != 2 {
-		return nil, fmt.Errorf("%w: cross-entropy logits must be rank-2, got %v", ErrShape, logits.shape)
+		return nil, fmt.Errorf("%w: cross-entropy logits must be rank-2, got %v", errShape, logits.shape)
 	}
 	n, k := logits.shape[0], logits.shape[1]
 	if len(y) != n {
-		return nil, fmt.Errorf("%w: cross-entropy has %d labels for batch %d", ErrShape, len(y), n)
+		return nil, fmt.Errorf("%w: cross-entropy has %d labels for batch %d", errShape, len(y), n)
 	}
-	probs, err := Softmax(logits)
+	probs, err := softmax(logits)
 	if err != nil {
 		return nil, err
 	}
 	loss := 0.0
 	for i, label := range y {
 		if label < 0 || label >= k {
-			return nil, fmt.Errorf("%w: label %d out of range [0,%d)", ErrShape, label, k)
+			return nil, fmt.Errorf("%w: label %d out of range [0,%d)", errShape, label, k)
 		}
 		p := probs.data[i*k+label]
 		if p < 1e-12 {
@@ -167,7 +167,7 @@ func (r *CrossEntropyResult) Backward() *Tensor {
 // tensor.
 func Argmax(x *Tensor) ([]int, error) {
 	if x.Rank() != 2 {
-		return nil, fmt.Errorf("%w: argmax needs rank-2, got %v", ErrShape, x.shape)
+		return nil, fmt.Errorf("%w: argmax needs rank-2, got %v", errShape, x.shape)
 	}
 	n, k := x.shape[0], x.shape[1]
 	out := make([]int, n)

@@ -23,13 +23,13 @@ func (p Conv2DParams) OutSize(h, w int) (int, int) {
 func (p Conv2DParams) validate() error {
 	switch {
 	case p.InChannels <= 0 || p.OutChannels <= 0:
-		return fmt.Errorf("%w: conv channels must be positive (%d in, %d out)", ErrShape, p.InChannels, p.OutChannels)
+		return fmt.Errorf("%w: conv channels must be positive (%d in, %d out)", errShape, p.InChannels, p.OutChannels)
 	case p.Kernel <= 0:
-		return fmt.Errorf("%w: conv kernel must be positive, got %d", ErrShape, p.Kernel)
+		return fmt.Errorf("%w: conv kernel must be positive, got %d", errShape, p.Kernel)
 	case p.Stride <= 0:
-		return fmt.Errorf("%w: conv stride must be positive, got %d", ErrShape, p.Stride)
+		return fmt.Errorf("%w: conv stride must be positive, got %d", errShape, p.Stride)
 	case p.Padding < 0:
-		return fmt.Errorf("%w: conv padding must be non-negative, got %d", ErrShape, p.Padding)
+		return fmt.Errorf("%w: conv padding must be non-negative, got %d", errShape, p.Padding)
 	}
 	return nil
 }
@@ -216,26 +216,26 @@ func checkConvPrepared(x, bias *Tensor, p Conv2DParams, wOut, wPatch int) (n, oh
 		return
 	}
 	if x.Rank() != 4 {
-		err = fmt.Errorf("%w: conv input must be rank-4 NCHW, got %v", ErrShape, x.shape)
+		err = fmt.Errorf("%w: conv input must be rank-4 NCHW, got %v", errShape, x.shape)
 		return
 	}
 	if x.shape[1] != p.InChannels {
-		err = fmt.Errorf("%w: conv input has %d channels, params say %d", ErrShape, x.shape[1], p.InChannels)
+		err = fmt.Errorf("%w: conv input has %d channels, params say %d", errShape, x.shape[1], p.InChannels)
 		return
 	}
 	if patch := p.InChannels * p.Kernel * p.Kernel; wOut != p.OutChannels || wPatch != patch {
 		err = fmt.Errorf("%w: prepared conv weight is %dx%d, params want %dx%d",
-			ErrShape, wOut, wPatch, p.OutChannels, patch)
+			errShape, wOut, wPatch, p.OutChannels, patch)
 		return
 	}
 	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != p.OutChannels) {
-		err = fmt.Errorf("%w: conv bias shape %v, want [%d]", ErrShape, bias.shape, p.OutChannels)
+		err = fmt.Errorf("%w: conv bias shape %v, want [%d]", errShape, bias.shape, p.OutChannels)
 		return
 	}
 	n = x.shape[0]
 	oh, ow = p.OutSize(x.shape[2], x.shape[3])
 	if oh <= 0 || ow <= 0 {
-		err = fmt.Errorf("%w: conv output size %dx%d for input %dx%d", ErrShape, oh, ow, x.shape[2], x.shape[3])
+		err = fmt.Errorf("%w: conv output size %dx%d for input %dx%d", errShape, oh, ow, x.shape[2], x.shape[3])
 	}
 	return
 }
@@ -274,7 +274,7 @@ func checkConvDst(dst *Tensor, n, cout, oh, ow int) error {
 	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != cout ||
 		dst.shape[2] != oh || dst.shape[3] != ow {
 		return fmt.Errorf("%w: conv dst shape %v, want [%d %d %d %d]",
-			ErrShape, dst.shape, n, cout, oh, ow)
+			errShape, dst.shape, n, cout, oh, ow)
 	}
 	return nil
 }
@@ -472,7 +472,7 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 	wantDY := []int{n, p.OutChannels, oh, ow}
 	if dy.Rank() != 4 || dy.shape[0] != wantDY[0] || dy.shape[1] != wantDY[1] ||
 		dy.shape[2] != wantDY[2] || dy.shape[3] != wantDY[3] {
-		return nil, fmt.Errorf("%w: conv backward dy shape %v, want %v", ErrShape, dy.shape, wantDY)
+		return nil, fmt.Errorf("%w: conv backward dy shape %v, want %v", errShape, dy.shape, wantDY)
 	}
 
 	shape := newConvShape(x, p, oh, ow)

@@ -70,13 +70,13 @@ func refConvImage(mode convMode, img []float64, h, w int, weight, bias *Tensor, 
 		xScale = SymmetricScale(img)
 	}
 	img8 := make([]int8, len(img))
-	QuantizeSymmetric(img8, img, xScale)
+	quantizeSymmetric(img8, img, xScale)
 	w8 := make([]int8, weight.Len())
 	wScale := make([]float64, p.OutChannels)
 	for oc := range wScale {
 		row := weight.data[oc*patch : (oc+1)*patch]
 		wScale[oc] = SymmetricScale(row)
-		QuantizeSymmetric(w8[oc*patch:(oc+1)*patch], row, wScale[oc])
+		quantizeSymmetric(w8[oc*patch:(oc+1)*patch], row, wScale[oc])
 	}
 
 	t64, t32, t8 := make([]float64, patch), make([]float32, patch), make([]int8, patch)

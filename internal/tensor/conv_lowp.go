@@ -124,7 +124,7 @@ func convRowsI8(out, x []float64, weight *ConvWeightsI8, bias *Tensor, s *convSh
 			sc = SymmetricScale(img)
 		}
 		scales[b-b0] = sc
-		QuantizeSymmetric(imgs[(b-b0)*imgLen:(b-b0+1)*imgLen], img, sc)
+		quantizeSymmetric(imgs[(b-b0)*imgLen:(b-b0+1)*imgLen], img, sc)
 	}
 	convRowsNarrow(out, imgs, &weight.packedConv, weight.scale, scales, bias, s, b0, lo, hi,
 		s.chunkRows(1), &scratchI8, &scratchI32, gemmPanel8)

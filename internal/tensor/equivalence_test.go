@@ -177,7 +177,7 @@ func TestMatMulMatchesReference(t *testing.T) {
 		b := randTensor(rng, k, n)
 		want := refMatMul(a, b)
 		atParallelism(t, []int{1, 4}, func(t *testing.T, w int) {
-			got, err := MatMul(a, b)
+			got, err := matMul(a, b)
 			if err != nil {
 				t.Fatalf("matmul %v workers=%d: %v", s, w, err)
 			}
@@ -200,7 +200,7 @@ func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 		b := randTensor(rng, s[1], s[2])
 		var serial *Tensor
 		atParallelism(t, []int{1, 2, 4}, func(t *testing.T, w int) {
-			got, err := MatMul(a, b)
+			got, err := matMul(a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,11 +239,11 @@ func TestGemmF64AxpyMatchesReference(t *testing.T) {
 				want, wantT := refMatMul(a, b), refMatMulTransA(aT, b)
 				for _, useSIMD = range simd {
 					atParallelism(t, []int{1, 2, 4}, func(t *testing.T, w int) {
-						got, err := MatMul(a, b)
+						got, err := matMul(a, b)
 						if err != nil {
 							t.Fatal(err)
 						}
-						gotT, err := MatMulTransA(aT, b)
+						gotT, err := matMulTransA(aT, b)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -350,14 +350,14 @@ func TestMatMulTransposedMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, s := range [][3]int{{1, 3, 5}, {5, 7, 9}, {31, 17, 23}, {70, 71, 72}} {
 		m, k, n := s[0], s[1], s[2]
-		aT := randTensor(rng, k, m) // MatMulTransA takes a as (K, M)
+		aT := randTensor(rng, k, m) // matMulTransA takes a as (K, M)
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
-		bT := randTensor(rng, n, k) // MatMulTransB takes b as (N, K)
+		bT := randTensor(rng, n, k) // matMulTransB takes b as (N, K)
 		wantA := refMatMulTransA(aT, b)
 		wantB := refMatMulTransB(a, bT)
 		atParallelism(t, []int{1, 4}, func(t *testing.T, w int) {
-			gotA, err := MatMulTransA(aT, b)
+			gotA, err := matMulTransA(aT, b)
 			if err != nil {
 				t.Fatalf("transA %v workers=%d: %v", s, w, err)
 			}
@@ -365,7 +365,7 @@ func TestMatMulTransposedMatchReference(t *testing.T) {
 				t.Errorf("transA %v workers=%d: max diff %g", s, w, d)
 			}
 			Release(gotA)
-			gotB, err := MatMulTransB(a, bT)
+			gotB, err := matMulTransB(a, bT)
 			if err != nil {
 				t.Fatalf("transB %v workers=%d: %v", s, w, err)
 			}

@@ -10,17 +10,17 @@ import (
 // (Out) (bias may be nil). The result has shape (N, Out).
 func Linear(x, weight, bias *Tensor) (*Tensor, error) {
 	if x.Rank() != 2 || weight.Rank() != 2 {
-		return nil, fmt.Errorf("%w: linear needs rank-2 x and weight, got %v and %v", ErrShape, x.shape, weight.shape)
+		return nil, fmt.Errorf("%w: linear needs rank-2 x and weight, got %v and %v", errShape, x.shape, weight.shape)
 	}
 	n, in := x.shape[0], x.shape[1]
 	out, in2 := weight.shape[0], weight.shape[1]
 	if in != in2 {
-		return nil, fmt.Errorf("%w: linear input dim %d vs weight dim %d", ErrShape, in, in2)
+		return nil, fmt.Errorf("%w: linear input dim %d vs weight dim %d", errShape, in, in2)
 	}
 	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != out) {
-		return nil, fmt.Errorf("%w: linear bias shape %v, want [%d]", ErrShape, bias.shape, out)
+		return nil, fmt.Errorf("%w: linear bias shape %v, want [%d]", errShape, bias.shape, out)
 	}
-	y, err := MatMulTransB(x, weight)
+	y, err := matMulTransB(x, weight)
 	if err != nil {
 		return nil, err
 	}
@@ -35,34 +35,6 @@ func Linear(x, weight, bias *Tensor) (*Tensor, error) {
 	return y, nil
 }
 
-// LinearInto computes y = x·Wᵀ + b into dst (shape N×Out) — the
-// destination-reuse variant of Linear.
-func LinearInto(dst, x, weight, bias *Tensor) error {
-	if x.Rank() != 2 || weight.Rank() != 2 {
-		return fmt.Errorf("%w: linear needs rank-2 x and weight, got %v and %v", ErrShape, x.shape, weight.shape)
-	}
-	n, in := x.shape[0], x.shape[1]
-	out, in2 := weight.shape[0], weight.shape[1]
-	if in != in2 {
-		return fmt.Errorf("%w: linear input dim %d vs weight dim %d", ErrShape, in, in2)
-	}
-	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != out) {
-		return fmt.Errorf("%w: linear bias shape %v, want [%d]", ErrShape, bias.shape, out)
-	}
-	if err := MatMulTransBInto(dst, x, weight); err != nil {
-		return err
-	}
-	if bias != nil {
-		for i := 0; i < n; i++ {
-			row := dst.data[i*out : (i+1)*out]
-			for j := range row {
-				row[j] += bias.data[j]
-			}
-		}
-	}
-	return nil
-}
-
 // LinearGrads holds the gradients of a Linear call.
 type LinearGrads struct {
 	DX *Tensor
@@ -75,13 +47,13 @@ func LinearBackward(dy, x, weight *Tensor, hasBias bool) (*LinearGrads, error) {
 	n, in := x.shape[0], x.shape[1]
 	out := weight.shape[0]
 	if dy.Rank() != 2 || dy.shape[0] != n || dy.shape[1] != out {
-		return nil, fmt.Errorf("%w: linear backward dy %v, want [%d %d]", ErrShape, dy.shape, n, out)
+		return nil, fmt.Errorf("%w: linear backward dy %v, want [%d %d]", errShape, dy.shape, n, out)
 	}
-	dx, err := MatMul(dy, weight) // (N,Out)·(Out,In) = (N,In)
+	dx, err := matMul(dy, weight) // (N,Out)·(Out,In) = (N,In)
 	if err != nil {
 		return nil, err
 	}
-	dw, err := MatMulTransA(dy, x) // dyᵀ·x = (Out,N)·(N,In)
+	dw, err := matMulTransA(dy, x) // dyᵀ·x = (Out,N)·(N,In)
 	if err != nil {
 		return nil, err
 	}

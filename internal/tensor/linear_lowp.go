@@ -13,14 +13,14 @@ import "fmt"
 // checkLinearPrepared validates a prepared-weight linear call.
 func checkLinearPrepared(x, bias *Tensor, out, in int) (n int, err error) {
 	if x.Rank() != 2 {
-		return 0, fmt.Errorf("%w: linear needs rank-2 x, got %v", ErrShape, x.shape)
+		return 0, fmt.Errorf("%w: linear needs rank-2 x, got %v", errShape, x.shape)
 	}
 	n = x.shape[0]
 	if x.shape[1] != in {
-		return 0, fmt.Errorf("%w: linear input dim %d vs weight dim %d", ErrShape, x.shape[1], in)
+		return 0, fmt.Errorf("%w: linear input dim %d vs weight dim %d", errShape, x.shape[1], in)
 	}
 	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != out) {
-		return 0, fmt.Errorf("%w: linear bias shape %v, want [%d]", ErrShape, bias.shape, out)
+		return 0, fmt.Errorf("%w: linear bias shape %v, want [%d]", errShape, bias.shape, out)
 	}
 	return n, nil
 }
@@ -87,7 +87,7 @@ func linearIntoI8(dst []float64, x *Tensor, weight *LinearWeightsI8, bias *Tenso
 		if sc <= 0 {
 			sc = SymmetricScale(xi)
 		}
-		QuantizeSymmetric(x8, xi, sc)
+		quantizeSymmetric(x8, xi, sc)
 		ai := x8[:in]
 		di := dst[i*out : (i+1)*out]
 		for j := 0; j < out; j++ {

@@ -33,8 +33,8 @@ func BenchmarkGemmPrecision(b *testing.B) {
 		a8 := make([]int8, n*n)
 		b8 := make([]int8, n*n)
 		acc := make([]int32, n*n)
-		QuantizeSymmetric(a8, a64, SymmetricScale(a64))
-		QuantizeSymmetric(b8, b64, SymmetricScale(b64))
+		quantizeSymmetric(a8, a64, SymmetricScale(a64))
+		quantizeSymmetric(b8, b64, SymmetricScale(b64))
 
 		for _, workers := range []int{1, 4} {
 			tag := fmt.Sprintf("n%d/workers%d", n, workers)
@@ -62,7 +62,7 @@ func BenchmarkGemmPrecision(b *testing.B) {
 
 func mustBenchTensor(b *testing.B, data []float64, shape ...int) *Tensor {
 	b.Helper()
-	t, err := FromSlice(data, shape...)
+	t, err := fromSlice(data, shape...)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -246,15 +246,15 @@ func lowpConvCase(t *testing.T, rng *rand.Rand, n, cin, cout, size, kernel, stri
 	t.Helper()
 	p = Conv2DParams{InChannels: cin, OutChannels: cout, Kernel: kernel, Stride: stride, Padding: pad}
 	var err error
-	x, err = FromSlice(randSlice64(rng, n*cin*size*size), n, cin, size, size)
+	x, err = fromSlice(randSlice64(rng, n*cin*size*size), n, cin, size, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wt, err = FromSlice(randSlice64(rng, cout*cin*kernel*kernel), cout, cin, kernel, kernel)
+	wt, err = fromSlice(randSlice64(rng, cout*cin*kernel*kernel), cout, cin, kernel, kernel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bias, err = FromSlice(randSlice64(rng, cout), cout)
+	bias, err = fromSlice(randSlice64(rng, cout), cout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestConv2DI8ExactVsDequantReference(t *testing.T) {
 		// the kernel bit-for-bit.
 		oh, ow := p.OutSize(c.size, c.size)
 		xq := make([]int8, c.n*c.cin*c.size*c.size)
-		QuantizeSymmetric(xq, x.Data(), xScale)
+		quantizeSymmetric(xq, x.Data(), xScale)
 		gd := got.Data()
 		for b := 0; b < c.n; b++ {
 			for oc := 0; oc < c.cout; oc++ {
@@ -398,15 +398,15 @@ func TestConv2DLowpWorkerDeterminism(t *testing.T) {
 func TestLinearLowpMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	n, in, out := 5, 37, 19
-	x, err := FromSlice(randSlice64(rng, n*in), n, in)
+	x, err := fromSlice(randSlice64(rng, n*in), n, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wt, err := FromSlice(randSlice64(rng, out*in), out, in)
+	wt, err := fromSlice(randSlice64(rng, out*in), out, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bias, err := FromSlice(randSlice64(rng, out), out)
+	bias, err := fromSlice(randSlice64(rng, out), out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestLinearLowpMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	xq := make([]int8, n*in)
-	QuantizeSymmetric(xq, x.Data(), xScale)
+	quantizeSymmetric(xq, x.Data(), xScale)
 	for i := 0; i < n; i++ {
 		for j := 0; j < out; j++ {
 			var acc int32
@@ -460,7 +460,7 @@ func TestQuantizeSymmetricProperties(t *testing.T) {
 	src := randSlice64(rng, 513)
 	scale := SymmetricScale(src)
 	dst := make([]int8, len(src))
-	QuantizeSymmetric(dst, src, scale)
+	quantizeSymmetric(dst, src, scale)
 	for i, q := range dst {
 		if q > 127 || q < -127 {
 			t.Fatalf("quantized value %d out of symmetric range at %d", q, i)
@@ -473,7 +473,7 @@ func TestQuantizeSymmetricProperties(t *testing.T) {
 		}
 	}
 	// Degenerate scale maps everything to zero.
-	QuantizeSymmetric(dst, src, 0)
+	quantizeSymmetric(dst, src, 0)
 	for i, q := range dst {
 		if q != 0 {
 			t.Fatalf("scale<=0 should zero-fill, got %d at %d", q, i)

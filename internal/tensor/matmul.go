@@ -21,15 +21,15 @@ const (
 	gemmParallelCutoff = 64 * 64 * 64
 )
 
-// MatMul computes C = A·B for rank-2 tensors A (m×k) and B (k×n).
-func MatMul(a, b *Tensor) (*Tensor, error) {
+// matMul computes C = A·B for rank-2 tensors A (m×k) and B (k×n).
+func matMul(a, b *Tensor) (*Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("%w: matmul needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
+		return nil, fmt.Errorf("%w: matmul needs rank-2 tensors, got %v and %v", errShape, a.shape, b.shape)
 	}
 	m, k := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		return nil, fmt.Errorf("%w: matmul inner dims %d != %d", ErrShape, k, k2)
+		return nil, fmt.Errorf("%w: matmul inner dims %d != %d", errShape, k, k2)
 	}
 	out := rentRaw(m, n)
 	gemm(out.data, a.data, b.data, m, k, n)
@@ -40,15 +40,15 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 // rank-2 m×n tensor; its previous contents are overwritten.
 func MatMulInto(dst, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		return fmt.Errorf("%w: matmul needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
+		return fmt.Errorf("%w: matmul needs rank-2 tensors, got %v and %v", errShape, a.shape, b.shape)
 	}
 	m, k := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		return fmt.Errorf("%w: matmul inner dims %d != %d", ErrShape, k, k2)
+		return fmt.Errorf("%w: matmul inner dims %d != %d", errShape, k, k2)
 	}
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmul dst %v, want [%d %d]", ErrShape, dst.shape, m, n)
+		return fmt.Errorf("%w: matmul dst %v, want [%d %d]", errShape, dst.shape, m, n)
 	}
 	gemm(dst.data, a.data, b.data, m, k, n)
 	return nil
@@ -133,15 +133,15 @@ func gemmPanel(dst, a, b []float64, i0, i1, k, n int) {
 	}
 }
 
-// MatMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n), yielding m×n.
-func MatMulTransA(a, b *Tensor) (*Tensor, error) {
+// matMulTransA computes C = Aᵀ·B for A (k×m) and B (k×n), yielding m×n.
+func matMulTransA(a, b *Tensor) (*Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("%w: matmulTransA needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
+		return nil, fmt.Errorf("%w: matmulTransA needs rank-2 tensors, got %v and %v", errShape, a.shape, b.shape)
 	}
 	k, m := a.shape[0], a.shape[1]
 	k2, n := b.shape[0], b.shape[1]
 	if k != k2 {
-		return nil, fmt.Errorf("%w: matmulTransA inner dims %d != %d", ErrShape, k, k2)
+		return nil, fmt.Errorf("%w: matmulTransA inner dims %d != %d", errShape, k, k2)
 	}
 	out := rentRaw(m, n)
 	gemmTransA(out.data, a.data, b.data, k, m, n)
@@ -182,33 +182,33 @@ func gemmTransA(dst, a, b []float64, k, m, n int) {
 	})
 }
 
-// MatMulTransB computes C = A·Bᵀ for A (m×k) and B (n×k), yielding m×n.
-func MatMulTransB(a, b *Tensor) (*Tensor, error) {
+// matMulTransB computes C = A·Bᵀ for A (m×k) and B (n×k), yielding m×n.
+func matMulTransB(a, b *Tensor) (*Tensor, error) {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("%w: matmulTransB needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
+		return nil, fmt.Errorf("%w: matmulTransB needs rank-2 tensors, got %v and %v", errShape, a.shape, b.shape)
 	}
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 {
-		return nil, fmt.Errorf("%w: matmulTransB inner dims %d != %d", ErrShape, k, k2)
+		return nil, fmt.Errorf("%w: matmulTransB inner dims %d != %d", errShape, k, k2)
 	}
 	out := rentRaw(m, n)
 	gemmTransB(out.data, a.data, b.data, m, k, n)
 	return out, nil
 }
 
-// MatMulTransBInto computes dst = A·Bᵀ into an existing m×n tensor.
-func MatMulTransBInto(dst, a, b *Tensor) error {
+// matMulTransBInto computes dst = A·Bᵀ into an existing m×n tensor.
+func matMulTransBInto(dst, a, b *Tensor) error {
 	if a.Rank() != 2 || b.Rank() != 2 {
-		return fmt.Errorf("%w: matmulTransB needs rank-2 tensors, got %v and %v", ErrShape, a.shape, b.shape)
+		return fmt.Errorf("%w: matmulTransB needs rank-2 tensors, got %v and %v", errShape, a.shape, b.shape)
 	}
 	m, k := a.shape[0], a.shape[1]
 	n, k2 := b.shape[0], b.shape[1]
 	if k != k2 {
-		return fmt.Errorf("%w: matmulTransB inner dims %d != %d", ErrShape, k, k2)
+		return fmt.Errorf("%w: matmulTransB inner dims %d != %d", errShape, k, k2)
 	}
 	if dst.Rank() != 2 || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("%w: matmulTransB dst %v, want [%d %d]", ErrShape, dst.shape, m, n)
+		return fmt.Errorf("%w: matmulTransB dst %v, want [%d %d]", errShape, dst.shape, m, n)
 	}
 	gemmTransB(dst.data, a.data, b.data, m, k, n)
 	return nil
@@ -248,19 +248,4 @@ func transBPanel(dst, a, b []float64, lo, hi, k, n int) {
 			di[j] = s
 		}
 	}
-}
-
-// Transpose returns the transpose of a rank-2 tensor.
-func Transpose(a *Tensor) (*Tensor, error) {
-	if a.Rank() != 2 {
-		return nil, fmt.Errorf("%w: transpose needs rank-2, got %v", ErrShape, a.shape)
-	}
-	m, n := a.shape[0], a.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.data[j*m+i] = a.data[i*n+j]
-		}
-	}
-	return out, nil
 }

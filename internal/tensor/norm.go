@@ -51,11 +51,11 @@ type BatchNormResult struct {
 // evaluation mode the stored running statistics are used.
 func BatchNorm2D(x *Tensor, s *BatchNormState, training bool) (*BatchNormResult, error) {
 	if x.Rank() != 4 {
-		return nil, fmt.Errorf("%w: batchnorm input must be rank-4, got %v", ErrShape, x.shape)
+		return nil, fmt.Errorf("%w: batchnorm input must be rank-4, got %v", errShape, x.shape)
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	if c != s.Channels() {
-		return nil, fmt.Errorf("%w: batchnorm input has %d channels, state has %d", ErrShape, c, s.Channels())
+		return nil, fmt.Errorf("%w: batchnorm input has %d channels, state has %d", errShape, c, s.Channels())
 	}
 	hw := h * w
 	out := New(x.shape...)
@@ -119,14 +119,14 @@ func BatchNorm2D(x *Tensor, s *BatchNormState, training bool) (*BatchNormResult,
 // evaluation mode bit for bit.
 func BatchNorm2DInto(dst, x *Tensor, s *BatchNormState) error {
 	if x.Rank() != 4 {
-		return fmt.Errorf("%w: batchnorm input must be rank-4, got %v", ErrShape, x.shape)
+		return fmt.Errorf("%w: batchnorm input must be rank-4, got %v", errShape, x.shape)
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	if c != s.Channels() {
-		return fmt.Errorf("%w: batchnorm input has %d channels, state has %d", ErrShape, c, s.Channels())
+		return fmt.Errorf("%w: batchnorm input has %d channels, state has %d", errShape, c, s.Channels())
 	}
 	if !dst.SameShape(x) {
-		return fmt.Errorf("%w: batchnorm dst %v, want %v", ErrShape, dst.shape, x.shape)
+		return fmt.Errorf("%w: batchnorm dst %v, want %v", errShape, dst.shape, x.shape)
 	}
 	hw := h * w
 	for ch := 0; ch < c; ch++ {
@@ -157,7 +157,7 @@ type BatchNormGrads struct {
 // upstream gradient dy.
 func (r *BatchNormResult) Backward(dy *Tensor) (*BatchNormGrads, error) {
 	if !dy.SameShape(r.Out) {
-		return nil, fmt.Errorf("%w: batchnorm backward dy %v, want %v", ErrShape, dy.shape, r.Out.shape)
+		return nil, fmt.Errorf("%w: batchnorm backward dy %v, want %v", errShape, dy.shape, r.Out.shape)
 	}
 	n, c, hw := r.n, r.c, r.hw
 	cnt := float64(n * hw)

@@ -20,11 +20,11 @@ func (p PoolParams) OutSize(h, w int) (int, int) {
 func (p PoolParams) validate() error {
 	switch {
 	case p.Kernel <= 0:
-		return fmt.Errorf("%w: pool kernel must be positive, got %d", ErrShape, p.Kernel)
+		return fmt.Errorf("%w: pool kernel must be positive, got %d", errShape, p.Kernel)
 	case p.Stride <= 0:
-		return fmt.Errorf("%w: pool stride must be positive, got %d", ErrShape, p.Stride)
+		return fmt.Errorf("%w: pool stride must be positive, got %d", errShape, p.Stride)
 	case p.Padding < 0:
-		return fmt.Errorf("%w: pool padding must be non-negative, got %d", ErrShape, p.Padding)
+		return fmt.Errorf("%w: pool padding must be non-negative, got %d", errShape, p.Padding)
 	}
 	return nil
 }
@@ -43,12 +43,12 @@ func MaxPool2D(x *Tensor, p PoolParams) (*MaxPool2DResult, error) {
 		return nil, err
 	}
 	if x.Rank() != 4 {
-		return nil, fmt.Errorf("%w: maxpool input must be rank-4, got %v", ErrShape, x.shape)
+		return nil, fmt.Errorf("%w: maxpool input must be rank-4, got %v", errShape, x.shape)
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := p.OutSize(h, w)
 	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("%w: maxpool output %dx%d for input %dx%d", ErrShape, oh, ow, h, w)
+		return nil, fmt.Errorf("%w: maxpool output %dx%d for input %dx%d", errShape, oh, ow, h, w)
 	}
 	out := New(n, c, oh, ow)
 	argmax := make([]int, out.Len())
@@ -102,15 +102,15 @@ func MaxPool2DInto(dst, x *Tensor, p PoolParams) error {
 		return err
 	}
 	if x.Rank() != 4 {
-		return fmt.Errorf("%w: maxpool input must be rank-4, got %v", ErrShape, x.shape)
+		return fmt.Errorf("%w: maxpool input must be rank-4, got %v", errShape, x.shape)
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	oh, ow := p.OutSize(h, w)
 	if oh <= 0 || ow <= 0 {
-		return fmt.Errorf("%w: maxpool output %dx%d for input %dx%d", ErrShape, oh, ow, h, w)
+		return fmt.Errorf("%w: maxpool output %dx%d for input %dx%d", errShape, oh, ow, h, w)
 	}
 	if dst.Rank() != 4 || dst.shape[0] != n || dst.shape[1] != c || dst.shape[2] != oh || dst.shape[3] != ow {
-		return fmt.Errorf("%w: maxpool dst %v, want [%d %d %d %d]", ErrShape, dst.shape, n, c, oh, ow)
+		return fmt.Errorf("%w: maxpool dst %v, want [%d %d %d %d]", errShape, dst.shape, n, c, oh, ow)
 	}
 	oi := 0
 	for b := 0; b < n; b++ {
@@ -150,11 +150,11 @@ func MaxPool2DInto(dst, x *Tensor, p PoolParams) error {
 // the destination-reuse variant of GlobalAvgPool2D.
 func GlobalAvgPool2DInto(dst, x *Tensor) error {
 	if x.Rank() != 4 {
-		return fmt.Errorf("%w: global avgpool input must be rank-4, got %v", ErrShape, x.shape)
+		return fmt.Errorf("%w: global avgpool input must be rank-4, got %v", errShape, x.shape)
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	if dst.Rank() != 2 || dst.shape[0] != n || dst.shape[1] != c {
-		return fmt.Errorf("%w: global avgpool dst %v, want [%d %d]", ErrShape, dst.shape, n, c)
+		return fmt.Errorf("%w: global avgpool dst %v, want [%d %d]", errShape, dst.shape, n, c)
 	}
 	area := float64(h * w)
 	for b := 0; b < n; b++ {
@@ -173,7 +173,7 @@ func GlobalAvgPool2DInto(dst, x *Tensor) error {
 // Backward routes the upstream gradient dy to the argmax positions.
 func (r *MaxPool2DResult) Backward(dy *Tensor) (*Tensor, error) {
 	if !dy.SameShape(r.Out) {
-		return nil, fmt.Errorf("%w: maxpool backward dy %v, want %v", ErrShape, dy.shape, r.Out.shape)
+		return nil, fmt.Errorf("%w: maxpool backward dy %v, want %v", errShape, dy.shape, r.Out.shape)
 	}
 	dx := New(r.inShape...)
 	for i, src := range r.argmax {
@@ -188,7 +188,7 @@ func (r *MaxPool2DResult) Backward(dy *Tensor) (*Tensor, error) {
 // an (N, C) tensor from an (N, C, H, W) input.
 func GlobalAvgPool2D(x *Tensor) (*Tensor, error) {
 	if x.Rank() != 4 {
-		return nil, fmt.Errorf("%w: global avgpool input must be rank-4, got %v", ErrShape, x.shape)
+		return nil, fmt.Errorf("%w: global avgpool input must be rank-4, got %v", errShape, x.shape)
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
 	out := New(n, c)
@@ -210,11 +210,11 @@ func GlobalAvgPool2D(x *Tensor) (*Tensor, error) {
 // over each channel plane of the original (N, C, H, W) input shape.
 func GlobalAvgPool2DBackward(dy *Tensor, inShape []int) (*Tensor, error) {
 	if len(inShape) != 4 {
-		return nil, fmt.Errorf("%w: global avgpool backward input shape %v", ErrShape, inShape)
+		return nil, fmt.Errorf("%w: global avgpool backward input shape %v", errShape, inShape)
 	}
 	n, c, h, w := inShape[0], inShape[1], inShape[2], inShape[3]
 	if dy.Rank() != 2 || dy.shape[0] != n || dy.shape[1] != c {
-		return nil, fmt.Errorf("%w: global avgpool backward dy %v, want [%d %d]", ErrShape, dy.shape, n, c)
+		return nil, fmt.Errorf("%w: global avgpool backward dy %v, want [%d %d]", errShape, dy.shape, n, c)
 	}
 	dx := New(inShape...)
 	inv := 1.0 / float64(h*w)

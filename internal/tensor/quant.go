@@ -17,10 +17,10 @@ import (
 // amd64/arm64); every quantizer in the package uses the same helper so
 // reference implementations in tests reproduce kernels exactly.
 
-// QuantizeSymmetric writes the symmetric int8 quantization of src under
+// quantizeSymmetric writes the symmetric int8 quantization of src under
 // the given scale into dst (len(dst) >= len(src)). A scale <= 0 maps
 // everything to zero.
-func QuantizeSymmetric(dst []int8, src []float64, scale float64) {
+func quantizeSymmetric(dst []int8, src []float64, scale float64) {
 	if scale <= 0 {
 		clear(dst[:len(src)])
 		return
@@ -124,7 +124,7 @@ func PrepareConvWeightsI8(weight *Tensor, p Conv2DParams) (*ConvWeightsI8, error
 		row := weight.data[oc*patch : (oc+1)*patch]
 		sc := SymmetricScale(row)
 		cw.scale[oc] = sc
-		QuantizeSymmetric(cw.w[oc*patch:(oc+1)*patch], row, sc)
+		quantizeSymmetric(cw.w[oc*patch:(oc+1)*patch], row, sc)
 	}
 	return cw, nil
 }
@@ -136,7 +136,7 @@ func checkConvWeight(weight *Tensor, p Conv2DParams) error {
 	}
 	if weight.Rank() != 4 || weight.shape[0] != p.OutChannels || weight.shape[1] != p.InChannels ||
 		weight.shape[2] != p.Kernel || weight.shape[3] != p.Kernel {
-		return fmt.Errorf("%w: conv weight shape %v, want %v", ErrShape, weight.shape,
+		return fmt.Errorf("%w: conv weight shape %v, want %v", errShape, weight.shape,
 			[]int{p.OutChannels, p.InChannels, p.Kernel, p.Kernel})
 	}
 	return nil
@@ -152,7 +152,7 @@ type LinearWeightsF32 struct {
 // the float32 linear kernel.
 func PrepareLinearWeightsF32(weight *Tensor) (*LinearWeightsF32, error) {
 	if weight.Rank() != 2 {
-		return nil, fmt.Errorf("%w: linear weight must be rank-2, got %v", ErrShape, weight.shape)
+		return nil, fmt.Errorf("%w: linear weight must be rank-2, got %v", errShape, weight.shape)
 	}
 	lw := &LinearWeightsF32{
 		w:   make([]float32, len(weight.data)),
@@ -175,7 +175,7 @@ type LinearWeightsI8 struct {
 // output row for the int8 linear kernel.
 func PrepareLinearWeightsI8(weight *Tensor) (*LinearWeightsI8, error) {
 	if weight.Rank() != 2 {
-		return nil, fmt.Errorf("%w: linear weight must be rank-2, got %v", ErrShape, weight.shape)
+		return nil, fmt.Errorf("%w: linear weight must be rank-2, got %v", errShape, weight.shape)
 	}
 	out, in := weight.shape[0], weight.shape[1]
 	lw := &LinearWeightsI8{
@@ -188,7 +188,7 @@ func PrepareLinearWeightsI8(weight *Tensor) (*LinearWeightsI8, error) {
 		row := weight.data[oc*in : (oc+1)*in]
 		sc := SymmetricScale(row)
 		lw.scale[oc] = sc
-		QuantizeSymmetric(lw.w[oc*in:(oc+1)*in], row, sc)
+		quantizeSymmetric(lw.w[oc*in:(oc+1)*in], row, sc)
 	}
 	return lw, nil
 }

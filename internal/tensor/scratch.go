@@ -150,7 +150,7 @@ func RentLike(u *Tensor) *Tensor {
 
 // Release returns a rented tensor's storage to the scratch pool. It is a
 // no-op for nil tensors, tensors not obtained from Rent (e.g. New or
-// FromSlice results, or views), and tensors already released, so chain
+// fromSlice results, or views), and tensors already released, so chain
 // code can call it unconditionally. The tensor must not be used — and no
 // view of it may exist — after Release.
 func Release(t *Tensor) {

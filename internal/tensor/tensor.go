@@ -20,8 +20,8 @@ import (
 	"strings"
 )
 
-// ErrShape reports an operation applied to tensors of incompatible shapes.
-var ErrShape = errors.New("tensor: shape mismatch")
+// errShape reports an operation applied to tensors of incompatible shapes.
+var errShape = errors.New("tensor: shape mismatch")
 
 // Tensor is a dense, row-major, float64 n-dimensional array.
 type Tensor struct {
@@ -51,32 +51,22 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: s, data: make([]float64, n)}
 }
 
-// FromSlice wraps data in a tensor of the given shape. The data slice is
+// fromSlice wraps data in a tensor of the given shape. The data slice is
 // used directly (not copied); it must have exactly prod(shape) elements.
-func FromSlice(data []float64, shape ...int) (*Tensor, error) {
+func fromSlice(data []float64, shape ...int) (*Tensor, error) {
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
-			return nil, fmt.Errorf("%w: non-positive dimension %d", ErrShape, d)
+			return nil, fmt.Errorf("%w: non-positive dimension %d", errShape, d)
 		}
 		n *= d
 	}
 	if len(data) != n {
-		return nil, fmt.Errorf("%w: data length %d does not match shape %v (need %d)", ErrShape, len(data), shape, n)
+		return nil, fmt.Errorf("%w: data length %d does not match shape %v (need %d)", errShape, len(data), shape, n)
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
 	return &Tensor{shape: s, data: data}, nil
-}
-
-// MustFromSlice is FromSlice but panics on error. Intended for tests and
-// literals where the shape is statically known to be correct.
-func MustFromSlice(data []float64, shape ...int) *Tensor {
-	t, err := FromSlice(data, shape...)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }
 
 // Shape returns a copy of the tensor's shape.
@@ -114,7 +104,7 @@ func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
 	}
 	if n != len(t.data) {
 		return nil, fmt.Errorf("%w: cannot reshape %v (%d elems) to %v (%d elems)",
-			ErrShape, t.shape, len(t.data), shape, n)
+			errShape, t.shape, len(t.data), shape, n)
 	}
 	s := make([]int, len(shape))
 	copy(s, shape)
@@ -177,24 +167,12 @@ func (t *Tensor) SameShape(u *Tensor) bool {
 // AddInPlace adds u element-wise into t.
 func (t *Tensor) AddInPlace(u *Tensor) error {
 	if !t.SameShape(u) {
-		return fmt.Errorf("%w: add %v and %v", ErrShape, t.shape, u.shape)
+		return fmt.Errorf("%w: add %v and %v", errShape, t.shape, u.shape)
 	}
 	for i := range t.data {
 		t.data[i] += u.data[i]
 	}
 	return nil
-}
-
-// Add returns t + u element-wise.
-func Add(t, u *Tensor) (*Tensor, error) {
-	if !t.SameShape(u) {
-		return nil, fmt.Errorf("%w: add %v and %v", ErrShape, t.shape, u.shape)
-	}
-	out := t.Clone()
-	for i := range out.data {
-		out.data[i] += u.data[i]
-	}
-	return out, nil
 }
 
 // ScaleInPlace multiplies every element of t by a.
@@ -207,7 +185,7 @@ func (t *Tensor) ScaleInPlace(a float64) {
 // AXPYInPlace computes t += a*u element-wise.
 func (t *Tensor) AXPYInPlace(a float64, u *Tensor) error {
 	if !t.SameShape(u) {
-		return fmt.Errorf("%w: axpy %v and %v", ErrShape, t.shape, u.shape)
+		return fmt.Errorf("%w: axpy %v and %v", errShape, t.shape, u.shape)
 	}
 	for i := range t.data {
 		t.data[i] += a * u.data[i]

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -51,13 +52,13 @@ func TestAtSetRoundTrip(t *testing.T) {
 }
 
 func TestFromSliceValidation(t *testing.T) {
-	if _, err := FromSlice([]float64{1, 2, 3}, 2, 2); !errors.Is(err, ErrShape) {
+	if _, err := fromSlice([]float64{1, 2, 3}, 2, 2); !errors.Is(err, errShape) {
 		t.Fatalf("FromSlice wrong length: err = %v, want ErrShape", err)
 	}
-	if _, err := FromSlice([]float64{1, 2}, 2, -1); !errors.Is(err, ErrShape) {
+	if _, err := fromSlice([]float64{1, 2}, 2, -1); !errors.Is(err, errShape) {
 		t.Fatalf("FromSlice negative dim: err = %v, want ErrShape", err)
 	}
-	tt, err := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
+	tt, err := fromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	if err != nil {
 		t.Fatalf("FromSlice valid: %v", err)
 	}
@@ -76,7 +77,7 @@ func TestReshapeSharesStorage(t *testing.T) {
 	if a.At(0, 1) != 99 {
 		t.Fatal("Reshape did not share storage")
 	}
-	if _, err := a.Reshape(4, 2); !errors.Is(err, ErrShape) {
+	if _, err := a.Reshape(4, 2); !errors.Is(err, errShape) {
 		t.Fatalf("Reshape bad size: err = %v, want ErrShape", err)
 	}
 }
@@ -113,7 +114,7 @@ func TestAddAndAXPY(t *testing.T) {
 		}
 	}
 	bad := New(2)
-	if err := a.AddInPlace(bad); !errors.Is(err, ErrShape) {
+	if err := a.AddInPlace(bad); !errors.Is(err, errShape) {
 		t.Fatalf("AddInPlace shape mismatch: err = %v, want ErrShape", err)
 	}
 }
@@ -137,7 +138,7 @@ func TestSumMeanNorms(t *testing.T) {
 func TestMatMulKnownValues(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	b := MustFromSlice([]float64{7, 8, 9, 10, 11, 12}, 3, 2)
-	c, err := MatMul(a, b)
+	c, err := matMul(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +155,10 @@ func TestMatMulKnownValues(t *testing.T) {
 func TestMatMulShapeErrors(t *testing.T) {
 	a := New(2, 3)
 	b := New(4, 2)
-	if _, err := MatMul(a, b); !errors.Is(err, ErrShape) {
+	if _, err := matMul(a, b); !errors.Is(err, errShape) {
 		t.Fatalf("MatMul inner mismatch: err = %v, want ErrShape", err)
 	}
-	if _, err := MatMul(New(2), b); !errors.Is(err, ErrShape) {
+	if _, err := matMul(New(2), b); !errors.Is(err, errShape) {
 		t.Fatalf("MatMul rank-1: err = %v, want ErrShape", err)
 	}
 }
@@ -176,11 +177,11 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := MatMul(at, b)
+	direct, err := matMul(at, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := MatMulTransA(a, b)
+	fused, err := matMulTransA(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestMatMulTransVariantsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct2, err := MatMul(a, ct)
+	direct2, err := matMul(a, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused2, err := MatMulTransB(a, c)
+	fused2, err := matMulTransB(a, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +238,12 @@ func TestQuickMatMulLinearity(t *testing.T) {
 			b.Data()[i] = rng.NormFloat64()
 		}
 		sum, _ := Add(a1, a2)
-		lhs, err := MatMul(sum, b)
+		lhs, err := matMul(sum, b)
 		if err != nil {
 			return false
 		}
-		r1, _ := MatMul(a1, b)
-		r2, _ := MatMul(a2, b)
+		r1, _ := matMul(a1, b)
+		r2, _ := matMul(a2, b)
 		rhs, _ := Add(r1, r2)
 		return tensorsClose(lhs, rhs, 1e-9)
 	}
@@ -351,16 +352,16 @@ func TestConv2DShapeErrors(t *testing.T) {
 	p := Conv2DParams{InChannels: 2, OutChannels: 3, Kernel: 3, Stride: 1, Padding: 1}
 	x := New(1, 1, 4, 4) // wrong channels
 	w := New(3, 2, 3, 3)
-	if _, err := Conv2D(x, w, nil, p); !errors.Is(err, ErrShape) {
+	if _, err := Conv2D(x, w, nil, p); !errors.Is(err, errShape) {
 		t.Fatalf("conv channel mismatch: err = %v, want ErrShape", err)
 	}
 	x2 := New(1, 2, 4, 4)
 	wBad := New(3, 2, 5, 5)
-	if _, err := Conv2D(x2, wBad, nil, p); !errors.Is(err, ErrShape) {
+	if _, err := Conv2D(x2, wBad, nil, p); !errors.Is(err, errShape) {
 		t.Fatalf("conv weight mismatch: err = %v, want ErrShape", err)
 	}
 	pBad := Conv2DParams{InChannels: 2, OutChannels: 3, Kernel: 0, Stride: 1}
-	if _, err := Conv2D(x2, w, nil, pBad); !errors.Is(err, ErrShape) {
+	if _, err := Conv2D(x2, w, nil, pBad); !errors.Is(err, errShape) {
 		t.Fatalf("conv bad kernel: err = %v, want ErrShape", err)
 	}
 }
@@ -508,7 +509,7 @@ func TestReLUForwardBackward(t *testing.T) {
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	x := MustFromSlice([]float64{1, 2, 3, 1000, 1001, 1002}, 2, 3)
-	y, err := Softmax(x)
+	y, err := softmax(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,10 +547,10 @@ func TestCrossEntropyUniformLogits(t *testing.T) {
 
 func TestCrossEntropyLabelValidation(t *testing.T) {
 	x := New(1, 3)
-	if _, err := CrossEntropy(x, []int{5}); !errors.Is(err, ErrShape) {
+	if _, err := CrossEntropy(x, []int{5}); !errors.Is(err, errShape) {
 		t.Fatalf("CE bad label: err = %v, want ErrShape", err)
 	}
-	if _, err := CrossEntropy(x, []int{0, 1}); !errors.Is(err, ErrShape) {
+	if _, err := CrossEntropy(x, []int{0, 1}); !errors.Is(err, errShape) {
 		t.Fatalf("CE label count: err = %v, want ErrShape", err)
 	}
 }
@@ -679,7 +680,7 @@ func TestConvPoolParamValidation(t *testing.T) {
 		{InChannels: 1, OutChannels: 1, Kernel: 1, Stride: 1, Padding: -1},
 	}
 	for i, p := range bad {
-		if _, err := Conv2D(x, w, nil, p); !errors.Is(err, ErrShape) {
+		if _, err := Conv2D(x, w, nil, p); !errors.Is(err, errShape) {
 			t.Fatalf("bad conv params %d: err = %v", i, err)
 		}
 	}
@@ -689,8 +690,73 @@ func TestConvPoolParamValidation(t *testing.T) {
 		{Kernel: 2, Stride: 1, Padding: -1},
 	}
 	for i, p := range badPool {
-		if _, err := MaxPool2D(x, p); !errors.Is(err, ErrShape) {
+		if _, err := MaxPool2D(x, p); !errors.Is(err, errShape) {
 			t.Fatalf("bad pool params %d: err = %v", i, err)
 		}
 	}
+}
+
+// LinearInto computes y = x·Wᵀ + b into dst (shape N×Out) — the
+// destination-reuse variant of Linear.
+func LinearInto(dst, x, weight, bias *Tensor) error {
+	if x.Rank() != 2 || weight.Rank() != 2 {
+		return fmt.Errorf("%w: linear needs rank-2 x and weight, got %v and %v", errShape, x.shape, weight.shape)
+	}
+	n, in := x.shape[0], x.shape[1]
+	out, in2 := weight.shape[0], weight.shape[1]
+	if in != in2 {
+		return fmt.Errorf("%w: linear input dim %d vs weight dim %d", errShape, in, in2)
+	}
+	if bias != nil && (bias.Rank() != 1 || bias.shape[0] != out) {
+		return fmt.Errorf("%w: linear bias shape %v, want [%d]", errShape, bias.shape, out)
+	}
+	if err := matMulTransBInto(dst, x, weight); err != nil {
+		return err
+	}
+	if bias != nil {
+		for i := 0; i < n; i++ {
+			row := dst.data[i*out : (i+1)*out]
+			for j := range row {
+				row[j] += bias.data[j]
+			}
+		}
+	}
+	return nil
+}
+
+// Transpose returns the transpose of a rank-2 tensor.
+func Transpose(a *Tensor) (*Tensor, error) {
+	if a.Rank() != 2 {
+		return nil, fmt.Errorf("%w: transpose needs rank-2, got %v", errShape, a.shape)
+	}
+	m, n := a.shape[0], a.shape[1]
+	out := New(n, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			out.data[j*m+i] = a.data[i*n+j]
+		}
+	}
+	return out, nil
+}
+
+// MustFromSlice is fromSlice but panics on error. Intended for tests and
+// literals where the shape is statically known to be correct.
+func MustFromSlice(data []float64, shape ...int) *Tensor {
+	t, err := fromSlice(data, shape...)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// Add returns t + u element-wise.
+func Add(t, u *Tensor) (*Tensor, error) {
+	if !t.SameShape(u) {
+		return nil, fmt.Errorf("%w: add %v and %v", errShape, t.shape, u.shape)
+	}
+	out := t.Clone()
+	for i := range out.data {
+		out.data[i] += u.data[i]
+	}
+	return out, nil
 }

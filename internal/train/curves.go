@@ -68,7 +68,7 @@ func PaperConvergence(config string) (ConvergenceParams, error) {
 	case "E":
 		return ConvergenceParams{Init: 24, Asymptote: 86, TimeConst: 55, OverfitRate: 0.004, OverfitStart: 200}, nil
 	default:
-		return ConvergenceParams{}, fmt.Errorf("%w: no convergence calibration for config %q", ErrConfig, config)
+		return ConvergenceParams{}, fmt.Errorf("%w: no convergence calibration for config %q", errConfig, config)
 	}
 }
 
@@ -86,7 +86,7 @@ func PaperClassAccuracy(config string) (float64, error) {
 	}
 	v, ok := table[config]
 	if !ok {
-		return 0, fmt.Errorf("%w: no class-accuracy calibration for config %q", ErrConfig, config)
+		return 0, fmt.Errorf("%w: no class-accuracy calibration for config %q", errConfig, config)
 	}
 	return v, nil
 }

@@ -1,5 +1,5 @@
 // Package train implements the fine-tuning machinery of the motivation
-// experiments: SGD/Adam optimizers, the cosine-annealing learning-rate
+// experiments: the Adam optimizer, the cosine-annealing learning-rate
 // schedule the paper uses, a training loop with block freezing, a
 // training-memory model (Fig. 2 right), and the calibrated convergence
 // curves that carry the measured small-scale behaviour to ResNet-18 scale
@@ -14,8 +14,8 @@ import (
 	"offloadnn/internal/tensor"
 )
 
-// ErrConfig reports invalid optimizer or trainer configuration.
-var ErrConfig = errors.New("train: invalid configuration")
+// errConfig reports invalid optimizer or trainer configuration.
+var errConfig = errors.New("train: invalid configuration")
 
 // Optimizer updates parameters from accumulated gradients.
 type Optimizer interface {
@@ -27,65 +27,6 @@ type Optimizer interface {
 	// the training-memory model (0 for plain SGD, 8 for momentum-SGD
 	// float64 velocity, 16 for Adam's two moments).
 	StateBytesPerParam() int
-}
-
-// SGD is stochastic gradient descent with optional momentum and weight
-// decay.
-type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-
-	velocity [][]float64
-}
-
-// NewSGD constructs an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
-}
-
-// SetLR implements Optimizer.
-func (o *SGD) SetLR(lr float64) { o.LR = lr }
-
-// StateBytesPerParam implements Optimizer.
-func (o *SGD) StateBytesPerParam() int {
-	if o.Momentum != 0 {
-		return 8
-	}
-	return 0
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step(params, grads []*tensor.Tensor) error {
-	if len(params) != len(grads) {
-		return fmt.Errorf("%w: %d params vs %d grads", ErrConfig, len(params), len(grads))
-	}
-	if o.Momentum != 0 && len(o.velocity) != len(params) {
-		o.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			o.velocity[i] = make([]float64, p.Len())
-		}
-	}
-	for i, p := range params {
-		g := grads[i]
-		if p.Len() != g.Len() {
-			return fmt.Errorf("%w: param %d has %d elems, grad %d", ErrConfig, i, p.Len(), g.Len())
-		}
-		pd, gd := p.Data(), g.Data()
-		if o.Momentum != 0 {
-			v := o.velocity[i]
-			for j := range pd {
-				gj := gd[j] + o.WeightDecay*pd[j]
-				v[j] = o.Momentum*v[j] + gj
-				pd[j] -= o.LR * v[j]
-			}
-		} else {
-			for j := range pd {
-				pd[j] -= o.LR * (gd[j] + o.WeightDecay*pd[j])
-			}
-		}
-	}
-	return nil
 }
 
 // Adam is the Adam optimizer with decoupled weight decay disabled (plain
@@ -115,7 +56,7 @@ func (o *Adam) StateBytesPerParam() int { return 16 }
 // Step implements Optimizer.
 func (o *Adam) Step(params, grads []*tensor.Tensor) error {
 	if len(params) != len(grads) {
-		return fmt.Errorf("%w: %d params vs %d grads", ErrConfig, len(params), len(grads))
+		return fmt.Errorf("%w: %d params vs %d grads", errConfig, len(params), len(grads))
 	}
 	if len(o.m) != len(params) {
 		o.m = make([][]float64, len(params))
@@ -132,7 +73,7 @@ func (o *Adam) Step(params, grads []*tensor.Tensor) error {
 	for i, p := range params {
 		g := grads[i]
 		if p.Len() != g.Len() {
-			return fmt.Errorf("%w: param %d has %d elems, grad %d", ErrConfig, i, p.Len(), g.Len())
+			return fmt.Errorf("%w: param %d has %d elems, grad %d", errConfig, i, p.Len(), g.Len())
 		}
 		pd, gd := p.Data(), g.Data()
 		m, v := o.m[i], o.v[i]

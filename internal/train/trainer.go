@@ -23,10 +23,10 @@ type Trainer struct {
 // NewTrainer constructs a trainer. batchSize must be positive.
 func NewTrainer(m *dnn.Model, opt Optimizer, sched CosineAnnealing, batchSize int, seed int64) (*Trainer, error) {
 	if batchSize <= 0 {
-		return nil, fmt.Errorf("%w: batch size %d", ErrConfig, batchSize)
+		return nil, fmt.Errorf("%w: batch size %d", errConfig, batchSize)
 	}
 	if m == nil || opt == nil {
-		return nil, fmt.Errorf("%w: nil model or optimizer", ErrConfig)
+		return nil, fmt.Errorf("%w: nil model or optimizer", errConfig)
 	}
 	return &Trainer{
 		Model:     m,

@@ -4,6 +4,11 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"offloadnn/internal/core"
+	"offloadnn/internal/edge"
+	"offloadnn/internal/experiments"
+	"offloadnn/internal/workload"
 )
 
 func TestPublicAPISolveSmallScenario(t *testing.T) {
@@ -28,11 +33,11 @@ func TestPublicAPIOptimalAndBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := Solve(context.Background(), in, WithTier(TierOptimal))
+	opt, stats, err := core.SolveOptimal(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Stats.BranchesExplored == 0 {
+	if stats.BranchesExplored == 0 {
 		t.Fatal("no branches explored")
 	}
 	h, err := Solve(context.Background(), in)
@@ -88,14 +93,14 @@ func TestPublicAPIControllerAndEmulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewController(in.Res)
+	c := edge.NewController(in.Res)
 	dep, err := c.Admit(in.Tasks, in.Blocks, in.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultEmulatorConfig()
+	cfg := edge.DefaultEmulatorConfig()
 	cfg.Duration = 3 * time.Second
-	em, err := NewEmulator(in, dep, cfg)
+	em, err := edge.NewEmulator(in, dep, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +114,14 @@ func TestPublicAPIControllerAndEmulator(t *testing.T) {
 }
 
 func TestPublicAPIExperiments(t *testing.T) {
-	if len(Experiments()) < 10 {
-		t.Fatalf("only %d experiments registered", len(Experiments()))
+	if len(experiments.All()) < 10 {
+		t.Fatalf("only %d experiments registered", len(experiments.All()))
 	}
-	e, err := ExperimentByID("table1")
+	e, err := experiments.ByID("table1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables, err := e.Run(ExperimentOptions{Quick: true})
+	tables, err := e.Run(experiments.Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +131,7 @@ func TestPublicAPIExperiments(t *testing.T) {
 }
 
 func TestPublicAPILargeScenarioLoads(t *testing.T) {
-	for _, load := range []Load{LoadLow, LoadMedium, LoadHigh} {
+	for _, load := range []Load{workload.LoadLow, LoadMedium, workload.LoadHigh} {
 		in, err := LargeScenario(load)
 		if err != nil {
 			t.Fatal(err)

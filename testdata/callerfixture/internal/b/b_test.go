@@ -1,0 +1,12 @@
+package b
+
+import (
+	"testing"
+
+	"fixture/internal/a"
+)
+
+func TestProbe(t *testing.T) {
+	a.Probed()
+	a.ProbedAllowed()
+}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	offloadnn "offloadnn"
+	"offloadnn/internal/core"
 	"offloadnn/internal/serve"
+	"offloadnn/internal/workload"
 )
 
 // paperLoads are the instances the approximate tier's regret bound is
@@ -19,10 +21,10 @@ func paperLoads(t *testing.T) map[string]*offloadnn.Instance {
 		t.Fatal(err)
 	}
 	loads["small-5"] = small
-	for name, load := range map[string]offloadnn.Load{
-		"large-low":    offloadnn.LoadLow,
-		"large-medium": offloadnn.LoadMedium,
-		"large-high":   offloadnn.LoadHigh,
+	for name, load := range map[string]workload.Load{
+		"large-low":    workload.LoadLow,
+		"large-medium": workload.LoadMedium,
+		"large-high":   workload.LoadHigh,
 	} {
 		in, err := offloadnn.LargeScenario(load)
 		if err != nil {
@@ -39,9 +41,9 @@ func paperLoads(t *testing.T) map[string]*offloadnn.Instance {
 func TestApproxRegretPaperLoads(t *testing.T) {
 	ctx := context.Background()
 	for name, in := range paperLoads(t) {
-		wa := make(map[offloadnn.Tier]float64, 2)
-		for _, tier := range []offloadnn.Tier{offloadnn.TierHeuristic, offloadnn.TierApprox} {
-			sol, err := offloadnn.Solve(ctx, in, offloadnn.WithTier(tier))
+		wa := make(map[core.Tier]float64, 2)
+		for _, tier := range []core.Tier{core.TierHeuristic, core.TierApprox} {
+			sol, err := core.SolveSpec(ctx, in, core.SolverSpec{Tier: tier})
 			if err != nil {
 				t.Fatalf("%s: %v: %v", name, tier, err)
 			}
@@ -50,7 +52,7 @@ func TestApproxRegretPaperLoads(t *testing.T) {
 			}
 			wa[tier] = sol.Breakdown.WeightedAdmission
 		}
-		if ref, cand := wa[offloadnn.TierHeuristic], wa[offloadnn.TierApprox]; cand < 0.95*ref {
+		if ref, cand := wa[core.TierHeuristic], wa[core.TierApprox]; cand < 0.95*ref {
 			t.Errorf("%s: approx weighted admission %.2f < 0.95 × the heuristic's %.2f", name, cand, ref)
 		}
 	}
@@ -82,11 +84,11 @@ func TestSerialExact10k(t *testing.T) {
 		t.Skip("10k-task solves")
 	}
 	ctx := context.Background()
-	in, err := offloadnn.ScaleScenario(10000)
+	in, err := workload.ScaleScenario(10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierHeuristic))
+	exact, err := core.SolveSpec(ctx, in, core.SolverSpec{Tier: core.TierHeuristic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestSerialExact10k(t *testing.T) {
 	}
 	sameSolution(t, "default vs TierHeuristic at 10k", auto, exact)
 
-	approx, err := offloadnn.Solve(ctx, in, offloadnn.WithTier(offloadnn.TierApprox))
+	approx, err := core.SolveSpec(ctx, in, core.SolverSpec{Tier: core.TierApprox})
 	if err != nil {
 		t.Fatal(err)
 	}
