@@ -495,7 +495,6 @@ func BenchmarkEmulation20s(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := edge.DefaultEmulatorConfig()
-	cfg.Duration = 20 * time.Second
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

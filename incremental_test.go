@@ -119,13 +119,6 @@ func TestSessionMatchesSolveAcrossChurnTimeline(t *testing.T) {
 	if rateKinds == 0 {
 		t.Fatal("timeline produced no rate-change events; RateChurn gate broken")
 	}
-	st := sess.Stats()
-	if st.Epochs != uint64(len(events)) {
-		t.Fatalf("session saw %d epochs for %d events", st.Epochs, len(events))
-	}
-	if st.CliqueHits == 0 || st.CliqueMisses == 0 {
-		t.Fatalf("expected both cache hits and misses, got %d / %d", st.CliqueHits, st.CliqueMisses)
-	}
 }
 
 // TestSolveCtxCanceled proves a canceled context aborts the heuristic on

@@ -80,10 +80,10 @@ type Node struct {
 	FloorMbps float64
 }
 
-// LinkMbps is the rate placement prices the coordinator→node link at:
+// linkMbps is the rate placement prices the coordinator→node link at:
 // the measured bandwidth when a probe has run, otherwise the node's
 // conservative floor (0 when the node opted out with a negative floor).
-func (n Node) LinkMbps() float64 {
+func (n Node) linkMbps() float64 {
 	if n.BandwidthMbps > 0 {
 		return n.BandwidthMbps
 	}
@@ -96,12 +96,12 @@ func (n Node) LinkMbps() float64 {
 	return defaultFloorMbps
 }
 
-// ForwardDelay returns how long one frame of the given size spends on
+// forwardDelay returns how long one frame of the given size spends on
 // the coordinator→node link. An unmeasured link is priced at the node's
 // conservative floor so placement never prefers an unprobed link; only
 // an explicit negative FloorMbps makes forwarding free.
-func (n Node) ForwardDelay(bits float64) time.Duration {
-	mbps := n.LinkMbps()
+func (n Node) forwardDelay(bits float64) time.Duration {
+	mbps := n.linkMbps()
 	if mbps <= 0 || bits <= 0 {
 		return 0
 	}
@@ -112,16 +112,16 @@ func (n Node) ForwardDelay(bits float64) time.Duration {
 // nodes' coordinator links — the conservative estimate when no direct
 // measurement exists (a measured peer rate overrides it, see the
 // coordinator's link matrix).
-func slowerLinkMbps(a, b Node) float64 { return min(a.LinkMbps(), b.LinkMbps()) }
+func slowerLinkMbps(a, b Node) float64 { return min(a.linkMbps(), b.linkMbps()) }
 
-// AdjustTask returns the task as node n's DOT instance must see it: the
+// adjustTask returns the task as node n's DOT instance must see it: the
 // latency ceiling L_τ shrunk by the forward delay of one full-quality
 // frame over the coordinator→node link, so the node's solver only admits
 // the task if the remaining budget still covers slice transmission plus
 // path compute. ok is false when the link eats the whole budget — the
 // task cannot be placed on this node at all.
-func (n Node) AdjustTask(t core.Task) (core.Task, bool) {
-	fwd := n.ForwardDelay(t.InputBits)
+func (n Node) adjustTask(t core.Task) (core.Task, bool) {
+	fwd := n.forwardDelay(t.InputBits)
 	if fwd <= 0 {
 		return t, true
 	}

@@ -185,7 +185,7 @@ func TestClusterOneNodeMatchesStandalone(t *testing.T) {
 		if math.Abs(wa.Z-ga.Z) > 1e-9 || wa.RBs != ga.RBs {
 			t.Errorf("%s: z/RBs (%v, %d) standalone vs (%v, %d) cluster", id, wa.Z, wa.RBs, ga.Z, ga.RBs)
 		}
-		if wr, gr := want.AdmittedRate(id), got.AdmittedRate(id); math.Abs(wr-gr) > 1e-9 {
+		if wr, gr := want.Deployment.AdmittedRates[id], got.Deployment.AdmittedRates[id]; math.Abs(wr-gr) > 1e-9 {
 			t.Errorf("%s: admitted rate %v standalone vs %v cluster", id, wr, gr)
 		}
 		e, ok := routes.entries[id]
@@ -330,7 +330,7 @@ func TestClusterHeartbeatTimeout(t *testing.T) {
 	halves := partitionResources(fullRes(), 2)
 	ma := startMember(t, "a", halves[0])
 	mb := startMember(t, "b", halves[1])
-	c := startCoordinator(t, Config{Now: clock.Now, HeartbeatTimeout: 100 * time.Millisecond})
+	c := startCoordinator(t, Config{now: clock.Now, HeartbeatTimeout: 100 * time.Millisecond})
 	front := httptest.NewServer(c)
 	defer front.Close()
 	joinMember(t, c, "a", ma, 0)
@@ -350,7 +350,7 @@ func TestClusterHeartbeatTimeout(t *testing.T) {
 		t.Fatalf("heartbeat answered %d", resp.StatusCode)
 	}
 	clock.Advance(30 * time.Millisecond) // b is now 120 ms silent, a only 30 ms
-	c.Sweep()
+	c.sweep()
 
 	c.mu.Lock()
 	aStale, bStale := c.members["a"].stale, c.members["b"].stale
@@ -375,7 +375,7 @@ func TestClusterHeartbeatTimeout(t *testing.T) {
 	if resp := postHeartbeat(t, front.URL, "b", heartbeatRequest{State: "healthy"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("revival heartbeat answered %d", resp.StatusCode)
 	}
-	c.Sweep()
+	c.sweep()
 	c.mu.Lock()
 	bStale = c.members["b"].stale
 	c.mu.Unlock()
@@ -395,7 +395,7 @@ func TestClusterHeartbeatDropFault(t *testing.T) {
 	inj := faultinject.New(1)
 	inj.Set(pointHeartbeatDrop, faultinject.Rule{EveryN: 1})
 	ma := startMember(t, "a", fullRes())
-	c := startCoordinator(t, Config{Now: clock.Now, HeartbeatTimeout: 100 * time.Millisecond, Faults: inj})
+	c := startCoordinator(t, Config{now: clock.Now, HeartbeatTimeout: 100 * time.Millisecond, Faults: inj})
 	front := httptest.NewServer(c)
 	defer front.Close()
 	joinMember(t, c, "a", ma, 0)
@@ -407,7 +407,7 @@ func TestClusterHeartbeatDropFault(t *testing.T) {
 	if inj.Fires(pointHeartbeatDrop) == 0 {
 		t.Fatal("drop point never fired")
 	}
-	c.Sweep()
+	c.sweep()
 	c.mu.Lock()
 	stale := c.members["a"].stale
 	c.mu.Unlock()
@@ -589,7 +589,7 @@ func TestAgentBeatsInsideCoordinatorTimeout(t *testing.T) {
 	})
 
 	for end := time.Now().Add(1500 * time.Millisecond); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
-		c.Sweep()
+		c.sweep()
 		c.mu.Lock()
 		stale := c.members["a"].stale
 		c.mu.Unlock()

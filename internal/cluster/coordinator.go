@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,8 +29,6 @@ type Config struct {
 	// must match the members' catalogs so a 1-node cluster reproduces the
 	// standalone daemon exactly. Zero value: the Table-IV small catalog.
 	Catalog workload.CatalogParams
-	// Blocks optionally pre-seeds the shared block catalog.
-	Blocks map[string]core.BlockSpec
 	// Capacity is the B(σ) model per-node solves use (default the paper
 	// rate; members are started with the same).
 	Capacity radio.CapacityModel
@@ -52,8 +51,8 @@ type Config struct {
 	// coordinator always wires its measured inter-node bandwidth matrix
 	// into the search.
 	Split *SplitConfig
-	// Now is the injectable clock (default time.Now).
-	Now func() time.Time
+	// now is the injectable clock (default time.Now).
+	now func() time.Time
 	// Logf receives background diagnostics; nil discards them.
 	Logf func(string, ...any)
 	// Faults optionally arms the coordinator's fault-injection points.
@@ -189,19 +188,19 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 3 * time.Second
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.now == nil {
+		cfg.now = time.Now
 	}
 	if cfg.Split == nil {
 		cfg.Split = &SplitConfig{}
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		reg:     serve.NewRegistry(cfg.Catalog, cfg.Blocks),
+		reg:     serve.NewRegistry(cfg.Catalog, nil),
 		client:  &http.Client{Timeout: pushTimeout},
 		members: make(map[string]*memberState),
 		kick:    make(chan struct{}, 1),
-		start:   cfg.Now(),
+		start:   cfg.now(),
 	}
 	c.routes.Store(&routeTable{entries: map[string]routeEntry{}})
 	c.summary.Store(&placeSummary{})
@@ -225,8 +224,9 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.
 // Registry exposes the coordinator's task registry.
 func (c *Coordinator) Registry() *serve.Registry { return c.reg }
 
-// Kick schedules a debounced re-placement (non-blocking; kicks coalesce).
-func (c *Coordinator) Kick() {
+// requestPlace schedules a debounced re-placement (non-blocking; kicks
+// coalesce).
+func (c *Coordinator) requestPlace() {
 	select {
 	case c.kick <- struct{}{}:
 	default:
@@ -268,17 +268,17 @@ func (c *Coordinator) sweepLoop() {
 		case <-c.ctx.Done():
 			return
 		case <-t.C:
-			c.Sweep()
+			c.sweep()
 		}
 	}
 }
 
-// Sweep evaluates every member against the heartbeat timeout and kicks a
-// re-placement when any crossed into or out of staleness. Exported for
-// deterministic tests (with an injected clock the ticker never has to
-// fire).
-func (c *Coordinator) Sweep() {
-	now := c.cfg.Now()
+// sweep evaluates every member against the heartbeat timeout and kicks a
+// re-placement when any crossed into or out of staleness. sweepLoop
+// calls it on a ticker; tests call it directly with an injected clock,
+// so the ticker never has to fire.
+func (c *Coordinator) sweep() {
+	now := c.cfg.now()
 	changed := false
 	c.mu.Lock()
 	for id, m := range c.members {
@@ -297,7 +297,7 @@ func (c *Coordinator) Sweep() {
 	}
 	c.mu.Unlock()
 	if changed {
-		c.Kick()
+		c.requestPlace()
 	}
 }
 
@@ -334,7 +334,7 @@ func (c *Coordinator) placeOnce(ctx context.Context) error {
 	retries := len(nodes) + 1
 	for attempt := 0; ; attempt++ {
 		split := *c.cfg.Split
-		split.Link = c.linkFunc()
+		split.link = c.linkFunc()
 		p := PlaceWith(ctx, tasks, blocks, nodes, PlaceConfig{Alpha: c.cfg.Alpha, Split: &split})
 		failed := c.pushPlans(ctx, p)
 		if len(failed) == 0 {
@@ -411,9 +411,9 @@ func (c *Coordinator) peerAddrs(self string) map[string]string {
 // empty slice clears a node that lost all its tasks — and returns the IDs
 // whose push failed.
 func (c *Coordinator) pushPlans(ctx context.Context, p *Placement) []string {
-	plans := make(map[string]*NodePlan, len(p.Plans))
-	for i := range p.Plans {
-		plans[p.Plans[i].Node.ID] = &p.Plans[i]
+	plans := make(map[string]*nodePlan, len(p.plans))
+	for i := range p.plans {
+		plans[p.plans[i].Node.ID] = &p.plans[i]
 	}
 	segs := wireSegments(p.Splits)
 	c.mu.Lock()
@@ -432,7 +432,7 @@ func (c *Coordinator) pushPlans(ctx context.Context, p *Placement) []string {
 		wg.Add(1)
 		go func(m *memberState) {
 			defer wg.Done()
-			if err := c.pushPlan(ctx, m, plans[m.node.ID], segs[m.node.ID], p.Norm); err != nil {
+			if err := c.pushPlan(ctx, m, plans[m.node.ID], segs[m.node.ID], p.norm); err != nil {
 				if c.cfg.Logf != nil {
 					c.cfg.Logf("cluster: push to %s (%s): %v", m.node.ID, m.node.Addr, err)
 				}
@@ -449,7 +449,7 @@ func (c *Coordinator) pushPlans(ctx context.Context, p *Placement) []string {
 
 // pushPlan PUTs one node's task subset to the member and waits for its
 // re-solve to acknowledge.
-func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePlan, segs []wireSegment, norm *core.Resources) error {
+func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *nodePlan, segs []wireSegment, norm *core.Resources) error {
 	if err := c.cfg.Faults.Hit(ctx, pointPushError); err != nil {
 		return err
 	}
@@ -502,13 +502,13 @@ func (c *Coordinator) pushPlan(ctx context.Context, m *memberState, plan *NodePl
 
 // publish installs the placement's routing table and per-member stats.
 func (c *Coordinator) publish(p *Placement, gen uint64, nodes int) {
-	entries := make(map[string]routeEntry, len(p.Route))
-	byNode := make(map[string]*NodePlan, len(p.Plans))
+	entries := make(map[string]routeEntry, len(p.route))
+	byNode := make(map[string]*nodePlan, len(p.plans))
 	// A task is listed on at most one node, so one index over every
 	// node's assignments finds each routed task's path.
-	paths := make(map[string]*core.PathSpec, len(p.Route))
-	for i := range p.Plans {
-		plan := &p.Plans[i]
+	paths := make(map[string]*core.PathSpec, len(p.route))
+	for i := range p.plans {
+		plan := &p.plans[i]
 		byNode[plan.Node.ID] = plan
 		if plan.Solution == nil {
 			continue
@@ -521,9 +521,9 @@ func (c *Coordinator) publish(p *Placement, gen uint64, nodes int) {
 	}
 	splitBy := make(map[string]*SplitPath, len(p.Splits))
 	for i := range p.Splits {
-		splitBy[p.Splits[i].TaskID] = &p.Splits[i]
+		splitBy[p.Splits[i].taskID] = &p.Splits[i]
 	}
-	for taskID, nodeID := range p.Route {
+	for taskID, nodeID := range p.route {
 		e := routeEntry{NodeID: nodeID, Hops: 1}
 		if plan := byNode[nodeID]; plan != nil {
 			e.Addr = plan.Node.Addr
@@ -534,9 +534,9 @@ func (c *Coordinator) publish(p *Placement, gen uint64, nodes int) {
 			e.DNN = path.DNN
 		}
 		if sp := splitBy[taskID]; sp != nil {
-			e.Rate = sp.Rate
-			e.Path = sp.Path.ID
-			e.DNN = sp.Path.DNN
+			e.Rate = sp.rate
+			e.Path = sp.path.ID
+			e.DNN = sp.path.DNN
 			e.Hops = len(sp.Segments)
 		}
 		entries[taskID] = e
@@ -547,10 +547,10 @@ func (c *Coordinator) publish(p *Placement, gen uint64, nodes int) {
 	c.summary.Store(&placeSummary{
 		seq:      seq,
 		gen:      gen,
-		at:       c.cfg.Now(),
-		weighted: p.WeightedAdmission,
-		unplaced: p.Unplaced,
-		errors:   p.Errors,
+		at:       c.cfg.now(),
+		weighted: p.weightedAdmission,
+		unplaced: p.unplaced,
+		errors:   p.errors,
 		nodes:    nodes,
 		splits:   p.Splits,
 	})
@@ -570,15 +570,19 @@ func (c *Coordinator) publish(p *Placement, gen uint64, nodes int) {
 	c.mu.Unlock()
 	if c.cfg.Logf != nil {
 		c.cfg.Logf("cluster: placement %d over %d nodes: %d routed (%d split), %d unplaced, weighted admission %.3f",
-			seq, nodes, len(entries), len(p.Splits), len(p.Unplaced), p.WeightedAdmission)
+			seq, nodes, len(entries), len(p.Splits), len(p.unplaced), p.weightedAdmission)
 	}
 }
 
 // register adds or refreshes a member; re-registration updates its
-// address, budgets and link rate and clears failure marks.
+// address, budgets and link rate and clears failure marks. The address
+// must be an http(s) URL with a host, or no plan push could reach it.
 func (c *Coordinator) register(req RegisterRequest) error {
 	if req.Node == "" || req.Addr == "" {
 		return fmt.Errorf("cluster: registration needs node and addr")
+	}
+	if u, err := url.Parse(req.Addr); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("cluster: node %s address %q is not an http(s) URL with a host", req.Node, req.Addr)
 	}
 	res := req.Res.budgets()
 	res.Capacity = c.cfg.Capacity
@@ -588,7 +592,7 @@ func (c *Coordinator) register(req RegisterRequest) error {
 	if res.RBs == 0 || res.ComputeSeconds == 0 {
 		return fmt.Errorf("cluster: node %s registered no radio or no compute %+v", req.Node, req.Res)
 	}
-	now := c.cfg.Now()
+	now := c.cfg.now()
 	c.mu.Lock()
 	m, ok := c.members[req.Node]
 	if !ok {
@@ -606,7 +610,7 @@ func (c *Coordinator) register(req RegisterRequest) error {
 		c.cfg.Logf("cluster: node %s registered at %s (R=%d, C=%gs, M=%g GB, link=%g Mb/s)",
 			req.Node, req.Addr, res.RBs, res.ComputeSeconds, res.MemoryGB, req.BandwidthMbps)
 	}
-	c.Kick()
+	c.requestPlace()
 	return nil
 }
 
@@ -614,9 +618,11 @@ func (c *Coordinator) register(req RegisterRequest) error {
 // kicking a re-placement on revival or bandwidth drift. Reported link
 // probes (coordinator link and node→peer rates) are EMA-smoothed and
 // drift is judged against the rates the latest placement priced with,
-// so noisy probes settle instead of re-placing every beat.
+// so noisy probes settle instead of re-placing every beat. A peer rate
+// counts only for a registered member other than the sender, so a beat
+// cannot grow the member's peer map past the member list.
 func (c *Coordinator) heartbeat(id string, req heartbeatRequest) (ok bool) {
-	now := c.cfg.Now()
+	now := c.cfg.now()
 	kick := false
 	c.mu.Lock()
 	m, found := c.members[id]
@@ -643,7 +649,7 @@ func (c *Coordinator) heartbeat(id string, req heartbeatRequest) (ok bool) {
 			}
 		}
 		for peer, mbps := range req.Peers {
-			if mbps <= 0 {
+			if _, member := c.members[peer]; mbps <= 0 || peer == id || !member {
 				continue
 			}
 			if m.peerMbps == nil {
@@ -665,22 +671,27 @@ func (c *Coordinator) heartbeat(id string, req heartbeatRequest) (ok bool) {
 	}
 	c.mu.Unlock()
 	if kick {
-		c.Kick()
+		c.requestPlace()
 	}
 	return found
 }
 
-// leave removes a member and re-places its tasks.
+// leave removes a member, and its column from the other members' peer
+// rates, and re-places its tasks.
 func (c *Coordinator) leave(id string) bool {
 	c.mu.Lock()
 	_, ok := c.members[id]
 	delete(c.members, id)
+	for _, m := range c.members {
+		delete(m.peerMbps, id)
+		delete(m.peerPlacedMbps, id)
+	}
 	c.mu.Unlock()
 	if ok {
 		if c.cfg.Logf != nil {
 			c.cfg.Logf("cluster: node %s left", id)
 		}
-		c.Kick()
+		c.requestPlace()
 	}
 	return ok
 }
@@ -700,7 +711,7 @@ func (c *Coordinator) markFailed(id string) {
 		if c.cfg.Logf != nil {
 			c.cfg.Logf("cluster: node %s unreachable, re-placing without it", id)
 		}
-		c.Kick()
+		c.requestPlace()
 	}
 }
 

@@ -18,6 +18,10 @@ import (
 // serve's, so cluster clients parse one shape against either daemon.
 const CodeNodeUnreachable = "node_unreachable"
 
+// codeUnknownNode answers a heartbeat or leave for a node that is not
+// registered; the member agent re-registers on the 404 alone.
+const codeUnknownNode = "unknown_node"
+
 func (c *Coordinator) routesMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/tasks", c.handleRegisterTask)
@@ -53,7 +57,7 @@ func (c *Coordinator) handleRegisterTask(w http.ResponseWriter, r *http.Request)
 		serve.WriteError(w, http.StatusBadRequest, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
-	c.Kick()
+	c.requestPlace()
 	serve.WriteJSON(w, http.StatusAccepted, map[string]any{
 		"id":         spec.ID,
 		"status":     "pending",
@@ -66,7 +70,7 @@ func (c *Coordinator) handleDeregisterTask(w http.ResponseWriter, r *http.Reques
 		serve.WriteError(w, http.StatusNotFound, serve.CodeUnknownTask, "%v", err)
 		return
 	}
-	c.Kick()
+	c.requestPlace()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -240,7 +244,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !c.heartbeat(id, req) {
-		serve.WriteError(w, http.StatusNotFound, serve.CodeUnknownTask, "node %q not registered", id)
+		serve.WriteError(w, http.StatusNotFound, codeUnknownNode, "node %q not registered", id)
 		return
 	}
 	// The response hands back the peer address book so the member's agent
@@ -251,7 +255,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleNodeLeave(w http.ResponseWriter, r *http.Request) {
 	if !c.leave(r.PathValue("id")) {
-		serve.WriteError(w, http.StatusNotFound, serve.CodeUnknownTask, "node %q not registered", r.PathValue("id"))
+		serve.WriteError(w, http.StatusNotFound, codeUnknownNode, "node %q not registered", r.PathValue("id"))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -273,7 +277,7 @@ type nodeHealth struct {
 // silently healthy — when any member is degraded, stale, failed or
 // draining, and the failing nodes are named in the payload.
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
-	now := c.cfg.Now()
+	now := c.cfg.now()
 	nodes := make(map[string]nodeHealth)
 	var failing []string
 	c.mu.Lock()
@@ -330,7 +334,7 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 // labelled {node="..."} through the same writer as the members' own
 // /metrics.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	now := c.cfg.Now()
+	now := c.cfg.now()
 	sum := c.summary.Load()
 	// One row per member, copied under the lock and sorted by node ID.
 	type nodeRow struct {
@@ -371,7 +375,7 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if len(sum.splits) > 0 {
 		f := e.Gauge("offloadnn_split_hops", "Pipeline length of each split-path task.")
 		for i := range sum.splits {
-			f.Int(int64(len(sum.splits[i].Segments)), "task", sum.splits[i].TaskID)
+			f.Int(int64(len(sum.splits[i].Segments)), "task", sum.splits[i].taskID)
 		}
 	}
 

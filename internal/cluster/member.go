@@ -62,7 +62,7 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 			"plan for node %q pushed to node %q", push.Node, srv.Node())
 		return
 	}
-	if err := push.Res.Matches(srv.Resources()); err != nil {
+	if err := push.Res.matches(srv.Resources()); err != nil {
 		serve.WriteError(w, http.StatusConflict, serve.CodeInvalidRequest, "%v", err)
 		return
 	}
@@ -70,7 +70,7 @@ func handlePlanPush(srv *serve.Server, w http.ResponseWriter, r *http.Request) {
 	for _, wt := range push.Tasks {
 		tasks = append(tasks, wt.Task())
 	}
-	changed, err := srv.ReplacePlan(tasks, fromWireBlocks(push.Blocks), push.Res.NormResources(), push.Segments)
+	changed, err := srv.ReplacePlan(tasks, fromWireBlocks(push.Blocks), push.Res.normResources(), push.Segments)
 	if err != nil {
 		status, code := http.StatusBadRequest, serve.CodeInvalidRequest
 		if errors.Is(err, serve.ErrDraining) {

@@ -36,7 +36,7 @@ func TestClusterMetricsGolden(t *testing.T) {
 	halves := partitionResources(fullRes(), 2)
 	ma := startMember(t, "a", halves[0])
 	mb := startMember(t, "b", halves[1])
-	c := startCoordinator(t, Config{Now: clock.Now, Debounce: time.Hour})
+	c := startCoordinator(t, Config{now: clock.Now, Debounce: time.Hour})
 	joinMember(t, c, "a", ma, 12.5)
 	joinMember(t, c, "b", mb, 0)
 	for i := 1; i <= 3; i++ {
@@ -48,7 +48,7 @@ func TestClusterMetricsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := *c.summary.Load()
-	sum.splits = []SplitPath{{TaskID: "cam-9", Segments: make([]SplitSegment, 2)}}
+	sum.splits = []SplitPath{{taskID: "cam-9", Segments: make([]SplitSegment, 2)}}
 	c.summary.Store(&sum)
 	clock.Advance(400 * time.Millisecond)
 	if !c.heartbeat("a", heartbeatRequest{State: "healthy", Epoch: 2, Peers: map[string]float64{"b": 80}}) {
@@ -89,17 +89,22 @@ const hostileID = "edge\t\"7\"\\\n\u200b"
 // through the format's un-escaping.
 func TestClusterMetricsEscapesLabelValues(t *testing.T) {
 	c := startCoordinator(t, Config{Debounce: time.Hour})
-	body, err := json.Marshal(RegisterRequest{Node: hostileID, Addr: "http://127.0.0.1:1",
-		Res: ToWireResources(fullRes()), State: "healthy"})
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range []string{hostileID, "b"} {
+		body, err := json.Marshal(RegisterRequest{Node: id, Addr: "http://127.0.0.1:1",
+			Res: ToWireResources(fullRes()), State: "healthy"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		c.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/cluster/nodes", bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("register %q: %d %s", id, w.Code, w.Body)
+		}
 	}
-	w := httptest.NewRecorder()
-	c.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/cluster/nodes", bytes.NewReader(body)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("register: %d %s", w.Code, w.Body)
-	}
-	c.heartbeat(hostileID, heartbeatRequest{State: "healthy", Peers: map[string]float64{hostileID: 50}})
+	// A link each way: the hostile ID is the from end of one, the to end
+	// of the other.
+	c.heartbeat(hostileID, heartbeatRequest{State: "healthy", Peers: map[string]float64{"b": 50}})
+	c.heartbeat("b", heartbeatRequest{State: "healthy", Peers: map[string]float64{hostileID: 50}})
 
 	unescape := strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
 	value := regexp.MustCompile(`(node|from|to)="((?:[^"\\\n]|\\[\\"n])*)"`)

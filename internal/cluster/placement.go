@@ -9,10 +9,10 @@ import (
 	"offloadnn/internal/serve"
 )
 
-// NodePlan is one node's slice of a cluster placement: the (bandwidth-
+// nodePlan is one node's slice of a cluster placement: the (bandwidth-
 // adjusted) tasks assigned to it, the blocks their paths reference, and
 // the per-node DOT solution the assignment was derived from.
-type NodePlan struct {
+type nodePlan struct {
 	// Node the subset is destined for.
 	Node Node
 	// Tasks assigned to the node, in assignment order and parallel to
@@ -30,28 +30,28 @@ type NodePlan struct {
 
 // Placement is one cluster-wide assignment of tasks to nodes.
 type Placement struct {
-	// Plans is parallel to the node list PlaceWith was given.
-	Plans []NodePlan
-	// Route maps each admitted task to the ID of the node serving it.
-	Route map[string]string
-	// Unplaced lists tasks no node admits (sorted) — whole or split.
-	Unplaced []string
+	// plans is parallel to the node list PlaceWith was given.
+	plans []nodePlan
+	// route maps each admitted task to the ID of the node serving it.
+	route map[string]string
+	// unplaced lists tasks no node admits (sorted) — whole or split.
+	unplaced []string
 	// Splits lists the pipelined multi-node plans the split-placement
 	// pass found for tasks whole-path placement spilled (splitplace.go);
 	// their tasks appear in Route keyed to the head node.
 	Splits []SplitPath
-	// WeightedAdmission is Σ over nodes of Σ z·p — the cluster-wide
+	// weightedAdmission is Σ over nodes of Σ z·p — the cluster-wide
 	// counterpart of the single-server Breakdown.WeightedAdmission.
-	WeightedAdmission float64
-	// Errors records per-node failures — a solve that errored or whose
+	weightedAdmission float64
+	// errors records per-node failures — a solve that errored or whose
 	// solution failed Instance.Check, alone or beside the node's segments.
 	// Such a node gets no plan, or no segments, and those tasks are
 	// unplaced; the rest of the placement is still valid.
-	Errors []string
-	// Norm holds the fleet-wide capacity totals every per-node solve was
+	errors []string
+	// norm holds the fleet-wide capacity totals every per-node solve was
 	// priced against (core.Resources.Norm); pushes carry it so members
 	// reprice identically.
-	Norm *core.Resources
+	norm *core.Resources
 }
 
 // fleetNorm sums the nodes' budgets into the objective normalizer shared
@@ -89,7 +89,7 @@ type PlaceConfig struct {
 //     registration order) and each goes to the node with the most compute
 //     headroom per unit of assigned demand (λ as the demand proxy), among
 //     the nodes it has not tried whose link forward delay leaves its
-//     latency budget any slack (Node.AdjustTask).
+//     latency budget any slack (Node.adjustTask).
 //  2. Solve. Every node whose subset changed gets one DOT solve of that
 //     subset — latency budgets shrunk by the node's link, priced at the
 //     fleet-wide normalizers — and the solution is checked against the
@@ -107,11 +107,11 @@ type PlaceConfig struct {
 // node's solution is checked again with its segments reserved.
 func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.BlockSpec, nodes []Node, cfg PlaceConfig) *Placement {
 	norm := fleetNorm(nodes)
-	p := &Placement{Plans: make([]NodePlan, len(nodes)), Norm: norm}
+	p := &Placement{plans: make([]nodePlan, len(nodes)), norm: norm}
 	subsets := make([]nodeSubset, len(nodes))
 	for i, n := range nodes {
 		n.Res.Norm = norm // price at fleet-wide rates, constrain at node budgets
-		p.Plans[i].Node = n
+		p.plans[i].Node = n
 	}
 
 	order := byPriority(tasks)
@@ -137,7 +137,7 @@ func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.Bl
 				if row[ni] {
 					continue
 				}
-				if _, ok := nodes[ni].AdjustTask(*t); !ok {
+				if _, ok := nodes[ni].adjustTask(*t); !ok {
 					row[ni] = true // the link alone eats the latency budget
 					continue
 				}
@@ -157,7 +157,7 @@ func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.Bl
 
 		more = false
 		for ni := range subsets {
-			ns, plan := &subsets[ni], &p.Plans[ni]
+			ns, plan := &subsets[ni], &p.plans[ni]
 			if !ns.changed {
 				continue
 			}
@@ -168,7 +168,7 @@ func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.Bl
 			}
 			in := &core.Instance{Tasks: make([]core.Task, len(ns.held)), Res: plan.Node.Res, Alpha: cfg.Alpha}
 			for i, ti := range ns.held {
-				in.Tasks[i], _ = plan.Node.AdjustTask(tasks[ti])
+				in.Tasks[i], _ = plan.Node.adjustTask(tasks[ti])
 			}
 			in.Blocks = referencedBlocks(in.Tasks, blocks)
 			// The one solve site, and its post-condition: no route table is
@@ -181,7 +181,7 @@ func PlaceWith(ctx context.Context, tasks []core.Task, blocks map[string]core.Bl
 			if err != nil {
 				// The node is out for this run: no plan, its tasks unplaced,
 				// and nothing retries onto it.
-				p.Errors = append(p.Errors, fmt.Sprintf("node %s: %v", plan.Node.ID, err))
+				p.errors = append(p.errors, fmt.Sprintf("node %s: %v", plan.Node.ID, err))
 				ns.held = nil
 				for ti := range tasks {
 					tried(ti)[ni] = true
@@ -247,9 +247,9 @@ func byPriority(tasks []core.Task) []int {
 // admission and the sorted unplaced list off the nodes' final solutions
 // and the split plans, which route to their head nodes.
 func (p *Placement) assemble(tasks []core.Task) {
-	p.Route, p.Unplaced, p.WeightedAdmission = make(map[string]string), nil, 0
-	for i := range p.Plans {
-		plan := &p.Plans[i]
+	p.route, p.unplaced, p.weightedAdmission = make(map[string]string), nil, 0
+	for i := range p.plans {
+		plan := &p.plans[i]
 		plan.Admitted = make(map[string]float64)
 		if plan.Solution == nil {
 			continue
@@ -257,10 +257,10 @@ func (p *Placement) assemble(tasks []core.Task) {
 		for ai, a := range plan.Solution.Assignments {
 			if a.Admitted() {
 				plan.Admitted[a.TaskID] = a.Z * plan.Tasks[ai].Rate
-				p.Route[a.TaskID] = plan.Node.ID
+				p.route[a.TaskID] = plan.Node.ID
 			}
 		}
-		p.WeightedAdmission += plan.Solution.Breakdown.WeightedAdmission
+		p.weightedAdmission += plan.Solution.Breakdown.WeightedAdmission
 	}
 	if len(p.Splits) > 0 {
 		priority := make(map[string]float64, len(tasks))
@@ -270,16 +270,16 @@ func (p *Placement) assemble(tasks []core.Task) {
 		// A split admission carries the same z·p weight a whole-path
 		// admission would have contributed through its node's solution.
 		for _, sp := range p.Splits {
-			p.Route[sp.TaskID] = sp.Segments[0].NodeID
-			p.WeightedAdmission += sp.Z * priority[sp.TaskID]
+			p.route[sp.taskID] = sp.Segments[0].nodeID
+			p.weightedAdmission += sp.z * priority[sp.taskID]
 		}
 	}
 	for i := range tasks {
-		if _, ok := p.Route[tasks[i].ID]; !ok {
-			p.Unplaced = append(p.Unplaced, tasks[i].ID)
+		if _, ok := p.route[tasks[i].ID]; !ok {
+			p.unplaced = append(p.unplaced, tasks[i].ID)
 		}
 	}
-	sort.Strings(p.Unplaced)
+	sort.Strings(p.unplaced)
 }
 
 // checkSplits is the post-condition on split plans: on every node, the
@@ -290,8 +290,8 @@ func (p *Placement) assemble(tasks []core.Task) {
 func (p *Placement) checkSplits() {
 	wire := wireSegments(p.Splits)
 	drop := make(map[string]bool)
-	for i := range p.Plans {
-		plan := &p.Plans[i]
+	for i := range p.plans {
+		plan := &p.plans[i]
 		segs := wire[plan.Node.ID]
 		if len(segs) == 0 {
 			continue
@@ -302,7 +302,7 @@ func (p *Placement) checkSplits() {
 			err = in.Check(plan.Solution.Assignments)
 		}
 		if err != nil {
-			p.Errors = append(p.Errors, fmt.Sprintf("node %s with its segments: %v", plan.Node.ID, err))
+			p.errors = append(p.errors, fmt.Sprintf("node %s with its segments: %v", plan.Node.ID, err))
 			for _, seg := range segs {
 				drop[seg.Task] = true
 			}
@@ -311,7 +311,7 @@ func (p *Placement) checkSplits() {
 	if len(drop) > 0 {
 		keep := p.Splits[:0]
 		for _, sp := range p.Splits {
-			if !drop[sp.TaskID] {
+			if !drop[sp.taskID] {
 				keep = append(keep, sp)
 			}
 		}
@@ -328,25 +328,25 @@ func wireSegments(splits []SplitPath) map[string][]wireSegment {
 		sp := &splits[i]
 		for si, seg := range sp.Segments {
 			w := wireSegment{
-				Task:   sp.TaskID,
-				Path:   sp.Path.ID,
-				DNN:    sp.Path.DNN,
-				Blocks: sp.Path.Blocks,
-				From:   seg.From,
+				Task:   sp.taskID,
+				Path:   sp.path.ID,
+				DNN:    sp.path.DNN,
+				Blocks: sp.path.Blocks,
+				From:   seg.from,
 				To:     seg.To,
-				Rate:   sp.Rate,
+				Rate:   sp.rate,
 				Hop:    si,
 				Hops:   len(sp.Segments),
 			}
 			if si == 0 {
-				w.BudgetMS = sp.BudgetMS
-				w.RBs = sp.RBs
+				w.BudgetMS = sp.budgetMS
+				w.RBs = sp.rbs
 			}
 			if si+1 < len(sp.Segments) {
-				w.Next = sp.Segments[si+1].Addr
-				w.NextNode = sp.Segments[si+1].NodeID
+				w.Next = sp.Segments[si+1].addr
+				w.NextNode = sp.Segments[si+1].nodeID
 			}
-			out[seg.NodeID] = append(out[seg.NodeID], w)
+			out[seg.nodeID] = append(out[seg.nodeID], w)
 		}
 	}
 	return out

@@ -119,10 +119,10 @@ func TestPlaceOneNodeMatchesSingleServer(t *testing.T) {
 	}
 	want := singleSolve(t, in)
 	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, []Node{{ID: "solo", Res: in.Res, FloorMbps: -1}}, PlaceConfig{Alpha: in.Alpha})
-	if len(p.Errors) != 0 {
-		t.Fatalf("placement errors: %v", p.Errors)
+	if len(p.errors) != 0 {
+		t.Fatalf("placement errors: %v", p.errors)
 	}
-	got := p.Plans[0].Solution
+	got := p.plans[0].Solution
 	if got == nil {
 		t.Fatal("no solution on the only node")
 	}
@@ -159,8 +159,8 @@ func TestPlaceOneNodeMatchesSingleServer(t *testing.T) {
 	if gotAdmitted != len(wantBy) {
 		t.Errorf("admitted count: got %d want %d", gotAdmitted, len(wantBy))
 	}
-	if diff := p.WeightedAdmission - want.Breakdown.WeightedAdmission; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("weighted admission %v want %v", p.WeightedAdmission, want.Breakdown.WeightedAdmission)
+	if diff := p.weightedAdmission - want.Breakdown.WeightedAdmission; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("weighted admission %v want %v", p.weightedAdmission, want.Breakdown.WeightedAdmission)
 	}
 }
 
@@ -177,14 +177,14 @@ func TestPlaceTwoHalfNodesAdmitNoLess(t *testing.T) {
 		single := singleSolve(t, in).Breakdown.WeightedAdmission
 		nodes := clusterNodes(shares)
 		p := PlaceWith(context.Background(), in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
-		if len(p.Errors) != 0 {
-			t.Fatalf("load %v: placement errors: %v", load, p.Errors)
+		if len(p.errors) != 0 {
+			t.Fatalf("load %v: placement errors: %v", load, p.errors)
 		}
-		if p.WeightedAdmission < single-1e-9 {
+		if p.weightedAdmission < single-1e-9 {
 			t.Errorf("load %v: 2x half-budget cluster admits %.4f weighted priority, single full-budget server %.4f",
-				load, p.WeightedAdmission, single)
+				load, p.weightedAdmission, single)
 		}
-		t.Logf("load %v: cluster=%.4f single=%.4f unplaced=%d", load, p.WeightedAdmission, single, len(p.Unplaced))
+		t.Logf("load %v: cluster=%.4f single=%.4f unplaced=%d", load, p.weightedAdmission, single, len(p.unplaced))
 	}
 }
 
@@ -199,15 +199,15 @@ func TestPlaceSpillsAcrossNodes(t *testing.T) {
 	nodes := clusterNodes(partitionResources(in.Res, 2))
 	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
 	perNode := map[string]int{}
-	for _, nid := range p.Route {
+	for _, nid := range p.route {
 		perNode[nid]++
 	}
 	if len(perNode) < 2 {
-		t.Fatalf("expected tasks on both nodes, got %v (unplaced %v)", perNode, p.Unplaced)
+		t.Fatalf("expected tasks on both nodes, got %v (unplaced %v)", perNode, p.unplaced)
 	}
-	for id, nid := range p.Route {
+	for id, nid := range p.route {
 		found := false
-		for _, plan := range p.Plans {
+		for _, plan := range p.plans {
 			if plan.Node.ID != nid {
 				continue
 			}
@@ -262,11 +262,11 @@ func TestPlaceAgainstPooledSolve(t *testing.T) {
 			start := time.Now()
 			p := PlaceWith(context.Background(), in.Tasks, in.Blocks, r.nodes, PlaceConfig{Alpha: in.Alpha})
 			took := time.Since(start)
-			if len(p.Errors) != 0 {
-				t.Fatalf("placement errors: %v", p.Errors)
+			if len(p.errors) != 0 {
+				t.Fatalf("placement errors: %v", p.errors)
 			}
 			seen := make(map[string]int, len(in.Tasks))
-			for _, plan := range p.Plans {
+			for _, plan := range p.plans {
 				if plan.Solution == nil {
 					continue // nothing landed here (no Errors, checked above)
 				}
@@ -276,12 +276,12 @@ func TestPlaceAgainstPooledSolve(t *testing.T) {
 				}
 				for id := range plan.Admitted {
 					seen[id]++
-					if p.Route[id] != plan.Node.ID {
-						t.Errorf("task %s admitted on %s but routed to %q", id, plan.Node.ID, p.Route[id])
+					if p.route[id] != plan.Node.ID {
+						t.Errorf("task %s admitted on %s but routed to %q", id, plan.Node.ID, p.route[id])
 					}
 				}
 			}
-			for _, id := range p.Unplaced {
+			for _, id := range p.unplaced {
 				seen[id]++
 			}
 			for _, task := range in.Tasks {
@@ -289,8 +289,8 @@ func TestPlaceAgainstPooledSolve(t *testing.T) {
 					t.Errorf("task %s appears %d times across routed and unplaced, want once", task.ID, seen[task.ID])
 				}
 			}
-			if len(seen) != len(in.Tasks) || len(p.Route)+len(p.Unplaced) != len(in.Tasks) {
-				t.Errorf("%d routed + %d unplaced over %d distinct IDs, want %d tasks", len(p.Route), len(p.Unplaced), len(seen), len(in.Tasks))
+			if len(seen) != len(in.Tasks) || len(p.route)+len(p.unplaced) != len(in.Tasks) {
+				t.Errorf("%d routed + %d unplaced over %d distinct IDs, want %d tasks", len(p.route), len(p.unplaced), len(seen), len(in.Tasks))
 			}
 			pooled := singleSolve(t, in).Breakdown.WeightedAdmission
 			bound := 0.995
@@ -298,9 +298,9 @@ func TestPlaceAgainstPooledSolve(t *testing.T) {
 				bound = 0.999
 			}
 			t.Logf("Σz·p %.3f, pooled %.3f, ratio %.4f, unplaced %d, placed in %v",
-				p.WeightedAdmission, pooled, p.WeightedAdmission/pooled, len(p.Unplaced), took.Round(100*time.Microsecond))
-			if p.WeightedAdmission < bound*pooled {
-				t.Errorf("placement admits Σz·p %.3f, under %.1f%% of the pooled solve's %.3f", p.WeightedAdmission, 100*bound, pooled)
+				p.weightedAdmission, pooled, p.weightedAdmission/pooled, len(p.unplaced), took.Round(100*time.Microsecond))
+			if p.weightedAdmission < bound*pooled {
+				t.Errorf("placement admits Σz·p %.3f, under %.1f%% of the pooled solve's %.3f", p.weightedAdmission, 100*bound, pooled)
 			}
 		})
 	}
@@ -320,8 +320,8 @@ func TestPlaceBandwidthShrinksLatencyBudget(t *testing.T) {
 	slow := Node{ID: "slow", Res: in.Res, BandwidthMbps: 2}
 	fast := Node{ID: "fast", Res: in.Res, BandwidthMbps: 1000}
 	p := PlaceWith(context.Background(), in.Tasks, in.Blocks, []Node{slow, fast}, PlaceConfig{Alpha: in.Alpha})
-	if nid, ok := p.Route["task-1"]; !ok || nid != "fast" {
-		t.Errorf("task-1 (L=200ms) routed to %q, want the fast node (route %v, unplaced %v)", nid, p.Route, p.Unplaced)
+	if nid, ok := p.route["task-1"]; !ok || nid != "fast" {
+		t.Errorf("task-1 (L=200ms) routed to %q, want the fast node (route %v, unplaced %v)", nid, p.route, p.unplaced)
 	}
 
 	// The retry walks every node the task has not tried, not just the
@@ -336,24 +336,24 @@ func TestPlaceBandwidthShrinksLatencyBudget(t *testing.T) {
 		fast,
 	}
 	p = PlaceWith(context.Background(), in.Tasks, in.Blocks, three, PlaceConfig{Alpha: in.Alpha})
-	if nid, ok := p.Route["task-1"]; !ok || nid != "fast" {
-		t.Errorf("three nodes: task-1 routed to %q, want the fast node (route %v, unplaced %v)", nid, p.Route, p.Unplaced)
+	if nid, ok := p.route["task-1"]; !ok || nid != "fast" {
+		t.Errorf("three nodes: task-1 routed to %q, want the fast node (route %v, unplaced %v)", nid, p.route, p.unplaced)
 	}
 	// Same input, same placement.
 	again := PlaceWith(context.Background(), in.Tasks, in.Blocks, three, PlaceConfig{Alpha: in.Alpha})
-	if !reflect.DeepEqual(p.Route, again.Route) || !reflect.DeepEqual(p.Unplaced, again.Unplaced) || p.WeightedAdmission != again.WeightedAdmission {
+	if !reflect.DeepEqual(p.route, again.route) || !reflect.DeepEqual(p.unplaced, again.unplaced) || p.weightedAdmission != again.weightedAdmission {
 		t.Errorf("placement not deterministic: route %v / %v, unplaced %v / %v, Σz·p %v / %v",
-			p.Route, again.Route, p.Unplaced, again.Unplaced, p.WeightedAdmission, again.WeightedAdmission)
+			p.route, again.route, p.unplaced, again.unplaced, p.weightedAdmission, again.weightedAdmission)
 	}
 
 	// A link slower than the frame rate of any budget excludes the node.
 	dead := Node{ID: "dead", Res: in.Res, BandwidthMbps: 0.1}
 	p = PlaceWith(context.Background(), in.Tasks, in.Blocks, []Node{dead}, PlaceConfig{Alpha: in.Alpha})
-	if len(p.Route) != 0 {
-		t.Errorf("0.1 Mb/s node admitted %v, want nothing", p.Route)
+	if len(p.route) != 0 {
+		t.Errorf("0.1 Mb/s node admitted %v, want nothing", p.route)
 	}
-	if len(p.Unplaced) != len(in.Tasks) {
-		t.Errorf("unplaced %d want %d", len(p.Unplaced), len(in.Tasks))
+	if len(p.unplaced) != len(in.Tasks) {
+		t.Errorf("unplaced %d want %d", len(p.unplaced), len(in.Tasks))
 	}
 }
 
@@ -362,46 +362,46 @@ func TestPlaceBandwidthShrinksLatencyBudget(t *testing.T) {
 func TestAdjustTask(t *testing.T) {
 	task := core.Task{ID: "t", MaxLatency: 200 * time.Millisecond, InputBits: 1e6}
 	n := Node{BandwidthMbps: 10} // 1e6 bits / 10 Mb/s = 100 ms
-	adj, ok := n.AdjustTask(task)
+	adj, ok := n.adjustTask(task)
 	if !ok {
 		t.Fatal("expected adjustable")
 	}
 	if adj.MaxLatency != 100*time.Millisecond {
 		t.Errorf("adjusted latency %v want 100ms", adj.MaxLatency)
 	}
-	if _, ok := (Node{BandwidthMbps: 4}).AdjustTask(task); ok {
+	if _, ok := (Node{BandwidthMbps: 4}).adjustTask(task); ok {
 		t.Error("250ms forward delay must exhaust a 200ms budget")
 	}
 	// An unmeasured link is priced at the conservative defaultFloorMbps
 	// (1 Mb/s): a 1 Mb frame costs the whole 200 ms budget and more.
-	if _, ok := (Node{}).AdjustTask(task); ok {
+	if _, ok := (Node{}).adjustTask(task); ok {
 		t.Error("unmeasured link must be priced at the floor, exhausting a 200ms budget")
 	}
-	if adj, ok := (Node{}).AdjustTask(core.Task{ID: "t", MaxLatency: 1200 * time.Millisecond, InputBits: 1e6}); !ok || adj.MaxLatency != 200*time.Millisecond {
+	if adj, ok := (Node{}).adjustTask(core.Task{ID: "t", MaxLatency: 1200 * time.Millisecond, InputBits: 1e6}); !ok || adj.MaxLatency != 200*time.Millisecond {
 		t.Errorf("floor-priced link: adjusted latency %v (ok=%v), want 200ms", adj.MaxLatency, ok)
 	}
 	// A negative floor opts the node out of floor pricing entirely.
-	if adj, ok := (Node{FloorMbps: -1}).AdjustTask(task); !ok || adj.MaxLatency != task.MaxLatency {
+	if adj, ok := (Node{FloorMbps: -1}).adjustTask(task); !ok || adj.MaxLatency != task.MaxLatency {
 		t.Errorf("floor opt-out must not charge the budget, got %v (ok=%v)", adj.MaxLatency, ok)
 	}
 	// A custom floor replaces the default.
-	if adj, ok := (Node{FloorMbps: 10}).AdjustTask(task); !ok || adj.MaxLatency != 100*time.Millisecond {
+	if adj, ok := (Node{FloorMbps: 10}).adjustTask(task); !ok || adj.MaxLatency != 100*time.Millisecond {
 		t.Errorf("custom 10 Mb/s floor: adjusted latency %v (ok=%v), want 100ms", adj.MaxLatency, ok)
 	}
 }
 
-// TestBandwidthFloor pins LinkMbps and the pairwise slowerLinkMbps.
+// TestBandwidthFloor pins linkMbps and the pairwise slowerLinkMbps.
 func TestBandwidthFloor(t *testing.T) {
-	if got := (Node{}).LinkMbps(); got != defaultFloorMbps {
+	if got := (Node{}).linkMbps(); got != defaultFloorMbps {
 		t.Errorf("unmeasured link rate %v, want default floor %v", got, defaultFloorMbps)
 	}
-	if got := (Node{BandwidthMbps: 25}).LinkMbps(); got != 25 {
+	if got := (Node{BandwidthMbps: 25}).linkMbps(); got != 25 {
 		t.Errorf("measured link rate %v, want 25", got)
 	}
-	if got := (Node{FloorMbps: 4}).LinkMbps(); got != 4 {
+	if got := (Node{FloorMbps: 4}).linkMbps(); got != 4 {
 		t.Errorf("configured floor rate %v, want 4", got)
 	}
-	if got := (Node{FloorMbps: -1}).LinkMbps(); got != 0 {
+	if got := (Node{FloorMbps: -1}).linkMbps(); got != 0 {
 		t.Errorf("opted-out link rate %v, want 0 (free)", got)
 	}
 	// Pairwise transfer is priced at the slower of the two links.
@@ -413,10 +413,10 @@ func TestBandwidthFloor(t *testing.T) {
 	if got := slowerLinkMbps(a, Node{FloorMbps: -1}); got != 0 {
 		t.Errorf("link to an opted-out node priced at %v Mb/s, want 0 (free)", got)
 	}
-	if got := (Node{}).ForwardDelay(1e6); got != time.Second {
+	if got := (Node{}).forwardDelay(1e6); got != time.Second {
 		t.Errorf("floor-priced forward of 1 Mb took %v, want 1s", got)
 	}
-	if got := (Node{}).ForwardDelay(0); got != 0 {
+	if got := (Node{}).forwardDelay(0); got != 0 {
 		t.Errorf("zero-bit forward took %v, want 0", got)
 	}
 }
@@ -434,15 +434,15 @@ func TestPlaceSolveErrorLeavesNodeWithoutPlan(t *testing.T) {
 	cancel()
 	nodes := clusterNodes(partitionResources(in.Res, 2))
 	p := PlaceWith(ctx, in.Tasks, in.Blocks, nodes, PlaceConfig{Alpha: in.Alpha})
-	if len(p.Errors) != len(nodes) {
-		t.Errorf("errors %v, want one per node", p.Errors)
+	if len(p.errors) != len(nodes) {
+		t.Errorf("errors %v, want one per node", p.errors)
 	}
-	for _, plan := range p.Plans {
+	for _, plan := range p.plans {
 		if plan.Solution != nil || len(plan.Tasks) != 0 {
 			t.Errorf("node %s has a plan (%d tasks) after its solve failed", plan.Node.ID, len(plan.Tasks))
 		}
 	}
-	if len(p.Route) != 0 || len(p.Unplaced) != len(in.Tasks) {
-		t.Errorf("route %v, unplaced %v: want nothing routed, all %d tasks unplaced", p.Route, p.Unplaced, len(in.Tasks))
+	if len(p.route) != 0 || len(p.unplaced) != len(in.Tasks) {
+		t.Errorf("route %v, unplaced %v: want nothing routed, all %d tasks unplaced", p.route, p.unplaced, len(in.Tasks))
 	}
 }

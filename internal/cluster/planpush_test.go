@@ -178,9 +178,9 @@ func weightedAdmission(sol *core.Solution) float64 {
 
 // nodePush is the body the coordinator pushes node i of a placement.
 func nodePush(p *Placement, i int, alpha float64) planPush {
-	plan := &p.Plans[i]
+	plan := &p.plans[i]
 	res := plan.Node.Res
-	res.Norm = p.Norm
+	res.Norm = p.norm
 	push := planPush{Node: plan.Node.ID, Alpha: alpha, Res: ToWireResources(res),
 		Blocks: toWireBlocks(plan.Blocks), Segments: wireSegments(p.Splits)[plan.Node.ID]}
 	for _, task := range plan.Tasks {
@@ -191,7 +191,7 @@ func nodePush(p *Placement, i int, alpha float64) planPush {
 
 // TestMemberChecksWholePathsBesideSegment: on two 0.7 GB nodes the big
 // task splits while a 0.05 GB task lands whole on a node that also hosts
-// a segment. Each member pushed its NodePlan admits the same Σ z·p, with
+// a segment. Each member pushed its nodePlan admits the same Σ z·p, with
 // its epoch's Check charging the segment and the whole path together;
 // a member 0.01 GB short of both refuses the same push.
 func TestMemberChecksWholePathsBesideSegment(t *testing.T) {
@@ -202,16 +202,16 @@ func TestMemberChecksWholePathsBesideSegment(t *testing.T) {
 	const alpha = 0.5
 	p := PlaceWith(context.Background(), tasks, blocks, []Node{splitNode("a"), splitNode("b")},
 		PlaceConfig{Alpha: alpha, Split: &SplitConfig{}})
-	if len(p.Splits) != 1 || len(p.Unplaced) != 0 || len(p.Errors) != 0 {
-		t.Fatalf("placement: %d splits, unplaced %v, errors %v", len(p.Splits), p.Unplaced, p.Errors)
+	if len(p.Splits) != 1 || len(p.unplaced) != 0 || len(p.errors) != 0 {
+		t.Fatalf("placement: %d splits, unplaced %v, errors %v", len(p.Splits), p.unplaced, p.errors)
 	}
-	host := p.Route["small"]
+	host := p.route["small"]
 	if len(wireSegments(p.Splits)[host]) == 0 {
 		t.Fatalf("small task placed whole on %q, which hosts no segment", host)
 	}
 
-	for i := range p.Plans {
-		plan := &p.Plans[i]
+	for i := range p.plans {
+		plan := &p.plans[i]
 		srv, err := serve.New(serve.Config{Res: splitNode(plan.Node.ID).Res, Alpha: alpha, Node: plan.Node.ID, Debounce: time.Hour})
 		if err != nil {
 			t.Fatal(err)
@@ -232,8 +232,8 @@ func TestMemberChecksWholePathsBesideSegment(t *testing.T) {
 		}
 	}
 
-	for i := range p.Plans {
-		if p.Plans[i].Node.ID != host {
+	for i := range p.plans {
+		if p.plans[i].Node.ID != host {
 			continue
 		}
 		short := splitNode(host).Res
@@ -244,7 +244,7 @@ func TestMemberChecksWholePathsBesideSegment(t *testing.T) {
 		}
 		defer srv.Close()
 		push := nodePush(p, i, alpha)
-		short.Norm = p.Norm
+		short.Norm = p.norm
 		push.Res = ToWireResources(short)
 		w := putPlan(MemberHandler(srv), mustJSON(t, push))
 		if w.Code != http.StatusConflict || !strings.Contains(w.Body.String(), "(1b)") {
@@ -313,7 +313,7 @@ func FuzzPlanPush(f *testing.F) {
 		// The segments are charged at the pushed specs, the whole paths at
 		// the catalog the epoch solved with.
 		res := in.Res
-		res.Norm = push.Res.NormResources()
+		res.Norm = push.Res.normResources()
 		check := &core.Instance{Blocks: fromWireBlocks(push.Blocks), Res: res}
 		if err := check.Reserve(serve.Reservations(push.Segments)...); err != nil {
 			t.Fatalf("accepted push's segments do not reserve: %v", err)

@@ -75,7 +75,7 @@ func postOffloadJSON(t *testing.T, baseURL string, req serve.OffloadRequest) (in
 	return resp.StatusCode, out
 }
 
-func errorCode(t *testing.T, body []byte) string {
+func errorCode(t testing.TB, body []byte) string {
 	t.Helper()
 	var env struct {
 		Error struct {

@@ -28,38 +28,38 @@ import (
 
 // SplitSegment is one node's slice of a split path plan.
 type SplitSegment struct {
-	// NodeID and Addr identify the member serving this stage range.
-	NodeID string
-	Addr   string
-	// From and To bound the stage range [From, To) into the path's
+	// nodeID and addr identify the member serving this stage range.
+	nodeID string
+	addr   string
+	// from and To bound the stage range [from, To) into the path's
 	// block list.
-	From, To int
-	// TransferBits is the boundary activation size shipped to the next
+	from, To int
+	// transferBits is the boundary activation size shipped to the next
 	// hop (zero for the tail).
-	TransferBits float64
+	transferBits float64
 }
 
 // SplitPath is one task's pipelined multi-node plan.
 type SplitPath struct {
-	// TaskID names the task the plan serves.
-	TaskID string
-	// Path is the catalog path being split.
-	Path core.PathSpec
-	// Z is the admitted fraction; Rate is z·λ, the admitted request rate
+	// taskID names the task the plan serves.
+	taskID string
+	// path is the catalog path being split.
+	path core.PathSpec
+	// z is the admitted fraction; Rate is z·λ, the admitted request rate
 	// the head gates at.
-	Z    float64
-	Rate float64
-	// RBs is the head node's radio slice for frame intake.
-	RBs int
+	z    float64
+	rate float64
+	// rbs is the head node's radio slice for frame intake.
+	rbs int
 	// Segments is the ordered pipeline; Segments[0] is the head.
 	Segments []SplitSegment
-	// LatencyMS is the predicted end-to-end latency of one frame:
+	// latencyMS is the predicted end-to-end latency of one frame:
 	// coordinator→head forward, radio transmission, every segment's
 	// compute and every activation transfer.
-	LatencyMS float64
-	// BudgetMS is the task's latency bound minus the coordinator→head
+	latencyMS float64
+	// budgetMS is the task's latency bound minus the coordinator→head
 	// forward delay — the budget the head starts the pipeline with.
-	BudgetMS float64
+	budgetMS float64
 }
 
 // The split search caps the pipeline length at maxSegments and draws
@@ -77,11 +77,11 @@ type SplitConfig struct {
 	Model dnn.ResNetConfig
 	// Input is the frame shape (C, H, W); zero applies (3, 8, 8).
 	Input [3]int
-	// Link returns the planned a→b inter-node rate in Mbps; nil prices
+	// link returns the planned a→b inter-node rate in Mbps; nil prices
 	// conservatively at the slower of the two coordinator links (see
 	// slowerLinkMbps). The coordinator wires its measured peer matrix in
 	// here.
-	Link func(a, b Node) float64
+	link func(a, b Node) float64
 }
 
 // splitHost is one node as the split search sees it: a copy of its
@@ -92,13 +92,13 @@ type splitHost struct {
 }
 
 // splitHosts copies every planned node's instance over the fleet catalog,
-// parallel to p.Plans, and reserves its admitted whole paths, each as
+// parallel to p.plans, and reserves its admitted whole paths, each as
 // {path, z·λ, r}. Where z < 1, Σ r may pass R: the node then has no radio
 // left for a head. A node whose solution does not reserve is left nil.
 func splitHosts(p *Placement, blocks map[string]core.BlockSpec) []*splitHost {
-	hosts := make([]*splitHost, len(p.Plans))
-	for i := range p.Plans {
-		plan := &p.Plans[i]
+	hosts := make([]*splitHost, len(p.plans))
+	for i := range p.plans {
+		plan := &p.plans[i]
 		in := &core.Instance{Blocks: blocks, Res: plan.Node.Res}
 		var rs []core.Reservation
 		if plan.Solution != nil {
@@ -124,7 +124,7 @@ func splitHosts(p *Placement, blocks map[string]core.BlockSpec) []*splitHost {
 // head nodes). Each accepted plan is reserved on its hosts, so later
 // tasks see what earlier splits consumed.
 func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpec, cfg *SplitConfig) {
-	if cfg == nil || len(p.Unplaced) == 0 || len(p.Plans) < 2 {
+	if cfg == nil || len(p.unplaced) == 0 || len(p.plans) < 2 {
 		return
 	}
 	model := cfg.Model
@@ -135,17 +135,17 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 	if input == [3]int{} {
 		input = [3]int{3, 8, 8}
 	}
-	link := cfg.Link
+	link := cfg.link
 	if link == nil {
 		link = slowerLinkMbps
 	}
 
 	hosts := splitHosts(p, blocks)
-	unplaced := make(map[string]bool, len(p.Unplaced))
-	for _, id := range p.Unplaced {
+	unplaced := make(map[string]bool, len(p.unplaced))
+	for _, id := range p.unplaced {
 		unplaced[id] = true
 	}
-	order := make([]int, 0, len(p.Unplaced))
+	order := make([]int, 0, len(p.unplaced))
 	for i := range tasks {
 		if unplaced[tasks[i].ID] {
 			order = append(order, i)
@@ -162,27 +162,27 @@ func splitPlace(p *Placement, tasks []core.Task, blocks map[string]core.BlockSpe
 			continue
 		}
 		for si, seg := range best.Segments {
-			for pi := range p.Plans {
-				if p.Plans[pi].Node.ID != seg.NodeID {
+			for pi := range p.plans {
+				if p.plans[pi].Node.ID != seg.nodeID {
 					continue
 				}
 				// evalSplit priced this charge on this copy; a refusal
 				// here fails the node in checkSplits as well.
-				rsv := core.Reservation{Blocks: best.Path.Blocks[seg.From:seg.To], Rate: best.Rate}
+				rsv := core.Reservation{Blocks: best.path.Blocks[seg.from:seg.To], Rate: best.rate}
 				if si == 0 {
-					rsv.RBs = best.RBs
+					rsv.RBs = best.rbs
 				}
 				if err := hosts[pi].in.Reserve(rsv); err != nil {
-					p.Errors = append(p.Errors, fmt.Sprintf("node %s: split %s: %v", seg.NodeID, t.ID, err))
+					p.errors = append(p.errors, fmt.Sprintf("node %s: split %s: %v", seg.nodeID, t.ID, err))
 				}
 				// The member's catalog must carry the specs of the blocks
-				// its segment deploys (pushed inside its NodePlan).
-				if p.Plans[pi].Blocks == nil {
-					p.Plans[pi].Blocks = make(map[string]core.BlockSpec)
+				// its segment deploys (pushed inside its nodePlan).
+				if p.plans[pi].Blocks == nil {
+					p.plans[pi].Blocks = make(map[string]core.BlockSpec)
 				}
 				for _, id := range rsv.Blocks {
 					if b, ok := blocks[id]; ok {
-						p.Plans[pi].Blocks[id] = b
+						p.plans[pi].Blocks[id] = b
 					}
 				}
 			}
@@ -213,10 +213,10 @@ func bestSplit(t *core.Task, hosts []*splitHost, model dnn.ResNetConfig, input [
 		if best == nil {
 			return true
 		}
-		if c.Z != best.Z {
-			return c.Z > best.Z
+		if c.z != best.z {
+			return c.z > best.z
 		}
-		return c.LatencyMS < best.LatencyMS
+		return c.latencyMS < best.latencyMS
 	}
 
 	for pi := range t.Paths {
@@ -258,7 +258,7 @@ func bestSplit(t *core.Task, hosts []*splitHost, model dnn.ResNetConfig, input [
 func evalSplit(t *core.Task, path *core.PathSpec, cuts []dnn.CutPoint, nodes []*splitHost, link func(a, b Node) float64) *SplitPath {
 	segs := make([]SplitSegment, len(nodes))
 	head := nodes[0]
-	fixed := head.node.ForwardDelay(t.InputBits).Seconds() // everything except radio transmission
+	fixed := head.node.forwardDelay(t.InputBits).Seconds() // everything except radio transmission
 	z := 1.0
 	for i, h := range nodes {
 		from, to := 0, len(path.Blocks)
@@ -282,13 +282,13 @@ func evalSplit(t *core.Task, path *core.PathSpec, cuts []dnn.CutPoint, nodes []*
 			z = min(z, h.in.Res.ComputeSeconds/(t.Rate*comp))
 		}
 		fixed += comp
-		segs[i] = SplitSegment{NodeID: h.node.ID, Addr: h.node.Addr, From: from, To: to}
+		segs[i] = SplitSegment{nodeID: h.node.ID, addr: h.node.Addr, from: from, To: to}
 		if i < len(cuts) {
 			// The cut after stage `to` ships its boundary activation to
 			// the next hop; transfers are always raw f64 on the wire.
-			segs[i].TransferBits = float64(cuts[i].WireBytes) * 8
+			segs[i].transferBits = float64(cuts[i].WireBytes) * 8
 			if mbps := link(h.node, nodes[i+1].node); mbps > 0 {
-				fixed += segs[i].TransferBits / (mbps * 1e6)
+				fixed += segs[i].transferBits / (mbps * 1e6)
 			}
 		}
 	}
@@ -322,14 +322,14 @@ func evalSplit(t *core.Task, path *core.PathSpec, cuts []dnn.CutPoint, nodes []*
 	}
 
 	return &SplitPath{
-		TaskID:    t.ID,
-		Path:      *path,
-		Z:         z,
-		Rate:      z * t.Rate,
-		RBs:       rbs,
+		taskID:    t.ID,
+		path:      *path,
+		z:         z,
+		rate:      z * t.Rate,
+		rbs:       rbs,
 		Segments:  segs,
-		LatencyMS: total * 1e3,
-		BudgetMS:  (t.MaxLatency - head.node.ForwardDelay(t.InputBits)).Seconds() * 1e3,
+		latencyMS: total * 1e3,
+		budgetMS:  (t.MaxLatency - head.node.forwardDelay(t.InputBits)).Seconds() * 1e3,
 	}
 }
 

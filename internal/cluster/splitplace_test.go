@@ -54,10 +54,10 @@ func TestSplitPlaceSingleNodeInfeasible(t *testing.T) {
 	if len(p.Splits) != 0 {
 		t.Fatalf("single node produced a split plan: %+v", p.Splits)
 	}
-	if len(p.Unplaced) != 1 || p.Unplaced[0] != "big" {
-		t.Fatalf("unplaced %v, want [big]", p.Unplaced)
+	if len(p.unplaced) != 1 || p.unplaced[0] != "big" {
+		t.Fatalf("unplaced %v, want [big]", p.unplaced)
 	}
-	if _, ok := p.Route["big"]; ok {
+	if _, ok := p.route["big"]; ok {
 		t.Fatal("infeasible task was routed")
 	}
 }
@@ -68,60 +68,60 @@ func TestSplitPlaceTwoNodes(t *testing.T) {
 	tasks, blocks := splitScenario()
 	nodes := []Node{splitNode("a"), splitNode("b")}
 	p := PlaceWith(context.Background(), tasks, blocks, nodes, PlaceConfig{Alpha: 0.5, Split: &SplitConfig{}})
-	if len(p.Unplaced) != 0 {
-		t.Fatalf("unplaced %v, want none", p.Unplaced)
+	if len(p.unplaced) != 0 {
+		t.Fatalf("unplaced %v, want none", p.unplaced)
 	}
 	if len(p.Splits) != 1 {
 		t.Fatalf("splits %d, want 1", len(p.Splits))
 	}
 	sp := p.Splits[0]
-	if sp.TaskID != "big" || sp.Path.ID != "split/full" {
-		t.Fatalf("split plan for %s/%s, want big/split/full", sp.TaskID, sp.Path.ID)
+	if sp.taskID != "big" || sp.path.ID != "split/full" {
+		t.Fatalf("split plan for %s/%s, want big/split/full", sp.taskID, sp.path.ID)
 	}
 	if len(sp.Segments) != 2 {
 		t.Fatalf("segments %d, want 2", len(sp.Segments))
 	}
 	// 0.3 GB/stage against 0.7 GB nodes: cut after 1 or 3 leaves a 0.9 GB
 	// segment, so only the 2|2 cut is feasible.
-	if sp.Segments[0].From != 0 || sp.Segments[0].To != 2 || sp.Segments[1].From != 2 || sp.Segments[1].To != 4 {
+	if sp.Segments[0].from != 0 || sp.Segments[0].To != 2 || sp.Segments[1].from != 2 || sp.Segments[1].To != 4 {
 		t.Fatalf("cut [%d,%d)|[%d,%d), want [0,2)|[2,4)",
-			sp.Segments[0].From, sp.Segments[0].To, sp.Segments[1].From, sp.Segments[1].To)
+			sp.Segments[0].from, sp.Segments[0].To, sp.Segments[1].from, sp.Segments[1].To)
 	}
-	if sp.Segments[0].NodeID == sp.Segments[1].NodeID {
-		t.Fatalf("both segments on %s", sp.Segments[0].NodeID)
+	if sp.Segments[0].nodeID == sp.Segments[1].nodeID {
+		t.Fatalf("both segments on %s", sp.Segments[0].nodeID)
 	}
-	if sp.Z != 1 {
-		t.Errorf("admitted fraction %v, want 1 (nothing else competes)", sp.Z)
+	if sp.z != 1 {
+		t.Errorf("admitted fraction %v, want 1 (nothing else competes)", sp.z)
 	}
-	if sp.RBs <= 0 {
-		t.Errorf("head slice %d RBs, want positive", sp.RBs)
+	if sp.rbs <= 0 {
+		t.Errorf("head slice %d RBs, want positive", sp.rbs)
 	}
-	if sp.Segments[0].TransferBits <= 0 {
+	if sp.Segments[0].transferBits <= 0 {
 		t.Error("head segment ships no boundary activation")
 	}
-	if sp.Segments[1].TransferBits != 0 {
+	if sp.Segments[1].transferBits != 0 {
 		t.Error("tail segment has a transfer")
 	}
-	if sp.LatencyMS <= 0 || sp.LatencyMS > 500 {
-		t.Errorf("predicted latency %.1fms outside (0, 500]", sp.LatencyMS)
+	if sp.latencyMS <= 0 || sp.latencyMS > 500 {
+		t.Errorf("predicted latency %.1fms outside (0, 500]", sp.latencyMS)
 	}
-	if sp.BudgetMS <= 0 || sp.BudgetMS > 500 {
-		t.Errorf("pipeline budget %.1fms outside (0, 500]", sp.BudgetMS)
+	if sp.budgetMS <= 0 || sp.budgetMS > 500 {
+		t.Errorf("pipeline budget %.1fms outside (0, 500]", sp.budgetMS)
 	}
 	head := sp.Segments[0]
-	if got, ok := p.Route["big"]; !ok || got != head.NodeID {
-		t.Fatalf("routed to %q, want head %q", got, head.NodeID)
+	if got, ok := p.route["big"]; !ok || got != head.nodeID {
+		t.Fatalf("routed to %q, want head %q", got, head.nodeID)
 	}
 	// Each node's plan must carry the block specs its segment deploys, so
 	// the member-side catalog can price them.
 	for _, seg := range sp.Segments {
-		for pi := range p.Plans {
-			if p.Plans[pi].Node.ID != seg.NodeID {
+		for pi := range p.plans {
+			if p.plans[pi].Node.ID != seg.nodeID {
 				continue
 			}
-			for _, id := range sp.Path.Blocks[seg.From:seg.To] {
-				if _, ok := p.Plans[pi].Blocks[id]; !ok {
-					t.Errorf("node %s plan missing segment block %s", seg.NodeID, id)
+			for _, id := range sp.path.Blocks[seg.from:seg.To] {
+				if _, ok := p.plans[pi].Blocks[id]; !ok {
+					t.Errorf("node %s plan missing segment block %s", seg.nodeID, id)
 				}
 			}
 		}
@@ -139,8 +139,8 @@ func TestSplitPlaceRespectsLatency(t *testing.T) {
 	if len(p.Splits) != 0 {
 		t.Fatalf("unmeetable deadline still split: %+v", p.Splits)
 	}
-	if len(p.Unplaced) != 1 {
-		t.Fatalf("unplaced %v, want the task back", p.Unplaced)
+	if len(p.unplaced) != 1 {
+		t.Fatalf("unplaced %v, want the task back", p.unplaced)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestSplitPlaceIgnoresTrainNormalizer(t *testing.T) {
 		nodes[i].Res.TrainBudgetSeconds = 1
 	}
 	p := PlaceWith(context.Background(), tasks, blocks, nodes, PlaceConfig{Alpha: 0.5, Split: &SplitConfig{}})
-	if len(p.Unplaced) != 0 || len(p.Splits) != 1 {
-		t.Fatalf("unplaced %v, %d splits; want the task split", p.Unplaced, len(p.Splits))
+	if len(p.unplaced) != 0 || len(p.Splits) != 1 {
+		t.Fatalf("unplaced %v, %d splits; want the task split", p.unplaced, len(p.Splits))
 	}
 	if segs := p.Splits[0].Segments; len(segs) != 2 || segs[0].To != 2 {
 		t.Fatalf("segments %+v, want the 2|2 cut", segs)
@@ -171,24 +171,24 @@ func TestCheckSplitsDropsOvercommit(t *testing.T) {
 	tasks, blocks := splitScenario()
 	p := PlaceWith(context.Background(), tasks, blocks, []Node{splitNode("a"), splitNode("b")},
 		PlaceConfig{Alpha: 0.5, Split: &SplitConfig{}})
-	if len(p.Splits) != 1 || len(p.Errors) != 0 || len(wireSegments(p.Splits)) != 2 {
-		t.Fatalf("placement: %d splits, errors %v, segments on %d nodes", len(p.Splits), p.Errors, len(wireSegments(p.Splits)))
+	if len(p.Splits) != 1 || len(p.errors) != 0 || len(wireSegments(p.Splits)) != 2 {
+		t.Fatalf("placement: %d splits, errors %v, segments on %d nodes", len(p.Splits), p.errors, len(wireSegments(p.Splits)))
 	}
 	// 2.5 s/s of compute over the two 1e-4 s stages of a segment: 12 500
 	// requests per second fit, 20 000 do not.
-	p.Splits[0].Rate = 20000
+	p.Splits[0].rate = 20000
 	p.checkSplits()
 	p.assemble(tasks)
 	if len(p.Splits) != 0 {
 		t.Fatalf("overcommitted split kept: %+v", p.Splits)
 	}
-	if _, ok := p.Route["big"]; ok || len(p.Unplaced) != 1 || p.Unplaced[0] != "big" {
-		t.Fatalf("route %v, unplaced %v; want big unrouted", p.Route, p.Unplaced)
+	if _, ok := p.route["big"]; ok || len(p.unplaced) != 1 || p.unplaced[0] != "big" {
+		t.Fatalf("route %v, unplaced %v; want big unrouted", p.route, p.unplaced)
 	}
-	if p.WeightedAdmission != 0 {
-		t.Errorf("weighted admission %v after the drop, want 0", p.WeightedAdmission)
+	if p.weightedAdmission != 0 {
+		t.Errorf("weighted admission %v after the drop, want 0", p.weightedAdmission)
 	}
-	if len(p.Errors) != 2 || !strings.Contains(p.Errors[0], "(1c)") {
-		t.Errorf("errors %v, want both nodes named with (1c)", p.Errors)
+	if len(p.errors) != 2 || !strings.Contains(p.errors[0], "(1c)") {
+		t.Errorf("errors %v, want both nodes named with (1c)", p.errors)
 	}
 }

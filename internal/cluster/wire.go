@@ -212,9 +212,9 @@ func (w WireResources) budgets() core.Resources {
 	return core.Resources{RBs: w.RBs, ComputeSeconds: w.ComputeSeconds, MemoryGB: w.MemoryGB, TrainBudgetSeconds: w.TrainBudgetSeconds}
 }
 
-// NormResources converts the wire norm into the pricing override a member
+// normResources converts the wire norm into the pricing override a member
 // applies to its own pool, nil when the push carries none.
-func (w WireResources) NormResources() *core.Resources {
+func (w WireResources) normResources() *core.Resources {
 	if w.Norm == nil {
 		return nil
 	}
@@ -222,10 +222,10 @@ func (w WireResources) NormResources() *core.Resources {
 	return &norm
 }
 
-// Matches reports whether the wire budgets equal the given pool (the
+// matches reports whether the wire budgets equal the given pool (the
 // member-side check that a pushed plan was solved for its capacities).
 // Budgets cross the wire as JSON, which round-trips a float64 exactly.
-func (w WireResources) Matches(r core.Resources) error {
+func (w WireResources) matches(r core.Resources) error {
 	r.Capacity, r.Norm = nil, nil
 	if got := w.budgets(); got != r {
 		return fmt.Errorf("cluster: plan solved for R=%d, C=%gs, M=%g GB, Ct=%gs; node has R=%d, C=%gs, M=%g GB, Ct=%gs",

@@ -110,11 +110,11 @@ func (in *Instance) optimizeAllocation(ctx context.Context, assignments []Assign
 			assignments[st.idx].Z = st.z
 			assignments[st.idx].RBs = st.r
 		}
-		bd, err := in.Evaluate(assignments)
+		bd, err := in.evaluate(assignments)
 		if err != nil {
 			return err
 		}
-		if c := bd.CostValue(); c < bestCost {
+		if c := bd.costValue(); c < bestCost {
 			bestCost = c
 			for i := range active {
 				bestZ[i] = active[i].z
@@ -179,7 +179,7 @@ func (in *Instance) updateSlices(active []allocState) bool {
 // cols (parallel to active). Prices come from the (possibly fleet-wide)
 // normalizers, the row coefficients are against the pool's own budgets.
 func (in *Instance) zColumns(active []allocState, cols []zColumn) {
-	rNorm, cNorm := float64(in.Res.PriceRBs()), in.Res.PriceComputeSeconds()
+	rNorm, cNorm := float64(in.Res.priceRBs()), in.Res.priceComputeSeconds()
 	for i := range active {
 		st := &active[i]
 		task := &in.Tasks[st.idx]

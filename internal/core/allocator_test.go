@@ -33,11 +33,11 @@ func bruteForceAllocation(in *Instance, assignments []Assignment, zSteps, rMax i
 			if err := in.Check(work); err != nil {
 				return
 			}
-			bd, err := in.Evaluate(work)
+			bd, err := in.evaluate(work)
 			if err != nil {
 				return
 			}
-			if c := bd.CostValue(); c < best {
+			if c := bd.costValue(); c < best {
 				best = c
 			}
 			return
@@ -113,11 +113,11 @@ func TestAllocatorMatchesBruteForce(t *testing.T) {
 			if err := in.Check(assignments); err != nil {
 				t.Fatalf("allocator output infeasible: %v", err)
 			}
-			bd, err := in.Evaluate(assignments)
+			bd, err := in.evaluate(assignments)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := bd.CostValue()
+			got := bd.costValue()
 			// Brute force over a 25-step z grid and r up to 8; the grid is a
 			// relaxation of neither problem, so allow a small slack in both
 			// directions (the allocator's LP can beat the grid between steps).

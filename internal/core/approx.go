@@ -53,9 +53,9 @@ func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 		return nil, err
 	}
 	order := priorityOrder(in)
-	rPrice := float64(in.Res.PriceRBs())
-	cPrice := in.Res.PriceComputeSeconds()
-	ctPrice := in.Res.PriceTrainBudgetSeconds()
+	rPrice := float64(in.Res.priceRBs())
+	cPrice := in.Res.priceComputeSeconds()
+	ctPrice := in.Res.priceTrainBudgetSeconds()
 
 	// Pass 1: per-task shortlists, fanned over the tensor pool. Each
 	// slot is written by exactly one goroutine and depends only on that
@@ -72,14 +72,14 @@ func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 			}
 			list := make([]approxCand, 0, approxShortlistK)
 			for _, v := range buildCliqueVertices(in, ti) {
-				if v.Reject() {
+				if v.reject() {
 					continue
 				}
-				slack := task.MaxLatency.Seconds() - v.Compute
+				slack := task.MaxLatency.Seconds() - v.compute
 				if slack <= 0 {
 					continue
 				}
-				rLat, rFull := MinSlices(v.Bits, bRate, slack, task.Rate)
+				rLat, rFull := MinSlices(v.bits, bRate, slack, task.Rate)
 				if rLat > in.Res.RBs {
 					continue
 				}
@@ -113,11 +113,11 @@ func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 			// Marginal deployment cost: only blocks no higher-ranked
 			// task has already activated.
 			var addMem, addCt float64
-			if c.v.Path != nil {
-				for _, id := range c.v.Path.Blocks {
+			if c.v.path != nil {
+				for _, id := range c.v.path.Blocks {
 					if !state.active[id] {
 						addMem += in.BlockMemoryGB(id)
-						addCt += in.BlockTrainSeconds(id)
+						addCt += in.blockTrainSeconds(id)
 					}
 				}
 			}
@@ -126,10 +126,10 @@ func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 			}
 			r := c.r
 			z := 1.0
-			if demand := task.Rate * c.v.Compute; demand > 0 && remC < demand {
+			if demand := task.Rate * c.v.compute; demand > 0 && remC < demand {
 				z = remC / demand
 			}
-			if lim := bRate * float64(r) / (task.Rate * c.v.Bits); lim < z {
+			if lim := bRate * float64(r) / (task.Rate * c.v.bits); lim < z {
 				z = lim
 			}
 			if remRB < z*float64(r) {
@@ -146,7 +146,7 @@ func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 				net += (1 - in.Alpha) * z * float64(r) / rPrice
 			}
 			if cPrice > 0 {
-				net += (1 - in.Alpha) * z * task.Rate * c.v.Compute / cPrice
+				net += (1 - in.Alpha) * z * task.Rate * c.v.compute / cPrice
 			}
 			if ctPrice > 0 {
 				net += (1 - in.Alpha) * addCt / ctPrice
@@ -155,11 +155,11 @@ func solveApproxCtx(ctx context.Context, in *Instance) (*Solution, error) {
 				continue
 			}
 			state.push(c.v) // blocks stay active for later tasks
-			assignments[ti].Path = c.v.Path
-			assignments[ti].Quality = c.v.Quality
+			assignments[ti].Path = c.v.path
+			assignments[ti].Quality = c.v.quality
 			assignments[ti].Z = z
 			assignments[ti].RBs = r
-			remC -= z * task.Rate * c.v.Compute
+			remC -= z * task.Rate * c.v.compute
 			remRB -= z * float64(r)
 			if remC < 0 {
 				remC = 0

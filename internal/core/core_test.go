@@ -131,7 +131,7 @@ func TestEvaluateHandComputed(t *testing.T) {
 		{TaskID: "t1", Path: &in.Tasks[0].Paths[0], Z: 1, RBs: 2},
 		{TaskID: "t2", Path: nil, Z: 0},
 	}
-	bd, err := in.Evaluate(asg)
+	bd, err := in.evaluate(asg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestEvaluateHandComputed(t *testing.T) {
 	if math.Abs(bd.MemoryGB-3) > 1e-12 {
 		t.Fatalf("memory %v, want 3 (b1+b2 once)", bd.MemoryGB)
 	}
-	if bd.AdmittedTasks != 1 || bd.FullyAdmittedTasks != 1 {
-		t.Fatalf("admitted counts %d/%d, want 1/1", bd.AdmittedTasks, bd.FullyAdmittedTasks)
+	if bd.AdmittedTasks != 1 || bd.fullyAdmittedTasks != 1 {
+		t.Fatalf("admitted counts %d/%d, want 1/1", bd.AdmittedTasks, bd.fullyAdmittedTasks)
 	}
-	if math.Abs(bd.CostValue()-(0.25+0.05+0.1+0.06)) > 1e-12 {
-		t.Fatalf("cost %v", bd.CostValue())
+	if math.Abs(bd.costValue()-(0.25+0.05+0.1+0.06)) > 1e-12 {
+		t.Fatalf("cost %v", bd.costValue())
 	}
 }
 
@@ -223,21 +223,21 @@ func TestBuildTreeOrdersAndFilters(t *testing.T) {
 	}
 	for li, l := range tree.Layers {
 		task := &in.Tasks[l.TaskIndex]
-		if !l.Vertices[len(l.Vertices)-1].Reject() {
+		if !l.Vertices[len(l.Vertices)-1].reject() {
 			t.Fatalf("layer %d missing trailing reject vertex", li)
 		}
 		prevC := -1.0
 		for _, v := range l.Vertices[:len(l.Vertices)-1] {
-			if v.Path.Accuracy < task.MinAccuracy {
+			if v.path.Accuracy < task.MinAccuracy {
 				t.Fatalf("layer %d kept accuracy-infeasible vertex", li)
 			}
-			if time.Duration(v.Compute*float64(time.Second)) > task.MaxLatency {
+			if time.Duration(v.compute*float64(time.Second)) > task.MaxLatency {
 				t.Fatalf("layer %d kept latency-infeasible vertex", li)
 			}
-			if v.Compute < prevC {
+			if v.compute < prevC {
 				t.Fatalf("layer %d vertices not sorted by compute", li)
 			}
-			prevC = v.Compute
+			prevC = v.compute
 		}
 	}
 	if tree.NumBranches() <= 1 {
@@ -254,7 +254,7 @@ func TestTreeFiltersAllPathsWhenAccuracyImpossible(t *testing.T) {
 	}
 	for _, l := range tree.Layers {
 		if in.Tasks[l.TaskIndex].ID == "task-0" {
-			if len(l.Vertices) != 1 || !l.Vertices[0].Reject() {
+			if len(l.Vertices) != 1 || !l.Vertices[0].reject() {
 				t.Fatalf("expected only the reject vertex, got %d vertices", len(l.Vertices))
 			}
 		}

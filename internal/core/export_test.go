@@ -40,3 +40,27 @@ func CheckZStepRounds(t *testing.T, name string, in *Instance) int {
 	}
 	return rounds
 }
+
+// NumBranches returns the total number of root-to-leaf branches of the
+// full tree (the Π_τ N_τ size the paper's complexity analysis cites).
+func (t *Tree) NumBranches() float64 {
+	n := 1.0
+	for _, c := range t.Layers {
+		n *= float64(len(c.Vertices))
+	}
+	return n
+}
+
+// SessionStats reports a session's clique-cache work, cumulatively over
+// its lifetime.
+type SessionStats struct {
+	// CliqueHits counts cliques served from the cache across epochs.
+	CliqueHits uint64
+	// CliqueMisses counts cliques (re)built.
+	CliqueMisses uint64
+}
+
+// Stats returns the session's cumulative clique-cache counters.
+func (s *SolverSession) Stats() SessionStats {
+	return SessionStats{CliqueHits: s.cache.hits, CliqueMisses: s.cache.misses}
+}

@@ -29,22 +29,6 @@ type TaskDelta struct {
 	Rate map[string]float64
 }
 
-// Empty reports whether the delta carries no changes.
-func (d *TaskDelta) Empty() bool {
-	return len(d.Add) == 0 && len(d.AddBlocks) == 0 && len(d.Remove) == 0 && len(d.Rate) == 0
-}
-
-// SessionStats reports the incremental machinery's work, cumulatively
-// over the session's lifetime.
-type SessionStats struct {
-	// Epochs counts successful Resolve calls.
-	Epochs uint64
-	// CliqueHits counts cliques served from the cache across epochs.
-	CliqueHits uint64
-	// CliqueMisses counts cliques (re)built.
-	CliqueMisses uint64
-}
-
 // SolverSession is an incremental OffloaDNN solver for the serving loop's
 // hot path: it caches the layered weighted tree across epochs, feeds on
 // task deltas instead of whole instances, and invalidates only the
@@ -56,7 +40,6 @@ type SolverSession struct {
 	inst  *Instance
 	index map[string]int // task ID → position in inst.Tasks
 	cache *treeCache
-	stats SessionStats
 }
 
 // NewSolverSession validates the instance and prepares an incremental
@@ -110,14 +93,6 @@ func (s *SolverSession) Tasks() []Task {
 // checking a solution or building a deployment). Mutating it corrupts
 // the clique cache.
 func (s *SolverSession) Instance() *Instance { return s.inst }
-
-// Stats returns the cumulative incremental-machinery counters.
-func (s *SolverSession) Stats() SessionStats {
-	st := s.stats
-	st.CliqueHits = s.cache.hits
-	st.CliqueMisses = s.cache.misses
-	return st
-}
 
 // apply folds a delta into the session state, invalidating exactly the
 // cached cliques the delta touches. It validates before mutating, so a
@@ -250,6 +225,5 @@ func (s *SolverSession) Resolve(ctx context.Context, delta TaskDelta) (*Solution
 		return nil, err
 	}
 	sol.Tier = TierHeuristic
-	s.stats.Epochs++
 	return sol, nil
 }

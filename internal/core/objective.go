@@ -15,9 +15,9 @@ const zEps = 1e-9
 // checkTol is the slack Check and Reserve allow a capacity constraint.
 const checkTol = 1e-6
 
-// Evaluate computes the DOT objective (1a) and its breakdown for a
+// evaluate computes the DOT objective (1a) and its breakdown for a
 // candidate solution. It does not check feasibility; use Check for that.
-func (in *Instance) Evaluate(assignments []Assignment) (Breakdown, error) {
+func (in *Instance) evaluate(assignments []Assignment) (Breakdown, error) {
 	if len(assignments) != len(in.Tasks) {
 		return Breakdown{}, fmt.Errorf("%w: %d assignments for %d tasks", errModel, len(assignments), len(in.Tasks))
 	}
@@ -39,7 +39,7 @@ func (in *Instance) Evaluate(assignments []Assignment) (Breakdown, error) {
 		}
 		bd.AdmittedTasks++
 		if z > 1-1e-6 {
-			bd.FullyAdmittedTasks++
+			bd.fullyAdmittedTasks++
 		}
 		cPath := in.PathCompute(a.Path)
 		bd.ComputeUsage += z * task.Rate * cPath
@@ -47,10 +47,10 @@ func (in *Instance) Evaluate(assignments []Assignment) (Breakdown, error) {
 		// Radio term: the fraction of total radio resources allocated to
 		// admitted tasks (Sec. III-B item (ii)) — z·r/R, not scaled by the
 		// request rate (a slice of r RBs is allocated once per task).
-		if rNorm := in.Res.PriceRBs(); rNorm > 0 {
+		if rNorm := in.Res.priceRBs(); rNorm > 0 {
 			bd.RadioTerm += (1 - in.Alpha) * z * float64(a.RBs) / float64(rNorm)
 		}
-		if cNorm := in.Res.PriceComputeSeconds(); cNorm > 0 {
+		if cNorm := in.Res.priceComputeSeconds(); cNorm > 0 {
 			bd.InferTerm += (1 - in.Alpha) * z * task.Rate * cPath / cNorm
 		}
 		for _, bID := range a.Path.Blocks {
@@ -65,21 +65,21 @@ func (in *Instance) Evaluate(assignments []Assignment) (Breakdown, error) {
 	bd.ActiveBlocks = ids
 	for _, id := range ids {
 		bd.MemoryGB += in.BlockMemoryGB(id)
-		bd.TrainSeconds += in.BlockTrainSeconds(id)
+		bd.TrainSeconds += in.blockTrainSeconds(id)
 	}
-	bd.TrainTerm = (1 - in.Alpha) * bd.TrainSeconds / in.Res.PriceTrainBudgetSeconds()
+	bd.TrainTerm = (1 - in.Alpha) * bd.TrainSeconds / in.Res.priceTrainBudgetSeconds()
 	return bd, nil
 }
 
 // Cost returns the scalar objective from a breakdown.
-func (bd Breakdown) CostValue() float64 {
+func (bd Breakdown) costValue() float64 {
 	return bd.AdmissionTerm + bd.TrainTerm + bd.RadioTerm + bd.InferTerm
 }
 
 // Check verifies every DOT constraint (1b)–(1g) for the assignments and
 // returns a descriptive error for the first violation found.
 func (in *Instance) Check(assignments []Assignment) error {
-	bd, err := in.Evaluate(assignments)
+	bd, err := in.evaluate(assignments)
 	if err != nil {
 		return err
 	}
@@ -142,13 +142,13 @@ func (in *Instance) EndToEndLatency(task *Task, a Assignment) (time.Duration, er
 
 // newSolution packages assignments into a Solution with cost and runtime.
 func (in *Instance) newSolution(assignments []Assignment, runtime time.Duration) (*Solution, error) {
-	bd, err := in.Evaluate(assignments)
+	bd, err := in.evaluate(assignments)
 	if err != nil {
 		return nil, err
 	}
 	return &Solution{
 		Assignments: assignments,
-		Cost:        bd.CostValue(),
+		Cost:        bd.costValue(),
 		Breakdown:   bd,
 		Runtime:     runtime,
 	}, nil

@@ -108,13 +108,13 @@ func TestReserveChargesOnce(t *testing.T) {
 		in.Res.Norm.TrainBudgetSeconds != 1 {
 		t.Errorf("Norm %+v, want the budgets before the reservation", in.Res.Norm)
 	}
-	if in.Res.PriceRBs() != before.RBs || in.Res.PriceComputeSeconds() != before.ComputeSeconds {
+	if in.Res.priceRBs() != before.RBs || in.Res.priceComputeSeconds() != before.ComputeSeconds {
 		t.Error("a reservation moved the prices")
 	}
 
 	// A path over the resident blocks pays no memory and no training; a
 	// second Reserve keeps the pinned prices.
-	if in.BlockMemoryGB("a") != 0 || in.BlockTrainSeconds("b") != 0 || in.BlockMemoryGB("c") != 0.4 {
+	if in.BlockMemoryGB("a") != 0 || in.blockTrainSeconds("b") != 0 || in.BlockMemoryGB("c") != 0.4 {
 		t.Error("resident blocks are not free, or a non-resident one is")
 	}
 	norm := in.Res.Norm

@@ -66,11 +66,11 @@ func SolveOptimal(ctx context.Context, in *Instance) (*Solution, *OptimalStats, 
 			if err := in.OptimizeAllocation(assignments); err != nil {
 				return err
 			}
-			bd, err := in.Evaluate(assignments)
+			bd, err := in.evaluate(assignments)
 			if err != nil {
 				return err
 			}
-			if c := bd.CostValue(); best == nil || c < best.Cost {
+			if c := bd.costValue(); best == nil || c < best.Cost {
 				best = &Solution{Assignments: assignments, Cost: c, Breakdown: bd}
 			}
 			return nil
@@ -98,6 +98,6 @@ func SolveOptimal(ctx context.Context, in *Instance) (*Solution, *OptimalStats, 
 	}
 	best.Runtime = time.Since(start)
 	best.Tier = tierOptimal
-	best.Stats = stats
+	best.stats = stats
 	return best, stats, nil
 }

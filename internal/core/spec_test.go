@@ -38,8 +38,8 @@ func TestSolveSpecTierTagging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Tier != tierOptimal || sol.Stats == nil {
-		t.Fatalf("optimal tier = %v, stats %v", sol.Tier, sol.Stats)
+	if sol.Tier != tierOptimal || sol.stats == nil {
+		t.Fatalf("optimal tier = %v, stats %v", sol.Tier, sol.stats)
 	}
 
 	if _, err := SolveSpec(ctx, in, SolverSpec{Tier: Tier(99)}); err == nil {

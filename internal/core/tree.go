@@ -13,24 +13,24 @@ import (
 // rejection decision (Path == nil, used when no path fits the remaining
 // memory — the task then gets z = 0).
 type Vertex struct {
-	// Path is the candidate execution; nil marks the reject vertex.
-	Path *PathSpec
-	// Quality is the input-quality level paired with the path (nil =
+	// path is the candidate execution; nil marks the reject vertex.
+	path *PathSpec
+	// quality is the input-quality level paired with the path (nil =
 	// full quality). Vertices enumerate (path × quality) combinations.
-	Quality *QualityLevel
-	// Compute caches Σ c(s) over the path (0 for reject).
-	Compute float64
-	// Train caches Σ ct(s) over the path's blocks (upper bound — sharing
+	quality *QualityLevel
+	// compute caches Σ c(s) over the path (0 for reject).
+	compute float64
+	// train caches Σ ct(s) over the path's blocks (upper bound — sharing
 	// may reduce the charged cost). Used only to break compute ties.
-	Train float64
-	// Memory caches Σ µ(s) over the path's blocks (upper bound).
-	Memory float64
-	// Bits caches β(q) of the vertex's quality level.
-	Bits float64
+	train float64
+	// memory caches Σ µ(s) over the path's blocks (upper bound).
+	memory float64
+	// bits caches β(q) of the vertex's quality level.
+	bits float64
 }
 
-// Reject reports whether this is the rejection decision.
-func (v Vertex) Reject() bool { return v.Path == nil }
+// reject reports whether this is the rejection decision.
+func (v Vertex) reject() bool { return v.path == nil }
 
 // Clique is the layer-t sibling group: all feasible decisions for one
 // task, ordered by ascending inference compute time (the ordering that
@@ -131,7 +131,7 @@ func comparePathKeys(a, b pathKey) int {
 // the garbage collector's write barrier.
 func buildCliqueVertices(in *Instance, ti int) []Vertex {
 	task := &in.Tasks[ti]
-	qualities := task.QualityOptions()
+	qualities := task.qualityOptions()
 	var buf [16]pathKey
 	paths := buf[:0]
 	for pi := range task.Paths {
@@ -166,30 +166,20 @@ func buildCliqueVertices(in *Instance, ti int) []Vertex {
 				if p.Accuracy-q.AccuracyDelta < task.MinAccuracy {
 					continue
 				}
-				v := Vertex{Path: p, Compute: k.compute, Train: k.train, Memory: k.memory, Bits: q.Bits}
+				v := Vertex{path: p, compute: k.compute, train: k.train, memory: k.memory, bits: q.Bits}
 				if qi > 0 { // level 0 is the implicit full quality
 					quality := q
-					v.Quality = &quality
+					v.quality = &quality
 				}
 				vertices = append(vertices, v)
 			}
 		}
 		if len(vertices)-run > 1 {
-			slices.SortStableFunc(vertices[run:], func(va, vb Vertex) int { return cmp.Compare(va.Bits, vb.Bits) })
+			slices.SortStableFunc(vertices[run:], func(va, vb Vertex) int { return cmp.Compare(va.bits, vb.bits) })
 		}
 		lo = hi
 	}
 	return append(vertices, Vertex{}) // reject vertex
-}
-
-// NumBranches returns the total number of root-to-leaf branches of the
-// full tree (the Π_τ N_τ size the paper's complexity analysis cites).
-func (t *Tree) NumBranches() float64 {
-	n := 1.0
-	for _, c := range t.Layers {
-		n *= float64(len(c.Vertices))
-	}
-	return n
 }
 
 // branchState tracks the memory/training correlation along a branch: the
@@ -212,13 +202,13 @@ func newBranchState(in *Instance) *branchState {
 // push. Pop must be called to backtrack.
 func (s *branchState) push(v Vertex) float64 {
 	var added []string
-	if v.Path != nil {
-		for _, id := range v.Path.Blocks {
+	if v.path != nil {
+		for _, id := range v.path.Blocks {
 			if !s.active[id] {
 				s.active[id] = true
 				added = append(added, id)
 				s.memoryGB += s.inst.BlockMemoryGB(id)
-				s.trainSec += s.inst.BlockTrainSeconds(id)
+				s.trainSec += s.inst.blockTrainSeconds(id)
 			}
 		}
 	}
@@ -233,7 +223,7 @@ func (s *branchState) pop() {
 	for _, id := range last {
 		delete(s.active, id)
 		s.memoryGB -= s.inst.BlockMemoryGB(id)
-		s.trainSec -= s.inst.BlockTrainSeconds(id)
+		s.trainSec -= s.inst.blockTrainSeconds(id)
 	}
 }
 
@@ -257,8 +247,8 @@ func (t *Tree) assignmentsFor(chosen []Vertex) ([]Assignment, error) {
 	out := t.inst.unassigned()
 	for li, v := range chosen {
 		ti := t.Layers[li].TaskIndex
-		out[ti].Path = v.Path
-		out[ti].Quality = v.Quality
+		out[ti].Path = v.path
+		out[ti].Quality = v.quality
 	}
 	return out, nil
 }
@@ -288,8 +278,8 @@ func firstBranch(ctx context.Context, in *Instance, layers []int, cliqueOf func(
 		picked := false
 		for _, v := range cliqueOf(li) {
 			if state.push(v) <= in.Res.MemoryGB+1e-12 {
-				out[ti].Path = v.Path
-				out[ti].Quality = v.Quality
+				out[ti].Path = v.path
+				out[ti].Quality = v.quality
 				picked = true
 				break
 			}

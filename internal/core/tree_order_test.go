@@ -15,7 +15,7 @@ import (
 // sorts the paths' keys instead and must give the same layer.
 func fourKeySortedClique(in *Instance, ti int) []Vertex {
 	task := &in.Tasks[ti]
-	qualities := task.QualityOptions()
+	qualities := task.qualityOptions()
 	var vertices []Vertex
 	for pi := range task.Paths {
 		p := &task.Paths[pi]
@@ -25,7 +25,7 @@ func fourKeySortedClique(in *Instance, ti int) []Vertex {
 		}
 		var train, mem float64
 		for _, id := range p.Blocks {
-			train += in.BlockTrainSeconds(id)
+			train += in.blockTrainSeconds(id)
 			mem += in.BlockMemoryGB(id)
 		}
 		for qi := range qualities {
@@ -33,25 +33,25 @@ func fourKeySortedClique(in *Instance, ti int) []Vertex {
 			if p.Accuracy-q.AccuracyDelta < task.MinAccuracy {
 				continue
 			}
-			v := Vertex{Path: p, Compute: c, Train: train, Memory: mem, Bits: q.Bits}
+			v := Vertex{path: p, compute: c, train: train, memory: mem, bits: q.Bits}
 			if qi > 0 {
-				v.Quality = &q
+				v.quality = &q
 			}
 			vertices = append(vertices, v)
 		}
 	}
 	sort.SliceStable(vertices, func(a, b int) bool {
 		va, vb := vertices[a], vertices[b]
-		if va.Compute != vb.Compute {
-			return va.Compute < vb.Compute
+		if va.compute != vb.compute {
+			return va.compute < vb.compute
 		}
-		if va.Train != vb.Train {
-			return va.Train < vb.Train
+		if va.train != vb.train {
+			return va.train < vb.train
 		}
-		if va.Memory != vb.Memory {
-			return va.Memory < vb.Memory
+		if va.memory != vb.memory {
+			return va.memory < vb.memory
 		}
-		return va.Bits < vb.Bits
+		return va.bits < vb.bits
 	})
 	return append(vertices, Vertex{})
 }
@@ -103,7 +103,7 @@ func TestCliqueOrderMatchesFourKeySort(t *testing.T) {
 			t.Fatalf("task %d: clique differs from the four-key stable sort\n got %+v\nwant %+v", ti, got, want)
 		}
 		for i := 1; i < len(want)-1; i++ {
-			if want[i].Compute == want[i-1].Compute && want[i].Train == want[i-1].Train && want[i].Memory == want[i-1].Memory {
+			if want[i].compute == want[i-1].compute && want[i].train == want[i-1].train && want[i].memory == want[i-1].memory {
 				ties++
 			}
 		}

@@ -102,9 +102,9 @@ type Task struct {
 	Paths []PathSpec
 }
 
-// QualityOptions returns the task's quality ladder including the implicit
+// qualityOptions returns the task's quality ladder including the implicit
 // full-quality level (first).
-func (t *Task) QualityOptions() []QualityLevel {
+func (t *Task) qualityOptions() []QualityLevel {
 	out := make([]QualityLevel, 0, len(t.Qualities)+1)
 	out = append(out, QualityLevel{ID: "full", Bits: t.InputBits})
 	out = append(out, t.Qualities...)
@@ -152,24 +152,24 @@ func (r Resources) Validate() error {
 	return nil
 }
 
-// PriceRBs returns the R the radio term is normalized by.
-func (r Resources) PriceRBs() int {
+// priceRBs returns the R the radio term is normalized by.
+func (r Resources) priceRBs() int {
 	if r.Norm != nil && r.Norm.RBs > 0 {
 		return r.Norm.RBs
 	}
 	return r.RBs
 }
 
-// PriceComputeSeconds returns the C the inference term is normalized by.
-func (r Resources) PriceComputeSeconds() float64 {
+// priceComputeSeconds returns the C the inference term is normalized by.
+func (r Resources) priceComputeSeconds() float64 {
 	if r.Norm != nil && r.Norm.ComputeSeconds > 0 {
 		return r.Norm.ComputeSeconds
 	}
 	return r.ComputeSeconds
 }
 
-// PriceTrainBudgetSeconds returns the Ct the training term is normalized by.
-func (r Resources) PriceTrainBudgetSeconds() float64 {
+// priceTrainBudgetSeconds returns the Ct the training term is normalized by.
+func (r Resources) priceTrainBudgetSeconds() float64 {
 	if r.Norm != nil && r.Norm.TrainBudgetSeconds > 0 {
 		return r.Norm.TrainBudgetSeconds
 	}
@@ -274,8 +274,8 @@ func (in *Instance) BlockMemoryGB(id string) float64 {
 	return in.Blocks[id].MemoryGB
 }
 
-// BlockTrainSeconds returns ct(s), honoring predeployment.
-func (in *Instance) BlockTrainSeconds(id string) float64 {
+// blockTrainSeconds returns ct(s), honoring predeployment.
+func (in *Instance) blockTrainSeconds(id string) float64 {
 	if in.Predeployed[id] {
 		return 0
 	}
@@ -336,9 +336,9 @@ type Solution struct {
 	// optimal, approx). Zero (tierAuto) on solutions from custom solver
 	// callbacks that predate the tiered API.
 	Tier Tier
-	// Stats carries search statistics for the optimal tier, nil
+	// stats carries search statistics for the optimal tier, nil
 	// otherwise.
-	Stats *OptimalStats
+	stats *OptimalStats
 }
 
 // Breakdown decomposes the objective value and records resource usage —
@@ -366,6 +366,6 @@ type Breakdown struct {
 	ActiveBlocks []string
 	// AdmittedTasks counts tasks with z > 0.
 	AdmittedTasks int
-	// FullyAdmittedTasks counts tasks with z ≈ 1.
-	FullyAdmittedTasks int
+	// fullyAdmittedTasks counts tasks with z ≈ 1.
+	fullyAdmittedTasks int
 }

@@ -99,20 +99,20 @@ func reorderCliques(t *Tree, order CliqueOrder) {
 		switch order {
 		case OrderMemory:
 			sort.SliceStable(real, func(a, b int) bool {
-				if real[a].Memory != real[b].Memory {
-					return real[a].Memory < real[b].Memory
+				if real[a].memory != real[b].memory {
+					return real[a].memory < real[b].memory
 				}
-				return real[a].Compute < real[b].Compute
+				return real[a].compute < real[b].compute
 			})
 		case OrderAccuracy:
 			sort.SliceStable(real, func(a, b int) bool {
-				accA := real[a].Path.Accuracy
-				accB := real[b].Path.Accuracy
-				if real[a].Quality != nil {
-					accA -= real[a].Quality.AccuracyDelta
+				accA := real[a].path.Accuracy
+				accB := real[b].path.Accuracy
+				if real[a].quality != nil {
+					accA -= real[a].quality.AccuracyDelta
 				}
-				if real[b].Quality != nil {
-					accB -= real[b].Quality.AccuracyDelta
+				if real[b].quality != nil {
+					accB -= real[b].quality.AccuracyDelta
 				}
 				return accA > accB
 			})
@@ -127,7 +127,7 @@ func reorderCliques(t *Tree, order CliqueOrder) {
 				pos[&task.Paths[pi]] = pi
 			}
 			sort.SliceStable(real, func(a, b int) bool {
-				return pos[real[a].Path] < pos[real[b].Path]
+				return pos[real[a].path] < pos[real[b].path]
 			})
 		}
 	}

@@ -48,12 +48,12 @@ func TestQualityFilteredByAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range tree.Layers[0].Vertices {
-		if v.Reject() {
+		if v.reject() {
 			continue
 		}
-		acc := v.Path.Accuracy
-		if v.Quality != nil {
-			acc -= v.Quality.AccuracyDelta
+		acc := v.path.Accuracy
+		if v.quality != nil {
+			acc -= v.quality.AccuracyDelta
 		}
 		if acc < in.Tasks[0].MinAccuracy {
 			t.Fatalf("vertex with accuracy %v kept despite floor %v", acc, in.Tasks[0].MinAccuracy)

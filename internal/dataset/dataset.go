@@ -25,8 +25,8 @@ import (
 type Category struct {
 	// ID is the class index used as the training label.
 	ID int
-	// Name is a human-readable class name.
-	Name string
+	// name is a human-readable class name.
+	name string
 	// Group is the Table-II object group the class belongs to.
 	Group string
 }
@@ -52,7 +52,7 @@ func BaseCategories() []Category {
 		for i := 0; i < g.count; i++ {
 			out = append(out, Category{
 				ID:    id,
-				Name:  fmt.Sprintf("%s-%02d", g.group, i+1),
+				name:  fmt.Sprintf("%s-%02d", g.group, i+1),
 				Group: g.group,
 			})
 			id++
@@ -64,7 +64,7 @@ func BaseCategories() []Category {
 // NovelCategory appends a new class (e.g., the paper's grocery "mushroom"
 // or musical-instrument "electric guitar") after the given existing set.
 func NovelCategory(existing []Category, name, group string) Category {
-	return Category{ID: len(existing), Name: name, Group: group}
+	return Category{ID: len(existing), name: name, Group: group}
 }
 
 // groupSeed hashes a group name to a deterministic texture seed.
@@ -88,8 +88,8 @@ type Generator struct {
 	Noise float64
 }
 
-// Sample draws one image of the category as a (3, S, S) tensor.
-func (g Generator) Sample(cat Category, rng *rand.Rand) *tensor.Tensor {
+// sample draws one image of the category as a (3, S, S) tensor.
+func (g Generator) sample(cat Category, rng *rand.Rand) *tensor.Tensor {
 	s := g.ImageSize
 	img := tensor.New(3, s, s)
 	grng := rand.New(rand.NewSource(groupSeed(cat.Group)))
@@ -141,28 +141,25 @@ func (g Generator) Sample(cat Category, rng *rand.Rand) *tensor.Tensor {
 
 // Split holds a labeled train/test partition over a category set.
 type Split struct {
-	Categories []Category
+	categories []Category
 	TrainX     []*tensor.Tensor
-	TrainY     []int
+	trainY     []int
 	TestX      []*tensor.Tensor
 	TestY      []int
 }
-
-// NumClasses returns the number of categories in the split.
-func (s *Split) NumClasses() int { return len(s.Categories) }
 
 // Generate builds a split with perClassTrain training and perClassTest
 // test images per category, deterministically from the seed.
 func Generate(g Generator, cats []Category, perClassTrain, perClassTest int, seed int64) *Split {
 	rng := rand.New(rand.NewSource(seed))
-	sp := &Split{Categories: append([]Category(nil), cats...)}
+	sp := &Split{categories: append([]Category(nil), cats...)}
 	for _, cat := range cats {
 		for i := 0; i < perClassTrain; i++ {
-			sp.TrainX = append(sp.TrainX, g.Sample(cat, rng))
-			sp.TrainY = append(sp.TrainY, cat.ID)
+			sp.TrainX = append(sp.TrainX, g.sample(cat, rng))
+			sp.trainY = append(sp.trainY, cat.ID)
 		}
 		for i := 0; i < perClassTest; i++ {
-			sp.TestX = append(sp.TestX, g.Sample(cat, rng))
+			sp.TestX = append(sp.TestX, g.sample(cat, rng))
 			sp.TestY = append(sp.TestY, cat.ID)
 		}
 	}
@@ -172,7 +169,7 @@ func Generate(g Generator, cats []Category, perClassTrain, perClassTest int, see
 // Batch stacks the given example indices of the training set into an
 // (N, 3, S, S) tensor and a label slice.
 func (s *Split) Batch(indices []int) (*tensor.Tensor, []int, error) {
-	return stack(s.TrainX, s.TrainY, indices)
+	return stack(s.TrainX, s.trainY, indices)
 }
 
 // TestBatch stacks test-set examples.

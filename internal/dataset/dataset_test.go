@@ -35,7 +35,7 @@ func TestNovelCategoryGetsNextID(t *testing.T) {
 	if novel.ID != 60 {
 		t.Fatalf("novel ID %d, want 60", novel.ID)
 	}
-	if novel.Name != "mushroom" || novel.Group != "grocery" {
+	if novel.name != "mushroom" || novel.Group != "grocery" {
 		t.Fatalf("novel = %+v", novel)
 	}
 }
@@ -43,8 +43,8 @@ func TestNovelCategoryGetsNextID(t *testing.T) {
 func TestSampleShapeAndDeterminism(t *testing.T) {
 	g := DefaultGenerator()
 	cat := BaseCategories()[0]
-	x1 := g.Sample(cat, rand.New(rand.NewSource(1)))
-	x2 := g.Sample(cat, rand.New(rand.NewSource(1)))
+	x1 := g.sample(cat, rand.New(rand.NewSource(1)))
+	x2 := g.sample(cat, rand.New(rand.NewSource(1)))
 	if x1.Rank() != 3 || x1.Dim(0) != 3 || x1.Dim(1) != 16 || x1.Dim(2) != 16 {
 		t.Fatalf("sample shape %v, want [3 16 16]", x1.Shape())
 	}
@@ -53,7 +53,7 @@ func TestSampleShapeAndDeterminism(t *testing.T) {
 			t.Fatal("same seed produced different images")
 		}
 	}
-	x3 := g.Sample(cat, rand.New(rand.NewSource(2)))
+	x3 := g.sample(cat, rand.New(rand.NewSource(2)))
 	same := true
 	for i := range x1.Data() {
 		if x1.Data()[i] != x3.Data()[i] {
@@ -81,9 +81,9 @@ func TestSameGroupSharesTexture(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
-	a := g.Sample(veh1, rng)
-	b := g.Sample(veh2, rng)
-	c := g.Sample(snake, rng)
+	a := g.sample(veh1, rng)
+	b := g.sample(veh2, rng)
+	c := g.sample(snake, rng)
 	distSame := 0.0
 	distDiff := 0.0
 	for i := range a.Data() {
@@ -98,17 +98,17 @@ func TestSameGroupSharesTexture(t *testing.T) {
 func TestGenerateSplitSizes(t *testing.T) {
 	cats := BaseCategories()[:5]
 	sp := Generate(DefaultGenerator(), cats, 4, 2, 7)
-	if len(sp.TrainX) != 20 || len(sp.TrainY) != 20 {
+	if len(sp.TrainX) != 20 || len(sp.trainY) != 20 {
 		t.Fatalf("train size %d, want 20", len(sp.TrainX))
 	}
 	if len(sp.TestX) != 10 {
 		t.Fatalf("test size %d, want 10", len(sp.TestX))
 	}
-	if sp.NumClasses() != 5 {
-		t.Fatalf("NumClasses = %d, want 5", sp.NumClasses())
+	if len(sp.categories) != 5 {
+		t.Fatalf("%d categories, want 5", len(sp.categories))
 	}
 	counts := map[int]int{}
-	for _, y := range sp.TrainY {
+	for _, y := range sp.trainY {
 		counts[y]++
 	}
 	for _, c := range cats {
@@ -128,7 +128,7 @@ func TestBatchStacksImages(t *testing.T) {
 	if x.Dim(0) != 2 || x.Dim(1) != 3 {
 		t.Fatalf("batch shape %v", x.Shape())
 	}
-	if y[0] != sp.TrainY[0] || y[1] != sp.TrainY[4] {
+	if y[0] != sp.trainY[0] || y[1] != sp.trainY[4] {
 		t.Fatalf("labels %v", y)
 	}
 	per := sp.TrainX[0].Len()

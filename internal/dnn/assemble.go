@@ -61,7 +61,7 @@ func BuildStageBlock(cfg ResNetConfig, id string, stage int, pruneRatio float64,
 		stride = 2
 	}
 	units := cfg.StageBlocks[min(stage, 4)-1]
-	var layers []Layer
+	var layers []layer
 	for unit := 0; unit < units; unit++ {
 		s := 1
 		if unit == 0 {
@@ -76,7 +76,7 @@ func BuildStageBlock(cfg ResNetConfig, id string, stage int, pruneRatio float64,
 		variant = variantPruned
 	}
 	blk := newBlock(id, min(stage, 4), variant, layers...)
-	blk.PruneRatio = pruneRatio
+	blk.pruneRatio = pruneRatio
 	return blk, nil
 }
 
@@ -107,5 +107,5 @@ func AssemblePathModel(arch string, stem *Block, stages []*Block, classifier *Bl
 	blocks = append(blocks, stem)
 	blocks = append(blocks, stages...)
 	blocks = append(blocks, classifier)
-	return &Model{Arch: arch, Blocks: blocks}, nil
+	return &Model{arch: arch, Blocks: blocks}, nil
 }

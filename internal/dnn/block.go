@@ -6,21 +6,21 @@ import (
 	"offloadnn/internal/tensor"
 )
 
-// Variant distinguishes the provenance of a layer-block, which determines
+// variant distinguishes the provenance of a layer-block, which determines
 // whether the block carries a training cost (fine-tuned/pruned variants do,
 // pre-trained base blocks do not) and whether it can be shared.
-type Variant int
+type variant int
 
 // Block variants. A pruned block is always derived from a fine-tuned one
 // (or from the base when the whole DNN is pruned, as in CONFIG A-pruned).
 const (
-	variantBase Variant = iota + 1
+	variantBase variant = iota + 1
 	variantFineTuned
 	variantPruned
 )
 
 // String implements fmt.Stringer.
-func (v Variant) String() string {
+func (v variant) String() string {
 	switch v {
 	case variantBase:
 		return "base"
@@ -41,11 +41,11 @@ type Block struct {
 	ID string
 	// Stage is the position of the block in its architecture (1-based).
 	Stage int
-	// Variant records base / fine-tuned / pruned provenance.
-	Variant Variant
-	// PruneRatio is the fraction of internal channels removed (0 when the
+	// variant records base / fine-tuned / pruned provenance.
+	variant variant
+	// pruneRatio is the fraction of internal channels removed (0 when the
 	// block is unpruned).
-	PruneRatio float64
+	pruneRatio float64
 	// Frozen blocks skip parameter updates and gradient accumulation at
 	// the optimizer level; shared base blocks are frozen during
 	// fine-tuning of task-specific blocks.
@@ -55,19 +55,12 @@ type Block struct {
 	// at (zero value F64). Managed by SetPrecision in precision.go.
 	precision tensor.Precision
 
-	layers []Layer
+	layers []layer
 }
 
 // newBlock groups the given layers under an identifier.
-func newBlock(id string, stage int, variant Variant, layers ...Layer) *Block {
-	return &Block{ID: id, Stage: stage, Variant: variant, layers: layers}
-}
-
-// Layers returns the block's layers in forward order.
-func (b *Block) Layers() []Layer {
-	out := make([]Layer, len(b.layers))
-	copy(out, b.layers)
-	return out
+func newBlock(id string, stage int, variant variant, layers ...layer) *Block {
+	return &Block{ID: id, Stage: stage, variant: variant, layers: layers}
 }
 
 // Forward runs all layers in order. At inference the pooled intermediate
@@ -88,8 +81,8 @@ func (b *Block) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error)
 	return x, nil
 }
 
-// Backward runs all layers in reverse order.
-func (b *Block) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
+// backward runs all layers in reverse order.
+func (b *Block) backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	var err error
 	for i := len(b.layers) - 1; i >= 0; i-- {
 		dy, err = b.layers[i].Backward(dy)
@@ -109,8 +102,8 @@ func (b *Block) Params() []*tensor.Tensor {
 	return out
 }
 
-// Grads returns all parameter gradients of the block.
-func (b *Block) Grads() []*tensor.Tensor {
+// grads returns all parameter gradients of the block.
+func (b *Block) grads() []*tensor.Tensor {
 	var out []*tensor.Tensor
 	for _, l := range b.layers {
 		out = append(out, l.Grads()...)
@@ -118,14 +111,14 @@ func (b *Block) Grads() []*tensor.Tensor {
 	return out
 }
 
-// ZeroGrads clears accumulated gradients in every layer.
-func (b *Block) ZeroGrads() {
+// zeroGrads clears accumulated gradients in every layer.
+func (b *Block) zeroGrads() {
 	for _, l := range b.layers {
 		l.ZeroGrads()
 	}
 }
 
-// paramCount returns the number of scalar parameters in the block.
+// ParamCount returns the number of scalar parameters in the block.
 func (b *Block) ParamCount() int {
 	n := 0
 	for _, l := range b.layers {

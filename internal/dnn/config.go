@@ -82,15 +82,15 @@ func ConfigByName(name string) (TableIConfig, error) {
 // matching the paper's fine-tune-then-prune pipeline.
 func BuildConfigModel(base *Model, cfg TableIConfig, taskTag string, numClasses int, seed int64) (*Model, error) {
 	rng := rand.New(rand.NewSource(seed))
-	stem := base.BlockByStage(0)
-	classifierTmpl := base.BlockByStage(5)
+	stem := base.blockByStage(0)
+	classifierTmpl := base.blockByStage(5)
 	if stem == nil || classifierTmpl == nil {
 		return nil, fmt.Errorf("dnn: base model lacks stem or classifier")
 	}
 
 	var blocks []*Block
 	if cfg.FromScratch {
-		fresh, err := freshLike(stem, fmt.Sprintf("%s/stem+scratch-%s", base.Arch, taskTag), rng)
+		fresh, err := freshLike(stem, fmt.Sprintf("%s/stem+scratch-%s", base.arch, taskTag), rng)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +101,7 @@ func BuildConfigModel(base *Model, cfg TableIConfig, taskTag string, numClasses 
 	}
 
 	for stage := 1; stage <= 4; stage++ {
-		src := base.BlockByStage(stage)
+		src := base.blockByStage(stage)
 		if src == nil {
 			return nil, fmt.Errorf("dnn: base model lacks stage %d", stage)
 		}
@@ -129,7 +129,7 @@ func BuildConfigModel(base *Model, cfg TableIConfig, taskTag string, numClasses 
 		return nil, err
 	}
 	blocks = append(blocks, head)
-	return &Model{Arch: base.Arch, Blocks: blocks}, nil
+	return &Model{arch: base.arch, Blocks: blocks}, nil
 }
 
 // ApplyConfigPruning prunes the non-shared residual stages of a config
@@ -156,7 +156,7 @@ func ApplyConfigPruning(m *Model, cfg TableIConfig, seed int64) (*Model, error) 
 		p.Frozen = b.Frozen
 		blocks = append(blocks, p)
 	}
-	return &Model{Arch: m.Arch, Blocks: blocks}, nil
+	return &Model{arch: m.arch, Blocks: blocks}, nil
 }
 
 // freshLike builds a newly initialized block with src's structure.
@@ -168,7 +168,7 @@ func freshLike(src *Block, newID string, rng *rand.Rand) (*Block, error) {
 	// Re-randomize: cloneBlock copies weights, scratch training must not
 	// inherit them.
 	reinitBlock(c, rng)
-	c.Variant = variantFineTuned
+	c.variant = variantFineTuned
 	return c, nil
 }
 
@@ -178,7 +178,7 @@ func reinitBlock(b *Block, rng *rand.Rand) {
 	}
 }
 
-func reinitLayer(l Layer, rng *rand.Rand) {
+func reinitLayer(l layer, rng *rand.Rand) {
 	switch v := l.(type) {
 	case *convLayer:
 		tensor.KaimingInit(v.W, v.P.InChannels*v.P.Kernel*v.P.Kernel, rng)

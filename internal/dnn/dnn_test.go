@@ -83,8 +83,9 @@ func TestResNet18BackwardReducesLoss(t *testing.T) {
 	grads := m.TrainableGrads()
 	const lr = 0.005
 	for i := range params {
-		if err := params[i].AXPYInPlace(-lr, grads[i]); err != nil {
-			t.Fatal(err)
+		p, g := params[i].Data(), grads[i].Data()
+		for j := range p {
+			p[j] -= lr * g[j]
 		}
 	}
 	after := loss()
@@ -98,7 +99,7 @@ func TestFreezeStagesExcludesParams(t *testing.T) {
 	total := m.ParamCount()
 	m.FreezeStages(0, 1, 2, 3, 4)
 	trainable := m.TrainableParamCount()
-	classifier := m.BlockByStage(5).ParamCount()
+	classifier := m.blockByStage(5).ParamCount()
 	if trainable != classifier {
 		t.Fatalf("trainable %d, want classifier-only %d", trainable, classifier)
 	}
@@ -128,16 +129,16 @@ func TestBackwardStopsAtFrozenBackbone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for stage := 0; stage <= 4; stage++ {
-		for _, g := range m.BlockByStage(stage).Grads() {
-			if g.MaxAbs() != 0 {
-				t.Fatalf("frozen stage %d accumulated gradient %v", stage, g.MaxAbs())
+		for _, g := range m.blockByStage(stage).grads() {
+			if maxAbs(g) != 0 {
+				t.Fatalf("frozen stage %d accumulated gradient %v", stage, maxAbs(g))
 			}
 		}
 	}
 	// The classifier must have received gradient.
 	got := 0.0
-	for _, g := range m.BlockByStage(5).Grads() {
-		got += g.MaxAbs()
+	for _, g := range m.blockByStage(5).grads() {
+		got += maxAbs(g)
 	}
 	if got == 0 {
 		t.Fatal("classifier received no gradient")
@@ -219,7 +220,7 @@ func TestPruneBasicBlockKeepsLargestChannels(t *testing.T) {
 
 func TestPruneBlockReducesParamsAndMemory(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
-	stage := m.BlockByStage(3)
+	stage := m.blockByStage(3)
 	rng := rand.New(rand.NewSource(9))
 	pruned, err := pruneBlock(stage, 0.8, rng)
 	if err != nil {
@@ -231,18 +232,18 @@ func TestPruneBlockReducesParamsAndMemory(t *testing.T) {
 	if pruned.MemoryBytes() >= stage.MemoryBytes() {
 		t.Fatalf("pruned memory %d >= original %d", pruned.MemoryBytes(), stage.MemoryBytes())
 	}
-	if pruned.Variant != variantPruned {
-		t.Fatalf("pruned variant = %v, want VariantPruned", pruned.Variant)
+	if pruned.variant != variantPruned {
+		t.Fatalf("pruned variant = %v, want VariantPruned", pruned.variant)
 	}
-	if pruned.PruneRatio != 0.8 {
-		t.Fatalf("pruned ratio = %v, want 0.8", pruned.PruneRatio)
+	if pruned.pruneRatio != 0.8 {
+		t.Fatalf("pruned ratio = %v, want 0.8", pruned.pruneRatio)
 	}
 }
 
 func TestPruneBlockRejectsNonResidual(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
 	rng := rand.New(rand.NewSource(10))
-	if _, err := pruneBlock(m.BlockByStage(0), 0.5, rng); err == nil {
+	if _, err := pruneBlock(m.blockByStage(0), 0.5, rng); err == nil {
 		t.Fatal("pruning the stem should fail (not a residual stage)")
 	}
 }
@@ -260,7 +261,7 @@ func TestPruneRatioValidation(t *testing.T) {
 
 func TestCloneBlockIndependentWeights(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
-	src := m.BlockByStage(4)
+	src := m.blockByStage(4)
 	rng := rand.New(rand.NewSource(12))
 	clone, err := cloneBlock(src, "clone", rng)
 	if err != nil {
@@ -279,14 +280,14 @@ func TestCloneBlockIndependentWeights(t *testing.T) {
 	if sp[0].Data()[0] == cp[0].Data()[0] {
 		t.Fatal("clone shares storage with source")
 	}
-	if clone.Variant != variantFineTuned {
-		t.Fatalf("clone variant = %v, want VariantFineTuned", clone.Variant)
+	if clone.variant != variantFineTuned {
+		t.Fatalf("clone variant = %v, want VariantFineTuned", clone.variant)
 	}
 }
 
 func TestCloneProducesIdenticalForward(t *testing.T) {
 	m := BuildResNet18(DefaultResNetConfig())
-	src := m.BlockByStage(1)
+	src := m.blockByStage(1)
 	rng := rand.New(rand.NewSource(13))
 	clone, err := cloneBlock(src, "clone", rng)
 	if err != nil {
@@ -347,17 +348,17 @@ func TestBuildConfigModelSharing(t *testing.T) {
 	}
 	// Stages 1–3 alias base blocks; stage 4 and classifier are new.
 	for stage := 1; stage <= 3; stage++ {
-		if m.BlockByStage(stage) != base.BlockByStage(stage) {
+		if m.blockByStage(stage) != base.blockByStage(stage) {
 			t.Fatalf("stage %d not shared in CONFIG C", stage)
 		}
-		if !m.BlockByStage(stage).Frozen {
+		if !m.blockByStage(stage).Frozen {
 			t.Fatalf("shared stage %d not frozen", stage)
 		}
 	}
-	if m.BlockByStage(4) == base.BlockByStage(4) {
+	if m.blockByStage(4) == base.blockByStage(4) {
 		t.Fatal("stage 4 should be a fine-tuned clone in CONFIG C")
 	}
-	if m.BlockByStage(5) == base.BlockByStage(5) {
+	if m.blockByStage(5) == base.blockByStage(5) {
 		t.Fatal("classifier should always be fresh")
 	}
 	// Output dimensionality follows the new class count.
@@ -382,7 +383,7 @@ func TestBuildConfigModelScratchSharesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for stage := 0; stage <= 5; stage++ {
-		if m.BlockByStage(stage) == base.BlockByStage(stage) {
+		if m.blockByStage(stage) == base.blockByStage(stage) {
 			t.Fatalf("CONFIG A stage %d aliases the base model", stage)
 		}
 	}
@@ -403,14 +404,14 @@ func TestApplyConfigPruningPrunesOnlyFineTuned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for stage := 1; stage <= 3; stage++ {
-		if pm.BlockByStage(stage) != base.BlockByStage(stage) {
+		if pm.blockByStage(stage) != base.blockByStage(stage) {
 			t.Fatalf("pruning CONFIG C-pruned must keep shared stage %d aliased", stage)
 		}
 	}
-	if pm.BlockByStage(4).Variant != variantPruned {
+	if pm.blockByStage(4).variant != variantPruned {
 		t.Fatal("stage 4 should be pruned in CONFIG C-pruned")
 	}
-	if pm.BlockByStage(4).ParamCount() >= m.BlockByStage(4).ParamCount() {
+	if pm.blockByStage(4).ParamCount() >= m.blockByStage(4).ParamCount() {
 		t.Fatal("pruned stage 4 did not shrink")
 	}
 	// Forward still works.
@@ -441,7 +442,7 @@ func TestDeployedMemoryCountsSharedOnce(t *testing.T) {
 	}
 	// Two CONFIG B models differ only by classifier, so the shared total
 	// should be close to one model plus one classifier.
-	oneModel := m1.MemoryBytes() + m2.BlockByStage(5).MemoryBytes()
+	oneModel := m1.MemoryBytes() + m2.blockByStage(5).MemoryBytes()
 	if shared != oneModel {
 		t.Fatalf("shared deployment %d, want %d (one model + extra classifier)", shared, oneModel)
 	}
@@ -487,7 +488,7 @@ func TestMobileNetTrainingStep(t *testing.T) {
 	}
 	total := 0.0
 	for _, g := range m.TrainableGrads() {
-		total += g.MaxAbs()
+		total += maxAbs(g)
 	}
 	if total == 0 {
 		t.Fatal("mobilenet accumulated no gradient")
@@ -568,4 +569,37 @@ func DeployedMemoryBytes(models []*Model) int64 {
 		}
 	}
 	return total
+}
+
+// MemoryBytes sums the deployment footprint of all blocks. When several
+// models alias blocks, use DeployedMemoryBytes over the model set instead.
+func (m *Model) MemoryBytes() int64 {
+	var n int64
+	for _, b := range m.Blocks {
+		n += b.MemoryBytes()
+	}
+	return n
+}
+
+// FreezeStages freezes the blocks whose Stage number appears in stages
+// (stage 0 is the stem, 1–4 the residual stages, 5 the classifier).
+func (m *Model) FreezeStages(stages ...int) {
+	set := make(map[int]bool, len(stages))
+	for _, s := range stages {
+		set[s] = true
+	}
+	for _, b := range m.Blocks {
+		if set[b.Stage] {
+			b.Frozen = true
+		}
+	}
+}
+
+// maxAbs returns the largest absolute element of t.
+func maxAbs(t *tensor.Tensor) float64 {
+	m := 0.0
+	for _, v := range t.Data() {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
 }

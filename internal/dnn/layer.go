@@ -21,10 +21,10 @@ import (
 // Forward).
 var errState = errors.New("dnn: invalid layer state")
 
-// Layer is a differentiable network stage. Layers cache whatever forward
+// layer is a differentiable network stage. Layers cache whatever forward
 // intermediates they need, so Backward must follow the matching Forward.
 // Layers are not safe for concurrent use.
-type Layer interface {
+type layer interface {
 	// Name returns a short human-readable identifier.
 	Name() string
 	// Forward computes the layer output. When training is false the layer
@@ -42,7 +42,7 @@ type Layer interface {
 }
 
 // paramCount sums the number of scalar parameters of a layer.
-func paramCount(l Layer) int {
+func paramCount(l layer) int {
 	n := 0
 	for _, p := range l.Params() {
 		n += p.Len()
@@ -87,10 +87,10 @@ func newConvLayer(name string, p tensor.Conv2DParams, bias bool, rng *rand.Rand)
 	return l
 }
 
-// Name implements Layer.
+// Name implements layer.
 func (l *convLayer) Name() string { return l.name }
 
-// Forward implements Layer. At inference the layer dispatches to the
+// Forward implements layer. At inference the layer dispatches to the
 // kernel of its configured precision; training (and calibration) always
 // runs the float64 master path.
 func (l *convLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
@@ -133,7 +133,7 @@ func releaseChain(t, in, out *tensor.Tensor) {
 	}
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (l *convLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if !l.hasFwd {
 		return nil, fmt.Errorf("%w: conv %s backward before forward", errState, l.name)
@@ -157,7 +157,7 @@ func (l *convLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return grads.DX, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *convLayer) Params() []*tensor.Tensor {
 	if l.B != nil {
 		return []*tensor.Tensor{l.W, l.B}
@@ -165,7 +165,7 @@ func (l *convLayer) Params() []*tensor.Tensor {
 	return []*tensor.Tensor{l.W}
 }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (l *convLayer) Grads() []*tensor.Tensor {
 	if l.dB != nil {
 		return []*tensor.Tensor{l.dW, l.dB}
@@ -173,7 +173,7 @@ func (l *convLayer) Grads() []*tensor.Tensor {
 	return []*tensor.Tensor{l.dW}
 }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (l *convLayer) ZeroGrads() {
 	l.dW.Zero()
 	if l.dB != nil {
@@ -200,10 +200,10 @@ func newBatchNormLayer(name string, channels int) *batchNormLayer {
 	}
 }
 
-// Name implements Layer.
+// Name implements layer.
 func (l *batchNormLayer) Name() string { return l.name }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (l *batchNormLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && x.Rank() == 4 {
 		// Inference fast path: running statistics into a pooled output,
@@ -225,7 +225,7 @@ func (l *batchNormLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tenso
 	return res.Out, nil
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (l *batchNormLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.lastRes == nil {
 		return nil, fmt.Errorf("%w: bn %s backward before forward", errState, l.name)
@@ -243,17 +243,17 @@ func (l *batchNormLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return grads.DX, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *batchNormLayer) Params() []*tensor.Tensor {
 	return []*tensor.Tensor{l.State.Gamma, l.State.Beta}
 }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (l *batchNormLayer) Grads() []*tensor.Tensor {
 	return []*tensor.Tensor{l.dGamma, l.dBeta}
 }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (l *batchNormLayer) ZeroGrads() {
 	l.dGamma.Zero()
 	l.dBeta.Zero()
@@ -268,10 +268,10 @@ type reluLayer struct {
 // newReLULayer constructs a named ReLU.
 func newReLULayer(name string) *reluLayer { return &reluLayer{name: name} }
 
-// Name implements Layer.
+// Name implements layer.
 func (l *reluLayer) Name() string { return l.name }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (l *reluLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training {
 		y := tensor.RentLike(x)
@@ -286,7 +286,7 @@ func (l *reluLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, er
 	return y, nil
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (l *reluLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.mask == nil {
 		return nil, fmt.Errorf("%w: relu %s backward before forward", errState, l.name)
@@ -298,13 +298,13 @@ func (l *reluLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *reluLayer) Params() []*tensor.Tensor { return nil }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (l *reluLayer) Grads() []*tensor.Tensor { return nil }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (l *reluLayer) ZeroGrads() {}
 
 // maxPoolLayer wraps tensor.MaxPool2D.
@@ -319,10 +319,10 @@ func newMaxPoolLayer(name string, p tensor.PoolParams) *maxPoolLayer {
 	return &maxPoolLayer{name: name, P: p}
 }
 
-// Name implements Layer.
+// Name implements layer.
 func (l *maxPoolLayer) Name() string { return l.name }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (l *maxPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && x.Rank() == 4 {
 		oh, ow := l.P.OutSize(x.Dim(2), x.Dim(3))
@@ -345,7 +345,7 @@ func (l *maxPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor,
 	return res.Out, nil
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (l *maxPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.last == nil {
 		return nil, fmt.Errorf("%w: maxpool %s backward before forward", errState, l.name)
@@ -357,13 +357,13 @@ func (l *maxPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *maxPoolLayer) Params() []*tensor.Tensor { return nil }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (l *maxPoolLayer) Grads() []*tensor.Tensor { return nil }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (l *maxPoolLayer) ZeroGrads() {}
 
 // globalAvgPoolLayer reduces (N,C,H,W) to (N,C).
@@ -377,10 +377,10 @@ func newGlobalAvgPoolLayer(name string) *globalAvgPoolLayer {
 	return &globalAvgPoolLayer{name: name}
 }
 
-// Name implements Layer.
+// Name implements layer.
 func (l *globalAvgPoolLayer) Name() string { return l.name }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (l *globalAvgPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && x.Rank() == 4 {
 		y := tensor.Rent(x.Dim(0), x.Dim(1))
@@ -400,7 +400,7 @@ func (l *globalAvgPoolLayer) Forward(x *tensor.Tensor, training bool) (*tensor.T
 	return y, nil
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (l *globalAvgPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.inShape == nil {
 		return nil, fmt.Errorf("%w: gap %s backward before forward", errState, l.name)
@@ -412,13 +412,13 @@ func (l *globalAvgPoolLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error)
 	return dx, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *globalAvgPoolLayer) Params() []*tensor.Tensor { return nil }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (l *globalAvgPoolLayer) Grads() []*tensor.Tensor { return nil }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (l *globalAvgPoolLayer) ZeroGrads() {}
 
 // linearLayer is a fully connected layer with bias.
@@ -451,10 +451,10 @@ func newLinearLayer(name string, in, out int, rng *rand.Rand) *linearLayer {
 	return l
 }
 
-// Name implements Layer.
+// Name implements layer.
 func (l *linearLayer) Name() string { return l.name }
 
-// Forward implements Layer. Inference dispatches on the configured
+// Forward implements layer. Inference dispatches on the configured
 // precision like convLayer.Forward.
 func (l *linearLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	if !training && !l.calib {
@@ -486,7 +486,7 @@ func (l *linearLayer) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, 
 	return y, nil
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (l *linearLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if l.lastX == nil {
 		return nil, fmt.Errorf("%w: linear %s backward before forward", errState, l.name)
@@ -504,13 +504,13 @@ func (l *linearLayer) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return grads.DX, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (l *linearLayer) Params() []*tensor.Tensor { return []*tensor.Tensor{l.W, l.B} }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (l *linearLayer) Grads() []*tensor.Tensor { return []*tensor.Tensor{l.dW, l.dB} }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (l *linearLayer) ZeroGrads() {
 	l.dW.Zero()
 	l.dB.Zero()

@@ -61,14 +61,14 @@ func newInvertedResidual(name string, in, expanded, out, stride int, rng *rand.R
 	}
 }
 
-// Name implements Layer.
+// Name implements layer.
 func (b *invertedResidual) Name() string { return b.name }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (b *invertedResidual) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	// At inference each consumed pooled intermediate is released right
 	// after the next layer produces its output.
-	step := func(l Layer, in *tensor.Tensor) (*tensor.Tensor, error) {
+	step := func(l layer, in *tensor.Tensor) (*tensor.Tensor, error) {
 		out, err := l.Forward(in, training)
 		if err != nil {
 			return nil, err
@@ -114,7 +114,7 @@ func (b *invertedResidual) Forward(x *tensor.Tensor, training bool) (*tensor.Ten
 	return h, nil
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (b *invertedResidual) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	d, err := b.BNp.Backward(dy)
 	if err != nil {
@@ -150,7 +150,7 @@ func (b *invertedResidual) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return dx, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (b *invertedResidual) Params() []*tensor.Tensor {
 	out := append([]*tensor.Tensor{}, b.Expand.Params()...)
 	out = append(out, b.BNe.Params()...)
@@ -161,7 +161,7 @@ func (b *invertedResidual) Params() []*tensor.Tensor {
 	return out
 }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (b *invertedResidual) Grads() []*tensor.Tensor {
 	out := append([]*tensor.Tensor{}, b.Expand.Grads()...)
 	out = append(out, b.BNe.Grads()...)
@@ -172,7 +172,7 @@ func (b *invertedResidual) Grads() []*tensor.Tensor {
 	return out
 }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (b *invertedResidual) ZeroGrads() {
 	b.Expand.ZeroGrads()
 	b.BNe.ZeroGrads()
@@ -208,7 +208,7 @@ func BuildMobileNetV2(cfg MobileNetConfig) *Model {
 		if stage > 0 {
 			stride = 2
 		}
-		var layers []Layer
+		var layers []layer
 		for unit := 0; unit < cfg.StageBlocks[stage]; unit++ {
 			s := 1
 			if unit == 0 {
@@ -226,5 +226,5 @@ func BuildMobileNetV2(cfg MobileNetConfig) *Model {
 		newLinearLayer("head.fc", widths[3], cfg.NumClasses, rng),
 	)
 	blocks = append(blocks, classifier)
-	return &Model{Arch: "mobilenetv2", Blocks: blocks}
+	return &Model{arch: "mobilenetv2", Blocks: blocks}
 }

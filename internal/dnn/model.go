@@ -12,8 +12,8 @@ import (
 // are then deployed (and their memory charged) once, which is the memory
 // sharing the DOT formulation exploits.
 type Model struct {
-	// Arch names the architecture family (e.g., "resnet18").
-	Arch string
+	// arch names the architecture family (e.g., "resnet18").
+	arch string
 	// Blocks in forward order: stem, stages, classifier.
 	Blocks []*Block
 }
@@ -25,7 +25,7 @@ func (m *Model) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error)
 	for _, b := range m.Blocks {
 		y, err := b.Forward(x, training)
 		if err != nil {
-			return nil, fmt.Errorf("model %s: %w", m.Arch, err)
+			return nil, fmt.Errorf("model %s: %w", m.arch, err)
 		}
 		if !training {
 			releaseChain(x, in, y)
@@ -64,7 +64,7 @@ func (m *Model) ForwardBatch(x *tensor.Tensor) (*tensor.Tensor, error) {
 	var err error
 	for si, e := range r.errs[:shards] {
 		if e != nil && err == nil {
-			err = fmt.Errorf("model %s: batch shard %d: %w", m.Arch, si, e)
+			err = fmt.Errorf("model %s: batch shard %d: %w", m.arch, si, e)
 		}
 		r.errs[si] = nil
 	}
@@ -142,9 +142,9 @@ func (m *Model) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 		// Gradients below the deepest trainable block are never consumed,
 		// so stop early: this is what makes frozen-backbone fine-tuning
 		// cheaper, the effect Fig. 2(right) measures.
-		dy, err = m.Blocks[i].Backward(dy)
+		dy, err = m.Blocks[i].backward(dy)
 		if err != nil {
-			return nil, fmt.Errorf("model %s: %w", m.Arch, err)
+			return nil, fmt.Errorf("model %s: %w", m.arch, err)
 		}
 		if i > 0 && m.lowestTrainable() == i {
 			return dy, nil
@@ -167,7 +167,7 @@ func (m *Model) lowestTrainable() int {
 // ZeroGrads clears accumulated gradients in all blocks.
 func (m *Model) ZeroGrads() {
 	for _, b := range m.Blocks {
-		b.ZeroGrads()
+		b.zeroGrads()
 	}
 }
 
@@ -187,13 +187,13 @@ func (m *Model) TrainableGrads() []*tensor.Tensor {
 	var out []*tensor.Tensor
 	for _, b := range m.Blocks {
 		if !b.Frozen {
-			out = append(out, b.Grads()...)
+			out = append(out, b.grads()...)
 		}
 	}
 	return out
 }
 
-// paramCount returns the total number of scalar parameters.
+// ParamCount returns the total number of scalar parameters.
 func (m *Model) ParamCount() int {
 	n := 0
 	for _, b := range m.Blocks {
@@ -214,32 +214,8 @@ func (m *Model) TrainableParamCount() int {
 	return n
 }
 
-// MemoryBytes sums the deployment footprint of all blocks. When several
-// models alias blocks, use DeployedMemoryBytes over the model set instead.
-func (m *Model) MemoryBytes() int64 {
-	var n int64
-	for _, b := range m.Blocks {
-		n += b.MemoryBytes()
-	}
-	return n
-}
-
-// FreezeStages freezes the blocks whose Stage number appears in stages
-// (stage 0 is the stem, 1–4 the residual stages, 5 the classifier).
-func (m *Model) FreezeStages(stages ...int) {
-	set := make(map[int]bool, len(stages))
-	for _, s := range stages {
-		set[s] = true
-	}
-	for _, b := range m.Blocks {
-		if set[b.Stage] {
-			b.Frozen = true
-		}
-	}
-}
-
-// BlockByStage returns the block with the given stage number, or nil.
-func (m *Model) BlockByStage(stage int) *Block {
+// blockByStage returns the block with the given stage number, or nil.
+func (m *Model) blockByStage(stage int) *Block {
 	for _, b := range m.Blocks {
 		if b.Stage == stage {
 			return b

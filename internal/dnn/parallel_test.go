@@ -137,7 +137,7 @@ func TestTrainingStillWorksAfterInference(t *testing.T) {
 	}
 	nonZero := false
 	for _, g := range m.TrainableGrads() {
-		if g.MaxAbs() > 0 {
+		if maxAbs(g) > 0 {
 			nonZero = true
 			break
 		}

@@ -207,7 +207,7 @@ func (b *Block) setCalibrating(on bool) {
 func (m *Model) SetPrecision(p tensor.Precision) error {
 	for _, b := range m.Blocks {
 		if err := b.SetPrecision(p); err != nil {
-			return fmt.Errorf("model %s: %w", m.Arch, err)
+			return fmt.Errorf("model %s: %w", m.arch, err)
 		}
 	}
 	return nil

@@ -100,7 +100,7 @@ func pruneBasicBlock(src *basicBlock, ratio float64, rng *rand.Rand) (*basicBloc
 // must be *basicBlock). The new block carries variantPruned, the prune
 // ratio, and the ID suffix "+pruned<ratio%>".
 func pruneBlock(src *Block, ratio float64, rng *rand.Rand) (*Block, error) {
-	layers := make([]Layer, 0, len(src.layers))
+	layers := make([]layer, 0, len(src.layers))
 	for _, l := range src.layers {
 		bb, ok := l.(*basicBlock)
 		if !ok {
@@ -113,7 +113,7 @@ func pruneBlock(src *Block, ratio float64, rng *rand.Rand) (*Block, error) {
 		layers = append(layers, p)
 	}
 	out := newBlock(fmt.Sprintf("%s+pruned%d", src.ID, int(ratio*100)), src.Stage, variantPruned, layers...)
-	out.PruneRatio = ratio
+	out.pruneRatio = ratio
 	return out, nil
 }
 
@@ -121,7 +121,7 @@ func pruneBlock(src *Block, ratio float64, rng *rand.Rand) (*Block, error) {
 // statistics) under a new identifier. Cloned blocks are the starting point
 // of fine-tuning: they begin at the base weights but evolve independently.
 func cloneBlock(src *Block, newID string, rng *rand.Rand) (*Block, error) {
-	layers := make([]Layer, 0, len(src.layers))
+	layers := make([]layer, 0, len(src.layers))
 	for _, l := range src.layers {
 		c, err := cloneLayer(l, rng)
 		if err != nil {
@@ -130,11 +130,11 @@ func cloneBlock(src *Block, newID string, rng *rand.Rand) (*Block, error) {
 		layers = append(layers, c)
 	}
 	out := newBlock(newID, src.Stage, variantFineTuned, layers...)
-	out.PruneRatio = src.PruneRatio
+	out.pruneRatio = src.pruneRatio
 	return out, nil
 }
 
-func cloneLayer(l Layer, rng *rand.Rand) (Layer, error) {
+func cloneLayer(l layer, rng *rand.Rand) (layer, error) {
 	switch v := l.(type) {
 	case *convLayer:
 		c := newConvLayer(v.name, v.P, v.B != nil, rng)
@@ -168,11 +168,11 @@ func cloneLayer(l Layer, rng *rand.Rand) (Layer, error) {
 		mid := v.MidChannels()
 		out := v.Conv2.P.OutChannels
 		c := newBasicBlock(v.name, in, mid, out, v.Conv1.P.Stride, rng)
-		pairs := [][2]Layer{
+		pairs := [][2]layer{
 			{c.Conv1, v.Conv1}, {c.BN1, v.BN1}, {c.Conv2, v.Conv2}, {c.BN2, v.BN2},
 		}
 		if v.DownConv != nil {
-			pairs = append(pairs, [2]Layer{c.DownConv, v.DownConv}, [2]Layer{c.DownBN, v.DownBN})
+			pairs = append(pairs, [2]layer{c.DownConv, v.DownConv}, [2]layer{c.DownBN, v.DownBN})
 		}
 		for _, pr := range pairs {
 			dp, sp := pr[0].Params(), pr[1].Params()

@@ -31,7 +31,7 @@ func Calibrate(m *Model, x *tensor.Tensor) error {
 	}()
 	y, err := m.Forward(x, false)
 	if err != nil {
-		return fmt.Errorf("dnn: calibrate %s: %w", m.Arch, err)
+		return fmt.Errorf("dnn: calibrate %s: %w", m.arch, err)
 	}
 	tensor.Release(y)
 	return nil
@@ -44,12 +44,12 @@ func Calibrate(m *Model, x *tensor.Tensor) error {
 func Top1Delta(a, b *Model, x *tensor.Tensor) (float64, error) {
 	ya, err := a.Forward(x, false)
 	if err != nil {
-		return 0, fmt.Errorf("dnn: top1 delta: model %s: %w", a.Arch, err)
+		return 0, fmt.Errorf("dnn: top1 delta: model %s: %w", a.arch, err)
 	}
 	yb, err := b.Forward(x, false)
 	if err != nil {
 		tensor.Release(ya)
-		return 0, fmt.Errorf("dnn: top1 delta: model %s: %w", b.Arch, err)
+		return 0, fmt.Errorf("dnn: top1 delta: model %s: %w", b.arch, err)
 	}
 	defer tensor.Release(ya)
 	defer tensor.Release(yb)

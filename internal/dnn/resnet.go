@@ -59,10 +59,10 @@ func newBasicBlock(name string, in, mid, out, stride int, rng *rand.Rand) *basic
 // MidChannels returns the internal width of the block.
 func (b *basicBlock) MidChannels() int { return b.Conv1.P.OutChannels }
 
-// Name implements Layer.
+// Name implements layer.
 func (b *basicBlock) Name() string { return b.name }
 
-// Forward implements Layer.
+// Forward implements layer.
 func (b *basicBlock) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, error) {
 	h, err := b.Conv1.Forward(x, training)
 	if err != nil {
@@ -122,7 +122,7 @@ func (b *basicBlock) Forward(x *tensor.Tensor, training bool) (*tensor.Tensor, e
 	return h, nil
 }
 
-// Backward implements Layer.
+// Backward implements layer.
 func (b *basicBlock) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	if b.relu2Mask == nil {
 		return nil, fmt.Errorf("%w: block %s backward before forward", errState, b.name)
@@ -165,7 +165,7 @@ func (b *basicBlock) Backward(dy *tensor.Tensor) (*tensor.Tensor, error) {
 	return dxMain, nil
 }
 
-// Params implements Layer.
+// Params implements layer.
 func (b *basicBlock) Params() []*tensor.Tensor {
 	out := append([]*tensor.Tensor{}, b.Conv1.Params()...)
 	out = append(out, b.BN1.Params()...)
@@ -178,7 +178,7 @@ func (b *basicBlock) Params() []*tensor.Tensor {
 	return out
 }
 
-// Grads implements Layer.
+// Grads implements layer.
 func (b *basicBlock) Grads() []*tensor.Tensor {
 	out := append([]*tensor.Tensor{}, b.Conv1.Grads()...)
 	out = append(out, b.BN1.Grads()...)
@@ -191,7 +191,7 @@ func (b *basicBlock) Grads() []*tensor.Tensor {
 	return out
 }
 
-// ZeroGrads implements Layer.
+// ZeroGrads implements layer.
 func (b *basicBlock) ZeroGrads() {
 	b.Conv1.ZeroGrads()
 	b.BN1.ZeroGrads()
@@ -278,7 +278,7 @@ func BuildResNet18(cfg ResNetConfig) *Model {
 		if stage > 0 {
 			stride = 2
 		}
-		var layers []Layer
+		var layers []layer
 		for unit := 0; unit < cfg.StageBlocks[stage]; unit++ {
 			s := 1
 			if unit == 0 {
@@ -293,7 +293,7 @@ func BuildResNet18(cfg ResNetConfig) *Model {
 			variant = variantPruned
 		}
 		blk := newBlock(fmt.Sprintf("resnet18/stage%d", stage+1), stage+1, variant, layers...)
-		blk.PruneRatio = cfg.PruneRatios[stage]
+		blk.pruneRatio = cfg.PruneRatios[stage]
 		blocks = append(blocks, blk)
 	}
 
@@ -303,5 +303,5 @@ func BuildResNet18(cfg ResNetConfig) *Model {
 	)
 	blocks = append(blocks, classifier)
 
-	return &Model{Arch: "resnet18", Blocks: blocks}
+	return &Model{arch: "resnet18", Blocks: blocks}
 }

@@ -16,31 +16,16 @@ import "fmt"
 type CutPoint struct {
 	// After is how many stage blocks run before the cut (1..nStages-1).
 	After int
-	// Shape is the boundary activation's (C, H, W).
-	Shape [3]int
-	// Elems is the activation element count per frame.
-	Elems int
+	// shape is the boundary activation's (C, H, W).
+	shape [3]int
+	// elems is the activation element count per frame.
+	elems int
 	// WireBytes is the payload size of one frame's boundary activation
 	// on the wire. Transfers always ship raw float64 (the inter-block
 	// interchange format), whatever precision the segments compute in —
 	// quantized blocks still exchange f64 tensors — so the wire price is
 	// precision-independent.
 	WireBytes int
-}
-
-// ActivationBytes prices the boundary activation's in-memory footprint
-// at a precision tier ("f64", "f32", "i8"); unknown tiers price
-// conservatively as f64. This is a planning figure for co-locating
-// segments, not the wire size (see WireBytes).
-func (c CutPoint) ActivationBytes(precision string) int {
-	switch precision {
-	case "f32":
-		return c.Elems * 4
-	case "i8":
-		return c.Elems
-	default:
-		return c.Elems * 8
-	}
 }
 
 // stemOutputShape returns the stem's output (C, H, W) for the given
@@ -84,7 +69,7 @@ func EnumerateCutPoints(cfg ResNetConfig, nStages int, input [3]int) []CutPoint 
 			s[2] = convOut(s[2], 3, 2, 1)
 		}
 		elems := s[0] * s[1] * s[2]
-		cuts = append(cuts, CutPoint{After: p, Shape: s, Elems: elems, WireBytes: elems * 8})
+		cuts = append(cuts, CutPoint{After: p, shape: s, elems: elems, WireBytes: elems * 8})
 	}
 	return cuts
 }
@@ -106,7 +91,7 @@ func AssembleSegmentModel(arch string, stem *Block, stages []*Block, classifier 
 	if classifier != nil {
 		blocks = append(blocks, classifier)
 	}
-	return &Model{Arch: arch, Blocks: blocks}, nil
+	return &Model{arch: arch, Blocks: blocks}, nil
 }
 
 // convOut is the spatial output size of a convolution.

@@ -56,12 +56,12 @@ func TestSegmentBoundaryShapesMatchForward(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := [3]int{y.Dim(1), y.Dim(2), y.Dim(3)}
-			if got != cut.Shape {
-				t.Fatalf("hw=%d cut after %d: forward shape %v, enumerated %v", hw, cut.After, got, cut.Shape)
+			if got != cut.shape {
+				t.Fatalf("hw=%d cut after %d: forward shape %v, enumerated %v", hw, cut.After, got, cut.shape)
 			}
-			if cut.Elems != got[0]*got[1]*got[2] || cut.WireBytes != cut.Elems*8 {
+			if cut.elems != got[0]*got[1]*got[2] || cut.WireBytes != cut.elems*8 {
 				t.Fatalf("cut after %d: elems %d wire %d inconsistent with shape %v",
-					cut.After, cut.Elems, cut.WireBytes, got)
+					cut.After, cut.elems, cut.WireBytes, got)
 			}
 		}
 	}
@@ -92,10 +92,10 @@ func TestSplitEqualsWholeEveryCutDNN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got2.From != cut.After || got2.Shape != cut.Shape {
+		if got2.From != cut.After || got2.Shape != cut.shape {
 			t.Fatalf("envelope round-trip mangled manifest: %+v", got2)
 		}
-		act := tensor.New(1, cut.Shape[0], cut.Shape[1], cut.Shape[2])
+		act := tensor.New(1, cut.shape[0], cut.shape[1], cut.shape[2])
 		copy(act.Data(), data)
 		y, err := tail.Forward(act, false)
 		if err != nil {
@@ -129,7 +129,7 @@ func cutEnvelopes(tb testing.TB, cfg ResNetConfig, stem *Block, stages []*Block,
 			tb.Fatal(err)
 		}
 		var buf bytes.Buffer
-		man := ActivationManifest{Task: "t", Path: "p", From: cut.After, Shape: cut.Shape, RemainingMS: 100}
+		man := ActivationManifest{Task: "t", Path: "p", From: cut.After, Shape: cut.shape, RemainingMS: 100}
 		if err := EncodeActivation(&buf, man, mid.Data()); err != nil {
 			tb.Fatal(err)
 		}

@@ -19,15 +19,15 @@ type StageStats struct {
 // ModelStats aggregates the six blocks of the canonical ResNet-18
 // decomposition used throughout: stem, stages 1–4, classifier.
 type ModelStats struct {
-	Stem       StageStats
-	Stages     [4]StageStats
-	Classifier StageStats
+	stem       StageStats
+	stages     [4]StageStats
+	classifier StageStats
 }
 
 // TotalParams sums parameters over all blocks.
 func (m ModelStats) TotalParams() int {
-	n := m.Stem.Params + m.Classifier.Params
-	for _, s := range m.Stages {
+	n := m.stem.Params + m.classifier.Params
+	for _, s := range m.stages {
 		n += s.Params
 	}
 	return n
@@ -38,11 +38,11 @@ func (m ModelStats) TotalParams() int {
 func (m ModelStats) Block(stage int) StageStats {
 	switch {
 	case stage == 0:
-		return m.Stem
+		return m.stem
 	case stage >= 1 && stage <= 4:
-		return m.Stages[stage-1]
+		return m.stages[stage-1]
 	default:
-		return m.Classifier
+		return m.classifier
 	}
 }
 
@@ -70,7 +70,7 @@ func ResNet18Stats(baseWidth, imageSize, numClasses int, pruneRatios [4]float64)
 	// Stem: conv7×7/2 (3→w) + bn + relu + maxpool3×3/2.
 	convOut := imageSize / 2
 	poolOut := convOut / 2
-	ms.Stem = StageStats{
+	ms.stem = StageStats{
 		Params:          3*w*49 + 2*w,
 		ActivationElems: 2*w*convOut*convOut + w*poolOut*poolOut, // conv out, relu out, pool out
 		OutputElems:     w * poolOut * poolOut,
@@ -92,7 +92,7 @@ func ResNet18Stats(baseWidth, imageSize, numClasses int, pruneRatios [4]float64)
 		// Activations per basic block ≈ mid feature map (conv1 out, relu)
 		// ×2 + out feature map (conv2 out + residual sum) ×2.
 		act := 2*(2*mid*outSize*outSize+2*out*outSize*outSize) + out*outSize*outSize
-		ms.Stages[stage] = StageStats{
+		ms.stages[stage] = StageStats{
 			Params:          p,
 			ActivationElems: act,
 			OutputElems:     out * outSize * outSize,
@@ -101,7 +101,7 @@ func ResNet18Stats(baseWidth, imageSize, numClasses int, pruneRatios [4]float64)
 		size = outSize
 	}
 
-	ms.Classifier = StageStats{
+	ms.classifier = StageStats{
 		Params:          widths[3]*numClasses + numClasses,
 		ActivationElems: widths[3] + numClasses,
 		OutputElems:     numClasses,

@@ -12,14 +12,14 @@ import (
 // the Fig. 11 emulator and the simulated execution backend — refactored
 // out so those three can never drift apart.
 type TaskCost struct {
-	// Tx is the slice transmission time of one frame.
-	Tx time.Duration
+	// tx is the slice transmission time of one frame.
+	tx time.Duration
 	// Proc is the path compute time Σ c(s).
 	Proc time.Duration
 }
 
-// Total is the end-to-end per-frame cost Tx + Proc.
-func (c TaskCost) Total() time.Duration { return c.Tx + c.Proc }
+// Total is the end-to-end per-frame cost tx + Proc.
+func (c TaskCost) Total() time.Duration { return c.tx + c.Proc }
 
 // PlanCosts evaluates the deployment's per-task cost model. tasks must be
 // the task order dep.Solution.Assignments is parallel to. linkRateFactor
@@ -50,7 +50,7 @@ func PlanCosts(tasks []core.Task, blocks map[string]core.BlockSpec, res core.Res
 			proc += blocks[id].ComputeSeconds
 		}
 		out[a.TaskID] = TaskCost{
-			Tx:   time.Duration(tx * float64(time.Second)),
+			tx:   time.Duration(tx * float64(time.Second)),
 			Proc: time.Duration(proc * float64(time.Second)),
 		}
 	}

@@ -1,8 +1,6 @@
 package edge
 
 import (
-	"context"
-	"errors"
 	"testing"
 	"time"
 
@@ -26,43 +24,29 @@ func smallDeployment(t *testing.T, tasks int) (*core.Instance, *Deployment) {
 
 func TestControllerWorkflow(t *testing.T) {
 	in, dep := smallDeployment(t, 5)
-	// Every admitted task got a slice matching the solver's r.
+	// Every admitted task holds the solver's slice and a notified rate;
+	// a rejected one holds neither.
 	for i, a := range dep.Solution.Assignments {
 		task := in.Tasks[i]
 		if a.Admitted() {
-			if dep.Slices.Allocation(task.ID) != a.RBs {
-				t.Fatalf("task %s slice %d, want %d", task.ID, dep.Slices.Allocation(task.ID), a.RBs)
+			if a.RBs <= 0 {
+				t.Fatalf("admitted task %s has %d RBs", task.ID, a.RBs)
 			}
 			if dep.AdmittedRates[task.ID] <= 0 {
 				t.Fatalf("task %s has no notified rate", task.ID)
 			}
-		} else if dep.Slices.Allocation(task.ID) != 0 {
-			t.Fatalf("rejected task %s holds a slice", task.ID)
+		} else if a.RBs != 0 || dep.AdmittedRates[task.ID] != 0 {
+			t.Fatalf("rejected task %s holds %d RBs, rate %v", task.ID, a.RBs, dep.AdmittedRates[task.ID])
 		}
 	}
-	if dep.MemoryUsedGB <= 0 || dep.MemoryUsedGB > in.Res.MemoryGB {
-		t.Fatalf("deployed memory %v outside (0, %v]", dep.MemoryUsedGB, in.Res.MemoryGB)
+	if err := in.Check(dep.Solution.Assignments); err != nil {
+		t.Fatalf("deployed solution fails its instance's Check: %v", err)
 	}
-	if len(dep.ActiveBlocks) == 0 {
+	if mem := dep.Solution.Breakdown.MemoryGB; mem <= 0 || mem > in.Res.MemoryGB {
+		t.Fatalf("deployed memory %v outside (0, %v]", mem, in.Res.MemoryGB)
+	}
+	if len(dep.Solution.Breakdown.ActiveBlocks) == 0 {
 		t.Fatal("no blocks deployed")
-	}
-}
-
-// A done context cancels the solve inside AdmitCtx: the round returns the
-// context's error and the controller serves the next round normally.
-func TestAdmitCtxCanceled(t *testing.T) {
-	in, err := workload.SmallScenario(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewController(in.Res)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.AdmitCtx(ctx, in.Tasks, in.Blocks, in.Alpha); !errors.Is(err, context.Canceled) || !errors.Is(err, ErrDeploy) {
-		t.Fatalf("canceled round: err %v, want ErrDeploy wrapping context.Canceled", err)
-	}
-	if _, err := c.Admit(in.Tasks, in.Blocks, in.Alpha); err != nil {
-		t.Fatalf("round after the canceled one: %v", err)
 	}
 }
 
@@ -78,7 +62,7 @@ func TestEmulatorMeetsLatencyTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FramesServed == 0 {
+	if res.framesServed == 0 {
 		t.Fatal("no frames served")
 	}
 	for _, tr := range res.Traces {
@@ -98,8 +82,8 @@ func TestEmulatorMeetsLatencyTargets(t *testing.T) {
 func TestEmulatorServesExpectedFrameCounts(t *testing.T) {
 	in, dep := smallDeployment(t, 3)
 	cfg := DefaultEmulatorConfig()
-	cfg.Duration = 10 * time.Second
-	cfg.ArrivalJitter = 0
+	cfg.duration = 10 * time.Second
+	cfg.arrivalJitter = 0
 	em, err := NewEmulator(in, dep, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,12 +93,12 @@ func TestEmulatorServesExpectedFrameCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three tasks at 5 req/s for 10 s ≈ 150 frames (±startup offsets).
-	if res.FramesServed < 120 || res.FramesServed > 160 {
-		t.Fatalf("frames served %d, want ≈150", res.FramesServed)
+	if res.framesServed < 120 || res.framesServed > 160 {
+		t.Fatalf("frames served %d, want ≈150", res.framesServed)
 	}
 	for _, tr := range res.Traces {
-		if tr.Dropped != 0 {
-			t.Fatalf("task %s dropped %d frames (drain horizon too short?)", tr.TaskID, tr.Dropped)
+		if tr.dropped != 0 {
+			t.Fatalf("task %s dropped %d frames (drain horizon too short?)", tr.TaskID, tr.dropped)
 		}
 	}
 }
@@ -122,7 +106,7 @@ func TestEmulatorServesExpectedFrameCounts(t *testing.T) {
 func TestEmulatorLatencyDominatedByDesignValues(t *testing.T) {
 	// Without jitter the steady-state latency equals tx + proc exactly.
 	in, dep := smallDeployment(t, 1)
-	cfg := EmulatorConfig{Duration: 5 * time.Second, Seed: 7}
+	cfg := EmulatorConfig{duration: 5 * time.Second, seed: 7}
 	em, err := NewEmulator(in, dep, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +164,8 @@ func TestEmulatorFractionalAdmissionRates(t *testing.T) {
 		t.Fatal("high load produced no fractional admission (scenario drift?)")
 	}
 	cfg := DefaultEmulatorConfig()
-	cfg.Duration = 10 * time.Second
-	cfg.ArrivalJitter = 0
+	cfg.duration = 10 * time.Second
+	cfg.arrivalJitter = 0
 	em, err := NewEmulator(in, dep, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,12 +180,12 @@ func TestEmulatorFractionalAdmissionRates(t *testing.T) {
 			continue
 		}
 		a := dep.Solution.Assignments[i]
-		want := a.Z * in.Tasks[i].Rate * cfg.Duration.Seconds()
+		want := a.Z * in.Tasks[i].Rate * cfg.duration.Seconds()
 		got := float64(len(tr.Samples))
 		if got < want*0.7 || got > want*1.3 {
 			t.Fatalf("fractional task served %v frames, want ≈%.0f (z=%.2f)", got, want, a.Z)
 		}
-		full := in.Tasks[i].Rate * cfg.Duration.Seconds()
+		full := in.Tasks[i].Rate * cfg.duration.Seconds()
 		if got > 0.8*full {
 			t.Fatalf("fractional task not throttled: %v of %v frames", got, full)
 		}

@@ -12,41 +12,41 @@ import (
 
 // EmulatorConfig parameterizes a Fig. 11-style run.
 type EmulatorConfig struct {
-	// Duration of the emulated experiment (paper: ~20 s).
-	Duration time.Duration
+	// duration of the emulated experiment (paper: ~20 s).
+	duration time.Duration
 	// Workers is the number of parallel inference executors at the edge
 	// (0 derives it from the compute budget: max(1, round(C))).
 	Workers int
-	// ArrivalJitter adds ±jitter·period uniform noise to frame arrivals,
+	// arrivalJitter adds ±jitter·period uniform noise to frame arrivals,
 	// emulating source timing variability (0 = strictly periodic).
-	ArrivalJitter float64
-	// ComputeJitter multiplies each inference time by 1 ± U(0,jitter),
+	arrivalJitter float64
+	// computeJitter multiplies each inference time by 1 ± U(0,jitter),
 	// emulating GPU timing variability.
-	ComputeJitter float64
-	// TxJitter multiplies each frame's transmission time by 1 ± U(0,j),
+	computeJitter float64
+	// txJitter multiplies each frame's transmission time by 1 ± U(0,j),
 	// emulating per-frame channel-quality variation (fading, HARQ
 	// retransmissions) around the average delivered rate.
-	TxJitter float64
-	// LinkRateFactor is the ratio of the *delivered* per-RB rate to the
+	txJitter float64
+	// linkRateFactor is the ratio of the *delivered* per-RB rate to the
 	// conservative planning value B(σ) the solver used. The paper's
 	// Colosseum setup (0 dB path loss) delivers well above the 0.35 Mb/s
 	// planning rate, which is why the measured latencies sit below the
 	// targets with headroom; 1.0 means the link delivers exactly the
 	// planning rate (slices sized at ρ = 1 then oscillate).
-	LinkRateFactor float64
-	// Seed drives the jitter.
-	Seed int64
+	linkRateFactor float64
+	// seed drives the jitter.
+	seed int64
 }
 
 // DefaultEmulatorConfig returns a 20-second run with mild jitter.
 func DefaultEmulatorConfig() EmulatorConfig {
 	return EmulatorConfig{
-		Duration:       20 * time.Second,
-		ArrivalJitter:  0.1,
-		ComputeJitter:  0.15,
-		TxJitter:       0.3,
-		LinkRateFactor: 1.5,
-		Seed:           1,
+		duration:       20 * time.Second,
+		arrivalJitter:  0.1,
+		computeJitter:  0.15,
+		txJitter:       0.3,
+		linkRateFactor: 1.5,
+		seed:           1,
 	}
 }
 
@@ -67,17 +67,17 @@ type TaskTrace struct {
 	Samples []LatencySample
 	// Violations counts samples exceeding Target.
 	Violations int
-	// Dropped counts frames still unfinished at the end of the run.
-	Dropped int
+	// dropped counts frames still unfinished at the end of the run.
+	dropped int
 }
 
 // Result aggregates an emulation run.
 type Result struct {
 	Traces []TaskTrace
-	// FramesServed across all tasks.
-	FramesServed int
-	// Violations across all tasks.
-	Violations int
+	// framesServed across all tasks.
+	framesServed int
+	// violations across all tasks.
+	violations int
 }
 
 // frame is one offloaded image in flight.
@@ -99,8 +99,8 @@ func NewEmulator(inst *core.Instance, deploy *Deployment, cfg EmulatorConfig) (*
 	if inst == nil || deploy == nil {
 		return nil, fmt.Errorf("%w: nil instance or deployment", ErrDeploy)
 	}
-	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("%w: non-positive duration %v", ErrDeploy, cfg.Duration)
+	if cfg.duration <= 0 {
+		return nil, fmt.Errorf("%w: non-positive duration %v", ErrDeploy, cfg.duration)
 	}
 	return &Emulator{inst: inst, deploy: deploy, cfg: cfg}, nil
 }
@@ -115,7 +115,7 @@ func NewEmulator(inst *core.Instance, deploy *Deployment, cfg EmulatorConfig) (*
 // Result return (a few hundred bytes) is folded into the compute-jitter
 // margin, as in the paper's single-downlink-slot regime.
 func (e *Emulator) Run() (*Result, error) {
-	rng := rand.New(rand.NewSource(e.cfg.Seed))
+	rng := rand.New(rand.NewSource(e.cfg.seed))
 	engine := sim.NewEngine()
 
 	workers := e.cfg.Workers
@@ -139,7 +139,7 @@ func (e *Emulator) Run() (*Result, error) {
 	res := &Result{}
 	// The emulator draws its per-task design values from the same cost
 	// model the resolver and the simulated execution backend use.
-	costs := PlanCosts(e.inst.Tasks, e.inst.Blocks, e.inst.Res, e.deploy, e.cfg.LinkRateFactor)
+	costs := PlanCosts(e.inst.Tasks, e.inst.Blocks, e.inst.Res, e.deploy, e.cfg.linkRateFactor)
 	var states []*taskState
 	for i, a := range e.deploy.Solution.Assignments {
 		task := &e.inst.Tasks[i]
@@ -152,7 +152,7 @@ func (e *Emulator) Run() (*Result, error) {
 		states = append(states, &taskState{
 			idx:      i,
 			rate:     e.deploy.AdmittedRates[task.ID],
-			txTime:   cost.Tx,
+			txTime:   cost.tx,
 			procTime: cost.Proc.Seconds(),
 		})
 	}
@@ -169,7 +169,7 @@ func (e *Emulator) Run() (*Result, error) {
 	var serveNext func()
 	complete := func(f *frame, started time.Duration) {
 		st := byIdx[f.taskIdx]
-		procJitter := 1 + e.cfg.ComputeJitter*rng.Float64()
+		procJitter := 1 + e.cfg.computeJitter*rng.Float64()
 		d := time.Duration(st.procTime * procJitter * float64(time.Second))
 		if err := engine.Schedule(d, func() {
 			busyWorkers--
@@ -179,7 +179,7 @@ func (e *Emulator) Run() (*Result, error) {
 				st.trace.Violations++
 			}
 			st.inFlight--
-			res.FramesServed++
+			res.framesServed++
 			serveNext()
 		}); err != nil {
 			panic(err) // delays are non-negative by construction
@@ -206,8 +206,8 @@ func (e *Emulator) Run() (*Result, error) {
 			start = st.sliceFree
 		}
 		tx := st.txTime
-		if e.cfg.TxJitter > 0 {
-			tx = time.Duration(float64(tx) * (1 + e.cfg.TxJitter*(2*rng.Float64()-1)))
+		if e.cfg.txJitter > 0 {
+			tx = time.Duration(float64(tx) * (1 + e.cfg.txJitter*(2*rng.Float64()-1)))
 		}
 		end := start + tx
 		st.sliceFree = end
@@ -223,12 +223,12 @@ func (e *Emulator) Run() (*Result, error) {
 		st.inFlight++
 		transmit(st, f)
 		period := time.Duration(float64(time.Second) / st.rate)
-		jitter := time.Duration((rng.Float64() - 0.5) * 2 * e.cfg.ArrivalJitter * float64(period))
+		jitter := time.Duration((rng.Float64() - 0.5) * 2 * e.cfg.arrivalJitter * float64(period))
 		next := period + jitter
 		if next < time.Millisecond {
 			next = time.Millisecond
 		}
-		if engine.Now()+next <= e.cfg.Duration {
+		if engine.Now()+next <= e.cfg.duration {
 			if err := engine.Schedule(next, func() { generate(st) }); err != nil {
 				panic(err)
 			}
@@ -246,10 +246,10 @@ func (e *Emulator) Run() (*Result, error) {
 	}
 
 	// Run past the horizon to let in-flight frames finish.
-	engine.Run(e.cfg.Duration + 5*time.Second)
+	engine.Run(e.cfg.duration + 5*time.Second)
 	for _, st := range states {
-		st.trace.Dropped = st.inFlight
-		res.Violations += st.trace.Violations
+		st.trace.dropped = st.inFlight
+		res.violations += st.trace.Violations
 	}
 	for i := range res.Traces {
 		sort.Slice(res.Traces[i].Samples, func(a, b int) bool {

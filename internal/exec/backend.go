@@ -97,11 +97,11 @@ func (s Segment) Validate() error {
 	return nil
 }
 
-// Head reports whether the segment consumes raw frames.
-func (s Segment) Head() bool { return s.From == 0 }
+// head reports whether the segment consumes raw frames.
+func (s Segment) head() bool { return s.From == 0 }
 
-// Tail reports whether the segment emits logits.
-func (s Segment) Tail() bool { return s.To == len(s.Blocks) }
+// tail reports whether the segment emits logits.
+func (s Segment) tail() bool { return s.To == len(s.Blocks) }
 
 // Plan is one epoch's deployment handed to the backend: the task
 // snapshot the assignments are parallel to, the block catalog, the
@@ -136,8 +136,8 @@ type Request struct {
 	// TaskID selects the deployed model (via the installed plan's
 	// task → path routing).
 	TaskID string
-	// Input is the flattened input tensor: a raw frame in the backend's
-	// InputShape order when FromStage is 0, otherwise the boundary
+	// Input is the flattened input tensor: a raw frame in (C, H, W)
+	// order (RealConfig.Input) when FromStage is 0, otherwise the boundary
 	// activation entering stage index FromStage of the task's split
 	// path.
 	Input []float64
@@ -250,9 +250,6 @@ type Backend interface {
 	// already late (ErrLate) or squeezed out by backpressure
 	// (ErrQueueFull) instead of serving stale results.
 	Infer(ctx context.Context, req Request) (Output, error)
-	// InputShape returns the expected per-request input shape (C, H, W),
-	// or nil when the backend accepts any input (Simulated).
-	InputShape() []int
 	// Stats snapshots the execution counters.
 	Stats() Stats
 	// Close releases every model and stops the batching executors.

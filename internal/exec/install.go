@@ -120,12 +120,12 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 	var keys []string
 	var stem, cls *dnn.Block
 	var err error
-	if seg.Head() || gated {
+	if seg.head() || gated {
 		if stem, err = bound("stem"+suffix, 0, func() *dnn.Block { return dnn.BuildStemBlock(r.cfg.Model) }); err != nil {
 			return nil, err
 		}
 	}
-	if seg.Head() {
+	if seg.head() {
 		keys = append(keys, "stem"+suffix)
 	}
 	lo, hi := seg.From, seg.To
@@ -144,13 +144,13 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 		stages[i] = inst.block
 	}
 	keys = append(keys, seg.Blocks[seg.From:seg.To]...)
-	if seg.Tail() || gated {
+	if seg.tail() || gated {
 		featureDim := dnn.StageWidth(r.cfg.Model, n)
 		clsKey := "classifier/" + strconv.Itoa(featureDim) + suffix
 		if cls, err = bound(clsKey, 5, func() *dnn.Block { return dnn.BuildClassifierBlock(r.cfg.Model, featureDim) }); err != nil {
 			return nil, err
 		}
-		if seg.Tail() {
+		if seg.tail() {
 			keys = append(keys, clsKey)
 		}
 	}
@@ -159,16 +159,16 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 		keys:        keys,
 		from:        seg.From,
 		inShape:     r.cfg.Input,
-		emitsLogits: seg.Tail(),
+		emitsLogits: seg.tail(),
 		avail:       make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
 	segStem, segCls := stem, cls
-	if !seg.Head() {
+	if !seg.head() {
 		segStem = nil
 		e.inShape = dnn.SegmentBoundaryShape(r.cfg.Model, r.cfg.Input, seg.From)
 	}
-	if !seg.Tail() {
+	if !seg.tail() {
 		segCls = nil
 		e.outShape = dnn.SegmentBoundaryShape(r.cfg.Model, r.cfg.Input, seg.To)
 	}
@@ -177,7 +177,7 @@ func (r *Real) buildEntry(seg Segment) (*modelEntry, error) {
 	}
 	if gated {
 		path := e.model
-		if !seg.Head() || !seg.Tail() {
+		if !seg.head() || !seg.tail() {
 			if path, err = dnn.AssembleSegmentModel("gate/"+e.sig, stem, stages, cls); err != nil {
 				return nil, err
 			}

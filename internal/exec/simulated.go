@@ -87,9 +87,6 @@ func (s *Simulated) Infer(_ context.Context, req Request) (Output, error) {
 	return Output{Argmax: -1, BatchSize: 1, Latency: lat, Simulated: true}, nil
 }
 
-// InputShape implements Backend; the cost model accepts any input.
-func (s *Simulated) InputShape() []int { return nil }
-
 // Stats implements Backend. Every simulated answer is a batch of one.
 func (s *Simulated) Stats() Stats {
 	s.mu.Lock()

@@ -45,9 +45,9 @@ func ablateOrdering() (Table, error) {
 		return Table{}, err
 	}
 	t := Table{
-		Title:   "Ablation — clique ordering (small scenario, T=5)",
-		Columns: []string{"ordering", "DOT cost", "inference usage", "training [s]", "memory [GB]"},
-		Notes: []string{
+		title:   "Ablation — clique ordering (small scenario, T=5)",
+		columns: []string{"ordering", "DOT cost", "inference usage", "training [s]", "memory [GB]"},
+		notes: []string{
 			"compute-sorted cliques (the design) minimize inference usage under the first-branch rule",
 		},
 	}
@@ -59,7 +59,7 @@ func ablateOrdering() (Table, error) {
 		if err := in.Check(sol.Assignments); err != nil {
 			return Table{}, fmt.Errorf("ordering %v: %w", order, err)
 		}
-		t.Rows = append(t.Rows, []string{
+		t.rows = append(t.rows, []string{
 			order.String(),
 			f(sol.Cost),
 			f(sol.Breakdown.ComputeUsage / in.Res.ComputeSeconds),
@@ -81,9 +81,9 @@ func ablateAdmission() (Table, error) {
 		return Table{}, err
 	}
 	t := Table{
-		Title:   "Ablation — fractional vs binary admission (large scenario, high load)",
-		Columns: []string{"admission", "weighted admission", "admitted tasks", "RBs used", "DOT cost"},
-		Notes: []string{
+		title:   "Ablation — fractional vs binary admission (large scenario, high load)",
+		columns: []string{"admission", "weighted admission", "admitted tasks", "RBs used", "DOT cost"},
+		notes: []string{
 			"fractional z is what lets OffloaDNN serve the diminishing-ratio band of Fig. 9",
 		},
 	}
@@ -99,7 +99,7 @@ func ablateAdmission() (Table, error) {
 		if binary {
 			name = "binary (all-or-nothing)"
 		}
-		t.Rows = append(t.Rows, []string{
+		t.rows = append(t.rows, []string{
 			name,
 			f2(sol.Breakdown.WeightedAdmission),
 			fmt.Sprintf("%d", sol.Breakdown.AdmittedTasks),
@@ -116,9 +116,9 @@ func ablateSharing() (Table, error) {
 		return Table{}, err
 	}
 	t := Table{
-		Title:   "Ablation — block sharing (large scenario, medium load)",
-		Columns: []string{"catalog", "memory [GB]", "training [s]", "admitted tasks"},
-		Notes: []string{
+		title:   "Ablation — block sharing (large scenario, medium load)",
+		columns: []string{"catalog", "memory [GB]", "training [s]", "admitted tasks"},
+		notes: []string{
 			"privatizing every block (no sharing) is what SEM-O-RAN effectively does; sharing is",
 			"the source of the ~80% memory saving",
 		},
@@ -132,7 +132,7 @@ func ablateSharing() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = append(t.Rows,
+	t.rows = append(t.rows,
 		[]string{"shared blocks (design)", f2(shared.Breakdown.MemoryGB),
 			fmt.Sprintf("%.0f", shared.Breakdown.TrainSeconds),
 			fmt.Sprintf("%d", shared.Breakdown.AdmittedTasks)},
@@ -159,9 +159,9 @@ func ablateQuality() (Table, error) {
 		}
 	}
 	t := Table{
-		Title:   "Ablation — input-quality adaptation (large scenario, low load)",
-		Columns: []string{"quality levels", "RBs used", "weighted admission", "DOT cost"},
-		Notes: []string{
+		title:   "Ablation — input-quality adaptation (large scenario, low load)",
+		columns: []string{"quality levels", "RBs used", "weighted admission", "DOT cost"},
+		notes: []string{
 			"the full DOT formulation's Q_τ ladder recovers the paper's extra RB savings that the",
 			"single-β Table-IV setting leaves on the table",
 		},
@@ -180,7 +180,7 @@ func ablateQuality() (Table, error) {
 		if err := tc.in.Check(sol.Assignments); err != nil {
 			return Table{}, err
 		}
-		t.Rows = append(t.Rows, []string{
+		t.rows = append(t.rows, []string{
 			tc.name,
 			f1(sol.Breakdown.RBsAllocated),
 			f2(sol.Breakdown.WeightedAdmission),

@@ -23,8 +23,8 @@ func runFig11(opt Options) ([]Table, error) {
 		return nil, err
 	}
 	cfg := edge.DefaultEmulatorConfig()
-	if opt.Workers > 0 {
-		cfg.Workers = opt.Workers
+	if opt.workers > 0 {
+		cfg.Workers = opt.workers
 	}
 	em, err := edge.NewEmulator(in, dep, cfg)
 	if err != nil {
@@ -38,9 +38,9 @@ func runFig11(opt Options) ([]Table, error) {
 	// Time series: per-task mean of the 3-sample moving average in 2 s
 	// buckets — the series Fig. 11 plots.
 	series := Table{
-		Title:   "Fig. 11 — end-to-end latency [s] over time (moving average, window 3)",
-		Columns: []string{"t [s]"},
-		Notes:   []string{"paper shape: every task's trace stays below its latency target throughout the run"},
+		title:   "Fig. 11 — end-to-end latency [s] over time (moving average, window 3)",
+		columns: []string{"t [s]"},
+		notes:   []string{"paper shape: every task's trace stays below its latency target throughout the run"},
 	}
 	const bucket = 2 * time.Second
 	nBuckets := 10
@@ -49,14 +49,14 @@ func runFig11(opt Options) ([]Table, error) {
 		perBucket[b] = []string{fmt.Sprintf("%d", (b+1)*2)}
 	}
 	summary := Table{
-		Title:   "Fig. 11 (summary) — per-task latency vs target",
-		Columns: []string{"task", "target [s]", "mean [s]", "p95 [s]", "max [s]", "samples", "violations"},
+		title:   "Fig. 11 (summary) — per-task latency vs target",
+		columns: []string{"task", "target [s]", "mean [s]", "p95 [s]", "max [s]", "samples", "violations"},
 	}
 	for _, tr := range run.Traces {
 		if len(tr.Samples) == 0 {
 			continue
 		}
-		series.Columns = append(series.Columns, tr.TaskID)
+		series.columns = append(series.columns, tr.TaskID)
 		lats := make([]float64, len(tr.Samples))
 		for i, s := range tr.Samples {
 			lats[i] = s.Latency.Seconds()
@@ -86,7 +86,7 @@ func runFig11(opt Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		summary.Rows = append(summary.Rows, []string{
+		summary.rows = append(summary.rows, []string{
 			tr.TaskID,
 			f2(tr.Target.Seconds()),
 			f(s.Mean),
@@ -96,6 +96,6 @@ func runFig11(opt Options) ([]Table, error) {
 			fmt.Sprintf("%d", tr.Violations),
 		})
 	}
-	series.Rows = perBucket
+	series.rows = perBucket
 	return []Table{series, summary}, nil
 }

@@ -21,30 +21,30 @@ import (
 
 // Table is a rendered experiment artifact.
 type Table struct {
-	// Title identifies the artifact (e.g., "Fig. 6 — solver runtime").
-	Title string
-	// Columns are the header labels.
-	Columns []string
-	// Rows are the data cells, already formatted.
-	Rows [][]string
-	// Notes carry paper-vs-measured commentary.
-	Notes []string
+	// title identifies the artifact (e.g., "Fig. 6 — solver runtime").
+	title string
+	// columns are the header labels.
+	columns []string
+	// rows are the data cells, already formatted.
+	rows [][]string
+	// notes carry paper-vs-measured commentary.
+	notes []string
 }
 
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+	widths := make([]int, len(t.columns))
+	for i, c := range t.columns {
 		widths[i] = len(c)
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		for i, cell := range row {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
 			}
 		}
 	}
-	if _, err := fmt.Fprintf(w, "== %s ==\n", t.Title); err != nil {
+	if _, err := fmt.Fprintf(w, "== %s ==\n", t.title); err != nil {
 		return err
 	}
 	writeRow := func(cells []string) error {
@@ -59,22 +59,22 @@ func (t *Table) Render(w io.Writer) error {
 		_, err := fmt.Fprintln(w, "  "+strings.TrimRight(strings.Join(parts, "  "), " "))
 		return err
 	}
-	if err := writeRow(t.Columns); err != nil {
+	if err := writeRow(t.columns); err != nil {
 		return err
 	}
-	sep := make([]string, len(t.Columns))
+	sep := make([]string, len(t.columns))
 	for i := range sep {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	if err := writeRow(sep); err != nil {
 		return err
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		if err := writeRow(row); err != nil {
 			return err
 		}
 	}
-	for _, n := range t.Notes {
+	for _, n := range t.notes {
 		if _, err := fmt.Fprintf(w, "  note: %s\n", n); err != nil {
 			return err
 		}
@@ -87,10 +87,10 @@ func (t *Table) Render(w io.Writer) error {
 // included — CSV output targets plotting tools.
 func (t *Table) RenderCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(t.Columns); err != nil {
+	if err := cw.Write(t.columns); err != nil {
 		return err
 	}
-	for _, row := range t.Rows {
+	for _, row := range t.rows {
 		if err := cw.Write(row); err != nil {
 			return err
 		}
@@ -103,7 +103,7 @@ func (t *Table) RenderCSV(w io.Writer) error {
 func (t *Table) SlugTitle() string {
 	var sb strings.Builder
 	lastDash := false
-	for _, r := range strings.ToLower(t.Title) {
+	for _, r := range strings.ToLower(t.title) {
 		switch {
 		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
 			sb.WriteRune(r)
@@ -123,10 +123,10 @@ type Options struct {
 	// Quick skips the slowest steps (the exhaustive optimum at T = 5 and
 	// long training sweeps) so the whole suite runs in seconds.
 	Quick bool
-	// Workers sets the tensor parallelism for the compute-time
+	// workers sets the tensor parallelism for the compute-time
 	// characterizations (fig3 profiling and the fig11 emulator). Zero keeps
 	// the single-worker measurement the calibrated tables were built from.
-	Workers int
+	workers int
 }
 
 // Experiment is one reproducible artifact generator.

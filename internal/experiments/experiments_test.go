@@ -26,8 +26,8 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 				if err := tables[i].Render(&buf); err != nil {
 					t.Fatal(err)
 				}
-				if len(tables[i].Rows) == 0 {
-					t.Fatalf("%s table %q has no rows", e.ID, tables[i].Title)
+				if len(tables[i].rows) == 0 {
+					t.Fatalf("%s table %q has no rows", e.ID, tables[i].title)
 				}
 			}
 			if buf.Len() == 0 {
@@ -52,10 +52,10 @@ func TestByID(t *testing.T) {
 
 func TestRenderAlignment(t *testing.T) {
 	tab := Table{
-		Title:   "demo",
-		Columns: []string{"a", "long-header"},
-		Rows:    [][]string{{"xxxxxx", "1"}},
-		Notes:   []string{"a note"},
+		title:   "demo",
+		columns: []string{"a", "long-header"},
+		rows:    [][]string{{"xxxxxx", "1"}},
+		notes:   []string{"a note"},
 	}
 	var buf bytes.Buffer
 	if err := tab.Render(&buf); err != nil {
@@ -228,7 +228,7 @@ func TestFig11TracesUnderTargets(t *testing.T) {
 	}
 	// The summary table's violations column must be all zeros.
 	summary := tables[1]
-	for _, row := range summary.Rows {
+	for _, row := range summary.rows {
 		v, err := strconv.Atoi(row[len(row)-1])
 		if err != nil {
 			t.Fatal(err)
@@ -248,9 +248,9 @@ func TestFig11TracesUnderTargets(t *testing.T) {
 
 func TestRenderCSV(t *testing.T) {
 	tab := Table{
-		Title:   "Fig. X — demo, with (punctuation)!",
-		Columns: []string{"a", "b"},
-		Rows:    [][]string{{"1", "two, three"}},
+		title:   "Fig. X — demo, with (punctuation)!",
+		columns: []string{"a", "b"},
+		rows:    [][]string{{"1", "two, three"}},
 	}
 	var buf bytes.Buffer
 	if err := tab.RenderCSV(&buf); err != nil {
@@ -279,11 +279,11 @@ func TestAblationShapes(t *testing.T) {
 	// Ordering ablation: the compute row (first) must have the lowest
 	// inference usage column (index 2).
 	ordering := tables[0]
-	base, err := strconv.ParseFloat(ordering.Rows[0][2], 64)
+	base, err := strconv.ParseFloat(ordering.rows[0][2], 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range ordering.Rows[1:] {
+	for _, row := range ordering.rows[1:] {
 		v, err := strconv.ParseFloat(row[2], 64)
 		if err != nil {
 			t.Fatal(err)
@@ -294,15 +294,15 @@ func TestAblationShapes(t *testing.T) {
 	}
 	// Sharing ablation: private blocks use more memory.
 	sharing := tables[2]
-	sharedMem, _ := strconv.ParseFloat(sharing.Rows[0][1], 64)
-	privateMem, _ := strconv.ParseFloat(sharing.Rows[1][1], 64)
+	sharedMem, _ := strconv.ParseFloat(sharing.rows[0][1], 64)
+	privateMem, _ := strconv.ParseFloat(sharing.rows[1][1], 64)
 	if privateMem <= sharedMem {
 		t.Fatalf("private memory %v not above shared %v", privateMem, sharedMem)
 	}
 	// Quality ablation: the ladder saves RBs.
 	quality := tables[3]
-	singleRB, _ := strconv.ParseFloat(quality.Rows[0][1], 64)
-	ladderRB, _ := strconv.ParseFloat(quality.Rows[1][1], 64)
+	singleRB, _ := strconv.ParseFloat(quality.rows[0][1], 64)
+	ladderRB, _ := strconv.ParseFloat(quality.rows[1][1], 64)
 	if ladderRB >= singleRB {
 		t.Fatalf("quality ladder RBs %v not below single-β %v", ladderRB, singleRB)
 	}
@@ -313,7 +313,7 @@ func TestDynamicWavesReuseBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := tables[0].Rows
+	rows := tables[0].rows
 	if len(rows) != 3 {
 		t.Fatalf("%d waves, want 3", len(rows))
 	}
@@ -344,24 +344,24 @@ func TestProfileExperimentCoversGrid(t *testing.T) {
 	for ti, arch := range profileArchs {
 		tab := tables[ti]
 		col := map[string]int{}
-		for i, c := range tab.Columns {
+		for i, c := range tab.columns {
 			col[c] = i
 		}
 		for _, prec := range []string{"f64", "f32", "i8"} {
 			if _, ok := col["c(s) "+prec]; !ok {
-				t.Fatalf("%s: no c(s) column for %s in %v", arch.name, prec, tab.Columns)
+				t.Fatalf("%s: no c(s) column for %s in %v", arch.name, prec, tab.columns)
 			}
 			if _, ok := col["µ(s) "+prec]; !ok {
-				t.Fatalf("%s: no µ(s) column for %s in %v", arch.name, prec, tab.Columns)
+				t.Fatalf("%s: no µ(s) column for %s in %v", arch.name, prec, tab.columns)
 			}
 		}
 		m := arch.build()
-		if len(tab.Rows) != len(m.Blocks)+1 {
-			t.Fatalf("%s: %d rows, want %d blocks + TOTAL", arch.name, len(tab.Rows), len(m.Blocks))
+		if len(tab.rows) != len(m.Blocks)+1 {
+			t.Fatalf("%s: %d rows, want %d blocks + TOTAL", arch.name, len(tab.rows), len(m.Blocks))
 		}
 		params := 0
 		for i, b := range m.Blocks {
-			row := tab.Rows[i]
+			row := tab.rows[i]
 			if row[col["block"]] != b.ID {
 				t.Fatalf("%s: row %d is %q, want block %q", arch.name, i, row[col["block"]], b.ID)
 			}
@@ -371,7 +371,7 @@ func TestProfileExperimentCoversGrid(t *testing.T) {
 			}
 			params += n
 		}
-		total := tab.Rows[len(m.Blocks)]
+		total := tab.rows[len(m.Blocks)]
 		if total[col["block"]] != "TOTAL" || total[col["params"]] != strconv.Itoa(m.ParamCount()) {
 			t.Fatalf("%s: TOTAL row %v, want params %d", arch.name, total, m.ParamCount())
 		}
@@ -382,12 +382,14 @@ func TestProfileExperimentCoversGrid(t *testing.T) {
 		if err := m.SetPrecision(tensor.I8); err != nil {
 			t.Fatal(err)
 		}
+		var modelBytes int64
 		for i, b := range m.Blocks {
-			if got, want := tab.Rows[i][col["µ(s) i8"]], f1(float64(b.MemoryBytes())/1024); got != want {
+			modelBytes += b.MemoryBytes()
+			if got, want := tab.rows[i][col["µ(s) i8"]], f1(float64(b.MemoryBytes())/1024); got != want {
 				t.Fatalf("%s: %s i8 memory %s KB, want %s", arch.name, b.ID, got, want)
 			}
 		}
-		if got, want := total[col["µ(s) i8"]], f1(float64(m.MemoryBytes())/1024); got != want {
+		if got, want := total[col["µ(s) i8"]], f1(float64(modelBytes)/1024); got != want {
 			t.Fatalf("%s: TOTAL i8 memory %s KB, want %s", arch.name, got, want)
 		}
 	}

@@ -15,10 +15,10 @@ import (
 // catalog; accuracy-hungry tasks stay on ResNet paths.
 func runHetero(Options) ([]Table, error) {
 	t := Table{
-		Title: "Extension — heterogeneous DNN families (large scenario): ResNet-only vs ResNet+lite catalog",
-		Columns: []string{"load", "catalog", "admitted", "memory [GB]", "compute [s/s]",
+		title: "Extension — heterogeneous DNN families (large scenario): ResNet-only vs ResNet+lite catalog",
+		columns: []string{"load", "catalog", "admitted", "memory [GB]", "compute [s/s]",
 			"lite paths used"},
-		Notes: []string{
+		notes: []string{
 			"the lite family (MobileNetV2-class: ~60% less compute, ~3 points lower accuracy ceiling)",
 			"clears every Table-IV accuracy floor (max 0.785), so all tasks migrate to it and memory/",
 			"compute drop ~3x further; floors above ~0.85 (small-scenario task 1) pin tasks to ResNet",
@@ -53,7 +53,7 @@ func runHetero(Options) ([]Table, error) {
 					lite++
 				}
 			}
-			t.Rows = append(t.Rows, []string{
+			t.rows = append(t.rows, []string{
 				load.String(),
 				tc.name,
 				fmt.Sprintf("%d", sol.Breakdown.AdmittedTasks),
@@ -78,10 +78,10 @@ func runDynamic(Options) ([]Table, error) {
 	waves := [][]int{{0, 1, 2, 3, 4, 5}, {6, 7, 8, 9, 10, 11, 12}, {13, 14, 15, 16, 17, 18, 19}}
 
 	t := Table{
-		Title: "Extension — dynamic incremental admission (Sec. III-B), low-load large scenario",
-		Columns: []string{"wave", "arriving", "admitted", "+memory [GB]", "+training [s]",
+		title: "Extension — dynamic incremental admission (Sec. III-B), low-load large scenario",
+		columns: []string{"wave", "arriving", "admitted", "+memory [GB]", "+training [s]",
 			"+RBs", "blocks reused free"},
-		Notes: []string{
+		notes: []string{
 			"already-deployed blocks cost zero memory/training in later rounds; the controller",
 			"only pays the increment — the remark at the end of Sec. III-B",
 		},
@@ -112,7 +112,7 @@ func runDynamic(Options) ([]Table, error) {
 				reused++
 			}
 		}
-		t.Rows = append(t.Rows, []string{
+		t.rows = append(t.rows, []string{
 			fmt.Sprintf("%d", wi+1),
 			fmt.Sprintf("%d", len(wave)),
 			fmt.Sprintf("%d", sol.Breakdown.AdmittedTasks),

@@ -49,21 +49,21 @@ func runFig9(Options) ([]Table, error) {
 		return nil, err
 	}
 	top := Table{
-		Title:   "Fig. 9 (top) — OffloaDNN per-task admission ratio",
-		Columns: []string{"task"},
-		Notes: []string{
+		title:   "Fig. 9 (top) — OffloaDNN per-task admission ratio",
+		columns: []string{"task"},
+		notes: []string{
 			"paper shape, low: all 20 tasks at ratio 1; medium: 19 at 1 plus the lowest-priority partial;",
 			"high: top-priority tasks at 1, a diminishing-ratio band, lowest tasks rejected (RB saturation)",
 		},
 	}
 	bottom := Table{
-		Title:   "Fig. 9 (bottom) — SEM-O-RAN per-task admission (binary)",
-		Columns: []string{"task"},
-		Notes:   []string{"paper shape: 16 of 20 admitted at low/medium, 13 at high; all-or-nothing"},
+		title:   "Fig. 9 (bottom) — SEM-O-RAN per-task admission (binary)",
+		columns: []string{"task"},
+		notes:   []string{"paper shape: 16 of 20 admitted at low/medium, 13 at high; all-or-nothing"},
 	}
 	for _, r := range runs {
-		top.Columns = append(top.Columns, r.load.String())
-		bottom.Columns = append(bottom.Columns, r.load.String())
+		top.columns = append(top.columns, r.load.String())
+		bottom.columns = append(bottom.columns, r.load.String())
 	}
 	nTasks := len(runs[0].instance.Tasks)
 	for ti := 0; ti < nTasks; ti++ {
@@ -77,8 +77,8 @@ func runFig9(Options) ([]Table, error) {
 			}
 			rowB = append(rowB, f2(z))
 		}
-		top.Rows = append(top.Rows, rowT)
-		bottom.Rows = append(bottom.Rows, rowB)
+		top.rows = append(top.rows, rowT)
+		bottom.rows = append(bottom.rows, rowB)
 	}
 	return []Table{top, bottom}, nil
 }
@@ -123,12 +123,12 @@ func runFig10(Options) ([]Table, error) {
 	out := make([]Table, 0, len(panels))
 	for _, p := range panels {
 		t := Table{
-			Title:   p.title,
-			Columns: []string{"load", "OffloaDNN", "SEM-O-RAN"},
-			Notes:   []string{p.note},
+			title:   p.title,
+			columns: []string{"load", "OffloaDNN", "SEM-O-RAN"},
+			notes:   []string{p.note},
 		}
 		for _, r := range runs {
-			t.Rows = append(t.Rows, []string{r.load.String(), f(p.offl(r)), f(p.sem(r))})
+			t.rows = append(t.rows, []string{r.load.String(), f(p.offl(r)), f(p.sem(r))})
 		}
 		out = append(out, t)
 	}
@@ -141,15 +141,15 @@ func runHeadline(Options) ([]Table, error) {
 		return nil, err
 	}
 	costs := Table{
-		Title:   "§V-A — total DOT cost and training compute usage under OffloaDNN",
-		Columns: []string{"load", "DOT cost", "training usage (Σct/Ct)"},
-		Notes: []string{
+		title:   "§V-A — total DOT cost and training compute usage under OffloaDNN",
+		columns: []string{"load", "DOT cost", "training usage (Σct/Ct)"},
+		notes: []string{
 			"paper values: DOT cost [0.35, 0.44, 0.74]; training usage [0.81, 0.81, 0.67] for low/medium/high",
 		},
 	}
 	var admO, admS, memO, memS, compO, compS, rbO, rbS float64
 	for _, r := range runs {
-		costs.Rows = append(costs.Rows, []string{
+		costs.rows = append(costs.rows, []string{
 			r.load.String(),
 			f(r.offloaDNN.Cost),
 			f(r.offloaDNN.Breakdown.TrainSeconds / 1000),
@@ -164,13 +164,13 @@ func runHeadline(Options) ([]Table, error) {
 		rbS += r.semORAN.RBsAllocated
 	}
 	gains := Table{
-		Title:   "§V-A — headline gains of OffloaDNN over SEM-O-RAN (average across loads)",
-		Columns: []string{"metric", "OffloaDNN", "SEM-O-RAN", "gain"},
-		Notes: []string{
+		title:   "§V-A — headline gains of OffloaDNN over SEM-O-RAN (average across loads)",
+		columns: []string{"metric", "OffloaDNN", "SEM-O-RAN", "gain"},
+		notes: []string{
 			"paper: +26.9% admitted tasks, −82.5% memory, −77.3% inference compute, −4.4% radio resources",
 		},
 	}
-	gains.Rows = append(gains.Rows,
+	gains.rows = append(gains.rows,
 		[]string{"admitted tasks (sum over loads)", f1(admO), f1(admS),
 			fmt.Sprintf("+%.1f%%", (admO/admS-1)*100)},
 		[]string{"memory [GB] (mean)", f2(memO / 3), f2(memS / 3),

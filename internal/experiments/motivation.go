@@ -12,15 +12,15 @@ import (
 
 func runTable1(Options) ([]Table, error) {
 	t := Table{
-		Title:   "Table I — DNN block configurations (ResNet)",
-		Columns: []string{"name", "shared stages", "pruned", "description"},
+		title:   "Table I — DNN block configurations (ResNet)",
+		columns: []string{"name", "shared stages", "pruned", "description"},
 	}
 	for _, c := range dnn.TableI() {
 		pruned := "no"
 		if c.PruneRatio > 0 {
 			pruned = fmt.Sprintf("%.0f%%", c.PruneRatio*100)
 		}
-		t.Rows = append(t.Rows, []string{
+		t.rows = append(t.rows, []string{
 			"CONFIG " + c.Name,
 			fmt.Sprintf("%d", c.SharedStages),
 			pruned,
@@ -32,8 +32,8 @@ func runTable1(Options) ([]Table, error) {
 
 func runTable2(Options) ([]Table, error) {
 	t := Table{
-		Title:   "Table II — base dataset description (60 categories)",
-		Columns: []string{"group", "categories"},
+		title:   "Table II — base dataset description (60 categories)",
+		columns: []string{"group", "categories"},
 	}
 	counts := map[string]int{}
 	order := []string{}
@@ -45,19 +45,19 @@ func runTable2(Options) ([]Table, error) {
 	}
 	total := 0
 	for _, g := range order {
-		t.Rows = append(t.Rows, []string{g, fmt.Sprintf("%d", counts[g])})
+		t.rows = append(t.rows, []string{g, fmt.Sprintf("%d", counts[g])})
 		total += counts[g]
 	}
-	t.Rows = append(t.Rows, []string{"total", fmt.Sprintf("%d", total)})
+	t.rows = append(t.rows, []string{"total", fmt.Sprintf("%d", total)})
 	return []Table{t}, nil
 }
 
 func runFig2(Options) ([]Table, error) {
 	configs := []string{"A", "B", "C", "D", "E"}
 	curves := Table{
-		Title:   "Fig. 2 (left) — testing accuracy [%] vs training epoch (calibrated ResNet-18 scale)",
-		Columns: []string{"epoch", "A", "B", "C", "D", "E"},
-		Notes: []string{
+		title:   "Fig. 2 (left) — testing accuracy [%] vs training epoch (calibrated ResNet-18 scale)",
+		columns: []string{"epoch", "A", "B", "C", "D", "E"},
+		notes: []string{
 			"paper shape: A needs >200 epochs to 80% but ends highest after 250+;",
 			"B and C converge to 80% fastest, then overfit; D and E converge slower than C",
 		},
@@ -76,11 +76,11 @@ func runFig2(Options) ([]Table, error) {
 		for _, c := range configs {
 			row = append(row, f1(params[c].Accuracy(float64(e))))
 		}
-		curves.Rows = append(curves.Rows, row)
+		curves.rows = append(curves.rows, row)
 	}
 	reach := Table{
-		Title:   "Fig. 2 (left, derived) — epochs to reach 80% testing accuracy",
-		Columns: []string{"config", "epochs to 80%"},
+		title:   "Fig. 2 (left, derived) — epochs to reach 80% testing accuracy",
+		columns: []string{"config", "epochs to 80%"},
 	}
 	for _, c := range configs {
 		e := params[c].EpochsToReach(80, 400)
@@ -88,13 +88,13 @@ func runFig2(Options) ([]Table, error) {
 		if e < 0 {
 			cell = ">400"
 		}
-		reach.Rows = append(reach.Rows, []string{"CONFIG " + c, cell})
+		reach.rows = append(reach.rows, []string{"CONFIG " + c, cell})
 	}
 
 	mem := Table{
-		Title:   "Fig. 2 (right) — peak GPU memory occupancy [MiB] during training",
-		Columns: []string{"config", "peak MiB", "vs CONFIG A"},
-		Notes:   []string{"paper shape: CONFIG B/C ≈ 1.8x less than baseline CONFIG A"},
+		title:   "Fig. 2 (right) — peak GPU memory occupancy [MiB] during training",
+		columns: []string{"config", "peak MiB", "vs CONFIG A"},
+		notes:   []string{"paper shape: CONFIG B/C ≈ 1.8x less than baseline CONFIG A"},
 	}
 	stats := dnn.ResNet18Stats(64, 224, 61, [4]float64{})
 	mm := train.DefaultMemoryModel()
@@ -108,7 +108,7 @@ func runFig2(Options) ([]Table, error) {
 		if c == "A" {
 			baseline = mib
 		}
-		mem.Rows = append(mem.Rows, []string{
+		mem.rows = append(mem.rows, []string{
 			"CONFIG " + c,
 			fmt.Sprintf("%.0f", mib),
 			fmt.Sprintf("%.2fx less", baseline/mib),
@@ -154,10 +154,10 @@ func runFig2Real(opt Options) ([]Table, error) {
 
 	tuneSplit := dataset.Generate(gen, allCats, perClass, 4, 22)
 	t := Table{
-		Title: "Fig. 2 (mechanism) — real scaled-down fine-tuning toward a novel class",
-		Columns: []string{"config", "trainable params", "of total %", "loss after tuning",
+		title: "Fig. 2 (mechanism) — real scaled-down fine-tuning toward a novel class",
+		columns: []string{"config", "trainable params", "of total %", "loss after tuning",
 			"test acc %", "novel-class acc %"},
-		Notes: []string{
+		notes: []string{
 			"measured on the real engine (8x8 images, width-6 ResNet); shows the mechanism behind",
 			"the calibrated Fig. 2 curves: sharing trains far fewer parameters at comparable accuracy",
 		},
@@ -190,7 +190,7 @@ func runFig2Real(opt Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
+		t.rows = append(t.rows, []string{
 			"CONFIG " + name,
 			fmt.Sprintf("%d", m.TrainableParamCount()),
 			f1(float64(m.TrainableParamCount()) / float64(m.ParamCount()) * 100),
@@ -208,7 +208,7 @@ func runFig3(opt Options) ([]Table, error) {
 		InChannels: 3, NumClasses: 61, BaseWidth: 16,
 		StageBlocks: [4]int{2, 2, 2, 2}, Seed: 13,
 	})
-	prof := profile.Profiler{ImageSize: 16, Repeats: 9, Warmup: 2, Workers: opt.Workers}
+	prof := profile.Profiler{ImageSize: 16, Repeats: 9, Warmup: 2, Workers: opt.workers}
 
 	type measured struct {
 		name    string
@@ -250,10 +250,10 @@ func runFig3(opt Options) ([]Table, error) {
 	scale := 8.7 / (float64(baseA) / float64(time.Millisecond))
 
 	left := Table{
-		Title: "Fig. 3 (left) — inference compute time [ms], dummy-tensor timing " +
+		title: "Fig. 3 (left) — inference compute time [ms], dummy-tensor timing " +
 			"(measured on the real engine, calibrated to CONFIG A = 8.7 ms)",
-		Columns: []string{"config", "w/o pruning [ms]", "pruned [ms]", "params w/o", "params pruned"},
-		Notes: []string{
+		columns: []string{"config", "w/o pruning [ms]", "pruned [ms]", "params w/o", "params pruned"},
+		notes: []string{
 			"paper shape: pruned < unpruned everywhere; A-pruned fastest (everything pruned);",
 			"B-pruned slowest of the pruned set (4 shared unpruned blocks), then C, D, E decreasing",
 		},
@@ -268,7 +268,7 @@ func runFig3(opt Options) ([]Table, error) {
 				pruned = r
 			}
 		}
-		left.Rows = append(left.Rows, []string{
+		left.rows = append(left.rows, []string{
 			"CONFIG " + name,
 			f2(float64(full.compute) / float64(time.Millisecond) * scale),
 			f2(float64(pruned.compute) / float64(time.Millisecond) * scale),
@@ -278,9 +278,9 @@ func runFig3(opt Options) ([]Table, error) {
 	}
 
 	right := Table{
-		Title:   "Fig. 3 (right) — average class accuracy [%] for \"electric guitar\" (calibrated)",
-		Columns: []string{"config", "w/o pruning", "pruned"},
-		Notes: []string{
+		title:   "Fig. 3 (right) — average class accuracy [%] for \"electric guitar\" (calibrated)",
+		columns: []string{"config", "w/o pruning", "pruned"},
+		notes: []string{
 			"paper shape: pruning costs every config a few points; CONFIG B retains the most",
 			"accuracy after pruning (most blocks inherited unpruned from the base model)",
 		},
@@ -294,7 +294,7 @@ func runFig3(opt Options) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		right.Rows = append(right.Rows, []string{"CONFIG " + name, f1(full), f1(pruned)})
+		right.rows = append(right.rows, []string{"CONFIG " + name, f1(full), f1(pruned)})
 	}
 	return []Table{left, right}, nil
 }

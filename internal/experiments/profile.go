@@ -34,26 +34,26 @@ func runProfile(opt Options) ([]Table, error) {
 	var tables []Table
 	for _, arch := range profileArchs {
 		t := Table{
-			Title:   "Block profile — " + arch.name + ", width 16, 16x16 input: c(s) [µs] and µ(s) [KB]",
-			Columns: []string{"block", "stage", "params"},
+			title:   "Block profile — " + arch.name + ", width 16, 16x16 input: c(s) [µs] and µ(s) [KB]",
+			columns: []string{"block", "stage", "params"},
 		}
 		for _, prec := range []tensor.Precision{tensor.F64, tensor.F32, tensor.I8} {
 			// ProfileModel sets the precision in place: a fresh model each.
 			m := arch.build()
-			p := profile.Profiler{ImageSize: 16, Repeats: 9, Warmup: 2, Workers: opt.Workers, Precision: prec}
+			p := profile.Profiler{ImageSize: 16, Repeats: 9, Warmup: 2, Workers: opt.workers, Precision: prec}
 			costs, err := p.ProfileModel(m)
 			if err != nil {
 				return nil, err
 			}
-			if t.Rows == nil {
+			if t.rows == nil {
 				for _, c := range costs {
-					t.Rows = append(t.Rows, []string{c.ID, fmt.Sprint(c.Stage), fmt.Sprint(c.Params)})
+					t.rows = append(t.rows, []string{c.ID, fmt.Sprint(c.Stage), fmt.Sprint(c.Params)})
 				}
-				t.Rows = append(t.Rows, []string{"TOTAL", "", fmt.Sprint(m.ParamCount())})
+				t.rows = append(t.rows, []string{"TOTAL", "", fmt.Sprint(m.ParamCount())})
 			}
-			t.Columns = append(t.Columns, "c(s) "+prec.String(), "µ(s) "+prec.String())
+			t.columns = append(t.columns, "c(s) "+prec.String(), "µ(s) "+prec.String())
 			cells := func(row int, c time.Duration, mem int64) {
-				t.Rows[row] = append(t.Rows[row], fmt.Sprint(c.Round(time.Microsecond).Microseconds()), f1(float64(mem)/1024))
+				t.rows[row] = append(t.rows[row], fmt.Sprint(c.Round(time.Microsecond).Microseconds()), f1(float64(mem)/1024))
 			}
 			for i, c := range costs {
 				cells(i, c.ComputeTime, c.MemoryBytes)

@@ -63,9 +63,9 @@ func runFig6(opt Options) ([]Table, error) {
 		return nil, err
 	}
 	t := Table{
-		Title:   "Fig. 6 — average runtime [s] of the optimum vs OffloaDNN, small scenario",
-		Columns: []string{"T", "OffloaDNN [s]", "Optimum [s]", "speedup", "branches"},
-		Notes: []string{
+		title:   "Fig. 6 — average runtime [s] of the optimum vs OffloaDNN, small scenario",
+		columns: []string{"T", "OffloaDNN [s]", "Optimum [s]", "speedup", "branches"},
+		notes: []string{
 			"paper shape: optimum runtime grows ~exponentially (1 s → 100 s); OffloaDNN stays >10x faster from T=2",
 		},
 	}
@@ -83,7 +83,7 @@ func runFig6(opt Options) ([]Table, error) {
 		} else {
 			row = append(row, "(skipped: -quick)", "", "")
 		}
-		t.Rows = append(t.Rows, row)
+		t.rows = append(t.rows, row)
 	}
 	return []Table{t}, nil
 }
@@ -110,14 +110,14 @@ func runFig7(opt Options) ([]Table, error) {
 		}
 	}
 	cost := Table{
-		Title:   "Fig. 7 (left) — normalized DOT cost",
-		Columns: []string{"T", "OffloaDNN", "Optimum", "gap %"},
-		Notes:   []string{"paper shape: OffloaDNN matches the optimum very closely (negligible cost increase)"},
+		title:   "Fig. 7 (left) — normalized DOT cost",
+		columns: []string{"T", "OffloaDNN", "Optimum", "gap %"},
+		notes:   []string{"paper shape: OffloaDNN matches the optimum very closely (negligible cost increase)"},
 	}
 	mem := Table{
-		Title:   "Fig. 7 (right) — normalized total required memory",
-		Columns: []string{"T", "OffloaDNN", "Optimum", "OffloaDNN GB", "budget use %"},
-		Notes:   []string{"paper shape: memory stays well below the quota M (paper: at most 64% of 8 GB)"},
+		title:   "Fig. 7 (right) — normalized total required memory",
+		columns: []string{"T", "OffloaDNN", "Optimum", "OffloaDNN GB", "budget use %"},
+		notes:   []string{"paper shape: memory stays well below the quota M (paper: at most 64% of 8 GB)"},
 	}
 	for _, r := range runs {
 		hRow := []string{fmt.Sprintf("%d", r.tasks), f(r.heuristic.Cost / maxCost)}
@@ -136,8 +136,8 @@ func runFig7(opt Options) ([]Table, error) {
 		mRow = append(mRow,
 			f2(r.heuristic.Breakdown.MemoryGB),
 			f1(r.heuristic.Breakdown.MemoryGB/8*100))
-		cost.Rows = append(cost.Rows, hRow)
-		mem.Rows = append(mem.Rows, mRow)
+		cost.rows = append(cost.rows, hRow)
+		mem.rows = append(mem.rows, mRow)
 	}
 	return []Table{cost, mem}, nil
 }
@@ -176,9 +176,9 @@ func runFig8(opt Options) ([]Table, error) {
 	out := make([]Table, 0, len(panels))
 	for _, p := range panels {
 		t := Table{
-			Title:   p.title,
-			Columns: []string{"T", "OffloaDNN", "Optimum"},
-			Notes:   []string{p.note},
+			title:   p.title,
+			columns: []string{"T", "OffloaDNN", "Optimum"},
+			notes:   []string{p.note},
 		}
 		for _, r := range runs {
 			row := []string{fmt.Sprintf("%d", r.tasks), f(p.get(r.heuristic))}
@@ -187,7 +187,7 @@ func runFig8(opt Options) ([]Table, error) {
 			} else {
 				row = append(row, "-")
 			}
-			t.Rows = append(t.Rows, row)
+			t.rows = append(t.rows, row)
 		}
 		out = append(out, t)
 	}

@@ -74,7 +74,7 @@ func (f Family) Bool(v bool, labels ...string) {
 // Quantiles writes win's p50, p95 and p99 as quantile-labelled samples
 // after the given labels; an empty window writes nothing.
 func (f Family) Quantiles(win *Window, labels ...string) {
-	qs, _ := win.Quantiles(50, 95, 99)
+	qs, _ := win.quantiles(50, 95, 99)
 	for i, q := range qs {
 		f.Float(q, append(labels[:len(labels):len(labels)], "quantile", []string{"0.5", "0.95", "0.99"}[i])...)
 	}

@@ -14,11 +14,11 @@ var errEmpty = errors.New("metrics: empty data")
 
 // Summary holds basic descriptive statistics.
 type Summary struct {
-	Count  int
+	count  int
 	Mean   float64
-	Min    float64
+	min    float64
 	Max    float64
-	StdDev float64
+	stdDev float64
 }
 
 // Summarize computes a Summary over xs.
@@ -26,12 +26,12 @@ func Summarize(xs []float64) (Summary, error) {
 	if len(xs) == 0 {
 		return Summary{}, errEmpty
 	}
-	s := Summary{Count: len(xs), Min: xs[0], Max: xs[0]}
+	s := Summary{count: len(xs), min: xs[0], Max: xs[0]}
 	sum := 0.0
 	for _, x := range xs {
 		sum += x
-		if x < s.Min {
-			s.Min = x
+		if x < s.min {
+			s.min = x
 		}
 		if x > s.Max {
 			s.Max = x
@@ -44,7 +44,7 @@ func Summarize(xs []float64) (Summary, error) {
 			d := x - s.Mean
 			sq += d * d
 		}
-		s.StdDev = math.Sqrt(sq / float64(len(xs)-1))
+		s.stdDev = math.Sqrt(sq / float64(len(xs)-1))
 	}
 	return s, nil
 }
@@ -60,18 +60,13 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted))
-	idx := int(math.Ceil(rank)) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx], nil
+	return sorted[rankIndex(len(sorted), p)], nil
+}
+
+// rankIndex is the nearest-rank index of the p-th percentile (0 ≤ p ≤
+// 100) among n > 0 sorted samples: ⌈p/100·n⌉ − 1, clamped to [0, n).
+func rankIndex(n int, p float64) int {
+	return max(0, min(int(math.Ceil(p/100*float64(n)))-1, n-1))
 }
 
 // MovingAverage returns the k-sample trailing moving average of xs (the

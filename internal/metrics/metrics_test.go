@@ -13,12 +13,12 @@ func TestSummarizeKnownValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count != 8 || s.Mean != 5 || s.Min != 2 || s.Max != 9 {
+	if s.count != 8 || s.Mean != 5 || s.min != 2 || s.Max != 9 {
 		t.Fatalf("summary %+v", s)
 	}
 	// Sample stddev of this classic set is sqrt(32/7).
-	if math.Abs(s.StdDev-math.Sqrt(32.0/7)) > 1e-12 {
-		t.Fatalf("stddev %v", s.StdDev)
+	if math.Abs(s.stdDev-math.Sqrt(32.0/7)) > 1e-12 {
+		t.Fatalf("stddev %v", s.stdDev)
 	}
 }
 

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"errors"
-	"math"
 	"sort"
 	"sync"
 )
@@ -54,8 +53,8 @@ func (w *Window) len() int {
 	return w.next
 }
 
-// Snapshot copies out the held samples, oldest first.
-func (w *Window) Snapshot() []float64 {
+// snapshot copies out the held samples, oldest first.
+func (w *Window) snapshot() []float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	n := w.len()
@@ -67,16 +66,10 @@ func (w *Window) Snapshot() []float64 {
 	return out
 }
 
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) over the window,
-// or errEmpty when no sample has been recorded yet.
-func (w *Window) Percentile(p float64) (float64, error) {
-	return Percentile(w.Snapshot(), p)
-}
-
-// Quantiles evaluates several percentiles over one consistent snapshot
+// quantiles evaluates several percentiles over one consistent snapshot
 // of the window (a single sort), returning them in the order requested.
-func (w *Window) Quantiles(ps ...float64) ([]float64, error) {
-	xs := w.Snapshot()
+func (w *Window) quantiles(ps ...float64) ([]float64, error) {
+	xs := w.snapshot()
 	if len(xs) == 0 {
 		return nil, errEmpty
 	}
@@ -86,23 +79,7 @@ func (w *Window) Quantiles(ps ...float64) ([]float64, error) {
 		if p < 0 || p > 100 {
 			return nil, errors.New("metrics: percentile out of [0,100]")
 		}
-		idx := 0
-		if p > 0 {
-			idx = int(math.Ceil(p/100*float64(len(xs)))) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= len(xs) {
-				idx = len(xs) - 1
-			}
-		}
-		out[i] = xs[idx]
+		out[i] = xs[rankIndex(len(xs), p)]
 	}
 	return out, nil
-}
-
-// Summary computes descriptive statistics over the window, or errEmpty
-// when no sample has been recorded yet.
-func (w *Window) Summary() (Summary, error) {
-	return Summarize(w.Snapshot())
 }

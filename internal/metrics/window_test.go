@@ -14,13 +14,13 @@ func TestWindowEmpty(t *testing.T) {
 	if _, err := w.Percentile(50); !errors.Is(err, errEmpty) {
 		t.Fatalf("Percentile on empty window: err = %v, want ErrEmpty", err)
 	}
-	if _, err := w.Quantiles(50, 95); !errors.Is(err, errEmpty) {
+	if _, err := w.quantiles(50, 95); !errors.Is(err, errEmpty) {
 		t.Fatalf("Quantiles on empty window: err = %v, want ErrEmpty", err)
 	}
 	if _, err := w.Summary(); !errors.Is(err, errEmpty) {
 		t.Fatalf("Summary on empty window: err = %v, want ErrEmpty", err)
 	}
-	if got := w.Snapshot(); len(got) != 0 {
+	if got := w.snapshot(); len(got) != 0 {
 		t.Fatalf("Snapshot() = %v, want empty", got)
 	}
 }
@@ -44,7 +44,7 @@ func TestWindowSingleSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Count != 1 || s.Mean != 3.5 || s.Min != 3.5 || s.Max != 3.5 {
+	if s.count != 1 || s.Mean != 3.5 || s.min != 3.5 || s.Max != 3.5 {
 		t.Fatalf("Summary = %+v", s)
 	}
 }
@@ -57,7 +57,7 @@ func TestWindowEviction(t *testing.T) {
 	if w.Len() != 4 {
 		t.Fatalf("Len() = %d, want 4", w.Len())
 	}
-	got := w.Snapshot()
+	got := w.snapshot()
 	want := []float64{3, 4, 5, 6}
 	if len(got) != len(want) {
 		t.Fatalf("Snapshot() = %v, want %v", got, want)
@@ -85,7 +85,7 @@ func TestWindowQuantilesMatchPercentile(t *testing.T) {
 	for i := 100; i >= 1; i-- {
 		w.Add(float64(i))
 	}
-	qs, err := w.Quantiles(50, 95, 99)
+	qs, err := w.quantiles(50, 95, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestWindowQuantilesMatchPercentile(t *testing.T) {
 			t.Fatalf("Quantiles p%v = %v, Percentile = %v", p, qs[i], single)
 		}
 	}
-	if _, err := w.Quantiles(101); err == nil {
+	if _, err := w.quantiles(101); err == nil {
 		t.Fatal("Quantiles(101) succeeded, want error")
 	}
 }

@@ -30,9 +30,9 @@ type BlockCost struct {
 	MemoryBytes int64
 	// Params is the scalar parameter count.
 	Params int
-	// Precision is the kernel precision the measurement ran at
+	// precision is the kernel precision the measurement ran at
 	// ("f64", "f32" or "i8").
-	Precision string
+	precision string
 }
 
 // Profiler times blocks over dummy inputs.
@@ -113,7 +113,7 @@ func (p Profiler) ProfileModel(m *dnn.Model) ([]BlockCost, error) {
 			ComputeTime: samples[len(samples)/2],
 			MemoryBytes: b.MemoryBytes(),
 			Params:      b.ParamCount(),
-			Precision:   p.Precision.String(),
+			precision:   p.Precision.String(),
 		})
 		if out != x {
 			tensor.Release(x)

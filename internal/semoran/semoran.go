@@ -24,8 +24,8 @@ import (
 	"offloadnn/internal/core"
 )
 
-// CompressionLevel is one semantic-compression option.
-type CompressionLevel struct {
+// compressionLevel is one semantic-compression option.
+type compressionLevel struct {
 	// Ratio multiplies the task's input bits (1 = uncompressed).
 	Ratio float64
 	// AccuracyDelta is subtracted from the path accuracy.
@@ -34,17 +34,17 @@ type CompressionLevel struct {
 
 // Config parameterizes the baseline.
 type Config struct {
-	// Compression levels tried in order; the solver uses the first level
+	// compression levels tried in order; the solver uses the first level
 	// that keeps the task accuracy- and latency-feasible, preferring less
 	// compression (higher fidelity) first.
-	Compression []CompressionLevel
+	compression []compressionLevel
 }
 
 // DefaultConfig returns the compression ladder used in the experiments:
 // none, moderate (30% fewer bits, −1% accuracy) and aggressive semantic
 // compression (50% fewer bits, −3% accuracy).
 func DefaultConfig() Config {
-	return Config{Compression: []CompressionLevel{
+	return Config{compression: []compressionLevel{
 		{Ratio: 1.0, AccuracyDelta: 0},
 		{Ratio: 0.7, AccuracyDelta: 0.01},
 		{Ratio: 0.5, AccuracyDelta: 0.03},
@@ -56,12 +56,12 @@ type Decision struct {
 	TaskID string
 	// Admitted is the binary admission decision.
 	Admitted bool
-	// Path is the full-DNN execution used when admitted.
-	Path *core.PathSpec
+	// path is the full-DNN execution used when admitted.
+	path *core.PathSpec
 	// RBs allocated to the task slice.
 	RBs int
-	// Compression selected for the task input.
-	Compression CompressionLevel
+	// compression selected for the task input.
+	compression compressionLevel
 	// MemoryGB deployed for this task (full DNN, unshared).
 	MemoryGB float64
 }
@@ -70,9 +70,9 @@ type Decision struct {
 // breakdown, for side-by-side comparison in Figs. 9 and 10.
 type Report struct {
 	Decisions []Decision
-	// Value is Σ priority over admitted tasks (the SEM-O-RAN objective).
-	Value float64
-	// WeightedAdmission equals Value (binary admission) — kept for
+	// value is Σ priority over admitted tasks (the SEM-O-RAN objective).
+	value float64
+	// WeightedAdmission equals value (binary admission) — kept for
 	// symmetry with core.Breakdown.
 	WeightedAdmission float64
 	// MemoryGB sums per-task full-DNN deployments (no sharing).
@@ -93,14 +93,14 @@ func Solve(in *core.Instance, cfg Config) (*Report, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if len(cfg.Compression) == 0 {
+	if len(cfg.compression) == 0 {
 		cfg = DefaultConfig()
 	}
 
 	type candidate struct {
 		taskIdx  int
 		path     *core.PathSpec
-		level    CompressionLevel
+		level    compressionLevel
 		rbs      int
 		memoryGB float64
 		compute  float64 // λ·c(π)
@@ -123,7 +123,7 @@ func Solve(in *core.Instance, cfg Config) (*Report, error) {
 			continue
 		}
 		var chosen *candidate
-		for _, lvl := range cfg.Compression {
+		for _, lvl := range cfg.compression {
 			if path.Accuracy-lvl.AccuracyDelta < task.MinAccuracy {
 				continue
 			}
@@ -187,15 +187,15 @@ func Solve(in *core.Instance, cfg Config) (*Report, error) {
 		rep.Decisions[c.taskIdx] = Decision{
 			TaskID:      task.ID,
 			Admitted:    true,
-			Path:        c.path,
+			path:        c.path,
 			RBs:         c.rbs,
-			Compression: c.level,
+			compression: c.level,
 			MemoryGB:    c.memoryGB,
 		}
-		rep.Value += task.Priority
+		rep.value += task.Priority
 		rep.AdmittedTasks++
 	}
-	rep.WeightedAdmission = rep.Value
+	rep.WeightedAdmission = rep.value
 	rep.MemoryGB = usedMem
 	rep.ComputeUsage = usedCompute
 	rep.RBsAllocated = float64(usedRBs)
@@ -213,14 +213,14 @@ func Check(in *core.Instance, rep *Report) error {
 		}
 		task := &in.Tasks[ti]
 		mem += d.MemoryGB
-		comp += task.Rate * in.PathCompute(d.Path)
+		comp += task.Rate * in.PathCompute(d.path)
 		rbs += d.RBs
-		if d.Path.Accuracy-d.Compression.AccuracyDelta < task.MinAccuracy-1e-9 {
+		if d.path.Accuracy-d.compression.AccuracyDelta < task.MinAccuracy-1e-9 {
 			return fmt.Errorf("semoran: task %s accuracy violated", task.ID)
 		}
 		b := in.Res.Capacity.BitsPerRBPerSecond(task.SNRdB)
-		bits := task.InputBits * d.Compression.Ratio
-		lat := bits/(b*float64(d.RBs)) + in.PathCompute(d.Path)
+		bits := task.InputBits * d.compression.Ratio
+		lat := bits/(b*float64(d.RBs)) + in.PathCompute(d.path)
 		if time.Duration(lat*float64(time.Second)) > task.MaxLatency+time.Millisecond/10 {
 			return fmt.Errorf("semoran: task %s latency violated", task.ID)
 		}

@@ -29,7 +29,7 @@ func TestSolveProducesFeasibleBinaryAdmission(t *testing.T) {
 		t.Fatal("nothing admitted")
 	}
 	for _, d := range rep.Decisions {
-		if d.Admitted && d.Path == nil {
+		if d.Admitted && d.path == nil {
 			t.Fatalf("admitted task %s has no path", d.TaskID)
 		}
 		if d.Admitted && d.RBs <= 0 {
@@ -88,9 +88,9 @@ func TestUsesFullAccuracyPath(t *testing.T) {
 			continue
 		}
 		for _, p := range in.Tasks[ti].Paths {
-			if p.Accuracy > d.Path.Accuracy+1e-12 {
+			if p.Accuracy > d.path.Accuracy+1e-12 {
 				t.Fatalf("task %s uses path acc %v but %v exists (baseline must pick the full DNN)",
-					d.TaskID, d.Path.Accuracy, p.Accuracy)
+					d.TaskID, d.path.Accuracy, p.Accuracy)
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func TestCompressionEngagesWhenLatencyTight(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := rep.Decisions[0]
-	if d.Admitted && d.Compression.Ratio >= 1 {
+	if d.Admitted && d.compression.Ratio >= 1 {
 		// With 13.5 ms of slack and 350 Kb input, the uncompressed slice
 		// needs ~74 RBs; the compressed one proportionally fewer. Either
 		// rejection or compressed admission is acceptable; uncompressed

@@ -22,7 +22,7 @@ func TestOffloadDeadline504(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/v1/tasks", smallSpec(t, 1))
 	drain(t, resp)
 	waitCurrent(t, ts.URL)
-	in := payloadFor(be)
+	in := realPayload()
 
 	// A nanosecond budget has always expired by the time the backend
 	// sees the request: shed late, 504, typed error code.
@@ -111,14 +111,14 @@ func TestOffloadDeadline504(t *testing.T) {
 func TestOverloadDegradesHealthAndRecovers(t *testing.T) {
 	clock := newFakeClock()
 	be := newRealBackend(t)
-	srv := newTestServer(t, Config{Debounce: time.Millisecond, Now: clock.Now, Backend: be})
+	srv := newTestServer(t, Config{Debounce: time.Millisecond, now: clock.Now, Backend: be})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	resp := postJSON(t, ts.URL+"/v1/tasks", smallSpec(t, 1))
 	drain(t, resp)
 	waitCurrent(t, ts.URL)
-	in := payloadFor(be)
+	in := realPayload()
 
 	// The deadline is computed off the injected clock — months in the
 	// past of the backend's real clock — so every budgeted offload is

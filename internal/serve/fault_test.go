@@ -94,17 +94,17 @@ func TestBackoffSchedule(t *testing.T) {
 // clock (and so be zero while it stands still), not from wall time.
 func TestSolveLatencyUsesInjectedClock(t *testing.T) {
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now})
+	srv := newTestServer(t, Config{Debounce: time.Hour, now: clock.Now})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
 	}
 	ep := srv.Current()
-	if ep.SolveLatency != 0 {
-		t.Fatalf("SolveLatency = %v on a static injected clock, want 0", ep.SolveLatency)
+	if ep.solveLatency != 0 {
+		t.Fatalf("SolveLatency = %v on a static injected clock, want 0", ep.solveLatency)
 	}
-	if !ep.PublishedAt.Equal(clock.Now()) {
-		t.Fatalf("PublishedAt = %v, want the injected clock's %v", ep.PublishedAt, clock.Now())
+	if !ep.publishedAt.Equal(clock.Now()) {
+		t.Fatalf("PublishedAt = %v, want the injected clock's %v", ep.publishedAt, clock.Now())
 	}
 }
 
@@ -134,7 +134,7 @@ func TestSolverPanicSurvival(t *testing.T) {
 			t.Fatalf("resolve %d under injected panic: err %v, want recovered panic", i, err)
 		}
 	}
-	if got := srv.Stats().SolvePanics(); got != 2 {
+	if got := srv.Stats().solvePanicsTotal(); got != 2 {
 		t.Fatalf("SolvePanics = %d, want 2", got)
 	}
 	if srv.Current() != good {
@@ -148,8 +148,8 @@ func TestSolverPanicSurvival(t *testing.T) {
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatalf("resolve after fault cleared: %v", err)
 	}
-	if ep := srv.Current(); ep.N != good.N+1 || ep.Generation != srv.Registry().Generation() {
-		t.Fatalf("epoch %d gen %d after recovery, want %d and current", ep.N, ep.Generation, good.N+1)
+	if ep := srv.Current(); ep.N != good.N+1 || ep.generation != srv.Registry().Generation() {
+		t.Fatalf("epoch %d gen %d after recovery, want %d and current", ep.N, ep.generation, good.N+1)
 	}
 	if got := srv.resolver.ConsecutiveFailures(); got != 0 {
 		t.Fatalf("consecutive failures %d after success, want 0", got)
@@ -169,19 +169,19 @@ func TestResolverLoopSurvivesPanics(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		ep := srv.Current()
-		if ep != nil && ep.Generation == srv.Registry().Generation() {
+		if ep != nil && ep.generation == srv.Registry().Generation() {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	ep := srv.Current()
-	if ep == nil || ep.Generation != srv.Registry().Generation() {
+	if ep == nil || ep.generation != srv.Registry().Generation() {
 		t.Fatal("resolver loop never recovered from injected panics")
 	}
 	if got := inj.Fires(faultinject.PointSolverPanic); got != 4 {
 		t.Fatalf("panic point fired %d times, want 4 (loop died early?)", got)
 	}
-	if got := srv.Stats().SolvePanics(); got != 4 {
+	if got := srv.Stats().solvePanicsTotal(); got != 4 {
 		t.Fatalf("SolvePanics = %d, want 4", got)
 	}
 }
@@ -204,7 +204,7 @@ func TestSolveTimeoutIncrementalHang(t *testing.T) {
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatalf("solve after hang: %v", err)
 	}
-	if ep := srv.Current(); ep == nil || ep.Generation != srv.Registry().Generation() {
+	if ep := srv.Current(); ep == nil || ep.generation != srv.Registry().Generation() {
 		t.Fatal("no current epoch after the hang cleared")
 	}
 }
@@ -290,7 +290,7 @@ func solveFailuresDropSessionAndRecover(t *testing.T, srv *Server, inj *faultinj
 		t.Fatalf("after recovery: /healthz %d %+v", code, h)
 	}
 	tasks, blocks, _ := srv.Registry().Snapshot()
-	full, err := core.SolveOffloaDNN(&core.Instance{Tasks: tasks, Blocks: blocks, Res: srv.Resources(), Alpha: srv.Alpha()})
+	full, err := core.SolveOffloaDNN(&core.Instance{Tasks: tasks, Blocks: blocks, Res: srv.Resources(), Alpha: srv.cfg.Alpha})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestDeployErrorFault(t *testing.T) {
 func TestHealthTransitions(t *testing.T) {
 	inj := faultinject.New(1)
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Faults: inj})
+	srv := newTestServer(t, Config{Debounce: time.Hour, now: clock.Now, Faults: inj})
 	registerSmall(t, srv, 3)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -392,7 +392,7 @@ func TestHealthTransitions(t *testing.T) {
 // failure.
 func TestHealthStaleDegraded(t *testing.T) {
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now})
+	srv := newTestServer(t, Config{Debounce: time.Hour, now: clock.Now})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -474,10 +474,10 @@ func TestOffloadAbortedClientNotCharged(t *testing.T) {
 	if w.Code != 499 {
 		t.Fatalf("aborted offload: status %d, want 499", w.Code)
 	}
-	if got := srv.Stats().Aborted(); got != 1 {
+	if got := srv.Stats().abortedTotal(); got != 1 {
 		t.Fatalf("Aborted = %d, want 1", got)
 	}
-	if got := srv.Stats().Admitted("task-1") + srv.Stats().Rejected("task-1"); got != 0 {
+	if got := srv.Stats().admitted("task-1") + srv.Stats().rejected("task-1"); got != 0 {
 		t.Fatalf("aborted request produced %d admit/reject verdicts, want 0", got)
 	}
 	// The burst token the aborted request did not consume is still there.
@@ -565,7 +565,7 @@ func TestChaosChurnSoak(t *testing.T) {
 		t.Fatalf("converging resolve after chaos: %v", err)
 	}
 	ep := srv.Current()
-	if ep == nil || ep.Generation != srv.Registry().Generation() {
+	if ep == nil || ep.generation != srv.Registry().Generation() {
 		t.Fatal("no current epoch after chaos cleared")
 	}
 	if srv.Registry().Len() != 3 {

@@ -48,8 +48,8 @@ func (s TaskSpec) Task() core.Task {
 // admits it.
 type OffloadRequest struct {
 	Task string `json:"task"`
-	// Input is the flattened input tensor (C·H·W values, the backend's
-	// InputShape order); empty for an admission probe.
+	// Input is the flattened input tensor (C·H·W values in the
+	// backend's (C, H, W) order); empty for an admission probe.
 	Input []float64 `json:"input,omitempty"`
 	// DeadlineMS overrides the request's deadline budget. Zero (absent)
 	// uses the task's plan-time latency bound L_τ; positive replaces it;
@@ -268,21 +268,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	body := map[string]any{
 		"status":               h.State.String(),
-		"solve_tier":           h.Tier,
+		"solve_tier":           h.tier,
 		"epoch":                h.Epoch,
-		"generation":           h.Generation,
-		"current":              h.Current,
-		"generation_lag":       h.GenerationLag,
-		"epoch_age_seconds":    h.EpochAge.Seconds(),
-		"stale_for_seconds":    h.StaleFor.Seconds(),
-		"consecutive_failures": h.ConsecutiveFailures,
-		"overloaded":           h.Overloaded,
-		"recent_sheds":         h.RecentSheds,
+		"generation":           h.generation,
+		"current":              h.current,
+		"generation_lag":       h.generationLag,
+		"epoch_age_seconds":    h.epochAge.Seconds(),
+		"stale_for_seconds":    h.staleFor.Seconds(),
+		"consecutive_failures": h.consecutiveFailures,
+		"overloaded":           h.overloaded,
+		"recent_sheds":         h.recentSheds,
 		"tasks":                s.reg.Len(),
-		"uptime_seconds":       s.cfg.Now().Sub(s.stats.start).Seconds(),
+		"uptime_seconds":       s.cfg.now().Sub(s.stats.start).Seconds(),
 	}
-	if h.LastError != "" {
-		body["last_solve_error"] = h.LastError
+	if h.lastError != "" {
+		body["last_solve_error"] = h.lastError
 	}
 	WriteJSON(w, status, body)
 }
@@ -294,18 +294,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		epoch = ep.N
 	}
 	e := metrics.NewExposition(w)
-	e.Gauge("offloadnn_uptime_seconds", "Seconds since the server started.").Float(s.cfg.Now().Sub(s.stats.start).Seconds())
+	e.Gauge("offloadnn_uptime_seconds", "Seconds since the server started.").Float(s.cfg.now().Sub(s.stats.start).Seconds())
 	e.Gauge("offloadnn_tasks_registered", "Tasks currently registered with the controller.").Int(int64(s.reg.Len()))
 	e.Counter("offloadnn_epoch", "Sequence number of the active deployment epoch.").Int(int64(epoch))
 	e.Counter("offloadnn_solves_total", "DOT solver invocations.").Int(int64(s.stats.solves.Load()))
 	e.Counter("offloadnn_solve_errors_total", "DOT solver invocations that failed.").Int(int64(s.stats.solveErrors.Load()))
-	e.Counter("offloadnn_solve_panics_total", "Solver panics recovered into solve errors.").Int(int64(s.stats.SolvePanics()))
+	e.Counter("offloadnn_solve_panics_total", "Solver panics recovered into solve errors.").Int(int64(s.stats.solvePanicsTotal()))
 	f := e.Gauge("offloadnn_solve_duration_seconds", "Duration of the most recent solve, overall and per solver tier.")
 	f.Float(time.Duration(s.stats.lastSolveNanos.Load()).Seconds())
 	solveTiers := []core.Tier{core.TierHeuristic, core.TierApprox} // the two sides of pickTier
 	for _, t := range solveTiers {
-		if s.stats.TierSolves(t) > 0 {
-			f.Float(s.stats.TierLastSolveLatency(t).Seconds(), "tier", t.String())
+		if s.stats.tierSolveCount(t) > 0 {
+			f.Float(s.stats.tierLastSolveLatency(t).Seconds(), "tier", t.String())
 		}
 	}
 	f = e.Gauge("offloadnn_solve_tier", "Solver tier of the last published epoch, one-hot per tier.")
@@ -314,28 +314,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	f = e.Counter("offloadnn_solve_tier_total", "Published epochs per solver tier.")
 	for _, t := range solveTiers {
-		f.Int(int64(s.stats.TierSolves(t)), "tier", t.String())
+		f.Int(int64(s.stats.tierSolveCount(t)), "tier", t.String())
 	}
 	h := s.Health()
 	e.Gauge("offloadnn_health_state", "Serving condition: 0 healthy, 1 degraded, 2 draining.").Int(int64(h.State))
-	e.Gauge("offloadnn_consecutive_solve_failures", "Current run of failed re-solves.").Int(int64(h.ConsecutiveFailures))
-	e.Gauge("offloadnn_epoch_age_seconds", "Age of the published plan (uptime before the first solve).").Float(h.EpochAge.Seconds())
-	e.Gauge("offloadnn_epoch_stale_seconds", "How long the plan has trailed the registry; 0 while current.").Float(h.StaleFor.Seconds())
+	e.Gauge("offloadnn_consecutive_solve_failures", "Current run of failed re-solves.").Int(int64(h.consecutiveFailures))
+	e.Gauge("offloadnn_epoch_age_seconds", "Age of the published plan (uptime before the first solve).").Float(h.epochAge.Seconds())
+	e.Gauge("offloadnn_epoch_stale_seconds", "How long the plan has trailed the registry; 0 while current.").Float(h.staleFor.Seconds())
 	e.Counter("offloadnn_offload_requests_total", "Offload requests received.").Int(int64(s.stats.requests.Load()))
-	e.Counter("offloadnn_offload_aborted_total", "Offload requests whose client disconnected before gate work.").Int(int64(s.stats.Aborted()))
+	e.Counter("offloadnn_offload_aborted_total", "Offload requests whose client disconnected before gate work.").Int(int64(s.stats.abortedTotal()))
 	taskIDs := s.stats.taskIDs()
 	f = e.Counter("offloadnn_offload_admitted_total", "Offload requests admitted, per task.")
 	for _, id := range taskIDs {
-		f.Int(int64(s.stats.Admitted(id)), "task", id)
+		f.Int(int64(s.stats.admitted(id)), "task", id)
 	}
 	f = e.Counter("offloadnn_offload_rejected_total", "Offload requests rejected, per task.")
 	for _, id := range taskIDs {
-		f.Int(int64(s.stats.Rejected(id)), "task", id)
+		f.Int(int64(s.stats.rejected(id)), "task", id)
 	}
 	if ep != nil && ep.Deployment != nil {
 		f = e.Gauge("offloadnn_admitted_rate", "Admitted frame rate z*lambda per task, frames/s.")
 		for i := range ep.Tasks {
-			if rate := ep.AdmittedRate(ep.Tasks[i].ID); rate > 0 {
+			if rate := ep.admittedRate(ep.Tasks[i].ID); rate > 0 {
 				f.Float(rate, "task", ep.Tasks[i].ID)
 			}
 		}
@@ -364,7 +364,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// the backend's batching state.
 	f = e.Summary("offloadnn_infer_latency_seconds", "Measured inference latency quantiles per task (executed offloads only).")
 	for _, id := range taskIDs {
-		if win := s.stats.InferWindow(id); win != nil {
+		if win := s.stats.inferWindow(id); win != nil {
 			f.Quantiles(win, "task", id)
 		}
 	}
@@ -391,7 +391,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	f.Int(bs.ShedQueueFull, "reason", "queue_full")
 	f.Int(bs.ShedCanceled, "reason", "canceled")
 	e.Gauge("offloadnn_batch_window_seconds", "Batch window most recently applied by the adaptive executor; 0 on a path whose admitted rate expects no second request inside it.").Float(bs.LastWindow.Seconds())
-	e.Gauge("offloadnn_overload", "1 while backend sheds inside the overload window exceed the threshold.").Bool(h.Overloaded)
+	e.Gauge("offloadnn_overload", "1 while backend sheds inside the overload window exceed the threshold.").Bool(h.overloaded)
 	if len(bs.QueueSlack) > 0 {
 		f = e.Gauge("offloadnn_queue_slack_seconds", "Tightest remaining deadline slack per model intake queue; negative means a late waiter.")
 		for _, sig := range metrics.SortedKeys(bs.QueueSlack) {

@@ -150,7 +150,7 @@ func TestIncrementalResolverMatchesFull(t *testing.T) {
 		if ep.Deployment == nil {
 			return
 		}
-		in := &core.Instance{Tasks: tasks, Blocks: blocks, Res: srv.Resources(), Alpha: srv.Alpha()}
+		in := &core.Instance{Tasks: tasks, Blocks: blocks, Res: srv.Resources(), Alpha: srv.cfg.Alpha}
 		full, err := core.SolveOffloaDNN(in)
 		if err != nil {
 			t.Fatalf("%s: full solve: %v", step, err)

@@ -45,7 +45,7 @@ func (b goldenBackend) Stats() exec.Stats {
 // by TestAutoTierEscalatesBySize.
 func TestMetricsGolden(t *testing.T) {
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Node: "n1",
+	srv := newTestServer(t, Config{Debounce: time.Hour, now: clock.Now, Node: "n1",
 		Backend: &steppingBackend{Backend: goldenBackend{exec.NewSimulated()}, clock: clock, step: 4 * time.Millisecond}})
 	registerSmall(t, srv, 2)
 	regTasks, regBlocks, _ := srv.Registry().Snapshot()

@@ -12,12 +12,16 @@ import (
 	"offloadnn/internal/exec"
 )
 
+// realInput is newRealBackend's per-request input shape (C, H, W).
+var realInput = [3]int{3, 8, 8}
+
 func newRealBackend(t *testing.T) *exec.Real {
 	t.Helper()
 	be, err := exec.NewReal(exec.RealConfig{
 		Model: dnn.ResNetConfig{
 			InChannels: 3, NumClasses: 4, BaseWidth: 4, StageBlocks: [4]int{1, 1, 1, 1}, Seed: 9,
 		},
+		Input:       realInput,
 		BatchSize:   4,
 		BatchWindow: time.Millisecond,
 	})
@@ -27,9 +31,9 @@ func newRealBackend(t *testing.T) *exec.Real {
 	return be
 }
 
-func payloadFor(be exec.Backend) []float64 {
-	shape := be.InputShape()
-	in := make([]float64, shape[0]*shape[1]*shape[2])
+// realPayload is one deterministic frame of newRealBackend's input shape.
+func realPayload() []float64 {
+	in := make([]float64, realInput[0]*realInput[1]*realInput[2])
 	for i := range in {
 		in[i] = float64(i%11) / 11
 	}
@@ -54,7 +58,7 @@ func TestOffloadExecutesPayload(t *testing.T) {
 	waitCurrent(t, ts.URL)
 
 	// Executed offload: payload in, logits out.
-	resp = postJSON(t, ts.URL+"/v1/offload", OffloadRequest{Task: "task-1", Input: payloadFor(be)})
+	resp = postJSON(t, ts.URL+"/v1/offload", OffloadRequest{Task: "task-1", Input: realPayload()})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("offload: %d %s", resp.StatusCode, drain(t, resp))
 	}

@@ -133,7 +133,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		return
 	}
 
-	start := s.cfg.Now()
+	start := s.cfg.now()
 	var deadline time.Time
 	deadlineCode := CodeDeadline
 	if frame {
@@ -153,7 +153,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 			// latency already blows its budget is shed here — the verdict
 			// is the same 504 the backend would reach, without burning a
 			// queue slot another request could hit its deadline in.
-			if u.planned > budget && s.Overloaded() {
+			if u.planned > budget && s.overloaded() {
 				s.stats.earlySheds.Add(1)
 				WriteError(w, http.StatusGatewayTimeout, CodeDeadline,
 					"task %q: predicted latency %.1fms exceeds deadline budget %.1fms under overload",
@@ -198,7 +198,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		WriteJSON(w, http.StatusOK, resp)
 		// The end-to-end sample is measured here, serve-local, for a whole
 		// path and when the tail's verdict comes back for a pipeline.
-		s.stats.latency.Add(s.cfg.Now().Sub(start).Seconds())
+		s.stats.latency.Add(s.cfg.now().Sub(start).Seconds())
 		return
 	}
 
@@ -208,7 +208,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 	if !frame {
 		resp.Hops = in.man.Hops
 	}
-	if out.Logits != nil || out.Simulated || u.TailSeg() {
+	if out.Logits != nil || out.Simulated || u.tailSeg() {
 		// (A cost-model backend produces no activation to forward.)
 		resp.Hops = append(resp.Hops, hop)
 		if frame {
@@ -227,9 +227,9 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		Hops:     append(resp.Hops, hop),
 	}
 	if !deadline.IsZero() {
-		man.RemainingMS = msOf(deadline.Sub(s.cfg.Now()))
+		man.RemainingMS = msOf(deadline.Sub(s.cfg.now()))
 		if man.RemainingMS <= 0 {
-			s.stats.noteShed(s.cfg.Now())
+			s.stats.noteShed(s.cfg.now())
 			WriteError(w, http.StatusGatewayTimeout, CodeDeadlineHop,
 				"task %q: deadline budget exhausted after hop %d", in.task, u.Hop)
 			return
@@ -254,7 +254,7 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 		WriteError(w, http.StatusBadGateway, CodeBackend, "task %q: malformed tail response: %v", in.task, err)
 		return
 	}
-	resp.MeasuredLatencyMS = msOf(s.cfg.Now().Sub(start))
+	resp.MeasuredLatencyMS = msOf(s.cfg.now().Sub(start))
 	resp.BatchSize = tail.BatchSize
 	resp.Simulated = tail.Simulated
 	resp.Logits = tail.Logits
@@ -272,10 +272,10 @@ func (s *Server) writeInferError(w http.ResponseWriter, err error, deadlineCode 
 	case errors.Is(err, exec.ErrBadInput):
 		WriteError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 	case errors.Is(err, exec.ErrLate):
-		s.stats.noteShed(s.cfg.Now())
+		s.stats.noteShed(s.cfg.now())
 		WriteError(w, http.StatusGatewayTimeout, deadlineCode, "%v", err)
 	case errors.Is(err, exec.ErrQueueFull):
-		s.stats.noteShed(s.cfg.Now())
+		s.stats.noteShed(s.cfg.now())
 		w.Header().Set("Retry-After", RetryAfter(s.cfg.Debounce))
 		WriteError(w, http.StatusServiceUnavailable, CodeOverload, "%v", err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

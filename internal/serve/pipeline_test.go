@@ -28,7 +28,7 @@ import (
 func admitsAcrossEpochs(t *testing.T, churn func(srv *Server, i int) (float64, error)) int {
 	t.Helper()
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now})
+	srv := newTestServer(t, Config{Debounce: time.Hour, now: clock.Now})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func admitsAcrossEpochs(t *testing.T, churn func(srv *Server, i int) (float64, e
 		if err := srv.ResolveNow(); err != nil {
 			t.Fatal(err)
 		}
-		if got := srv.Current().AdmittedRate("task-1"); got != rate {
+		if got := srv.Current().admittedRate("task-1"); got != rate {
 			t.Fatalf("epoch %d admits task-1 at %v/s, the scenario wants %v", srv.Current().N, got, rate)
 		}
 		for offloadRec(srv, "task-1").Code == http.StatusOK {
@@ -200,7 +200,7 @@ func TestLatencySummaryIsMeasured(t *testing.T) {
 	clock := newFakeClock()
 	const took = 37 * time.Millisecond
 	be := &steppingBackend{Backend: exec.NewSimulated(), clock: clock, step: took, late: "task-2"}
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Backend: be})
+	srv := newTestServer(t, Config{Debounce: time.Hour, now: clock.Now, Backend: be})
 	registerSmall(t, srv, 2)
 	if err := srv.ResolveNow(); err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestRequestPipelineEveryUnitKind(t *testing.T) {
 	// injected clock starts there; only this test moves it.
 	clock := &fakeClock{t: time.Now()}
 	be := &steppingBackend{Backend: newRealBackend(t), clock: clock}
-	srv := newTestServer(t, Config{Debounce: time.Hour, Now: clock.Now, Backend: be, Node: "n1"})
+	srv := newTestServer(t, Config{Debounce: time.Hour, now: clock.Now, Backend: be, Node: "n1"})
 	hop := &hopStub{}
 	next := httptest.NewServer(hop)
 	defer next.Close()
@@ -257,7 +257,7 @@ func TestRequestPipelineEveryUnitKind(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	frame := payloadFor(be)
+	frame := realPayload()
 	offload := func(task string, input []float64) *http.Request {
 		body, err := json.Marshal(OffloadRequest{Task: task, Input: input})
 		if err != nil {
@@ -394,7 +394,7 @@ func TestRequestPipelineEveryUnitKind(t *testing.T) {
 	// 499, no verdict counted, and the whole burst is still there.
 	clock.Advance(time.Hour)
 	be.step = 0
-	before := srv.Stats().Admitted("h") + srv.Stats().Rejected("h")
+	before := srv.Stats().admitted("h") + srv.Stats().rejected("h")
 	req := offload("h", nil)
 	ctx, cancel := context.WithCancel(req.Context())
 	cancel()
@@ -403,7 +403,7 @@ func TestRequestPipelineEveryUnitKind(t *testing.T) {
 	if w.Code != 499 {
 		t.Fatalf("aborted head offload: status %d, want 499", w.Code)
 	}
-	if got := srv.Stats().Admitted("h") + srv.Stats().Rejected("h"); got != before {
+	if got := srv.Stats().admitted("h") + srv.Stats().rejected("h"); got != before {
 		t.Fatalf("aborted head offload produced %d verdicts", got-before)
 	}
 	for i := 0; i < 5; i++ {

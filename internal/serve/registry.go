@@ -102,7 +102,7 @@ func (r *Registry) Register(t core.Task, blocks map[string]core.BlockSpec) error
 	return nil
 }
 
-// Replace swaps the registry's whole task set for the given one (the
+// replace swaps the registry's whole task set for the given one (the
 // cluster-member plan push): tasks absent from the new set are dropped,
 // new ones are added, and a task whose fields are unchanged keeps its
 // stored struct — preserving the identity of its Paths/Qualities backing
@@ -112,7 +112,7 @@ func (r *Registry) Register(t core.Task, blocks map[string]core.BlockSpec) error
 // registry is untouched on a validation error. It returns whether
 // anything actually changed (an identical push bumps no generation, so
 // the resolver's no-op check keeps holding).
-func (r *Registry) Replace(tasks []core.Task, blocks map[string]core.BlockSpec) (bool, error) {
+func (r *Registry) replace(tasks []core.Task, blocks map[string]core.BlockSpec) (bool, error) {
 	for i := range tasks {
 		if err := validateTask(&tasks[i]); err != nil {
 			return false, err

@@ -25,22 +25,22 @@ import (
 type Epoch struct {
 	// N is the epoch sequence number, starting at 1.
 	N uint64
-	// Generation is the registry generation the epoch was solved from.
-	Generation uint64
+	// generation is the registry generation the epoch was solved from.
+	generation uint64
 	// Tasks is the registry snapshot the solver saw, in registration
 	// order (parallel to Deployment.Solution.Assignments).
 	Tasks []core.Task
 	// Deployment is the admission outcome; nil when the registry was
 	// empty at solve time.
 	Deployment *edge.Deployment
-	// SolveLatency is how long the solve-and-deploy step took.
-	SolveLatency time.Duration
+	// solveLatency is how long the solve-and-deploy step took.
+	solveLatency time.Duration
 	// Tier is the solver tier that produced the epoch's plan
 	// (the zero core.Tier, "auto", for an empty registry).
 	Tier core.Tier
-	// PublishedAt is when the epoch was installed, on the resolver's
+	// publishedAt is when the epoch was installed, on the resolver's
 	// clock; the health state machine ages the plan against it.
-	PublishedAt time.Time
+	publishedAt time.Time
 
 	// units is the node's serving table for the life of the epoch, keyed
 	// exec.RouteKey(task, from): the deployment's whole paths plus the
@@ -64,7 +64,7 @@ func (e *Epoch) unit(task string, from int) *unit {
 // and on a rate change gets a new gate carrying the old bucket across.
 // Only a newly served task starts with a full bucket.
 func (e *Epoch) addUnit(prev *Epoch, u *unit, now func() time.Time) {
-	if u.HeadSeg() {
+	if u.headSeg() {
 		switch old := prev.unit(u.Task, 0); {
 		case old == nil:
 			u.gate = newGate(u.Rate, now)
@@ -77,9 +77,9 @@ func (e *Epoch) addUnit(prev *Epoch, u *unit, now func() time.Time) {
 	e.units[exec.RouteKey(u.Task, u.From)] = u
 }
 
-// AdmittedRate returns the task's notified rate z·λ, zero when the epoch
+// admittedRate returns the task's notified rate z·λ, zero when the epoch
 // does not admit it.
-func (e *Epoch) AdmittedRate(id string) float64 {
+func (e *Epoch) admittedRate(id string) float64 {
 	if e == nil || e.Deployment == nil {
 		return 0
 	}
@@ -201,7 +201,7 @@ func (r *resolver) StaleSince() (time.Time, bool) {
 // while one is pending fold into it. The first kick after a publish
 // starts the staleness clock the health state machine reads.
 func (r *resolver) Kick() {
-	r.staleSince.CompareAndSwap(0, r.cfg.Now().UnixNano())
+	r.staleSince.CompareAndSwap(0, r.cfg.now().UnixNano())
 	select {
 	case r.kick <- struct{}{}:
 	default:
@@ -314,13 +314,13 @@ func (r *resolver) resolve(force bool) error {
 	r.solveMu.Lock()
 	defer r.solveMu.Unlock()
 	tasks, blocks, gen := r.reg.Snapshot()
-	if cur := r.cur.Load(); !force && cur != nil && cur.Generation == gen {
+	if cur := r.cur.Load(); !force && cur != nil && cur.generation == gen {
 		r.staleSince.Store(0) // a pending kick raced an already-current epoch
 		return nil
 	}
-	start := r.cfg.Now()
+	start := r.cfg.now()
 	prev, segs := r.cur.Load(), r.segments()
-	ep := &Epoch{Generation: gen, Tasks: tasks, units: make(map[string]*unit, len(tasks)+len(segs))}
+	ep := &Epoch{generation: gen, Tasks: tasks, units: make(map[string]*unit, len(tasks)+len(segs))}
 	if len(tasks) == 0 {
 		r.session = nil // an empty registry resets the incremental session
 	} else {
@@ -350,12 +350,12 @@ func (r *resolver) resolve(force bool) error {
 				budget:  dep.LatencyBounds[a.TaskID],
 				planned: costs[a.TaskID].Total(),
 				assign:  a,
-			}, r.cfg.Now)
+			}, r.cfg.now)
 		}
 	}
 	execSegs := make([]exec.Segment, 0, len(segs))
 	for _, sp := range segs {
-		ep.addUnit(prev, &unit{SegmentSpec: sp, budget: time.Duration(sp.BudgetMS * float64(time.Millisecond))}, r.cfg.Now)
+		ep.addUnit(prev, &unit{SegmentSpec: sp, budget: time.Duration(sp.BudgetMS * float64(time.Millisecond))}, r.cfg.now)
 		execSegs = append(execSegs, sp.execSegment())
 	}
 	// Install the deployment into the execution backend before the epoch
@@ -375,15 +375,15 @@ func (r *resolver) resolve(force bool) error {
 		r.recordFailure(err)
 		return err
 	}
-	ep.SolveLatency = r.cfg.Now().Sub(start)
-	ep.PublishedAt = r.cfg.Now()
+	ep.solveLatency = r.cfg.now().Sub(start)
+	ep.publishedAt = r.cfg.now()
 	r.epochN++
 	ep.N = r.epochN
 	r.cur.Store(ep)
 	r.stats.solves.Add(1)
-	r.stats.lastSolveNanos.Store(int64(ep.SolveLatency))
+	r.stats.lastSolveNanos.Store(int64(ep.solveLatency))
 	if ep.Deployment != nil {
-		r.stats.recordSolveTier(ep.Tier, ep.SolveLatency)
+		r.stats.recordSolveTier(ep.Tier, ep.solveLatency)
 	}
 	r.recordSuccess()
 	return nil

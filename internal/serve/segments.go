@@ -45,11 +45,11 @@ type SegmentSpec struct {
 	NextNode string `json:"next_node,omitempty"`
 }
 
-// HeadSeg reports whether the spec consumes raw frames.
-func (s SegmentSpec) HeadSeg() bool { return s.From == 0 }
+// headSeg reports whether the spec consumes raw frames.
+func (s SegmentSpec) headSeg() bool { return s.From == 0 }
 
-// TailSeg reports whether the spec emits logits.
-func (s SegmentSpec) TailSeg() bool { return s.To == len(s.Blocks) }
+// tailSeg reports whether the spec emits logits.
+func (s SegmentSpec) tailSeg() bool { return s.To == len(s.Blocks) }
 
 // execSegment is the execution-layer form of the spec.
 func (s SegmentSpec) execSegment() exec.Segment {
@@ -88,7 +88,7 @@ func sortedSegments(specs []SegmentSpec) ([]SegmentSpec, error) {
 		if err := sp.execSegment().Validate(); err != nil {
 			return nil, fmt.Errorf("serve: path %s: %w", sp.Path, err)
 		}
-		if !sp.TailSeg() && sp.Next == "" {
+		if !sp.tailSeg() && sp.Next == "" {
 			return nil, fmt.Errorf("serve: non-tail segment %s/%s[%d,%d) has no next hop",
 				sp.Task, sp.Path, sp.From, sp.To)
 		}

@@ -83,14 +83,14 @@ type Config struct {
 	// Catalog builds candidate paths for tasks submitted without any
 	// (the HTTP route). Zero value: the Table-IV small catalog.
 	Catalog workload.CatalogParams
-	// Blocks optionally pre-seeds the shared block catalog.
-	Blocks map[string]core.BlockSpec
+	// blocks optionally pre-seeds the shared block catalog.
+	blocks map[string]core.BlockSpec
 	// Debounce is the churn batching window before a re-solve
 	// (default 100 ms).
 	Debounce time.Duration
-	// Now is the clock used by the admission gates and uptime
+	// now is the clock used by the admission gates and uptime
 	// (default time.Now); injectable for deterministic tests.
-	Now func() time.Time
+	now func() time.Time
 	// Faults optionally arms the serving stack's fault-injection points
 	// (see internal/faultinject). Nil — the default — leaves every
 	// point a no-op; chaos tests and the edgeserve -fault flag set it.
@@ -144,8 +144,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Debounce <= 0 {
 		cfg.Debounce = 100 * time.Millisecond
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.now == nil {
+		cfg.now = time.Now
 	}
 	if cfg.Catalog.NumDNNs == 0 {
 		cfg.Catalog = workload.SmallCatalogParams()
@@ -155,9 +155,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:         cfg,
-		reg:         NewRegistry(cfg.Catalog, cfg.Blocks),
+		reg:         NewRegistry(cfg.Catalog, cfg.blocks),
 		backend:     cfg.Backend,
-		stats:       newStats(cfg.Now()),
+		stats:       newStats(cfg.now()),
 		stageClient: &http.Client{Timeout: 30 * time.Second},
 	}
 	s.resolver = newResolver(cfg, s.reg, s.stats, s.Segments)
@@ -230,7 +230,7 @@ func (s *Server) ReplacePlan(tasks []core.Task, blocks map[string]core.BlockSpec
 	if err != nil {
 		return false, err
 	}
-	changed, err := s.reg.Replace(tasks, blocks)
+	changed, err := s.reg.replace(tasks, blocks)
 	if err != nil {
 		return false, err
 	}
@@ -280,9 +280,6 @@ func (s *Server) reserve(tasks []core.Task, blocks map[string]core.BlockSpec, no
 // net of any pushed segments.
 func (s *Server) Resources() core.Resources { return s.cfg.Res }
 
-// Alpha returns the admission/resource trade-off the daemon solves with.
-func (s *Server) Alpha() float64 { return s.cfg.Alpha }
-
 // Node returns the configured cluster-member node ID, empty for a
 // standalone daemon.
 func (s *Server) Node() string { return s.cfg.Node }
@@ -309,14 +306,14 @@ func (s *Server) Stats() *Stats { return s.stats }
 // through.
 func (s *Server) Backend() exec.Backend { return s.backend }
 
-// Overloaded reports sustained deadline pressure in the execution
+// overloaded reports sustained deadline pressure in the execution
 // runtime: at least overloadAfter backend sheds (late or queue-full)
 // landed inside the trailing overloadWindow. While true, /healthz
 // reports degraded and the offload path sheds deadline-carrying
 // requests whose predicted latency already exceeds their budget before
 // they burn a backend queue slot.
-func (s *Server) Overloaded() bool {
-	return s.stats.RecentSheds(overloadWindow, s.cfg.Now()) >= overloadAfter
+func (s *Server) overloaded() bool {
+	return s.stats.recentSheds(overloadWindow, s.cfg.now()) >= overloadAfter
 }
 
 // ServeHTTP implements http.Handler over the daemon's API surface.

@@ -119,7 +119,7 @@ func waitCurrent(t *testing.T, baseURL string) uint64 {
 // gate admits ≈ z·λ of the traffic.
 func TestHTTPEndToEnd(t *testing.T) {
 	clock := newFakeClock()
-	srv := newTestServer(t, Config{Debounce: 2 * time.Millisecond, Now: clock.Now})
+	srv := newTestServer(t, Config{Debounce: 2 * time.Millisecond, now: clock.Now})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -460,15 +460,15 @@ func TestChurnUnderRace(t *testing.T) {
 	if ep == nil {
 		t.Fatal("no epoch after churn")
 	}
-	if gen := srv.Registry().Generation(); ep.Generation != gen {
-		t.Fatalf("final epoch generation %d != registry generation %d", ep.Generation, gen)
+	if gen := srv.Registry().Generation(); ep.generation != gen {
+		t.Fatalf("final epoch generation %d != registry generation %d", ep.generation, gen)
 	}
 	if srv.Registry().Len() != 3 {
 		t.Fatalf("registry has %d tasks, want the 3 base tasks", srv.Registry().Len())
 	}
 	for i := 1; i <= 3; i++ {
 		id := fmt.Sprintf("task-%d", i)
-		if srv.Stats().Admitted(id)+srv.Stats().Rejected(id) == 0 {
+		if srv.Stats().admitted(id)+srv.Stats().rejected(id) == 0 {
 			t.Fatalf("task %s saw no offload verdicts", id)
 		}
 	}

@@ -77,8 +77,8 @@ func (s *Stats) noteShed(t time.Time) {
 	s.shedHead = (s.shedHead + 1) % shedRingCap
 }
 
-// RecentSheds counts backend sheds younger than window at now.
-func (s *Stats) RecentSheds(window time.Duration, now time.Time) int {
+// recentSheds counts backend sheds younger than window at now.
+func (s *Stats) recentSheds(window time.Duration, now time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cutoff := now.Add(-window)
@@ -136,9 +136,9 @@ func (s *Stats) recordInfer(id string, latencySeconds float64) {
 	w.Add(latencySeconds)
 }
 
-// InferWindow returns the task's measured inference-latency window, nil
+// inferWindow returns the task's measured inference-latency window, nil
 // when the task has executed no offloads.
-func (s *Stats) InferWindow(id string) *metrics.Window {
+func (s *Stats) inferWindow(id string) *metrics.Window {
 	s.mu.Lock()
 	c, ok := s.perTask[id]
 	s.mu.Unlock()
@@ -179,21 +179,21 @@ func (s *Stats) setLastSolveError(err error) {
 	s.lastSolveErr = err.Error()
 }
 
-// LastSolveError returns the most recent solve failure, empty after a
+// lastSolveError returns the most recent solve failure, empty after a
 // success.
-func (s *Stats) LastSolveError() string {
+func (s *Stats) lastSolveError() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastSolveErr
 }
 
-// Aborted returns the offload requests whose client disconnected before
+// abortedTotal returns the offload requests whose client disconnected before
 // gate work; they are counted here instead of consuming tokens.
-func (s *Stats) Aborted() uint64 { return s.aborted.Load() }
+func (s *Stats) abortedTotal() uint64 { return s.aborted.Load() }
 
-// SolvePanics returns how many solver panics were recovered into
+// solvePanicsTotal returns how many solver panics were recovered into
 // counted solve errors.
-func (s *Stats) SolvePanics() uint64 { return s.solvePanics.Load() }
+func (s *Stats) solvePanicsTotal() uint64 { return s.solvePanics.Load() }
 
 // recordSolveTier counts a published epoch against the solver tier that
 // produced it.
@@ -204,26 +204,26 @@ func (s *Stats) recordSolveTier(t core.Tier, d time.Duration) {
 	}
 }
 
-// TierSolves returns how many published epochs the given solver tier
+// tierSolveCount returns how many published epochs the given solver tier
 // produced.
-func (s *Stats) TierSolves(t core.Tier) uint64 {
+func (s *Stats) tierSolveCount(t core.Tier) uint64 {
 	if i := int(t); i >= 0 && i < tierSlots {
 		return s.tierSolves[i].Load()
 	}
 	return 0
 }
 
-// TierLastSolveLatency returns the duration of the tier's most recent
+// tierLastSolveLatency returns the duration of the tier's most recent
 // solve, zero when the tier has produced no epochs.
-func (s *Stats) TierLastSolveLatency(t core.Tier) time.Duration {
+func (s *Stats) tierLastSolveLatency(t core.Tier) time.Duration {
 	if i := int(t); i >= 0 && i < tierSlots {
 		return time.Duration(s.tierLastNanos[i].Load())
 	}
 	return 0
 }
 
-// Admitted returns a task's admitted-offload count.
-func (s *Stats) Admitted(id string) uint64 { return s.task(id).admitted.Load() }
+// admitted returns a task's admitted-offload count.
+func (s *Stats) admitted(id string) uint64 { return s.task(id).admitted.Load() }
 
-// Rejected returns a task's rate-rejected offload count.
-func (s *Stats) Rejected(id string) uint64 { return s.task(id).rejected.Load() }
+// rejected returns a task's rate-rejected offload count.
+func (s *Stats) rejected(id string) uint64 { return s.task(id).rejected.Load() }

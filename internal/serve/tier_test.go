@@ -46,7 +46,7 @@ func scaleServer(t *testing.T, cfg Config, n, registered int) (*Server, []core.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Res, cfg.Alpha, cfg.Blocks, cfg.Debounce = in.Res, in.Alpha, in.Blocks, time.Hour
+	cfg.Res, cfg.Alpha, cfg.blocks, cfg.Debounce = in.Res, in.Alpha, in.Blocks, time.Hour
 	srv := newTestServer(t, cfg)
 	for _, task := range in.Tasks[:registered] {
 		if err := srv.Register(task, nil); err != nil {
@@ -191,8 +191,8 @@ func TestScaleEpochUnderDefaultDeadline(t *testing.T) {
 		// deadline bound is pinned by the non-race run.
 		bound = 5 * DefaultSolveTimeout
 	}
-	if ep.SolveLatency >= bound {
-		t.Fatalf("10k epoch took %v, deadline %v", ep.SolveLatency, bound)
+	if ep.solveLatency >= bound {
+		t.Fatalf("10k epoch took %v, deadline %v", ep.solveLatency, bound)
 	}
 	if n := ep.Deployment.Solution.Breakdown.AdmittedTasks; n == 0 {
 		t.Fatal("10k epoch admitted nothing")

@@ -58,9 +58,6 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current simulation time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Schedule enqueues fn to run after delay (≥ 0) of simulated time.
 func (e *Engine) Schedule(delay time.Duration, fn func()) error {
 	return e.ScheduleAt(e.now+delay, fn)
@@ -79,9 +76,9 @@ func (e *Engine) ScheduleAt(at time.Duration, fn func()) error {
 	return nil
 }
 
-// Step executes the next event, advancing the clock. It reports whether an
+// step executes the next event, advancing the clock. It reports whether an
 // event was executed.
-func (e *Engine) Step() bool {
+func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
@@ -97,7 +94,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until time.Duration) int {
 	n := 0
 	for len(e.queue) > 0 && e.queue[0].at <= until {
-		e.Step()
+		e.step()
 		n++
 	}
 	if e.now < until {

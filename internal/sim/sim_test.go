@@ -61,8 +61,8 @@ func TestRunRespectsHorizon(t *testing.T) {
 	if n != 0 || ran {
 		t.Fatal("event beyond horizon should not run")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if len(e.queue) != 1 {
+		t.Fatalf("pending = %d, want 1", len(e.queue))
 	}
 	// A later Run picks it up.
 	e.Run(3 * time.Second)
@@ -104,12 +104,12 @@ func TestScheduleValidation(t *testing.T) {
 
 func TestStepSingle(t *testing.T) {
 	e := NewEngine()
-	if e.Step() {
+	if e.step() {
 		t.Fatal("Step on empty queue should report false")
 	}
 	ran := false
 	mustSchedule(t, e, time.Millisecond, func() { ran = true })
-	if !e.Step() || !ran {
+	if !e.step() || !ran {
 		t.Fatal("Step did not execute the event")
 	}
 }

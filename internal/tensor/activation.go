@@ -117,7 +117,7 @@ func softmax(x *Tensor) (*Tensor, error) {
 // for the backward pass.
 type CrossEntropyResult struct {
 	Loss  float64
-	Probs *Tensor
+	probs *Tensor
 	y     []int
 }
 
@@ -148,18 +148,18 @@ func CrossEntropy(logits *Tensor, y []int) (*CrossEntropyResult, error) {
 	}
 	labels := make([]int, n)
 	copy(labels, y)
-	return &CrossEntropyResult{Loss: loss / float64(n), Probs: probs, y: labels}, nil
+	return &CrossEntropyResult{Loss: loss / float64(n), probs: probs, y: labels}, nil
 }
 
 // Backward returns dLoss/dLogits, shape (N, K).
 func (r *CrossEntropyResult) Backward() *Tensor {
-	n, k := r.Probs.shape[0], r.Probs.shape[1]
-	dx := r.Probs.Clone()
+	n, k := r.probs.shape[0], r.probs.shape[1]
+	dx := r.probs.clone()
 	inv := 1.0 / float64(n)
 	for i, label := range r.y {
 		dx.data[i*k+label] -= 1
 	}
-	dx.ScaleInPlace(inv)
+	dx.scaleInPlace(inv)
 	return dx
 }
 

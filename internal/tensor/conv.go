@@ -12,8 +12,8 @@ type Conv2DParams struct {
 	Padding     int
 }
 
-// OutSize returns the output spatial size for an input of size h×w.
-func (p Conv2DParams) OutSize(h, w int) (int, int) {
+// outSize returns the output spatial size for an input of size h×w.
+func (p Conv2DParams) outSize(h, w int) (int, int) {
 	oh := (h+2*p.Padding-p.Kernel)/p.Stride + 1
 	ow := (w+2*p.Padding-p.Kernel)/p.Stride + 1
 	return oh, ow
@@ -233,7 +233,7 @@ func checkConvPrepared(x, bias *Tensor, p Conv2DParams, wOut, wPatch int) (n, oh
 		return
 	}
 	n = x.shape[0]
-	oh, ow = p.OutSize(x.shape[2], x.shape[3])
+	oh, ow = p.outSize(x.shape[2], x.shape[3])
 	if oh <= 0 || ow <= 0 {
 		err = fmt.Errorf("%w: conv output size %dx%d for input %dx%d", errShape, oh, ow, x.shape[2], x.shape[3])
 	}
@@ -443,17 +443,6 @@ type Conv2DGrads struct {
 	DB *Tensor // gradient w.r.t. the bias; nil when bias was nil
 }
 
-// Release returns all gradient tensors to the scratch pool.
-func (g *Conv2DGrads) Release() {
-	if g == nil {
-		return
-	}
-	Release(g.DX)
-	Release(g.DW)
-	Release(g.DB)
-	g.DX, g.DW, g.DB = nil, nil, nil
-}
-
 // Conv2DBackward computes gradients of a Conv2D call given the upstream
 // gradient dy (shape N×Cout×OH×OW), the original input x and weight.
 // Set hasBias to indicate whether a bias gradient is needed.
@@ -468,7 +457,7 @@ func Conv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (*Conv2
 		return nil, err
 	}
 	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := p.OutSize(h, w)
+	oh, ow := p.outSize(h, w)
 	wantDY := []int{n, p.OutChannels, oh, ow}
 	if dy.Rank() != 4 || dy.shape[0] != wantDY[0] || dy.shape[1] != wantDY[1] ||
 		dy.shape[2] != wantDY[2] || dy.shape[3] != wantDY[3] {

@@ -57,7 +57,7 @@ func refDot8(a, b []int8) int32 {
 // no patch matrix — in the given mode's arithmetic. staticScale is the
 // calibrated activation scale modeI8 uses.
 func refConvImage(mode convMode, img []float64, h, w int, weight, bias *Tensor, p Conv2DParams, staticScale float64) []float64 {
-	oh, ow := p.OutSize(h, w)
+	oh, ow := p.outSize(h, w)
 	patch := p.InChannels * p.Kernel * p.Kernel
 	out := make([]float64, p.OutChannels*oh*ow)
 
@@ -160,7 +160,7 @@ func TestConv2DLoweringMatchesPerImageReference(t *testing.T) {
 					cin = 16
 				}
 				p := Conv2DParams{InChannels: cin, OutChannels: cout, Kernel: geo.k, Stride: geo.stride, Padding: geo.pad}
-				oh, ow := p.OutSize(size, size)
+				oh, ow := p.outSize(size, size)
 				if oh != side || ow != side {
 					t.Fatalf("%+v size %d: output %dx%d, want %d", p, size, oh, ow, side)
 				}
@@ -272,7 +272,7 @@ func TestConv2DF64TileMatchesScalarAndReference(t *testing.T) {
 					const batch, cin, k = 2, 32, 3
 					h, w := 1, (rows-1)*stride+1
 					p := Conv2DParams{InChannels: cin, OutChannels: cout, Kernel: k, Stride: stride, Padding: 1}
-					if oh, ow := p.OutSize(h, w); oh != 1 || ow != rows {
+					if oh, ow := p.outSize(h, w); oh != 1 || ow != rows {
 						t.Fatalf("%+v on %dx%d: output %dx%d, want 1x%d", p, h, w, oh, ow, rows)
 					}
 					x, weight := randTensor(rng, batch, cin, h, w), randTensor(rng, cout, cin, k, k)
@@ -362,7 +362,7 @@ func TestConv2DLoweringGathers(t *testing.T) {
 		p, h, w := c.p, c.h, c.w
 		const n = 3
 		x := randTensor(rng, n, p.InChannels, h, w)
-		oh, ow := p.OutSize(h, w)
+		oh, ow := p.outSize(h, w)
 		s := newConvShape(x, p, oh, ow)
 		for lo := 0; lo < s.rows; lo += 5 {
 			for hi := lo + 1; hi <= s.rows; hi += 7 {

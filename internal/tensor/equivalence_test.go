@@ -56,7 +56,7 @@ func refMatMulTransB(a, b *Tensor) *Tensor {
 
 func refConv2D(x, weight, bias *Tensor, p Conv2DParams) *Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := p.OutSize(h, w)
+	oh, ow := p.outSize(h, w)
 	out := New(n, p.OutChannels, oh, ow)
 	for b := 0; b < n; b++ {
 		for oc := 0; oc < p.OutChannels; oc++ {
@@ -91,7 +91,7 @@ func refConv2D(x, weight, bias *Tensor, p Conv2DParams) *Tensor {
 
 func refConv2DBackward(dy, x, weight *Tensor, p Conv2DParams, hasBias bool) (dx, dw, db *Tensor) {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh, ow := p.OutSize(h, w)
+	oh, ow := p.outSize(h, w)
 	dx = New(x.Shape()...)
 	dw = New(weight.Shape()...)
 	if hasBias {
@@ -205,7 +205,7 @@ func TestMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if serial == nil {
-				serial = got.Clone()
+				serial = got.clone()
 			} else {
 				g, sd := got.Data(), serial.Data()
 				for i := range g {
@@ -281,12 +281,12 @@ func refMaxPool2DInto(dst, x *Tensor, p PoolParams) {
 					best := 0.0
 					found := false
 					for ky := 0; ky < p.Kernel; ky++ {
-						iy := oy*p.Stride + ky - p.Padding
+						iy := oy*p.Stride + ky - p.padding
 						if iy < 0 || iy >= h {
 							continue
 						}
 						for kx := 0; kx < p.Kernel; kx++ {
-							ix := ox*p.Stride + kx - p.Padding
+							ix := ox*p.Stride + kx - p.padding
 							if ix < 0 || ix >= w {
 								continue
 							}
@@ -310,11 +310,11 @@ func refMaxPool2DInto(dst, x *Tensor, p PoolParams) {
 // comparisons decides which of them a window reports.
 func TestMaxPool2DIntoMatchesTapLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	params := []PoolParams{{Kernel: 1, Stride: 1, Padding: 1}, {Kernel: 2, Stride: 1, Padding: 2}} // windows wholly in padding
+	params := []PoolParams{{Kernel: 1, Stride: 1, padding: 1}, {Kernel: 2, Stride: 1, padding: 2}} // windows wholly in padding
 	for _, k := range []int{2, 3} {
 		for _, st := range []int{1, 2} {
 			for _, pad := range []int{0, 1} {
-				params = append(params, PoolParams{Kernel: k, Stride: st, Padding: pad})
+				params = append(params, PoolParams{Kernel: k, Stride: st, padding: pad})
 			}
 		}
 	}
@@ -410,7 +410,7 @@ func TestConv2DMatchesReference(t *testing.T) {
 			}
 			Release(got)
 
-			oh, ow := tc.p.OutSize(tc.h, tc.w)
+			oh, ow := tc.p.outSize(tc.h, tc.w)
 			dst := New(tc.n, tc.p.OutChannels, oh, ow)
 			if err := Conv2DInto(dst, x, weight, bias, tc.p); err != nil {
 				t.Fatalf("conv into %+v workers=%d: %v", tc.p, w, err)
@@ -438,7 +438,7 @@ func TestConv2DBackwardMatchesReference(t *testing.T) {
 	for _, tc := range cases {
 		x := randTensor(rng, tc.n, tc.c, tc.h, tc.w)
 		weight := randTensor(rng, tc.p.OutChannels, tc.p.InChannels, tc.p.Kernel, tc.p.Kernel)
-		oh, ow := tc.p.OutSize(tc.h, tc.w)
+		oh, ow := tc.p.outSize(tc.h, tc.w)
 		dy := randTensor(rng, tc.n, tc.p.OutChannels, oh, ow)
 		wantDX, wantDW, wantDB := refConv2DBackward(dy, x, weight, tc.p, tc.bias)
 		atParallelism(t, []int{1, 4}, func(t *testing.T, w int) {
@@ -475,7 +475,7 @@ func TestInferenceOpVariantsMatch(t *testing.T) {
 	if d := maxAbsDiff(t, got, want); d != 0 {
 		t.Errorf("ReLUInto: max diff %g", d)
 	}
-	inPlace := x.Clone()
+	inPlace := x.clone()
 	ReLUInPlaceInfer(inPlace)
 	if d := maxAbsDiff(t, inPlace, want); d != 0 {
 		t.Errorf("ReLUInPlaceInfer: max diff %g", d)
@@ -504,8 +504,8 @@ func TestInferenceOpVariantsMatch(t *testing.T) {
 	// MaxPool (window partially and fully in padding via big padding)
 	for _, p := range []PoolParams{
 		{Kernel: 2, Stride: 2},
-		{Kernel: 3, Stride: 2, Padding: 1},
-		{Kernel: 2, Stride: 1, Padding: 2},
+		{Kernel: 3, Stride: 2, padding: 1},
+		{Kernel: 2, Stride: 1, padding: 2},
 	} {
 		mp, err := MaxPool2D(x, p)
 		if err != nil {
@@ -576,7 +576,7 @@ func TestInferenceOpVariantsReLUBits(t *testing.T) {
 	if err := ReLUInto(got, x); err != nil {
 		t.Fatal(err)
 	}
-	inPlace := x.Clone()
+	inPlace := x.clone()
 	ReLUInPlaceInfer(inPlace)
 	for i, v := range vals {
 		into := v // ReLUInto's branchy loop
@@ -619,7 +619,7 @@ func TestRentReleaseSemantics(t *testing.T) {
 	}
 	// A clone of a pooled tensor must not inherit pooled-ness: releasing
 	// the clone must not poison the freelist with the original's buffer.
-	c := r2.Clone()
+	c := r2.clone()
 	Release(c) // no-op
 	if c.Data() == nil {
 		t.Fatal("Release must not detach a non-pooled clone")

@@ -145,7 +145,7 @@ func TestGradBatchNorm(t *testing.T) {
 
 	forward := func() float64 {
 		// Keep running stats fixed across evaluations: save and restore.
-		rm, rv := st.RunningMean.Clone(), st.RunningVar.Clone()
+		rm, rv := st.RunningMean.clone(), st.RunningVar.clone()
 		defer func() {
 			copy(st.RunningMean.Data(), rm.Data())
 			copy(st.RunningVar.Data(), rv.Data())

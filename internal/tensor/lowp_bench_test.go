@@ -89,7 +89,7 @@ func BenchmarkConvPrecision(b *testing.B) {
 			b.Fatal(err)
 		}
 		xScale := SymmetricScale(x.Data())
-		oh, ow := p.OutSize(c.size, c.size)
+		oh, ow := p.outSize(c.size, c.size)
 		dst := New(c.n, 2*c.ch, oh, ow)
 
 		tag := fmt.Sprintf("n%d_c%d_s%d", c.n, c.ch, c.size)

@@ -313,7 +313,7 @@ func TestConv2DI8ExactVsDequantReference(t *testing.T) {
 		// Reference: quantize with the same helpers, convolve naively in
 		// int32, dequantize with the same per-channel scales. Must match
 		// the kernel bit-for-bit.
-		oh, ow := p.OutSize(c.size, c.size)
+		oh, ow := p.outSize(c.size, c.size)
 		xq := make([]int8, c.n*c.cin*c.size*c.size)
 		quantizeSymmetric(xq, x.Data(), xScale)
 		gd := got.Data()

@@ -12,8 +12,8 @@ type BatchNormState struct {
 	Beta        *Tensor // shift, shape (C)
 	RunningMean *Tensor // shape (C)
 	RunningVar  *Tensor // shape (C)
-	Momentum    float64 // running-stat update factor, typically 0.1
-	Eps         float64 // numerical stabilizer, typically 1e-5
+	momentum    float64 // running-stat update factor, typically 0.1
+	eps         float64 // numerical stabilizer, typically 1e-5
 }
 
 // NewBatchNormState returns a state with gamma=1, beta=0, zero running mean
@@ -24,8 +24,8 @@ func NewBatchNormState(channels int) *BatchNormState {
 		Beta:        New(channels),
 		RunningMean: New(channels),
 		RunningVar:  New(channels),
-		Momentum:    0.1,
-		Eps:         1e-5,
+		momentum:    0.1,
+		eps:         1e-5,
 	}
 	s.Gamma.Fill(1)
 	s.RunningVar.Fill(1)
@@ -87,13 +87,13 @@ func BatchNorm2D(x *Tensor, s *BatchNormState, training bool) (*BatchNormResult,
 				}
 			}
 			variance = sq / cnt
-			s.RunningMean.data[ch] = (1-s.Momentum)*s.RunningMean.data[ch] + s.Momentum*mean
-			s.RunningVar.data[ch] = (1-s.Momentum)*s.RunningVar.data[ch] + s.Momentum*variance
+			s.RunningMean.data[ch] = (1-s.momentum)*s.RunningMean.data[ch] + s.momentum*mean
+			s.RunningVar.data[ch] = (1-s.momentum)*s.RunningVar.data[ch] + s.momentum*variance
 		} else {
 			mean = s.RunningMean.data[ch]
 			variance = s.RunningVar.data[ch]
 		}
-		inv := 1.0 / math.Sqrt(variance+s.Eps)
+		inv := 1.0 / math.Sqrt(variance+s.eps)
 		res.invSD[ch] = inv
 		g, bshift := s.Gamma.data[ch], s.Beta.data[ch]
 		for b := 0; b < n; b++ {
@@ -131,7 +131,7 @@ func BatchNorm2DInto(dst, x *Tensor, s *BatchNormState) error {
 	hw := h * w
 	for ch := 0; ch < c; ch++ {
 		mean := s.RunningMean.data[ch]
-		inv := 1.0 / math.Sqrt(s.RunningVar.data[ch]+s.Eps)
+		inv := 1.0 / math.Sqrt(s.RunningVar.data[ch]+s.eps)
 		g, bshift := s.Gamma.data[ch], s.Beta.data[ch]
 		for b := 0; b < n; b++ {
 			off := (b*c + ch) * hw

@@ -7,13 +7,13 @@ import "fmt"
 type PoolParams struct {
 	Kernel  int
 	Stride  int
-	Padding int
+	padding int
 }
 
 // OutSize returns the pooled spatial size for an input of size h×w.
 func (p PoolParams) OutSize(h, w int) (int, int) {
-	oh := (h+2*p.Padding-p.Kernel)/p.Stride + 1
-	ow := (w+2*p.Padding-p.Kernel)/p.Stride + 1
+	oh := (h+2*p.padding-p.Kernel)/p.Stride + 1
+	ow := (w+2*p.padding-p.Kernel)/p.Stride + 1
 	return oh, ow
 }
 
@@ -23,8 +23,8 @@ func (p PoolParams) validate() error {
 		return fmt.Errorf("%w: pool kernel must be positive, got %d", errShape, p.Kernel)
 	case p.Stride <= 0:
 		return fmt.Errorf("%w: pool stride must be positive, got %d", errShape, p.Stride)
-	case p.Padding < 0:
-		return fmt.Errorf("%w: pool padding must be non-negative, got %d", errShape, p.Padding)
+	case p.padding < 0:
+		return fmt.Errorf("%w: pool padding must be non-negative, got %d", errShape, p.padding)
 	}
 	return nil
 }
@@ -62,12 +62,12 @@ func MaxPool2D(x *Tensor, p PoolParams) (*MaxPool2DResult, error) {
 					best := 0.0
 					bestIdx := -1
 					for ky := 0; ky < p.Kernel; ky++ {
-						iy := oy*p.Stride + ky - p.Padding
+						iy := oy*p.Stride + ky - p.padding
 						if iy < 0 || iy >= h {
 							continue
 						}
 						for kx := 0; kx < p.Kernel; kx++ {
-							ix := ox*p.Stride + kx - p.Padding
+							ix := ox*p.Stride + kx - p.padding
 							if ix < 0 || ix >= w {
 								continue
 							}
@@ -117,13 +117,13 @@ func MaxPool2DInto(dst, x *Tensor, p PoolParams) error {
 		for ch := 0; ch < c; ch++ {
 			plane := x.data[(b*c+ch)*h*w : (b*c+ch+1)*h*w]
 			for oy := 0; oy < oh; oy++ {
-				iy0 := oy*p.Stride - p.Padding
+				iy0 := oy*p.Stride - p.padding
 				kyLo, kyHi := max(0, -iy0), min(p.Kernel, h-iy0)
 				for ox := 0; ox < ow; ox++ {
 					// The taps [kyLo,kyHi)×[kxLo,kxHi) fall inside the image;
 					// they are visited in MaxPool2D's order, starting from the
 					// first, so NaNs and signed zeros come out the same.
-					ix0 := ox*p.Stride - p.Padding
+					ix0 := ox*p.Stride - p.padding
 					kxLo, kxHi := max(0, -ix0), min(p.Kernel, w-ix0)
 					best := 0.0 // a window wholly in padding
 					if kyLo < kyHi && kxLo < kxHi {

@@ -15,7 +15,6 @@ package tensor
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -28,8 +27,8 @@ type Tensor struct {
 	shape []int
 	data  []float64
 	// pooled marks storage obtained from the scratch pool via Rent;
-	// only such tensors are recycled by Release. Views (Reshape) and
-	// clones never inherit it.
+	// only such tensors are recycled by Release. Views and clones
+	// never inherit it.
 	pooled bool
 	// borrowed marks a pooled header over storage it does not own
 	// (RentRows): Release recycles the header only.
@@ -88,36 +87,11 @@ func (t *Tensor) Len() int { return len(t.data) }
 // Data returns the underlying storage. Mutating it mutates the tensor.
 func (t *Tensor) Data() []float64 { return t.data }
 
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
+// clone returns a deep copy.
+func (t *Tensor) clone() *Tensor {
 	c := New(t.shape...)
 	copy(c.data, t.data)
 	return c
-}
-
-// Reshape returns a view of the tensor with a new shape of equal length.
-// The returned tensor shares storage with t.
-func (t *Tensor) Reshape(shape ...int) (*Tensor, error) {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	if n != len(t.data) {
-		return nil, fmt.Errorf("%w: cannot reshape %v (%d elems) to %v (%d elems)",
-			errShape, t.shape, len(t.data), shape, n)
-	}
-	s := make([]int, len(shape))
-	copy(s, shape)
-	return &Tensor{shape: s, data: t.data}, nil
-}
-
-// MustReshape is Reshape but panics on error.
-func (t *Tensor) MustReshape(shape ...int) *Tensor {
-	r, err := t.Reshape(shape...)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // index computes the flat offset for multi-dimensional indices.
@@ -134,9 +108,6 @@ func (t *Tensor) index(idx ...int) int {
 	}
 	return off
 }
-
-// At returns the element at the given indices.
-func (t *Tensor) At(idx ...int) float64 { return t.data[t.index(idx...)] }
 
 // Set assigns the element at the given indices.
 func (t *Tensor) Set(v float64, idx ...int) { t.data[t.index(idx...)] = v }
@@ -175,54 +146,11 @@ func (t *Tensor) AddInPlace(u *Tensor) error {
 	return nil
 }
 
-// ScaleInPlace multiplies every element of t by a.
-func (t *Tensor) ScaleInPlace(a float64) {
+// scaleInPlace multiplies every element of t by a.
+func (t *Tensor) scaleInPlace(a float64) {
 	for i := range t.data {
 		t.data[i] *= a
 	}
-}
-
-// AXPYInPlace computes t += a*u element-wise.
-func (t *Tensor) AXPYInPlace(a float64, u *Tensor) error {
-	if !t.SameShape(u) {
-		return fmt.Errorf("%w: axpy %v and %v", errShape, t.shape, u.shape)
-	}
-	for i := range t.data {
-		t.data[i] += a * u.data[i]
-	}
-	return nil
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements.
-func (t *Tensor) Mean() float64 { return t.Sum() / float64(len(t.data)) }
-
-// MaxAbs returns the maximum absolute element value.
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // String renders the shape and a preview of the data, for debugging.

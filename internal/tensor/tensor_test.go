@@ -69,7 +69,7 @@ func TestFromSliceValidation(t *testing.T) {
 
 func TestReshapeSharesStorage(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	b, err := a.Reshape(3, 2)
+	b, err := a.reshape(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestReshapeSharesStorage(t *testing.T) {
 	if a.At(0, 1) != 99 {
 		t.Fatal("Reshape did not share storage")
 	}
-	if _, err := a.Reshape(4, 2); !errors.Is(err, errShape) {
+	if _, err := a.reshape(4, 2); !errors.Is(err, errShape) {
 		t.Fatalf("Reshape bad size: err = %v, want ErrShape", err)
 	}
 }
 
 func TestCloneIsDeep(t *testing.T) {
 	a := MustFromSlice([]float64{1, 2}, 2)
-	b := a.Clone()
+	b := a.clone()
 	b.Set(5, 0)
 	if a.At(0) != 1 {
 		t.Fatal("Clone shares storage")
@@ -121,8 +121,8 @@ func TestAddAndAXPY(t *testing.T) {
 
 func TestSumMeanNorms(t *testing.T) {
 	a := MustFromSlice([]float64{3, -4}, 2)
-	if a.Sum() != -1 {
-		t.Fatalf("Sum = %v, want -1", a.Sum())
+	if a.sum() != -1 {
+		t.Fatalf("Sum = %v, want -1", a.sum())
 	}
 	if a.Mean() != -0.5 {
 		t.Fatalf("Mean = %v, want -0.5", a.Mean())
@@ -637,7 +637,7 @@ func TestStringPreview(t *testing.T) {
 func TestReLUInPlaceMatchesReLU(t *testing.T) {
 	x := MustFromSlice([]float64{-2, 0, 3}, 3)
 	y, wantMask := ReLU(x)
-	inPlace := x.Clone()
+	inPlace := x.clone()
 	gotMask := ReLUInPlace(inPlace)
 	for i := range y.Data() {
 		if inPlace.Data()[i] != y.Data()[i] {
@@ -687,7 +687,7 @@ func TestConvPoolParamValidation(t *testing.T) {
 	badPool := []PoolParams{
 		{Kernel: 0, Stride: 1},
 		{Kernel: 2, Stride: 0},
-		{Kernel: 2, Stride: 1, Padding: -1},
+		{Kernel: 2, Stride: 1, padding: -1},
 	}
 	for i, p := range badPool {
 		if _, err := MaxPool2D(x, p); !errors.Is(err, errShape) {
@@ -754,7 +754,7 @@ func Add(t, u *Tensor) (*Tensor, error) {
 	if !t.SameShape(u) {
 		return nil, fmt.Errorf("%w: add %v and %v", errShape, t.shape, u.shape)
 	}
-	out := t.Clone()
+	out := t.clone()
 	for i := range out.data {
 		out.data[i] += u.data[i]
 	}

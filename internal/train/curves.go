@@ -7,20 +7,20 @@ import (
 
 // ConvergenceParams is the calibrated accuracy-vs-epoch model
 //
-//	acc(e) = Asymptote − (Asymptote − Init)·exp(−e/TimeConst)
-//	         − OverfitRate·max(0, e − OverfitStart)
+//	acc(e) = asymptote − (asymptote − init0)·exp(−e/timeConst)
+//	         − overfitRate·max(0, e − overfitStart)
 //
 // used to carry the small-scale measured training behaviour to ResNet-18
 // scale in Fig. 2(left). The exponential term models convergence speed
-// (fewer trainable parameters → smaller TimeConst) and the linear term
+// (fewer trainable parameters → smaller timeConst) and the linear term
 // the overfitting decay the paper observes for heavily shared
 // configurations after long training.
 type ConvergenceParams struct {
-	Init         float64 // accuracy at epoch 0 (%)
-	Asymptote    float64 // accuracy the exponential approaches (%)
-	TimeConst    float64 // convergence time constant (epochs)
-	OverfitRate  float64 // late-training accuracy decay (%/epoch)
-	OverfitStart float64 // epoch at which overfitting sets in
+	init0        float64 // accuracy at epoch 0 (%)
+	asymptote    float64 // accuracy the exponential approaches (%)
+	timeConst    float64 // convergence time constant (epochs)
+	overfitRate  float64 // late-training accuracy decay (%/epoch)
+	overfitStart float64 // epoch at which overfitting sets in
 }
 
 // Accuracy evaluates the curve at a (fractional) epoch.
@@ -28,9 +28,9 @@ func (p ConvergenceParams) Accuracy(epoch float64) float64 {
 	if epoch < 0 {
 		epoch = 0
 	}
-	a := p.Asymptote - (p.Asymptote-p.Init)*math.Exp(-epoch/p.TimeConst)
-	if epoch > p.OverfitStart {
-		a -= p.OverfitRate * (epoch - p.OverfitStart)
+	a := p.asymptote - (p.asymptote-p.init0)*math.Exp(-epoch/p.timeConst)
+	if epoch > p.overfitStart {
+		a -= p.overfitRate * (epoch - p.overfitStart)
 	}
 	if a < 0 {
 		a = 0
@@ -58,15 +58,15 @@ func (p ConvergenceParams) EpochsToReach(target float64, horizon int) int {
 func PaperConvergence(config string) (ConvergenceParams, error) {
 	switch config {
 	case "A":
-		return ConvergenceParams{Init: 20, Asymptote: 89.5, TimeConst: 110, OverfitRate: 0, OverfitStart: 400}, nil
+		return ConvergenceParams{init0: 20, asymptote: 89.5, timeConst: 110, overfitRate: 0, overfitStart: 400}, nil
 	case "B":
-		return ConvergenceParams{Init: 30, Asymptote: 82, TimeConst: 16, OverfitRate: 0.02, OverfitStart: 80}, nil
+		return ConvergenceParams{init0: 30, asymptote: 82, timeConst: 16, overfitRate: 0.02, overfitStart: 80}, nil
 	case "C":
-		return ConvergenceParams{Init: 28, Asymptote: 84, TimeConst: 19, OverfitRate: 0.015, OverfitStart: 100}, nil
+		return ConvergenceParams{init0: 28, asymptote: 84, timeConst: 19, overfitRate: 0.015, overfitStart: 100}, nil
 	case "D":
-		return ConvergenceParams{Init: 26, Asymptote: 85, TimeConst: 34, OverfitRate: 0.008, OverfitStart: 150}, nil
+		return ConvergenceParams{init0: 26, asymptote: 85, timeConst: 34, overfitRate: 0.008, overfitStart: 150}, nil
 	case "E":
-		return ConvergenceParams{Init: 24, Asymptote: 86, TimeConst: 55, OverfitRate: 0.004, OverfitStart: 200}, nil
+		return ConvergenceParams{init0: 24, asymptote: 86, timeConst: 55, overfitRate: 0.004, overfitStart: 200}, nil
 	default:
 		return ConvergenceParams{}, fmt.Errorf("%w: no convergence calibration for config %q", errConfig, config)
 	}

@@ -18,42 +18,42 @@ import (
 //     why CONFIG B/C peak ~1.8× lower than CONFIG A;
 //   - a fixed framework overhead (CUDA context, allocator pools).
 type MemoryModel struct {
-	// BatchSize of the training step (paper: 256).
-	BatchSize int
-	// BytesPerValue for weights/activations (4 = float32).
-	BytesPerValue int
-	// OptimizerStateBytesPerParam (Adam: 8 with float32 moments).
-	OptimizerStateBytesPerParam int
-	// FrameworkOverheadBytes models the constant CUDA/framework cost.
-	FrameworkOverheadBytes int64
-	// FrozenActivationFraction is the share of a frozen block's
+	// batchSize of the training step (paper: 256).
+	batchSize int
+	// bytesPerValue for weights/activations (4 = float32).
+	bytesPerValue int
+	// optimizerStateBytesPerParam (Adam: 8 with float32 moments).
+	optimizerStateBytesPerParam int
+	// frameworkOverheadBytes models the constant CUDA/framework cost.
+	frameworkOverheadBytes int64
+	// frozenActivationFraction is the share of a frozen block's
 	// activations that remains resident during its forward pass
 	// (workspace buffers, fused-op intermediates); frameworks do not
 	// reduce frozen-layer forward memory to zero, which is why Fig. 2
 	// (right) shows ~1.8× rather than ~5× savings for CONFIG B.
-	FrozenActivationFraction float64
+	frozenActivationFraction float64
 }
 
 // DefaultMemoryModel returns the calibration used for Fig. 2(right):
 // batch 256, float32, Adam state, ~700 MiB framework overhead.
 func DefaultMemoryModel() MemoryModel {
 	return MemoryModel{
-		BatchSize:                   256,
-		BytesPerValue:               4,
-		OptimizerStateBytesPerParam: 8,
-		FrameworkOverheadBytes:      700 << 20,
-		FrozenActivationFraction:    0.5,
+		batchSize:                   256,
+		bytesPerValue:               4,
+		optimizerStateBytesPerParam: 8,
+		frameworkOverheadBytes:      700 << 20,
+		frozenActivationFraction:    0.5,
 	}
 }
 
-// PeakBytes estimates the peak training footprint of a configuration over
+// peakBytes estimates the peak training footprint of a configuration over
 // the analytic model statistics. cfg decides which stages are frozen
 // (shared) versus trainable.
-func (m MemoryModel) PeakBytes(stats dnn.ModelStats, cfg dnn.TableIConfig) int64 {
-	bpv := int64(m.BytesPerValue)
-	batch := int64(m.BatchSize)
+func (m MemoryModel) peakBytes(stats dnn.ModelStats, cfg dnn.TableIConfig) int64 {
+	bpv := int64(m.bytesPerValue)
+	batch := int64(m.batchSize)
 
-	total := m.FrameworkOverheadBytes
+	total := m.frameworkOverheadBytes
 	// All weights resident.
 	total += int64(stats.TotalParams()) * bpv
 
@@ -91,7 +91,7 @@ func (m MemoryModel) PeakBytes(stats dnn.ModelStats, cfg dnn.TableIConfig) int64
 		if s >= lowestTrainable {
 			actBytes += float64(b.ActivationElems)
 		} else {
-			actBytes += m.FrozenActivationFraction * float64(b.ActivationElems)
+			actBytes += m.frozenActivationFraction * float64(b.ActivationElems)
 		}
 		if int64(b.OutputElems) > maxAct {
 			maxAct = int64(b.OutputElems)
@@ -100,7 +100,7 @@ func (m MemoryModel) PeakBytes(stats dnn.ModelStats, cfg dnn.TableIConfig) int64
 
 	// Gradients + optimizer state for trainable parameters.
 	total += trainParams * bpv
-	total += trainParams * int64(m.OptimizerStateBytesPerParam)
+	total += trainParams * int64(m.optimizerStateBytesPerParam)
 	// Backward-cached activations plus frozen-forward workspace.
 	total += int64(actBytes * float64(batch) * float64(bpv))
 	// Transient double-buffered forward activations.
@@ -108,45 +108,7 @@ func (m MemoryModel) PeakBytes(stats dnn.ModelStats, cfg dnn.TableIConfig) int64
 	return total
 }
 
-// PeakMiB converts PeakBytes to mebibytes, the Fig. 2(right) unit.
+// PeakMiB converts peakBytes to mebibytes, the Fig. 2(right) unit.
 func (m MemoryModel) PeakMiB(stats dnn.ModelStats, cfg dnn.TableIConfig) float64 {
-	return float64(m.PeakBytes(stats, cfg)) / (1 << 20)
-}
-
-// MeasuredPeakBytes estimates the peak footprint of an *instantiated*
-// model the same way, using real per-block parameter counts and treating
-// frozen blocks as shared. It lets tests confirm the analytic model and
-// the instantiated models rank configurations identically.
-func (m MemoryModel) MeasuredPeakBytes(model *dnn.Model, activationElems func(stage int) (cached, output int64)) int64 {
-	bpv := int64(m.BytesPerValue)
-	batch := int64(m.BatchSize)
-	total := m.FrameworkOverheadBytes
-
-	lowest := -1
-	for _, b := range model.Blocks {
-		total += int64(b.ParamCount()) * bpv
-		if !b.Frozen && lowest < 0 {
-			lowest = b.Stage
-		}
-	}
-	if lowest < 0 {
-		lowest = 6
-	}
-	var maxAct int64
-	for _, b := range model.Blocks {
-		cached, out := activationElems(b.Stage)
-		if !b.Frozen {
-			total += int64(b.ParamCount()) * (bpv + int64(m.OptimizerStateBytesPerParam))
-		}
-		if b.Stage >= lowest {
-			total += cached * batch * bpv
-		} else {
-			total += int64(m.FrozenActivationFraction * float64(cached*batch*bpv))
-		}
-		if out > maxAct {
-			maxAct = out
-		}
-	}
-	total += 2 * maxAct * batch * bpv
-	return total
+	return float64(m.peakBytes(stats, cfg)) / (1 << 20)
 }

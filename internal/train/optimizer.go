@@ -19,24 +19,20 @@ var errConfig = errors.New("train: invalid configuration")
 
 // Optimizer updates parameters from accumulated gradients.
 type Optimizer interface {
-	// Step applies one update; params and grads are parallel slices.
-	Step(params, grads []*tensor.Tensor) error
-	// SetLR changes the learning rate (driven by the scheduler).
-	SetLR(lr float64)
-	// StateBytesPerParam reports the optimizer-state footprint used by
-	// the training-memory model (0 for plain SGD, 8 for momentum-SGD
-	// float64 velocity, 16 for Adam's two moments).
-	StateBytesPerParam() int
+	// step applies one update; params and grads are parallel slices.
+	step(params, grads []*tensor.Tensor) error
+	// setLR changes the learning rate (driven by the scheduler).
+	setLR(lr float64)
 }
 
 // Adam is the Adam optimizer with decoupled weight decay disabled (plain
 // L2, matching the paper's "'Adam' optimizer ... decay rate 0.001").
 type Adam struct {
-	LR          float64
-	Beta1       float64
-	Beta2       float64
-	Eps         float64
-	WeightDecay float64
+	lr          float64
+	beta1       float64
+	beta2       float64
+	eps         float64
+	weightDecay float64
 
 	m, v [][]float64
 	t    int
@@ -44,17 +40,14 @@ type Adam struct {
 
 // NewAdam constructs an Adam optimizer with standard betas.
 func NewAdam(lr, weightDecay float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay}
+	return &Adam{lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weightDecay: weightDecay}
 }
 
-// SetLR implements Optimizer.
-func (o *Adam) SetLR(lr float64) { o.LR = lr }
+// setLR implements Optimizer.
+func (o *Adam) setLR(lr float64) { o.lr = lr }
 
-// StateBytesPerParam implements Optimizer.
-func (o *Adam) StateBytesPerParam() int { return 16 }
-
-// Step implements Optimizer.
-func (o *Adam) Step(params, grads []*tensor.Tensor) error {
+// step implements Optimizer.
+func (o *Adam) step(params, grads []*tensor.Tensor) error {
 	if len(params) != len(grads) {
 		return fmt.Errorf("%w: %d params vs %d grads", errConfig, len(params), len(grads))
 	}
@@ -68,8 +61,8 @@ func (o *Adam) Step(params, grads []*tensor.Tensor) error {
 		o.t = 0
 	}
 	o.t++
-	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	bc1 := 1 - math.Pow(o.beta1, float64(o.t))
+	bc2 := 1 - math.Pow(o.beta2, float64(o.t))
 	for i, p := range params {
 		g := grads[i]
 		if p.Len() != g.Len() {
@@ -78,12 +71,12 @@ func (o *Adam) Step(params, grads []*tensor.Tensor) error {
 		pd, gd := p.Data(), g.Data()
 		m, v := o.m[i], o.v[i]
 		for j := range pd {
-			gj := gd[j] + o.WeightDecay*pd[j]
-			m[j] = o.Beta1*m[j] + (1-o.Beta1)*gj
-			v[j] = o.Beta2*v[j] + (1-o.Beta2)*gj*gj
+			gj := gd[j] + o.weightDecay*pd[j]
+			m[j] = o.beta1*m[j] + (1-o.beta1)*gj
+			v[j] = o.beta2*v[j] + (1-o.beta2)*gj*gj
 			mhat := m[j] / bc1
 			vhat := v[j] / bc2
-			pd[j] -= o.LR * mhat / (math.Sqrt(vhat) + o.Eps)
+			pd[j] -= o.lr * mhat / (math.Sqrt(vhat) + o.eps)
 		}
 	}
 	return nil
@@ -97,8 +90,8 @@ type CosineAnnealing struct {
 	Total int
 }
 
-// LR returns the learning rate for the (0-based) epoch.
-func (s CosineAnnealing) LR(epoch int) float64 {
+// lr returns the learning rate for the (0-based) epoch.
+func (s CosineAnnealing) lr(epoch int) float64 {
 	if s.Total <= 0 {
 		return s.Base
 	}

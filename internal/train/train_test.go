@@ -60,8 +60,23 @@ func TestFrozenBackboneTrainsFasterPerEpoch(t *testing.T) {
 	// of frozen stages do not move.
 	sp := smallSplit(t, 2, 8, 4, 4)
 	m := smallModel(2, 5)
-	m.FreezeStages(0, 1, 2, 3)
-	frozen := m.BlockByStage(2).Params()
+	all := m.TrainableParams()
+	for _, b := range m.Blocks {
+		b.Frozen = b.Stage <= 3
+	}
+	trainable := make(map[*tensor.Tensor]bool)
+	for _, p := range m.TrainableParams() {
+		trainable[p] = true
+	}
+	var frozen []*tensor.Tensor
+	for _, p := range all {
+		if !trainable[p] {
+			frozen = append(frozen, p)
+		}
+	}
+	if len(frozen) == 0 || len(trainable) == 0 {
+		t.Fatalf("%d frozen, %d trainable parameters", len(frozen), len(trainable))
+	}
 	snapshot := make([]float64, 0)
 	for _, p := range frozen {
 		snapshot = append(snapshot, p.Data()...)
@@ -104,7 +119,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	o := NewAdam(0.1, 0)
 	for i := 0; i < 500; i++ {
 		g.Data()[0] = 2 * (x.Data()[0] - 3)
-		if err := o.Step(paramList(x), paramList(g)); err != nil {
+		if err := o.step(paramList(x), paramList(g)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,27 +130,27 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 
 func TestCosineAnnealingEndpoints(t *testing.T) {
 	s := CosineAnnealing{Base: 0.2, Min: 0.001, Total: 100}
-	if s.LR(0) != 0.2 {
-		t.Fatalf("LR(0) = %v, want 0.2", s.LR(0))
+	if s.lr(0) != 0.2 {
+		t.Fatalf("LR(0) = %v, want 0.2", s.lr(0))
 	}
-	if math.Abs(s.LR(100)-0.001) > 1e-12 {
-		t.Fatalf("LR(100) = %v, want 0.001", s.LR(100))
+	if math.Abs(s.lr(100)-0.001) > 1e-12 {
+		t.Fatalf("LR(100) = %v, want 0.001", s.lr(100))
 	}
-	mid := s.LR(50)
+	mid := s.lr(50)
 	if mid <= 0.001 || mid >= 0.2 {
 		t.Fatalf("LR(50) = %v, want strictly between", mid)
 	}
 	// Monotone decreasing.
-	prev := s.LR(0)
+	prev := s.lr(0)
 	for e := 1; e <= 100; e++ {
-		cur := s.LR(e)
+		cur := s.lr(e)
 		if cur > prev+1e-12 {
 			t.Fatalf("LR increased at epoch %d: %v > %v", e, cur, prev)
 		}
 		prev = cur
 	}
 	// Clamped past the horizon.
-	if s.LR(200) != s.LR(100) {
+	if s.lr(200) != s.lr(100) {
 		t.Fatal("LR should clamp past Total")
 	}
 }
@@ -284,7 +299,7 @@ func TestMeasuredPeakMatchesAnalyticOrdering(t *testing.T) {
 	base := dnn.BuildResNet18(dnn.DefaultResNetConfig())
 	stats := dnn.ResNet18Stats(8, 16, 8, [4]float64{})
 	mm := DefaultMemoryModel()
-	mm.BatchSize = 16
+	mm.batchSize = 16
 
 	acts := func(stage int) (int64, int64) {
 		b := stats.Block(stage)
@@ -304,7 +319,7 @@ func TestMeasuredPeakMatchesAnalyticOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 		measured := mm.MeasuredPeakBytes(m, acts)
-		analytic := mm.PeakBytes(stats, cfg)
+		analytic := mm.peakBytes(stats, cfg)
 		if prevMeasured >= 0 && measured < prevMeasured {
 			t.Fatalf("measured peak for %s (%d) below previous config (%d)", name, measured, prevMeasured)
 		}
@@ -318,10 +333,10 @@ func TestMeasuredPeakMatchesAnalyticOrdering(t *testing.T) {
 func TestOptimizerStepValidation(t *testing.T) {
 	p := mustTensor(t, []float64{1}, 1)
 	g2 := mustTensor(t, []float64{1, 2}, 2)
-	if err := newSGD(0.1, 0.9, 0).Step(paramList(p), paramList(g2)); err == nil {
+	if err := newSGD(0.1, 0.9, 0).step(paramList(p), paramList(g2)); err == nil {
 		t.Fatal("mismatched param/grad shapes should error")
 	}
-	if err := NewAdam(0.1, 0).Step(paramList(p), nil); err == nil {
+	if err := NewAdam(0.1, 0).step(paramList(p), nil); err == nil {
 		t.Fatal("mismatched list lengths should error")
 	}
 }
@@ -330,7 +345,7 @@ func TestSGDWeightDecayShrinksWeights(t *testing.T) {
 	p := mustTensor(t, []float64{10}, 1)
 	g := mustTensor(t, []float64{0}, 1)
 	o := newSGD(0.1, 0, 0.5) // pure decay: w -= lr*wd*w
-	if err := o.Step(paramList(p), paramList(g)); err != nil {
+	if err := o.step(paramList(p), paramList(g)); err != nil {
 		t.Fatal(err)
 	}
 	if p.Data()[0] >= 10 {
@@ -353,10 +368,10 @@ func newSGD(lr, momentum, weightDecay float64) *sgd {
 	return &sgd{LR: lr, Momentum: momentum, WeightDecay: weightDecay}
 }
 
-// SetLR implements Optimizer.
-func (o *sgd) SetLR(lr float64) { o.LR = lr }
+// setLR implements Optimizer.
+func (o *sgd) setLR(lr float64) { o.LR = lr }
 
-// StateBytesPerParam implements Optimizer.
+// StateBytesPerParam reports the velocity footprint per parameter.
 func (o *sgd) StateBytesPerParam() int {
 	if o.Momentum != 0 {
 		return 8
@@ -364,8 +379,8 @@ func (o *sgd) StateBytesPerParam() int {
 	return 0
 }
 
-// Step implements Optimizer.
-func (o *sgd) Step(params, grads []*tensor.Tensor) error {
+// step implements Optimizer.
+func (o *sgd) step(params, grads []*tensor.Tensor) error {
 	if len(params) != len(grads) {
 		return fmt.Errorf("%w: %d params vs %d grads", errConfig, len(params), len(grads))
 	}
@@ -395,4 +410,50 @@ func (o *sgd) Step(params, grads []*tensor.Tensor) error {
 		}
 	}
 	return nil
+}
+
+// Epoch returns the number of completed epochs.
+func (t *Trainer) Epoch() int { return t.epoch }
+
+// Evaluate returns top-1 accuracy on the test set.
+func (t *Trainer) Evaluate(sp *dataset.Split) (float64, error) {
+	return EvaluateModel(t.model, sp)
+}
+
+// MeasuredPeakBytes estimates the peak footprint of an *instantiated*
+// model the same way, using real per-block parameter counts and treating
+// frozen blocks as shared. The tests use it to confirm that the analytic
+// model and the instantiated models rank configurations identically.
+func (m MemoryModel) MeasuredPeakBytes(model *dnn.Model, activationElems func(stage int) (cached, output int64)) int64 {
+	bpv := int64(m.bytesPerValue)
+	batch := int64(m.batchSize)
+	total := m.frameworkOverheadBytes
+
+	lowest := -1
+	for _, b := range model.Blocks {
+		total += int64(b.ParamCount()) * bpv
+		if !b.Frozen && lowest < 0 {
+			lowest = b.Stage
+		}
+	}
+	if lowest < 0 {
+		lowest = 6
+	}
+	var maxAct int64
+	for _, b := range model.Blocks {
+		cached, out := activationElems(b.Stage)
+		if !b.Frozen {
+			total += int64(b.ParamCount()) * (bpv + int64(m.optimizerStateBytesPerParam))
+		}
+		if b.Stage >= lowest {
+			total += cached * batch * bpv
+		} else {
+			total += int64(m.frozenActivationFraction * float64(cached*batch*bpv))
+		}
+		if out > maxAct {
+			maxAct = out
+		}
+	}
+	total += 2 * maxAct * batch * bpv
+	return total
 }

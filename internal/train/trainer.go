@@ -11,10 +11,10 @@ import (
 
 // Trainer runs epochs of mini-batch training over a dataset split.
 type Trainer struct {
-	Model     *dnn.Model
-	Optimizer Optimizer
-	Schedule  CosineAnnealing
-	BatchSize int
+	model     *dnn.Model
+	optimizer Optimizer
+	schedule  CosineAnnealing
+	batchSize int
 
 	rng   *rand.Rand
 	epoch int
@@ -29,26 +29,23 @@ func NewTrainer(m *dnn.Model, opt Optimizer, sched CosineAnnealing, batchSize in
 		return nil, fmt.Errorf("%w: nil model or optimizer", errConfig)
 	}
 	return &Trainer{
-		Model:     m,
-		Optimizer: opt,
-		Schedule:  sched,
-		BatchSize: batchSize,
+		model:     m,
+		optimizer: opt,
+		schedule:  sched,
+		batchSize: batchSize,
 		rng:       rand.New(rand.NewSource(seed)),
 	}, nil
 }
-
-// Epoch returns the number of completed epochs.
-func (t *Trainer) Epoch() int { return t.epoch }
 
 // TrainEpoch runs one pass over the training set and returns the mean
 // batch loss.
 func (t *Trainer) TrainEpoch(sp *dataset.Split) (float64, error) {
 	idx := dataset.Shuffle(len(sp.TrainX), t.rng)
-	t.Optimizer.SetLR(t.Schedule.LR(t.epoch))
+	t.optimizer.setLR(t.schedule.lr(t.epoch))
 	totalLoss := 0.0
 	batches := 0
-	for start := 0; start < len(idx); start += t.BatchSize {
-		end := start + t.BatchSize
+	for start := 0; start < len(idx); start += t.batchSize {
+		end := start + t.batchSize
 		if end > len(idx) {
 			end = len(idx)
 		}
@@ -71,7 +68,7 @@ func (t *Trainer) TrainEpoch(sp *dataset.Split) (float64, error) {
 }
 
 func (t *Trainer) step(x *tensor.Tensor, y []int) (float64, error) {
-	logits, err := t.Model.Forward(x, true)
+	logits, err := t.model.Forward(x, true)
 	if err != nil {
 		return 0, fmt.Errorf("train: forward: %w", err)
 	}
@@ -79,19 +76,14 @@ func (t *Trainer) step(x *tensor.Tensor, y []int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("train: loss: %w", err)
 	}
-	t.Model.ZeroGrads()
-	if _, err := t.Model.Backward(ce.Backward()); err != nil {
+	t.model.ZeroGrads()
+	if _, err := t.model.Backward(ce.Backward()); err != nil {
 		return 0, fmt.Errorf("train: backward: %w", err)
 	}
-	if err := t.Optimizer.Step(t.Model.TrainableParams(), t.Model.TrainableGrads()); err != nil {
+	if err := t.optimizer.step(t.model.TrainableParams(), t.model.TrainableGrads()); err != nil {
 		return 0, fmt.Errorf("train: optimizer: %w", err)
 	}
 	return ce.Loss, nil
-}
-
-// Evaluate returns top-1 accuracy on the test set.
-func (t *Trainer) Evaluate(sp *dataset.Split) (float64, error) {
-	return EvaluateModel(t.Model, sp)
 }
 
 // EvaluateModel computes top-1 test accuracy of any model on a split.

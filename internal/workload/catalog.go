@@ -20,73 +20,73 @@ import (
 type CatalogParams struct {
 	// NumDNNs is |D|: how many dynamic DNN structures to generate.
 	NumDNNs int
-	// PathsPerDNN is |Π^d_τ|: candidate paths per DNN per task.
-	PathsPerDNN int
-	// StageComputeSeconds is the full per-stage inference compute time.
-	StageComputeSeconds [4]float64
-	// StageMemoryGB is the full per-stage deployed memory.
-	StageMemoryGB [4]float64
-	// PruneComputeRatio scales compute of 80%-pruned blocks (~0.25).
-	PruneComputeRatio float64
-	// PruneMemoryRatio scales memory of 80%-pruned blocks (~0.2).
-	PruneMemoryRatio float64
-	// FtTrainPerStage is the fine-tuning cost of a task-specific stage-s
-	// block: ct = FtTrainPerStage·s seconds.
-	FtTrainPerStage float64
-	// SharedPrunedTrainPerStage is the one-time cost of producing a
-	// shared pruned base block: ct = SharedPrunedTrainPerStage·s.
-	SharedPrunedTrainPerStage float64
-	// BaseAccuracy is the accuracy of a fully fine-tuned unpruned path.
-	BaseAccuracy float64
-	// SharedStage4Penalty is the accuracy lost when the final stage is a
+	// pathsPerDNN is |Π^d_τ|: candidate paths per DNN per task.
+	pathsPerDNN int
+	// stageComputeSeconds is the full per-stage inference compute time.
+	stageComputeSeconds [4]float64
+	// stageMemoryGB is the full per-stage deployed memory.
+	stageMemoryGB [4]float64
+	// pruneComputeRatio scales compute of 80%-pruned blocks (~0.25).
+	pruneComputeRatio float64
+	// pruneMemoryRatio scales memory of 80%-pruned blocks (~0.2).
+	pruneMemoryRatio float64
+	// ftTrainPerStage is the fine-tuning cost of a task-specific stage-s
+	// block: ct = ftTrainPerStage·s seconds.
+	ftTrainPerStage float64
+	// sharedPrunedTrainPerStage is the one-time cost of producing a
+	// shared pruned base block: ct = sharedPrunedTrainPerStage·s.
+	sharedPrunedTrainPerStage float64
+	// baseAccuracy is the accuracy of a fully fine-tuned unpruned path.
+	baseAccuracy float64
+	// sharedStage4Penalty is the accuracy lost when the final stage is a
 	// generic base block rather than task-specific (high-level features
 	// do not transfer).
-	SharedStage4Penalty float64
-	// SharedBasePenalty is the accuracy lost per shared early stage.
-	SharedBasePenalty float64
-	// PrunedFtPenalty is the accuracy lost per pruned task-specific stage.
-	PrunedFtPenalty float64
-	// PrunedBasePenalty is the accuracy lost per pruned shared stage.
-	PrunedBasePenalty float64
-	// Family optionally namespaces the generated blocks into a second
+	sharedStage4Penalty float64
+	// sharedBasePenalty is the accuracy lost per shared early stage.
+	sharedBasePenalty float64
+	// prunedFtPenalty is the accuracy lost per pruned task-specific stage.
+	prunedFtPenalty float64
+	// prunedBasePenalty is the accuracy lost per pruned shared stage.
+	prunedBasePenalty float64
+	// family optionally namespaces the generated blocks into a second
 	// architecture family (e.g., "lite" for a MobileNetV2-class catalog);
 	// empty means the default ResNet-18 family.
-	Family string
+	family string
 	// Precisions lists the kernel-precision tiers every block variant is
 	// offered at; empty means float64 only (the seed catalog, unchanged).
 	// Non-f64 tiers emit "@f32"/"@i8"-suffixed block and path IDs with
 	// compute/memory scaled by the tier's ratios and the tier's accuracy
 	// penalty subtracted — quantization as just another priced variant.
 	Precisions []PrecisionSpec
-	// Seed drives the deterministic jitter.
-	Seed int64
+	// seed drives the deterministic jitter.
+	seed int64
 }
 
 // PrecisionSpec prices one kernel-precision tier relative to the f64
 // baseline.
 type PrecisionSpec struct {
-	// Name is the tier's suffix spelling: "f64", "f32" or "i8".
-	Name string
-	// ComputeRatio scales c(s) (f32 ≈ 0.30, i8 ≈ 0.22 on the profiled
+	// name is the tier's suffix spelling: "f64", "f32" or "i8".
+	name string
+	// computeRatio scales c(s) (f32 ≈ 0.30, i8 ≈ 0.22 on the profiled
 	// AVX2 kernels).
-	ComputeRatio float64
-	// MemoryRatio scales µ(s) (i8 stores 1 byte/param vs the charged 4).
-	MemoryRatio float64
-	// AccuracyPenalty is subtracted from the path accuracy for every path
+	computeRatio float64
+	// memoryRatio scales µ(s) (i8 stores 1 byte/param vs the charged 4).
+	memoryRatio float64
+	// accuracyPenalty is subtracted from the path accuracy for every path
 	// deployed at the tier (quantization noise; the install-time gate
 	// enforces the real bound).
-	AccuracyPenalty float64
+	accuracyPenalty float64
 }
 
 // DefaultPrecisionSpec returns the profiler-calibrated pricing of a tier.
 func DefaultPrecisionSpec(name string) PrecisionSpec {
 	switch name {
 	case "f32":
-		return PrecisionSpec{Name: "f32", ComputeRatio: 0.30, MemoryRatio: 1, AccuracyPenalty: 0.002}
+		return PrecisionSpec{name: "f32", computeRatio: 0.30, memoryRatio: 1, accuracyPenalty: 0.002}
 	case "i8":
-		return PrecisionSpec{Name: "i8", ComputeRatio: 0.22, MemoryRatio: 0.25, AccuracyPenalty: 0.01}
+		return PrecisionSpec{name: "i8", computeRatio: 0.22, memoryRatio: 0.25, accuracyPenalty: 0.01}
 	default:
-		return PrecisionSpec{Name: "f64", ComputeRatio: 1, MemoryRatio: 1}
+		return PrecisionSpec{name: "f64", computeRatio: 1, memoryRatio: 1}
 	}
 }
 
@@ -99,26 +99,26 @@ func (p CatalogParams) precisionTiers() []PrecisionSpec {
 }
 
 // isF64 reports whether a tier is the baseline (emits unsuffixed IDs).
-func (ps PrecisionSpec) isF64() bool { return ps.Name == "" || ps.Name == "f64" }
+func (ps PrecisionSpec) isF64() bool { return ps.name == "" || ps.name == "f64" }
 
 // SmallCatalogParams returns the 3-DNN × 5-path catalog of the small
 // scenario.
 func SmallCatalogParams() CatalogParams {
 	return CatalogParams{
 		NumDNNs:                   3,
-		PathsPerDNN:               5,
-		StageComputeSeconds:       [4]float64{0.0012, 0.0017, 0.0024, 0.0032},
-		StageMemoryGB:             [4]float64{0.10, 0.16, 0.28, 0.52},
-		PruneComputeRatio:         0.25,
-		PruneMemoryRatio:          0.2,
-		FtTrainPerStage:           30,
-		SharedPrunedTrainPerStage: 3,
-		BaseAccuracy:              0.93,
-		SharedStage4Penalty:       0.35,
-		SharedBasePenalty:         0.01,
-		PrunedFtPenalty:           0.015,
-		PrunedBasePenalty:         0.02,
-		Seed:                      1,
+		pathsPerDNN:               5,
+		stageComputeSeconds:       [4]float64{0.0012, 0.0017, 0.0024, 0.0032},
+		stageMemoryGB:             [4]float64{0.10, 0.16, 0.28, 0.52},
+		pruneComputeRatio:         0.25,
+		pruneMemoryRatio:          0.2,
+		ftTrainPerStage:           30,
+		sharedPrunedTrainPerStage: 3,
+		baseAccuracy:              0.93,
+		sharedStage4Penalty:       0.35,
+		sharedBasePenalty:         0.01,
+		prunedFtPenalty:           0.015,
+		prunedBasePenalty:         0.02,
+		seed:                      1,
 	}
 }
 
@@ -127,9 +127,9 @@ func SmallCatalogParams() CatalogParams {
 func LargeCatalogParams() CatalogParams {
 	p := SmallCatalogParams()
 	p.NumDNNs = 125
-	p.PathsPerDNN = 10
-	p.FtTrainPerStage = 10
-	p.Seed = 2
+	p.pathsPerDNN = 10
+	p.ftTrainPerStage = 10
+	p.seed = 2
 	return p
 }
 
@@ -168,8 +168,8 @@ func shapeFor(d, j, pathsPerDNN int) pathShape {
 // namespaces; a named family prefixes its own.
 func (p CatalogParams) baseBlockID(stage int, pruned bool) string {
 	prefix := "base"
-	if p.Family != "" {
-		prefix = p.Family + "/base"
+	if p.family != "" {
+		prefix = p.family + "/base"
 	}
 	if pruned {
 		return fmt.Sprintf("%s/s%d/p80", prefix, stage)
@@ -179,8 +179,8 @@ func (p CatalogParams) baseBlockID(stage int, pruned bool) string {
 
 func (p CatalogParams) ftBlockID(taskID string, stage int, pruned bool) string {
 	prefix := "ft"
-	if p.Family != "" {
-		prefix = p.Family + "/ft"
+	if p.family != "" {
+		prefix = p.family + "/ft"
 	}
 	if pruned {
 		return fmt.Sprintf("%s/%s/s%d/p80", prefix, taskID, stage)
@@ -199,8 +199,8 @@ func (p CatalogParams) registerBlocks(blocks map[string]core.BlockSpec, taskID s
 		shared := stage <= sh.sharedPrefix
 		var id string
 		var spec core.BlockSpec
-		c := p.StageComputeSeconds[stage-1]
-		m := p.StageMemoryGB[stage-1]
+		c := p.stageComputeSeconds[stage-1]
+		m := p.stageMemoryGB[stage-1]
 		switch {
 		case shared && !sh.basePruned:
 			id = p.baseBlockID(stage, false)
@@ -209,9 +209,9 @@ func (p CatalogParams) registerBlocks(blocks map[string]core.BlockSpec, taskID s
 			id = p.baseBlockID(stage, true)
 			spec = core.BlockSpec{
 				ID:             id,
-				ComputeSeconds: c * p.PruneComputeRatio,
-				MemoryGB:       m * p.PruneMemoryRatio,
-				TrainSeconds:   p.SharedPrunedTrainPerStage * float64(stage),
+				ComputeSeconds: c * p.pruneComputeRatio,
+				MemoryGB:       m * p.pruneMemoryRatio,
+				TrainSeconds:   p.sharedPrunedTrainPerStage * float64(stage),
 			}
 		case !shared && !sh.ftPruned:
 			id = p.ftBlockID(taskID, stage, false)
@@ -219,22 +219,22 @@ func (p CatalogParams) registerBlocks(blocks map[string]core.BlockSpec, taskID s
 				ID:             id,
 				ComputeSeconds: c,
 				MemoryGB:       m,
-				TrainSeconds:   p.FtTrainPerStage * float64(stage),
+				TrainSeconds:   p.ftTrainPerStage * float64(stage),
 			}
 		default:
 			id = p.ftBlockID(taskID, stage, true)
 			spec = core.BlockSpec{
 				ID:             id,
-				ComputeSeconds: c * p.PruneComputeRatio,
-				MemoryGB:       m * p.PruneMemoryRatio,
-				TrainSeconds:   p.FtTrainPerStage * float64(stage),
+				ComputeSeconds: c * p.pruneComputeRatio,
+				MemoryGB:       m * p.pruneMemoryRatio,
+				TrainSeconds:   p.ftTrainPerStage * float64(stage),
 			}
 		}
 		if !ps.isF64() {
-			id += "@" + ps.Name
+			id += "@" + ps.name
 			spec.ID = id
-			spec.ComputeSeconds *= ps.ComputeRatio
-			spec.MemoryGB *= ps.MemoryRatio
+			spec.ComputeSeconds *= ps.computeRatio
+			spec.MemoryGB *= ps.memoryRatio
 		}
 		if _, ok := blocks[id]; !ok {
 			blocks[id] = spec
@@ -247,23 +247,23 @@ func (p CatalogParams) registerBlocks(blocks map[string]core.BlockSpec, taskID s
 // accuracy computes the attained accuracy of a shape for a task, with
 // deterministic jitter distinguishing the many DNN variants.
 func (p CatalogParams) accuracy(taskIdx, d, j int, sh pathShape) float64 {
-	acc := p.BaseAccuracy
+	acc := p.baseAccuracy
 	if sh.sharedPrefix >= 4 {
-		acc -= p.SharedStage4Penalty
+		acc -= p.sharedStage4Penalty
 	}
 	early := sh.sharedPrefix
 	if early > 3 {
 		early = 3
 	}
-	acc -= p.SharedBasePenalty * float64(early)
+	acc -= p.sharedBasePenalty * float64(early)
 	if sh.basePruned {
-		acc -= p.PrunedBasePenalty * float64(early)
+		acc -= p.prunedBasePenalty * float64(early)
 	}
 	if sh.ftPruned {
-		acc -= p.PrunedFtPenalty * float64(4-sh.sharedPrefix)
+		acc -= p.prunedFtPenalty * float64(4-sh.sharedPrefix)
 	}
 	// ±1% jitter across (task, DNN, path).
-	acc += (hash64(p.Seed, int64(taskIdx), int64(d), int64(j)) - 0.5) * 0.02
+	acc += (hash64(p.seed, int64(taskIdx), int64(d), int64(j)) - 0.5) * 0.02
 	return math.Max(0, acc)
 }
 
@@ -271,21 +271,21 @@ func (p CatalogParams) accuracy(taskIdx, d, j int, sh pathShape) float64 {
 // catalog, registering any new blocks into the shared block map.
 func (p CatalogParams) BuildPaths(blocks map[string]core.BlockSpec, taskID string, taskIdx int) []core.PathSpec {
 	tiers := p.precisionTiers()
-	paths := make([]core.PathSpec, 0, p.NumDNNs*p.PathsPerDNN*len(tiers))
+	paths := make([]core.PathSpec, 0, p.NumDNNs*p.pathsPerDNN*len(tiers))
 	for d := 0; d < p.NumDNNs; d++ {
-		for j := 0; j < p.PathsPerDNN; j++ {
-			sh := shapeFor(d, j, p.PathsPerDNN)
+		for j := 0; j < p.pathsPerDNN; j++ {
+			sh := shapeFor(d, j, p.pathsPerDNN)
 			dnnName := fmt.Sprintf("dnn-%d", d)
-			if p.Family != "" {
-				dnnName = fmt.Sprintf("%s-dnn-%d", p.Family, d)
+			if p.family != "" {
+				dnnName = fmt.Sprintf("%s-dnn-%d", p.family, d)
 			}
 			for _, ps := range tiers {
 				ids := p.registerBlocks(blocks, taskID, sh, ps)
 				pathID := fmt.Sprintf("d%d/π%d", d, j)
 				acc := p.accuracy(taskIdx, d, j, sh)
 				if !ps.isF64() {
-					pathID += "@" + ps.Name
-					acc = math.Max(0, acc-ps.AccuracyPenalty)
+					pathID += "@" + ps.name
+					acc = math.Max(0, acc-ps.accuracyPenalty)
 				}
 				paths = append(paths, core.PathSpec{
 					ID:       pathID,

@@ -16,7 +16,7 @@ import (
 // accuracy). It exercises cross-family selection: accuracy-hungry tasks
 // stay on ResNet paths while relaxed tasks migrate to lite blocks.
 func HeterogeneousScenario(load Load) (*core.Instance, error) {
-	rate, err := load.Rate()
+	rate, err := load.rate()
 	if err != nil {
 		return nil, err
 	}
@@ -24,15 +24,15 @@ func HeterogeneousScenario(load Load) (*core.Instance, error) {
 	resnet.NumDNNs = 85
 
 	lite := LargeCatalogParams()
-	lite.Family = "lite"
+	lite.family = "lite"
 	lite.NumDNNs = 40
-	lite.BaseAccuracy = 0.89 // MobileNet-class ceiling
-	for s := range lite.StageComputeSeconds {
-		lite.StageComputeSeconds[s] *= 0.4
-		lite.StageMemoryGB[s] *= 0.35
+	lite.baseAccuracy = 0.89 // MobileNet-class ceiling
+	for s := range lite.stageComputeSeconds {
+		lite.stageComputeSeconds[s] *= 0.4
+		lite.stageMemoryGB[s] *= 0.35
 	}
-	lite.FtTrainPerStage *= 0.6
-	lite.Seed = 3
+	lite.ftTrainPerStage *= 0.6
+	lite.seed = 3
 
 	in := &core.Instance{
 		Blocks: make(map[string]core.BlockSpec),

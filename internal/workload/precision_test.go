@@ -93,7 +93,7 @@ func TestQuantizedAccuracyPenaltyApplied(t *testing.T) {
 		if !ok {
 			t.Fatalf("no f64 counterpart for path %s", id)
 		}
-		want := basePath.Accuracy - DefaultPrecisionSpec("i8").AccuracyPenalty
+		want := basePath.Accuracy - DefaultPrecisionSpec("i8").accuracyPenalty
 		if want < 0 {
 			want = 0
 		}

@@ -23,7 +23,7 @@ func ScaleScenario(tasks int) (*core.Instance, error) {
 		return nil, fmt.Errorf("workload: scale scenario needs at least 1 task, got %d", tasks)
 	}
 	params := SmallCatalogParams()
-	params.Seed = 7
+	params.seed = 7
 	in := &core.Instance{
 		Blocks: make(map[string]core.BlockSpec, 8*tasks+16),
 		Res: core.Resources{
@@ -40,10 +40,10 @@ func ScaleScenario(tasks int) (*core.Instance, error) {
 		id := fmt.Sprintf("task-%d", t+1)
 		in.Tasks = append(in.Tasks, core.Task{
 			ID:          id,
-			Priority:    0.2 + 0.8*hash64(params.Seed, 11, int64(t)),
-			Rate:        1 + 2*hash64(params.Seed, 12, int64(t)),
-			MinAccuracy: 0.30 + 0.15*hash64(params.Seed, 13, int64(t)),
-			MaxLatency:  time.Duration((250 + 350*hash64(params.Seed, 14, int64(t))) * float64(time.Millisecond)),
+			Priority:    0.2 + 0.8*hash64(params.seed, 11, int64(t)),
+			Rate:        1 + 2*hash64(params.seed, 12, int64(t)),
+			MinAccuracy: 0.30 + 0.15*hash64(params.seed, 13, int64(t)),
+			MaxLatency:  time.Duration((250 + 350*hash64(params.seed, 14, int64(t))) * float64(time.Millisecond)),
 			InputBits:   350e3,
 			SNRdB:       20,
 			Paths:       params.BuildPaths(in.Blocks, id, t),

@@ -32,8 +32,8 @@ func (l Load) String() string {
 	}
 }
 
-// Rate returns the per-task request rate of the load level.
-func (l Load) Rate() (float64, error) {
+// rate returns the per-task request rate of the load level.
+func (l Load) rate() (float64, error) {
 	switch l {
 	case LoadLow:
 		return 2.5, nil
@@ -107,7 +107,7 @@ func SmallScenario(tasks int) (*core.Instance, error) {
 // p_τ = 1 − 0.05(τ−1), A_τ = 0.8 − 0.015τ, L_τ = 200 + 20τ ms, the given
 // load's request rate, R = 100 RBs, C = 10 s, M = 16 GB, Ct = 1000 s.
 func LargeScenario(load Load) (*core.Instance, error) {
-	rate, err := load.Rate()
+	rate, err := load.rate()
 	if err != nil {
 		return nil, err
 	}

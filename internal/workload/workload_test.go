@@ -134,12 +134,12 @@ func TestCatalogAccuracyStructure(t *testing.T) {
 	p := SmallCatalogParams()
 	// Fully fine-tuned unpruned ≈ base accuracy.
 	top := p.accuracy(0, 0, 0, pathShape{})
-	if top < p.BaseAccuracy-0.011 || top > p.BaseAccuracy+0.011 {
-		t.Fatalf("full path accuracy %v, want ≈ %v", top, p.BaseAccuracy)
+	if top < p.baseAccuracy-0.011 || top > p.baseAccuracy+0.011 {
+		t.Fatalf("full path accuracy %v, want ≈ %v", top, p.baseAccuracy)
 	}
 	// A path whose final stage is shared loses the big penalty.
 	generic := p.accuracy(0, 0, 0, pathShape{sharedPrefix: 4})
-	if generic > p.BaseAccuracy-p.SharedStage4Penalty+0.05 {
+	if generic > p.baseAccuracy-p.sharedStage4Penalty+0.05 {
 		t.Fatalf("generic-final-stage accuracy %v too high", generic)
 	}
 	// Pruning monotonically reduces accuracy.
@@ -180,8 +180,10 @@ func TestSmallScenarioSolvesWithFullAdmission(t *testing.T) {
 	if err := in.Check(sol.Assignments); err != nil {
 		t.Fatal(err)
 	}
-	if sol.Breakdown.FullyAdmittedTasks != 5 {
-		t.Fatalf("fully admitted %d/5", sol.Breakdown.FullyAdmittedTasks)
+	for _, a := range sol.Assignments {
+		if a.Z < 1-1e-6 {
+			t.Fatalf("task %s admitted at z = %v, want 1", a.TaskID, a.Z)
+		}
 	}
 	// Fig. 7: memory usage stays well below the budget (paper: ≤ 64%).
 	if sol.Breakdown.MemoryGB > 0.64*in.Res.MemoryGB {

@@ -1,15 +1,21 @@
+//go:debug gotypesalias=1
+
 package offloadnn_test
 
 import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -100,21 +106,28 @@ func TestSurfaceWalkerFixture(t *testing.T) {
 	}
 }
 
-// callersAllow lists the exported names kept without a caller outside
-// their package, one "<import path> <name> <reason>" line each.
+// callersAllow lists the exported names and members kept without a
+// caller outside their package, one "<import path> <name> <reason>"
+// line each; a member's name reads <Type>.<Member>.
 const callersAllow = "testdata/callers_allow.txt"
 
 // TestCallers fails on an exported top-level name of internal/* or of
-// the root package that nothing outside its own package calls, and on
-// an allowlist line whose name now has a caller or is gone. A caller is
-// a qualified reference from another package's non-test code or from
-// anywhere in bench/ (its own module, tests included: it may not be
-// edited, so what it uses stays exported); for the root package, a
-// reference from an Example function also counts. A type is also called
-// when a called name's signature, exported field or exported method
-// names it. Methods and fields themselves are not checked. Unexport
-// what only its own package uses, delete what nothing uses, or allowlist
-// it in testdata/callers_allow.txt with a reason.
+// the root package, or an exported method or field of one of their
+// exported types, that nothing outside its own package calls, and on an
+// allowlist line whose name now has a caller or is gone. A caller is a
+// reference, type-checked with go/types, from another package's non-test
+// code or from anywhere in bench/ (its own module, tests included: it
+// may not be edited, so what it uses stays exported): a qualified name,
+// a selector, a method value or expression, a composite-literal key, or
+// an unkeyed literal of the whole struct. The root's Example files count
+// for the root's names and for any member, which they reach through the
+// root's type aliases. A method is also called when it implements an
+// interface of the module or the standard library that its type or
+// pointer satisfies, since a call through the interface names no method,
+// and a field is called when its struct tags any field for encoding/json.
+// A type is called when a caller, or a kept signature, field or method,
+// names it. Unexport what only its own package uses, delete what nothing
+// uses, or allowlist it in testdata/callers_allow.txt with a reason.
 func TestCallers(t *testing.T) {
 	allow, err := os.ReadFile(callersAllow)
 	if err != nil {
@@ -133,9 +146,9 @@ func TestCallers(t *testing.T) {
 			bad = append(bad, v)
 		}
 	}
-	t.Logf("callers: %d names: %d called, %d allowlisted", len(verdicts), counts["called"], counts["allowed"])
+	t.Logf("callers: %d names and members: %d called, %d allowlisted", len(verdicts), counts["called"], counts["allowed"])
 	if len(bad) > 0 {
-		t.Fatalf("exported names without a caller outside their package, or stale %s lines:\n%s\n"+
+		t.Fatalf("exported names or members without a caller outside their package, or stale %s lines:\n%s\n"+
 			"Unexport or delete an uncalled name, or allowlist it with a reason; drop a stale line.",
 			callersAllow, strings.Join(bad, "\n"))
 	}
@@ -153,163 +166,154 @@ func TestCallersFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"fixture func Shown called",                // an Example calls it
-		"fixture func TestedOnly uncalled",         // only a plain test calls it
-		"fixture/internal/a func BenchOnly called", // bench/'s tests count
+		"fixture func Shown called",                       // an Example calls it
+		"fixture func TestedOnly uncalled",                // only a plain test calls it
+		"fixture type Result called",                      // an Example names the alias
+		"fixture/internal/a field Outcome.Count uncalled", // set by its own package only
+		"fixture/internal/a field Outcome.Kept allowed",
+		"fixture/internal/a field Outcome.Part called", // a sibling reads it
+		"fixture/internal/a field Record.ID called",    // the struct has json tags
+		"fixture/internal/a field Record.Note called",  // untagged, in a tagged struct
+		"fixture/internal/a func BenchOnly called",     // bench/'s tests count
 		"fixture/internal/a func Exempt allowed",
 		"fixture/internal/a func Lonely uncalled", // its own package only
 		"fixture/internal/a func Probed uncalled", // another package's _test.go only
 		"fixture/internal/a func ProbedAllowed allowed",
-		"fixture/internal/a func Shared called",  // a sibling calls it
-		"fixture/internal/a func Wired stale",    // allowlisted, yet called
-		"fixture/internal/a type Option called",  // a called func's parameter
-		"fixture/internal/a type Outcome called", // a called func's result
-		"fixture/internal/a type Part called",    // an exported field of Outcome
-		"fixture/internal/a type Spare uncalled", // only an unexported field
+		"fixture/internal/a func Shared called",              // a sibling calls it
+		"fixture/internal/a func Wired stale",                // allowlisted, yet called
+		"fixture/internal/a method Handler.ServeHTTP called", // http.Handler
+		"fixture/internal/a method Outcome.Inner uncalled",   // its own package only
+		"fixture/internal/a method Outcome.Label called",     // an Example, through Result
+		"fixture/internal/a method Outcome.Size called",      // a sibling calls it
+		"fixture/internal/a method Outcome.Used stale",       // allowlisted, yet called
+		"fixture/internal/a method Part.String called",       // fmt.Stringer
+		"fixture/internal/a method Part.Weight called",       // b's weigher interface
+		"fixture/internal/a type Handler called",             // a sibling names it
+		"fixture/internal/a type Option called",              // a called func's parameter
+		"fixture/internal/a type Outcome called",             // a called func's result
+		"fixture/internal/a type Part called",                // Outcome's called field Part
+		"fixture/internal/a type Record called",              // a sibling names it
+		"fixture/internal/a type Spare uncalled",             // only an unexported field
 		"fixture/internal/a undeclared Gone stale",
+		"fixture/internal/a undeclared Outcome.Missing stale",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("verdicts:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-// callerNode is one top-level declaration of a checked package.
-type callerNode struct {
-	kind string
-	// sig holds the type expressions that name the types a caller of
-	// this declaration reaches: a func's signature; a type's definition
-	// and its exported methods' signatures; a const's or var's type.
-	sig []sigExpr
-}
-
-// sigExpr is a type expression and the import names of its file.
-type sigExpr struct {
-	expr    ast.Expr
-	imports map[string]string
-}
-
 // callerVerdicts returns one sorted "<import path> <kind> <name>
 // <verdict>" line per exported top-level name of the root package and
-// of internal/* in the module rooted at root, and per allowlist line.
-// The verdict is called, allowed, uncalled, or stale: an allowlist line
-// whose name has a caller or is not declared (its kind then reads
-// undeclared). callerMods are nested modules, relative to root, whose
-// every file counts as a caller.
+// of internal/* in the module rooted at root, per exported method and
+// field of their exported types (named <Type>.<Member>), and per
+// allowlist line. The verdict is called, allowed, uncalled, or stale: an
+// allowlist line whose name has a caller or is not declared (its kind
+// then reads undeclared). callerMods are nested modules, relative to
+// root, whose every file counts as a caller.
 func callerVerdicts(root, module string, callerMods []string, allow string) ([]string, error) {
-	checked := func(pkg string) bool {
-		return pkg == module || strings.HasPrefix(pkg, module+"/internal/")
-	}
-	fset := token.NewFileSet()
-	decls := make(map[string]map[string]*callerNode) // package → name → node
-	called := make(map[[2]string]bool)
-	// refs marks every qualified reference in n to another module package.
-	refs := func(n ast.Node, imports map[string]string, keep func(pkg string) bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			// An identifier the parser resolved is a local, not a package.
-			if x, ok := sel.X.(*ast.Ident); ok && x.Obj == nil {
-				if pkg, ok := imports[x.Name]; ok && keep(pkg) {
-					called[[2]string{pkg, sel.Sel.Name}] = true
-				}
-			}
-			return true
-		})
-	}
-	inModule := func(pkg string) bool { return pkg == module || strings.HasPrefix(pkg, module+"/") }
-	parse := func(p string) (*ast.File, map[string]string, error) {
-		f, err := parser.ParseFile(fset, p, nil, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		imports := make(map[string]string)
-		for _, imp := range f.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			name := path.Base(ip)
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			if name == "." {
-				return nil, nil, fmt.Errorf("%s: a dot import hides its callers", p)
-			}
-			imports[name] = ip
-		}
-		return f, imports, nil
-	}
-
+	l := &moduleLoader{fset: token.NewFileSet(), std: importer.Default(),
+		dirs: make(map[string]string), pkgs: make(map[string]*modulePkg)}
 	err := walkGoFiles(root, func(p, rel string) error {
-		f, imports, err := parse(p)
-		if err != nil {
-			return err
-		}
-		pkg := path.Join(module, rel)
 		if !strings.HasSuffix(p, "_test.go") {
-			refs(f, imports, func(q string) bool { return q != pkg && inModule(q) })
-			if checked(pkg) {
-				addCallerDecls(decls, pkg, f, imports)
-			}
-			return nil
-		}
-		if pkg != module {
-			return nil
-		}
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
-				refs(fd, imports, func(q string) bool { return q == module })
-			}
+			l.dirs[path.Join(module, rel)] = filepath.Dir(p)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for ip := range l.dirs {
+		if _, err := l.Import(ip); err != nil {
+			return nil, err
+		}
+	}
+	checked := func(pkg string) bool {
+		return pkg == module || strings.HasPrefix(pkg, module+"/internal/")
+	}
+	decls := make(map[types.Object]string) // object → "<import path> <kind> <name>"
+	named := make(map[string]types.Object) // "<import path> <name>" → object
+	called := make(map[types.Object]bool)
+	for ip, p := range l.pkgs {
+		if checked(ip) {
+			declared(p.pkg, func(o types.Object, kind, name string, json bool) {
+				decls[o] = ip + " " + kind + " " + name
+				named[ip+" "+name] = o
+				// encoding/json reaches every field of a tagged struct.
+				called[o] = json
+			})
+		}
+	}
+
+	// Direct callers: other packages' non-test code, the nested modules,
+	// and the root's Example files.
+	external := func(from *types.Package) func(types.Object) bool {
+		return func(o types.Object) bool { return o.Pkg() != from }
+	}
+	for _, p := range l.pkgs {
+		p.refs(nil, external(p.pkg), called)
+	}
 	for _, m := range callerMods {
-		err := walkGoFiles(filepath.Join(root, m), func(p, _ string) error {
-			f, imports, err := parse(p)
+		err := walkGoFiles(filepath.Join(root, m), func(p, rel string) error {
+			dir := filepath.Dir(p)
+			if l.pkgs[dir] != nil {
+				return nil
+			}
+			cp, err := l.check(dir, dir, func(*ast.File) bool { return true })
 			if err != nil {
 				return err
 			}
-			refs(f, imports, inModule)
+			l.pkgs[dir] = cp
+			cp.refs(nil, external(cp.pkg), called)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	// A called name's signature calls the types it names, transitively.
-	var work [][2]string
-	for k := range called {
-		work = append(work, k)
+	examples, err := l.check(module+"_test", root, func(f *ast.File) bool {
+		return strings.HasSuffix(f.Name.Name, "_test") && slices.ContainsFunc(f.Decls, isExample)
+	})
+	if err != nil {
+		return nil, err
 	}
-	for len(work) > 0 {
-		k := work[len(work)-1]
-		work = work[:len(work)-1]
-		n := decls[k[0]][k[1]]
-		if n == nil {
-			continue
-		}
-		mark := func(pkg, name string) {
-			if kk := [2]string{pkg, name}; !called[kk] {
-				called[kk] = true
-				work = append(work, kk)
+	// An example file's tests are no examples; its helpers serve them.
+	exampleDecl := func(d ast.Decl) bool {
+		fd, ok := d.(*ast.FuncDecl)
+		return !ok || fd.Recv != nil || !testFunc(fd.Name.Name) || isExample(fd)
+	}
+	examples.refs(exampleDecl, func(o types.Object) bool {
+		return o.Pkg().Path() == module || isMember(o)
+	}, called)
+
+	// Methods a caller reaches without naming them, through the
+	// interfaces they implement.
+	byMethod, err := l.interfaces()
+	if err != nil {
+		return nil, err
+	}
+	for o := range decls {
+		if fn, ok := o.(*types.Func); ok && isMember(fn) {
+			t := fn.Type().(*types.Signature).Recv().Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			iface, isIface := t.Underlying().(*types.Interface)
+			for _, in := range byMethod[o.Name()] {
+				if isIface {
+					// An interface method is called when another package's
+					// type implements its interface.
+					if in.pkg != o.Pkg() && in.iface == nil && types.Implements(types.NewPointer(in.typ), iface) {
+						called[o] = true
+					}
+				} else if in.iface != nil && (types.Implements(t, in.iface) || types.Implements(types.NewPointer(t), in.iface)) {
+					called[o] = true
+				}
 			}
 		}
-		for _, e := range n.sig {
-			sigTypes(e.expr, func(q, name string) {
-				if q == "" {
-					mark(k[0], name)
-				} else if pkg, ok := e.imports[q]; ok {
-					mark(pkg, name)
-				}
-			})
-		}
 	}
 
+	allowed := make(map[types.Object]bool)
 	var lines []string
-	allowed := make(map[[2]string]bool)
 	for i, line := range strings.Split(allow, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
@@ -319,80 +323,113 @@ func callerVerdicts(root, module string, callerMods []string, allow string) ([]s
 		if len(f) < 3 {
 			return nil, fmt.Errorf("allowlist line %d: want \"<import path> <name> <reason>\", got %q", i+1, line)
 		}
-		k := [2]string{f[0], f[1]}
-		allowed[k] = true
-		if n := decls[k[0]][k[1]]; n == nil || !ast.IsExported(k[1]) {
-			lines = append(lines, k[0]+" undeclared "+k[1]+" stale")
-		} else if called[k] {
-			lines = append(lines, k[0]+" "+n.kind+" "+k[1]+" stale")
+		if o := named[f[0]+" "+f[1]]; o != nil {
+			allowed[o] = true
+		} else {
+			lines = append(lines, f[0]+" undeclared "+f[1]+" stale")
 		}
 	}
-	for pkg, names := range decls {
-		for name, n := range names {
-			k := [2]string{pkg, name}
-			verdict := "uncalled"
-			switch {
-			case !ast.IsExported(name), allowed[k] && called[k]:
+
+	// A kept name's or member's type calls the types it names, and a kept
+	// type calls those its definition names outside its members.
+	seen := make(map[types.Object]bool)
+	var work []types.Object
+	push := func(o types.Object) {
+		if !seen[o] {
+			seen[o] = true
+			work = append(work, o)
+		}
+	}
+	for o, c := range called {
+		if c {
+			push(o)
+		}
+	}
+	for o := range allowed {
+		push(o)
+	}
+	keep := func(o types.Object) {
+		called[o] = true
+		push(o)
+	}
+	for len(work) > 0 {
+		o := work[len(work)-1]
+		work = work[:len(work)-1]
+		switch o := o.(type) {
+		case *types.TypeName:
+			n, ok := o.Type().(*types.Named)
+			if o.IsAlias() || !ok {
+				namedTypes(o.Type(), keep)
 				continue
-			case called[k]:
-				verdict = "called"
-			case allowed[k]:
-				verdict = "allowed"
 			}
-			lines = append(lines, pkg+" "+n.kind+" "+name+" "+verdict)
+			for i := 0; i < n.TypeParams().Len(); i++ {
+				namedTypes(n.TypeParams().At(i).Constraint(), keep)
+			}
+			switch u := n.Underlying().(type) {
+			case *types.Struct: // fields are members
+			case *types.Interface:
+				for i := 0; i < u.NumEmbeddeds(); i++ {
+					namedTypes(u.EmbeddedType(i), keep)
+				}
+			default:
+				namedTypes(u, keep)
+			}
+		default: // a signature's receiver is not walked
+			namedTypes(o.Type(), keep)
+		}
+	}
+
+	for o, d := range decls {
+		switch {
+		case allowed[o] && called[o]:
+			lines = append(lines, d+" stale")
+		case called[o]:
+			lines = append(lines, d+" called")
+		case allowed[o]:
+			lines = append(lines, d+" allowed")
+		default:
+			lines = append(lines, d+" uncalled")
 		}
 	}
 	slices.Sort(lines)
 	return lines, nil
 }
 
-// addCallerDecls records the top-level declarations of one file of pkg,
-// exported or not: an unexported type an exported one embeds passes its
-// own signature on.
-func addCallerDecls(decls map[string]map[string]*callerNode, pkg string, f *ast.File, imports map[string]string) {
-	if decls[pkg] == nil {
-		decls[pkg] = make(map[string]*callerNode)
-	}
-	// add appends to name's signature; a method may come before its type.
-	add := func(kind, name string, e ast.Expr) {
-		n := decls[pkg][name]
-		if n == nil {
-			n = &callerNode{}
-			decls[pkg][name] = n
+// declared reports pkg's exported top-level names and the exported
+// methods and fields of its exported types, with their kind and name,
+// and for a field whether its struct tags any field for encoding/json.
+func declared(pkg *types.Package, add func(o types.Object, kind, name string, json bool)) {
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		o := scope.Lookup(name)
+		if !o.Exported() {
+			continue
 		}
-		if kind != "" {
-			n.kind = kind
-		}
-		if e != nil {
-			n.sig = append(n.sig, sigExpr{e, imports})
-		}
-	}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				add("func", d.Name.Name, d.Type)
-			} else if d.Name.IsExported() {
-				add("", baseTypeName(d.Recv.List[0].Type), d.Type)
+		switch o := o.(type) {
+		case *types.Const:
+			add(o, "const", name, false)
+		case *types.Var:
+			add(o, "var", name, false)
+		case *types.Func:
+			add(o, "func", name, false)
+		case *types.TypeName:
+			add(o, "type", name, false)
+			n, ok := o.Type().(*types.Named)
+			if o.IsAlias() || !ok {
+				continue
 			}
-		case *ast.GenDecl:
-			var typ ast.Expr // an implicitly repeated const spec keeps the type
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.ValueSpec:
-					if s.Type != nil || len(s.Values) > 0 {
-						typ = s.Type
-						if typ == nil && len(s.Values) == 1 {
-							typ = literalType(s.Values[0])
-						}
-					}
-					for _, id := range s.Names {
-						add(d.Tok.String(), id.Name, typ)
-					}
-				case *ast.TypeSpec:
-					add("type", s.Name.Name, s.Type)
-					if s.TypeParams != nil {
-						add("type", s.Name.Name, &ast.FuncType{Params: s.TypeParams})
+			for i := 0; i < n.NumMethods(); i++ {
+				if m := n.Method(i); m.Exported() {
+					add(m, "method", name+"."+m.Name(), false)
+				}
+			}
+			switch u := n.Underlying().(type) {
+			case *types.Struct:
+				structFields(u, name, add)
+			case *types.Interface:
+				for i := 0; i < u.NumExplicitMethods(); i++ {
+					if m := u.ExplicitMethod(i); m.Exported() {
+						add(m, "method", name+"."+m.Name(), false)
 					}
 				}
 			}
@@ -400,53 +437,339 @@ func addCallerDecls(decls map[string]map[string]*callerNode, pkg string, f *ast.
 	}
 }
 
-// literalType returns the type a composite literal value spells out,
-// or nil: a value's type is otherwise unknown without type-checking.
-func literalType(e ast.Expr) ast.Expr {
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = u.X
+// structFields reports a struct's exported fields as owner.Field,
+// descending into fields of anonymous struct type.
+func structFields(s *types.Struct, owner string, add func(o types.Object, kind, name string, json bool)) {
+	json := false
+	for i := 0; i < s.NumFields(); i++ {
+		_, tagged := reflect.StructTag(s.Tag(i)).Lookup("json")
+		json = json || tagged
 	}
-	if c, ok := e.(*ast.CompositeLit); ok {
-		return c.Type
+	for i := 0; i < s.NumFields(); i++ {
+		f := s.Field(i)
+		if !f.Exported() {
+			continue
+		}
+		add(f, "field", owner+"."+f.Name(), json)
+		if inner, ok := f.Type().(*types.Struct); ok {
+			structFields(inner, owner+"."+f.Name(), add)
+		}
 	}
-	return nil
 }
 
-// sigTypes reports each type name in a type expression, with its
-// package qualifier or "", skipping unexported struct fields and
-// interface methods. An embedded field counts whatever its name.
-func sigTypes(e ast.Expr, name func(qual, name string)) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch t := n.(type) {
-		case *ast.Ident:
-			name("", t.Name)
-		case *ast.SelectorExpr:
-			if x, ok := t.X.(*ast.Ident); ok {
-				name(x.Name, t.Sel.Name)
+// isMember reports whether o is a method or a struct field.
+func isMember(o types.Object) bool {
+	switch o := o.(type) {
+	case *types.Func:
+		return o.Type().(*types.Signature).Recv() != nil
+	case *types.Var:
+		return o.IsField()
+	}
+	return false
+}
+
+// namedTypes reports the declared types that t names: named types and
+// aliases, with the exported and embedded fields of an anonymous struct
+// and the exported methods of an anonymous interface. It does not enter
+// a named type's definition.
+func namedTypes(t types.Type, keep func(types.Object)) {
+	switch t := t.(type) {
+	case *types.Named:
+		keep(t.Origin().Obj())
+		for i := 0; i < t.TypeArgs().Len(); i++ {
+			namedTypes(t.TypeArgs().At(i), keep)
+		}
+	case *types.Alias:
+		keep(t.Obj())
+		namedTypes(types.Unalias(t), keep)
+	case *types.Pointer:
+		namedTypes(t.Elem(), keep)
+	case *types.Slice:
+		namedTypes(t.Elem(), keep)
+	case *types.Array:
+		namedTypes(t.Elem(), keep)
+	case *types.Chan:
+		namedTypes(t.Elem(), keep)
+	case *types.Map:
+		namedTypes(t.Key(), keep)
+		namedTypes(t.Elem(), keep)
+	case *types.Signature:
+		for i := 0; i < t.TypeParams().Len(); i++ {
+			namedTypes(t.TypeParams().At(i).Constraint(), keep)
+		}
+		namedTypes(t.Params(), keep)
+		namedTypes(t.Results(), keep)
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			namedTypes(t.At(i).Type(), keep)
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); f.Exported() || f.Embedded() {
+				namedTypes(f.Type(), keep)
 			}
-			return false
-		case *ast.StructType:
-			exportedTypes(t.Fields, name)
-			return false
-		case *ast.InterfaceType:
-			exportedTypes(t.Methods, name)
-			return false
-		case *ast.Field: // a parameter or result: its names are no types
-			sigTypes(t.Type, name)
-			return false
 		}
-		return true
-	})
-}
-
-// exportedTypes reports the type names of a struct's exported and
-// embedded fields, or of an interface's exported and embedded methods.
-func exportedTypes(list *ast.FieldList, name func(qual, name string)) {
-	for _, f := range list.List {
-		if len(f.Names) == 0 || slices.ContainsFunc(f.Names, (*ast.Ident).IsExported) {
-			sigTypes(f.Type, name)
+	case *types.Interface:
+		for i := 0; i < t.NumExplicitMethods(); i++ {
+			if m := t.ExplicitMethod(i); m.Exported() {
+				namedTypes(m.Type(), keep)
+			}
+		}
+		for i := 0; i < t.NumEmbeddeds(); i++ {
+			namedTypes(t.EmbeddedType(i), keep)
+		}
+	case *types.Union:
+		for i := 0; i < t.Len(); i++ {
+			namedTypes(t.Term(i).Type(), keep)
 		}
 	}
+}
+
+// testFunc reports whether a top-level func's name makes it a test,
+// benchmark, fuzz target or example.
+func testFunc(name string) bool {
+	for _, p := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
+		if strings.HasPrefix(name, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// isExample reports whether d declares an Example function.
+func isExample(d ast.Decl) bool {
+	fd, ok := d.(*ast.FuncDecl)
+	return ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example")
+}
+
+// modulePkg is one type-checked package.
+type modulePkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// refs marks in called each object that p's declarations accepted by
+// decl (all when nil) reference and keep accepts: a name's object, an
+// embedded field a selector passes through, and every field of a struct
+// literal that names none.
+func (p *modulePkg) refs(decl func(ast.Decl) bool, keep func(types.Object) bool, called map[types.Object]bool) {
+	mark := func(o types.Object) {
+		switch v := o.(type) {
+		case *types.Func:
+			o = v.Origin()
+		case *types.Var:
+			o = v.Origin()
+		}
+		if o.Pkg() != nil && keep(o) {
+			called[o] = true
+		}
+	}
+	var nodes []ast.Decl
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			if decl == nil || decl(d) {
+				nodes = append(nodes, d)
+			}
+		}
+	}
+	for _, n := range nodes {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if o := p.info.Uses[n]; o != nil {
+					mark(o)
+				}
+			case *ast.SelectorExpr:
+				sel := p.info.Selections[n]
+				if sel == nil {
+					break
+				}
+				t := sel.Recv()
+				for _, i := range sel.Index()[:len(sel.Index())-1] {
+					if ptr, ok := t.Underlying().(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					s, ok := t.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					mark(s.Field(i))
+					t = s.Field(i).Type()
+				}
+			case *ast.CompositeLit:
+				t := p.info.Types[n].Type
+				if t == nil {
+					break
+				}
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				s, ok := t.Underlying().(*types.Struct)
+				if !ok || len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := 0; i < s.NumFields(); i++ {
+						mark(s.Field(i))
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
+// moduleLoader type-checks a module's packages from source and imports
+// the standard library through std.
+type moduleLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	dirs map[string]string     // import path → directory
+	pkgs map[string]*modulePkg // import path → package; nil while checking
+}
+
+// Import type-checks a module package from its non-test files, once.
+func (l *moduleLoader) Import(ip string) (*types.Package, error) {
+	dir, ok := l.dirs[ip]
+	if !ok {
+		return l.std.Import(ip)
+	}
+	if p, done := l.pkgs[ip]; done {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %s", ip)
+		}
+		return p.pkg, nil
+	}
+	l.pkgs[ip] = nil
+	p, err := l.check(ip, dir, func(f *ast.File) bool {
+		return !strings.HasSuffix(l.fset.File(f.Pos()).Name(), "_test.go")
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.pkgs[ip] = p
+	return p.pkg, nil
+}
+
+// check type-checks, as package ip, the files of dir that match the
+// host's build context and that keep accepts.
+func (l *moduleLoader) check(ip, dir string, keep func(*ast.File) bool) (*modulePkg, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	p := &modulePkg{info: &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}}
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		if keep(f) {
+			p.files = append(p.files, f)
+		}
+	}
+	conf := types.Config{Importer: l}
+	p.pkg, err = conf.Check(ip, l.fset, p.files, p.info)
+	return p, err
+}
+
+// implementer is an interface the caller check matches methods against,
+// or a module type (iface nil) it matches interface methods against.
+type implementer struct {
+	pkg   *types.Package
+	iface *types.Interface
+	typ   types.Type
+}
+
+// stdInterfaces are the standard library packages whose interfaces the
+// caller check always matches methods against (fmt.Stringer,
+// http.Handler, json.Marshaler, sort.Interface, io.Reader, …), whether
+// or not a module package imports them directly.
+var stdInterfaces = []string{"container/heap", "encoding", "encoding/json", "flag", "fmt", "io", "net/http", "sort"}
+
+// interfaces indexes by method name every non-generic named interface
+// of the module's packages, of stdInterfaces and of the standard library
+// packages they import, every interface literal in the module's code,
+// error, and every module type that declares a method of that name.
+func (l *moduleLoader) interfaces() (map[string][]implementer, error) {
+	byMethod := make(map[string][]implementer)
+	add := func(pkg *types.Package, in *types.Interface) {
+		for i := 0; i < in.NumMethods(); i++ {
+			name := in.Method(i).Name()
+			byMethod[name] = append(byMethod[name], implementer{pkg: pkg, iface: in})
+		}
+	}
+	add(nil, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	seen := make(map[*types.Package]bool)
+	var visit func(pkg *types.Package, module bool)
+	visit = func(pkg *types.Package, module bool) {
+		if seen[pkg] && !module {
+			return
+		}
+		seen[pkg] = true
+		scope := pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			n, ok := tn.Type().(*types.Named)
+			if !ok || n.TypeParams().Len() > 0 {
+				continue
+			}
+			if in, ok := n.Underlying().(*types.Interface); ok {
+				add(pkg, in)
+			} else if module {
+				for i := 0; i < n.NumMethods(); i++ {
+					name := n.Method(i).Name()
+					byMethod[name] = append(byMethod[name], implementer{pkg: pkg, typ: n})
+				}
+			}
+		}
+		for _, imp := range pkg.Imports() {
+			visit(imp, false)
+		}
+	}
+	// Import stdInterfaces whole first: a package met only through
+	// another's export data holds just the objects that data names.
+	var std []*types.Package
+	for _, ip := range stdInterfaces {
+		pkg, err := l.std.Import(ip)
+		if err != nil {
+			return nil, err
+		}
+		std = append(std, pkg)
+	}
+	for _, p := range l.pkgs {
+		seen[p.pkg] = true
+	}
+	for _, p := range l.pkgs {
+		visit(p.pkg, true)
+		for _, tv := range p.info.Types {
+			if in, ok := tv.Type.(*types.Interface); ok {
+				add(p.pkg, in)
+			}
+		}
+	}
+	for _, pkg := range std {
+		visit(pkg, false)
+	}
+	return byMethod, nil
 }
 
 // modulePath reads the module path from go.mod.

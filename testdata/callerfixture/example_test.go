@@ -8,6 +8,8 @@ import (
 
 func ExampleShown() {
 	fixture.Shown()
+	var r fixture.Result
+	_ = r.Label()
 	// Output:
 }
 
