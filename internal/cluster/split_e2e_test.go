@@ -289,3 +289,39 @@ func TestClusterSplitEndToEnd(t *testing.T) {
 		t.Fatalf("post-failure error code %q, want %q", code, serve.CodeNotAdmitted)
 	}
 }
+
+// TestClusterNonFiniteLogitsRefused drives a frame whose logits overflow
+// (finite ±1e308 pixels) through the coordinator and a two-hop split
+// pipeline: the tail refuses it 400 invalid_request naming the task, and
+// the head and the coordinator relay that refusal — not a tail 200 with
+// an empty body, which the head could only turn into a 502.
+func TestClusterNonFiniteLogitsRefused(t *testing.T) {
+	tasks, blocks := splitScenario()
+	ma, mb := startRealMember(t, "a", 0.7), startRealMember(t, "b", 0.7)
+	c := startCoordinator(t, Config{})
+	if err := c.Registry().Register(tasks[0], blocks); err != nil {
+		t.Fatal(err)
+	}
+	joinMember(t, c, "a", ma, 100)
+	joinMember(t, c, "b", mb, 100)
+	if err := c.PlaceNow(); err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(c)
+	defer front.Close()
+
+	frame := e2eFrame()
+	for i := range frame {
+		frame[i] = 1e308
+		if i%2 == 1 {
+			frame[i] = -1e308
+		}
+	}
+	status, body := postOffloadJSON(t, front.URL, serve.OffloadRequest{Task: "big", Input: frame})
+	if status != http.StatusBadRequest {
+		t.Fatalf("overflowing frame through the pipeline: %d %q, want 400", status, body)
+	}
+	if code := errorCode(t, body); code != serve.CodeInvalidRequest || !bytes.Contains(body, []byte(`task \"big\"`)) {
+		t.Fatalf("overflowing frame through the pipeline: %s, want %s naming task big", body, serve.CodeInvalidRequest)
+	}
+}

@@ -108,11 +108,19 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// WriteJSON writes v as a JSON response with the given status.
+// WriteJSON writes v as a JSON response with the given status. v is
+// encoded before the status is sent, so a value JSON cannot carry (a NaN,
+// say) is answered 500 with the error envelope, never with the status it
+// asked for and an empty body.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorBody{Error: errorDetail{Code: CodeBackend, Message: "encoding the response: " + err.Error()}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 // Machine-readable error codes of the unified error envelope. Every

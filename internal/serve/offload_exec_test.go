@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -179,5 +180,53 @@ func TestBackendInstallTracksEpochs(t *testing.T) {
 	}
 	if st := be.Stats(); st.Models != 0 || st.Blocks != 0 {
 		t.Fatalf("empty registry left models installed: %+v", st)
+	}
+}
+
+// overflowPayload is a well-formed frame of ±1e308 pixels: finite, so it
+// passes input validation, but no model's logits survive it.
+func overflowPayload() []float64 {
+	in := realPayload()
+	for i := range in {
+		in[i] = 1e308
+		if i%2 == 1 {
+			in[i] = -1e308
+		}
+	}
+	return in
+}
+
+// TestOffloadNonFiniteLogitsRefused pins the answer to an executed frame
+// whose logits are NaN or ±Inf, which JSON cannot carry: 400
+// invalid_request naming the task, not a 200 with an empty body.
+func TestOffloadNonFiniteLogitsRefused(t *testing.T) {
+	srv := newTestServer(t, Config{Debounce: time.Millisecond, Backend: newRealBackend(t)})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	drain(t, postJSON(t, ts.URL+"/v1/tasks", smallSpec(t, 1)))
+	waitCurrent(t, ts.URL)
+
+	resp := postJSON(t, ts.URL+"/v1/offload", OffloadRequest{Task: "task-1", Input: overflowPayload()})
+	body := drain(t, resp)
+	var env errorBody
+	if err := json.Unmarshal([]byte(body), &env); err != nil || resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("overflowing frame: %d %q, want 400 with the error envelope", resp.StatusCode, body)
+	}
+	if env.Error.Code != CodeInvalidRequest || !strings.Contains(env.Error.Message, `"task-1"`) {
+		t.Fatalf("overflowing frame: error %+v, want %s naming task-1", env.Error, CodeInvalidRequest)
+	}
+}
+
+// TestWriteJSONEncodesBeforeStatus: a value JSON cannot encode is answered
+// 500 with the error envelope, never with the status asked for and no body.
+func TestWriteJSONEncodesBeforeStatus(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, OffloadResponse{Task: "t", Logits: []float64{math.Inf(1)}})
+	var env errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusInternalServerError {
+		t.Fatalf("unencodable response: %d %q, want 500 with the error envelope", rec.Code, rec.Body.String())
+	}
+	if env.Error.Code != CodeBackend || env.Error.Message == "" {
+		t.Fatalf("unencodable response: error %+v, want %s with a message", env.Error, CodeBackend)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -64,6 +65,16 @@ type intake struct {
 }
 
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// finite reports whether every x is neither NaN nor ±Inf.
+func finite(xs []float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
 
 // serveUnit is the request pipeline both entry points run: look the unit
 // up, admit the request through its gate (raw frames only), derive the
@@ -181,6 +192,13 @@ func (s *Server) serveUnit(w http.ResponseWriter, r *http.Request, in intake) {
 	out, err := s.backend.Infer(r.Context(), exec.Request{TaskID: in.task, Input: in.input, FromStage: in.from, Deadline: deadline})
 	if err != nil {
 		s.writeInferError(w, err, deadlineCode)
+		return
+	}
+	if !finite(out.Logits) {
+		// JSON carries no NaN or ±Inf, and an input that overflows the
+		// model is the client's to fix, like one of the wrong shape.
+		WriteError(w, http.StatusBadRequest, CodeInvalidRequest,
+			"task %q: the input drives the logits to NaN or ±Inf", in.task)
 		return
 	}
 	if frame {

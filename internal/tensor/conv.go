@@ -76,6 +76,98 @@ func (s *convShape) grain() int {
 	return gemmParallelCutoff/(s.p.OutChannels*s.patch) + 1
 }
 
+// Implicit GEMM. A stride-1 convolution's output pixel (oy, ox) reads tap
+// (c, ky, kx) at (oy+ky, ox+kx) of its image padded once with p zeros on
+// every side, Hp×Wp = (H+2p)×(W+2p) per channel. Put the outputs on the
+// padded-width grid — pixel (oy, ox) at lane oy·Wp + ox, the 2p lanes
+// past each output row computing sums nothing reads — and every lane's
+// tap is then the same offset from the lane: c·Hp·Wp + ky·Wp + kx. The
+// vector tiles read their B operand through such a per-tap offset table,
+// so on this grid they multiply the padded image itself and no patch
+// matrix is gathered. A kept lane sums the products its gathered column
+// would — a padded zero is the gather's zero — in the same order, so the
+// bits do not change. The price is the wasted lanes — 2p/(W+2p) of them,
+// more once an image's grid is rounded up to whole tiles — and one pass
+// per image that pads it (the f32 and i8 paths fold it into the convert
+// and quantize pass they make anyway).
+//
+// convGridMaxLanePct is the most lanes an image's grid may take, rounded
+// up to whole tiles, per 100 of its pixels for the call to take the
+// implicit form. Measured with BenchmarkConv2DStageShapes, implicit over
+// gathered time, medians of 12 alternating rounds at batch 1–8: 150
+// lanes (f64 and f32 at 4×4) ran 0.62–0.82×, and 125 or fewer (8×8,
+// 16×16, every precision) 0.33–0.90×; 200 lanes did not pay — i8 at 4×4
+// 0.91–1.10×, f64 at 2×2 1.07–1.18× from batch 3. (A variable only so
+// that tests can force the form onto every stride-1 shape.)
+var convGridMaxLanePct = 150
+
+// implicit reports whether the call reads padded images on the output
+// grid instead of a gathered patch matrix: stride 1 on the vector unit,
+// where an image's grid in tiles of tile lanes wastes little enough.
+func (s *convShape) implicit(tile int) bool {
+	lanes := (s.oh*s.padWidth() + tile - 1) / tile * tile
+	return useSIMD && s.p.Stride == 1 && 100*lanes <= convGridMaxLanePct*s.cols
+}
+
+// padWidth is Wp: the padded image's row length, and the output grid's.
+func (s *convShape) padWidth() int { return s.w + 2*s.p.Padding }
+
+// padLen is the length of one padded image.
+func (s *convShape) padLen() int { return s.c * (s.h + 2*s.p.Padding) * s.padWidth() }
+
+// gridLane is the lane of an image's output pixel pix on its grid.
+func (s *convShape) gridLane(pix int) int { return pix/s.ow*s.padWidth() + pix%s.ow }
+
+// gridRows is how many output rows of the grid are computed at a time for
+// accumulators of accBytes: about convChunkBytes of sums, at least a row,
+// at most the map.
+func (s *convShape) gridRows(accBytes int) int {
+	return min(s.oh, max(1, convChunkBytes/(accBytes*s.p.OutChannels*s.padWidth())))
+}
+
+// tapOffsets fills offs (s.patch long) with the padded image's tap table,
+// in weight order; it ascends.
+func (s *convShape) tapOffsets(offs []int32) {
+	k, wp := s.p.Kernel, s.padWidth()
+	plane := (s.h + 2*s.p.Padding) * wp
+	i := 0
+	for ch := 0; ch < s.c; ch++ {
+		for ky := 0; ky < k; ky++ {
+			for kx := 0; kx < k; kx++ {
+				offs[i] = int32(ch*plane + ky*wp + kx)
+				i++
+			}
+		}
+	}
+}
+
+// putImage writes one image into dst through put, row by row: as it lies,
+// or with grid, padded for the implicit form (s.padLen() elements).
+func putImage[T any](dst []T, img []float64, s *convShape, grid bool, put func([]T, []float64)) {
+	if !grid {
+		put(dst[:len(img)], img)
+		return
+	}
+	p, w := s.p.Padding, s.w
+	edge := p*s.padWidth() + p // p padded rows, and the next row's left margin
+	at := 0
+	for ch := 0; ch < s.c; ch++ {
+		for y := 0; y < s.h; y++ {
+			gap := 2 * p // this row's left margin and the last one's right
+			if y == 0 {
+				gap = edge
+			}
+			clear(dst[at:][:gap])
+			put(dst[at+gap:][:w], img[(ch*s.h+y)*w:][:w])
+			at += gap + w
+		}
+		clear(dst[at:][:edge])
+		at += edge
+	}
+}
+
+func copyRow(dst, src []float64) { copy(dst, src) }
+
 // gatherRows writes the patches of pixel rows [lo,hi) as the rows of a
 // (hi-lo)×patch matrix: each row is one output pixel's receptive field in
 // weight order (channel, ky, kx), zero where it overhangs the padding.
@@ -296,9 +388,12 @@ func conv2DInto(out []float64, x, weight, bias *Tensor, p Conv2DParams, oh, ow i
 	}
 	if s.forks() {
 		sh := s // the closure's copy: s itself stays on the stack
-		tiles := (sh.rows + convTileRows - 1) / convTileRows
-		parallelFor(tiles, (sh.grain()+convTileRows-1)/convTileRows, func(lo, hi int) {
-			convRows(out, x.data, weight.data, biasData, &sh, lo*convTileRows, min(hi*convTileRows, sh.rows))
+		unit := convTileRows
+		if sh.implicit(gridLanesF64) {
+			unit = sh.ow // whole rows of the output grid
+		}
+		parallelFor((sh.rows+unit-1)/unit, (sh.grain()+unit-1)/unit, func(lo, hi int) {
+			convRows(out, x.data, weight.data, biasData, &sh, lo*unit, min(hi*unit, sh.rows))
 		})
 		return
 	}
@@ -306,23 +401,29 @@ func conv2DInto(out []float64, x, weight, bias *Tensor, p Conv2DParams, oh, ow i
 }
 
 // The AVX2 kernel's register tile is convTileRows pixel lanes (two YMM; a
-// 4-lane tile takes what is left) by convTileChans output channels. A
-// range of fewer than convMinRowsAVX2 rows would fill its one 4-lane tile
-// mostly with padding and is left to the scalar kernel: on c128 1×1 maps
-// the tile measured 0.62× of scalar at one row, 1.0–1.2× at two, 1.27× at
-// three and 1.6–1.9× at four.
+// 4-lane tile takes what is left, so lanes come in groups of
+// gridLanesF64) by convTileChans output channels. A range of fewer than
+// convMinRowsAVX2 rows would fill its one 4-lane tile mostly with padding
+// and is left to the scalar kernel: on c128 1×1 maps the tile measured
+// 0.62× of scalar at one row, 1.0–1.2× at two, 1.27× at three and 1.6–1.9×
+// at four.
 const (
 	convTileRows    = 8
 	convTileChans   = 4
 	convMinRowsAVX2 = 3
+	gridLanesF64    = 4
 )
 
 // convRows computes pixel rows [lo,hi) of the call's output: on the
-// vector unit where there is one and the range is long enough, by the
-// scalar kernel otherwise.
+// vector unit where there is one and the range is long enough — in the
+// implicit form where the call takes it — by the scalar kernel otherwise.
 func convRows(out, x, w, bias []float64, s *convShape, lo, hi int) {
 	if useSIMD && hi-lo >= convMinRowsAVX2 {
-		convRowsAVX2(out, x, w, bias, s, lo, hi)
+		if s.implicit(gridLanesF64) {
+			convGridAVX2(out, x, w, bias, s, lo, hi)
+		} else {
+			convRowsAVX2(out, x, w, bias, s, lo, hi)
+		}
 		return
 	}
 	chunk := s.chunkRows(8)
@@ -349,19 +450,15 @@ func convRowsAVX2(out, x, w, bias []float64, s *convShape, lo, hi int) {
 	// chunkRows is a multiple of 4, and so is every chunk's padded width.
 	chunk := min(s.chunkRows(8), (hi-lo+3)&^3)
 	patches := getF64(chunk * k)
-	// Whole channel groups, so a last group's repeats have somewhere to land.
-	sums := getF64(chunk * ((cout + convTileChans - 1) / convTileChans * convTileChans))
+	sums := getF64(chunk * convChanGroups(cout))
+	offs := scratchI32.get(k)
 	for c0 := lo; c0 < hi; c0 += chunk {
 		c1 := min(c0+chunk, hi)
 		nc := c1 - c0
 		ld := (nc + 3) &^ 3
 		gatherColsStride(patches, x, s, 0, c0, c1, ld)
-		for oc := 0; oc < cout; oc += convTileChans {
-			// A last group short of four channels repeats its last weight
-			// row; the repeats land in rows of sums nothing reads.
-			w1, w2, w3 := min(oc+1, cout-1), min(oc+2, cout-1), min(oc+3, cout-1)
-			convTileF64AVX2(&sums[oc*ld], &patches[0], &w[oc*k], &w[w1*k], &w[w2*k], &w[w3*k], k, ld)
-		}
+		matrixOffsets(offs, ld)
+		convTiles(sums, patches, offs, w, cout, ld)
 		for oc := 0; oc < cout; oc++ {
 			b, pix := c0/cols, c0%cols
 			for r := 0; r < nc; {
@@ -379,8 +476,74 @@ func convRowsAVX2(out, x, w, bias []float64, s *convShape, lo, hi int) {
 			}
 		}
 	}
+	scratchI32.put(offs)
 	putF64(sums)
 	putF64(patches)
+}
+
+// convGridAVX2 is convRowsAVX2 in the implicit form: each image the range
+// touches is padded once, and its pixels are computed a few grid rows at
+// a time straight from the padded image.
+func convGridAVX2(out, x, w, bias []float64, s *convShape, lo, hi int) {
+	cout, cols, ow, imgLen := s.p.OutChannels, s.cols, s.ow, s.c*s.h*s.w
+	rows := s.gridRows(8)
+	// Lanes past an image's last pixel read up to 3 elements past it.
+	img := getF64(s.padLen() + gridLanesF64)
+	clear(img[s.padLen():])
+	offs := scratchI32.get(s.patch)
+	s.tapOffsets(offs)
+	sums := getF64(((rows*s.padWidth() + 3) &^ 3) * convChanGroups(cout))
+	for c0 := lo; c0 < hi; {
+		// A chunk is at most rows output rows of one image.
+		b, pix := c0/cols, c0%cols
+		if c0 == lo || pix == 0 {
+			putImage(img, x[b*imgLen:][:imgLen], s, true, copyRow)
+		}
+		end := min(hi-b*cols, cols, (pix/ow+rows)*ow)
+		g0 := s.gridLane(pix)
+		ld := (s.gridLane(end-1) + 1 - g0 + 3) &^ 3
+		convTiles(sums, img[g0:], offs, w, cout, ld)
+		for oc := 0; oc < cout; oc++ {
+			for p := pix; p < end; {
+				// One run is the rest of an output row (or of the chunk).
+				run := min(ow-p%ow, end-p)
+				dst, src := out[(b*cout+oc)*cols+p:][:run], sums[oc*ld+s.gridLane(p)-g0:][:run]
+				if bias == nil {
+					copy(dst, src)
+				} else {
+					for i, v := range src {
+						dst[i] = v + bias[oc]
+					}
+				}
+				p += run
+			}
+		}
+		c0 = b*cols + end
+	}
+	putF64(sums)
+	scratchI32.put(offs)
+	putF64(img)
+}
+
+// convChanGroups is cout rounded up to whole channel groups, so that a
+// last group's repeated weight rows have rows of sums to land in.
+func convChanGroups(cout int) int {
+	return (cout + convTileChans - 1) / convTileChans * convTileChans
+}
+
+// convTiles computes sums[oc*n+j] = Σ_kk b[offs[kk]+j]·w[oc][kk] for every
+// output channel and the lanes j in [0,n), n a positive multiple of 4, on
+// the AVX2 tile; offs must ascend.
+func convTiles(sums, b []float64, offs []int32, w []float64, cout, n int) {
+	k := len(offs)
+	_ = b[int(offs[k-1])+n-1] // the offsets ascend: every tap's lanes are in b
+	_ = sums[convChanGroups(cout)*n-1]
+	for oc := 0; oc < cout; oc += convTileChans {
+		// A last group short of four channels repeats its last weight
+		// row; the repeats land in rows of sums nothing reads.
+		w1, w2, w3 := min(oc+1, cout-1), min(oc+2, cout-1), min(oc+3, cout-1)
+		convTileF64AVX2(&sums[oc*n], n, &b[0], &offs[0], &w[oc*k], &w[w1*k], &w[w2*k], &w[w3*k], k, n)
+	}
 }
 
 // dotRows writes out[pixel, oc] = patches[pixel]·w[oc] + bias[oc] for the

@@ -479,14 +479,16 @@ func TestParallelRegionsNeverQueue(t *testing.T) {
 	}
 }
 
-// BenchmarkConv2DStageShapes times the convolutions of a width-16
-// ResNet-18 on 16×16 frames — the small-spatial shapes (OH·OW 64…1,
-// Cout 16…128) where a per-image GEMM has no vector axis left — at a
-// lone frame, a full batch of 8, and the 3 and 5 that ForwardBatch's two
-// shards of a typical batch really see, where tile remainders show.
+// BenchmarkConv2DStageShapes times the stride-1 convolutions of a
+// width-16 ResNet-18 on 16×16 frames — the stem (3→16 at 16×16, where the
+// patch gather used to be the largest share of the call), then the
+// small-spatial shapes (OH·OW 64…1, Cout 16…128) where a per-image GEMM
+// has no vector axis left — at a lone frame, a full batch of 8, and the 3
+// and 5 that ForwardBatch's two shards of a typical batch really see,
+// where tile remainders show.
 func BenchmarkConv2DStageShapes(b *testing.B) {
 	defer SetParallelism(SetParallelism(1))
-	for _, c := range []struct{ cin, cout, size int }{{16, 16, 8}, {32, 32, 4}, {64, 64, 2}, {128, 128, 1}} {
+	for _, c := range []struct{ cin, cout, size int }{{3, 16, 16}, {16, 16, 8}, {32, 32, 4}, {64, 64, 2}, {128, 128, 1}} {
 		for _, n := range []int{1, 3, 5, 8} {
 			p := Conv2DParams{InChannels: c.cin, OutChannels: c.cout, Kernel: 3, Stride: 1, Padding: 1}
 			x := mustBenchTensor(b, benchRand64(n*c.cin*c.size*c.size, 3), n, c.cin, c.size, c.size)
@@ -509,6 +511,136 @@ func BenchmarkConv2DStageShapes(b *testing.B) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// poisonScratch leaves NaN (f64, f32), -128 (i8, a value the quantizer
+// never writes) and MinInt32 (i32) in two pooled buffers of every size
+// class up to 2^14 elements — more than TestConv2DLoweringImplicitGrid's
+// calls rent — so a kernel that reads scratch it did not write, a kept
+// lane reading outside its padded image say, computes with them.
+func poisonScratch() {
+	for c := 0; c <= 14; c++ {
+		for range 2 {
+			n := 1 << c
+			f64, f32, i8, i32 := getF64(n), scratchF32.get(n), scratchI8.get(n), scratchI32.get(n)
+			fill(f64, math.NaN())
+			fill(f32, float32(math.NaN()))
+			fill(i8, -128)
+			fill(i32, math.MinInt32)
+			defer putF64(f64)
+			defer scratchF32.put(f32)
+			defer scratchI8.put(i8)
+			defer scratchI32.put(i32)
+		}
+	}
+}
+
+// fill sets every element of s to v, by doubling copies.
+func fill[T any](s []T, v T) {
+	s[0] = v
+	for i := 1; i < len(s); i *= 2 {
+		copy(s[i:], s[:i])
+	}
+}
+
+// TestConv2DLoweringImplicitGrid sweeps the implicit form — stride-1
+// convolutions computed on the padded-width output grid from once-padded
+// images — over output maps 1–5, 8 and 16 wide, kernels 1, 3 and 5 with
+// padding 0–2, batches 1–13 and every precision, each image against the
+// per-image reference bit for bit. It runs each shape as the lane rule
+// picks its form and with the form forced, so the grid's edges (maps
+// narrower than a tile, lanes past an image's last pixel) are met on
+// every precision's tiles. Scratch is poisoned before each call, and the
+// destination is followed by sentinels that must survive.
+func TestConv2DLoweringImplicitGrid(t *testing.T) {
+	if !useSIMD {
+		t.Skip("the implicit form runs on the AVX2 tiles only")
+	}
+	defer func(prev int) { convGridMaxLanePct = prev }(convGridMaxLanePct)
+	defer SetParallelism(SetParallelism(1))
+	rng := rand.New(rand.NewSource(45))
+	const maxBatch, cin, tail = 13, 3, 64
+	for _, side := range []int{1, 2, 3, 4, 5, 8, 16} {
+		for _, k := range []int{1, 3, 5} {
+			for pad := 0; pad <= 2; pad++ {
+				size := side + k - 1 - 2*pad // the input side giving a side×side output
+				if size < 1 || pad >= k {
+					continue
+				}
+				cout := []int{5, 16}[side%2]
+				p := Conv2DParams{InChannels: cin, OutChannels: cout, Kernel: k, Stride: 1, Padding: pad}
+				x := randTensor(rng, maxBatch, cin, size, size)
+				weight, bias := randTensor(rng, cout, cin, k, k), randTensor(rng, cout)
+				staticScale := SymmetricScale(x.data)
+				imgLen, outLen := cin*size*size, cout*side*side
+				for _, mode := range []convMode{modeF64, modeF32, modeI8, modeI8Dyn} {
+					var want []float64
+					for b := 0; b < maxBatch; b++ {
+						want = append(want, refConvImage(mode, x.data[b*imgLen:(b+1)*imgLen], size, size, weight, bias, p, staticScale)...)
+					}
+					w32, err := PrepareConvWeightsF32(weight, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w8, err := PrepareConvWeightsI8(weight, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, batch := range []int{1, 2, 3, 5, 8, 13} {
+						xb := MustFromSlice(x.data[:batch*imgLen], batch, cin, size, size)
+						for _, forced := range []bool{false, true} {
+							convGridMaxLanePct = 150
+							if forced {
+								convGridMaxLanePct = math.MaxInt32 / 100
+							}
+							// Below the fork cutoff a second worker cannot
+							// change the code path.
+							workerSet := []int{1, 2}
+							if batch*side*side*cout*cin*k*k < gemmParallelCutoff {
+								workerSet = workerSet[:1]
+							}
+							for _, workers := range workerSet {
+								SetParallelism(workers)
+								buf := make([]float64, batch*outLen+tail)
+								for i := range buf {
+									buf[i] = math.NaN()
+								}
+								for i := batch * outLen; i < len(buf); i++ {
+									buf[i] = float64(i)
+								}
+								dst := MustFromSlice(buf[:batch*outLen], batch, cout, side, side)
+								poisonScratch()
+								switch mode {
+								case modeF64:
+									err = Conv2DInto(dst, xb, weight, bias, p)
+								case modeF32:
+									err = Conv2DIntoF32(dst, xb, w32, bias, p)
+								case modeI8:
+									err = Conv2DIntoI8(dst, xb, w8, bias, p, staticScale)
+								default:
+									err = Conv2DIntoI8(dst, xb, w8, bias, p, 0)
+								}
+								if err != nil {
+									t.Fatal(err)
+								}
+								what := fmt.Sprintf("%v %+v on %dx%d batch=%d forced=%v workers=%d", mode, p, size, size, batch, forced, workers)
+								for i, g := range dst.data {
+									if g != want[i] {
+										t.Fatalf("%s: element %d (image %d) = %v, per-image reference %v", what, i, i/outLen, g, want[i])
+									}
+								}
+								for i := batch * outLen; i < len(buf); i++ {
+									if buf[i] != float64(i) {
+										t.Fatalf("%s: element %d past dst overwritten with %v", what, i-batch*outLen, buf[i])
+									}
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

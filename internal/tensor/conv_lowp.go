@@ -69,14 +69,16 @@ func Conv2DIntoI8(dst, x *Tensor, weight *ConvWeightsI8, bias *Tensor, p Conv2DP
 }
 
 // conv2DIntoF32 is the validated f32 kernel body; rows shard like
-// conv2DInto's.
+// conv2DInto's, in whole output rows when the call takes the implicit
+// form.
 func conv2DIntoF32(out []float64, x *Tensor, weight *ConvWeightsF32, bias *Tensor, p Conv2DParams, oh, ow int) {
 	s := newConvShape(x, p, oh, ow)
 	weight.fixLayout(s.cols)
 	if s.forks() {
 		sh := s // the closure's copy: s itself stays on the stack
-		parallelFor(sh.rows, sh.grain(), func(lo, hi int) {
-			convRowsF32(out, x.data, weight, bias, &sh, lo, hi)
+		unit := weight.gridUnit(&sh, gridLanesF32)
+		parallelFor(sh.rows/unit, (sh.grain()+unit-1)/unit, func(lo, hi int) {
+			convRowsF32(out, x.data, weight, bias, &sh, lo*unit, hi*unit)
 		})
 		return
 	}
@@ -84,13 +86,26 @@ func conv2DIntoF32(out []float64, x *Tensor, weight *ConvWeightsF32, bias *Tenso
 }
 
 // convRowsF32 narrows the images that pixel rows [lo,hi) touch and runs
-// the rows through the f32 panel.
+// the rows through the f32 panel, or on the output grid through its tiles.
 func convRowsF32(out, x []float64, weight *ConvWeightsF32, bias *Tensor, s *convShape, lo, hi int) {
 	b0, b1, imgLen := lo/s.cols, (hi-1)/s.cols+1, s.c*s.h*s.w
-	imgs := scratchF32.get((b1 - b0) * imgLen)
-	toF32(imgs, x[b0*imgLen:b1*imgLen])
-	convRowsNarrow(out, imgs, &weight.packedConv, nil, nil, bias, s, b0, lo, hi,
-		s.chunkRows(4), &scratchF32, &scratchF32, gemmPanel32)
+	grid, span := weight.onGrid(s, gridLanesF32), imgLen
+	if grid {
+		span = s.padLen()
+	}
+	// On the grid, lanes past the last image's last pixel read up to 7
+	// elements past it.
+	imgs := scratchF32.get((b1-b0)*span + gridLanesF32)
+	clear(imgs[(b1-b0)*span:])
+	for b := b0; b < b1; b++ {
+		putImage(imgs[(b-b0)*span:], x[b*imgLen:][:imgLen], s, grid, toF32)
+	}
+	if grid {
+		convGridNarrow(out, imgs, &weight.packedConv, nil, nil, bias, s, b0, lo, hi, gridLanesF32, &scratchF32, gemmTiles32)
+	} else {
+		convRowsNarrow(out, imgs, &weight.packedConv, nil, nil, bias, s, b0, lo, hi,
+			s.chunkRows(4), &scratchF32, &scratchF32, gemmPanel32)
+	}
 	scratchF32.put(imgs)
 }
 
@@ -100,8 +115,9 @@ func conv2DIntoI8(out []float64, x *Tensor, weight *ConvWeightsI8, bias *Tensor,
 	weight.fixLayout(s.cols)
 	if s.forks() {
 		sh := s // the closure's copy: s itself stays on the stack
-		parallelFor(sh.rows, sh.grain(), func(lo, hi int) {
-			convRowsI8(out, x.data, weight, bias, &sh, lo, hi, xScale)
+		unit := weight.gridUnit(&sh, gridLanesI8)
+		parallelFor(sh.rows/unit, (sh.grain()+unit-1)/unit, func(lo, hi int) {
+			convRowsI8(out, x.data, weight, bias, &sh, lo*unit, hi*unit, xScale)
 		})
 		return
 	}
@@ -109,13 +125,21 @@ func conv2DIntoI8(out []float64, x *Tensor, weight *ConvWeightsI8, bias *Tensor,
 }
 
 // convRowsI8 quantizes the images that pixel rows [lo,hi) touch and runs
-// the rows through the i8 panel. A non-positive xScale falls back to one
-// dynamic scale per image, never per call: the scale then depends only on
-// that image's data, so the result cannot change with the batch or its
-// sharding (an image two shards share is quantized identically by both).
+// the rows through the i8 panel, or on the output grid through its tiles.
+// A non-positive xScale falls back to one dynamic scale per image, never
+// per call: the scale then depends only on that image's data, so the
+// result cannot change with the batch or its sharding (an image two
+// shards share is quantized identically by both).
 func convRowsI8(out, x []float64, weight *ConvWeightsI8, bias *Tensor, s *convShape, lo, hi int, xScale float64) {
 	b0, b1, imgLen := lo/s.cols, (hi-1)/s.cols+1, s.c*s.h*s.w
-	imgs := scratchI8.get((b1 - b0) * imgLen)
+	grid, span := weight.onGrid(s, gridLanesI8), imgLen
+	if grid {
+		span = s.padLen()
+	}
+	// On the grid, lanes past the last image's last pixel read up to 15
+	// elements past it.
+	imgs := scratchI8.get((b1-b0)*span + gridLanesI8)
+	clear(imgs[(b1-b0)*span:])
 	scales := getF64(b1 - b0)
 	for b := b0; b < b1; b++ {
 		img := x[b*imgLen : (b+1)*imgLen]
@@ -124,12 +148,48 @@ func convRowsI8(out, x []float64, weight *ConvWeightsI8, bias *Tensor, s *convSh
 			sc = SymmetricScale(img)
 		}
 		scales[b-b0] = sc
-		quantizeSymmetric(imgs[(b-b0)*imgLen:(b-b0+1)*imgLen], img, sc)
+		putImage(imgs[(b-b0)*span:], img, s, grid, func(dst []int8, src []float64) {
+			quantizeSymmetric(dst, src, sc)
+		})
 	}
-	convRowsNarrow(out, imgs, &weight.packedConv, weight.scale, scales, bias, s, b0, lo, hi,
-		s.chunkRows(1), &scratchI8, &scratchI32, gemmPanel8)
+	if grid {
+		convGridNarrow(out, imgs, &weight.packedConv, weight.scale, scales, bias, s, b0, lo, hi, gridLanesI8, &scratchI32, gemmTiles8)
+	} else {
+		convRowsNarrow(out, imgs, &weight.packedConv, weight.scale, scales, bias, s, b0, lo, hi,
+			s.chunkRows(1), &scratchI8, &scratchI32, gemmPanel8)
+	}
 	putF64(scales)
 	scratchI8.put(imgs)
+}
+
+// onChannels reports whether the call puts its output channels on the
+// panel's vector axis (see convRowsNarrow).
+func (c *packedConv[T]) onChannels(s *convShape) bool {
+	return c.wT != nil && c.out >= s.rows
+}
+
+// The narrow tiles take their lanes in groups of gridLanesF32 and
+// gridLanesI8: in the implicit form, each image's grid is rounded up to
+// whole groups.
+const (
+	gridLanesF32 = 8
+	gridLanesI8  = 16
+)
+
+// onGrid reports whether the call takes the implicit form: the pixels on
+// the vector axis, read from padded images on the output grid by tiles of
+// tile lanes.
+func (c *packedConv[T]) onGrid(s *convShape, tile int) bool {
+	return !c.onChannels(s) && s.implicit(tile)
+}
+
+// gridUnit is the fewest pixel rows a shard of the call may hold: whole
+// output rows on the grid, any row otherwise.
+func (c *packedConv[T]) gridUnit(s *convShape, tile int) int {
+	if c.onGrid(s, tile) {
+		return s.ow
+	}
+	return 1
 }
 
 // convRowsNarrow computes pixel rows [lo,hi) from narrowed images (imgs
@@ -150,7 +210,7 @@ func convRowsNarrow[T any, A float32 | int32](out []float64, imgs []T, weight *p
 	elems *typedPool[T], accs *typedPool[A],
 	panel func(dst []A, a, b []T, ars, aks, i0, i1, k, n int)) {
 	cout, chunk := s.p.OutChannels, min(chunk, hi-lo)
-	onChannels := weight.wT != nil && cout >= s.rows
+	onChannels := weight.onChannels(s)
 	patches := elems.get(chunk * s.patch)
 	acc := accs.get(chunk * cout)
 	var biasData []float64
@@ -198,4 +258,57 @@ func convRowsNarrow[T any, A float32 | int32](out []float64, imgs []T, weight *p
 	}
 	accs.put(acc)
 	elems.put(patches)
+}
+
+// convGridNarrow is convRowsNarrow in the implicit form: imgs holds padded
+// images (see putImage), and the pixels of each chunk of at most a few
+// output rows of one image are computed on its grid by the element
+// type's tiles, which run lanes lanes at a time, straight from its padded
+// image. The weight is read as it lies, either layout.
+func convGridNarrow[T any, A float32 | int32](out []float64, imgs []T, weight *packedConv[T],
+	wScale, xScale []float64, bias *Tensor, s *convShape, b0, lo, hi, lanes int,
+	accs *typedPool[A],
+	tiles func(dst []A, ldd int, a []T, ars, aks, i0, i1 int, b []T, offs []int32, n int)) {
+	cout, cols, ow, span := s.p.OutChannels, s.cols, s.ow, s.padLen()
+	w, ars, aks := weight.w, s.patch, 1
+	if weight.wT != nil {
+		w, ars, aks = weight.wT, 1, cout
+	}
+	rows := s.gridRows(4)
+	offs := scratchI32.get(s.patch)
+	s.tapOffsets(offs)
+	acc := accs.get(cout * ((rows*s.padWidth() + lanes - 1) / lanes * lanes))
+	var biasData []float64
+	if bias != nil {
+		biasData = bias.data
+	}
+	for c0 := lo; c0 < hi; {
+		// A chunk is at most rows output rows of one image.
+		b, pix := c0/cols, c0%cols
+		end := min(hi-b*cols, cols, (pix/ow+rows)*ow)
+		g0 := s.gridLane(pix)
+		n := (s.gridLane(end-1) + 1 - g0 + lanes - 1) / lanes * lanes
+		tiles(acc, n, w, ars, aks, 0, cout, imgs[(b-b0)*span+g0:], offs, n)
+		for oc := 0; oc < cout; oc++ {
+			bo, sc := 0.0, 1.0
+			if biasData != nil {
+				bo = biasData[oc]
+			}
+			if wScale != nil {
+				sc = wScale[oc] * xScale[b-b0]
+			}
+			for p := pix; p < end; {
+				// One run is the rest of an output row (or of the chunk).
+				run := min(ow-p%ow, end-p)
+				dst, src := out[(b*cout+oc)*cols+p:][:run], acc[oc*n+s.gridLane(p)-g0:][:run]
+				for i, v := range src {
+					dst[i] = float64(v)*sc + bo
+				}
+				p += run
+			}
+		}
+		c0 = b*cols + end
+	}
+	accs.put(acc)
+	scratchI32.put(offs)
 }

@@ -41,7 +41,10 @@ func GemmF32(dst, a, b []float32, m, k, n int) {
 // is always B's and dst's contiguous n.
 func gemmPanel32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
 	if useSIMD && k > 0 {
-		gemmTiles32(dst, a, b, ars, aks, i0, i1, k, n)
+		offs := scratchI32.get(k)
+		matrixOffsets(offs, n)
+		gemmTiles32(dst[i0*n:], n, a, ars, aks, i0, i1, b, offs, n)
+		scratchI32.put(offs)
 		return
 	}
 	// The portable panel: j/k cache blocking (the f32 B tile is
@@ -86,27 +89,39 @@ func gemmPanel32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
 	}
 }
 
-// gemmTiles32 is gemmPanel32 on the vector unit: register tiles of 4 rows
-// × 8 lanes that keep their sums in YMM across the whole k loop and store
-// them once, where the portable panel loads and stores its strip of sums
-// every fourth tap. The tile reads A in place through one pointer per row
-// and the tap stride, so neither orientation is copied. A last group of
-// 2–3 rows runs through the 4-row tile, its last row repeated into tile
-// rows that are never stored: B streams once either way, and that is what
-// such a remainder costs (measured against one 1-row tile per row: 1.2×
-// faster at two rows, 1.7× at three). A lone last row runs through the
-// 1-row tile. A ragged last group of lanes is copied, zero padded to 8,
-// into scratch and computed into a stack tile, of which only the real
-// lanes are kept. None of this moves a tap across a quartet.
-func gemmTiles32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
-	nv := n &^ 7
+// gemmTiles32 is gemmPanel32 on the vector unit: rows [i0,i1) of A·B into
+// dst, row i at dst[(i-i0)*ldd:], over lanes [0,n) of B read through the
+// ascending tap offsets offs (see tileF32x4AVX2) — a matrix, or a padded
+// image on its output grid. Register tiles of 4 rows × 8 lanes keep
+// their sums in YMM across the whole k loop and store them once, where
+// the portable panel loads and stores its strip of sums every fourth
+// tap. The tile reads A in place through one pointer per row and the tap
+// stride, so neither orientation is copied. A last group of 2–3 rows runs
+// through the 4-row tile, its last row repeated into tile rows that are
+// never stored: B streams once either way, and that is what such a
+// remainder costs (measured against one 1-row tile per row: 1.2× faster
+// at two rows, 1.7× at three). A lone last row runs through the 1-row
+// tile. A ragged last group of lanes is copied, zero padded to 8, into
+// scratch and computed into a stack tile, of which only the real lanes
+// are kept. None of this moves a tap across a quartet.
+func gemmTiles32(dst []float32, ldd int, a []float32, ars, aks, i0, i1 int, b []float32, offs []int32, n int) {
+	k, nv := len(offs), n&^7
+	if i0 >= i1 {
+		return
+	}
+	_ = dst[(i1-i0-1)*ldd+n-1]
 	var bt []float32
+	var bo []int32
 	if nv < n {
-		bt = scratchF32.get(8 * k)
-		for kk := 0; kk < k; kk++ {
+		bt, bo = scratchF32.get(8*k), scratchI32.get(k)
+		for kk, o := range offs {
 			t := bt[kk*8:][:8]
-			clear(t[copy(t, b[kk*n+nv:(kk+1)*n]):])
+			clear(t[copy(t, b[int(o)+nv:][:n-nv]):])
 		}
+		matrixOffsets(bo, 8)
+	}
+	if nv > 0 {
+		_ = b[int(offs[k-1])+nv-1] // the offsets ascend: every tap's lanes are in b
 	}
 	var tile [4 * 8]float32
 	i := i0
@@ -114,26 +129,37 @@ func gemmTiles32(dst, a, b []float32, ars, aks, i0, i1, k, n int) {
 		rows, last := min(4, i1-i), i1-1
 		a0, a1 := &a[i*ars], &a[(i+1)*ars]
 		a2, a3 := &a[min(i+2, last)*ars], &a[min(i+3, last)*ars]
+		d := dst[(i-i0)*ldd:]
 		if nv > 0 {
-			tileF32x4AVX2(&dst[i*n], n, a0, a1, a2, a3, aks, &b[0], n, k, nv, rows)
+			tileF32x4AVX2(&d[0], ldd, a0, a1, a2, a3, aks, &b[0], &offs[0], k, nv, rows)
 		}
 		if bt != nil {
-			tileF32x4AVX2(&tile[0], 8, a0, a1, a2, a3, aks, &bt[0], 8, k, 8, rows)
+			tileF32x4AVX2(&tile[0], 8, a0, a1, a2, a3, aks, &bt[0], &bo[0], k, 8, rows)
 			for r := 0; r < rows; r++ {
-				copy(dst[(i+r)*n+nv:(i+r+1)*n], tile[r*8:])
+				copy(d[r*ldd+nv:r*ldd+n], tile[r*8:])
 			}
 		}
 	}
 	if i < i1 {
+		d := dst[(i-i0)*ldd:]
 		if nv > 0 {
-			tileF32x1AVX2(&dst[i*n], &a[i*ars], aks, &b[0], n, k, nv)
+			tileF32x1AVX2(&d[0], &a[i*ars], aks, &b[0], &offs[0], k, nv)
 		}
 		if bt != nil {
-			tileF32x1AVX2(&tile[0], &a[i*ars], aks, &bt[0], 8, k, 8)
-			copy(dst[i*n+nv:(i+1)*n], tile[:])
+			tileF32x1AVX2(&tile[0], &a[i*ars], aks, &bt[0], &bo[0], k, 8)
+			copy(d[nv:n], tile[:])
 		}
 	}
+	scratchI32.put(bo)
 	scratchF32.put(bt)
+}
+
+// matrixOffsets fills offs with the tap offsets of a row-major matrix
+// whose rows are ld elements apart.
+func matrixOffsets(offs []int32, ld int) {
+	for kk := range offs {
+		offs[kk] = int32(kk * ld)
+	}
 }
 
 // dotF32 is the 4-wide-unrolled float32 dot product used by the linear

@@ -32,7 +32,10 @@ func GemmI8(dst []int32, a, b []int8, m, k, n int) {
 // strides (ars, aks) like gemmPanel32's.
 func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 	if useSIMD && k > 0 {
-		gemmTiles8(dst, a, b, ars, aks, i0, i1, k, n)
+		offs := scratchI32.get(k)
+		matrixOffsets(offs, n)
+		gemmTiles8(dst[i0*n:], n, a, ars, aks, i0, i1, b, offs, n)
+		scratchI32.put(offs)
 		return
 	}
 	// The portable panel: the float kernels' j/k blocking and a 4-wide k
@@ -77,8 +80,10 @@ func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 	}
 }
 
-// gemmTiles8 is gemmPanel8 on the vector unit: register tiles of 4 rows ×
-// 16 lanes of int32 sums, held across the whole k loop, two taps per
+// gemmTiles8 is gemmPanel8 on the vector unit, with gemmTiles32's
+// operands: rows [i0,i1) of A·B into dst[(i-i0)*ldd:], B read through the
+// ascending tap offsets offs over lanes [0,n). Register tiles of 4 rows ×
+// 16 lanes of int32 sums are held across the whole k loop, two taps per
 // VPMADDWD. Each group of rows is widened once into pooled scratch as
 // int16 tap pairs (dword p*4+r: taps 2p and 2p+1 of row r, the high word
 // zero past an odd k), so the tile broadcasts a row's pair with one
@@ -86,16 +91,25 @@ func gemmPanel8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 // through the 4-row tile (only real rows stored), a lone last row through
 // the 1-row tile, and a ragged last group of lanes through scratch zero
 // padded to 16 and a stack tile.
-func gemmTiles8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
-	nv, kp := n&^15, (k+1)/2
-	ap := scratchI32.get(4 * kp)
+func gemmTiles8(dst []int32, ldd int, a []int8, ars, aks, i0, i1 int, b []int8, offs []int32, n int) {
+	k, nv := len(offs), n&^15
+	if i0 >= i1 {
+		return
+	}
+	_ = dst[(i1-i0-1)*ldd+n-1]
+	ap := scratchI32.get(4 * ((k + 1) / 2))
 	var bt []int8
+	var bo []int32
 	if nv < n {
-		bt = scratchI8.get(16 * k)
-		for kk := 0; kk < k; kk++ {
+		bt, bo = scratchI8.get(16*k), scratchI32.get(k)
+		for kk, o := range offs {
 			t := bt[kk*16:][:16]
-			clear(t[copy(t, b[kk*n+nv:(kk+1)*n]):])
+			clear(t[copy(t, b[int(o)+nv:][:n-nv]):])
 		}
+		matrixOffsets(bo, 16)
+	}
+	if nv > 0 {
+		_ = b[int(offs[k-1])+nv-1] // the offsets ascend: every tap's lanes are in b
 	}
 	var tile [4 * 16]int32
 	i := i0
@@ -104,26 +118,29 @@ func gemmTiles8(dst []int32, a, b []int8, ars, aks, i0, i1, k, n int) {
 		for r := 0; r < 4; r++ {
 			packPairs(ap[r:], 4, a[min(i+r, i1-1)*ars:], aks, k)
 		}
+		d := dst[(i-i0)*ldd:]
 		if nv > 0 {
-			tileI8x4AVX2(&dst[i*n], n, &ap[0], &b[0], n, k, nv, rows)
+			tileI8x4AVX2(&d[0], ldd, &ap[0], &b[0], &offs[0], k, nv, rows)
 		}
 		if bt != nil {
-			tileI8x4AVX2(&tile[0], 16, &ap[0], &bt[0], 16, k, 16, rows)
+			tileI8x4AVX2(&tile[0], 16, &ap[0], &bt[0], &bo[0], k, 16, rows)
 			for r := 0; r < rows; r++ {
-				copy(dst[(i+r)*n+nv:(i+r+1)*n], tile[r*16:])
+				copy(d[r*ldd+nv:r*ldd+n], tile[r*16:])
 			}
 		}
 	}
 	if i < i1 {
 		packPairs(ap, 1, a[i*ars:], aks, k)
+		d := dst[(i-i0)*ldd:]
 		if nv > 0 {
-			tileI8x1AVX2(&dst[i*n], &ap[0], &b[0], n, k, nv)
+			tileI8x1AVX2(&d[0], &ap[0], &b[0], &offs[0], k, nv)
 		}
 		if bt != nil {
-			tileI8x1AVX2(&tile[0], &ap[0], &bt[0], 16, k, 16)
-			copy(dst[i*n+nv:(i+1)*n], tile[:])
+			tileI8x1AVX2(&tile[0], &ap[0], &bt[0], &bo[0], k, 16)
+			copy(d[nv:n], tile[:])
 		}
 	}
+	scratchI32.put(bo)
 	scratchI8.put(bt)
 	scratchI32.put(ap)
 }

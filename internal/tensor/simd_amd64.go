@@ -21,42 +21,46 @@ func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbvAsm reads XCR0 (requires OSXSAVE, checked by the caller).
 func xgetbvAsm() (eax, edx uint32)
 
+// The tiles read B through a table of per-tap offsets, offs[0..k): tap kk
+// of lane j is b[offs[kk]+j]. A row-major k×n matrix is the table kk·n
+// (matrixOffsets); a padded image on its output grid is the table of
+// convShape.tapOffsets. Lanes [0,n) of every tap must be readable.
+
 // tileF32x4AVX2 computes rows r < rows (2..4) of dst (ldd apart) = A·B
-// for the rows of A whose taps start at a0..a3, lda apart, and B read in
-// place (ldb apart), lanes [0,n); n must be a positive multiple of 8.
-// Every element is summed in gemmPanel32's order with VMULPS then VADDPS,
-// so it equals the scalar panel bit for bit.
+// for the rows of A whose taps start at a0..a3, lda apart, and B read
+// through offs, lanes [0,n); n must be a positive multiple of 8. Every
+// element is summed in gemmPanel32's order with VMULPS then VADDPS, so it
+// equals the scalar panel bit for bit.
 //
 //go:noescape
-func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, ldb, k, n, rows int)
+func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, offs *int32, k, n, rows int)
 
 // tileF32x1AVX2 is tileF32x4AVX2 for one row.
 //
 //go:noescape
-func tileF32x1AVX2(dst, a *float32, lda int, b *float32, ldb, k, n int)
+func tileF32x1AVX2(dst, a *float32, lda int, b *float32, offs *int32, k, n int)
 
 // tileI8x4AVX2 computes rows r < rows (2..4) of dst (ldd apart) = A·B
-// exactly in int32 for A packed as int16 tap pairs (dword a[p*4+r] holds taps 2p and
-// 2p+1 of row r) and int8 B read in place (ldb apart), lanes [0,n); n must
-// be a positive multiple of 16.
+// exactly in int32 for A packed as int16 tap pairs (dword a[p*4+r] holds
+// taps 2p and 2p+1 of row r) and int8 B read through offs, lanes [0,n); n
+// must be a positive multiple of 16.
 //
 //go:noescape
-func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, ldb, k, n, rows int)
+func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, offs *int32, k, n, rows int)
 
 // tileI8x1AVX2 is tileI8x4AVX2 for one row, its tap pairs a[p] contiguous.
 //
 //go:noescape
-func tileI8x1AVX2(dst *int32, a *int32, b *int8, ldb, k, n int)
+func tileI8x1AVX2(dst *int32, a *int32, b *int8, offs *int32, k, n int)
 
-// convTileF64AVX2 computes dst[c*n+j] = Σ_kk p[kk*n+j]·wc[kk] for the
-// four weight rows w0..w3 (c = 0..3, k taps each) and j in [0,n): p is a
-// k×n patch matrix, pixels contiguous, and dst four rows of n. n must be
-// a positive multiple of 4. Every element is one accumulator summed kk
-// ascending from +0, multiply then add, so it equals the scalar dot
-// product bit for bit.
+// convTileF64AVX2 computes dst[c*ldd+j] = Σ_kk b[offs[kk]+j]·wc[kk] for
+// the four weight rows w0..w3 (c = 0..3, k taps each) and j in [0,n). n
+// must be a positive multiple of 4. Every element is one accumulator
+// summed kk ascending from +0, multiply then add, so it equals the scalar
+// dot product bit for bit.
 //
 //go:noescape
-func convTileF64AVX2(dst, p, w0, w1, w2, w3 *float64, k, n int)
+func convTileF64AVX2(dst *float64, ldd int, b *float64, offs *int32, w0, w1, w2, w3 *float64, k, n int)
 
 // axpyF64AVX2 computes dst[j] += a*b[j] for j in [0,n); n must be a
 // positive multiple of 4.

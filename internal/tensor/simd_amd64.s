@@ -23,10 +23,16 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// The narrow register tiles. B is read in place, ldb elements between
-// taps, and n (the lanes) must be a positive multiple of the tile's
-// width; A is read a scalar at a time and broadcast. Sums stay in
-// registers across the whole k loop and are stored once.
+// The register tiles read B through a table of per-tap offsets: tap kk of
+// lane j is b[offs[kk]+j]. A k×n matrix stored row by row is the table
+// kk·ldb; a once-padded image read on its padded-width output grid is the
+// table c·Hp·Wp + ky·Wp + kx (see convShape.implicit). n (the lanes) must
+// be a positive multiple of the tile's width. In the narrow tiles A is
+// read a scalar at a time and broadcast. Sums stay in registers across
+// the whole k loop and are stored once.
+
+// F32B(at) loads the 8 lanes of the tap whose offset is at(R14) into Y8.
+#define F32B(at) MOVLQSX at(R14), DX; VMOVUPS (SI)(DX*4), Y8
 
 // F32TAP(row, bc, t) adds the tap's product b·a (b in Y8, a at row's
 // pointer plus AX) to quartet sum t.
@@ -35,9 +41,9 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 // F32ONE(row, bc, acc) adds a tail tap's product b·a to acc.
 #define F32ONE(row, bc, acc) VBROADCASTSS (row)(AX*1), bc; VMULPS bc, Y8, bc; VADDPS acc, bc, acc
 
-// func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, ldb, k, n, rows int)
+// func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, offs *int32, k, n, rows int)
 //
-// dst[r*ldd+j] = Σ ar[kk*lda]·b[kk*ldb+j] for the rows r < rows (2..4)
+// dst[r*ldd+j] = Σ ar[kk*lda]·b[offs[kk]+j] for the rows r < rows (2..4)
 // whose taps start at a0..a3, and j in [0,n), n a positive multiple of 8:
 // a tile of 4 rows × 8 lanes in Y0–Y3 across the whole k loop. Each sum
 // runs gemmPanel32's order: from +0, one quartet ((p0 + p1) + p2) + p3
@@ -55,8 +61,6 @@ TEXT ·tileF32x4AVX2(SB), NOSPLIT, $0-96
 	MOVQ lda+48(FP), R13
 	SHLQ $2, R13           // bytes between A's taps
 	MOVQ b+56(FP), SI
-	MOVQ ldb+64(FP), R14
-	SHLQ $2, R14           // bytes between B's taps
 	MOVQ n+80(FP), BX
 
 f32x4lanes:
@@ -65,14 +69,14 @@ f32x4lanes:
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 	XORQ   AX, AX
-	MOVQ   SI, DX
+	MOVQ   offs+64(FP), R14
 	MOVQ   k+72(FP), CX
 	SHRQ   $2, CX
 	JZ     f32x4tail
 
 f32x4quad:
 	// The quartet's first tap starts its four sums Y4–Y7.
-	VMOVUPS      (DX), Y8
+	F32B(0)
 	VBROADCASTSS (R8)(AX*1), Y9
 	VMULPS       Y9, Y8, Y4
 	VBROADCASTSS (R9)(AX*1), Y10
@@ -82,26 +86,25 @@ f32x4quad:
 	VBROADCASTSS (R11)(AX*1), Y12
 	VMULPS       Y12, Y8, Y7
 	ADDQ         R13, AX
-	VMOVUPS      (DX)(R14*1), Y8
+	F32B(4)
 	F32TAP(R8, Y9, Y4)
 	F32TAP(R9, Y10, Y5)
 	F32TAP(R10, Y11, Y6)
 	F32TAP(R11, Y12, Y7)
 	ADDQ         R13, AX
-	LEAQ         (DX)(R14*2), DX
-	VMOVUPS      (DX), Y8
+	F32B(8)
 	F32TAP(R8, Y9, Y4)
 	F32TAP(R9, Y10, Y5)
 	F32TAP(R10, Y11, Y6)
 	F32TAP(R11, Y12, Y7)
 	ADDQ         R13, AX
-	VMOVUPS      (DX)(R14*1), Y8
+	F32B(12)
 	F32TAP(R8, Y9, Y4)
 	F32TAP(R9, Y10, Y5)
 	F32TAP(R10, Y11, Y6)
 	F32TAP(R11, Y12, Y7)
 	ADDQ         R13, AX
-	LEAQ         (DX)(R14*2), DX
+	ADDQ         $16, R14
 	VADDPS       Y0, Y4, Y0
 	VADDPS       Y1, Y5, Y1
 	VADDPS       Y2, Y6, Y2
@@ -115,13 +118,13 @@ f32x4tail:
 	JZ   f32x4store
 
 f32x4one:
-	VMOVUPS (DX), Y8
+	F32B(0)
 	F32ONE(R8, Y9, Y0)
 	F32ONE(R9, Y10, Y1)
 	F32ONE(R10, Y11, Y2)
 	F32ONE(R11, Y12, Y3)
 	ADDQ    R13, AX
-	ADDQ    R14, DX
+	ADDQ    $4, R14
 	DECQ    CX
 	JNZ     f32x4one
 
@@ -144,7 +147,7 @@ f32x4next:
 	VZEROUPPER
 	RET
 
-// func tileF32x1AVX2(dst, a *float32, lda int, b *float32, ldb, k, n int)
+// func tileF32x1AVX2(dst, a *float32, lda int, b *float32, offs *int32, k, n int)
 //
 // tileF32x4AVX2 for one row: a panel's lone last row. Same order, same
 // bits.
@@ -154,34 +157,31 @@ TEXT ·tileF32x1AVX2(SB), NOSPLIT, $0-56
 	MOVQ lda+16(FP), R13
 	SHLQ $2, R13
 	MOVQ b+24(FP), SI
-	MOVQ ldb+32(FP), R14
-	SHLQ $2, R14
 	MOVQ n+48(FP), BX
 
 f32x1lanes:
 	VXORPS Y0, Y0, Y0
 	XORQ   AX, AX
-	MOVQ   SI, DX
+	MOVQ   offs+32(FP), R14
 	MOVQ   k+40(FP), CX
 	SHRQ   $2, CX
 	JZ     f32x1tail
 
 f32x1quad:
-	VMOVUPS      (DX), Y8
+	F32B(0)
 	VBROADCASTSS (R8)(AX*1), Y9
 	VMULPS       Y9, Y8, Y4
 	ADDQ         R13, AX
-	VMOVUPS      (DX)(R14*1), Y8
+	F32B(4)
 	F32TAP(R8, Y10, Y4)
 	ADDQ         R13, AX
-	LEAQ         (DX)(R14*2), DX
-	VMOVUPS      (DX), Y8
+	F32B(8)
 	F32TAP(R8, Y11, Y4)
 	ADDQ         R13, AX
-	VMOVUPS      (DX)(R14*1), Y8
+	F32B(12)
 	F32TAP(R8, Y12, Y4)
 	ADDQ         R13, AX
-	LEAQ         (DX)(R14*2), DX
+	ADDQ         $16, R14
 	VADDPS       Y0, Y4, Y0
 	DECQ         CX
 	JNZ          f32x1quad
@@ -192,10 +192,10 @@ f32x1tail:
 	JZ   f32x1store
 
 f32x1one:
-	VMOVUPS (DX), Y8
+	F32B(0)
 	F32ONE(R8, Y9, Y0)
 	ADDQ    R13, AX
-	ADDQ    R14, DX
+	ADDQ    $4, R14
 	DECQ    CX
 	JNZ     f32x1one
 
@@ -213,14 +213,18 @@ f32x1store:
 // VPBROADCASTD per row and pair needs no stride; a 1-row tile reads its
 // row's pairs one after another.
 
+// I8B(at, y) sign-extends the 16 lanes of the tap whose offset is at(R14)
+// to words in y.
+#define I8B(at, y) MOVLQSX at(R14), DX; VPMOVSXBW (SI)(DX*1), y
+
 // I8PAIR(off, lo, hi) adds the pair of taps' products for the row whose
 // packed int16 pair is at off(AX) to its sums lo (lanes 0–3, 8–11) and
 // hi (lanes 4–7, 12–15); B's two taps are interleaved in Y10 and Y11.
 #define I8PAIR(off, lo, hi) VPBROADCASTD off(AX), Y12; VPMADDWD Y12, Y10, Y13; VPMADDWD Y12, Y11, Y14; VPADDD Y13, lo, lo; VPADDD Y14, hi, hi
 
-// func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, ldb, k, n, rows int)
+// func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, offs *int32, k, n, rows int)
 //
-// dst[r*ldd+j] = Σ_kk int32(A[r][kk])·int32(b[kk*ldb+j]) for r < rows
+// dst[r*ldd+j] = Σ_kk int32(A[r][kk])·int32(b[offs[kk]+j]) for r < rows
 // (2..4) and j in [0,n), n a positive multiple of 16. a holds A as int16 pairs:
 // dword a[p*4+r] is taps 2p (low word) and 2p+1 (high word, zero past k)
 // of row r. Two of B's int8 taps are sign-extended to words and
@@ -236,7 +240,6 @@ TEXT ·tileI8x4AVX2(SB), NOSPLIT, $0-64
 	SHLQ $2, R12
 	LEAQ (R12)(R12*2), R13
 	MOVQ b+24(FP), SI
-	MOVQ ldb+32(FP), R14
 	MOVQ n+48(FP), BX
 
 i8x4lanes:
@@ -249,14 +252,14 @@ i8x4lanes:
 	VPXOR Y6, Y6, Y6
 	VPXOR Y7, Y7, Y7
 	MOVQ  a+16(FP), AX
-	MOVQ  SI, DX
+	MOVQ  offs+32(FP), R14
 	MOVQ  k+40(FP), CX
 	SHRQ  $1, CX
 	JZ    i8x4odd
 
 i8x4pair:
-	VPMOVSXBW  (DX), Y8
-	VPMOVSXBW  (DX)(R14*1), Y9
+	I8B(0, Y8)
+	I8B(4, Y9)
 	VPUNPCKLWD Y9, Y8, Y10
 	VPUNPCKHWD Y9, Y8, Y11
 	I8PAIR(0, Y0, Y1)
@@ -264,7 +267,7 @@ i8x4pair:
 	I8PAIR(8, Y4, Y5)
 	I8PAIR(12, Y6, Y7)
 	ADDQ       $16, AX
-	LEAQ       (DX)(R14*2), DX
+	ADDQ       $8, R14
 	DECQ       CX
 	JNZ        i8x4pair
 
@@ -273,7 +276,7 @@ i8x4odd:
 	MOVQ       k+40(FP), CX
 	ANDQ       $1, CX
 	JZ         i8x4store
-	VPMOVSXBW  (DX), Y8
+	I8B(0, Y8)
 	VPXOR      Y9, Y9, Y9
 	VPUNPCKLWD Y9, Y8, Y10
 	VPUNPCKHWD Y9, Y8, Y11
@@ -316,32 +319,31 @@ i8x4next:
 	VZEROUPPER
 	RET
 
-// func tileI8x1AVX2(dst *int32, a *int32, b *int8, ldb, k, n int)
+// func tileI8x1AVX2(dst *int32, a *int32, b *int8, offs *int32, k, n int)
 //
 // tileI8x4AVX2 for one row, its int16 pairs a[p] contiguous.
 TEXT ·tileI8x1AVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ b+16(FP), SI
-	MOVQ ldb+24(FP), R14
 	MOVQ n+40(FP), BX
 
 i8x1lanes:
 	VPXOR Y0, Y0, Y0
 	VPXOR Y1, Y1, Y1
 	MOVQ  a+8(FP), AX
-	MOVQ  SI, DX
+	MOVQ  offs+24(FP), R14
 	MOVQ  k+32(FP), CX
 	SHRQ  $1, CX
 	JZ    i8x1odd
 
 i8x1pair:
-	VPMOVSXBW  (DX), Y8
-	VPMOVSXBW  (DX)(R14*1), Y9
+	I8B(0, Y8)
+	I8B(4, Y9)
 	VPUNPCKLWD Y9, Y8, Y10
 	VPUNPCKHWD Y9, Y8, Y11
 	I8PAIR(0, Y0, Y1)
 	ADDQ       $4, AX
-	LEAQ       (DX)(R14*2), DX
+	ADDQ       $8, R14
 	DECQ       CX
 	JNZ        i8x1pair
 
@@ -349,7 +351,7 @@ i8x1odd:
 	MOVQ       k+32(FP), CX
 	ANDQ       $1, CX
 	JZ         i8x1store
-	VPMOVSXBW  (DX), Y8
+	I8B(0, Y8)
 	VPXOR      Y9, Y9, Y9
 	VPUNPCKLWD Y9, Y8, Y10
 	VPUNPCKHWD Y9, Y8, Y11
@@ -367,24 +369,25 @@ i8x1store:
 	VZEROUPPER
 	RET
 
-// func convTileF64AVX2(dst, p, w0, w1, w2, w3 *float64, k, n int)
+// func convTileF64AVX2(dst *float64, ldd int, b *float64, offs *int32, w0, w1, w2, w3 *float64, k, n int)
 //
-// dst[c*n+j] = Σ_kk p[kk*n+j]·wc[kk] for c in 0..3 and j in [0,n), n a
-// positive multiple of 4: four output channels by eight (then four) pixel
-// lanes stay in YMM accumulators over the whole kk loop. Every lane is
-// one sum from +0, kk ascending, VMULPD then VADDPD (never FMA) with the
-// scalar loop's operand order, so each element carries dotRows's bits.
-TEXT ·convTileF64AVX2(SB), NOSPLIT, $0-64
+// dst[c*ldd+j] = Σ_kk b[offs[kk]+j]·wc[kk] for c in 0..3 and j in [0,n),
+// n a positive multiple of 4: four output channels by eight (then four)
+// pixel lanes stay in YMM accumulators over the whole kk loop. Every lane
+// is one sum from +0, kk ascending, VMULPD then VADDPD (never FMA) with
+// the scalar loop's operand order, so each element carries dotRows's bits.
+TEXT ·convTileF64AVX2(SB), NOSPLIT, $0-80
 	MOVQ dst+0(FP), DI
-	MOVQ p+8(FP), SI
-	MOVQ w0+16(FP), R8
-	MOVQ w1+24(FP), R9
-	MOVQ w2+32(FP), R10
-	MOVQ w3+40(FP), R11
-	MOVQ k+48(FP), CX
-	MOVQ n+56(FP), BX
-	MOVQ BX, R12
-	SHLQ $3, R12 // bytes between rows of p and of dst
+	MOVQ ldd+8(FP), R12
+	SHLQ $3, R12 // bytes between rows of dst
+	MOVQ b+16(FP), SI
+	MOVQ offs+24(FP), R13
+	MOVQ w0+32(FP), R8
+	MOVQ w1+40(FP), R9
+	MOVQ w2+48(FP), R10
+	MOVQ w3+56(FP), R11
+	MOVQ k+64(FP), CX
+	MOVQ n+72(FP), BX
 
 f64tile8:
 	CMPQ BX, $8
@@ -397,12 +400,12 @@ f64tile8:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	MOVQ   SI, R13
 	XORQ   AX, AX
 
 f64k8:
-	VMOVUPD      (R13), Y8
-	VMOVUPD      32(R13), Y9
+	MOVLQSX      (R13)(AX*4), DX
+	VMOVUPD      (SI)(DX*8), Y8
+	VMOVUPD      32(SI)(DX*8), Y9
 	VBROADCASTSD (R8)(AX*8), Y10
 	VBROADCASTSD (R9)(AX*8), Y11
 	VMULPD       Y8, Y10, Y12
@@ -423,7 +426,6 @@ f64k8:
 	VMULPD       Y9, Y11, Y15
 	VADDPD       Y14, Y6, Y6
 	VADDPD       Y15, Y7, Y7
-	ADDQ         R12, R13
 	INCQ         AX
 	CMPQ         AX, CX
 	JL           f64k8
@@ -452,11 +454,11 @@ f64tile4:
 	VXORPD Y2, Y2, Y2
 	VXORPD Y4, Y4, Y4
 	VXORPD Y6, Y6, Y6
-	MOVQ   SI, R13
 	XORQ   AX, AX
 
 f64k4:
-	VMOVUPD      (R13), Y8
+	MOVLQSX      (R13)(AX*4), DX
+	VMOVUPD      (SI)(DX*8), Y8
 	VBROADCASTSD (R8)(AX*8), Y10
 	VBROADCASTSD (R9)(AX*8), Y11
 	VMULPD       Y8, Y10, Y12
@@ -469,7 +471,6 @@ f64k4:
 	VMULPD       Y8, Y11, Y14
 	VADDPD       Y12, Y4, Y4
 	VADDPD       Y14, Y6, Y6
-	ADDQ         R12, R13
 	INCQ         AX
 	CMPQ         AX, CX
 	JL           f64k4

@@ -10,23 +10,23 @@ var useSIMD = false
 // false off amd64 or under OFFLOADNN_NO_SIMD=1).
 func SIMDEnabled() bool { return false }
 
-func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, ldb, k, n, rows int) {
+func tileF32x4AVX2(dst *float32, ldd int, a0, a1, a2, a3 *float32, lda int, b *float32, offs *int32, k, n, rows int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func tileF32x1AVX2(dst, a *float32, lda int, b *float32, ldb, k, n int) {
+func tileF32x1AVX2(dst, a *float32, lda int, b *float32, offs *int32, k, n int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, ldb, k, n, rows int) {
+func tileI8x4AVX2(dst *int32, ldd int, a *int32, b *int8, offs *int32, k, n, rows int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func tileI8x1AVX2(dst *int32, a *int32, b *int8, ldb, k, n int) {
+func tileI8x1AVX2(dst *int32, a *int32, b *int8, offs *int32, k, n int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
-func convTileF64AVX2(dst, p, w0, w1, w2, w3 *float64, k, n int) {
+func convTileF64AVX2(dst *float64, ldd int, b *float64, offs *int32, w0, w1, w2, w3 *float64, k, n int) {
 	panic("tensor: SIMD kernel called on non-amd64 build")
 }
 
